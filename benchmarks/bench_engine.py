@@ -3,21 +3,17 @@
 The exact event-by-event path is what every fold-ineligible run executes
 — fault injection, flowlet/adaptive routing, ``--sanitize``/``--verify``,
 timeline recording — and what every sweep-service worker spends its time
-in.  This benchmark pins the overhauled engine down from two sides:
+in.  This benchmark pins the engine down from two sides:
 
-* **Differential correctness** — the columnar (SoA) scheduler and the
-  per-object reference scheduler are run over the same faulted and clean
-  64-GPU scenarios and must produce *identical* dispatch digests (the
-  same ``(time, seq)`` fold the verifier computes), simulated times, and
-  event counts.  A divergence fails the benchmark, not just the gate.
+* **Pinned dispatch** — the faulted and clean 64-GPU scenarios (16 GPUs
+  with ``--quick``) must reproduce their recorded dispatch digests (the
+  ``(time, seq)`` fold the verifier computes), simulated times, and
+  event counts, bit for bit.  A divergence fails the benchmark, not just
+  the gate.
 
 * **Throughput** — best-of-N events/sec on the faulted + adaptive-routing
-  scenario, for both schedulers.  ``wall_speedup`` (SoA vs the in-tree
-  object reference arm, measured fresh in the same run) is the
-  machine-portable ratio CI gates on; ``speedup_vs_pre_overhaul``
-  compares against the recorded pre-overhaul baseline (see
-  ``pre_overhaul`` in the output) and carries the PR's >= 2x acceptance
-  criterion.
+  scenario.  ``speedup_vs_pre_overhaul`` compares against the recorded
+  pre-overhaul baseline (see ``pre_overhaul`` in the output).
 
 Usage::
 
@@ -40,9 +36,6 @@ from repro.core.plan import PlanCache
 from repro.core.simulator import TrioSim
 from repro.faults.spec import FaultSpec
 from repro.gpus.specs import get_gpu
-from repro.network.flow import FlowNetwork
-from repro.network.routing import get_routing_strategy
-from repro.network.topology import build_topology_cached
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
 
@@ -54,6 +47,16 @@ FULL = dict(model="resnet50", batch=128, num_gpus=64, iterations=2,
             repeats=3)
 QUICK = dict(model="resnet18", batch=32, num_gpus=16, iterations=2,
              repeats=2)
+
+#: ``(dispatch digest, simulated seconds, events)`` per arm and scale.
+#: Recorded when the columnar scheduler was proven dispatch-identical
+#: to the per-object dependency walk it replaced.
+PINNED = {
+    False: {"faulted": ("28c9f1ca8f4caee0", 0.2053144305068356, 192303),
+            "clean": ("cde0e7e7865bc072", 0.18863803921515243, 192303)},
+    True: {"faulted": ("1f230fd73109a37c", 0.022191069952813544, 10103),
+           "clean": ("9b34ac9e49f24202", 0.015341225055199572, 10103)},
+}
 
 #: Straggler spec for the faulted arm (seeded: bit-identical digests).
 FAULTS = {
@@ -71,75 +74,35 @@ FAULTS = {
 #: same machine that produced the committed BENCH_engine.json.  Its
 #: simulated time equals the overhauled engine's to the bit.  The
 #: ``speedup_vs_pre_overhaul`` headline divides by this; it is only
-#: meaningful for full (non ``--quick``) runs on comparable hardware —
-#: cross-machine CI gates use ``wall_speedup`` instead.
+#: meaningful for full (non ``--quick``) runs on comparable hardware.
 PRE_OVERHAUL_EVENTS_PER_SEC = 64_897
 
-_MASK = (1 << 64) - 1
 
-
-class _Digest:
-    """The verifier's dispatch-order fold, fed by an engine observer."""
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def __call__(self, time: float, seq: int, event) -> None:
-        self.value = ((self.value * 1000003) ^ hash((time, seq))) & _MASK
-
-
-def _observed_factory(digest: _Digest, num_gpus: int):
-    """A network factory that installs *digest* as dispatch observer.
-
-    The observer has to be attached before any event is scheduled; the
-    network factory is the only pre-run seam that sees the engine, so
-    the differential arms build their (standard) network through it.
-    """
-
-    def factory(engine, cfg):
-        engine.set_dispatch_observer(digest)
-        topo = build_topology_cached("leaf_spine", num_gpus,
-                                     cfg.link_bandwidth, cfg.link_latency)
-        if cfg.faults is not None and not cfg.faults.is_empty:
-            # Fault injection mutates link bandwidths; never share the
-            # cached topology instance with other arms.
-            topo = topo.copy()
-        return FlowNetwork(engine, topo,
-                           routing=get_routing_strategy(cfg.routing),
-                           routing_seed=cfg.routing_seed)
-
-    return factory
-
-
-def _config(num_gpus: int, iterations: int, faulted: bool,
-            factory=None) -> SimulationConfig:
+def _config(num_gpus: int, iterations: int, faulted: bool) -> SimulationConfig:
     return SimulationConfig(
         parallelism="ddp", num_gpus=num_gpus, topology="leaf_spine",
         link_bandwidth=234e9, iterations=iterations, routing="adaptive",
-        faults=FaultSpec.from_dict(FAULTS) if faulted else None,
-        network_factory=factory)
+        faults=FaultSpec.from_dict(FAULTS) if faulted else None)
 
 
 def _digest_arm(trace, cache: PlanCache, num_gpus: int, iterations: int,
-                faulted: bool, scheduler: str) -> Tuple[str, float, int]:
-    digest = _Digest()
-    sim = TrioSim(trace, _config(num_gpus, iterations, faulted,
-                                 _observed_factory(digest, num_gpus)),
-                  record_timeline=False, plan_cache=cache,
-                  scheduler=scheduler)
+                faulted: bool) -> Tuple[str, float, int]:
+    """Dispatch digest, simulated time and event count of one arm (the
+    race-detector tier computes the digest; it observes, never steers)."""
+    sim = TrioSim(trace, _config(num_gpus, iterations, faulted),
+                  record_timeline=False, plan_cache=cache, verify="races")
     result = sim.run()
-    return f"{digest.value:016x}", result.total_time, result.events
+    return f"{sim.verify_digest:016x}", result.total_time, result.events
 
 
 def _timed_arm(trace, cache: PlanCache, num_gpus: int, iterations: int,
-               scheduler: str, repeats: int) -> Tuple[float, int]:
+               repeats: int) -> Tuple[float, int]:
     """Best-of-*repeats* wall seconds for the faulted scenario."""
     best = float("inf")
     events = 0
     for _ in range(repeats):
         sim = TrioSim(trace, _config(num_gpus, iterations, faulted=True),
-                      record_timeline=False, plan_cache=cache,
-                      scheduler=scheduler)
+                      record_timeline=False, plan_cache=cache)
         start = time.perf_counter()
         result = sim.run()
         wall = time.perf_counter() - start
@@ -157,45 +120,30 @@ def run(quick: bool = False,
     cache = PlanCache()
     num_gpus, iterations = params["num_gpus"], params["iterations"]
 
-    # Differential: SoA vs object dispatch digests, faulted and clean.
-    differential: Dict[str, dict] = {}
+    # Pinned dispatch: digest, simulated time and events, bit for bit.
+    pinned: Dict[str, dict] = {}
     for arm_name, faulted in (("faulted", True), ("clean", False)):
-        arms = {
-            scheduler: _digest_arm(trace, cache, num_gpus, iterations,
-                                   faulted, scheduler)
-            for scheduler in ("soa", "object")
-        }
-        (soa_digest, soa_total, soa_events) = arms["soa"]
-        (obj_digest, obj_total, obj_events) = arms["object"]
-        assert soa_digest == obj_digest, (
-            f"{arm_name}: dispatch digest diverged: "
-            f"soa {soa_digest} vs object {obj_digest}")
-        assert soa_total == obj_total, (
-            f"{arm_name}: simulated time diverged: "
-            f"{soa_total!r} vs {obj_total!r}")
-        assert soa_events == obj_events, (
-            f"{arm_name}: event count diverged: {soa_events} vs {obj_events}")
-        differential[arm_name] = {
-            "dispatch_digest": soa_digest,
-            "simulated_time_s": soa_total,
-            "events": soa_events,
-            "identical_simulated_time": True,
+        got = _digest_arm(trace, cache, num_gpus, iterations, faulted)
+        want = PINNED[quick][arm_name]
+        assert got == want, f"{arm_name}: dispatch diverged: {got} vs {want}"
+        digest, total, events = got
+        pinned[arm_name] = {
+            "dispatch_digest": digest,
+            "simulated_time_s": total,
+            "events": events,
         }
 
-    # Throughput: best-of-N on the faulted scenario, both schedulers.
-    soa_wall, events = _timed_arm(trace, cache, num_gpus, iterations,
-                                  "soa", params["repeats"])
-    object_wall, _ = _timed_arm(trace, cache, num_gpus, iterations,
-                                "object", params["repeats"])
-    events_per_sec = events / soa_wall
+    # Throughput: best-of-N on the faulted scenario.
+    wall, events = _timed_arm(trace, cache, num_gpus, iterations,
+                              params["repeats"])
+    events_per_sec = events / wall
 
     if profile_out:
         import cProfile
 
         profiler = cProfile.Profile()
         sim = TrioSim(trace, _config(num_gpus, iterations, faulted=True),
-                      record_timeline=False, plan_cache=cache,
-                      scheduler="soa")
+                      record_timeline=False, plan_cache=cache)
         profiler.enable()
         sim.run()
         profiler.disable()
@@ -211,23 +159,19 @@ def run(quick: bool = False,
                        topology="leaf_spine", routing="adaptive",
                        link_bandwidth=234e9, repeats=params["repeats"],
                        faults="straggler gpu1 x1.5 (seed 0)"),
-        "differential": differential,
+        "pinned": pinned,
         "timing": {
-            "soa_wall_s": soa_wall,
-            "object_wall_s": object_wall,
+            "wall_s": wall,
             "events": events,
             "events_per_sec": events_per_sec,
-            "object_events_per_sec": events / object_wall,
         },
         "headline": {
             "scenario": f"{params['model']}_ddp_faults_adaptive",
             "num_gpus": num_gpus,
             "events": events,
             "events_per_sec": events_per_sec,
-            "wall_speedup": object_wall / soa_wall,
-            "dispatch_digest": differential["faulted"]["dispatch_digest"],
-            "clean_dispatch_digest":
-                differential["clean"]["dispatch_digest"],
+            "dispatch_digest": pinned["faulted"]["dispatch_digest"],
+            "clean_dispatch_digest": pinned["clean"]["dispatch_digest"],
             "identical_simulated_time": True,
         },
     }
@@ -262,8 +206,7 @@ def main(argv=None) -> int:
     head = payload["headline"]
     print(f"wrote {out}")
     line = (f"  {head['scenario']} @ {head['num_gpus']} GPUs: "
-            f"{head['events_per_sec']:,.0f} events/s "
-            f"({head['wall_speedup']:.2f}x vs object scheduler), "
+            f"{head['events_per_sec']:,.0f} events/s, "
             f"digest {head['dispatch_digest']}")
     if "speedup_vs_pre_overhaul" in head:
         line += (f", {head['speedup_vs_pre_overhaul']:.2f}x vs "

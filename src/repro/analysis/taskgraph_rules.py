@@ -18,7 +18,7 @@ from typing import Optional
 import networkx as nx
 
 from repro.analysis.registry import Emitter, rule
-from repro.core.taskgraph import TaskGraphSimulator
+from repro.core.taskgraph import TRANSFER, TaskGraphSimulator
 
 
 @dataclass
@@ -55,17 +55,17 @@ def check_cycles(ctx: TaskGraphContext, emit: Emitter) -> None:
 def check_endpoints(ctx: TaskGraphContext, emit: Emitter) -> None:
     if ctx.topology is None:
         return
+    store = ctx.sim.store
     count = 0
-    for task in ctx.sim.tasks:
-        if task.kind != "transfer":
+    for tid, kind in enumerate(store.kind):
+        if kind != TRANSFER:
             continue
-        for endpoint in (task.src, task.dst):
+        for endpoint in (store.src[tid], store.dst[tid]):
             if endpoint not in ctx.topology:
                 if count < 5:
-                    emit(f"transfer {task.name!r} endpoint {endpoint!r} is "
-                         "not a topology node",
-                         location=f"task[{task.task_id}]",
-                         endpoint=str(endpoint))
+                    emit(f"transfer {store.name[tid]!r} endpoint "
+                         f"{endpoint!r} is not a topology node",
+                         location=f"task[{tid}]", endpoint=str(endpoint))
                 count += 1
 
 
@@ -73,23 +73,21 @@ def check_endpoints(ctx: TaskGraphContext, emit: Emitter) -> None:
       description="Each task's remaining-dependency counter must equal "
                   "its in-degree; a mismatch strands the task forever.")
 def check_dep_counts(ctx: TaskGraphContext, emit: Emitter) -> None:
-    indegree = {t.task_id: 0 for t in ctx.sim.tasks}
-    for task in ctx.sim.tasks:
-        if task.done:
+    store = ctx.sim.store
+    end = store.end
+    indegree = [0] * len(store)
+    for tid in range(len(store)):
+        if end[tid] is not None:
             continue
-        for dependent in task.dependents:
-            if not dependent.done:
-                indegree[dependent.task_id] += 1
+        for target in store.successors(tid):
+            if end[target] is None:
+                indegree[target] += 1
     count = 0
-    for task in ctx.sim.tasks:
-        if task.done:
-            continue
-        if task.remaining_deps != indegree[task.task_id]:
+    for tid, counted in enumerate(store.indegree):
+        if end[tid] is None and counted != indegree[tid]:
             if count < 5:
-                emit(f"task {task.name!r} counts {task.remaining_deps} "
-                     f"pending deps but {indegree[task.task_id]} tasks "
-                     "point at it",
-                     location=f"task[{task.task_id}]",
-                     counted=task.remaining_deps,
-                     actual=indegree[task.task_id])
+                emit(f"task {store.name[tid]!r} counts {counted} "
+                     f"pending deps but {indegree[tid]} tasks point at it",
+                     location=f"task[{tid}]", counted=counted,
+                     actual=indegree[tid])
             count += 1

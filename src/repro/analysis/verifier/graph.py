@@ -5,7 +5,8 @@ Both inputs the deep verifier accepts — a live (not yet run)
 :class:`~repro.core.plan.ExtrapolationPlan` — are lowered into the same
 :class:`GraphView`: parallel per-task arrays with *both* edge directions
 materialized (plans store backward dep indices, live graphs store forward
-``dependents`` pointers; every whole-graph algorithm here needs both).
+successor edges in their task store; every whole-graph algorithm here
+needs both).
 
 On top of the view sit the whole-graph algorithms the DV rules share:
 Kahn reachability, SCC cycle extraction, dependency levels, critical-path
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
+from repro.core.taskgraph import KIND_NAMES
 
 #: Task kinds a well-formed graph may contain.
 TASK_KINDS = ("compute", "transfer", "barrier")
@@ -124,35 +126,38 @@ class GraphView:
 
     @classmethod
     def from_simulator(cls, sim: Any) -> "GraphView":
-        """Lower a live :class:`~repro.core.taskgraph.TaskGraphSimulator`."""
+        """Lower a live :class:`~repro.core.taskgraph.TaskGraphSimulator`
+        by reading its task store's columns.
+
+        Edges are the rows' successors (a plan block's CSR plus the
+        per-row ``succ`` lists), so fences appear as terminals→fence and
+        fence→next-iteration-root edges; ``declared`` is the
+        ``indegree`` counter the scheduler will decrement.
+        """
         view = cls()
         view.source = "taskgraph"
-        tasks = sim.tasks
-        view.n = len(tasks)
-        index_of: Dict[int, int] = {
-            id(task): index for index, task in enumerate(tasks)
-        }
-        for index, task in enumerate(tasks):
-            view.ids.append(task.task_id)
-            view.names.append(task.name)
-            view.kinds.append(task.kind)
-            view.gpus.append(task.gpu)
-            view.durations.append(task.duration)
-            view.srcs.append(task.src)
-            view.dsts.append(task.dst)
-            view.nbytes.append(task.nbytes)
-            view.metas.append(task.meta)
-            view.deps.append([])
-            view.dependents.append([])
-            view.declared.append(task.remaining_deps)
-            view.done.append(task.done)
-        for index, task in enumerate(tasks):
-            for dependent in task.dependents:
-                target = index_of.get(id(dependent))
-                if target is None:
+        store = sim.store
+        n = view.n = len(store)
+        kinds = dict(enumerate(KIND_NAMES))
+        view.ids = list(range(n))
+        view.names = list(store.name)
+        view.kinds = [kinds.get(k, k) for k in store.kind]
+        view.gpus = list(store.gpu)
+        view.durations = list(store.duration)
+        view.srcs = list(store.src)
+        view.dsts = list(store.dst)
+        view.nbytes = list(store.nbytes)
+        view.metas = list(store.meta)
+        view.declared = list(store.indegree)
+        view.done = [end is not None for end in store.end]
+        view.deps = [[] for _ in range(n)]
+        view.dependents = [[] for _ in range(n)]
+        for index in range(n):
+            for target in store.successors(index):
+                if not isinstance(target, int) or not 0 <= target < n:
                     view.defects.append(
-                        (index, f"dependent {dependent.name!r} is not a "
-                                "task of this simulator"))
+                        (index, f"successor {target!r} is not a row of "
+                                f"this simulator ({n} rows)"))
                 elif target == index:
                     view.defects.append((index, "task depends on itself"))
                 else:

@@ -19,8 +19,9 @@ on three runtime invariants the static verifier cannot see:
 * **RC002 happens-before violation** — the executed order must be a
   linear extension of the task graph: no task may *start* before every
   dependency has *finished*.  Checked edge-by-edge at each dependency's
-  ``task_end`` hook (an epoch/vector-clock-lite formulation: each edge
-  is validated exactly once, O(edges) total, no per-task clock storage).
+  ``task_end`` hook, over the finished row's successors in the task
+  store (an epoch/vector-clock-lite formulation: each edge is validated
+  exactly once, O(edges) total, no per-task clock storage).
 
 * **RC003 global-RNG drift** — strategy callbacks must not draw from the
   unseeded process-global ``random`` / NumPy generators (seeded local
@@ -130,20 +131,22 @@ class HappensBeforeDetector:
         if ctx.pos != "task_end":
             return
         task = ctx.item
-        for dependent in task.dependents:
-            if dependent.start_time is None:
+        store = task.store
+        for rid in store.successors(task.task_id):
+            started = store.start[rid]
+            if started is None:
                 continue
             if self._fired < MAX_FINDINGS_PER_DETECTOR:
                 self._fired += 1
+                name = store.name[rid]
                 _emit(self.report, "RC002",
-                      f"task {dependent.name!r} started at "
-                      f"t={dependent.start_time:g} before its dependency "
-                      f"{task.name!r} finished at t={ctx.time:g} — the "
-                      "executed order is not a linear extension of the "
-                      "task graph",
-                      location=f"task[{dependent.task_id}]",
-                      task=dependent.name, dependency=task.name,
-                      started=dependent.start_time, finished=ctx.time)
+                      f"task {name!r} started at t={started:g} before its "
+                      f"dependency {task.name!r} finished at "
+                      f"t={ctx.time:g} — the executed order is not a "
+                      "linear extension of the task graph",
+                      location=f"task[{rid}]", task=name,
+                      dependency=task.name, started=started,
+                      finished=ctx.time)
 
 
 class RngDriftDetector:

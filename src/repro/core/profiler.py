@@ -19,9 +19,10 @@ from typing import Dict, Optional
 #: ``fold_extend`` times the algebraic extension of the folded tail
 #: (timeline replication + counter scaling).  Both are absent from
 #: unfolded runs.  The ``engine.*`` sub-phases split the engine phase
-#: by the instrumented run loop's buckets (heap bookkeeping, handler
-#: bodies, engine-level hook dispatch) and appear only under
-#: ``profile_engine`` / ``simulate --profile``.
+#: into the buckets the engine's observed run loop times when a profile
+#: sink is installed (heap bookkeeping, handler bodies, engine-level
+#: hook dispatch) and appear only under ``profile_engine`` /
+#: ``simulate --profile``.
 PHASES = ("trace_prep", "plan", "instancing", "fold_detect", "engine",
           "engine.queue_ops", "engine.handler", "engine.hook_overhead",
           "fold_extend")

@@ -14,15 +14,16 @@ reproduces the issue order of the framework being modelled).  Transfers
 run concurrently with compute — which is exactly how communication/
 computation overlap (DDP, GPipe) arises in the simulation, rather than
 being an analytical correction.
+
+Tasks live as rows of one columnar :class:`TaskStore`; a
+:class:`SimTask` is a view of one row.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.engine.engine import CallbackEvent, Engine
 from repro.engine.hooks import HookCtx, Hookable
@@ -31,44 +32,13 @@ from repro.network.base import NetworkModel
 HOOK_TASK_START = "task_start"
 HOOK_TASK_END = "task_end"
 
-#: Kind codes of the columnar (structure-of-arrays) scheduler.
-SOA_COMPUTE, SOA_TRANSFER, SOA_BARRIER = 0, 1, 2
-
-
-@dataclass
-class SimTask:
-    """One node of the execution DAG."""
-
-    task_id: int
-    name: str
-    kind: str                       # "compute" | "transfer" | "barrier"
-    gpu: Optional[str] = None       # compute tasks
-    duration: float = 0.0           # compute tasks
-    priority: int = 0               # lower runs first among ready tasks
-    src: Optional[str] = None       # transfer tasks
-    dst: Optional[str] = None
-    nbytes: float = 0.0
-    meta: dict = field(default_factory=dict)
-    remaining_deps: int = 0
-    dependents: List["SimTask"] = field(default_factory=list)
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        return self.end_time is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimTask {self.name} ({self.kind})>"
+#: Codes of the store's ``kind`` column, indexing :data:`KIND_NAMES`.
+COMPUTE, TRANSFER, BARRIER = 0, 1, 2
+KIND_NAMES = ("compute", "transfer", "barrier")
 
 
 class _GPUQueue:
-    """FIFO compute queue of one GPU: one task in flight at a time.
-
-    The object scheduler stores :class:`SimTask` entries; the columnar
-    scheduler stores integer task ids.  Both use ``running is None`` as
-    the idle test and accumulate ``busy_time`` identically.
-    """
+    """FIFO compute queue of one GPU: ready row ids, one row in flight."""
 
     def __init__(self):
         self.ready: list = []
@@ -76,107 +46,148 @@ class _GPUQueue:
         self.busy_time = 0.0
 
 
-class SoAGraph:
-    """Columnar (structure-of-arrays) execution state for one run.
+class TaskStore:
+    """The columnar (structure-of-arrays) task table of one simulator.
 
-    Built by :meth:`repro.core.plan.ExtrapolationPlan.
-    instantiate_iterations_soa` and installed with
-    :meth:`TaskGraphSimulator.adopt_soa`.  Columns are indexed by *local*
-    task id (global ``task_id`` is ``base + local id``); dependents are
-    CSR (``indptr``/``indices``), dependency counts live in ``indegree``.
-    The plan-level arrays are tiled with numpy and then materialized as
-    plain lists: CPython list indexing beats per-element numpy access in
-    the scalar dispatch loop, while construction stays vectorized.
+    One row per task, indexed by ``task_id``.  Rows are appended one at a
+    time by the ``add_*`` builders and a plan block at a time by
+    :meth:`repro.core.plan.ExtrapolationPlan.instantiate_iterations`.
 
-    Inter-iteration fences are single rows: each terminal of instance
-    *i* carries a ``fence_link`` to its fence, and the fence's
-    ``release`` entry lists the next instance's root tasks — so a fence
-    completing releases an iteration in O(roots) instead of walking
-    every task of the instance the way the object scheduler's dependent
-    lists do (the walk order is provably identical: non-root tasks hold
-    within-instance dependencies and cannot start before a root chain
-    reaches them).
+    Successors live in two places, walked in this order (which is the
+    order the successors were created in):
 
-    :class:`SimTask` views are materialized lazily — only when hooks
-    need an object to observe — and mirror the columns' start/end
-    times, so observers see exactly what the object scheduler shows.
+    * ``indptr``/``indices`` — CSR of the edges *inside* a plan block,
+      tiled with numpy and materialized as plain lists (CPython list
+      indexing beats per-element numpy access in the dispatch loop);
+    * ``succ`` — every other edge, as a per-row list or ``None``: the
+      builders' dependencies and the inter-iteration fence wiring
+      (each terminal → its fence, each fence → the next iteration's
+      roots).
+
+    ``indegree`` counts each row's unfinished dependencies; the scheduler
+    decrements it and starts the row at zero.  A plan iteration's
+    non-root rows carry no edge from the fence before them: they also
+    wait on rows of their own iteration, which cannot start before the
+    fence releases the roots.
     """
 
-    __slots__ = ("base", "kind", "name", "gpu", "duration", "priority",
-                 "src", "dst", "nbytes", "queue", "indegree", "indptr",
-                 "indices", "fence_link", "release", "plan_row", "protos",
-                 "entry_roots", "uniform_priority", "start", "end",
-                 "views", "batched_send", "size")
+    __slots__ = ("kind", "name", "gpu", "duration", "priority", "src", "dst",
+                 "nbytes", "meta", "queue", "indegree", "indptr", "indices",
+                 "succ", "start", "end", "uniform_priority")
 
-    def __init__(self, base, kind, name, gpu, duration, priority, src,
-                 dst, nbytes, queue, indegree, indptr, indices,
-                 fence_link, release, plan_row, protos, entry_roots,
-                 uniform_priority):
-        self.base = base
-        self.kind = kind
-        self.name = name
-        self.gpu = gpu
-        self.duration = duration
-        self.priority = priority
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.queue = queue
-        self.indegree = indegree
-        self.indptr = indptr
-        self.indices = indices
-        self.fence_link = fence_link
-        self.release = release
-        self.plan_row = plan_row
-        self.protos = protos
-        self.entry_roots = entry_roots
-        self.uniform_priority = uniform_priority
-        self.size = len(kind)
-        self.start: list = [None] * self.size
-        self.end: list = [None] * self.size
-        self.views: list = [None] * self.size
-        #: Whether the network's ``send`` accepts ``pending=`` (delivery
-        #: events appended for one bulk submission per release wave).
-        self.batched_send = False
+    def __init__(self):
+        self.kind: List[int] = []
+        self.name: List[str] = []
+        self.gpu: List[Optional[str]] = []
+        self.duration: List[float] = []
+        self.priority: List[int] = []
+        self.src: List[Optional[str]] = []
+        self.dst: List[Optional[str]] = []
+        self.nbytes: List[float] = []
+        self.meta: List[dict] = []
+        self.queue: List[Optional[_GPUQueue]] = []
+        self.indegree: List[int] = []
+        self.indptr: List[int] = [0]
+        self.indices: List[int] = []
+        self.succ: List[Optional[List[int]]] = []
+        self.start: List[Optional[float]] = []
+        self.end: List[Optional[float]] = []
+        #: Whether every row has priority 0, so a GPU picks its next task
+        #: by row id alone.
+        self.uniform_priority = True
 
-    def view(self, tid: int) -> SimTask:
-        """The lazily-materialized :class:`SimTask` view of *tid*."""
-        task = self.views[tid]
-        if task is None:
-            # protos is a zero-arg callable (the plan's cached prototype
-            # builder): hookless runs never materialize a view, so the
-            # prototype table is only ever built on the first view.
-            base, _deps, _gpu = self.protos()[self.plan_row[tid]]
-            task = SimTask.__new__(SimTask)
-            fields = dict(base)
-            fields["task_id"] = self.base + tid
-            fields["duration"] = self.duration[tid]
-            fields["dependents"] = []
-            fields["remaining_deps"] = 0
-            fields["start_time"] = self.start[tid]
-            fields["end_time"] = self.end[tid]
-            task.__dict__ = fields
-            self.views[tid] = task
-        return task
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def successors(self, tid: int) -> List[int]:
+        """Row ids that depend on *tid*, in creation order."""
+        out = self.indices[self.indptr[tid]:self.indptr[tid + 1]]
+        more = self.succ[tid]
+        if more:
+            out.extend(more)
+        return out
+
+    def link(self, dep: int, tid: int) -> None:
+        """Make row *tid* wait on row *dep* (a no-op once *dep* is done)."""
+        if self.end[dep] is not None:
+            return
+        more = self.succ[dep]
+        if more is None:
+            self.succ[dep] = [tid]
+        else:
+            more.append(tid)
+        self.indegree[tid] += 1
+
+
+def _column(name: str, doc: str) -> property:
+    def get(self):
+        return getattr(self.store, name)[self.task_id]
+    return property(get, doc=doc)
+
+
+class SimTask:
+    """A read-only view of one :class:`TaskStore` row.
+
+    Returned by the ``add_*`` builders and handed to task hooks.  Every
+    field reads the store, so a view is never stale: ``end_time`` is set
+    the moment its row finishes.
+    """
+
+    __slots__ = ("store", "task_id")
+
+    def __init__(self, store: TaskStore, task_id: int):
+        self.store = store
+        self.task_id = task_id
+
+    name = _column("name", "Task name.")
+    gpu = _column("gpu", "GPU of a compute task.")
+    duration = _column("duration", "Compute duration (seconds, scaled).")
+    priority = _column("priority", "Lower runs first among ready tasks.")
+    src = _column("src", "Transfer source.")
+    dst = _column("dst", "Transfer destination.")
+    nbytes = _column("nbytes", "Transfer size in bytes.")
+    meta = _column("meta", "Free-form task metadata.")
+    start_time = _column("start", "Dispatch time, or ``None``.")
+    end_time = _column("end", "Finish time, or ``None``.")
+
+    @property
+    def kind(self) -> str:
+        return KIND_NAMES[self.store.kind[self.task_id]]
+
+    @property
+    def done(self) -> bool:
+        return self.store.end[self.task_id] is not None
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SimTask) and other.store is self.store
+                and other.task_id == self.task_id)
+
+    def __hash__(self) -> int:
+        return hash((id(self.store), self.task_id))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<SimTask {self.name} ({self.kind})>"
 
 
 class TaskGraphSimulator(Hookable):
     """Executes a task DAG over GPUs and a network model.
 
     Build the graph with :meth:`add_compute` / :meth:`add_transfer` /
-    :meth:`add_barrier`, then call :meth:`run`.  Dependencies are given at
-    creation time; a task becomes ready when all its dependencies finish.
+    :meth:`add_barrier` (or instance a plan into it), then call
+    :meth:`run`.  Dependencies are given at creation time; a task becomes
+    ready when all its dependencies finish.
     """
 
     def __init__(self, engine: Engine, network: NetworkModel):
         super().__init__()
         self.engine = engine
         self.network = network
-        self.tasks: List[SimTask] = []
+        self.store = TaskStore()
         self._gpus: Dict[str, _GPUQueue] = defaultdict(_GPUQueue)
-        self._ids = itertools.count()
         self._unfinished = 0
-        self._fence: Optional[SimTask] = None
+        #: First row the next :meth:`run` considers as a root.
+        self._cursor = 0
+        self._fence: Optional[int] = None
         self.fences: List[SimTask] = []
         #: Per-GPU compute-duration multipliers (>= 1 slows a device) —
         #: heterogeneous/straggler systems without touching extrapolators.
@@ -187,32 +198,53 @@ class TaskGraphSimulator(Hookable):
         self.runtime_compute_scale: Optional[Callable[[str, float], float]] = None
         self.comm_task_time = 0.0
         self.comm_bytes = 0.0
-        self._soa: Optional[SoAGraph] = None
+        try:
+            #: Whether the network's ``send`` accepts ``pending=`` (delivery
+            #: events appended for one bulk submission per release wave).
+            self._batched_send = (
+                "pending" in inspect.signature(network.send).parameters)
+        except (TypeError, ValueError):  # builtins / odd callables
+            self._batched_send = False
 
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    def _new_task(self, name: str, kind: str,
-                  deps: Sequence[SimTask], **fields) -> SimTask:
-        if self._soa is not None:
-            raise RuntimeError(
-                "this simulator executes a columnar (SoA) graph; object "
-                "tasks cannot be added to it"
-            )
-        task = SimTask(next(self._ids), name, kind, **fields)
-        live_deps = 0
-        all_deps = list(deps)
+    @property
+    def tasks(self) -> List[SimTask]:
+        """Views of every row, in creation order."""
+        store = self.store
+        return [SimTask(store, tid) for tid in range(len(store))]
+
+    def _add(self, kind: int, name: str, deps: Iterable[int],
+             gpu: Optional[str] = None, duration: float = 0.0,
+             priority: int = 0, src: Optional[str] = None,
+             dst: Optional[str] = None, nbytes: float = 0.0,
+             meta: Optional[dict] = None) -> int:
+        store = self.store
+        tid = len(store)
+        store.kind.append(kind)
+        store.name.append(name)
+        store.gpu.append(gpu)
+        store.duration.append(duration)
+        store.priority.append(priority)
+        store.src.append(src)
+        store.dst.append(dst)
+        store.nbytes.append(nbytes)
+        store.meta.append(meta if meta is not None else {})
+        store.queue.append(self._gpus[gpu] if kind == COMPUTE else None)
+        store.indegree.append(0)
+        store.indptr.append(store.indptr[-1])
+        store.succ.append(None)
+        store.start.append(None)
+        store.end.append(None)
+        if priority:
+            store.uniform_priority = False
+        for dep in deps:
+            store.link(dep, tid)
         if self._fence is not None:
-            all_deps.append(self._fence)
-        for dep in all_deps:
-            if dep.done:
-                continue
-            dep.dependents.append(task)
-            live_deps += 1
-        task.remaining_deps = live_deps
-        self.tasks.append(task)
+            store.link(self._fence, tid)
         self._unfinished += 1
-        return task
+        return tid
 
     def fence(self, name: str = "fence") -> SimTask:
         """Insert a global synchronization point.
@@ -222,26 +254,35 @@ class TaskGraphSimulator(Hookable):
         This is how multi-iteration training is simulated: one
         extrapolated iteration per fence interval.
         """
-        terminals = [t for t in self.tasks if not t.dependents and not t.done]
-        return self.fence_from(name, terminals)
+        store = self.store
+        indptr, succ, end = store.indptr, store.succ, store.end
+        terminals = [t for t in range(len(store))
+                     if indptr[t] == indptr[t + 1] and not succ[t]
+                     and end[t] is None]
+        return SimTask(store, self._fence_rows(name, terminals))
 
     def fence_from(self, name: str, terminals: Sequence[SimTask]) -> SimTask:
         """A :meth:`fence` whose wait-set is the given *terminals*.
 
-        The plan-instancing path knows each instance's terminal tasks
-        without scanning the whole graph, so inserting inter-iteration
-        fences stays O(terminals) instead of O(tasks) — with identical
-        semantics to :meth:`fence` (tasks created afterwards implicitly
-        depend on the fence; an empty wait-set falls back to the previous
-        fence so consecutive fences still order correctly).
+        Callers that know the terminal tasks skip :meth:`fence`'s scan of
+        the whole graph, with identical semantics (tasks created
+        afterwards implicitly depend on the fence; an empty wait-set
+        falls back to the previous fence so consecutive fences still
+        order correctly).
         """
-        terminals = [t for t in terminals if not t.done]
-        previous_fence = self._fence
+        return SimTask(self.store, self._fence_rows(
+            name, [t.task_id for t in terminals]))
+
+    def _fence_rows(self, name: str, terminals: Sequence[int]) -> int:
+        end = self.store.end
+        live = [t for t in terminals if end[t] is None]
+        previous = self._fence
+        if not live and previous is not None:
+            live = [previous]
         self._fence = None  # the fence itself only depends on terminals
-        fence = self.add_barrier(name, deps=terminals or
-                                 ([previous_fence] if previous_fence else []))
+        fence = self._add(BARRIER, name, live)
         self._fence = fence
-        self.fences.append(fence)
+        self.fences.append(SimTask(self.store, fence))
         return fence
 
     def add_compute(self, name: str, gpu: str, duration: float,
@@ -257,253 +298,197 @@ class TaskGraphSimulator(Hookable):
         if duration < 0:
             raise ValueError(f"task {name}: negative duration")
         duration = float(duration) * self.compute_scale.get(gpu, 1.0)
-        task = self._new_task(name, "compute", deps, gpu=gpu,
-                              duration=duration, priority=priority, meta=meta)
-        return task
+        return SimTask(self.store, self._add(
+            COMPUTE, name, [d.task_id for d in deps], gpu=gpu,
+            duration=duration, priority=priority, meta=meta))
 
     def add_transfer(self, name: str, src: str, dst: str, nbytes: float,
                      deps: Sequence[SimTask] = (), **meta) -> SimTask:
         """A network transfer of *nbytes* from *src* to *dst*."""
         if nbytes < 0:
             raise ValueError(f"task {name}: negative bytes")
-        return self._new_task(name, "transfer", deps, src=src, dst=dst,
-                              nbytes=float(nbytes), meta=meta)
+        return SimTask(self.store, self._add(
+            TRANSFER, name, [d.task_id for d in deps], src=src, dst=dst,
+            nbytes=float(nbytes), meta=meta))
 
     def add_barrier(self, name: str, deps: Sequence[SimTask] = (), **meta) -> SimTask:
         """A zero-cost join node."""
-        return self._new_task(name, "barrier", deps, meta=meta)
+        return SimTask(self.store, self._add(
+            BARRIER, name, [d.task_id for d in deps], meta=meta))
+
+    def _append_iterations(self, block: dict, count: int, start: int) -> None:
+        """Append *count* copies of a plan *block* (see
+        :meth:`repro.core.plan.ExtrapolationPlan.instantiate_iterations`),
+        each iteration numbered ``>= 1`` behind a fence ``iteration{i}``."""
+        store = self.store
+        n = len(block["kind"])
+        durations = block["duration"]
+        scale = self.compute_scale
+        if scale:
+            # x * 1.0 is bit-identical to x: matches add_compute's
+            # unconditional multiply (compute rows only).
+            durations = [d * scale.get(g, 1.0) if g is not None else d
+                         for d, g in zip(durations, block["gpu"])]
+        queues = [self._gpus[g] if g is not None else None
+                  for g in block["gpu"]]
+        if not block["uniform_priority"]:
+            store.uniform_priority = False
+        indptr, indices = block["indptr"], block["indices"]
+        roots, terminals = block["roots"], block["terminals"]
+        empty = [None] * n
+        previous: Sequence[int] = ()
+        for index in range(start, start + count):
+            if index > 0:
+                self._fence_rows(f"iteration{index}", previous)
+            first = len(store)
+            store.kind.extend(block["kind"])
+            store.name.extend(block["name"])
+            store.gpu.extend(block["gpu"])
+            store.duration.extend(durations)
+            store.priority.extend(block["priority"])
+            store.src.extend(block["src"])
+            store.dst.extend(block["dst"])
+            store.nbytes.extend(block["nbytes"])
+            store.meta.extend(block["meta"])
+            store.queue.extend(queues)
+            store.indegree.extend(block["indegree"])
+            store.indptr.extend((indptr[1:] + len(store.indices)).tolist())
+            store.indices.extend((indices + first).tolist())
+            store.succ.extend(empty)
+            store.start.extend(empty)
+            store.end.extend(empty)
+            fence = self._fence
+            if fence is not None:
+                for root in roots:
+                    store.link(fence, first + root)
+            self._unfinished += n
+            previous = [first + t for t in terminals]
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> float:
-        """Dispatch the DAG; returns the finish time of the last task."""
-        if self._soa is not None:
-            return self._run_soa()
-        roots = [t for t in self.tasks if t.remaining_deps == 0 and not t.done]
-        for task in roots:
-            self._start(task)
-        self.engine.run()
-        if self._unfinished:
-            stuck = [t.name for t in self.tasks if not t.done][:10]
-            raise RuntimeError(
-                f"{self._unfinished} tasks never became ready "
-                f"(dependency cycle?); e.g. {stuck}"
-            )
-        return max((t.end_time for t in self.tasks), default=self.engine.now)
-
-    def _start(self, task: SimTask) -> None:
-        if task.kind == "compute":
-            queue = self._gpus[task.gpu]
-            queue.ready.append(task)
-            self._maybe_dispatch(task.gpu)
-        elif task.kind == "transfer":
-            task.start_time = self.engine.now
-            if self._hooks:
-                self.invoke_hooks(
-                    HookCtx(HOOK_TASK_START, self.engine.now, task))
-            self.network.send(task.src, task.dst, task.nbytes,
-                              lambda _t, tk=task: self._finish(tk), tag=task.name)
-        else:  # barrier
-            task.start_time = self.engine.now
-            # Complete via a zero-delay event to avoid unbounded recursion
-            # through long barrier chains.
-            self.engine.call_after(0.0, lambda _ev, tk=task: self._finish(tk))
-
-    def _maybe_dispatch(self, gpu: str) -> None:
-        queue = self._gpus[gpu]
-        if queue.running is not None or not queue.ready:
-            return
-        # Priority first, then creation order == program order.
-        task = min(queue.ready, key=lambda t: (t.priority, t.task_id))
-        queue.ready.remove(task)
-        queue.running = task
-        task.start_time = self.engine.now
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_TASK_START, self.engine.now, task))
-        duration = task.duration
-        if self.runtime_compute_scale is not None:
-            duration *= self.runtime_compute_scale(gpu, self.engine.now)
-        self.engine.call_after(duration, lambda _ev, tk=task: self._finish(tk))
-
-    def _finish(self, task: SimTask) -> None:
-        task.end_time = self.engine.now
-        self._unfinished -= 1
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_TASK_END, self.engine.now, task))
-        if task.kind == "compute":
-            queue = self._gpus[task.gpu]
-            queue.busy_time += task.end_time - (task.start_time or 0.0)
-            queue.running = None
-            self._maybe_dispatch(task.gpu)
-        elif task.kind == "transfer":
-            self.comm_task_time += task.end_time - (task.start_time or 0.0)
-            self.comm_bytes += task.nbytes
-        for dependent in task.dependents:
-            dependent.remaining_deps -= 1
-            if dependent.remaining_deps == 0:
-                self._start(dependent)
-
-    # ------------------------------------------------------------------
-    # Columnar (SoA) execution
-    # ------------------------------------------------------------------
-    def adopt_soa(self, graph: SoAGraph) -> None:
-        """Install a columnar task graph as this simulator's DAG.
-
-        Exclusive with the object-graph builders: the simulator must
-        hold no object tasks and no open fence, and ``add_*`` calls
-        raise afterwards.  Dispatch decisions, hook firing positions,
-        and accounting are bit-identical to the object scheduler — the
-        differential engine benchmark pins the two paths' dispatch
-        digests equal.
-        """
-        if self._soa is not None:
-            raise RuntimeError("a columnar graph is already installed")
-        if self.tasks or self._fence is not None:
-            raise RuntimeError(
-                "cannot install a columnar graph on a simulator that "
-                "already holds object tasks"
-            )
-        try:
-            graph.batched_send = (
-                "pending" in inspect.signature(self.network.send).parameters)
-        except (TypeError, ValueError):  # builtins / odd callables
-            graph.batched_send = False
-        self._soa = graph
-        self._unfinished += graph.size
-
-    def _run_soa(self) -> float:
-        soa = self._soa
-        assert soa is not None
+        """Dispatch the rows not yet run; returns the last finish time."""
+        store = self.store
+        indegree, end = store.indegree, store.end
+        first, self._cursor = self._cursor, len(store)
         pending: list = []
-        for tid in soa.entry_roots:
-            self._start_soa(tid, pending)
+        for tid in range(first, len(store)):
+            if not indegree[tid] and end[tid] is None:
+                self._start(tid, pending)
         if pending:
             self.engine.schedule_bulk(pending)
         self.engine.run()
         if self._unfinished:
-            end = soa.end
-            stuck = [soa.name[t] for t in range(soa.size)
+            stuck = [store.name[t] for t in range(len(store))
                      if end[t] is None][:10]
             raise RuntimeError(
                 f"{self._unfinished} tasks never became ready "
                 f"(dependency cycle?); e.g. {stuck}"
             )
-        return max(soa.end) if soa.size else self.engine.now
+        return max(end) if end else self.engine.now
 
-    def _start_soa(self, tid: int, pending: list) -> None:
-        soa = self._soa
-        kind = soa.kind[tid]
-        if kind == SOA_COMPUTE:
-            queue = soa.queue[tid]
+    def _start(self, tid: int, pending: list) -> None:
+        store = self.store
+        kind = store.kind[tid]
+        if kind == COMPUTE:
+            queue = store.queue[tid]
             queue.ready.append(tid)
             if queue.running is None:
-                self._dispatch_soa(queue, pending)
-        elif kind == SOA_TRANSFER:
+                self._dispatch(queue, pending)
+        elif kind == TRANSFER:
             # engine._now read directly: the .now property costs a
             # descriptor call per event on this path.
             now = self.engine._now
-            soa.start[tid] = now
+            store.start[tid] = now
             if self._hooks:
-                view = soa.view(tid)
-                view.start_time = now
-                self.invoke_hooks(HookCtx(HOOK_TASK_START, now, view))
-            if soa.batched_send:
-                self.network.send(soa.src[tid], soa.dst[tid],
-                                  soa.nbytes[tid],
-                                  lambda _t, t=tid: self._finish_soa(t),
-                                  tag=soa.name[tid], pending=pending)
+                self.invoke_hooks(
+                    HookCtx(HOOK_TASK_START, now, SimTask(store, tid)))
+            if self._batched_send:
+                self.network.send(store.src[tid], store.dst[tid],
+                                  store.nbytes[tid],
+                                  lambda _t, t=tid: self._finish(t),
+                                  tag=store.name[tid], pending=pending)
             else:
                 # Networks without batched delivery schedule directly;
                 # flushing first keeps the event-creation order (and so
-                # the seq order) identical to the object scheduler's
-                # schedule-as-you-walk behaviour.
+                # the seq order) identical to scheduling as we walk.
                 if pending:
                     self.engine.schedule_bulk(pending)
                     del pending[:]
-                self.network.send(soa.src[tid], soa.dst[tid],
-                                  soa.nbytes[tid],
-                                  lambda _t, t=tid: self._finish_soa(t),
-                                  tag=soa.name[tid])
+                self.network.send(store.src[tid], store.dst[tid],
+                                  store.nbytes[tid],
+                                  lambda _t, t=tid: self._finish(t),
+                                  tag=store.name[tid])
         else:  # barrier / fence
+            # Completes via a zero-delay event, so long barrier chains
+            # never recurse.
             now = self.engine._now
-            soa.start[tid] = now
+            store.start[tid] = now
             pending.append(CallbackEvent(
-                now + 0.0, lambda _ev, t=tid: self._finish_soa(t)))
+                now + 0.0, lambda _ev, t=tid: self._finish(t)))
 
-    def _dispatch_soa(self, queue: _GPUQueue, pending: list) -> None:
+    def _dispatch(self, queue: _GPUQueue, pending: list) -> None:
         ready = queue.ready
         if not ready:
             return
-        soa = self._soa
-        if soa.uniform_priority:
-            # min() over plain ints; ids ascend in creation order, so
-            # this is the object scheduler's (priority, task_id) key.
+        store = self.store
+        if store.uniform_priority:
+            # Row ids ascend in creation order, so min() over plain ints
+            # is the (priority, creation order) key.
             tid = min(ready)
         else:
-            priority = soa.priority
+            priority = store.priority
             tid = min(ready, key=lambda t: (priority[t], t))
         ready.remove(tid)
         queue.running = tid
         now = self.engine._now
-        soa.start[tid] = now
+        store.start[tid] = now
         if self._hooks:
-            view = soa.view(tid)
-            view.start_time = now
-            self.invoke_hooks(HookCtx(HOOK_TASK_START, now, view))
-        duration = soa.duration[tid]
+            self.invoke_hooks(HookCtx(HOOK_TASK_START, now, SimTask(store, tid)))
+        duration = store.duration[tid]
         scale = self.runtime_compute_scale
         if scale is not None:
-            duration *= scale(soa.gpu[tid], now)
+            duration *= scale(store.gpu[tid], now)
         pending.append(CallbackEvent(
-            now + duration, lambda _ev, t=tid: self._finish_soa(t)))
+            now + duration, lambda _ev, t=tid: self._finish(t)))
 
-    def _finish_soa(self, tid: int) -> None:
-        soa = self._soa
+    def _finish(self, tid: int) -> None:
+        store = self.store
         now = self.engine._now
-        soa.end[tid] = now
+        store.end[tid] = now
         self._unfinished -= 1
         if self._hooks:
-            view = soa.view(tid)
-            view.start_time = soa.start[tid]
-            view.end_time = now
-            self.invoke_hooks(HookCtx(HOOK_TASK_END, now, view))
+            self.invoke_hooks(HookCtx(HOOK_TASK_END, now, SimTask(store, tid)))
         pending: list = []
-        kind = soa.kind[tid]
-        if kind == SOA_COMPUTE:
-            queue = soa.queue[tid]
-            queue.busy_time += now - soa.start[tid]
+        kind = store.kind[tid]
+        if kind == COMPUTE:
+            queue = store.queue[tid]
+            queue.busy_time += now - store.start[tid]
             queue.running = None
-            self._dispatch_soa(queue, pending)
-        elif kind == SOA_TRANSFER:
-            self.comm_task_time += now - soa.start[tid]
-            self.comm_bytes += soa.nbytes[tid]
-        indptr = soa.indptr
+            self._dispatch(queue, pending)
+        elif kind == TRANSFER:
+            self.comm_task_time += now - store.start[tid]
+            self.comm_bytes += store.nbytes[tid]
+        indegree = store.indegree
+        indptr = store.indptr
         lo = indptr[tid]
         hi = indptr[tid + 1]
         if lo != hi:
-            indices = soa.indices
-            indegree = soa.indegree
+            indices = store.indices
             for k in range(lo, hi):
                 rid = indices[k]
                 left = indegree[rid] - 1
                 indegree[rid] = left
                 if not left:
-                    self._start_soa(rid, pending)
-        link = soa.fence_link[tid]
-        if link >= 0:
-            left = soa.indegree[link] - 1
-            soa.indegree[link] = left
-            if not left:
-                self._start_soa(link, pending)
-        else:
-            release = soa.release[tid]
-            if release is not None:
-                fence = soa.views[tid]
-                if fence is not None:
-                    fence.end_time = now
-                for rid in release:
-                    self._start_soa(rid, pending)
+                    self._start(rid, pending)
+        more = store.succ[tid]
+        if more is not None:
+            for rid in more:
+                left = indegree[rid] - 1
+                indegree[rid] = left
+                if not left:
+                    self._start(rid, pending)
         if pending:
             self.engine.schedule_bulk(pending)
 

@@ -316,8 +316,8 @@ class Engine(Hookable):
     def set_profile(self, sink: Optional[Dict[str, float]]) -> None:
         """Accumulate run-loop timing into *sink*; ``None`` disables.
 
-        When a sink is installed :meth:`run` uses an instrumented loop
-        that buckets wall time into ``queue_ops`` (heap peek/pop and
+        When a sink is installed :meth:`run` uses its observed loop,
+        which buckets wall time into ``queue_ops`` (heap peek/pop and
         bookkeeping), ``handler`` (event handler bodies, where the
         simulation actually runs) and ``hook_overhead`` (engine-level
         hook dispatch).  The buckets are *added* to the sink's existing
@@ -334,9 +334,8 @@ class Engine(Hookable):
         *until*).  Returns the final virtual time.
         """
         self._paused = False
-        if self._profile is not None:
-            return self._run_instrumented(until)
-        if self._dispatch_observer is not None or self._heartbeat is not None:
+        if (self._dispatch_observer is not None or self._heartbeat is not None
+                or self._profile is not None):
             return self._run_observed(until)
         heappop = heapq.heappop
         queue = self._queue
@@ -401,11 +400,14 @@ class Engine(Hookable):
         return self._now
 
     def _run_observed(self, until: Optional[float]) -> float:
-        """Run-loop variant when a dispatch observer or heartbeat is set.
+        """Run-loop variant for observed runs: a dispatch observer, a
+        heartbeat, or a profile sink is installed.
 
         Dispatch order is identical to :meth:`run`'s fast loop; this
-        variant just keeps the per-event observer/heartbeat call sites
-        out of the common path.
+        variant keeps the per-event observer/heartbeat call sites and
+        the profiler's clock reads out of the common path.  With a sink
+        (see :meth:`set_profile`) it adds ``queue_ops`` / ``handler`` /
+        ``hook_overhead`` seconds to it.
         """
         heappop = heapq.heappop
         queue = self._queue
@@ -413,87 +415,31 @@ class Engine(Hookable):
         observer = self._dispatch_observer
         heartbeat = self._heartbeat
         beat_countdown = self._heartbeat_every
-        callback_lane = CallbackEvent
-        while queue and not self._paused:
-            time, seq, event = queue[0]
-            if until is not None and time > until:
-                self._now = until
-                return until
-            heappop(queue)
-            if event.cancelled:
-                if event._seq != seq:
-                    self._discard_stale(event, seq)
-                self._cancelled -= 1
-                continue
-            if event._seq != seq and self._discard_stale(event, seq):
-                # Skipped before the observer: requeue-stale entries are
-                # invisible to the dispatch stream.
-                self._cancelled -= 1
-                continue
-            event._engine = None
-            self._now = time
-            self._dispatched += 1
-            if self._dispatched > self._max_events:
-                raise SimulationLimitError(
-                    f"exceeded max_events={self._max_events}; "
-                    "possible runaway event loop"
-                )
-            if heartbeat is not None:
-                beat_countdown -= 1
-                if beat_countdown <= 0:
-                    beat_countdown = self._heartbeat_every
-                    heartbeat(self)
-            if observer is not None:
-                observer(time, seq, event)
-            if hooks:
-                self.invoke_hooks(HookCtx(HOOK_BEFORE_EVENT, time, event))
-                event.handler.handle(event)
-                self.invoke_hooks(HookCtx(HOOK_AFTER_EVENT, time, event))
-            elif type(event) is callback_lane:
-                event._callback(event)
-            else:
-                event.handler.handle(event)
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        return self._now
-
-    def _run_instrumented(self, until: Optional[float]) -> float:
-        """Fully-featured run loop that buckets time for the profiler.
-
-        Same dispatch semantics as :meth:`_run_observed`; additionally
-        accumulates ``queue_ops`` / ``handler`` / ``hook_overhead``
-        seconds into the sink installed by :meth:`set_profile`.
-        """
         profile = self._profile
-        assert profile is not None
-        heappop = heapq.heappop
-        queue = self._queue
-        hooks = self._hooks
-        observer = self._dispatch_observer
-        heartbeat = self._heartbeat
-        beat_countdown = self._heartbeat_every
-        queue_ops = profile.get("queue_ops", 0.0)
-        handler_s = profile.get("handler", 0.0)
-        hook_s = profile.get("hook_overhead", 0.0)
+        queue_ops = handler_s = hook_s = t0 = 0.0
+        callback_lane = CallbackEvent
         try:
-            while True:
-                t0 = perf_counter()
-                if not queue or self._paused:
-                    queue_ops += perf_counter() - t0
-                    break
+            while queue and not self._paused:
+                if profile is not None:
+                    t0 = perf_counter()
                 time, seq, event = queue[0]
                 if until is not None and time > until:
                     self._now = until
-                    queue_ops += perf_counter() - t0
+                    if profile is not None:
+                        queue_ops += perf_counter() - t0
                     return until
                 heappop(queue)
                 if event.cancelled or (
                         event._seq != seq
                         and self._discard_stale(event, seq)):
+                    # Cancelled, or a requeue-stale entry: skipped
+                    # before the observer, invisible to the dispatch
+                    # stream.
                     if event.cancelled and event._seq != seq:
                         self._discard_stale(event, seq)
                     self._cancelled -= 1
-                    queue_ops += perf_counter() - t0
+                    if profile is not None:
+                        queue_ops += perf_counter() - t0
                     continue
                 event._engine = None
                 self._now = time
@@ -510,25 +456,34 @@ class Engine(Hookable):
                         heartbeat(self)
                 if observer is not None:
                     observer(time, seq, event)
-                queue_ops += perf_counter() - t0
+                if profile is not None:
+                    t1 = perf_counter()
+                    queue_ops += t1 - t0
                 if hooks:
-                    t1 = perf_counter()
                     self.invoke_hooks(HookCtx(HOOK_BEFORE_EVENT, time, event))
-                    t2 = perf_counter()
+                    if profile is not None:
+                        t2 = perf_counter()
+                        hook_s += t2 - t1
                     event.handler.handle(event)
-                    t3 = perf_counter()
+                    if profile is not None:
+                        t3 = perf_counter()
+                        handler_s += t3 - t2
                     self.invoke_hooks(HookCtx(HOOK_AFTER_EVENT, time, event))
-                    t4 = perf_counter()
-                    hook_s += (t2 - t1) + (t4 - t3)
-                    handler_s += t3 - t2
+                    if profile is not None:
+                        hook_s += perf_counter() - t3
                 else:
-                    t1 = perf_counter()
-                    event.handler.handle(event)
-                    handler_s += perf_counter() - t1
+                    if type(event) is callback_lane:
+                        event._callback(event)
+                    else:
+                        event.handler.handle(event)
+                    if profile is not None:
+                        handler_s += perf_counter() - t1
         finally:
-            profile["queue_ops"] = queue_ops
-            profile["handler"] = handler_s
-            profile["hook_overhead"] = hook_s
+            if profile is not None:
+                for bucket, seconds in (("queue_ops", queue_ops),
+                                        ("handler", handler_s),
+                                        ("hook_overhead", hook_s)):
+                    profile[bucket] = profile.get(bucket, 0.0) + seconds
         if until is not None and not queue:
             self._now = max(self._now, until)
         return self._now

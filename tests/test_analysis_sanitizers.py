@@ -232,8 +232,7 @@ class TestTaskGraphLint:
         a = sim.add_compute("a", "gpu0", 1e-3)
         b = sim.add_compute("b", "gpu1", 1e-3, deps=[a])
         # Manually close the loop a -> b -> a.
-        b.dependents.append(a)
-        a.remaining_deps += 1
+        sim.store.link(b.task_id, a.task_id)
         report = lint_taskgraph(sim, topology=topology)
         assert "TG001" in report.rule_ids()
         assert report.has_errors
@@ -254,7 +253,7 @@ class TestTaskGraphLint:
         sim, topology = make_sim()
         a = sim.add_compute("a", "gpu0", 1e-3)
         sim.add_compute("b", "gpu0", 1e-3, deps=[a])
-        a.remaining_deps = 7  # corrupt the counter
+        sim.store.indegree[a.task_id] = 7  # corrupt the counter
         report = lint_taskgraph(sim, topology=topology)
         assert report.rule_ids() == ["TG003"]
 
@@ -293,23 +292,20 @@ class TestTrioSimSanitize:
         assert sanitized_sim.sanitizer_report.ok
 
     def test_broken_extrapolator_rejected_pre_run(self, trace, monkeypatch):
-        from repro.core.plan import ExtrapolationPlan
-
         config = SimulationConfig(parallelism="ddp", num_gpus=2,
                                   topology="ring")
         sim = TrioSim(trace, config, sanitize=True)
-        original = ExtrapolationPlan.instantiate
+        original = TrioSim.build_plan
 
-        def bad_instantiate(plan, tg):
-            created = original(plan, tg)
-            # Introduce a dependency cycle after extrapolation.
-            a, b = tg.tasks[0], tg.tasks[1]
-            b.dependents.append(a)
-            a.remaining_deps += 1
-            return created
+        def bad_build_plan(self):
+            plan = original(self)
+            # Introduce a dependency cycle after extrapolation: the
+            # first consumer of task 0 now also feeds task 0.
+            consumer = next(t for t in plan.tasks if 0 in t.deps)
+            plan.tasks[0].deps = (consumer.index,)
+            return plan
 
-        monkeypatch.setattr(ExtrapolationPlan, "instantiate",
-                            bad_instantiate)
+        monkeypatch.setattr(TrioSim, "build_plan", bad_build_plan)
         with pytest.raises(AnalysisError) as excinfo:
             sim.run()
         assert "TG001" in str(excinfo.value)

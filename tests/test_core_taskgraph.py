@@ -115,8 +115,7 @@ class TestBarriersAndDeps:
         a = sim.add_compute("a", "gpu0", 1.0)
         b = sim.add_compute("b", "gpu0", 1.0, deps=[a])
         # Manually create a cycle (the public API cannot).
-        b.dependents.append(a)
-        a.remaining_deps += 1
+        sim.store.link(b.task_id, a.task_id)
         with pytest.raises(RuntimeError):
             sim.run()
 

@@ -64,7 +64,7 @@ class TestSeededDefects:
     def test_dv001_self_dependency(self):
         sim, _, topology = make_sim(2)
         task = sim.add_compute("selfish", "gpu0", 1e-3)
-        task.dependents.append(task)
+        sim.store.succ[task.task_id] = [task.task_id]
         report = verify_taskgraph(sim, topology=topology)
         assert rule_ids(report) == {"DV001"}
         assert "depends on itself" in report.findings[0].message
@@ -72,7 +72,7 @@ class TestSeededDefects:
     def test_dv001_negative_duration(self):
         sim, _, _ = make_sim(2)
         task = sim.add_compute("fwd", "gpu0", 1e-3)
-        task.duration = -1.0
+        sim.store.duration[task.task_id] = -1.0
         report = verify_taskgraph(sim)
         assert rule_ids(report) == {"DV001"}
 
@@ -82,8 +82,7 @@ class TestSeededDefects:
         fence = sim.add_barrier("iteration_fence[0]", deps=[work])
         # Seed the deadlock: the fence's completion feeds back into the
         # work it waits on.
-        fence.dependents.append(work)
-        work.remaining_deps += 1
+        sim.store.link(fence.task_id, work.task_id)
         report = verify_taskgraph(sim, topology=topology)
         assert rule_ids(report) == {"DV002"}
         message = report.findings[0].message
@@ -93,7 +92,8 @@ class TestSeededDefects:
         sim, _, _ = make_sim(2)
         producer = sim.add_compute("producer", "gpu0", 1e-3)
         orphan = sim.add_compute("orphan", "gpu1", 1e-3, deps=[producer])
-        orphan.remaining_deps = 3  # declares deps no task will ever satisfy
+        # Declares deps no task will ever satisfy.
+        sim.store.indegree[orphan.task_id] = 3
         report = verify_taskgraph(sim)
         assert rule_ids(report) == {"DV003"}
         finding = report.findings[0]
@@ -105,7 +105,7 @@ class TestSeededDefects:
     def test_dv003_downstream_stranding(self):
         sim, _, _ = make_sim(2)
         head = sim.add_compute("head", "gpu0", 1e-3)
-        head.remaining_deps = 1
+        sim.store.indegree[head.task_id] = 1
         tail = sim.add_compute("tail", "gpu1", 1e-3, deps=[head])
         report = verify_taskgraph(sim)
         assert rule_ids(report) == {"DV003"}
@@ -160,7 +160,7 @@ class TestSeededDefects:
     def test_scoped_disable(self):
         sim, _, _ = make_sim(2)
         task = sim.add_compute("orphan", "gpu0", 1e-3)
-        task.remaining_deps = 2
+        sim.store.indegree[task.task_id] = 2
         scoped = DEFAULT_REGISTRY.scoped(disable=["DV003"])
         assert verify_taskgraph(sim, registry=scoped).ok
         assert not verify_taskgraph(sim).ok
@@ -171,8 +171,7 @@ class TestSeededDefects:
         sim, _, _ = make_sim(2)
         a = sim.add_compute("a", "gpu0", 1e-3)
         b = sim.add_compute("b", "gpu1", 1e-3, deps=[a])
-        b.dependents.append(a)
-        a.remaining_deps += 1
+        sim.store.link(b.task_id, a.task_id)
         report = verify_taskgraph(sim)
         assert rule_ids(report) == {"DV002"}
 
@@ -268,7 +267,8 @@ class TestRaceDetectors:
         sim, _, _ = make_sim(2)
         slow = sim.add_compute("slow_dep", "gpu0", 1.0)
         eager = sim.add_compute("eager", "gpu1", 0.1, deps=[slow])
-        eager.remaining_deps = 0  # races ahead of its dependency
+        # Races ahead of its dependency.
+        sim.store.indegree[eager.task_id] = 0
         suite = RaceDetectorSuite().attach(sim=sim)
         sim.run()
         report = suite.finalize()
@@ -531,7 +531,7 @@ class TestVerifyCli:
         # A tampered plan passes once its (only) firing rule is disabled.
         sim, _, _ = make_sim(2)
         task = sim.add_compute("orphan", "gpu0", 1e-3)
-        task.remaining_deps = 2
+        sim.store.indegree[task.task_id] = 2
         report = verify_taskgraph(
             sim, registry=DEFAULT_REGISTRY.scoped(disable=["DV003"]))
         assert report.ok
