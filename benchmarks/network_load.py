@@ -1,7 +1,6 @@
 """Collective-heavy network load scenarios for the flow-model benchmarks.
 
-Shared by the Figure-14 benchmark, the incremental-allocator regression
-tests, and ``bench_to_json.py``.  Each scenario builds an engine + flow
+Shared by the Figure-14 benchmark and ``bench_to_json.py``.  Each scenario builds an engine + flow
 network + task graph, runs it, and reports the counters the optimization
 is measured by: engine event cancellations (heap churn), delivery
 reschedules, reallocations, and wall time.
@@ -25,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict
 
+from dense_network import DenseFlowNetwork
 from repro.collectives.ring import ring_all_reduce
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
@@ -39,6 +39,11 @@ INTER_BW = 50e9
 #: of the bucket gate spacing so node waves do not re-synchronize.
 NODE_STAGGER = 3.7e-5
 BUCKET_GAP = 2e-4
+
+
+def _network(engine: Engine, topology, incremental: bool) -> FlowNetwork:
+    """The scoped allocator, or the dense oracle for the legacy arm."""
+    return (FlowNetwork if incremental else DenseFlowNetwork)(engine, topology)
 
 
 def _finish(engine: Engine, network: FlowNetwork,
@@ -72,7 +77,7 @@ def hierarchical_buckets(num_gpus: int = 128, buckets: int = 4,
     engine = Engine()
     topology = multi_node(num_nodes, GPUS_PER_NODE,
                           intra_bandwidth=INTRA_BW, inter_bandwidth=INTER_BW)
-    network = FlowNetwork(engine, topology, incremental=incremental)
+    network = _network(engine, topology, incremental)
     sim = TaskGraphSimulator(engine, network)
     for node, group in enumerate(node_groups(num_nodes, GPUS_PER_NODE)):
         for bucket in range(buckets):
@@ -95,7 +100,7 @@ def flat_ring_storm(num_gpus: int = 64, buckets: int = 6,
     engine = Engine()
     topology = multi_node(num_gpus // GPUS_PER_NODE, GPUS_PER_NODE,
                           intra_bandwidth=INTRA_BW, inter_bandwidth=INTER_BW)
-    network = FlowNetwork(engine, topology, incremental=incremental)
+    network = _network(engine, topology, incremental)
     sim = TaskGraphSimulator(engine, network)
     gpus = gpu_names(num_gpus)
     for bucket in range(buckets):
@@ -112,8 +117,9 @@ SCENARIOS = {
 
 
 def compare_modes(scenario: str, **kwargs) -> Dict:
-    """Run one scenario under the legacy dense allocator and under the
-    incremental allocator; report both plus the derived ratios."""
+    """Run one scenario under the legacy dense allocator
+    (:class:`dense_network.DenseFlowNetwork`) and under the scoped
+    allocator; report both plus the derived ratios."""
     build = SCENARIOS[scenario]
     legacy = build(incremental=False, **kwargs)
     incremental = build(incremental=True, **kwargs)

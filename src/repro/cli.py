@@ -150,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--cache", default=None, metavar="DIR",
                          help="result cache directory (default: spec's)")
     sweep_p.add_argument("--timeout", type=float, default=None,
-                         help="per-point wall-clock budget, seconds "
-                              "(alias for --deadline-hard)")
+                         help="alias for --deadline-hard (which wins "
+                              "when both are given)")
     sweep_p.add_argument("--deadline-soft", type=float, default=None,
                          help="cooperative per-point budget, seconds: the "
                               "engine heartbeat stops the point with a "
@@ -160,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--deadline-hard", type=float, default=None,
                          help="hard per-point budget, seconds: SIGALRM/"
                               "watchdog kill (default: spec's "
-                              "deadline_hard, then --timeout)")
+                              "deadline_hard, or its legacy timeout)")
     sweep_p.add_argument("--journal", default=None, metavar="DIR",
                          help="write-ahead journal directory: every "
                               "dispatch and disposition is fsync'd so a "
@@ -422,10 +422,12 @@ def _cmd_sweep(args) -> int:
         breaker = CircuitBreaker(**spec.breaker)
     else:
         breaker = bool(spec.breaker) or args.breaker
+    # --timeout is the legacy spelling of --deadline-hard.
+    hard = (args.deadline_hard if args.deadline_hard is not None
+            else args.timeout)
     runner = SweepRunner(
         max_workers=args.workers if args.workers is not None else spec.workers,
         cache=args.cache if args.cache is not None else spec.cache_dir,
-        timeout=args.timeout if args.timeout is not None else spec.timeout,
         hooks=(_SweepProgress(),),
         lint=not args.no_lint,
         sanitize=args.sanitize,
@@ -433,8 +435,7 @@ def _cmd_sweep(args) -> int:
         plan_cache=plan_cache,
         deadline_soft=(args.deadline_soft if args.deadline_soft is not None
                        else spec.deadline_soft),
-        deadline_hard=(args.deadline_hard if args.deadline_hard is not None
-                       else spec.deadline_hard),
+        deadline_hard=(hard if hard is not None else spec.deadline_hard),
         journal=journal,
         resume=args.resume,
         breaker=breaker,

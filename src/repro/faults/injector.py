@@ -8,7 +8,7 @@ no simulation state of its own.  Installed before :meth:`Engine.run`, it
   take ``factor``× their healthy duration (a pure function of the
   explicit schedule — no events needed);
 * schedules link-fault open/close events that re-rate links through
-  :meth:`FlowNetwork.set_link_capacity`, riding the incremental max-min
+  :meth:`FlowNetwork.set_link_capacity`, riding the scoped max-min
   re-solve so only the affected contention component is touched;
 * schedules failure events that interrupt everything in flight: pending
   events are pushed ``lost + restore_cost`` seconds into the future

@@ -12,7 +12,7 @@ model implements the paper's 4-step packet process (Figure 5):
    per pair, and a pair with a single candidate always takes it, so
    single-path topologies behave bit-identically under every strategy.
 2. **Bandwidth allocation** — max-min fair shares over directed link
-   capacities (progressive filling), solved *incrementally*: a link→flow
+   capacities (progressive filling), solved per component: a link→flow
    incidence index scopes each re-allocation to the contention component
    touched by the flows that joined or left, so disjoint traffic keeps
    its rates untouched.
@@ -26,15 +26,17 @@ model implements the paper's 4-step packet process (Figure 5):
 Path latency is paid once, up front: a flow joins the bandwidth allocation
 after its route latency elapses.
 
-Incremental allocation is behavior-preserving by construction: max-min
+Scoped allocation is behavior-preserving by construction: max-min
 fairness decomposes over connected components of the flow/link sharing
-graph, every component is always solved as an isolated problem (even when
-the whole active set is re-solved), and the component solver's output
-depends only on the component's flow set, routes, and capacities — never
-on iteration order or on what the rest of the network is doing.  The
-original dense allocator is kept as :meth:`FlowNetwork._maxmin_rates_reference`
-and a differential property test pins the two against each other (see
-``tests/test_network_incremental.py`` and ``docs/network.md``).
+graph, every component is solved as an isolated problem, and the
+component solver's output depends only on the component's flow set,
+routes, and capacities — never on iteration order or on what the rest of
+the network is doing.  The original dense allocator (one global
+progressive filling, every delivery rescheduled on every change) lives
+outside the package as a differential oracle, in
+``benchmarks/dense_network.py``; differential property tests pin the
+two against each other and BENCH_network's ``legacy`` arm times it
+(see ``docs/network.md``).
 """
 
 from __future__ import annotations
@@ -66,24 +68,18 @@ _RATE_EPS = 1e-9
 #: solver.  Below it, array setup costs more than the dict loops save; the
 #: two paths produce bit-identical rates (see
 #: ``tests/test_fold.py::test_vector_waterfill_matches_scalar``), so the
-#: threshold is purely a speed knob.
+#: threshold is purely a speed knob.  Each side wins on its own range
+#: (measured per component in ``docs/network.md``).
 _VECTOR_MIN_FLOWS = 24
-
-#: Default allocation strategy for newly built networks: scoped component
-#: re-solves plus the rate-stability fast path.  Flip to ``False`` (or pass
-#: ``incremental=False``) to restore the legacy dense behavior — recompute
-#: every rate and reschedule every delivery on each flow start/finish —
-#: which the churn benchmarks use as their baseline.
-DEFAULT_INCREMENTAL = True
 
 #: Hook positions for observers.
 HOOK_FLOW_START = "flow_start"
 HOOK_FLOW_DELIVER = "flow_deliver"
 #: Fired after every bandwidth reallocation with the solved flow list and
-#: the topology in the detail — the link-capacity sanitizer's feed.  Under
-#: incremental allocation the list holds the re-solved contention
-#: component(s); component closure guarantees every user of every link
-#: those flows touch is present, so per-link rate sums stay complete.
+#: the topology in the detail — the link-capacity sanitizer's feed.  The
+#: list holds the re-solved contention component(s); component closure
+#: guarantees every user of every link those flows touch is present, so
+#: per-link rate sums stay complete.
 HOOK_FLOW_REALLOC = "flow_realloc"
 #: Fired when the allocator hits a numerical-safety edge (e.g. progressive
 #: filling failing to freeze any flow).  ``item`` is the warning message;
@@ -128,12 +124,6 @@ class FlowNetwork(Hookable):
         attributes (see :mod:`repro.network.topology`).  Links are full
         duplex: each undirected edge provides its bandwidth independently
         in both directions.
-    incremental:
-        ``True`` enables scoped reallocation and the rate-stability fast
-        path; ``False`` restores the legacy dense behavior (re-solve and
-        reschedule everything).  Defaults to :data:`DEFAULT_INCREMENTAL`.
-        The two knobs are also exposed separately as
-        :attr:`scoped_realloc` and :attr:`stable_rate_fastpath`.
     routing:
         A :class:`~repro.network.routing.RoutingStrategy` instance or
         registered strategy name choosing among equal-cost shortest paths
@@ -151,7 +141,6 @@ class FlowNetwork(Hookable):
     max_candidate_paths = 64
 
     def __init__(self, engine: Engine, topology: nx.Graph,
-                 incremental: Optional[bool] = None,
                  routing: Optional[Union[str, RoutingStrategy]] = None,
                  routing_seed: int = 0):
         super().__init__()
@@ -161,14 +150,6 @@ class FlowNetwork(Hookable):
             routing = get_routing_strategy(routing, seed=routing_seed)
         #: The active strategy instance, or ``None`` for legacy routing.
         self.routing: Optional[RoutingStrategy] = routing
-        if incremental is None:
-            incremental = DEFAULT_INCREMENTAL
-        #: Solve only the contention component(s) the joined/left flows
-        #: touch instead of the whole active set.
-        self.scoped_realloc = bool(incremental)
-        #: Keep the existing delivery event when a flow's solved rate is
-        #: exactly unchanged instead of cancelling and rescheduling it.
-        self.stable_rate_fastpath = bool(incremental)
         self._route_cache: Dict[Tuple[str, str], List[DirectedEdge]] = {}
         # Directed edge -> live capacity, shadowing the topology's edge
         # attribute.  networkx adjacency lookups build an AtlasView per
@@ -412,7 +393,7 @@ class FlowNetwork(Hookable):
         """Re-rate the undirected link *u*—*v* to *bandwidth* bytes/s.
 
         The fault injector's link-degradation primitive: mutates the
-        topology's edge attribute, then reuses the incremental machinery —
+        topology's edge attribute, then reuses the scoped re-solve —
         both directed edges are marked dirty, so the next (coalesced)
         reallocation re-solves exactly the contention component(s) using
         the link and leaves disjoint traffic untouched.  Routes never
@@ -453,9 +434,6 @@ class FlowNetwork(Hookable):
             if flow.remaining < 0.0:
                 flow.remaining = 0.0
             flow.last_update = now + delay
-
-    def _active_list(self) -> List["_Flow"]:
-        return list(self._active.values())
 
     # ------------------------------------------------------------------
     # Steps 2-3: allocation and progress updates
@@ -510,10 +488,7 @@ class FlowNetwork(Hookable):
         changed and reschedule only the deliveries whose rate moved."""
         self.reallocations += 1
         now = self.engine._now
-        if self.scoped_realloc:
-            components = self._dirty_components()
-        else:
-            components = self._components(list(self._active.values()))
+        components = self._dirty_components()
         self._dirty.clear()
         if not components:
             return
@@ -522,7 +497,16 @@ class FlowNetwork(Hookable):
         for component in components:
             rates = self._maxmin_component(component)
             for flow in component:
-                self._apply_rate(flow, rates[flow.transfer_id], now, pending)
+                rate = rates[flow.transfer_id]
+                event = flow.deliver_event
+                if (rate == flow.rate and event is not None
+                        and not event.cancelled):
+                    # Rate-stability fast path: the rate is exactly
+                    # unchanged, so the existing heap entry is already
+                    # correct and stays put.
+                    self.fastpath_hits += 1
+                else:
+                    self._apply_rate(flow, rate, now, pending)
             solved.extend(component)
         # One bulk insert for the whole reschedule wave (a collective can
         # move hundreds of deliveries at once).  Sequence numbers are
@@ -540,14 +524,7 @@ class FlowNetwork(Hookable):
     def _apply_rate(self, flow: _Flow, rate: float, now: float,
                     pending: List[Event]) -> None:
         """Install a solved rate: settle progress and queue the delivery
-        reschedule onto *pending*, unless the rate is exactly unchanged
-        (the fast path — the existing heap entry is already correct and
-        stays put)."""
-        if (self.stable_rate_fastpath and rate == flow.rate
-                and flow.deliver_event is not None
-                and not flow.deliver_event.cancelled):
-            self.fastpath_hits += 1
-            return
+        reschedule onto *pending*."""
         flow.remaining -= flow.rate * (now - flow.last_update)
         if flow.remaining < 0.0:
             flow.remaining = 0.0
@@ -581,14 +558,14 @@ class FlowNetwork(Hookable):
     def _dirty_components(self) -> List[List[_Flow]]:
         """Contention components touched since the last solve, directly.
 
-        Fuses the old two-pass walk (closure over the incidence index,
-        then re-partition into components) into one BFS per component,
-        seeded from the users of each dirty edge.  Flows outside the
-        closure provably keep their rates: max-min fairness decomposes
-        over link-sharing components.  Emission order matches
-        :meth:`_components` on the closure exactly — components ascend
-        by their smallest member transfer-id, members ascend within —
-        which is the bit-identity anchor for scoped reallocation.
+        One BFS per component over the incidence index, seeded from the
+        users of each dirty edge.  Flows outside the closure provably
+        keep their rates: max-min fairness decomposes over link-sharing
+        components.  Emission order is canonical — components ascend by
+        their smallest member transfer-id, members ascend within — so a
+        component re-solves with the same floating-point operations
+        whichever change dirtied it (with every loaded link dirty, this
+        partitions the whole active set the same way).
         """
         edge_users = self._edge_users
         active = self._active
@@ -633,41 +610,6 @@ class FlowNetwork(Hookable):
             keyed.sort(key=lambda kc: kc[0])
         return [component for _, component in keyed]
 
-    def _components(self, scope: List[_Flow]) -> List[List[_Flow]]:
-        """Partition *scope* into connected components of the link-sharing
-        graph, each in ascending transfer-id order (deterministic, and
-        identical whether the scope came from a dirty walk or the full
-        active set — the bit-identity anchor for scoped reallocation)."""
-        order = sorted(scope, key=lambda f: f.transfer_id)
-        components: List[List[_Flow]] = []
-        visited: Set[int] = set()
-        for flow in order:
-            if flow.transfer_id in visited:
-                continue
-            ids: Set[int] = {flow.transfer_id}
-            stack: List[_Flow] = [flow]
-            seen: Set[DirectedEdge] = set()
-            while stack:
-                current = stack.pop()
-                for edge in current.route:
-                    if edge in seen:
-                        continue
-                    seen.add(edge)
-                    for fid in self._edge_users.get(edge, ()):
-                        if fid not in ids:
-                            ids.add(fid)
-                            stack.append(self._active[fid])
-            visited |= ids
-            if len(ids) == 1:
-                # Disjoint flow — the overwhelmingly common case on
-                # multipath fabrics, where routing spreads flows so most
-                # share no link at any instant.
-                components.append([flow])
-            else:
-                components.append(sorted((self._active[fid] for fid in ids),
-                                         key=lambda f: f.transfer_id))
-        return components
-
     # ------------------------------------------------------------------
     # Max-min solvers
     # ------------------------------------------------------------------
@@ -710,7 +652,7 @@ class FlowNetwork(Hookable):
 
         Per iteration: O(links) to find the bottleneck increment and update
         residuals, plus O(route length) per newly frozen flow — the
-        per-edge live counters replace the reference solver's
+        per-edge live counters replace the dense oracle's
         O(links x flows) set intersections.  Output depends only on the
         component's flow set, routes, and capacities, never on iteration
         order, so re-solving an unchanged component reproduces its rates
@@ -852,55 +794,6 @@ class FlowNetwork(Hookable):
                                  minlength=n_edges)
         return {flow.transfer_id: float(rates[i])
                 for i, flow in enumerate(flows)}
-
-    def _maxmin_rates_reference(self, flows: List[_Flow]) -> Dict[int, float]:
-        """The original dense allocator: one global progressive filling
-        over *flows* with per-iteration set intersections.
-
-        Kept verbatim as the differential-testing oracle — the property
-        test in ``tests/test_network_incremental.py`` checks the
-        per-component solver against it on randomized topologies and flow
-        sets.  Not used on the hot path.
-        """
-        residual: Dict[DirectedEdge, float] = {}
-        users: Dict[DirectedEdge, Set[int]] = {}
-        for flow in flows:
-            for edge in flow.route:
-                if edge not in residual:
-                    u, v = edge
-                    residual[edge] = self.topology[u][v]["bandwidth"]
-                    users[edge] = set()
-                users[edge].add(flow.transfer_id)
-        rates = {flow.transfer_id: 0.0 for flow in flows}
-        unfrozen = set(rates)
-        flow_routes = {f.transfer_id: f.route for f in flows}
-        while unfrozen:
-            delta = None
-            for edge, flow_ids in users.items():
-                live = len(flow_ids & unfrozen)
-                if live:
-                    candidate = residual[edge] / live
-                    if delta is None or candidate < delta:
-                        delta = candidate
-            if delta is None:
-                break
-            saturated: Set[DirectedEdge] = set()
-            for edge, flow_ids in users.items():
-                live = len(flow_ids & unfrozen)
-                if live:
-                    residual[edge] -= delta * live
-                    if residual[edge] <= _RATE_EPS * max(delta, 1.0):
-                        saturated.add(edge)
-            for fid in list(unfrozen):
-                rates[fid] += delta
-            frozen = {
-                fid for fid in unfrozen
-                if any(edge in saturated for edge in flow_routes[fid])
-            }
-            if not frozen:
-                break  # numerical safety; the live solver warns here
-            unfrozen -= frozen
-        return rates
 
     def _warn_allocator(self, message: str, **detail) -> None:
         """Surface an allocator numerical-safety edge through the hook

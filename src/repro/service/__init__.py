@@ -21,6 +21,7 @@ from repro.service.runner import (
     HOOK_SWEEP_POINT,
     HOOK_SWEEP_START,
     CircuitBreaker,
+    PointState,
     SweepError,
     SweepMetrics,
     SweepOutcome,
@@ -38,6 +39,7 @@ __all__ = [
     "JournalMismatchError",
     "JournalState",
     "PlanCache",
+    "PointState",
     "PointSoftTimeoutError",
     "PointTimeoutError",
     "ResultCache",

@@ -16,7 +16,7 @@
   once and workers load it from disk;
 * graceful degradation — a failing config yields a structured
   :class:`SweepError` (with the worker traceback) instead of killing the
-  sweep, and each point runs under an optional wall-clock timeout;
+  sweep;
 * worker-crash survival — a point whose worker process dies (segfault,
   OOM kill, chaos injection) breaks only its pool, not the sweep: the
   executor is rebuilt and the in-flight points are retried in isolation
@@ -31,7 +31,7 @@
 * per-point deadline budgets — a cooperative soft deadline enforced by
   the engine heartbeat (partial progress preserved) plus the hard
   ``SIGALRM``/watchdog kill, both reported as ``PointTimeout``;
-* a dispatch circuit breaker (:class:`CircuitBreaker`) — a crash/timeout
+* a dispatch circuit breaker (:mod:`repro.service.breaker`) — a crash/timeout
   storm trips the breaker and the remaining points fail fast as
   ``CircuitOpen`` instead of feeding workers to a dying machine, with
   half-open probes to resume once points succeed again;
@@ -39,6 +39,12 @@
   the runner is a :class:`Hookable` and fires ``sweep_start`` /
   ``sweep_point`` / ``sweep_end`` positions with completed/total counts,
   cache hit-rate, aggregate simulated-events/sec, and an ETA.
+
+Every point walks one explicit lifecycle (:class:`PointState`), and a
+single transition function, :meth:`SweepRunner._advance`, performs all
+of its bookkeeping: journal records, breaker feedback, per-point
+metrics, cache stores and ``sweep_point`` hooks.  The dispatch loops
+only decide *which* transition happens next.
 
 Determinism: TrioSim is deterministic and every point is independent, so
 parallel execution, in-process execution, cache replay, and journal
@@ -57,12 +63,18 @@ import os
 import random
 import time as _wall
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.findings import Report
 from repro.analysis.linter import lint_config
 from repro.analysis.reporters import render_text
 from repro.core.config import SimulationConfig
@@ -70,9 +82,11 @@ from repro.core.plan import PlanCache
 from repro.core.results import SimulationResult
 from repro.core.simulator import TrioSim
 from repro.engine.hooks import HookCtx, Hookable
+from repro.extrapolator.optime import OpTimeModel
 from repro.perfmodel.scaling import CrossGPUScaler
 from repro.service import transport
 from repro.service import worker as _worker
+from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, trace_digest
 from repro.service.journal import (
     JournalMismatchError,
@@ -81,7 +95,28 @@ from repro.service.journal import (
     point_fingerprint,
     sweep_fingerprint,
 )
+from repro.service.outcome import (
+    TERMINAL_STATES,
+    PointState,
+    SweepError,
+    SweepMetrics,
+    SweepOutcome,
+    SweepPointError,
+)
 from repro.trace.trace import Trace
+
+__all__ = [
+    "HOOK_SWEEP_END",
+    "HOOK_SWEEP_POINT",
+    "HOOK_SWEEP_START",
+    "CircuitBreaker",
+    "PointState",
+    "SweepError",
+    "SweepMetrics",
+    "SweepOutcome",
+    "SweepPointError",
+    "SweepRunner",
+]
 
 #: Hook positions emitted by the runner.
 HOOK_SWEEP_START = "sweep_start"
@@ -89,268 +124,41 @@ HOOK_SWEEP_POINT = "sweep_point"
 HOOK_SWEEP_END = "sweep_end"
 
 
-@dataclass(frozen=True)
-class SweepError:
-    """Structured record of one failed sweep point."""
-
-    kind: str        # taxonomy name, e.g. "PointTimeout", "WorkerCrashed"
-    message: str
-    traceback: str = ""
-    #: Structured context — e.g. a soft timeout's partial progress
-    #: (elapsed wall time, events dispatched, simulated_time reached).
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        data = {"kind": self.kind, "message": self.message,
-                "traceback": self.traceback}
-        if self.detail:
-            data["detail"] = dict(self.detail)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepError":
-        return cls(**data)
-
-
-class SweepPointError(RuntimeError):
-    """Raised by :meth:`SweepOutcome.unwrap` for a failed point."""
-
-    def __init__(self, error: SweepError):
-        super().__init__(f"{error.kind}: {error.message}\n{error.traceback}")
-        self.error = error
+#: Legal lifecycle moves by source state: the listed targets, plus
+#: ``interrupted`` from every state that is not terminal (terminal
+#: states have no entry).  A refused admission (``queued -> admitted``)
+#: lands in ``failed``.
+_NEXT_STATES = {
+    source: frozenset(targets) | {PointState.INTERRUPTED}
+    for source, targets in {
+        PointState.QUEUED: {PointState.ADMITTED, PointState.DONE,
+                            PointState.FAILED},
+        PointState.ADMITTED: {PointState.DISPATCHED},
+        PointState.DISPATCHED: {PointState.DONE, PointState.FAILED,
+                                PointState.CRASHED},
+        PointState.CRASHED: {PointState.RETRY},
+        PointState.RETRY: {PointState.RETRY, PointState.RESCUE,
+                           PointState.DONE, PointState.FAILED},
+        PointState.RESCUE: {PointState.DONE, PointState.FAILED},
+    }.items()
+}
 
 
 @dataclass
-class SweepOutcome:
-    """Result (or failure) of one sweep point, in input order."""
+class _Sweep:
+    """The per-run state every lifecycle step reads."""
 
-    index: int
-    config: SimulationConfig
-    label: str = ""
-    result: Optional[SimulationResult] = None
-    error: Optional[SweepError] = None
-    cached: bool = False
-    #: Runtime sanitizer findings (dict form) when the runner sanitizes.
-    sanitizer_findings: List[dict] = field(default_factory=list)
-    #: Isolated re-executions this point needed after its worker died.
-    retries: int = 0
-    #: Replayed from a resume journal instead of being re-simulated.
-    resumed: bool = False
-    #: Recovered by the last graceful-degradation rung (in-process, no
-    #: pool) after every isolated retry crashed its worker.
-    degraded: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
-
-    def unwrap(self) -> SimulationResult:
-        """The result, or raise :class:`SweepPointError`."""
-        if self.result is None:
-            raise SweepPointError(
-                self.error or SweepError("Unknown", "point produced no result")
-            )
-        return self.result
-
-    def to_dict(self) -> dict:
-        """JSON-safe summary (the CLI's sweep output codepath)."""
-        return {
-            "index": self.index,
-            "label": self.label,
-            "config": (self.config.to_dict()
-                       if self.config.is_serializable else None),
-            "cached": self.cached,
-            "result": self.result.to_dict() if self.result else None,
-            "error": self.error.to_dict() if self.error else None,
-            "sanitizer_findings": list(self.sanitizer_findings),
-            "retries": self.retries,
-            "resumed": self.resumed,
-            "degraded": self.degraded,
-        }
-
-
-@dataclass
-class SweepMetrics:
-    """Live counters surfaced through the progress hooks."""
-
-    total: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    errors: int = 0
-    fresh_events: int = 0     # engine events dispatched for non-cached points
-    elapsed: float = 0.0
-    retries: int = 0          # isolated re-executions after worker crashes
-    worker_crashes: int = 0   # points abandoned as WorkerCrashed
-    plan_builds: int = 0      # extrapolator graph builds actually performed
-    plan_cache_hits: int = 0  # fresh points served by a cached plan
-    timeouts: int = 0         # points cut down as PointTimeout (either kind)
-    circuit_trips: int = 0    # breaker transitions into the open state
-    circuit_skips: int = 0    # points failed fast as CircuitOpen
-    interrupted: int = 0      # points marked Interrupted by Ctrl-C
-    resumed: int = 0          # points replayed from a resume journal
-    degraded_recoveries: int = 0  # crash victims saved by the in-process rung
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.completed if self.completed else 0.0
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.fresh_events / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def eta_seconds(self) -> Optional[float]:
-        """Projected seconds to finish, or ``None`` before any completion.
-
-        ``None`` (serialized ``null``), not ``NaN`` — ``json.dumps``
-        renders ``NaN`` bare, which is not JSON and which strict
-        consumers reject.
-        """
-        if not self.completed:
-            return None
-        remaining = self.total - self.completed
-        return remaining * (self.elapsed / self.completed)
-
-    @staticmethod
-    def _json_safe(value: Optional[float]) -> Optional[float]:
-        """Non-finite floats become ``None`` so detail() is valid JSON."""
-        if value is None or value != value or value in (
-                float("inf"), float("-inf")):
-            return None
-        return value
-
-    def detail(self) -> dict:
-        return {
-            "completed": self.completed,
-            "total": self.total,
-            "cache_hits": self.cache_hits,
-            "hit_rate": self._json_safe(self.hit_rate),
-            "errors": self.errors,
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "plan_builds": self.plan_builds,
-            "plan_cache_hits": self.plan_cache_hits,
-            "timeouts": self.timeouts,
-            "circuit_trips": self.circuit_trips,
-            "circuit_skips": self.circuit_skips,
-            "interrupted": self.interrupted,
-            "resumed": self.resumed,
-            "degraded_recoveries": self.degraded_recoveries,
-            "fresh_events": self.fresh_events,
-            "events_per_sec": self._json_safe(self.events_per_sec),
-            "eta_seconds": self._json_safe(self.eta_seconds),
-            "elapsed": self.elapsed,
-        }
-
-
-class CircuitBreaker:
-    """Sliding-window failure-rate circuit breaker for point dispatch.
-
-    Protects a sweep from feeding every remaining point to a dying
-    substrate (an OOM-looping machine, a poisoned worker image): once the
-    crash/timeout rate over the last :attr:`window` dispatched points
-    reaches :attr:`threshold`, the breaker *trips open* and subsequent
-    points fail fast as ``SweepError(kind="CircuitOpen")`` without
-    touching a worker.  While open, every :attr:`probe_interval`-th
-    admission attempt is let through as a *half-open probe*: a probe that
-    succeeds closes the breaker (dispatch resumes normally, window
-    cleared); a probe that fails reopens it.
-
-    Only infrastructure failures count against the breaker
-    (:attr:`FAILURE_KINDS`: worker crashes and deadline overruns) — a
-    point that fails on its own config (lint, verify, simulation error)
-    says nothing about the substrate's health.
-
-    Deterministic by construction: every transition is driven by counts
-    of recorded outcomes and skipped admissions, never by wall-clock
-    time, so breaker behaviour in tests and replays is exactly
-    reproducible.
-    """
-
-    #: Error kinds that count as substrate failures.
-    FAILURE_KINDS = frozenset({"WorkerCrashed", _worker.TIMEOUT_KIND})
-
-    def __init__(self, window: int = 16, threshold: float = 0.5,
-                 min_samples: int = 4, probe_interval: int = 4):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
-        self.window = window
-        self.threshold = threshold
-        self.min_samples = min_samples
-        self.probe_interval = probe_interval
-        #: True entries are failures; bounded sliding window.
-        self._outcomes: deque = deque(maxlen=window)
-        self.state = "closed"          # closed | open | half_open
-        self.trips = 0
-        self.last_failure_kind: Optional[str] = None
-        self._skips_since_open = 0
-
-    @property
-    def failure_rate(self) -> float:
-        """Failure fraction over the current window (0.0 when empty)."""
-        if not self._outcomes:
-            return 0.0
-        return sum(self._outcomes) / len(self._outcomes)
-
-    def admit(self) -> bool:
-        """May the next point be dispatched?  (May transition to probe.)
-
-        Closed: always.  Half-open: no — exactly one probe flies at a
-        time.  Open: fail fast, except that every
-        :attr:`probe_interval`-th attempt becomes the half-open probe and
-        is admitted.
-        """
-        if self.state == "closed":
-            return True
-        if self.state == "half_open":
-            return False
-        self._skips_since_open += 1
-        if self._skips_since_open >= self.probe_interval:
-            self.state = "half_open"
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """A dispatched point completed (or failed on its own config)."""
-        if self.state == "half_open":
-            # The probe came back healthy: close and forget the storm.
-            self.state = "closed"
-            self._outcomes.clear()
-            self._skips_since_open = 0
-            return
-        self._outcomes.append(False)
-
-    def record_failure(self, kind: str) -> bool:
-        """A dispatched point failed as *kind*; True when this tripped.
-
-        Kinds outside :attr:`FAILURE_KINDS` are ignored (returns False).
-        A half-open probe failure reopens immediately (counted as a
-        trip); in the closed state the window must both hold
-        :attr:`min_samples` outcomes and cross :attr:`threshold`.
-        """
-        if kind not in self.FAILURE_KINDS:
-            return False
-        self.last_failure_kind = kind
-        if self.state == "half_open":
-            self.state = "open"
-            self._skips_since_open = 0
-            self.trips += 1
-            return True
-        self._outcomes.append(True)
-        if (self.state == "closed"
-                and len(self._outcomes) >= self.min_samples
-                and self.failure_rate >= self.threshold):
-            self.state = "open"
-            self._skips_since_open = 0
-            self.trips += 1
-            return True
-        return False
+    trace: Trace
+    record_timeline: bool
+    base_key: str
+    metrics: SweepMetrics
+    started: float
+    #: The journal, when this run writes one, and its point keys by
+    #: index.
+    journal: Optional[SweepJournal] = None
+    keys: List[str] = field(default_factory=list)
+    #: Packed prepared traces each pool (re)build ships to its workers.
+    trace_payload: bytes = b""
 
 
 class SweepRunner(Hookable):
@@ -365,10 +173,6 @@ class SweepRunner(Hookable):
     cache:
         A :class:`ResultCache`, a directory path for one, or ``None`` to
         disable caching.
-    timeout:
-        Optional per-point wall-clock budget in seconds; an expired point
-        becomes a ``PointTimeout`` error record.  Alias for the hard
-        deadline — ``deadline_hard`` wins when both are given.
     deadline_soft:
         Optional cooperative per-point budget (seconds): the engine
         heartbeat checks the wall clock every few hundred events and
@@ -436,7 +240,7 @@ class SweepRunner(Hookable):
         in all three modes.
     dispatch_chunk:
         Points per pool submission.  ``None`` (default) sizes chunks
-        automatically — single-point futures for small sweeps (keeping
+        automatically — single-point chunks for small sweeps (keeping
         crash attribution maximally precise), growing bounded chunks
         once the sweep is large enough that per-future dispatch and
         serialization overhead matters.  Every point in a chunk is
@@ -451,7 +255,7 @@ class SweepRunner(Hookable):
     SHARED_WORK_LIMIT = 64
 
     #: Isolated re-executions granted to a point whose worker died; a
-    #: point still crashing after these becomes ``WorkerCrashed``.
+    #: point still crashing after these gets the in-process rescue run.
     MAX_CRASH_RETRIES = 2
 
     #: Ceiling on any single backoff sleep, seconds.
@@ -459,7 +263,7 @@ class SweepRunner(Hookable):
 
     def __init__(self, max_workers: Optional[int] = None,
                  cache: Union[ResultCache, str, Path, None] = None,
-                 timeout: Optional[float] = None, hooks: Sequence = (),
+                 hooks: Sequence = (),
                  lint: bool = True, sanitize: bool = False,
                  verify: bool = False,
                  retry_seed: int = 0, retry_backoff: float = 0.05,
@@ -483,7 +287,6 @@ class SweepRunner(Hookable):
             self.plan_cache = plan_cache
         else:
             self.plan_cache = None
-        self.timeout = timeout
         if (deadline_soft is not None and deadline_hard is not None
                 and deadline_soft > deadline_hard):
             raise ValueError("deadline_soft must not exceed deadline_hard")
@@ -507,8 +310,6 @@ class SweepRunner(Hookable):
         self.last_metrics: Optional[SweepMetrics] = None
         #: Resume admission findings (SV rules) from the latest run().
         self.last_resume_report = None
-        # Per-run journal bookkeeping (set by run(), used by _note_done).
-        self._journal_keys: Optional[List[str]] = None
         # (trace digest, target gpu) -> [prepared Trace, {perf_model: OpTimeModel}]
         # An LRU shared across run() calls, so per-point predict() loops
         # (the experiments harness) still rescale and fit exactly once.
@@ -546,57 +347,56 @@ class SweepRunner(Hookable):
             self._shared.move_to_end(slot_key)
         return slot
 
-    def _prepare_traces(self, trace: Trace, points) -> Dict[str, Trace]:
-        """Rescale *trace* once per distinct target GPU among *points*."""
-        prepared: Dict[str, Trace] = {}
-        for point in points:
-            gpu_key = self._gpu_key(trace, point.config)
-            if gpu_key not in prepared:
-                prepared[gpu_key] = self._shared_work(trace, gpu_key)[0]
-        return prepared
+    def _prepared(self, trace: Trace,
+                  config: SimulationConfig) -> Tuple[Trace, OpTimeModel]:
+        """The point's prepared trace and its memoized op-time model."""
+        gpu_key = self._gpu_key(trace, config)
+        point_trace, op_times = self._shared_work(trace, gpu_key)
+        return point_trace, _worker.shared_op_time(
+            point_trace, config.perf_model, op_times, gpu_key)
 
-    def _plan_mode(self) -> Optional[str]:
-        """The worker-initializer encoding of this runner's plan cache:
-        ``None`` disabled, ``""`` private in-memory, else a shared
-        directory."""
-        if self.plan_cache is None:
-            return None
-        if self.plan_cache.root is not None:
-            return str(self.plan_cache.root)
-        return ""
+    def _plan_pass(self, sweep: _Sweep, points: List[SweepOutcome],
+                   verify: bool) -> List[SweepOutcome]:
+        """Build each distinct plan once in the parent; with *verify*,
+        deep-verify it too.  Returns the points that may still run.
 
-    def _prepare_plans(self, trace: Trace, points,
-                       metrics: "SweepMetrics") -> None:
-        """Build each distinct plan once in the parent (disk-backed
-        caches only), so pool workers load instead of re-extrapolating.
-
-        Preparation is best-effort: a config whose plan can't even be
-        built will fail identically — with a proper error record — when
-        its point runs.
+        Points differing only in execute-time parameters share an
+        extrapolation plan, so a 16-point network sweep builds (and
+        verifies) one graph, not sixteen; the plans land in the plan
+        cache and the sweep itself reuses them — with a disk-backed
+        cache, pool workers load instead of re-extrapolating.  A config
+        whose graph can't even be built is passed through: it fails
+        identically, with a proper error record, when its point runs.
         """
-        if self.plan_cache is None or self.plan_cache.root is None:
-            return
-        seen = set()
+        from repro.analysis.verifier import verify_plan
+
+        reports: Dict[str, Optional[Report]] = {}
+        survivors: List[SweepOutcome] = []
         for outcome in points:
+            report = None
             try:
-                gpu_key = self._gpu_key(trace, outcome.config)
-                point_trace, op_times = self._shared_work(trace, gpu_key)
-                op_time = _worker.shared_op_time(
-                    point_trace, outcome.config.perf_model, op_times,
-                    gpu_key,
-                )
+                point_trace, op_time = self._prepared(sweep.trace,
+                                                      outcome.config)
                 sim = TrioSim(point_trace, outcome.config,
                               record_timeline=False, op_time=op_time)
                 key = sim.plan_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                _plan, source = self.plan_cache.get_or_build(
-                    key, sim.build_plan)
-                if source == "built":
-                    metrics.plan_builds += 1
+                if key not in reports:
+                    if self.plan_cache is None:
+                        plan = sim.build_plan()
+                    else:
+                        plan, source = self.plan_cache.get_or_build(
+                            key, sim.build_plan)
+                        sweep.metrics.plan_builds += source == "built"
+                    reports[key] = (verify_plan(plan, config=outcome.config)
+                                    if verify else None)
+                report = reports[key]
             except Exception:
-                continue
+                report = None
+            if report is not None and report.has_errors:
+                self._reject(sweep, outcome, "VerifyError", report)
+            else:
+                survivors.append(outcome)
+        return survivors
 
     # ------------------------------------------------------------------
     # Execution
@@ -623,13 +423,13 @@ class SweepRunner(Hookable):
         base_key = (trace_digest(trace)
                     if (self.cache is not None or self.journal is not None)
                     else "")
+        sweep = _Sweep(trace, record_timeline, base_key, metrics, started)
 
         # Journal setup: fingerprint the sweep, then either replay a
         # matching journal (resume) or write a fresh begin record.  Both
         # the mismatch check and the replay happen before any lint /
         # verify / simulation work is dispatched.
-        survivors = self._journal_open(trace, outcomes, record_timeline,
-                                       base_key, metrics, started)
+        survivors = self._journal_open(sweep, outcomes)
 
         try:
             # Lint pass: reject statically-broken points before
@@ -639,15 +439,7 @@ class SweepRunner(Hookable):
                 for outcome in survivors:
                     report = lint_config(outcome.config, trace=trace)
                     if report.has_errors:
-                        outcome.error = SweepError(
-                            kind="LintError",
-                            message="; ".join(str(f) for f in report.errors),
-                            # Findings stand in for a traceback: the point
-                            # never ran, but the error record must still
-                            # explain why.
-                            traceback=render_text(report, source="lint"),
-                        )
-                        self._note_done(outcome, metrics, started)
+                        self._reject(sweep, outcome, "LintError", report)
                     else:
                         remaining.append(outcome)
                 survivors = remaining
@@ -655,8 +447,7 @@ class SweepRunner(Hookable):
             # Verify pass: deep-verify each distinct task graph once
             # before dispatching any simulation work built on it.
             if self.verify:
-                survivors = self._verify_points(trace, survivors, metrics,
-                                                started)
+                survivors = self._plan_pass(sweep, survivors, verify=True)
 
             # Cache pass: satisfy points without any simulation.
             pending: List[SweepOutcome] = []
@@ -669,8 +460,7 @@ class SweepRunner(Hookable):
                 if hit is not None:
                     outcome.result = hit
                     outcome.cached = True
-                    metrics.cache_hits += 1
-                    self._note_done(outcome, metrics, started)
+                    self._advance(sweep, outcome, PointState.DONE)
                 else:
                     pending.append(outcome)
 
@@ -682,39 +472,34 @@ class SweepRunner(Hookable):
                 parallel = []
 
             if parallel:
-                self._run_parallel(trace, parallel, workers, record_timeline,
-                                   metrics, started, base_key)
+                self._run_parallel(sweep, parallel, workers)
             if inproc:
-                self._run_inproc(trace, inproc, record_timeline, metrics,
-                                 started, base_key)
+                self._run_inproc(sweep, inproc)
         except KeyboardInterrupt:
             # Mark everything that never reached a terminal state, leave
             # a clean journal tail, fire sweep_end, and let the
             # interrupt propagate (the CLI exits 130).
-            self._mark_interrupted(outcomes, metrics)
-            metrics.elapsed = _wall.perf_counter() - started
-            self.invoke_hooks(
-                HookCtx(HOOK_SWEEP_END, 0.0, item=outcomes,
-                        detail=metrics.detail())
-            )
-            self._journal_close(metrics)
+            for outcome in outcomes:
+                if outcome.state not in TERMINAL_STATES:
+                    self._advance(sweep, outcome, PointState.INTERRUPTED)
+            self._close(sweep, outcomes)
             raise
-
-        metrics.elapsed = _wall.perf_counter() - started
-        self.invoke_hooks(
-            HookCtx(HOOK_SWEEP_END, 0.0, item=outcomes,
-                    detail=metrics.detail())
-        )
-        self._journal_close(metrics)
+        self._close(sweep, outcomes)
         return outcomes
 
-    # ------------------------------------------------------------------
-    # Journal lifecycle
-    # ------------------------------------------------------------------
-    def _journal_open(self, trace: Trace, outcomes: List[SweepOutcome],
-                      record_timeline: bool, base_key: str,
-                      metrics: SweepMetrics,
-                      started: float) -> List[SweepOutcome]:
+    def _close(self, sweep: _Sweep, outcomes: List[SweepOutcome]) -> None:
+        """Fire ``sweep_end`` and write the journal's end record."""
+        sweep.metrics.elapsed = _wall.perf_counter() - sweep.started
+        self.invoke_hooks(
+            HookCtx(HOOK_SWEEP_END, 0.0, item=outcomes,
+                    detail=sweep.metrics.detail())
+        )
+        if self.journal is not None:
+            self.journal.end(sweep.metrics.detail())
+            self.journal.close()
+
+    def _journal_open(self, sweep: _Sweep,
+                      outcomes: List[SweepOutcome]) -> List[SweepOutcome]:
         """Begin (or resume) the journal; returns the points still to run.
 
         Without a journal this is the identity on *outcomes*.  On resume,
@@ -724,187 +509,197 @@ class SweepRunner(Hookable):
         returned for the lint/verify/cache/simulate passes.
         """
         self.last_resume_report = None
-        self._journal_keys = None
         if self.journal is None:
             return outcomes
         keys = [
-            point_fingerprint(base_key, o.config, record_timeline)
+            point_fingerprint(sweep.base_key, o.config, sweep.record_timeline)
             for o in outcomes
         ]
-        self._journal_keys = keys
-        fingerprint = sweep_fingerprint(base_key, keys, record_timeline)
-        if self.resume and self.journal.exists():
-            state = self.journal.read()
-            report = check_resume(state, fingerprint,
-                                  deadline_hard=self._hard_deadline_default())
-            self.last_resume_report = report
-            if report.has_errors:
-                raise JournalMismatchError(report)
-            completed = state.completed
-            survivors: List[SweepOutcome] = []
-            for outcome in outcomes:
-                record = completed.get(outcome.index)
-                key = keys[outcome.index]
-                # Defense in depth on top of the fingerprint check: a
-                # done record is replayed only if it carries exactly
-                # this point's content-addressed key; anything else
-                # (a forged or foreign record) simply re-runs.
-                if (record is None or key == "unserializable"
-                        or record.get("key") != key):
-                    survivors.append(outcome)
-                    continue
-                outcome.result = SimulationResult.from_dict(record["result"])
-                outcome.resumed = True
-                outcome.cached = bool(record.get("cached"))
-                metrics.resumed += 1
-                self._note_done(outcome, metrics, started)
-            self.journal.resume_marker(fingerprint, replayed=metrics.resumed,
-                                       remaining=len(survivors))
-            return survivors
-        self.journal.begin(fingerprint, base_key, len(outcomes),
-                           record_timeline)
-        return outcomes
-
-    def _journal_dispatch(self, outcome: SweepOutcome) -> None:
-        """Write-ahead record: *outcome* is about to reach a worker."""
-        if self.journal is not None and self._journal_keys is not None:
-            self.journal.dispatch(outcome.index,
-                                  self._journal_keys[outcome.index],
-                                  outcome.label)
-
-    def _journal_close(self, metrics: SweepMetrics) -> None:
-        if self.journal is not None:
-            self.journal.end(metrics.detail())
-            self.journal.close()
-
-    def _mark_interrupted(self, outcomes: List[SweepOutcome],
-                          metrics: SweepMetrics) -> None:
-        """Ctrl-C landed mid-sweep: give every unfinished point a
-        terminal ``Interrupted`` record (journaled, so a later resume
-        re-dispatches exactly these)."""
+        sweep.journal, sweep.keys = self.journal, keys
+        fingerprint = sweep_fingerprint(sweep.base_key, keys,
+                                        sweep.record_timeline)
+        if not (self.resume and self.journal.exists()):
+            self.journal.begin(fingerprint, sweep.base_key, len(outcomes),
+                               sweep.record_timeline)
+            return outcomes
+        state = self.journal.read()
+        report = check_resume(state, fingerprint,
+                              deadline_hard=self.deadline_hard)
+        self.last_resume_report = report
+        if report.has_errors:
+            raise JournalMismatchError(report)
+        completed = state.completed
+        survivors: List[SweepOutcome] = []
         for outcome in outcomes:
-            if outcome.result is not None or outcome.error is not None:
+            record = completed.get(outcome.index)
+            key = keys[outcome.index]
+            # Defense in depth on top of the fingerprint check: a done
+            # record is replayed only if it carries exactly this point's
+            # content-addressed key; anything else (a forged or foreign
+            # record) simply re-runs.
+            if (record is None or key == "unserializable"
+                    or record.get("key") != key):
+                survivors.append(outcome)
                 continue
+            outcome.result = SimulationResult.from_dict(record["result"])
+            outcome.resumed = True
+            outcome.cached = bool(record.get("cached"))
+            self._advance(sweep, outcome, PointState.DONE)
+        self.journal.resume_marker(fingerprint,
+                                   replayed=sweep.metrics.resumed,
+                                   remaining=len(survivors))
+        return survivors
+
+    # ------------------------------------------------------------------
+    # The point lifecycle
+    # ------------------------------------------------------------------
+    def _advance(self, sweep: _Sweep, outcome: SweepOutcome,
+                 to: PointState) -> PointState:
+        """Move *outcome* to state *to*; returns the state reached.
+
+        The point lifecycle's single transition function (see
+        :class:`PointState`), and the only code that writes the
+        journal's per-point records, feeds the circuit breaker, counts
+        per-point :class:`SweepMetrics`, stores fresh results in the
+        result cache, and fires ``sweep_point``.  Callers put a terminal
+        point's ``result`` or ``error`` on the outcome first.  Admission
+        is the one move the function may redirect: a point the breaker
+        refuses lands in ``failed`` as ``CircuitOpen`` instead.
+        """
+        source = outcome.state
+        if to not in _NEXT_STATES.get(source, ()):
+            raise RuntimeError(f"sweep point {outcome.index}: illegal "
+                               f"transition {source.value} -> {to.value}")
+        metrics, breaker, journal = sweep.metrics, self.breaker, sweep.journal
+        if (to is PointState.ADMITTED and breaker is not None
+                and not breaker.admit()):
+            # Failed fast, naming the failure kind that tripped the
+            # breaker; journaled, so a resume re-dispatches the point
+            # once the substrate recovers.
+            metrics.circuit_skips += 1
+            culprit = breaker.last_failure_kind or "failures"
+            outcome.error = SweepError(
+                kind="CircuitOpen",
+                message=(f"dispatch circuit is open after repeated "
+                         f"{culprit}; point failed fast without reaching "
+                         "a worker"),
+            )
+            to = PointState.FAILED
+        outcome.state = to
+        if to is PointState.DISPATCHED and journal is not None:
+            # Write-ahead: the point is about to reach a worker.
+            journal.dispatch(outcome.index, sweep.keys[outcome.index],
+                             outcome.label)
+        elif to is PointState.CRASHED and breaker is not None:
+            metrics.circuit_trips += breaker.record_failure("WorkerCrashed")
+        elif to is PointState.RETRY:
+            outcome.retries += 1
+            metrics.retries += 1
+        elif to is PointState.INTERRUPTED:
+            # Neither completed nor reported: the point never reached an
+            # answer, and a resume re-dispatches exactly these.
             outcome.error = SweepError(
                 kind="Interrupted",
                 message="sweep interrupted before this point completed",
             )
             metrics.errors += 1
             metrics.interrupted += 1
-            if self.journal is not None and self._journal_keys is not None:
-                self.journal.interrupt(outcome.index)
+            if journal is not None:
+                journal.interrupt(outcome.index)
+        if to not in (PointState.DONE, PointState.FAILED):
+            return to
 
-    def _verify_points(self, trace: Trace, points: List[SweepOutcome],
-                       metrics: SweepMetrics,
-                       started: float) -> List[SweepOutcome]:
-        """Pre-dispatch deep verification, deduplicated by plan key.
-
-        Points differing only in execute-time parameters share an
-        extrapolation plan, so a 16-point network sweep verifies one
-        graph, not sixteen; the built plans land in the plan cache and
-        the sweep itself reuses them.  A config whose graph can't even
-        be built is passed through — it will fail identically, with a
-        proper error record, when its point runs.
-        """
-        from repro.analysis.verifier import verify_plan
-
-        verified: Dict[str, object] = {}
-        survivors: List[SweepOutcome] = []
-        for outcome in points:
-            report = None
-            try:
-                gpu_key = self._gpu_key(trace, outcome.config)
-                point_trace, op_times = self._shared_work(trace, gpu_key)
-                op_time = _worker.shared_op_time(
-                    point_trace, outcome.config.perf_model, op_times,
-                    gpu_key,
-                )
-                sim = TrioSim(point_trace, outcome.config,
-                              record_timeline=False, op_time=op_time)
-                key = sim.plan_key()
-                report = verified.get(key)
-                if report is None:
-                    if self.plan_cache is not None:
-                        plan, source = self.plan_cache.get_or_build(
-                            key, sim.build_plan)
-                        if source == "built":
-                            metrics.plan_builds += 1
-                    else:
-                        plan = sim.build_plan()
-                    report = verify_plan(plan, config=outcome.config)
-                    verified[key] = report
-            except Exception:
-                report = None
-            if report is not None and report.has_errors:
-                outcome.error = SweepError(
-                    kind="VerifyError",
-                    message="; ".join(str(f) for f in report.errors),
-                    traceback=render_text(report, source="verify"),
-                )
-                self._note_done(outcome, metrics, started)
+        # A verdict: done carries a result, failed an error.
+        result, error = outcome.result, outcome.error
+        if source is PointState.RESCUE:
+            if result is not None:
+                outcome.degraded = True
+                metrics.degraded_recoveries += 1
             else:
-                survivors.append(outcome)
-        return survivors
-
-    def _note_done(self, outcome: SweepOutcome, metrics: SweepMetrics,
-                   started: float) -> None:
+                metrics.worker_crashes += 1
+                error = outcome.error = SweepError(
+                    kind="WorkerCrashed",
+                    message=f"worker process died simulating this point "
+                            f"{outcome.retries} time(s) in isolation "
+                            f"(after crashing a shared pool), and the "
+                            f"in-process rescue run also failed",
+                    traceback=error.traceback if error else "",
+                )
+        elif source is PointState.DISPATCHED and breaker is not None:
+            # Only first-dispatch verdicts feed the breaker; a crash
+            # victim was counted when its pool broke.
+            if error is not None:
+                metrics.circuit_trips += breaker.record_failure(error.kind)
+            else:
+                breaker.record_success()
         metrics.completed += 1
-        if outcome.error is not None:
+        if error is not None:
             metrics.errors += 1
-            if outcome.error.kind == _worker.TIMEOUT_KIND:
-                metrics.timeouts += 1
+            metrics.timeouts += error.kind == _worker.TIMEOUT_KIND
         elif outcome.resumed:
-            # Replayed work: counted in metrics.resumed (by the journal
-            # open), never as fresh events or plan traffic.
-            pass
-        elif not outcome.cached and outcome.result is not None:
-            metrics.fresh_events += outcome.result.events
-            source = outcome.result.profile.get("plan_source")
-            if source == "built":
-                metrics.plan_builds += 1
-            elif source in ("memory", "disk"):
-                metrics.plan_cache_hits += 1
-        if (self.journal is not None and self._journal_keys is not None
-                and not outcome.resumed):
-            key = self._journal_keys[outcome.index]
-            if outcome.result is not None:
-                self.journal.done(outcome.index, key,
-                                  outcome.result.to_dict(),
-                                  cached=outcome.cached)
-            elif outcome.error is not None:
-                self.journal.fail(outcome.index, key,
-                                  outcome.error.to_dict(),
-                                  outcome.error.kind)
-        metrics.elapsed = _wall.perf_counter() - started
+            # Replayed work: never fresh events, plan traffic, cache
+            # writes, or a second journal record.
+            metrics.resumed += 1
+        elif outcome.cached:
+            metrics.cache_hits += 1
+        elif result is not None:
+            metrics.fresh_events += result.events
+            plan_source = result.profile.get("plan_source")
+            metrics.plan_builds += plan_source == "built"
+            metrics.plan_cache_hits += plan_source in ("memory", "disk")
+            if self.cache is not None and outcome.config.is_serializable:
+                self.cache.store(
+                    self.cache.point_key(sweep.base_key, outcome.config,
+                                         sweep.record_timeline),
+                    result)
+        if journal is not None and not outcome.resumed:
+            key = sweep.keys[outcome.index]
+            if error is not None:
+                journal.fail(outcome.index, key, error.to_dict(), error.kind)
+            elif result is not None:
+                journal.done(outcome.index, key, result.to_dict(),
+                             cached=outcome.cached)
+        metrics.elapsed = _wall.perf_counter() - sweep.started
         self.invoke_hooks(
             HookCtx(HOOK_SWEEP_POINT, 0.0, item=outcome,
                     detail=metrics.detail())
         )
+        return to
 
-    def _finish(self, outcome: SweepOutcome, payload: dict,
-                record_timeline: bool, base_key: str) -> None:
-        """Apply a worker reply to its outcome and cache fresh results."""
-        if payload["ok"]:
-            outcome.result = SimulationResult.from_dict(payload["result"])
-            outcome.sanitizer_findings = payload.get("sanitizer", [])
-            if self.cache is not None and outcome.config.is_serializable:
-                key = self.cache.point_key(base_key, outcome.config,
-                                           record_timeline)
-                self.cache.store(key, outcome.result)
-        else:
-            outcome.error = SweepError.from_dict(payload["error"])
+    def _reject(self, sweep: _Sweep, outcome: SweepOutcome, kind: str,
+                report) -> None:
+        """Fail a point before dispatch on its lint/verify *report*.
 
-    def _hard_deadline_default(self) -> Optional[float]:
-        """Sweep-wide hard budget: ``deadline_hard`` wins over the
-        legacy ``timeout`` alias."""
-        return self.deadline_hard if self.deadline_hard is not None \
-            else self.timeout
+        The findings stand in for a traceback: the point never ran, but
+        the error record must still explain why.
+        """
+        outcome.error = SweepError(
+            kind=kind,
+            message="; ".join(str(f) for f in report.errors),
+            traceback=render_text(
+                report, source="lint" if kind == "LintError" else "verify"),
+        )
+        self._advance(sweep, outcome, PointState.FAILED)
+
+    @staticmethod
+    def _apply_reply(outcome: SweepOutcome, reply: dict) -> PointState:
+        """Put a run reply (a :func:`~repro.service.worker.run_point`
+        dict, or :meth:`_simulate_here`'s) on *outcome*; returns the
+        terminal state it calls for."""
+        if reply["ok"]:
+            result = reply["result"]
+            outcome.result = (result if isinstance(result, SimulationResult)
+                              else SimulationResult.from_dict(result))
+            outcome.sanitizer_findings = reply.get("sanitizer", [])
+            return PointState.DONE
+        outcome.error = SweepError.from_dict(reply["error"])
+        return PointState.FAILED
 
     def _hard_deadline(self, config: SimulationConfig) -> Optional[float]:
         """Effective hard budget for one point (config overrides sweep)."""
         if config.deadline_hard is not None:
             return config.deadline_hard
-        return self._hard_deadline_default()
+        return self.deadline_hard
 
     def _soft_deadline(self, config: SimulationConfig) -> Optional[float]:
         """Effective soft budget for one point (config overrides sweep)."""
@@ -912,87 +707,84 @@ class SweepRunner(Hookable):
             return config.deadline_soft
         return self.deadline_soft
 
-    def _point_payload(self, trace: Trace, outcome: SweepOutcome,
-                       record_timeline: bool) -> dict:
+    def _simulate_here(self, sweep: _Sweep, outcome: SweepOutcome) -> dict:
+        """Simulate one point in this process; a run reply, never raises.
+
+        The in-process path and the rescue rung both land here.  Chaos
+        specs stay disarmed: a config that genuinely kills its host
+        raises instead of taking the sweep down.  Errors are normalized
+        by :func:`~repro.service.worker.error_record` (every deadline
+        flavour becomes ``PointTimeout``, partial progress kept).
+        """
+        config = outcome.config
+        findings: list = []
+        try:
+            point_trace, op_time = self._prepared(sweep.trace, config)
+            result = _worker.simulate_point(
+                point_trace, config, sweep.record_timeline,
+                self._hard_deadline(config), op_time=op_time,
+                sanitize=self.sanitize, sanitizer_sink=findings,
+                plan_cache=self.plan_cache,
+                verify="races" if self.verify else False,
+                deadline_soft=self._soft_deadline(config),
+            )
+        except Exception as exc:
+            return {"ok": False, "error": _worker.error_record(exc)}
+        return {"ok": True, "result": result, "sanitizer": findings}
+
+    def _run_inproc(self, sweep: _Sweep,
+                    points: List[SweepOutcome]) -> None:
+        for outcome in points:
+            state = self._advance(sweep, outcome, PointState.ADMITTED)
+            if state is not PointState.ADMITTED:
+                continue
+            self._advance(sweep, outcome, PointState.DISPATCHED)
+            reply = self._simulate_here(sweep, outcome)
+            self._advance(sweep, outcome, self._apply_reply(outcome, reply))
+
+    # ------------------------------------------------------------------
+    # Pool dispatch
+    # ------------------------------------------------------------------
+    def _point_payload(self, sweep: _Sweep, outcome: SweepOutcome) -> dict:
         return {
-            "trace_key": self._gpu_key(trace, outcome.config),
+            "trace_key": self._gpu_key(sweep.trace, outcome.config),
             "config": outcome.config.to_dict(),
-            "record_timeline": record_timeline,
+            "record_timeline": sweep.record_timeline,
             "timeout": self._hard_deadline(outcome.config),
             "deadline_soft": self._soft_deadline(outcome.config),
             "sanitize": self.sanitize,
             # The static tier already ran once per distinct plan in
-            # _verify_points; workers only need the race detectors.
+            # _plan_pass; workers only need the race detectors.
             "verify": "races" if self.verify else False,
         }
 
-    def _breaker_record(self, outcome: SweepOutcome,
-                        metrics: SweepMetrics) -> None:
-        """Feed one dispatched point's disposition to the breaker."""
-        if self.breaker is None:
-            return
-        if (outcome.error is not None
-                and outcome.error.kind in CircuitBreaker.FAILURE_KINDS):
-            if self.breaker.record_failure(outcome.error.kind):
-                metrics.circuit_trips += 1
-        elif outcome.result is not None:
-            self.breaker.record_success()
-
-    def _breaker_failure(self, kind: str, metrics: SweepMetrics) -> None:
-        if self.breaker is not None and self.breaker.record_failure(kind):
-            metrics.circuit_trips += 1
-
-    def _admit(self, outcome: SweepOutcome, metrics: SweepMetrics,
-               started: float) -> bool:
-        """Breaker admission for one point; False = failed fast.
-
-        A rejected point gets a terminal ``CircuitOpen`` error naming
-        the failure kind that tripped the breaker, so a journal resume
-        re-dispatches it once the substrate recovers.
-        """
-        if self.breaker is None or self.breaker.admit():
-            return True
-        metrics.circuit_skips += 1
-        culprit = self.breaker.last_failure_kind or "failures"
-        outcome.error = SweepError(
-            kind="CircuitOpen",
-            message=(f"dispatch circuit is open after repeated {culprit}; "
-                     "point failed fast without reaching a worker"),
-        )
-        self._note_done(outcome, metrics, started)
-        return False
-
-    def _run_parallel(self, trace: Trace, points: List[SweepOutcome],
-                      workers: int, record_timeline: bool,
-                      metrics: SweepMetrics, started: float,
-                      base_key: str) -> None:
-        prepared = self._prepare_traces(trace, points)
-        # Packed once per sweep: framed protocol-5 with the numeric
-        # trace columns as out-of-band buffers.  Every pool (re)build
-        # re-ships this same blob to each worker.
-        trace_payload = transport.pack_traces({
-            gpu_key: scaled.to_dict() for gpu_key, scaled in prepared.items()
-        })
-        self._prepare_plans(trace, points, metrics)
-        crashed = self._parallel_wave(trace, points, workers, trace_payload,
-                                      record_timeline, metrics, started,
-                                      base_key)
-        if crashed:
-            self._retry_crashed(trace, crashed, trace_payload,
-                                record_timeline, metrics, started, base_key)
-
     def _new_pool(self, workers: int,
                   trace_payload: bytes) -> ProcessPoolExecutor:
+        """The executor points are dispatched to — the single seam
+        between the lifecycle and the processes running it.
+
+        Workers get the plan cache as ``None`` (disabled), ``""``
+        (private in-memory) or the shared directory.
+        """
+        plans = self.plan_cache
+        plan_mode = None if plans is None else str(plans.root or "")
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker.init_worker,
-            initargs=(trace_payload, self._plan_mode()),
+            initargs=(trace_payload, plan_mode),
         )
+
+    def _submit(self, pool, sweep: _Sweep,
+                batch: List[SweepOutcome]) -> Future:
+        """Submit *batch* as one packed ``run_chunk`` future (replies
+        come back as a list in batch order)."""
+        return pool.submit(_worker.run_chunk, transport.pack(
+            [self._point_payload(sweep, o) for o in batch]))
 
     def _chunk_size(self, n_points: int, workers: int) -> int:
         """Points per pool submission (see ``dispatch_chunk``).
 
-        Auto mode keeps single-point futures until the sweep is big
+        Auto mode keeps single-point chunks until the sweep is big
         enough that at least four chunks per worker remain after
         chunking, then grows chunks up to 8 points — bounding both the
         per-future overhead and the blast radius of a chunk-killing
@@ -1002,16 +794,59 @@ class SweepRunner(Hookable):
             return self.dispatch_chunk
         return max(1, min(8, n_points // (workers * 4)))
 
-    def _parallel_wave(self, trace: Trace, points: List[SweepOutcome],
-                       workers: int, trace_payload: bytes,
-                       record_timeline: bool, metrics: SweepMetrics,
-                       started: float, base_key: str) -> List[SweepOutcome]:
+    def _run_parallel(self, sweep: _Sweep, points: List[SweepOutcome],
+                      workers: int) -> None:
+        # Each distinct target GPU's trace is rescaled once and packed
+        # once per sweep: framed protocol-5 with the numeric trace
+        # columns as out-of-band buffers.  Every pool (re)build re-ships
+        # this same blob to each worker.
+        gpu_keys = dict.fromkeys(self._gpu_key(sweep.trace, o.config)
+                                 for o in points)
+        sweep.trace_payload = transport.pack_traces({
+            gpu_key: self._shared_work(sweep.trace, gpu_key)[0].to_dict()
+            for gpu_key in gpu_keys
+        })
+        if self.plan_cache is not None and self.plan_cache.root is not None:
+            self._plan_pass(sweep, points, verify=False)
+        crashed = self._parallel_wave(sweep, points, workers)
+        if crashed:
+            self._retry_crashed(sweep, crashed)
+
+    def _crash(self, sweep: _Sweep, batch: List[SweepOutcome],
+               crashed: List[SweepOutcome]) -> None:
+        """Every point of *batch* died with its pool: queue it for the
+        isolated retry pass."""
+        for outcome in batch:
+            self._advance(sweep, outcome, PointState.CRASHED)
+        crashed.extend(batch)
+
+    def _settle(self, sweep: _Sweep, batch: List[SweepOutcome],
+                future: Future, crashed: List[SweepOutcome]) -> bool:
+        """Drive a finished future's points to their verdicts; True when
+        the future's worker died (the pool is broken)."""
+        exc = future.exception()
+        if isinstance(exc, BrokenProcessPool):
+            # Every in-flight future on the pool fails with it, so which
+            # point killed the worker is unknown here — the isolated
+            # retry pass attributes the crash (and splits chunks back
+            # into single points).
+            self._crash(sweep, batch, crashed)
+            return True
+        replies = future.result() if exc is None else [
+            {"ok": False, "error": {"kind": type(exc).__name__,
+                                    "message": str(exc)}}] * len(batch)
+        for outcome, reply in zip(batch, replies):
+            self._advance(sweep, outcome, self._apply_reply(outcome, reply))
+        return False
+
+    def _parallel_wave(self, sweep: _Sweep, points: List[SweepOutcome],
+                       workers: int) -> List[SweepOutcome]:
         """Fan *points* over a pool; returns the unattributed crash victims.
 
-        Dispatch is incremental — at most ``2 * workers`` futures are in
-        flight — so every submission passes the circuit breaker with
-        current information and is write-ahead journaled just before it
-        reaches the pool.  Points travel in chunks of
+        Dispatch runs through a sliding window — at most ``2 * workers``
+        futures are in flight — so every submission passes the circuit
+        breaker with current information and is write-ahead journaled
+        just before it reaches the pool.  Points travel in chunks of
         :meth:`_chunk_size` per future (a chunk is one packed blob; the
         worker runs its points sequentially, each under its own
         deadline), which amortizes the submit/result round-trip on large
@@ -1022,16 +857,16 @@ class SweepRunner(Hookable):
         as the in-process path).  A worker death breaks only the
         in-flight window: those points are collected for the isolated
         retry pass, the pool is rebuilt, and the undispatched queue
-        continues on the fresh pool (a crash no longer forfeits every
-        queued point).  Ctrl-C cancels the queue, waits out the running
-        points, and re-raises — no worker processes outlive the sweep.
+        continues on the fresh pool.  Ctrl-C cancels the queue, waits
+        out the running points, and re-raises — no worker processes
+        outlive the sweep.
         """
         crashed: List[SweepOutcome] = []
         queue = deque(points)
         window = max(1, workers * 2)
         chunk_size = self._chunk_size(len(points), workers)
-        pool = self._new_pool(workers, trace_payload)
-        futures: Dict[object, List[SweepOutcome]] = {}
+        pool = self._new_pool(workers, sweep.trace_payload)
+        futures: Dict[Future, List[SweepOutcome]] = {}
         try:
             while queue or futures:
                 while queue and len(futures) < window:
@@ -1042,129 +877,66 @@ class SweepRunner(Hookable):
                                 and (futures or batch)):
                             # The breaker tripped (or a half-open probe
                             # is flying) while work is in flight.
-                            # Draining the queue through _admit now
-                            # would fail every remaining point fast
-                            # before the probe's result can close the
-                            # breaker, making recovery unreachable — so
-                            # stop dispatching and wait for the
-                            # in-flight verdicts instead.  Once the
-                            # window drains, _admit resumes: skips count
-                            # up to the next probe, and a probe that
-                            # succeeds re-closes the breaker for the
-                            # rest of the queue.  (Checked per point,
-                            # not per batch: an admitted probe must not
-                            # drag fail-fast victims along in its own
-                            # chunk.)
+                            # Admitting more now would fail every
+                            # remaining point fast before the probe's
+                            # result can close the breaker, making
+                            # recovery unreachable — so stop dispatching
+                            # and wait for the in-flight verdicts.  Once
+                            # the window drains, admission resumes:
+                            # skips count up to the next probe, and a
+                            # probe that succeeds re-closes the breaker
+                            # for the rest of the queue.  (Checked per
+                            # point, not per batch: an admitted probe
+                            # must not drag fail-fast victims along in
+                            # its own chunk.)
                             break
                         outcome = queue.popleft()
-                        if not self._admit(outcome, metrics, started):
-                            continue
-                        self._journal_dispatch(outcome)
-                        batch.append(outcome)
+                        state = self._advance(sweep, outcome,
+                                              PointState.ADMITTED)
+                        if state is PointState.ADMITTED:
+                            self._advance(sweep, outcome,
+                                          PointState.DISPATCHED)
+                            batch.append(outcome)
                     if not batch:
                         break  # breaker paused or fast-failed the queue
                     try:
-                        if len(batch) == 1:
-                            # Singleton chunks go through run_point
-                            # unpacked — the common small-sweep shape,
-                            # and the seam tests monkeypatch.
-                            future = pool.submit(
-                                _worker.run_point,
-                                self._point_payload(trace, batch[0],
-                                                    record_timeline))
-                        else:
-                            future = pool.submit(
-                                _worker.run_chunk,
-                                transport.pack([
-                                    self._point_payload(trace, o,
-                                                        record_timeline)
-                                    for o in batch]))
+                        futures[self._submit(pool, sweep, batch)] = batch
                     except BrokenProcessPool:
                         # The pool broke before the wait loop saw it;
                         # these points are crash-window victims too.
-                        crashed.extend(batch)
-                        for _ in batch:
-                            self._breaker_failure("WorkerCrashed", metrics)
+                        self._crash(sweep, batch, crashed)
                         pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._new_pool(workers, trace_payload)
-                        continue
-                    futures[future] = batch
+                        pool = self._new_pool(workers, sweep.trace_payload)
                 if not futures:
                     continue  # breaker fast-failed the whole window
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
                 broken = False
                 for future in done:
-                    batch = futures.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        for outcome, reply in zip(
-                                batch,
-                                self._chunk_replies(batch, future.result())):
-                            self._finish(outcome, reply,
-                                         record_timeline, base_key)
-                            self._breaker_record(outcome, metrics)
-                            self._note_done(outcome, metrics, started)
-                    elif isinstance(exc, BrokenProcessPool):
-                        # A worker died.  Every in-flight future on the
-                        # pool fails with it, so which point killed the
-                        # worker is unknown here — the isolated retry
-                        # pass attributes the crash (and splits chunked
-                        # batches back into single points).
-                        broken = True
-                        crashed.extend(batch)
-                        for _ in batch:
-                            self._breaker_failure("WorkerCrashed", metrics)
-                    else:
-                        for outcome in batch:
-                            outcome.error = SweepError(
-                                kind=type(exc).__name__, message=str(exc)
-                            )
-                            self._breaker_record(outcome, metrics)
-                            self._note_done(outcome, metrics, started)
+                    broken |= self._settle(sweep, futures.pop(future),
+                                           future, crashed)
                 if broken:
-                    # The rest of the window died with the pool; sort
+                    # The rest of the window died with the pool; settle
                     # the stragglers (a future may still have finished
                     # cleanly in the meantime) and rebuild.
-                    for future, batch in list(futures.items()):
-                        if future.done() and future.exception() is None:
-                            for outcome, reply in zip(
-                                    batch,
-                                    self._chunk_replies(batch,
-                                                        future.result())):
-                                self._finish(outcome, reply,
-                                             record_timeline, base_key)
-                                self._breaker_record(outcome, metrics)
-                                self._note_done(outcome, metrics, started)
+                    for future, batch in futures.items():
+                        if future.done() and not future.cancelled():
+                            self._settle(sweep, batch, future, crashed)
                         else:
-                            crashed.extend(batch)
-                            for _ in batch:
-                                self._breaker_failure("WorkerCrashed",
-                                                      metrics)
+                            self._crash(sweep, batch, crashed)
                     futures.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._new_pool(workers, trace_payload)
+                    pool = self._new_pool(workers, sweep.trace_payload)
         except KeyboardInterrupt:
             pool.shutdown(wait=True, cancel_futures=True)
             raise
         pool.shutdown()
         return crashed
 
-    @staticmethod
-    def _chunk_replies(batch: List[SweepOutcome], result) -> list:
-        """Normalize a future's result to one reply dict per point.
-
-        Singleton batches are submitted through ``run_point`` (a bare
-        payload dict reply); larger batches through ``run_chunk`` (a
-        list of reply dicts in batch order).
-        """
-        if len(batch) == 1 and isinstance(result, dict):
-            return [result]
-        return result
-
-    def _retry_crashed(self, trace: Trace, crashed: List[SweepOutcome],
-                       trace_payload: bytes, record_timeline: bool,
-                       metrics: SweepMetrics, started: float,
-                       base_key: str) -> None:
+    # ------------------------------------------------------------------
+    # The crash ladder
+    # ------------------------------------------------------------------
+    def _retry_crashed(self, sweep: _Sweep,
+                       crashed: List[SweepOutcome]) -> None:
         """Re-execute crash victims one at a time, each on a fresh
         single-worker pool, with seeded bounded exponential backoff —
         so a repeat crash is attributable to exactly one point.  A point
@@ -1174,120 +946,30 @@ class SweepRunner(Hookable):
         point declared ``WorkerCrashed``."""
         rng = random.Random(self.retry_seed)
         for outcome in sorted(crashed, key=lambda o: o.index):
+            reply = None
             for attempt in range(self.MAX_CRASH_RETRIES):
                 _wall.sleep(self._backoff_delay(rng, attempt))
-                outcome.retries += 1
-                metrics.retries += 1
-                if self._isolated_attempt(trace, outcome, trace_payload,
-                                          record_timeline, base_key):
+                self._advance(sweep, outcome, PointState.RETRY)
+                reply = self._isolated_attempt(sweep, outcome)
+                if reply is not None:
                     break
-            else:
-                if self._inprocess_rescue(trace, outcome, record_timeline,
-                                          base_key):
-                    outcome.degraded = True
-                    metrics.degraded_recoveries += 1
-                else:
-                    metrics.worker_crashes += 1
-                    outcome.error = SweepError(
-                        kind="WorkerCrashed",
-                        message=f"worker process died simulating this point "
-                                f"{outcome.retries} time(s) in isolation "
-                                f"(after crashing a shared pool), and the "
-                                f"in-process rescue run also failed",
-                    )
-            self._note_done(outcome, metrics, started)
-
-    def _inprocess_rescue(self, trace: Trace, outcome: SweepOutcome,
-                          record_timeline: bool, base_key: str) -> bool:
-        """Last degradation rung: run the point in the parent process.
-
-        No pool means nothing left to crash: if the failures were pool
-        infrastructure (a poisoned worker image, fork pressure, chaos
-        injection) the point completes here; chaos specs stay disarmed,
-        so a config that genuinely kills its host raises instead of
-        taking the sweep down.  Returns False on any failure — the
-        point's verdict stays ``WorkerCrashed``.
-        """
-        try:
-            gpu_key = self._gpu_key(trace, outcome.config)
-            point_trace, op_times = self._shared_work(trace, gpu_key)
-            op_time = _worker.shared_op_time(
-                point_trace, outcome.config.perf_model, op_times, gpu_key)
-            outcome.result = _worker.simulate_point(
-                point_trace, outcome.config, record_timeline,
-                self._hard_deadline(outcome.config), op_time=op_time,
-                sanitize=self.sanitize,
-                sanitizer_sink=outcome.sanitizer_findings,
-                plan_cache=self.plan_cache,
-                verify="races" if self.verify else False,
-                deadline_soft=self._soft_deadline(outcome.config),
-            )
-        except Exception:
-            outcome.result = None
-            return False
-        if self.cache is not None and outcome.config.is_serializable:
-            key = self.cache.point_key(base_key, outcome.config,
-                                       record_timeline)
-            self.cache.store(key, outcome.result)
-        return True
+            if reply is None:
+                self._advance(sweep, outcome, PointState.RESCUE)
+                reply = self._simulate_here(sweep, outcome)
+            self._advance(sweep, outcome, self._apply_reply(outcome, reply))
 
     def _backoff_delay(self, rng: random.Random, attempt: int) -> float:
         """Jittered exponential backoff, capped at :attr:`MAX_BACKOFF`."""
         return min(self.MAX_BACKOFF,
                    self.retry_backoff * (2 ** attempt) * (0.5 + rng.random()))
 
-    def _isolated_attempt(self, trace: Trace, outcome: SweepOutcome,
-                          trace_payload: bytes, record_timeline: bool,
-                          base_key: str) -> bool:
-        """One retry on a dedicated pool; False when the worker died."""
-        with ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_worker.init_worker,
-            initargs=(trace_payload, self._plan_mode()),
-        ) as pool:
-            future = pool.submit(
-                _worker.run_point,
-                self._point_payload(trace, outcome, record_timeline))
-            try:
-                payload = future.result()
-            except BrokenProcessPool:
-                return False
-        self._finish(outcome, payload, record_timeline, base_key)
-        return True
-
-    def _run_inproc(self, trace: Trace, points: List[SweepOutcome],
-                    record_timeline: bool, metrics: SweepMetrics,
-                    started: float, base_key: str) -> None:
-        for outcome in points:
-            if not self._admit(outcome, metrics, started):
-                continue
-            self._journal_dispatch(outcome)
-            gpu_key = self._gpu_key(trace, outcome.config)
-            point_trace, op_times = self._shared_work(trace, gpu_key)
-            try:
-                op_time = _worker.shared_op_time(
-                    point_trace, outcome.config.perf_model, op_times,
-                    gpu_key,
-                )
-                outcome.result = _worker.simulate_point(
-                    point_trace, outcome.config, record_timeline,
-                    self._hard_deadline(outcome.config), op_time=op_time,
-                    sanitize=self.sanitize,
-                    sanitizer_sink=outcome.sanitizer_findings,
-                    plan_cache=self.plan_cache,
-                    verify="races" if self.verify else False,
-                    deadline_soft=self._soft_deadline(outcome.config),
-                )
-                if (self.cache is not None
-                        and outcome.config.is_serializable):
-                    key = self.cache.point_key(base_key, outcome.config,
-                                               record_timeline)
-                    self.cache.store(key, outcome.result)
-            except Exception as exc:
-                # error_record normalizes deadline flavours to the
-                # taxonomy kind ("PointTimeout") and keeps any
-                # partial-progress detail the exception carries.
-                outcome.error = SweepError.from_dict(
-                    _worker.error_record(exc))
-            self._breaker_record(outcome, metrics)
-            self._note_done(outcome, metrics, started)
+    def _isolated_attempt(self, sweep: _Sweep,
+                          outcome: SweepOutcome) -> Optional[dict]:
+        """One retry on a dedicated pool; ``None`` when the worker died."""
+        pool = self._new_pool(1, sweep.trace_payload)
+        try:
+            return self._submit(pool, sweep, [outcome]).result()[0]
+        except BrokenProcessPool:
+            return None
+        finally:
+            pool.shutdown()

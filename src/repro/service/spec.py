@@ -56,7 +56,6 @@ class SweepSpec:
     seq_len: Optional[int] = None
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
-    timeout: Optional[float] = None
     #: Directory for the persistent extrapolation-plan cache
     #: (``docs/plans.md``); ``None`` keeps plan sharing in-memory only.
     plan_dir: Optional[str] = None
@@ -64,7 +63,8 @@ class SweepSpec:
     #: (``docs/resilience.md``); ``None`` disables journaling.
     journal_dir: Optional[str] = None
     #: Per-point deadline budgets (seconds): cooperative soft stop and
-    #: hard kill.  ``deadline_hard`` wins over the legacy ``timeout``.
+    #: hard kill.  The legacy ``timeout`` key is read as ``deadline_hard``
+    #: (which wins when both are given).
     deadline_soft: Optional[float] = None
     deadline_hard: Optional[float] = None
     #: Dispatch circuit breaker: ``True`` for defaults, or a dict of
@@ -113,11 +113,12 @@ class SweepSpec:
             seq_len=data.get("seq_len"),
             workers=data.get("workers"),
             cache_dir=data.get("cache_dir"),
-            timeout=data.get("timeout"),
             plan_dir=data.get("plan_dir"),
             journal_dir=data.get("journal_dir"),
             deadline_soft=data.get("deadline_soft"),
-            deadline_hard=data.get("deadline_hard"),
+            deadline_hard=(data["deadline_hard"]
+                           if data.get("deadline_hard") is not None
+                           else data.get("timeout")),
             breaker=data.get("breaker"),
         )
 

@@ -1,15 +1,17 @@
 """Tests for the incremental max-min allocator and churn-free rescheduling.
 
-Three layers of evidence that the optimization is behavior-preserving:
+Three layers of evidence that the optimization is behavior-preserving,
+all against the dense oracle kept in ``benchmarks/dense_network.py``:
 
-* a **differential property test** — the per-component counter-based
-  solver must reproduce the dense reference allocator's rates (within
-  1e-9 relative) on randomized topologies and flow sets;
+* a **differential property test** — on randomized topologies, flow
+  sets and fault-injector capacity degradations, the scalar and numpy
+  component solvers agree exactly and both reproduce the dense
+  reference allocator's rates (within 1e-9 relative);
 * an **end-to-end property test** — full simulations under the scoped
   allocator deliver every flow at the same time (within 1e-9) as under
-  the legacy dense path;
+  the dense network;
 * a **determinism test** — ``SimulationResult`` is bit-identical across
-  the two modes on the 16-point DDP sweep grid.
+  the two networks on the 16-point DDP sweep grid.
 
 Plus the churn regression: a staggered ring-all-reduce load must keep
 engine event cancellations under a fixed budget and at least 3x below
@@ -22,7 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.simulator as simulator_mod
 import repro.network.flow as flow_mod
+from benchmarks.dense_network import (
+    DenseFlowNetwork,
+    all_components,
+    maxmin_rates_reference,
+)
 from repro.collectives.ring import ring_all_reduce
 from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
@@ -93,25 +101,51 @@ def _random_case(draw):
     return topology, pairs
 
 
+@st.composite
+def _degradations(draw, topology):
+    """Fault-injector style link re-ratings: a few links cut to a
+    fraction of their capacity."""
+    links = sorted(topology.edges())
+    return [
+        (links[draw(st.integers(0, len(links) - 1))],
+         draw(st.sampled_from([0.5, 1 / 3, 0.1, 0.02])))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+
+
+def _solver_rates(net, component):
+    """The component's rates from the dispatcher and from each solver."""
+    return (net._maxmin_component(component),
+            net._maxmin_component_scalar(component),
+            net._maxmin_component_vector(component))
+
+
 # ----------------------------------------------------------------------
 # Differential: incremental solver vs dense reference allocator
 # ----------------------------------------------------------------------
 
 
 class TestDifferentialAllocator:
-    @given(case=_random_case())
+    @given(case=_random_case(), data=st.data())
     @settings(max_examples=120, deadline=None)
-    def test_component_solver_matches_reference(self, case):
+    def test_component_solver_matches_reference(self, case, data):
         topology, pairs = case
         net = FlowNetwork(Engine(), topology)
         flows = _install_flows(net, pairs)
         if not flows:
             return
-        reference = net._maxmin_rates_reference(flows)
+        for (u, v), factor in data.draw(_degradations(topology)):
+            net.set_link_capacity(u, v, topology[u][v]["bandwidth"] * factor)
+        reference = maxmin_rates_reference(net, flows)
         solved = {}
-        components = net._components(flows)
+        components = all_components(net)
         for component in components:
-            solved.update(net._maxmin_component(component))
+            dispatched, scalar, vector = _solver_rates(net, component)
+            # Either side of _VECTOR_MIN_FLOWS, the two solvers are
+            # interchangeable bit for bit.
+            assert scalar == vector
+            assert dispatched == scalar
+            solved.update(scalar)
         assert set(solved) == set(reference)
         for fid, rate in solved.items():
             assert math.isclose(rate, reference[fid], rel_tol=1e-9,
@@ -132,7 +166,7 @@ class TestDifferentialAllocator:
         if not flows:
             return
         rates = {}
-        for component in net._components(flows):
+        for component in all_components(net):
             rates.update(net._maxmin_component(component))
         loads = {}
         for flow in flows:
@@ -147,7 +181,7 @@ class TestDifferentialAllocator:
         net = FlowNetwork(Engine(), mesh2d(1, 6, bandwidth=10.0))
         flows = _install_flows(net, [("gpu0", "gpu2"), ("gpu1", "gpu2"),
                                      ("gpu3", "gpu5"), ("gpu4", "gpu5")])
-        components = net._components(flows)
+        components = all_components(net)
         assert len(components) == 2
         edge_sets = [
             {edge for flow in component for edge in flow.route}
@@ -157,13 +191,17 @@ class TestDifferentialAllocator:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: delivery times match between modes
+# End-to-end: delivery times match the dense network
 # ----------------------------------------------------------------------
 
 
-def _simulate_sends(topology, sends, incremental):
+def _network(engine, topology, dense):
+    return (DenseFlowNetwork if dense else FlowNetwork)(engine, topology)
+
+
+def _simulate_sends(topology, sends, dense):
     engine = Engine()
-    net = FlowNetwork(engine, topology, incremental=incremental)
+    net = _network(engine, topology, dense)
     done = {}
     for key, (start, src, dst, nbytes) in enumerate(sends):
         engine.call_at(start, lambda ev, k=key, s=src, d=dst, n=nbytes:
@@ -185,8 +223,8 @@ class TestEndToEndEquivalence:
                                         allow_nan=False))
             nbytes = data.draw(st.floats(min_value=1.0, max_value=1e6))
             sends.append((start, src, dst, nbytes))
-        fast = _simulate_sends(topology, sends, incremental=True)
-        dense = _simulate_sends(topology, sends, incremental=False)
+        fast = _simulate_sends(topology, sends, dense=False)
+        dense = _simulate_sends(topology, sends, dense=True)
         assert set(fast) == set(dense)
         for key in fast:
             assert fast[key] == pytest.approx(dense[key], rel=1e-9, abs=1e-12)
@@ -196,7 +234,7 @@ class TestEndToEndEquivalence:
         delivery of an unrelated flow (the scoped-reallocation contract)."""
         engine = Engine()
         net = FlowNetwork(engine, mesh2d(1, 4, bandwidth=100.0,
-                                         latency=0.0), incremental=True)
+                                         latency=0.0))
         done = {}
         net.send("gpu0", "gpu1", 100.0, lambda t: done.setdefault("a",
                                                                   engine.now))
@@ -210,8 +248,7 @@ class TestEndToEndEquivalence:
 
     def test_shared_join_still_reschedules(self):
         engine = Engine()
-        net = FlowNetwork(engine, ring(2, bandwidth=100.0, latency=0.0),
-                          incremental=True)
+        net = FlowNetwork(engine, ring(2, bandwidth=100.0, latency=0.0))
         done = {}
         net.send("gpu0", "gpu1", 100.0, lambda t: done.setdefault("a",
                                                                   engine.now))
@@ -229,10 +266,10 @@ class TestEndToEndEquivalence:
 # ----------------------------------------------------------------------
 
 
-def _bucketed_all_reduce_churn(incremental):
+def _bucketed_all_reduce_churn(dense):
     engine = Engine()
     topology = multi_node(4, 4, intra_bandwidth=100e9, inter_bandwidth=25e9)
-    net = FlowNetwork(engine, topology, incremental=incremental)
+    net = _network(engine, topology, dense)
     sim = TaskGraphSimulator(engine, net)
     for node, group in enumerate(node_groups(4, 4)):
         for bucket in range(3):
@@ -246,8 +283,8 @@ def _bucketed_all_reduce_churn(incremental):
 
 class TestChurnRegression:
     def test_ring_all_reduce_cancellation_budget(self):
-        total_inc, cancelled_inc = _bucketed_all_reduce_churn(True)
-        total_leg, cancelled_leg = _bucketed_all_reduce_churn(False)
+        total_inc, cancelled_inc = _bucketed_all_reduce_churn(dense=False)
+        total_leg, cancelled_leg = _bucketed_all_reduce_churn(dense=True)
         assert total_inc == total_leg
         # Node-local collectives are link-disjoint: scoped reallocation
         # must not cancel any cross-node delivery.  Budget is a fixed
@@ -259,17 +296,16 @@ class TestChurnRegression:
     def test_single_collective_no_worse_than_dense(self):
         """One global ring all-reduce (fully coupled): churn must never
         exceed the legacy dense allocator's."""
-        def run(incremental):
+        def run(dense):
             engine = Engine()
-            net = FlowNetwork(engine, ring(8, bandwidth=100e9),
-                              incremental=incremental)
+            net = _network(engine, ring(8, bandwidth=100e9), dense)
             sim = TaskGraphSimulator(engine, net)
             ring_all_reduce(sim, gpu_names(8), 64e6)
             total = sim.run()
             return total, engine.total_cancelled
 
-        total_inc, cancelled_inc = run(True)
-        total_leg, cancelled_leg = run(False)
+        total_inc, cancelled_inc = run(dense=False)
+        total_leg, cancelled_leg = run(dense=True)
         assert total_inc == pytest.approx(total_leg, rel=1e-9)
         assert cancelled_inc <= cancelled_leg
 
@@ -296,8 +332,8 @@ def rn18_trace():
 class TestDeterminism:
     def test_bit_identical_results_on_sweep_grid(self, rn18_trace,
                                                  monkeypatch):
-        def run_grid(incremental):
-            monkeypatch.setattr(flow_mod, "DEFAULT_INCREMENTAL", incremental)
+        def run_grid(network_class):
+            monkeypatch.setattr(simulator_mod, "FlowNetwork", network_class)
             payloads = []
             for config in GRID:
                 result = TrioSim(rn18_trace, config,
@@ -309,4 +345,4 @@ class TestDeterminism:
                 payloads.append(payload)
             return payloads
 
-        assert run_grid(True) == run_grid(False)
+        assert run_grid(FlowNetwork) == run_grid(DenseFlowNetwork)

@@ -208,7 +208,7 @@ class TestErrors:
                 time.sleep(5.0)
 
         monkeypatch.setattr(worker_mod, "TrioSim", SlowSim)
-        runner = SweepRunner(max_workers=1, timeout=0.2)
+        runner = SweepRunner(max_workers=1, deadline_hard=0.2)
         outcome = runner.run(trace, [SimulationConfig(num_gpus=2)])[0]
         assert not outcome.ok
         assert outcome.error.kind == "PointTimeout"
