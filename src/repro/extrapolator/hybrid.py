@@ -45,6 +45,8 @@ class HybridExtrapolator(Extrapolator):
         self._pipeline = PipelineExtrapolator(
             trace, op_time, pp_stages, chunks=chunks, batch_scale=batch_scale
         )
+        # Every replica's stage weights land in this extrapolator's store.
+        self._pipeline.store = self.store
 
     def replica_gpus(self, replica: int) -> List[str]:
         """The GPUs hosting one replica's pipeline, stage-adjacent."""
@@ -74,6 +76,7 @@ class HybridExtrapolator(Extrapolator):
         # cross-replica gradient synchronization).
         per_replica: List[Sequence[SimTask]] = []
         stages = None
+        self._pipeline.fetch_inputs = self.fetch_inputs
         for replica in range(self.dp_degree):
             stages, final_bwd = self._pipeline.build_pipeline(
                 sim, self.replica_gpus(replica),

@@ -17,6 +17,8 @@ Scaling rules (per-operator, from the trace's tensor table):
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.perfmodel.li_model import LiModel
 from repro.trace.records import OperatorRecord
 from repro.trace.trace import Trace
@@ -35,6 +37,10 @@ class OpTimeModel:
     def __init__(self, trace: Trace, perf_model=None):
         self.trace = trace
         self._model = perf_model
+        #: Scaled durations by ``(op.name, batch_scale, shard)`` after
+        #: normalisation; the trace and model are fixed, so an entry
+        #: never goes stale.
+        self._scaled: Dict[Tuple[str, float, int], Tuple[OperatorRecord, float]] = {}
 
     @property
     def li_model(self):
@@ -60,6 +66,12 @@ class OpTimeModel:
             shard = 1
         if batch_scale == 1.0 and shard == 1:
             return op.duration
+        key = (op.name, batch_scale, shard)
+        hit = self._scaled.get(key)
+        # Op names are unique within a trace; the identity check keeps a
+        # trace that breaks that rule correct (it only loses the memo).
+        if hit is not None and hit[0] is op:
+            return hit[1]
         in_act, out_act, param = self.trace.op_bytes_detail(op)
         total = in_act + out_act + param
         new_bytes = (
@@ -69,7 +81,10 @@ class OpTimeModel:
         )
         bytes_scale = new_bytes / total if total > 0 else 1.0
         flops_scale = batch_scale / shard
-        return self.li_model.predict_scaled(self.trace, op, flops_scale, bytes_scale)
+        scaled = self.li_model.predict_scaled(
+            self.trace, op, flops_scale, bytes_scale)
+        self._scaled[key] = (op, scaled)
+        return scaled
 
     # ------------------------------------------------------------------
     # Byte queries used when inserting communication operators

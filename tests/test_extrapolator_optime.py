@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.core.config import SimulationConfig
+from repro.core.plan import PlanBuilder
+from repro.core.simulator import TrioSim
 from repro.extrapolator.optime import OpTimeModel
+from repro.extrapolator.tensor_parallel import TensorParallelExtrapolator
 from repro.gpus.specs import get_gpu
+from repro.perfmodel.li_model import LiModel
+from repro.perfmodel.piecewise import PiecewiseThroughputModel
+from repro.service.worker import shared_op_time
+from repro.trace.records import OperatorRecord, TensorRecord
+from repro.trace.trace import Trace
 from repro.trace.tracer import Tracer
 from repro.workloads import get_model
 
@@ -75,3 +84,83 @@ class TestByteQueries:
         assert model._model is None
         model.duration(trace.operators[0], batch_scale=2.0)
         assert model._model is not None
+
+
+class TestScaledDurationMemo:
+    """Memoized scaled durations are bit-identical to cold resolutions."""
+
+    SCALES = (0.25, 0.5, 2.0)
+    SHARDS = (1, 2, 4)
+
+    @pytest.fixture(scope="class", params=["li", "piecewise"])
+    def fitted(self, request, trace):
+        if request.param == "li":
+            return LiModel.fit(trace)
+        return PiecewiseThroughputModel.fit(trace)
+
+    def test_memoized_equals_cold(self, trace, fitted):
+        warm = OpTimeModel(trace, fitted)
+        for op in trace.operators:
+            for scale in self.SCALES:
+                for shard in self.SHARDS:
+                    first = warm.duration(op, scale, shard)
+                    cold = OpTimeModel(trace, fitted).duration(op, scale, shard)
+                    assert first.hex() == cold.hex(), (op.name, scale, shard)
+                    again = warm.duration(op, scale, shard)
+                    assert again.hex() == first.hex(), (op.name, scale, shard)
+
+    def test_megatron_element_wise_path_has_its_own_key(self):
+        trace = Tracer(get_gpu("A100"), noise_sigma=0.0).trace(
+            get_model("gpt2"), 4)
+        op_time = OpTimeModel(trace)
+        ex = TensorParallelExtrapolator(trace, op_time, 4, scheme="megatron")
+        ex.build(PlanBuilder())
+        element_wise = [
+            op for op in trace.operators
+            if op.phase != "optimizer"
+            and ex._shardable(op) and not op_time.shardable(op)
+        ]
+        assert element_wise
+        cold_model = OpTimeModel(trace, op_time.li_model)
+        for op in element_wise:
+            memoized = op_time._scaled[(op.name, 0.25, 1)][1]
+            cold = cold_model.duration(op, 0.25, 1)
+            assert memoized.hex() == cold.hex(), op.name
+            assert (op.name, 1.0, 4) not in op_time._scaled
+
+    def test_duplicate_op_names_do_not_share_an_entry(self):
+        trace = Trace("toy", "A100", 1)
+        trace.add_tensor(TensorRecord(0, (1, 64)))
+        trace.add_tensor(TensorRecord(1, (1, 64)))
+        trace.add_tensor(TensorRecord(2, (64, 64), category="weight"))
+        small = trace.add_operator(OperatorRecord(
+            "dup", "linear", "a", "forward", 1e-4, 1e6,
+            inputs=(0, 2), outputs=(1,)))
+        large = trace.add_operator(OperatorRecord(
+            "dup", "linear", "b", "forward", 4e-4, 8e6,
+            inputs=(1, 2), outputs=(0,)))
+        warm = OpTimeModel(trace)
+        for op in (small, large, small):
+            cold = OpTimeModel(trace, warm.li_model).duration(op, 2.0)
+            assert warm.duration(op, 2.0).hex() == cold.hex()
+        assert warm.duration(small, 2.0) != warm.duration(large, 2.0)
+
+    @pytest.mark.parametrize("perf_model", ["li", "piecewise"])
+    def test_shared_model_across_batch_sizes_matches_fresh(self, trace,
+                                                           perf_model):
+        memo = {}
+        for fields in [dict(parallelism="pp", num_gpus=2, chunks=2),
+                       dict(parallelism="pp", num_gpus=2, chunks=2,
+                            batch_size=32),
+                       dict(parallelism="tp", num_gpus=2, batch_size=128),
+                       dict(parallelism="pp", num_gpus=2, chunks=4,
+                            batch_size=128),
+                       dict(parallelism="tp", num_gpus=4, batch_size=32)]:
+            config = SimulationConfig(perf_model=perf_model, **fields)
+            shared = shared_op_time(trace, perf_model, memo, "resnet18")
+            reused = TrioSim(trace, config, record_timeline=False,
+                             op_time=shared).build_plan()
+            fresh = TrioSim(trace, config, record_timeline=False).build_plan()
+            assert [d.hex() for d in reused.block()["duration"]] == \
+                [d.hex() for d in fresh.block()["duration"]], fields
+        assert len(memo) == 1
