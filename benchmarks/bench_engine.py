@@ -1,7 +1,7 @@
 """Write the exact-path engine benchmark results to ``BENCH_engine.json``.
 
 The exact event-by-event path is what every fold-ineligible run executes
-— fault injection, flowlet/adaptive routing, ``--sanitize``/``--verify``,
+— fault injection, flowlet/adaptive routing, ``--verify``,
 timeline recording — and what every sweep-service worker spends its time
 in.  This benchmark pins the engine down from two sides:
 
@@ -88,9 +88,10 @@ def _config(num_gpus: int, iterations: int, faulted: bool) -> SimulationConfig:
 def _digest_arm(trace, cache: PlanCache, num_gpus: int, iterations: int,
                 faulted: bool) -> Tuple[str, float, int]:
     """Dispatch digest, simulated time and event count of one arm (the
-    race-detector tier computes the digest; it observes, never steers)."""
+    verifier's runtime tier computes the digest; it observes, never
+    steers)."""
     sim = TrioSim(trace, _config(num_gpus, iterations, faulted),
-                  record_timeline=False, plan_cache=cache, verify="races")
+                  record_timeline=False, plan_cache=cache, verify="runtime")
     result = sim.run()
     return f"{sim.verify_digest:016x}", result.total_time, result.events
 

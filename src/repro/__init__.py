@@ -24,11 +24,10 @@ from repro.analysis import (
     AnalysisError,
     Finding,
     Report,
-    SanitizerSuite,
+    RuntimeSuite,
     lint_config,
     lint_plan,
     lint_spec,
-    lint_taskgraph,
     lint_trace,
 )
 from repro.core.config import SimulationConfig
@@ -96,7 +95,7 @@ __all__ = [
     "Report",
     "ResultCache",
     "RoutingStrategy",
-    "SanitizerSuite",
+    "RuntimeSuite",
     "SimulationConfig",
     "SimulationResult",
     "SweepError",
@@ -123,7 +122,6 @@ __all__ = [
     "lint_config",
     "lint_plan",
     "lint_spec",
-    "lint_taskgraph",
     "lint_trace",
     "platform_p1",
     "platform_p2",

@@ -12,8 +12,8 @@ them:
   self-asserting catalogue (:func:`check_catalogue`), and text + JSON +
   SARIF reporters;
 * **static lint passes** — :func:`lint_trace`, :func:`lint_config`,
-  :func:`lint_taskgraph`, :func:`lint_spec`, :func:`lint_plan`,
-  :func:`lint_path` (the ``repro lint`` CLI);
+  :func:`lint_spec`, :func:`lint_plan`, :func:`lint_path` (the ``repro
+  lint`` CLI);
 * a **deep graph verifier** (:mod:`repro.analysis.verifier`) —
   :func:`verify_path` / :func:`verify_taskgraph` / :func:`verify_plan` /
   :func:`verify_config` / :func:`verify_spec` run whole-graph ``DV``
@@ -21,13 +21,11 @@ them:
   collective matching, static peak-memory bounding, critical-path/slack
   annotation) over live task graphs and cached extrapolation plans (the
   ``repro verify`` CLI and the ``--verify`` gates);
-* **runtime sanitizers** — :class:`SanitizerSuite` hooks time
-  monotonicity, link-capacity conservation, and event-heap hygiene into a
-  running simulation (the ``--sanitize`` flag);
-* **determinism race detectors** — :class:`RaceDetectorSuite` rides the
-  engine/hook fast paths and certifies the bit-identical determinism
-  contract (``RC`` rules: tie-order races, happens-before violations,
-  global-RNG drift).
+* the verifier's **runtime tier** — :class:`RuntimeSuite` hooks the
+  sanitizers (``SZ`` rules: time monotonicity, link-capacity
+  conservation, event-heap hygiene, ...) and the determinism race
+  detectors (``RC`` rules: tie-order races, happens-before violations,
+  global-RNG drift) into a running simulation (the ``--verify`` flag).
 
 See ``docs/linting.md`` for the lint catalogue and ``docs/verifier.md``
 for the verifier rules and the determinism contract.
@@ -56,7 +54,6 @@ from repro.analysis.linter import (
     lint_path,
     lint_plan,
     lint_spec,
-    lint_taskgraph,
     lint_trace,
 )
 from repro.analysis.reporters import (
@@ -69,12 +66,11 @@ from repro.analysis.sanitizers import (
     AllocatorWarningSanitizer,
     HeapLeakSanitizer,
     LinkCapacitySanitizer,
-    SanitizerSuite,
     TimeMonotonicSanitizer,
 )
 from repro.analysis.verifier import (
     GraphView,
-    RaceDetectorSuite,
+    RuntimeSuite,
     plan_summary,
     verify_config,
     verify_path,
@@ -96,11 +92,10 @@ __all__ = [
     "GraphView",
     "HeapLeakSanitizer",
     "LinkCapacitySanitizer",
-    "RaceDetectorSuite",
     "Report",
     "Rule",
     "RuleRegistry",
-    "SanitizerSuite",
+    "RuntimeSuite",
     "TimeMonotonicSanitizer",
     "check_catalogue",
     "detect_kind",
@@ -108,7 +103,6 @@ __all__ = [
     "lint_path",
     "lint_plan",
     "lint_spec",
-    "lint_taskgraph",
     "lint_trace",
     "load_rules",
     "plan_summary",

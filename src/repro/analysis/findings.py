@@ -143,7 +143,7 @@ class Report:
 
 class AnalysisError(RuntimeError):
     """Raised when error-severity findings block an operation (e.g. the
-    pre-simulation task-graph check under ``--sanitize``)."""
+    pre-simulation task-graph check under ``--verify``)."""
 
     def __init__(self, report: Report, context: str = "analysis failed"):
         lines = [str(f) for f in report.errors] or [str(f) for f in report]

@@ -3,8 +3,6 @@
 * :func:`lint_trace` — a :class:`Trace`, trace dict, or trace JSON path;
 * :func:`lint_config` — a :class:`SimulationConfig` (plus the trace for
   cross-checks like stage counts and shardability);
-* :func:`lint_taskgraph` — an extrapolated (not yet run)
-  :class:`TaskGraphSimulator`;
 * :func:`lint_spec` — a sweep spec: lints the spec's trace and every
   expanded point;
 * :func:`lint_path` — auto-detects what a JSON file is and dispatches.
@@ -20,8 +18,6 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
-import networkx as nx
-
 from repro.analysis.plan_rules import PlanContext
 from repro.analysis.config_rules import ConfigContext
 from repro.analysis.findings import Finding, Report
@@ -31,10 +27,8 @@ from repro.analysis.registry import (
     RuleRegistry,
     load_rules,
 )
-from repro.analysis.taskgraph_rules import TaskGraphContext
 from repro.analysis.trace_rules import TraceContext
 from repro.core.config import SimulationConfig
-from repro.core.taskgraph import TaskGraphSimulator
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # deferred: service.runner itself lints configs
@@ -137,18 +131,6 @@ def lint_config(config: Union[SimulationConfig, dict],
             return report
     ctx = ConfigContext.build(config, trace)
     return registry.run_category("config", ctx, report)
-
-
-# ----------------------------------------------------------------------
-# Task graphs
-# ----------------------------------------------------------------------
-def lint_taskgraph(sim: TaskGraphSimulator,
-                   topology: Optional[nx.Graph] = None,
-                   registry: Optional[RuleRegistry] = None) -> Report:
-    """Run every task-graph rule against an extrapolated *sim*."""
-    registry = registry or DEFAULT_REGISTRY
-    ctx = TaskGraphContext(sim, topology)
-    return registry.run_category("taskgraph", ctx, Report())
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,7 @@ from repro.analysis.findings import SEVERITIES, Finding, Report
 #: Rule categories, i.e. which lint pass owns the rule.  ``verify`` rules
 #: are the deep whole-graph pass (``repro verify``); ``runtime`` rules are
 #: sanitizers and race detectors that fire from hooks.
-CATEGORIES = ("trace", "config", "taskgraph", "spec", "plan", "verify",
-              "runtime")
+CATEGORIES = ("trace", "config", "spec", "plan", "verify", "runtime")
 
 #: The complete rule catalogue, series prefix -> number of rules.  Every
 #: rule module registers by import side effect; :func:`load_rules`
@@ -32,7 +31,6 @@ CATEGORIES = ("trace", "config", "taskgraph", "spec", "plan", "verify",
 RULE_SERIES: Dict[str, int] = {
     "TR": 11,  # trace rules
     "CF": 11,  # config rules
-    "TG": 3,   # shallow task-graph rules (pre-run --sanitize check)
     "SP": 2,   # sweep-spec rules
     "PL": 3,   # extrapolation-plan rules
     "NW": 4,   # fabric/routing rules

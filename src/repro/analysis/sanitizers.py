@@ -23,19 +23,19 @@ corrupts results:
   multi-path routing layer must never assemble a route whose links
   cannot carry the allocated rate).
 
-:class:`SanitizerSuite` bundles all three behind ``--sanitize``: attach
-before :meth:`Engine.run`, call :meth:`finalize` after, read ``.report``.
+They run as the runtime tier of ``--verify``, beside the ``RC`` race
+detectors, through :class:`~repro.analysis.verifier.RuntimeSuite`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any
 
 from repro.analysis.findings import Finding, Report
-from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
+from repro.analysis.registry import DEFAULT_REGISTRY, Rule
 from repro.engine.engine import Engine
 from repro.engine.hooks import HookCtx
-from repro.network.flow import HOOK_FLOW_REALLOC, HOOK_FLOW_WARNING, FlowNetwork
+from repro.network.flow import HOOK_FLOW_REALLOC, HOOK_FLOW_WARNING
 
 #: Per-sanitizer cap so a broken invariant doesn't flood the report.
 MAX_FINDINGS_PER_SANITIZER = 20
@@ -266,67 +266,3 @@ class RestartConsistencySanitizer:
                       f"{active} flow(s) still active after the run — a "
                       "stall or restart stranded them", location="network",
                       active=active)
-
-
-class SanitizerSuite:
-    """All runtime sanitizers behind one attach/finalize pair.
-
-    Usage::
-
-        suite = SanitizerSuite()
-        suite.attach(engine=engine, network=network)
-        engine.run()
-        suite.finalize(engine)
-        if suite.report.has_errors: ...
-    """
-
-    def __init__(self, registry: Optional[RuleRegistry] = None):
-        self.registry = registry or DEFAULT_REGISTRY
-        self.report = Report()
-        self._time: Optional[TimeMonotonicSanitizer] = None
-        self._capacity: Optional[LinkCapacitySanitizer] = None
-        self._path: Optional[PathCapacitySanitizer] = None
-        self._allocator: Optional[AllocatorWarningSanitizer] = None
-        self._injector: Any = None
-        self._sim: Any = None
-        self._network: Any = None
-        self._attached: List[Tuple[Any, Any]] = []
-
-    def attach(self, engine: Optional[Engine] = None, network: Any = None,
-               injector: Any = None, sim: Any = None) -> "SanitizerSuite":
-        self._injector = injector
-        self._sim = sim
-        self._network = network
-        if engine is not None and self.registry.is_enabled("SZ001"):
-            self._time = TimeMonotonicSanitizer(self.report)
-            engine.accept_hook(self._time)
-            self._attached.append((engine, self._time))
-        if isinstance(network, FlowNetwork):
-            if self.registry.is_enabled("SZ002"):
-                self._capacity = LinkCapacitySanitizer(self.report)
-                network.accept_hook(self._capacity)
-                self._attached.append((network, self._capacity))
-            if self.registry.is_enabled("SZ004"):
-                self._allocator = AllocatorWarningSanitizer(self.report)
-                network.accept_hook(self._allocator)
-                self._attached.append((network, self._allocator))
-            if self.registry.is_enabled("SZ006"):
-                self._path = PathCapacitySanitizer(self.report)
-                network.accept_hook(self._path)
-                self._attached.append((network, self._path))
-        return self
-
-    def finalize(self, engine: Optional[Engine] = None) -> Report:
-        """Run post-run checks and detach every hook; returns the report."""
-        if engine is not None and self.registry.is_enabled("SZ003"):
-            HeapLeakSanitizer(self.report).check(engine)
-        if self._injector is not None and self.registry.is_enabled("SZ005"):
-            RestartConsistencySanitizer(self.report).check(
-                self._injector, sim=self._sim, network=self._network)
-        for hookable, hook in self._attached:
-            try:
-                hookable.remove_hook(hook)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._attached.clear()
-        return self.report

@@ -6,16 +6,16 @@ mismatched collectives and memory-infeasible schedules before a single
 event is dispatched.  Tier B (dynamic): the ``RC`` detectors ride the
 engine/hook fast paths during a run and certify the determinism
 contract (stable tie-breaking, happens-before consistency, no global
-RNG draws).
+RNG draws), beside the ``SZ`` sanitizers' physical invariants.
 
 Entry points: :func:`verify_path` (the ``repro verify`` CLI),
 :func:`verify_taskgraph` / :func:`verify_plan` / :func:`verify_config` /
-:func:`verify_spec` (library), and :class:`RaceDetectorSuite`
-(runtime).  See ``docs/verifier.md``.
+:func:`verify_spec` (library), and :class:`RuntimeSuite` (the runtime
+tier).  See ``docs/verifier.md``.
 """
 
 from repro.analysis.verifier.graph import CriticalPath, GraphView
-from repro.analysis.verifier.races import RaceDetectorSuite
+from repro.analysis.verifier.races import RuntimeSuite
 from repro.analysis.verifier.rules import VerifyContext
 from repro.analysis.verifier.verify import (
     plan_summary,
@@ -29,7 +29,7 @@ from repro.analysis.verifier.verify import (
 __all__ = [
     "CriticalPath",
     "GraphView",
-    "RaceDetectorSuite",
+    "RuntimeSuite",
     "VerifyContext",
     "plan_summary",
     "verify_config",

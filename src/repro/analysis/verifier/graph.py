@@ -10,9 +10,8 @@ needs both).
 
 On top of the view sit the whole-graph algorithms the DV rules share:
 Kahn reachability, SCC cycle extraction, dependency levels, critical-path
-/ slack analysis, and the static per-GPU transfer-footprint bound.  The
-shallow TG001 cycle rule delegates here too, so the repo has exactly one
-cycle detector.
+/ slack analysis, and the static per-GPU transfer-footprint bound.
+:meth:`GraphView.cycles` is the repo's only cycle detector.
 """
 
 from __future__ import annotations

@@ -31,19 +31,30 @@ on three runtime invariants the static verifier cannot see:
   compares at finalize.
 
 Unlike the SZ sanitizers (which check *physical* invariants of one run),
-these check the *reproducibility* contract across runs; they ride the
-same registry, so ``--disable RC00x`` and the catalogue work unchanged.
+these check the *reproducibility* contract across runs.  Both run as
+the verifier's runtime tier through :class:`RuntimeSuite`, and both ride
+the same registry, so ``--disable`` and the catalogue work unchanged.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Optional
+from typing import Any, List, Optional, Tuple
 
-from repro.analysis.findings import Finding, Report
+from repro.analysis.findings import Report
 from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
+from repro.analysis.sanitizers import (
+    AllocatorWarningSanitizer,
+    HeapLeakSanitizer,
+    LinkCapacitySanitizer,
+    PathCapacitySanitizer,
+    RestartConsistencySanitizer,
+    TimeMonotonicSanitizer,
+    _emit,
+)
 from repro.engine.engine import Engine
 from repro.engine.hooks import HookCtx
+from repro.network.flow import FlowNetwork
 
 #: Per-detector cap so a broken invariant doesn't flood the report.
 MAX_FINDINGS_PER_DETECTOR = 20
@@ -72,13 +83,6 @@ DEFAULT_REGISTRY.register(Rule(
                 "global random/NumPy generators; global draws break "
                 "cross-process determinism.",
 ))
-
-
-def _emit(report: Report, rule_id: str, message: str, location: str = "",
-          **detail: object) -> None:
-    rule = DEFAULT_REGISTRY.get(rule_id)
-    report.add(Finding(rule=rule.id, name=rule.name, severity=rule.severity,
-                       message=message, location=location, detail=detail))
 
 
 class TieOrderDetector:
@@ -186,20 +190,21 @@ class RngDriftDetector:
                   "global generator", location="numpy.random")
 
 
-class RaceDetectorSuite:
-    """All determinism race detectors behind one attach/finalize pair.
+class RuntimeSuite:
+    """The verifier's runtime tier: every ``SZ`` sanitizer and ``RC``
+    race detector behind one attach/finalize pair::
 
-    Mirrors :class:`~repro.analysis.sanitizers.SanitizerSuite`::
-
-        suite = RaceDetectorSuite()
-        suite.attach(engine=engine, sim=sim)
+        suite = RuntimeSuite()
+        suite.attach(engine=engine, network=network, injector=injector,
+                     sim=sim)
         sim.run()
-        suite.finalize()
-        if suite.report.has_errors: ...
+        report = suite.finalize()
         suite.order_digest  # equal across identical runs
 
     Attach before the run: the engine binds its dispatch observer once
-    at the top of :meth:`~repro.engine.engine.Engine.run`.
+    at the top of :meth:`~repro.engine.engine.Engine.run`.  Every piece
+    is optional; a check whose subject was not attached, or whose rule
+    the registry disables, is skipped.
     """
 
     def __init__(self, registry: Optional[RuleRegistry] = None):
@@ -208,43 +213,59 @@ class RaceDetectorSuite:
         #: Stable fold of every dispatched ``(time, seq)`` pair; equal
         #: digests certify two runs dispatched identical schedules.
         self.order_digest: Optional[int] = None
-        self._tie: Optional[TieOrderDetector] = None
-        self._happens: Optional[HappensBeforeDetector] = None
-        self._rng: Optional[RngDriftDetector] = None
         self._engine: Optional[Engine] = None
-        self._sim = None
+        self._network: Any = None
+        self._injector: Any = None
+        self._sim: Any = None
+        self._tie: Optional[TieOrderDetector] = None
+        self._rng: Optional[RngDriftDetector] = None
+        self._hooks: List[Tuple[Any, Any]] = []
 
-    def attach(self, engine: Optional[Engine] = None,
-               sim: Any = None) -> "RaceDetectorSuite":
-        if engine is not None and self.registry.is_enabled("RC001"):
-            self._tie = TieOrderDetector(self.report)
-            engine.set_dispatch_observer(self._tie.observe)
-            self._engine = engine
-        if sim is not None and self.registry.is_enabled("RC002"):
-            self._happens = HappensBeforeDetector(self.report)
-            sim.accept_hook(self._happens)
-            self._sim = sim
-        if self.registry.is_enabled("RC003"):
-            self._rng = RngDriftDetector(self.report)
+    def attach(self, engine: Optional[Engine] = None, network: Any = None,
+               injector: Any = None, sim: Any = None) -> "RuntimeSuite":
+        enabled = self.registry.is_enabled
+        report = self.report
+        self._engine, self._network = engine, network
+        self._injector, self._sim = injector, sim
+        if engine is not None:
+            if enabled("SZ001"):
+                self._hooks.append((engine, TimeMonotonicSanitizer(report)))
+            if enabled("RC001"):
+                self._tie = TieOrderDetector(report)
+                engine.set_dispatch_observer(self._tie.observe)
+        if isinstance(network, FlowNetwork):
+            for rule_id, sanitizer in (("SZ002", LinkCapacitySanitizer),
+                                       ("SZ004", AllocatorWarningSanitizer),
+                                       ("SZ006", PathCapacitySanitizer)):
+                if enabled(rule_id):
+                    self._hooks.append((network, sanitizer(report)))
+        if sim is not None and enabled("RC002"):
+            self._hooks.append((sim, HappensBeforeDetector(report)))
+        for hookable, hook in self._hooks:
+            hookable.accept_hook(hook)
+        if enabled("RC003"):
+            self._rng = RngDriftDetector(report)
             self._rng.snapshot()
         return self
 
     def finalize(self) -> Report:
-        """Run post-run checks and detach everything; returns the report."""
-        if self._tie is not None:
-            self.order_digest = self._tie.digest
-            if self._engine is not None:
-                self._engine.set_dispatch_observer(None)
-            self._tie = None
-            self._engine = None
-        if self._happens is not None and self._sim is not None:
-            try:
-                self._sim.remove_hook(self._happens)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-            self._happens = None
-            self._sim = None
+        """Run the post-run checks and detach everything; returns the
+        report."""
+        enabled = self.registry.is_enabled
+        if self._engine is not None and enabled("SZ003"):
+            HeapLeakSanitizer(self.report).check(self._engine)
+        if self._injector is not None and enabled("SZ005"):
+            RestartConsistencySanitizer(self.report).check(
+                self._injector, sim=self._sim, network=self._network)
         if self._rng is not None:
             self._rng.compare()
             self._rng = None
+        if self._tie is not None:
+            self.order_digest = self._tie.digest
+            self._engine.set_dispatch_observer(None)
+            self._tie = None
+        for hookable, hook in self._hooks:
+            hookable.remove_hook(hook)
+        self._hooks.clear()
+        self._engine = self._network = self._injector = self._sim = None
         return self.report

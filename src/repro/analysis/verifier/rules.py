@@ -1,14 +1,14 @@
 """Deep whole-graph verification rules (``DV``-series, Tier A).
 
-Where the shallow ``TG`` rules check one property each against a live
-simulator, these verify the execution DAG *as a whole* — over either a
-live :class:`~repro.core.taskgraph.TaskGraphSimulator` or a recorded
+These verify the execution DAG *as a whole* — over either a live
+:class:`~repro.core.taskgraph.TaskGraphSimulator` or a recorded
 :class:`~repro.core.plan.ExtrapolationPlan`, lowered to one
 :class:`~repro.analysis.verifier.graph.GraphView`:
 
 * **DV001** structural gate — dangling/forward/self dependency
   references, unknown kinds, negative durations/bytes, malformed
-  transfer endpoints;
+  transfer endpoints, and (given the topology a live graph will run
+  on) endpoints that are not topology nodes;
 * **DV002** cycle gate — SCC-extracted dependency cycles (fence
   involvement called out: a cycle through an iteration fence deadlocks
   every subsequent iteration);
@@ -86,9 +86,10 @@ class VerifyContext:
       description="Every task must be well-formed: in-range backward "
                   "dependency indices, a known kind, non-negative "
                   "duration/bytes, and transfers with distinct, present "
-                  "endpoints.")
+                  "endpoints that are nodes of the network topology.")
 def check_structure(ctx: VerifyContext, emit: Emitter) -> None:
     view = ctx.view
+    topology = ctx.topology
     fired = 0
 
     def report(index: int, message: str, **detail: object) -> None:
@@ -119,6 +120,12 @@ def check_structure(ctx: VerifyContext, emit: Emitter) -> None:
             elif src == dst:
                 report(index, f"transfer sends {src!r} to itself",
                        endpoint=str(src))
+            elif topology is not None:
+                for endpoint in (src, dst):
+                    if endpoint not in topology:
+                        report(index, f"transfer endpoint {endpoint!r} is "
+                                      "not a topology node",
+                               endpoint=str(endpoint))
             if view.nbytes[index] < 0:
                 report(index, f"negative byte count {view.nbytes[index]!r}",
                        nbytes=view.nbytes[index])

@@ -119,16 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate_p.add_argument("--save-result", default=None, metavar="PATH",
                             help="write the full result as versioned JSON")
     simulate_p.add_argument("--memory-check", action="store_true")
-    simulate_p.add_argument("--sanitize", action="store_true",
-                            help="pre-run task-graph analysis + runtime "
-                                 "sanitizers (time monotonicity, link "
-                                 "capacity, event-heap leaks)")
     simulate_p.add_argument("--verify", action="store_true",
                             help="deep-verify the task graph before the "
-                                 "run (DV rules: cycles, dead tasks, "
+                                 "run (DV rules: malformed tasks and "
+                                 "endpoints, cycles, dead tasks, "
                                  "collective matching, peak memory) and "
-                                 "run the determinism race detectors "
-                                 "(RC rules) during it")
+                                 "run the sanitizers (SZ rules) and "
+                                 "determinism race detectors (RC rules) "
+                                 "during it")
     simulate_p.add_argument("--faults", default=None, metavar="SPEC",
                             help="fault spec JSON (stragglers, link "
                                  "degradation, failures + checkpoint-"
@@ -186,12 +184,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write all outcomes as a JSON array")
     sweep_p.add_argument("--csv", default=None,
                          help="write label,total_s,cached rows as CSV")
-    sweep_p.add_argument("--sanitize", action="store_true",
-                         help="run every point with the runtime sanitizers")
     sweep_p.add_argument("--verify", action="store_true",
                          help="deep-verify each distinct task graph before "
                               "dispatch (VerifyError outcomes) and run the "
-                              "determinism race detectors on every point")
+                              "sanitizers and determinism race detectors "
+                              "on every point")
     sweep_p.add_argument("--no-lint", action="store_true",
                          help="skip the static config lint before dispatch")
     sweep_p.add_argument("--plan-cache", default=None, metavar="DIR",
@@ -287,9 +284,8 @@ def _cmd_simulate(args) -> int:
         config.faults = FaultSpec.load(args.faults)
     wants_timeline = args.timeline is not None or args.report is not None
     sim = TrioSim(trace, config, record_timeline=wants_timeline,
-                  sanitize=args.sanitize, verify=args.verify,
-                  profile_engine=args.profile)
-    if args.sanitize or args.verify:
+                  verify=args.verify, profile_engine=args.profile)
+    if args.verify:
         from repro.analysis import AnalysisError, render_text
 
         try:
@@ -297,16 +293,9 @@ def _cmd_simulate(args) -> int:
         except AnalysisError as exc:
             print(render_text(exc.report, source=args.trace))
             return 1
-        if sim.sanitizer_report is not None:
-            print(render_text(sim.sanitizer_report, source="sanitizers"))
-        if sim.verify_report is not None:
-            print(render_text(sim.verify_report, source="verify"))
-            print(f"verify: dispatch-order digest "
-                  f"{sim.verify_digest:016x}")
-        if (sim.sanitizer_report is not None
-                and sim.sanitizer_report.has_errors):
-            return 1
-        if sim.verify_report is not None and sim.verify_report.has_errors:
+        print(render_text(sim.verify_report, source="verify"))
+        print(f"verify: dispatch-order digest {sim.verify_digest:016x}")
+        if sim.verify_report.has_errors:
             return 1
     else:
         result = sim.run()
@@ -430,7 +419,6 @@ def _cmd_sweep(args) -> int:
         cache=args.cache if args.cache is not None else spec.cache_dir,
         hooks=(_SweepProgress(),),
         lint=not args.no_lint,
-        sanitize=args.sanitize,
         verify=args.verify,
         plan_cache=plan_cache,
         deadline_soft=(args.deadline_soft if args.deadline_soft is not None
@@ -468,9 +456,9 @@ def _cmd_sweep(args) -> int:
         f"{metrics.errors} errors | "
         f"{metrics.events_per_sec:,.0f} simulated events/s"
     )
-    if args.sanitize or args.verify:
+    if args.verify:
         flagged = sum(len(o.sanitizer_findings) for o in outcomes)
-        print(f"sanitizers: {flagged} findings across "
+        print(f"verify: {flagged} findings across "
               f"{sum(1 for o in outcomes if o.sanitizer_findings)} points")
     if args.output:
         payload = [o.to_dict() for o in outcomes]

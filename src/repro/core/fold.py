@@ -81,7 +81,7 @@ def config_fold_reason(config) -> Optional[str]:
     return None
 
 
-def fold_decision(config, network=None, hooks=(), sanitize: bool = False,
+def fold_decision(config, network=None, hooks=(),
                   verify: bool = False) -> FoldDecision:
     """Decide whether a :class:`~repro.core.simulator.TrioSim` run folds.
 
@@ -96,16 +96,14 @@ def fold_decision(config, network=None, hooks=(), sanitize: bool = False,
       simulator nulled on single-path topologies.
     * ``custom-network`` — the built network lacks the
       ``stats_snapshot`` / ``extend_stats`` counter-extension contract.
-    * ``hooks`` / ``sanitize`` / ``verify`` — user hooks, the runtime
-      sanitizers, and the race detectors are defined over the full event
-      stream; folded iterations dispatch no events, so these force the
-      exact path.
+    * ``hooks`` / ``verify`` — user hooks and the verifier's runtime
+      tier (sanitizers and race detectors) are defined over the full
+      event stream; folded iterations dispatch no events, so these force
+      the exact path.
     """
     reason = config_fold_reason(config)
     if reason is None and hooks:
         reason = "hooks"
-    if reason is None and sanitize:
-        reason = "sanitize"
     if reason is None and verify:
         reason = "verify"
     if reason is None and network is not None:

@@ -38,7 +38,7 @@ from repro.extrapolator.data_parallel import (
     DataParallelExtrapolator,
     DistributedDataParallelExtrapolator,
 )
-from repro.extrapolator.optime import OpTimeModel
+from repro.extrapolator.optime import build_op_time
 from repro.extrapolator.pipeline import PipelineExtrapolator
 from repro.extrapolator.single import SingleGPUExtrapolator
 from repro.extrapolator.tensor_parallel import TensorParallelExtrapolator
@@ -46,6 +46,12 @@ from repro.network.flow import FlowNetwork
 from repro.network.topology import TOPOLOGIES, TopologySpec, build_topology_cached
 from repro.perfmodel.scaling import CrossGPUScaler
 from repro.trace.trace import Trace
+
+#: Engine events between heartbeat calls.  Small enough that the sweep
+#: service's soft deadline catches a stuck-but-dispatching run within
+#: milliseconds, large enough that the wall-clock read stays invisible
+#: in profiles.
+HEARTBEAT_EVERY = 256
 
 
 def iteration_times_from_fences(fence_end_times, total: float):
@@ -83,12 +89,6 @@ class TrioSim:
         model once per ``(trace, target GPU)`` and shares it across every
         sweep point; it must have been built on the *prepared* (already
         cross-GPU-rescaled) trace.
-    sanitize:
-        Statically check the extrapolated task graph before any event is
-        scheduled (raising :class:`repro.analysis.AnalysisError` on
-        dependency cycles or bad transfer endpoints) and run the runtime
-        sanitizers during the simulation; findings land in
-        :attr:`sanitizer_report`.
     allow_chaos:
         Permit a ``chaos_kill_at`` in ``config.faults`` to arm (the
         process then SIGKILLs itself mid-run).  Only the sweep service's
@@ -105,25 +105,31 @@ class TrioSim:
         on a miss, so runs differing only in network/topology/fault
         parameters extrapolate once.
     verify:
-        Run the two-tier verifier around the simulation: the deep static
-        graph verifier (``DV`` rules — cycles, dead tasks, mismatched
-        collectives, memory-infeasible schedules) over the fully
+        Run the two-tier verifier around the simulation.  The static
+        tier (``DV`` rules — malformed tasks and transfer endpoints
+        outside the topology, cycles, dead tasks, mismatched
+        collectives, memory-infeasible schedules) checks the fully
         instantiated graph before any event is scheduled, raising
-        :class:`repro.analysis.AnalysisError` on errors, and the
-        determinism race detectors (``RC`` rules) during the run.
-        Findings land in :attr:`verify_report`; the dispatch-order
-        digest in :attr:`verify_digest`.  Pass the string ``"races"``
-        to skip the static tier (when the caller verified the plan
-        already) and run only the race detectors.
+        :class:`repro.analysis.AnalysisError` on errors.  The runtime
+        tier attaches the sanitizers (``SZ`` rules) and the determinism
+        race detectors (``RC`` rules) during the run.  Findings land in
+        :attr:`verify_report`; the dispatch-order digest in
+        :attr:`verify_digest`.  Pass the string ``"runtime"`` to skip
+        the static tier (when the caller verified the plan already).
+    heartbeat:
+        Optional ``(engine) -> None`` callback fired every
+        :data:`HEARTBEAT_EVERY` dispatched events — the sweep service's
+        cooperative soft-deadline check.  Unlike hooks, a heartbeat
+        never affects fold eligibility: it observes wall clock, not
+        simulation state.
     """
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  record_timeline: bool = True, hooks=(), op_time=None,
-                 sanitize: bool = False, allow_chaos: bool = False,
+                 allow_chaos: bool = False,
                  plan: ExtrapolationPlan = None,
                  plan_cache: PlanCache = None, verify: bool = False,
-                 heartbeat=None, heartbeat_every: int = 4096,
-                 profile_engine: bool = False):
+                 heartbeat=None, profile_engine: bool = False):
         #: When true the engine runs its observed loop with timing and
         #: the result's profile gains ``engine.queue_ops`` /
         #: ``engine.handler`` / ``engine.hook_overhead`` sub-phases —
@@ -135,23 +141,15 @@ class TrioSim:
         self.config = config
         self.record_timeline = record_timeline
         self.hooks = tuple(hooks)
-        #: Optional ``(engine) -> None`` callback fired every
-        #: *heartbeat_every* dispatched events — the sweep service's
-        #: cooperative soft-deadline check.  Unlike hooks, a heartbeat
-        #: never affects fold eligibility: it observes wall clock, not
-        #: simulation state.
         self.heartbeat = heartbeat
-        self.heartbeat_every = heartbeat_every
-        self.sanitize = sanitize
         self.allow_chaos = allow_chaos
         self.plan = plan
         self.plan_cache = plan_cache
         self.verify = verify
-        #: Runtime sanitizer findings of the last :meth:`run` (a
-        #: :class:`repro.analysis.Report`), or ``None`` when off.
-        self.sanitizer_report = None
-        #: Verifier findings of the last :meth:`run` — static (``DV``)
-        #: warnings plus dynamic (``RC``) races — or ``None`` when off.
+        #: Verifier findings of the last :meth:`run` (a
+        #: :class:`repro.analysis.Report`) — static (``DV``) warnings
+        #: plus runtime sanitizer (``SZ``) and race (``RC``) findings —
+        #: or ``None`` when off.
         self.verify_report = None
         #: Stable fold of the run's dispatched ``(time, seq)`` schedule;
         #: equal digests certify two runs dispatched identically.
@@ -167,15 +165,9 @@ class TrioSim:
                 "op_time was fitted on a different trace; build it on the "
                 "prepared (cross-GPU-rescaled) trace"
             )
-        self.op_time = op_time or OpTimeModel(self.trace, self._build_perf_model())
+        self.op_time = op_time or build_op_time(self.trace,
+                                                self.config.perf_model)
         self._trace_prep_wall = _wall.perf_counter() - _prep_started
-
-    def _build_perf_model(self):
-        if self.config.perf_model == "piecewise":
-            from repro.perfmodel.piecewise import PiecewiseThroughputModel
-
-            return PiecewiseThroughputModel.fit(self.trace)
-        return None  # lazy Li's Model default
 
     # ------------------------------------------------------------------
     # Trace preparation (cross-GPU rescaling)
@@ -363,7 +355,7 @@ class TrioSim:
             if self._engine_profile is not None:
                 engine.set_profile(self._engine_profile)
             if self.heartbeat is not None:
-                engine.set_heartbeat(self.heartbeat, self.heartbeat_every)
+                engine.set_heartbeat(self.heartbeat, HEARTBEAT_EVERY)
             network = self._build_network(engine)
             sim = TaskGraphSimulator(engine, network)
         if self.config.gpu_slowdowns:
@@ -374,8 +366,7 @@ class TrioSim:
         for hook in self.hooks:
             sim.accept_hook(hook)
         decision = fold_decision(self.config, network=network,
-                                 hooks=self.hooks, sanitize=self.sanitize,
-                                 verify=bool(self.verify))
+                                 hooks=self.hooks, verify=bool(self.verify))
         if decision.eligible:
             return self._run_folded(profiler, plan, engine, network, sim,
                                     recorder, started)
@@ -400,26 +391,13 @@ class TrioSim:
             injector = FaultInjector(engine, sim, network, faults,
                                      allow_chaos=self.allow_chaos).install()
         suite = None
-        if self.sanitize:
-            from repro.analysis import AnalysisError, SanitizerSuite, lint_taskgraph
-
-            pre = lint_taskgraph(sim, topology=getattr(network, "topology", None))
-            if pre.has_errors:
-                raise AnalysisError(pre, "task graph failed pre-run analysis")
-            suite = SanitizerSuite().attach(engine=engine, network=network,
-                                            injector=injector, sim=sim)
-        races = None
         if self.verify:
             from repro.analysis import AnalysisError, Report
-            from repro.analysis.verifier import (
-                RaceDetectorSuite,
-                verify_taskgraph,
-            )
+            from repro.analysis.verifier import RuntimeSuite, verify_taskgraph
 
-            if self.verify == "races":
-                # Tier B only: the caller (e.g. the sweep runner, which
-                # verifies each distinct plan once pre-dispatch) already
-                # ran the static pass.
+            if self.verify == "runtime":
+                # The caller (e.g. the sweep runner, which verifies each
+                # distinct plan once pre-dispatch) ran the static tier.
                 self.verify_report = Report()
             else:
                 with profiler.phase("verify"):
@@ -429,16 +407,15 @@ class TrioSim:
                 if pre.has_errors:
                     raise AnalysisError(pre, "task graph failed verification")
                 self.verify_report = pre
-            races = RaceDetectorSuite().attach(engine=engine, sim=sim)
+            suite = RuntimeSuite().attach(engine=engine, network=network,
+                                          injector=injector, sim=sim)
         with profiler.phase("engine"):
             total = sim.run()
         if injector is not None:
             self.fault_stats = injector.stats()
         if suite is not None:
-            self.sanitizer_report = suite.finalize(engine)
-        if races is not None:
-            self.verify_report.merge(races.finalize())
-            self.verify_digest = races.order_digest
+            self.verify_report.merge(suite.finalize())
+            self.verify_digest = suite.order_digest
         iteration_times = []
         if self.config.iterations > 1:
             iteration_times = iteration_times_from_fences(

@@ -103,3 +103,17 @@ class OpTimeModel:
             for t in op.outputs
             if self.trace.tensors[t].category == "gradient"
         )
+
+
+def build_op_time(trace: Trace, perf_model: str = "li") -> OpTimeModel:
+    """An :class:`OpTimeModel` over *trace* for a
+    ``SimulationConfig.perf_model`` name.
+
+    ``"piecewise"`` fits its throughput curves here; Li's Model (the
+    default) is fitted lazily on first use.
+    """
+    if perf_model == "piecewise":
+        from repro.perfmodel.piecewise import PiecewiseThroughputModel
+
+        return OpTimeModel(trace, PiecewiseThroughputModel.fit(trace))
+    return OpTimeModel(trace)

@@ -18,8 +18,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.perfmodel.base import AnchoredScalingMixin
 from repro.perfmodel.features import NUM_FEATURES, features, op_features
-from repro.trace.records import OperatorRecord
 from repro.trace.trace import Trace
 
 _EPS = 1e-12
@@ -53,8 +53,12 @@ class _ClassModel:
         return float(self.coef @ feats)
 
 
-class LiModel:
+class LiModel(AnchoredScalingMixin):
     """Regression-based operator execution-time model.
+
+    :meth:`predict_scaled` (from :class:`AnchoredScalingMixin`) returns
+    ``op.duration`` untouched when both scales are 1 and otherwise the
+    traced time scaled by the model's predicted ratio.
 
     Usage::
 
@@ -128,21 +132,3 @@ class LiModel:
         if cls_model is None:
             raise RuntimeError("model is not fitted")
         return max(cls_model.predict(feats), 0.0)
-
-    def predict_scaled(self, trace: Trace, op: OperatorRecord,
-                       flops_scale: float, bytes_scale: float) -> float:
-        """Hybrid prediction: traced time scaled by the model's ratio.
-
-        Returns ``op.duration`` untouched when both scales are 1 — the
-        paper's rule that trace-provided times are used verbatim whenever
-        simulation parameters match the trace.
-        """
-        if flops_scale == 1.0 and bytes_scale == 1.0:
-            return op.duration
-        nbytes = trace.op_bytes(op)
-        base = self.predict(op.kind, op.flops, nbytes)
-        scaled = self.predict(op.kind, op.flops * flops_scale, nbytes * bytes_scale)
-        if base <= _EPS:
-            # Degenerate fit; fall back to direct prediction.
-            return scaled
-        return op.duration * scaled / base

@@ -96,7 +96,8 @@ class SweepOutcome:
     result: Optional[SimulationResult] = None
     error: Optional[SweepError] = None
     cached: bool = False
-    #: Runtime sanitizer findings (dict form) when the runner sanitizes.
+    #: Verifier findings (``SZ``/``RC``/``DV``, dict form) when the
+    #: runner verifies.
     sanitizer_findings: List[dict] = field(default_factory=list)
     #: Isolated re-executions this point needed after its worker died.
     retries: int = 0

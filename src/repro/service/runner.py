@@ -209,20 +209,18 @@ class SweepRunner(Hookable):
         simulation is dispatched (on by default).  A point with error
         findings becomes a structured ``LintError`` outcome instead of
         wasting a worker slot on a doomed or nonsensical simulation.
-    sanitize:
-        Run every simulated point with the runtime sanitizers attached;
-        findings land on each outcome's ``sanitizer_findings``.
     verify:
         Deep-verify every point's task graph *before* any simulation is
         dispatched (cycles, dead tasks, mismatched collectives,
         memory-infeasible schedules — the ``DV`` rules) and run the
-        determinism race detectors (``RC`` rules) during each point.  A
-        point whose graph fails verification becomes a structured
-        ``VerifyError`` outcome, mirroring ``LintError``; points sharing
-        an extrapolation plan share one verification, and the verified
-        plans land in the plan cache so the sweep itself reuses them.
-        Race findings ride each outcome's ``sanitizer_findings``
-        (distinguishable by their ``RC``/``DV`` rule ids).
+        runtime sanitizers (``SZ`` rules) and determinism race detectors
+        (``RC`` rules) during each point.  A point whose graph fails
+        verification becomes a structured ``VerifyError`` outcome,
+        mirroring ``LintError``; points sharing an extrapolation plan
+        share one verification, and the verified plans land in the plan
+        cache so the sweep itself reuses them.
+        Runtime findings ride each outcome's ``sanitizer_findings``
+        (distinguishable by their ``SZ``/``RC``/``DV`` rule ids).
     retry_seed:
         Seed of the crash-retry backoff jitter, so retry timing (the only
         nondeterminism a crash introduces) is reproducible.
@@ -264,8 +262,7 @@ class SweepRunner(Hookable):
     def __init__(self, max_workers: Optional[int] = None,
                  cache: Union[ResultCache, str, Path, None] = None,
                  hooks: Sequence = (),
-                 lint: bool = True, sanitize: bool = False,
-                 verify: bool = False,
+                 lint: bool = True, verify: bool = False,
                  retry_seed: int = 0, retry_backoff: float = 0.05,
                  plan_cache: Union[PlanCache, str, Path, bool, None] = True,
                  deadline_soft: Optional[float] = None,
@@ -303,7 +300,6 @@ class SweepRunner(Hookable):
             raise ValueError("dispatch_chunk must be >= 1")
         self.dispatch_chunk = dispatch_chunk
         self.lint = lint
-        self.sanitize = sanitize
         self.verify = verify
         self.retry_seed = retry_seed
         self.retry_backoff = retry_backoff
@@ -723,9 +719,8 @@ class SweepRunner(Hookable):
             result = _worker.simulate_point(
                 point_trace, config, sweep.record_timeline,
                 self._hard_deadline(config), op_time=op_time,
-                sanitize=self.sanitize, sanitizer_sink=findings,
-                plan_cache=self.plan_cache,
-                verify="races" if self.verify else False,
+                sanitizer_sink=findings, plan_cache=self.plan_cache,
+                verify="runtime" if self.verify else False,
                 deadline_soft=self._soft_deadline(config),
             )
         except Exception as exc:
@@ -752,10 +747,9 @@ class SweepRunner(Hookable):
             "record_timeline": sweep.record_timeline,
             "timeout": self._hard_deadline(outcome.config),
             "deadline_soft": self._soft_deadline(outcome.config),
-            "sanitize": self.sanitize,
             # The static tier already ran once per distinct plan in
-            # _plan_pass; workers only need the race detectors.
-            "verify": "races" if self.verify else False,
+            # _plan_pass; workers only need the runtime tier.
+            "verify": "runtime" if self.verify else False,
         }
 
     def _new_pool(self, workers: int,

@@ -28,14 +28,9 @@ from typing import Dict, Optional, Tuple
 from repro.core.config import SimulationConfig
 from repro.core.plan import PlanCache
 from repro.core.simulator import TrioSim
-from repro.extrapolator.optime import OpTimeModel
+from repro.extrapolator.optime import OpTimeModel, build_op_time
 from repro.service import transport
 from repro.trace.trace import Trace
-
-#: Engine events between soft-deadline wall-clock checks.  Small enough
-#: that a stuck-but-dispatching run is caught within milliseconds, large
-#: enough that ``time.monotonic()`` stays invisible in profiles.
-SOFT_DEADLINE_EVERY = 256
 
 #: Error ``kind`` reported for any deadline overrun (soft or hard) —
 #: the sweep failure taxonomy's name for it (see ``docs/resilience.md``).
@@ -68,7 +63,8 @@ def soft_deadline_heartbeat(seconds: float):
     """Engine heartbeat enforcing a cooperative *seconds* budget.
 
     The wall clock starts when the closure is built (just before
-    ``TrioSim.run``), and every :data:`SOFT_DEADLINE_EVERY` events the
+    ``TrioSim.run``), and every
+    :data:`~repro.core.simulator.HEARTBEAT_EVERY` events the
     heartbeat compares elapsed time against the budget, raising
     :class:`PointSoftTimeoutError` with the partial progress snapshot
     once exceeded.
@@ -248,20 +244,13 @@ def shared_op_time(trace: Trace, perf_model: str,
     key = (trace_key, perf_model)
     op_time = memo.get(key)
     if op_time is None:
-        fitted = None
-        if perf_model == "piecewise":
-            from repro.perfmodel.piecewise import PiecewiseThroughputModel
-
-            fitted = PiecewiseThroughputModel.fit(trace)
-        op_time = OpTimeModel(trace, fitted)
-        memo[key] = op_time
+        op_time = memo[key] = build_op_time(trace, perf_model)
     return op_time
 
 
 def simulate_point(trace: Trace, config: SimulationConfig,
                    record_timeline: bool, timeout: Optional[float],
                    op_time: Optional[OpTimeModel] = None,
-                   sanitize: bool = False,
                    sanitizer_sink: Optional[list] = None,
                    allow_chaos: bool = False,
                    plan_cache: Optional[PlanCache] = None,
@@ -269,11 +258,10 @@ def simulate_point(trace: Trace, config: SimulationConfig,
                    deadline_soft: Optional[float] = None):
     """Run one sweep point (optionally under a deadline).
 
-    With ``sanitize``, runtime sanitizer findings are appended to
-    *sanitizer_sink* as dicts (the process-boundary form); ``verify``
-    findings — determinism races and verifier warnings — ride the same
-    sink, distinguishable by their ``RC``/``DV`` rule ids.  ``verify``
-    may be the string ``"races"`` to run only the dynamic tier (the
+    With ``verify``, the verifier's findings — static ``DV`` warnings,
+    ``SZ`` sanitizer and ``RC`` race findings — are appended to
+    *sanitizer_sink* as dicts (the process-boundary form).  ``verify``
+    may be the string ``"runtime"`` to run only the runtime tier (the
     sweep runner statically verifies each distinct plan pre-dispatch).
     ``allow_chaos`` arms ``chaos_kill_at`` fault specs; worker processes
     are sacrificial, so :func:`run_point` passes ``True``, while
@@ -287,13 +275,10 @@ def simulate_point(trace: Trace, config: SimulationConfig,
     heartbeat = soft_deadline_heartbeat(soft) if soft else None
     with deadline(timeout):
         sim = TrioSim(trace, config, record_timeline=record_timeline,
-                      op_time=op_time, sanitize=sanitize,
-                      allow_chaos=allow_chaos, plan_cache=plan_cache,
-                      verify=verify, heartbeat=heartbeat,
-                      heartbeat_every=SOFT_DEADLINE_EVERY)
+                      op_time=op_time, allow_chaos=allow_chaos,
+                      plan_cache=plan_cache, verify=verify,
+                      heartbeat=heartbeat)
         result = sim.run()
-        if sanitizer_sink is not None and sim.sanitizer_report is not None:
-            sanitizer_sink.extend(sim.sanitizer_report.to_dicts())
         if sanitizer_sink is not None and sim.verify_report is not None:
             sanitizer_sink.extend(sim.verify_report.to_dicts())
         return result
@@ -319,9 +304,9 @@ def run_point(payload: dict) -> dict:
         sanitizer_findings: list = []
         result = simulate_point(
             trace, config, payload["record_timeline"], payload["timeout"],
-            op_time=op_time, sanitize=payload.get("sanitize", False),
-            sanitizer_sink=sanitizer_findings, allow_chaos=True,
-            plan_cache=_PLAN_CACHE, verify=payload.get("verify", False),
+            op_time=op_time, sanitizer_sink=sanitizer_findings,
+            allow_chaos=True, plan_cache=_PLAN_CACHE,
+            verify=payload.get("verify", False),
             deadline_soft=payload.get("deadline_soft"),
         )
         return {"ok": True, "result": result.to_dict(),

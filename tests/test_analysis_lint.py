@@ -397,7 +397,7 @@ class TestRegistry:
     def test_catalogue_covers_ten_plus_rules(self):
         ids = {r.id for r in DEFAULT_REGISTRY.rules()}
         assert len(ids) >= 20
-        for prefix in ("TR", "CF", "TG", "SZ", "SP"):
+        for prefix in ("TR", "CF", "DV", "SZ", "SP"):
             assert any(i.startswith(prefix) for i in ids)
 
 
@@ -630,7 +630,7 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("TR001", "CF002", "TG001", "SZ001", "SP001",
+        for rule_id in ("TR001", "CF002", "DV002", "SZ001", "SP001",
                         "NW001", "NW002", "NW003", "NW004", "SZ006",
                         "PL003", "DV001", "DV005", "RC001", "RC003"):
             assert rule_id in out

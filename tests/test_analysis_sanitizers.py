@@ -1,5 +1,5 @@
-"""Runtime sanitizers, task-graph lint rules, and their integration into
-TrioSim and the sweep service."""
+"""Runtime sanitizers, the static task-graph checks of ``verify``, and
+their integration into TrioSim and the sweep service."""
 
 import types
 
@@ -13,9 +13,9 @@ from repro.analysis import (
     HeapLeakSanitizer,
     LinkCapacitySanitizer,
     Report,
-    SanitizerSuite,
+    RuntimeSuite,
     TimeMonotonicSanitizer,
-    lint_taskgraph,
+    verify_taskgraph,
 )
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
@@ -157,9 +157,9 @@ class TestAllocatorWarning:
     def test_network_warning_reaches_attached_suite(self):
         engine = Engine()
         network = FlowNetwork(engine, build_topology("ring", 2, 1e9, 1e-6))
-        suite = SanitizerSuite().attach(engine=engine, network=network)
+        suite = RuntimeSuite().attach(engine=engine, network=network)
         network._warn_allocator("synthetic stall", flows=1)
-        report = suite.finalize(engine)
+        report = suite.finalize()
         assert "SZ004" in report.rule_ids()
         assert network.allocator_warnings == 1
 
@@ -169,10 +169,10 @@ class TestAllocatorWarning:
         engine = Engine()
         network = FlowNetwork(engine, build_topology("ring", 2, 1e9, 1e-6))
         scoped = DEFAULT_REGISTRY.scoped(disable=["SZ004"])
-        suite = SanitizerSuite(registry=scoped).attach(engine=engine,
-                                                       network=network)
+        suite = RuntimeSuite(registry=scoped).attach(engine=engine,
+                                                     network=network)
         network._warn_allocator("synthetic stall")
-        report = suite.finalize(engine)
+        report = suite.finalize()
         assert "SZ004" not in report.rule_ids()
 
 
@@ -194,30 +194,37 @@ class TestHeapLeak:
 
 
 class TestSanitizerSuite:
+    """The SZ side of the verifier's :class:`RuntimeSuite`."""
+
     def test_attach_finalize_detaches_hooks(self):
-        engine = Engine()
-        network = FlowNetwork(engine, build_topology("ring", 2, 1e9, 1e-6))
-        suite = SanitizerSuite().attach(engine=engine, network=network)
+        sim, _ = make_sim()
+        engine, network = sim.engine, sim.network
+        suite = RuntimeSuite().attach(engine=engine, network=network,
+                                      sim=sim)
+        # Time-monotonic (SZ001); link-capacity (SZ002), allocator-
+        # convergence (SZ004) and path-capacity (SZ006); happens-before
+        # (RC002) on the task graph.
         assert len(engine._hooks) == 1
-        # Link-capacity (SZ002), allocator-convergence (SZ004), and
-        # path-capacity (SZ006).
         assert len(network._hooks) == 3
+        assert len(sim._hooks) == 1
         engine.run()
-        report = suite.finalize(engine)
+        report = suite.finalize()
         assert report.ok
         assert engine._hooks == [] and network._hooks == []
+        assert sim._hooks == []
+        assert isinstance(suite.order_digest, int)
 
     def test_respects_disabled_rules(self):
         from repro.analysis import DEFAULT_REGISTRY
 
         engine = Engine()
         scoped = DEFAULT_REGISTRY.scoped(disable=["SZ001"])
-        suite = SanitizerSuite(registry=scoped).attach(engine=engine)
+        suite = RuntimeSuite(registry=scoped).attach(engine=engine)
         assert engine._hooks == []
 
 
 # ----------------------------------------------------------------------
-# Task-graph rules
+# Static task-graph checks (the DV rules verify runs before any event)
 # ----------------------------------------------------------------------
 class TestTaskGraphLint:
     def test_clean_graph(self):
@@ -225,37 +232,39 @@ class TestTaskGraphLint:
         a = sim.add_compute("a", "gpu0", 1e-3)
         b = sim.add_transfer("b", "gpu0", "gpu1", 1e6, deps=[a])
         sim.add_compute("c", "gpu1", 1e-3, deps=[b])
-        assert lint_taskgraph(sim, topology=topology).ok
+        assert verify_taskgraph(sim, topology=topology).ok
 
-    def test_tg001_cycle(self):
+    def test_cycle_is_dv002(self):
         sim, topology = make_sim()
         a = sim.add_compute("a", "gpu0", 1e-3)
         b = sim.add_compute("b", "gpu1", 1e-3, deps=[a])
         # Manually close the loop a -> b -> a.
         sim.store.link(b.task_id, a.task_id)
-        report = lint_taskgraph(sim, topology=topology)
-        assert "TG001" in report.rule_ids()
+        report = verify_taskgraph(sim, topology=topology)
+        assert "DV002" in report.rule_ids()
         assert report.has_errors
 
-    def test_tg002_unknown_endpoint(self):
+    def test_unknown_endpoint_is_dv001(self):
         sim, topology = make_sim()
         sim.add_transfer("t", "gpu0", "gpu7", 1e6)
-        report = lint_taskgraph(sim, topology=topology)
-        assert report.rule_ids() == ["TG002"]
+        report = verify_taskgraph(sim, topology=topology)
+        assert report.rule_ids() == ["DV001"]
         assert "gpu7" in report.findings[0].message
+        assert report.findings[0].detail["endpoint"] == "gpu7"
 
-    def test_tg002_needs_topology(self):
+    def test_endpoint_check_needs_topology(self):
         sim, _ = make_sim()
         sim.add_transfer("t", "gpu0", "gpu7", 1e6)
-        assert lint_taskgraph(sim).ok  # endpoint check skipped
+        assert verify_taskgraph(sim).ok  # endpoint check skipped
 
-    def test_tg003_dep_count_mismatch(self):
+    def test_dep_count_mismatch_is_dv003(self):
         sim, topology = make_sim()
         a = sim.add_compute("a", "gpu0", 1e-3)
         sim.add_compute("b", "gpu0", 1e-3, deps=[a])
         sim.store.indegree[a.task_id] = 7  # corrupt the counter
-        report = lint_taskgraph(sim, topology=topology)
-        assert report.rule_ids() == ["TG003"]
+        report = verify_taskgraph(sim, topology=topology)
+        assert report.rule_ids() == ["DV003"]
+        assert "declares 7 pending dependencies" in report.findings[0].message
 
     def test_extrapolated_graphs_are_clean(self, trace):
         for parallelism, kwargs in (
@@ -265,10 +274,10 @@ class TestTaskGraphLint:
         ):
             config = SimulationConfig(parallelism=parallelism,
                                       topology="ring", **kwargs)
-            sim = TrioSim(trace, config, sanitize=True)
-            result = sim.run()  # sanitize lints the graph pre-run
+            sim = TrioSim(trace, config, verify=True)
+            result = sim.run()  # verify checks the graph pre-run
             assert result.total_time > 0
-            assert sim.sanitizer_report.ok
+            assert sim.verify_report.ok
 
 
 # ----------------------------------------------------------------------
@@ -280,21 +289,52 @@ class TestTrioSimSanitize:
                                   topology="ring")
         sim = TrioSim(trace, config)
         sim.run()
-        assert sim.sanitizer_report is None
+        assert sim.verify_report is None
+        assert sim.verify_digest is None
 
     def test_sanitize_matches_unsanitized_result(self, trace):
         config = SimulationConfig(parallelism="ddp", num_gpus=4,
                                   topology="ring")
         plain = TrioSim(trace, config).run()
-        sanitized_sim = TrioSim(trace, config, sanitize=True)
+        sanitized_sim = TrioSim(trace, config, verify=True)
         sanitized = sanitized_sim.run()
         assert sanitized.total_time == plain.total_time
-        assert sanitized_sim.sanitizer_report.ok
+        assert sanitized_sim.verify_report.ok
+
+    def test_bad_endpoint_rejected_before_dispatch(self, trace, monkeypatch):
+        # A transfer to a node the topology lacks must fail the static
+        # tier (DV001), not die with a RoutingError mid-simulation.
+        config = SimulationConfig(parallelism="ddp", num_gpus=2,
+                                  topology="ring")
+        sim = TrioSim(trace, config, verify=True)
+        original = TrioSim.build_plan
+
+        def bad_build_plan(self):
+            plan = original(self)
+            # Rename rank gpu1 in every transfer: the collectives keep
+            # their shape, but gpu9 is not a node of the 2-GPU ring.
+            for task in plan.tasks:
+                if task.kind == "transfer":
+                    task.src = "gpu9" if task.src == "gpu1" else task.src
+                    task.dst = "gpu9" if task.dst == "gpu1" else task.dst
+            return plan
+
+        dispatched = []
+        real_run = TaskGraphSimulator.run
+        monkeypatch.setattr(TrioSim, "build_plan", bad_build_plan)
+        monkeypatch.setattr(
+            TaskGraphSimulator, "run",
+            lambda self: dispatched.append(self) or real_run(self))
+        with pytest.raises(AnalysisError) as excinfo:
+            sim.run()
+        assert "DV001" in str(excinfo.value)
+        assert "gpu9" in str(excinfo.value)
+        assert dispatched == []
 
     def test_broken_extrapolator_rejected_pre_run(self, trace, monkeypatch):
         config = SimulationConfig(parallelism="ddp", num_gpus=2,
                                   topology="ring")
-        sim = TrioSim(trace, config, sanitize=True)
+        sim = TrioSim(trace, config, verify=True)
         original = TrioSim.build_plan
 
         def bad_build_plan(self):
@@ -308,7 +348,7 @@ class TestTrioSimSanitize:
         monkeypatch.setattr(TrioSim, "build_plan", bad_build_plan)
         with pytest.raises(AnalysisError) as excinfo:
             sim.run()
-        assert "TG001" in str(excinfo.value)
+        assert "DV002" in str(excinfo.value)
         assert excinfo.value.report.has_errors
 
 
@@ -364,7 +404,7 @@ class TestSweepIntegration:
             for n in (2, 4)
         ]
         plain = SweepRunner(max_workers=1).run(trace, configs)
-        sanitized = SweepRunner(max_workers=1, sanitize=True).run(
+        sanitized = SweepRunner(max_workers=1, verify=True).run(
             trace, configs
         )
         for p, s in zip(plain, sanitized):
@@ -375,7 +415,7 @@ class TestSweepIntegration:
     def test_outcome_dict_carries_sanitizer_findings(self, trace):
         config = SimulationConfig(parallelism="ddp", num_gpus=2,
                                   topology="ring")
-        runner = SweepRunner(max_workers=1, sanitize=True)
+        runner = SweepRunner(max_workers=1, verify=True)
         outcome = runner.run(trace, [config])[0]
         assert outcome.to_dict()["sanitizer_findings"] == []
 
@@ -384,7 +424,7 @@ class TestSweepIntegration:
             SimulationConfig(parallelism="ddp", num_gpus=n, topology="ring")
             for n in (2, 4)
         ]
-        runner = SweepRunner(max_workers=2, sanitize=True)
+        runner = SweepRunner(max_workers=2, verify=True)
         outcomes = runner.run(trace, configs)
         assert all(o.ok for o in outcomes)
         assert all(o.sanitizer_findings == [] for o in outcomes)

@@ -4,8 +4,9 @@ Every task graph — instanced plans (exact, folded warm-up, not-steady
 fallback) and direct-built collectives — runs on one scheduler.  These
 cases pin its ``(time, seq)`` dispatch digest, simulated time and event
 count to values recorded when it was proven dispatch-identical to the
-per-object dependency walk it replaced, and check that the sanitizers
-and race detectors observe that same schedule.
+per-object dependency walk it replaced, and check that the verifier's
+runtime tier (sanitizers and race detectors) observes that same
+schedule.
 """
 
 import pytest
@@ -80,16 +81,13 @@ def test_quick_engine_scenario_under_sanitize_and_verify(trace, faulted,
         link_bandwidth=234e9, iterations=2, routing="adaptive",
         faults=FaultSpec.from_dict(STRAGGLER) if faulted else None)
     digests = []
-    for kwargs in ({"verify": True}, {"sanitize": True, "verify": True}):
-        sim = TrioSim(trace, config, record_timeline=False, **kwargs)
+    for verify in (True, "runtime"):
+        sim = TrioSim(trace, config, record_timeline=False, verify=verify)
         result = sim.run()
         assert f"{sim.verify_digest:016x}" == digest
         assert result.total_time == total
         assert result.events == 10103
         assert sim.verify_report.ok and not sim.verify_report.findings
-        if sim.sanitizer_report is not None:
-            assert sim.sanitizer_report.ok
-            assert not sim.sanitizer_report.findings
         digests.append(sim.verify_digest)
     assert digests[0] == digests[1]
 

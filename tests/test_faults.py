@@ -368,9 +368,9 @@ class TestPerturbations:
             checkpoint_interval=0.002, checkpoint_cost=1e-4,
             restore_cost=1e-4,
         )
-        sim = TrioSim(trace, _config(faults=spec), sanitize=True)
+        sim = TrioSim(trace, _config(faults=spec), verify=True)
         sim.run()
-        assert not sim.sanitizer_report.has_errors
+        assert not sim.verify_report.has_errors
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ The load-bearing properties:
   drift is machine-epsilon scale), and its warm-up iterations match the
   unfolded run *exactly*.
 * **Bit-identical fallback** — anything fold-ineligible (faults, hooks,
-  sanitize/verify, dynamic routing, ``fold=False``) takes the exact
+  verify, dynamic routing, ``fold=False``) takes the exact
   event-by-event path and produces results bit-identical to a run with
   folding disabled.
 * **Vector == scalar** — the numpy waterfill returns the exact same
@@ -127,7 +127,6 @@ class TestEligibility:
     def test_observers_force_exact_path(self):
         config = make_config()
         assert fold_decision(config, hooks=(object(),)).reason == "hooks"
-        assert fold_decision(config, sanitize=True).reason == "sanitize"
         assert fold_decision(config, verify=True).reason == "verify"
 
     def test_dynamic_routing_ineligible_static_eligible(self):
@@ -264,10 +263,6 @@ class TestExactFallbacks:
         manual = TrioSim(trace, make_config(faults=spec, fold=False)).run()
         assert auto.profile["fold_status"] == "off:faults"
         assert payload(auto) == payload(manual)
-
-    def test_sanitized_run_auto_disables(self, trace):
-        result = TrioSim(trace, make_config(), sanitize=True).run()
-        assert result.profile["fold_status"] == "off:sanitize"
 
     def test_verified_run_auto_disables(self, trace):
         result = TrioSim(trace, make_config(), verify=True).run()

@@ -97,11 +97,11 @@ class TestBitIdenticalPaths:
                                   faults=faults)
 
         def run(plan_cache):
-            sim = TrioSim(trace, config, sanitize=True,
+            sim = TrioSim(trace, config, verify=True,
                           plan_cache=plan_cache)
             result = sim.run()
             return (payload(result), sim.fault_stats,
-                    sim.sanitizer_report.to_dicts())
+                    sim.verify_report.to_dicts())
 
         cold = run(None)
         cache = PlanCache(root=tmp_path / "plans")

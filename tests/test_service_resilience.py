@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.simulator import TrioSim
+from repro.core.simulator import HEARTBEAT_EVERY, TrioSim
 from repro.faults import FaultSpec, Straggler
 from repro.gpus.specs import get_gpu
 from repro.service import worker as worker_mod
@@ -278,7 +278,7 @@ class TestSoftDeadline:
         # The heartbeat ships partial progress: how far the simulation
         # got before the budget expired.
         detail = timed_out.error.detail
-        assert detail["events"] >= worker_mod.SOFT_DEADLINE_EVERY
+        assert detail["events"] >= HEARTBEAT_EVERY
         assert detail["simulated_time"] >= 0.0
         assert detail["elapsed"] >= 0.0
         # The wave was not stalled: the other points still completed,

@@ -12,8 +12,8 @@ from repro import SimulationConfig, Tracer, TrioSim, get_gpu, get_model
 from repro.analysis import (
     DEFAULT_REGISTRY,
     GraphView,
-    RaceDetectorSuite,
     Report,
+    RuntimeSuite,
     check_catalogue,
     detect_kind,
     lint_path,
@@ -230,7 +230,7 @@ class TestRaceDetectors:
         # A heap entry pushed around Engine.schedule carries a stamped
         # sequence number that disagrees with its heap position.
         engine = Engine()
-        suite = RaceDetectorSuite().attach(engine=engine)
+        suite = RuntimeSuite().attach(engine=engine)
         event = CallbackEvent(1.0, lambda e: None)
         event._seq = 99
         heapq.heappush(engine._queue, (1.0, 7, event))
@@ -244,7 +244,7 @@ class TestRaceDetectors:
         # An extension that rewinds the sequence counter makes two
         # same-timestamp events pop with duplicate tie-breakers.
         engine = Engine()
-        suite = RaceDetectorSuite().attach(engine=engine)
+        suite = RuntimeSuite().attach(engine=engine)
 
         def rewind(event):
             engine._seq = 0
@@ -257,7 +257,7 @@ class TestRaceDetectors:
 
     def test_rc001_silent_on_clean_engine(self):
         engine = Engine()
-        suite = RaceDetectorSuite().attach(engine=engine)
+        suite = RuntimeSuite().attach(engine=engine)
         for _ in range(5):
             engine.schedule(CallbackEvent(1.0, lambda e: None))
         engine.run()
@@ -269,14 +269,14 @@ class TestRaceDetectors:
         eager = sim.add_compute("eager", "gpu1", 0.1, deps=[slow])
         # Races ahead of its dependency.
         sim.store.indegree[eager.task_id] = 0
-        suite = RaceDetectorSuite().attach(sim=sim)
+        suite = RuntimeSuite().attach(sim=sim)
         sim.run()
         report = suite.finalize()
         assert "RC002" in rule_ids(report)
         assert "linear extension" in report.findings[0].message
 
     def test_rc003_global_rng_draw(self):
-        suite = RaceDetectorSuite().attach()
+        suite = RuntimeSuite().attach()
         random.random()
         report = suite.finalize()
         assert rule_ids(report) == {"RC003"}
@@ -285,14 +285,14 @@ class TestRaceDetectors:
     def test_rc003_numpy_drift(self):
         import numpy as np
 
-        suite = RaceDetectorSuite().attach()
+        suite = RuntimeSuite().attach()
         np.random.random()
         report = suite.finalize()
         assert rule_ids(report) == {"RC003"}
         assert report.findings[0].location == "numpy.random"
 
     def test_rc003_silent_without_draws(self):
-        suite = RaceDetectorSuite().attach()
+        suite = RuntimeSuite().attach()
         rng = random.Random(7)  # seeded local generators are fine
         rng.random()
         assert suite.finalize().ok
@@ -302,6 +302,41 @@ class TestRaceDetectors:
 # TrioSim / sweep integration
 # ----------------------------------------------------------------------
 class TestVerifyIntegration:
+    def test_runtime_tier_runs_every_sz_and_rc_check(self, trace,
+                                                     monkeypatch):
+        import repro.analysis.sanitizers as sz
+        import repro.analysis.verifier.races as rc
+        from repro.faults import FaultSpec, LinkFault, Straggler
+
+        ran = set()
+        for cls, method, rule in (
+            (sz.TimeMonotonicSanitizer, "func", "SZ001"),
+            (sz.LinkCapacitySanitizer, "func", "SZ002"),
+            (sz.HeapLeakSanitizer, "check", "SZ003"),
+            (sz.AllocatorWarningSanitizer, "func", "SZ004"),
+            (sz.RestartConsistencySanitizer, "check", "SZ005"),
+            (sz.PathCapacitySanitizer, "func", "SZ006"),
+            (rc.TieOrderDetector, "observe", "RC001"),
+            (rc.HappensBeforeDetector, "func", "RC002"),
+            (rc.RngDriftDetector, "compare", "RC003"),
+        ):
+            def spy(self, *args, _check=getattr(cls, method), _rule=rule,
+                    **kwargs):
+                ran.add(_rule)
+                return _check(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, spy)
+        faults = FaultSpec(stragglers=(Straggler("gpu1", 0.0, 0.002, 2.0),),
+                           link_faults=(LinkFault("gpu0-gpu1", 0.0, 0.002,
+                                                  0.5),))
+        sim = TrioSim(trace, SimulationConfig(parallelism="ddp", num_gpus=4,
+                                              faults=faults),
+                      verify=True)
+        sim.run()
+        assert sim.verify_report.ok
+        assert ran == {"SZ001", "SZ002", "SZ003", "SZ004", "SZ005",
+                       "SZ006", "RC001", "RC002", "RC003"}
+
     def test_clean_run_zero_findings_and_stable_digest(self, trace):
         digests = []
         for _ in range(2):
@@ -326,7 +361,7 @@ class TestVerifyIntegration:
 
     def test_races_only_tier(self, trace):
         sim = TrioSim(trace, SimulationConfig(parallelism="ddp", num_gpus=2),
-                      verify="races")
+                      verify="runtime")
         sim.run()
         assert sim.verify_report.ok
         assert isinstance(sim.verify_digest, int)
