@@ -11,16 +11,16 @@ them:
   :class:`RuleRegistry` with stable rule ids, enable/disable, a
   self-asserting catalogue (:func:`check_catalogue`), and text + JSON +
   SARIF reporters;
-* **static lint passes** — :func:`lint_trace`, :func:`lint_config`,
-  :func:`lint_spec`, :func:`lint_plan`, :func:`lint_path` (the ``repro
-  lint`` CLI);
+* **static lint passes** (the shallow tier) — :func:`lint_trace`,
+  :func:`lint_config`, :func:`lint_spec`, :func:`lint_plan`;
 * a **deep graph verifier** (:mod:`repro.analysis.verifier`) —
-  :func:`verify_path` / :func:`verify_taskgraph` / :func:`verify_plan` /
-  :func:`verify_config` / :func:`verify_spec` run whole-graph ``DV``
+  :func:`verify_taskgraph` / :func:`verify_plan` / :func:`verify_config`
+  / :func:`verify_spec` run the shallow tier, then whole-graph ``DV``
   rules (SCC cycle extraction, dead-task reachability, cross-rank
   collective matching, static peak-memory bounding, critical-path/slack
   annotation) over live task graphs and cached extrapolation plans (the
-  ``repro verify`` CLI and the ``--verify`` gates);
+  ``--verify`` gates); :func:`verify_path` is the one file-level front
+  end (the ``repro verify`` CLI);
 * the verifier's **runtime tier** — :class:`RuntimeSuite` hooks the
   sanitizers (``SZ`` rules: time monotonicity, link-capacity
   conservation, event-heap hygiene, ...) and the determinism race
@@ -49,9 +49,7 @@ from repro.analysis.registry import (
     load_rules,
 )
 from repro.analysis.linter import (
-    detect_kind,
     lint_config,
-    lint_path,
     lint_plan,
     lint_spec,
     lint_trace,
@@ -71,6 +69,7 @@ from repro.analysis.sanitizers import (
 from repro.analysis.verifier import (
     GraphView,
     RuntimeSuite,
+    detect_kind,
     plan_summary,
     verify_config,
     verify_path,
@@ -100,7 +99,6 @@ __all__ = [
     "check_catalogue",
     "detect_kind",
     "lint_config",
-    "lint_path",
     "lint_plan",
     "lint_spec",
     "lint_trace",

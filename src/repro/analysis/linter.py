@@ -1,15 +1,17 @@
-"""Lint orchestration: one entry point per input kind.
+"""The shallow lint tier: one pass per input kind.
 
 * :func:`lint_trace` — a :class:`Trace`, trace dict, or trace JSON path;
 * :func:`lint_config` — a :class:`SimulationConfig` (plus the trace for
   cross-checks like stage counts and shardability);
+* :func:`lint_plan` — a pre-built extrapolation plan;
 * :func:`lint_spec` — a sweep spec: lints the spec's trace and every
-  expanded point;
-* :func:`lint_path` — auto-detects what a JSON file is and dispatches.
+  expanded point.
 
 Every function returns a :class:`~repro.analysis.findings.Report`; the
 caller decides what severity blocks (the CLI and the sweep service block
-on ``error``).
+on ``error``).  The deep verifier (:mod:`repro.analysis.verifier`) runs
+these first, and its :func:`~repro.analysis.verifier.verify_path` is the
+file-level front end (``repro verify``).
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ DEFAULT_REGISTRY.register(Rule(
     description="A serialized config must deserialize through "
                 "SimulationConfig.from_dict.",
 ))
-DEFAULT_REGISTRY.register(Rule(
-    id="PL003", name="plan-schema", category="plan", severity="error",
-    description="A serialized plan must deserialize through "
-                "ExtrapolationPlan.from_dict with in-range backward "
-                "dependency indices.",
-))
 # Declarative (fn=None): emitted by repro.service.journal.check_resume
 # when a sweep resumes from a write-ahead journal.
 DEFAULT_REGISTRY.register(Rule(
@@ -72,13 +68,6 @@ DEFAULT_REGISTRY.register(Rule(
                 "journal — pending points of that runtime class would "
                 "time out instead of completing.",
 ))
-
-
-def _finding(registry: RuleRegistry, rule_id: str, message: str,
-             location: str = "") -> Finding:
-    rule = registry.get(rule_id)
-    return Finding(rule=rule.id, name=rule.name, severity=rule.severity,
-                   message=message, location=location)
 
 
 def _load_json(source: Union[str, Path]) -> Tuple[Optional[dict], str]:
@@ -105,8 +94,7 @@ def lint_trace(source: Union[Trace, dict, str, Path],
     elif isinstance(source, (str, Path)):
         data, error = _load_json(source)
         if data is None:
-            report.add(_finding(registry, "TR001", error))
-            return report
+            return registry.emit(report, "TR001", error)
     else:
         data = source  # dicts, plus anything TR001 should reject
     ctx = TraceContext.build(data)
@@ -127,8 +115,7 @@ def lint_config(config: Union[SimulationConfig, dict],
         try:
             config = SimulationConfig.from_dict(config)
         except (ValueError, TypeError) as exc:
-            report.add(_finding(registry, "CF011", str(exc)))
-            return report
+            return registry.emit(report, "CF011", str(exc))
     ctx = ConfigContext.build(config, trace)
     return registry.run_category("config", ctx, report)
 
@@ -182,9 +169,17 @@ def lint_spec(source: Union[SweepSpec, dict, str, Path],
     label prefixed to the location; identical findings repeated across
     points are deduplicated.
     """
+    return _lint_spec(source, base_dir, registry or DEFAULT_REGISTRY)[0]
+
+
+def _lint_spec(source: Union[SweepSpec, dict, str, Path],
+               base_dir: Union[str, Path, None],
+               registry: RuleRegistry
+               ) -> Tuple[Report, Optional[SweepSpec], Optional[Trace]]:
+    """:func:`lint_spec`, also returning the parsed spec and its trace
+    (``None`` where SP001/SP002 fired) so the deep tier reuses them."""
     from repro.service.spec import SweepSpec
 
-    registry = registry or DEFAULT_REGISTRY
     report = Report()
     if isinstance(source, SweepSpec):
         spec = source
@@ -192,8 +187,7 @@ def lint_spec(source: Union[SweepSpec, dict, str, Path],
         if isinstance(source, (str, Path)):
             data, error = _load_json(source)
             if data is None:
-                report.add(_finding(registry, "SP001", error))
-                return report
+                return registry.emit(report, "SP001", error), None, None
             if base_dir is None:
                 base_dir = Path(source).parent
         else:
@@ -201,15 +195,13 @@ def lint_spec(source: Union[SweepSpec, dict, str, Path],
         try:
             spec = SweepSpec.from_dict(data)
         except (ValueError, TypeError) as exc:
-            report.add(_finding(registry, "SP001", str(exc)))
-            return report
+            return registry.emit(report, "SP001", str(exc)), None, None
 
     trace = None
     try:
         trace = spec.load_trace(base_dir=base_dir)
     except Exception as exc:
-        report.add(_finding(registry, "SP002",
-                            f"cannot load the spec's trace: {exc}"))
+        registry.emit(report, "SP002", f"cannot load the spec's trace: {exc}")
     if trace is not None:
         report.merge(_prefixed(lint_trace(trace, registry), "trace"))
 
@@ -220,69 +212,7 @@ def lint_spec(source: Union[SweepSpec, dict, str, Path],
             if key not in seen:
                 seen.add(key)
                 report.add(f)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Auto-detection
-# ----------------------------------------------------------------------
-def detect_kind(data: dict) -> str:
-    """Classify a parsed JSON document as trace, plan, spec, faults, or
-    config."""
-    if "operators" in data and "tensors" in data:
-        return "trace"
-    if "tasks" in data and "key" in data:
-        return "plan"
-    if "axes" in data or "trace" in data or "model" in data or "base" in data:
-        return "spec"
-    if ("stragglers" in data or "link_faults" in data or "failures" in data) \
-            and "parallelism" not in data:
-        return "faults"
-    return "config"
-
-
-def lint_path(path: Union[str, Path], kind: str = "auto",
-              registry: Optional[RuleRegistry] = None) -> Tuple[Report, str]:
-    """Lint a JSON file, auto-detecting its kind; returns (report, kind)."""
-    registry = registry or DEFAULT_REGISTRY
-    data, error = _load_json(path)
-    if data is None:
-        report = Report()
-        rule_id = {"trace": "TR001", "spec": "SP001"}.get(kind, "CF011")
-        report.add(_finding(registry, rule_id, error))
-        return report, kind if kind != "auto" else "unknown"
-    if kind == "auto":
-        kind = detect_kind(data)
-    if kind == "trace":
-        return lint_trace(data, registry), kind
-    if kind == "spec":
-        return lint_spec(data, base_dir=Path(path).parent,
-                         registry=registry), kind
-    if kind == "plan":
-        from repro.core.plan import ExtrapolationPlan
-
-        report = Report()
-        try:
-            plan = ExtrapolationPlan.from_dict(data)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            report.add(_finding(registry, "PL003",
-                                f"plan does not deserialize: {exc}"))
-            return report, kind
-        if len(plan) == 0:
-            report.add(_finding(registry, "PL002", "plan contains no tasks"))
-        return report, kind
-    if kind == "faults":
-        from repro.analysis.verifier.verify import _faults_config
-
-        report = Report()
-        try:
-            inferred = _faults_config(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            report.add(_finding(registry, "CF011",
-                                f"fault spec does not deserialize: {exc}"))
-            return report, kind
-        return lint_config(inferred, registry=registry), kind
-    return lint_config(data, registry=registry), kind
+    return report, spec, trace
 
 
 # Every rule module registers itself on import; walking the package here

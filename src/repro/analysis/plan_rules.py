@@ -4,7 +4,8 @@ A cached or user-supplied :class:`~repro.core.plan.ExtrapolationPlan` is
 only valid under the (trace, config) pair it was built for — executing a
 plan keyed to different parallelism knobs or a different trace silently
 produces a simulation of the *wrong* system.  The plan pass runs before
-:meth:`TrioSim.run` executes any supplied plan.
+:meth:`TrioSim.run` executes any supplied plan, and ``repro verify`` runs
+it (without a trace, so PL001 is skipped) on a plan file.
 """
 
 from __future__ import annotations

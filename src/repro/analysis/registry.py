@@ -5,7 +5,7 @@ decorator and carry a stable id (``TR002``), a slug (``tensor-dangling-
 ref``), a category (which lint pass runs them), a default severity, and a
 one-line description — the machine-readable form of the rule catalogue in
 ``docs/linting.md``.  A registry can disable rules by id or slug, which
-both the library API and ``repro lint --disable`` use for suppression.
+both the library API and ``repro verify --disable`` use for suppression.
 
 Runtime sanitizers register with ``fn=None``: they appear in the catalogue
 (and honour enable/disable) but fire from hooks, not from a lint pass.
@@ -32,7 +32,7 @@ RULE_SERIES: Dict[str, int] = {
     "TR": 11,  # trace rules
     "CF": 11,  # config rules
     "SP": 2,   # sweep-spec rules
-    "PL": 3,   # extrapolation-plan rules
+    "PL": 2,   # extrapolation-plan rules
     "NW": 4,   # fabric/routing rules
     "FT": 6,   # fault-spec rules
     "PF": 1,   # performance rules (fold eligibility)
@@ -71,7 +71,7 @@ def check_catalogue(registry: Optional["RuleRegistry"] = None) -> List[str]:
 
     Returns human-readable discrepancies (missing series, count drift,
     numbering gaps, ids outside any declared series); empty means the
-    catalogue is complete.  ``repro lint --list-rules`` and CI both fail
+    catalogue is complete.  ``repro verify --list-rules`` and CI both fail
     on a non-empty result.
     """
     load_rules()
@@ -225,6 +225,18 @@ class RuleRegistry:
         return clone
 
     # -- execution -----------------------------------------------------
+    def emit(self, report: Report, id_or_name: str, message: str,
+             location: str = "") -> Report:
+        """Add one hand-built finding of a rule to *report*.
+
+        For checks made outside :meth:`run_category` — unreadable files,
+        inputs that do not deserialize, graphs that cannot be built.  A
+        disabled rule emits nothing, exactly as under a lint pass.
+        """
+        if self.is_enabled(id_or_name):
+            Emitter(self.get(id_or_name), report)(message, location)
+        return report
+
     def run_category(self, category: str, subject: object,
                      report: Report) -> Report:
         """Run every enabled rule of *category* against *subject*.

@@ -115,7 +115,7 @@ def render_sarif(report: Report, source: str = "",
 
 
 def render_catalogue(registry: Optional[RuleRegistry] = None) -> str:
-    """The rule catalogue (``repro lint --list-rules``)."""
+    """The rule catalogue (``repro verify --list-rules``)."""
     registry = registry or DEFAULT_REGISTRY
     lines = []
     for rule in registry.rules(enabled_only=False):

@@ -18,6 +18,7 @@ from repro.analysis.verifier.graph import CriticalPath, GraphView
 from repro.analysis.verifier.races import RuntimeSuite
 from repro.analysis.verifier.rules import VerifyContext
 from repro.analysis.verifier.verify import (
+    detect_kind,
     plan_summary,
     verify_config,
     verify_path,
@@ -31,6 +32,7 @@ __all__ = [
     "GraphView",
     "RuntimeSuite",
     "VerifyContext",
+    "detect_kind",
     "plan_summary",
     "verify_config",
     "verify_path",

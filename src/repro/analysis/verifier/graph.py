@@ -403,22 +403,25 @@ class GraphView:
     # Summary
     # ------------------------------------------------------------------
     def kind_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
+        counts = dict.fromkeys(TASK_KINDS, 0)
         for kind in self.kinds:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
 
     def summary(self, config: Optional[SimulationConfig] = None) -> dict:
-        """Whole-graph annotation block: sizes, critical path, peaks."""
+        """Whole-graph annotation block: sizes, critical path, peaks.
+
+        Every key is present, zero where the graph has nothing to
+        measure (no transfers on one GPU, no path in an empty plan).
+        """
         out: dict = {"tasks": self.n, "source": self.source}
         out.update(self.kind_counts())
         critical = self.critical_path(config)
-        if critical is not None:
-            out["critical_path_s"] = critical.length
-            out["critical_tasks"] = len(critical.path)
-        peaks = self.peak_transfer_bytes()
-        if peaks:
-            out["peak_transfer_bytes"] = max(peaks.values())
+        found = critical is not None
+        out["critical_path_s"] = critical.length if found else 0.0
+        out["critical_tasks"] = len(critical.path) if found else 0
+        out["peak_transfer_bytes"] = max(
+            self.peak_transfer_bytes().values(), default=0)
         return out
 
 

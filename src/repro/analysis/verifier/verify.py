@@ -1,4 +1,4 @@
-"""Verification orchestration: one entry point per input kind.
+"""Verification orchestration: the one analysis front end.
 
 Two-tier layering on top of the lint passes: every ``verify_*`` function
 first runs the relevant shallow lint (same registry, same gates), then —
@@ -12,11 +12,11 @@ when the input survives — lowers the execution DAG to a
 * :func:`verify_plan` — a recorded
   :class:`~repro.core.plan.ExtrapolationPlan`;
 * :func:`verify_config` — a ``(config, trace)`` pair: config lint, then
-  build the plan and verify it (the sweep service's pre-dispatch gate);
+  build the plan and verify it;
 * :func:`verify_spec` — a sweep spec: full spec lint, then one deep
   verification per *distinct plan key* among the expanded points;
 * :func:`verify_path` — auto-detects what a JSON file is and dispatches
-  (the ``repro verify`` CLI).
+  (the ``repro verify`` CLI, the only file-level entry point).
 
 Every function returns a :class:`~repro.analysis.findings.Report`; a
 clean graph verifies with zero findings.
@@ -25,24 +25,17 @@ clean graph verifies with zero findings.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Any, Optional, Set, Tuple, Union
 
 import networkx as nx
 
 from repro.analysis import linter as _linter
-from repro.analysis.findings import Finding, Report
+from repro.analysis.findings import Report
 from repro.analysis.registry import DEFAULT_REGISTRY, RuleRegistry
 from repro.analysis.verifier.graph import GraphView
 from repro.analysis.verifier.rules import VerifyContext
 from repro.core.config import SimulationConfig
 from repro.trace.trace import Trace
-
-
-def _manual(registry: RuleRegistry, rule_id: str, message: str,
-            location: str = "") -> Finding:
-    rule = registry.get(rule_id)
-    return Finding(rule=rule.id, name=rule.name, severity=rule.severity,
-                   message=message, location=location)
 
 
 def _run_verify(view: GraphView, config: Optional[SimulationConfig],
@@ -83,6 +76,27 @@ def plan_summary(plan: Any,
     return GraphView.from_plan(plan).summary(config)
 
 
+def _build_verified(sim: Any, config: SimulationConfig,
+                    registry: RuleRegistry,
+                    plan_cache: Any = None) -> Tuple[Report, Any]:
+    """Build *sim*'s plan (through *plan_cache* when given, so a later
+    simulation reuses it) and deep-verify it.
+
+    Returns ``(report, plan)``.  A config that cannot even build a graph
+    yields a DV001 finding naming the failure, and no plan.
+    """
+    try:
+        if plan_cache is not None:
+            plan, _source = plan_cache.get_or_build(sim.plan_key(),
+                                                    sim.build_plan)
+        else:
+            plan = sim.build_plan()
+    except Exception as exc:
+        return registry.emit(Report(), "DV001",
+                             f"cannot build the task graph: {exc}"), None
+    return verify_plan(plan, config=config, registry=registry), plan
+
+
 # ----------------------------------------------------------------------
 # Configs (build the plan, then verify it)
 # ----------------------------------------------------------------------
@@ -94,9 +108,7 @@ def verify_config(config: Union[SimulationConfig, dict],
 
     Mirrors :func:`~repro.analysis.linter.lint_config` but adds the deep
     tier when a *trace* is available: the extrapolation plan is built
-    (through *plan_cache* when given, so a later simulation reuses it)
-    and every DV rule runs over it.  A config that cannot even build a
-    graph yields a DV001 finding naming the failure.
+    (through *plan_cache* when given) and every DV rule runs over it.
     """
     registry = registry or DEFAULT_REGISTRY
     report = _linter.lint_config(config, trace, registry)
@@ -108,17 +120,8 @@ def verify_config(config: Union[SimulationConfig, dict],
 
     sim = TrioSim(trace, config, record_timeline=False, op_time=op_time,
                   plan_cache=plan_cache)
-    try:
-        if plan_cache is not None:
-            plan, _source = plan_cache.get_or_build(sim.plan_key(),
-                                                    sim.build_plan)
-        else:
-            plan = sim.build_plan()
-    except Exception as exc:
-        report.add(_manual(registry, "DV001",
-                           f"cannot build the task graph: {exc}"))
-        return report
-    return report.merge(verify_plan(plan, config=config, registry=registry))
+    return report.merge(_build_verified(sim, config, registry,
+                                        plan_cache)[0])
 
 
 # ----------------------------------------------------------------------
@@ -128,58 +131,59 @@ def verify_spec(source: Any, base_dir: Union[str, Path, None] = None,
                 registry: Optional[RuleRegistry] = None) -> Report:
     """Full spec lint, then one deep verification per distinct plan.
 
-    Points differing only in execute-time parameters (topology, link
-    bandwidth/latency, routing, faults, iterations) share an
-    extrapolation plan, so a 16-point network sweep typically deep-
-    verifies one graph, not sixteen.
+    The spec is parsed and its trace loaded (or collected) once, for
+    both tiers.  Points differing only in execute-time parameters
+    (topology, link bandwidth/latency, routing, faults, iterations)
+    share an extrapolation plan, so a 16-point network sweep typically
+    deep-verifies one graph, not sixteen.
     """
-    from repro.service.spec import SweepSpec
-
     registry = registry or DEFAULT_REGISTRY
-    report = _linter.lint_spec(source, base_dir=base_dir, registry=registry)
-    if report.has_errors:
+    report, spec, trace = _linter._lint_spec(source, base_dir, registry)
+    if report.has_errors or trace is None:
         return report
-    if isinstance(source, SweepSpec):
-        spec = source
-    else:
-        if isinstance(source, (str, Path)):
-            data, _error = _linter._load_json(source)
-            if base_dir is None:
-                base_dir = Path(source).parent
-        else:
-            data = source
-        spec = SweepSpec.from_dict(data)
-    trace = spec.load_trace(base_dir=base_dir)
     from repro.core.simulator import TrioSim
 
     seen: Set[str] = set()
-    prepared: Dict[str, TrioSim] = {}
     for label, config in spec.expand():
         sim = TrioSim(trace, config, record_timeline=False)
         key = sim.plan_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            plan = sim.build_plan()
-        except Exception as exc:
-            report.add(_manual(registry, "DV001",
-                               f"cannot build the task graph: {exc}",
-                               location=label))
-            continue
-        report.merge(_linter._prefixed(
-            verify_plan(plan, config=config, registry=registry), label))
+        if key not in seen:
+            seen.add(key)
+            deep, _plan = _build_verified(sim, config, registry)
+            report.merge(_linter._prefixed(deep, label))
     return report
 
 
 # ----------------------------------------------------------------------
 # Files (the CLI entry point)
 # ----------------------------------------------------------------------
+def detect_kind(data: dict) -> str:
+    """Classify a parsed JSON document as trace, plan, spec, faults, or
+    config."""
+    if "operators" in data and "tensors" in data:
+        return "trace"
+    if "tasks" in data and "key" in data:
+        return "plan"
+    if "axes" in data or "trace" in data or "model" in data or "base" in data:
+        return "spec"
+    if ("stragglers" in data or "link_faults" in data or "failures" in data) \
+            and "parallelism" not in data:
+        return "faults"
+    return "config"
+
+
+#: The rule a file is reported under, per input kind, when it cannot be
+#: read or does not deserialize.  An unreadable file of unknown kind is
+#: reported as a config.
+_SCHEMA_RULE = {"trace": "TR001", "spec": "SP001", "plan": "DV001",
+                "faults": "CF011", "config": "CF011", "auto": "CF011"}
+
+
 def verify_path(path: Union[str, Path], kind: str = "auto",
                 config: Optional[SimulationConfig] = None,
                 registry: Optional[RuleRegistry] = None
                 ) -> Tuple[Report, str, dict]:
-    """Deep-verify a JSON file, auto-detecting its kind.
+    """Verify a JSON file, auto-detecting its kind.
 
     Returns ``(report, kind, info)``; ``info`` may carry a ``"summary"``
     block (graph sizes, critical-path length, peak transfer footprint)
@@ -192,11 +196,10 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
     info: dict = {}
     data, error = _linter._load_json(path)
     if data is None:
-        rule_id = {"trace": "TR001", "spec": "SP001"}.get(kind, "CF011")
-        report.add(_manual(registry, rule_id, error))
+        registry.emit(report, _SCHEMA_RULE[kind], error)
         return report, (kind if kind != "auto" else "unknown"), info
     if kind == "auto":
-        kind = _linter.detect_kind(data)
+        kind = detect_kind(data)
 
     if kind == "spec":
         return (verify_spec(data, base_dir=Path(path).parent,
@@ -208,10 +211,13 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
         try:
             plan = ExtrapolationPlan.from_dict(data)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            report.add(_manual(registry, "DV001",
-                               f"plan does not deserialize: {exc}"))
+            registry.emit(report, _SCHEMA_RULE[kind],
+                          f"plan does not deserialize: {exc}")
             return report, kind, info
-        report = verify_plan(plan, config=config, registry=registry)
+        # No trace: PL001 (key mismatch) skips itself, PL002 still runs.
+        report = _linter.lint_plan(plan, config or SimulationConfig(),
+                                   registry=registry)
+        report.merge(verify_plan(plan, config=config, registry=registry))
         info["summary"] = plan_summary(plan, config)
         return report, kind, info
 
@@ -219,8 +225,8 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
         try:
             inferred = _faults_config(data)
         except (ValueError, TypeError, KeyError) as exc:
-            report.add(_manual(registry, "CF011",
-                               f"fault spec does not deserialize: {exc}"))
+            registry.emit(report, _SCHEMA_RULE[kind],
+                          f"fault spec does not deserialize: {exc}")
             return report, kind, info
         return (_linter.lint_config(inferred, registry=registry), kind,
                 info)
@@ -232,8 +238,8 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
         try:
             trace = Trace.from_dict(data)
         except Exception as exc:
-            report.add(_manual(registry, "TR001",
-                               f"trace does not deserialize: {exc}"))
+            registry.emit(report, _SCHEMA_RULE[kind],
+                          f"trace does not deserialize: {exc}")
             return report, kind, info
         report.merge(_linter.lint_config(config, trace, registry))
         if report.has_errors:
@@ -241,14 +247,10 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
         from repro.core.simulator import TrioSim
 
         sim = TrioSim(trace, config, record_timeline=False)
-        try:
-            plan = sim.build_plan()
-        except Exception as exc:
-            report.add(_manual(registry, "DV001",
-                               f"cannot build the task graph: {exc}"))
-            return report, kind, info
-        report.merge(verify_plan(plan, config=config, registry=registry))
-        info["summary"] = plan_summary(plan, config)
+        deep, plan = _build_verified(sim, config, registry)
+        report.merge(deep)
+        if plan is not None:
+            info["summary"] = plan_summary(plan, config)
         return report, kind, info
 
     # config

@@ -7,7 +7,7 @@ The subcommands mirror the library workflow::
     python -m repro simulate rn50.json --parallelism ddp --num-gpus 4 \\
         --topology ring --bandwidth 234e9 --timeline out.json
     python -m repro sweep sweep.json --workers 4 -o results.json
-    python -m repro lint rn50.json                  # static checks
+    python -m repro verify rn50.json --num-gpus 4   # static + graph checks
     python -m repro experiment fig08 --quick        # regenerate a figure
 
 The ``simulate`` command prints the prediction summary and, with
@@ -189,8 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "dispatch (VerifyError outcomes) and run the "
                               "sanitizers and determinism race detectors "
                               "on every point")
-    sweep_p.add_argument("--no-lint", action="store_true",
-                         help="skip the static config lint before dispatch")
     sweep_p.add_argument("--plan-cache", default=None, metavar="DIR",
                          help="persist extrapolation plans in DIR so the "
                               "parent builds each distinct plan once and "
@@ -200,27 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="disable extrapolation-plan sharing; every "
                               "point re-runs the extrapolator")
 
-    lint_p = sub.add_parser(
-        "lint", help="statically check a trace, config, plan, fault spec, "
-                     "or sweep spec"
-    )
-    lint_p.add_argument("path", nargs="?", default=None,
-                        help="JSON file to check (trace, config, plan, "
-                             "fault spec, or sweep spec)")
-    lint_p.add_argument("--kind", default="auto",
-                        choices=("auto", "trace", "config", "plan",
-                                 "faults", "spec"),
-                        help="input kind (default: detect from content)")
-    lint_p.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif"), dest="fmt")
-    lint_p.add_argument("--disable", action="append", default=[],
-                        metavar="RULE",
-                        help="disable a rule by id or name (repeatable)")
-    lint_p.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-
     verify_p = sub.add_parser(
-        "verify", help="deep whole-graph verification of a trace, plan, "
+        "verify", help="statically check and deep-verify a trace, plan, "
                        "config, fault spec, or sweep spec"
     )
     verify_p.add_argument("path", nargs="?", default=None,
@@ -418,7 +397,6 @@ def _cmd_sweep(args) -> int:
         max_workers=args.workers if args.workers is not None else spec.workers,
         cache=args.cache if args.cache is not None else spec.cache_dir,
         hooks=(_SweepProgress(),),
-        lint=not args.no_lint,
         verify=args.verify,
         plan_cache=plan_cache,
         deadline_soft=(args.deadline_soft if args.deadline_soft is not None
@@ -473,23 +451,6 @@ def _cmd_sweep(args) -> int:
         Path(args.csv).write_text("\n".join(lines) + "\n")
         print(f"csv: {len(outcomes)} rows -> {args.csv}")
     return 0 if metrics.errors == 0 else 1
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis import DEFAULT_REGISTRY, lint_path, render_catalogue
-
-    if args.list_rules:
-        print(render_catalogue())
-        return 0
-    if args.path is None:
-        print("error: a path to lint is required (or --list-rules)",
-              file=sys.stderr)
-        return 2
-    registry = (DEFAULT_REGISTRY.scoped(disable=args.disable)
-                if args.disable else DEFAULT_REGISTRY)
-    report, kind = lint_path(args.path, kind=args.kind, registry=registry)
-    _print_report(report, args.path, kind, args.fmt)
-    return 1 if report.has_errors else 0
 
 
 def _print_report(report, path: str, kind: str, fmt: str) -> None:
@@ -580,8 +541,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_simulate(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "inspect":

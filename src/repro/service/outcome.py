@@ -29,8 +29,8 @@ class PointState(Enum):
                 │                                   MAX_CRASH_RETRIES)     └─► rescue ─► done | failed
                 │
                 └─► done | failed  (pre-dispatch: replayed from the journal,
-                                    cache hit, LintError, VerifyError, or
-                                    refused admission as CircuitOpen)
+                                    cache hit, VerifyError, or refused
+                                    admission as CircuitOpen)
 
     ``done``, ``failed`` and ``interrupted`` are terminal, and every
     other state may move to ``interrupted`` (Ctrl-C).  The legal moves

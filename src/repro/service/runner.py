@@ -51,7 +51,7 @@ parallel execution, in-process execution, cache replay, and journal
 resume all produce bit-identical ``total_time`` values.
 
 The failure taxonomy (``SweepError.kind``) is documented in
-``docs/resilience.md``: ``LintError`` / ``VerifyError`` (pre-dispatch),
+``docs/resilience.md``: ``VerifyError`` (rejected before dispatch),
 ``PointTimeout`` (either deadline), ``WorkerCrashed`` (all rungs
 exhausted), ``CircuitOpen`` (failed fast by the breaker), and
 ``Interrupted`` (Ctrl-C before the point completed).
@@ -204,19 +204,17 @@ class SweepRunner(Hookable):
         docstring for trip/probe semantics.
     hooks:
         Observers registered for the runner's progress positions.
-    lint:
-        Statically lint every config against the trace *before* any
-        simulation is dispatched (on by default).  A point with error
-        findings becomes a structured ``LintError`` outcome instead of
-        wasting a worker slot on a doomed or nonsensical simulation.
     verify:
-        Deep-verify every point's task graph *before* any simulation is
-        dispatched (cycles, dead tasks, mismatched collectives,
-        memory-infeasible schedules — the ``DV`` rules) and run the
-        runtime sanitizers (``SZ`` rules) and determinism race detectors
-        (``RC`` rules) during each point.  A point whose graph fails
-        verification becomes a structured ``VerifyError`` outcome,
-        mirroring ``LintError``; points sharing an extrapolation plan
+        Every config is statically checked against the trace (the
+        config rules) before any simulation is dispatched, always: a
+        point with error findings becomes a structured ``VerifyError``
+        outcome instead of wasting a worker slot on a doomed or
+        nonsensical simulation.  With *verify*, the gate also deep-
+        verifies every point's task graph (cycles, dead tasks,
+        mismatched collectives, memory-infeasible schedules — the ``DV``
+        rules), rejecting failures the same way, and runs the runtime
+        sanitizers (``SZ`` rules) and determinism race detectors (``RC``
+        rules) during each point.  Points sharing an extrapolation plan
         share one verification, and the verified plans land in the plan
         cache so the sweep itself reuses them.
         Runtime findings ride each outcome's ``sanitizer_findings``
@@ -262,7 +260,7 @@ class SweepRunner(Hookable):
     def __init__(self, max_workers: Optional[int] = None,
                  cache: Union[ResultCache, str, Path, None] = None,
                  hooks: Sequence = (),
-                 lint: bool = True, verify: bool = False,
+                 verify: bool = False,
                  retry_seed: int = 0, retry_backoff: float = 0.05,
                  plan_cache: Union[PlanCache, str, Path, bool, None] = True,
                  deadline_soft: Optional[float] = None,
@@ -299,7 +297,6 @@ class SweepRunner(Hookable):
         if dispatch_chunk is not None and dispatch_chunk < 1:
             raise ValueError("dispatch_chunk must be >= 1")
         self.dispatch_chunk = dispatch_chunk
-        self.lint = lint
         self.verify = verify
         self.retry_seed = retry_seed
         self.retry_backoff = retry_backoff
@@ -389,7 +386,7 @@ class SweepRunner(Hookable):
             except Exception:
                 report = None
             if report is not None and report.has_errors:
-                self._reject(sweep, outcome, "VerifyError", report)
+                self._reject(sweep, outcome, report)
             else:
                 survivors.append(outcome)
         return survivors
@@ -423,27 +420,23 @@ class SweepRunner(Hookable):
 
         # Journal setup: fingerprint the sweep, then either replay a
         # matching journal (resume) or write a fresh begin record.  Both
-        # the mismatch check and the replay happen before any lint /
-        # verify / simulation work is dispatched.
+        # the mismatch check and the replay happen before the gate or any
+        # simulation work.
         survivors = self._journal_open(sweep, outcomes)
 
         try:
-            # Lint pass: reject statically-broken points before
-            # dispatching any simulation work for them.
-            if self.lint:
-                remaining = []
-                for outcome in survivors:
-                    report = lint_config(outcome.config, trace=trace)
-                    if report.has_errors:
-                        self._reject(sweep, outcome, "LintError", report)
-                    else:
-                        remaining.append(outcome)
-                survivors = remaining
-
-            # Verify pass: deep-verify each distinct task graph once
-            # before dispatching any simulation work built on it.
-            if self.verify:
-                survivors = self._plan_pass(sweep, survivors, verify=True)
+            # The pre-dispatch gate: the config rules check every point;
+            # with verify, each distinct task graph is then deep-verified
+            # once.  Either tier's errors fail the point as VerifyError.
+            admitted = []
+            for outcome in survivors:
+                report = lint_config(outcome.config, trace=trace)
+                if report.has_errors:
+                    self._reject(sweep, outcome, report)
+                else:
+                    admitted.append(outcome)
+            survivors = (self._plan_pass(sweep, admitted, verify=True)
+                         if self.verify else admitted)
 
             # Cache pass: satisfy points without any simulation.
             pending: List[SweepOutcome] = []
@@ -502,7 +495,7 @@ class SweepRunner(Hookable):
         completed points are replayed from the journal's ``done`` records
         — results round-trip through JSON exactly, so a replayed point is
         bit-identical to re-simulating it — and only the remainder is
-        returned for the lint/verify/cache/simulate passes.
+        returned for the gate/cache/simulate passes.
         """
         self.last_resume_report = None
         if self.journal is None:
@@ -662,18 +655,17 @@ class SweepRunner(Hookable):
         )
         return to
 
-    def _reject(self, sweep: _Sweep, outcome: SweepOutcome, kind: str,
-                report) -> None:
-        """Fail a point before dispatch on its lint/verify *report*.
+    def _reject(self, sweep: _Sweep, outcome: SweepOutcome,
+                report: Report) -> None:
+        """Fail a point before dispatch on its gate *report*.
 
         The findings stand in for a traceback: the point never ran, but
         the error record must still explain why.
         """
         outcome.error = SweepError(
-            kind=kind,
+            kind="VerifyError",
             message="; ".join(str(f) for f in report.errors),
-            traceback=render_text(
-                report, source="lint" if kind == "LintError" else "verify"),
+            traceback=render_text(report, source="verify"),
         )
         self._advance(sweep, outcome, PointState.FAILED)
 

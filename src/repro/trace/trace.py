@@ -237,7 +237,7 @@ class Trace:
                     "dtype": t.dtype,
                     "category": t.category,
                     # Redundant with dims x dtype; written so consumers
-                    # (and `repro lint`) can cross-check byte counts.
+                    # (and `repro verify`) can cross-check byte counts.
                     "nbytes": t.nbytes,
                 }
                 for t in self.tensors.values()

@@ -3,6 +3,7 @@ corrupted inputs and stays silent on clean ones."""
 
 import copy
 import json
+import re
 
 import networkx as nx
 import pytest
@@ -14,11 +15,11 @@ from repro.analysis import (
     Report,
     detect_kind,
     lint_config,
-    lint_path,
     lint_spec,
     lint_trace,
     render_json,
     render_text,
+    verify_path,
 )
 from repro.cli import main
 
@@ -453,36 +454,44 @@ class TestPlanLint:
                       record_timeline=False)
         return sim.build_plan().to_dict()
 
-    def test_lint_path_clean_plan(self, tmp_path, plan_dict):
+    def test_verify_path_clean_plan(self, tmp_path, plan_dict):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan_dict))
-        report, kind = lint_path(path)
+        report, kind, _ = verify_path(path)
         assert kind == "plan" and report.ok
 
-    def test_pl003_corrupt_plan(self, tmp_path, plan_dict):
+    def test_dv001_corrupt_plan(self, tmp_path, plan_dict):
         corrupt = copy.deepcopy(plan_dict)
         corrupt["tasks"][0][-1] = [5]  # forward dependency reference
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(corrupt))
-        report, kind = lint_path(path)
+        report, kind, _ = verify_path(path)
         assert kind == "plan"
-        assert rule_ids(report) == {"PL003"}
+        assert rule_ids(report) == {"DV001"}
 
-    def test_pl003_bad_schema_version(self, tmp_path, plan_dict):
+    def test_dv001_bad_schema_version(self, tmp_path, plan_dict):
         corrupt = copy.deepcopy(plan_dict)
         corrupt["schema_version"] = 999
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(corrupt))
-        report, _ = lint_path(path, kind="plan")
-        assert rule_ids(report) == {"PL003"}
+        report, _, _ = verify_path(path, kind="plan")
+        assert rule_ids(report) == {"DV001"}
 
-    def test_lint_path_faults_kind(self, tmp_path):
+    def test_pl002_empty_plan_file(self, tmp_path, plan_dict):
+        empty = dict(plan_dict, tasks=[])
+        path = tmp_path / "empty.plan.json"
+        path.write_text(json.dumps(empty))
+        report, kind, _ = verify_path(path)
+        assert kind == "plan" and not report.has_errors
+        assert rule_ids(report) == {"PL002"}
+
+    def test_verify_path_faults_kind(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text(json.dumps({
             "stragglers": [{"gpu": "gpu1", "start": 0.001,
                             "duration": 0.004, "factor": 2.0}],
         }))
-        report, kind = lint_path(path)
+        report, kind, _ = verify_path(path)
         assert kind == "faults" and report.ok
 
     def test_example_fault_specs_are_clean(self):
@@ -491,7 +500,7 @@ class TestPlanLint:
         examples = Path(__file__).parent.parent / "examples"
         for name in ("faults_stragglers.json", "faults_link_flap.json",
                      "faults_failover.json"):
-            report, kind = lint_path(examples / name)
+            report, kind, _ = verify_path(examples / name)
             assert kind == "faults"
             assert report.ok, [str(f) for f in report]
 
@@ -523,17 +532,23 @@ class TestReporting:
         assert detect_kind({"model": "resnet18", "axes": {}}) == "spec"
         assert detect_kind({"parallelism": "ddp"}) == "config"
 
-    def test_lint_path_auto(self, tmp_path, golden_dict):
+    def test_verify_path_auto(self, tmp_path, golden_dict):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(golden_dict))
-        report, kind = lint_path(path)
+        report, kind, _ = verify_path(path)
         assert kind == "trace" and report.ok
 
-    def test_lint_path_unreadable(self, tmp_path):
+    @pytest.mark.parametrize("kind, rule", [
+        ("trace", "TR001"), ("spec", "SP001"), ("plan", "DV001"),
+        ("faults", "CF011"), ("config", "CF011"), ("auto", "CF011"),
+    ])
+    def test_verify_path_unreadable(self, tmp_path, kind, rule):
+        # Each kind blames its own schema rule, not the config schema.
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        report, _ = lint_path(path, kind="trace")
-        assert rule_ids(report) == {"TR001"}
+        report, reported_kind, _ = verify_path(path, kind=kind)
+        assert rule_ids(report) == {rule}
+        assert reported_kind == (kind if kind != "auto" else "unknown")
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +600,9 @@ class TestTraceFormatError:
 # CLI
 # ----------------------------------------------------------------------
 class TestLintCli:
+    """The shallow tier through the one CLI front end, ``repro verify``
+    (which then deep-verifies traces under its default config)."""
+
     @pytest.fixture(scope="class")
     def trace_file(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("lint") / "rn18.json"
@@ -594,7 +612,7 @@ class TestLintCli:
         return path
 
     def test_clean_trace_exits_zero(self, trace_file, capsys):
-        assert main(["lint", str(trace_file)]) == 0
+        assert main(["verify", str(trace_file)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_corrupt_trace_exits_one(self, trace_file, tmp_path, capsys):
@@ -602,7 +620,7 @@ class TestLintCli:
         data["operators"][0]["inputs"] = [424242]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
-        assert main(["lint", str(bad)]) == 1
+        assert main(["verify", str(bad)]) == 1
         assert "TR002" in capsys.readouterr().out
 
     def test_warning_only_exits_zero(self, trace_file, tmp_path, capsys):
@@ -612,7 +630,7 @@ class TestLintCli:
                                 "category": "activation", "nbytes": 4})
         warn = tmp_path / "warn.json"
         warn.write_text(json.dumps(data))
-        assert main(["lint", str(warn)]) == 0
+        assert main(["verify", str(warn)]) == 0
         assert "TR010" in capsys.readouterr().out
 
     def test_disable_flag(self, trace_file, tmp_path, capsys):
@@ -620,26 +638,43 @@ class TestLintCli:
         data["operators"][0]["duration"] = -1.0
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps(data))
-        assert main(["lint", str(bad), "--disable", "TR004"]) == 0
+        assert main(["verify", str(bad)]) == 1
+        assert "TR004" in capsys.readouterr().out
+        # With TR004 off the shallow tier passes, and building the trace
+        # for the deep tier then rejects the negative duration as TR001.
+        assert main(["verify", str(bad), "--disable", "TR004"]) == 1
+        out = capsys.readouterr().out
+        assert "TR001" in out and "TR004" not in out
+        assert main(["verify", str(bad), "--disable", "TR004",
+                     "--disable", "trace-schema"]) == 0
+        out = capsys.readouterr().out
+        assert "clean" in out and "TR00" not in out
 
     def test_json_format(self, trace_file, capsys):
-        assert main(["lint", str(trace_file), "--format", "json"]) == 0
+        assert main(["verify", str(trace_file), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["errors"] == 0 and data["findings"] == []
 
     def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
+        assert main(["verify", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("TR001", "CF002", "DV002", "SZ001", "SP001",
                         "NW001", "NW002", "NW003", "NW004", "SZ006",
-                        "PL003", "DV001", "DV005", "RC001", "RC003"):
+                        "PL001", "PL002", "DV001", "DV005", "RC001",
+                        "RC003"):
             assert rule_id in out
+        assert set(re.findall(r"\bPL\d{3}\b", out)) == {"PL001", "PL002"}
 
     def test_missing_path_is_usage_error(self, capsys):
-        assert main(["lint"]) == 2
+        assert main(["verify"]) == 2
+
+    def test_lint_subcommand_is_gone(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(trace_file)])
+        assert exc.value.code == 2
 
     def test_lint_spec_kind(self, capsys):
         from pathlib import Path
 
         example = Path(__file__).parent.parent / "examples/ddp_sweep.json"
-        assert main(["lint", str(example), "--kind", "spec"]) == 0
+        assert main(["verify", str(example), "--kind", "spec"]) == 0

@@ -387,16 +387,9 @@ class TestSweepIntegration:
         outcomes = runner.run(trace, [good, bad])
         assert outcomes[0].ok
         assert not outcomes[1].ok
-        assert outcomes[1].error.kind == "LintError"
+        assert outcomes[1].error.kind == "VerifyError"
         assert "CF006" in outcomes[1].error.message
         assert runner.last_metrics.errors == 1
-
-    def test_lint_can_be_disabled(self, trace):
-        good = SimulationConfig(parallelism="ddp", num_gpus=2,
-                                topology="ring")
-        runner = SweepRunner(max_workers=1, lint=False)
-        outcomes = runner.run(trace, [good])
-        assert outcomes[0].ok
 
     def test_sanitized_sweep_is_clean_and_identical(self, trace):
         configs = [

@@ -399,7 +399,7 @@ class TestCircuitBreaker:
     def test_non_infrastructure_failures_do_not_count(self):
         breaker = CircuitBreaker(min_samples=1, threshold=0.1)
         for _ in range(10):
-            assert breaker.record_failure("LintError") is False
+            assert breaker.record_failure("VerifyError") is False
             assert breaker.record_failure("ValueError") is False
         assert breaker.state == "closed"
 

@@ -16,7 +16,6 @@ from repro.analysis import (
     RuntimeSuite,
     check_catalogue,
     detect_kind,
-    lint_path,
     render_sarif,
     verify_config,
     verify_path,
@@ -212,6 +211,23 @@ class TestCleanGraphs:
         }
         report = verify_spec(spec)
         assert report.ok and not report.findings
+
+    def test_verify_spec_loads_its_trace_once(self, monkeypatch):
+        from repro.service.spec import SweepSpec
+
+        calls = []
+        load_trace = SweepSpec.load_trace
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return load_trace(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepSpec, "load_trace", counting)
+        spec = {"model": "resnet18", "batch": 16,
+                "base": {"parallelism": "ddp"},
+                "axes": {"num_gpus": [2, 4]}}
+        assert verify_spec(spec).ok
+        assert len(calls) == 1
 
     def test_graphview_summary(self, plan):
         config = SimulationConfig(parallelism="ddp", num_gpus=4)
