@@ -1,7 +1,8 @@
 """The dense max-min allocator: the differential oracle for the flow model.
 
 :class:`repro.network.flow.FlowNetwork` re-solves only the contention
-components a flow start, finish or capacity change touches, and keeps a
+components a flow start, finish or capacity change touches, gives a flow
+that shares no link its route's bottleneck without a solve, and keeps a
 flow's delivery event when its rate comes out exactly unchanged.  This
 module keeps the original behaviour it replaced, outside the package,
 for two users:
@@ -12,104 +13,107 @@ for two users:
   :class:`DenseFlowNetwork`;
 * ``network_load.py`` runs every BENCH_network scenario on both, as the
   ``legacy`` and ``incremental`` arms.
+
+:func:`all_components` and :func:`maxmin_rates_reference` are pure
+functions of ``{flow id: route}`` mappings, so they never read the
+network's internal state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Hashable, List, Mapping, Sequence, Set
 
-from repro.engine.events import Event
-from repro.engine.hooks import HookCtx
-from repro.network.flow import (
-    _RATE_EPS,
-    HOOK_FLOW_REALLOC,
-    DirectedEdge,
-    FlowNetwork,
-)
+import networkx as nx
+
+from repro.network.flow import DirectedEdge, FlowNetwork
+from repro.network.maxmin import _RATE_EPS, maxmin_scalar
+
+Routes = Mapping[int, Sequence[Hashable]]
 
 
-def all_components(network: FlowNetwork) -> List[list]:
-    """Every active flow of *network*, partitioned into connected
-    components of the link-sharing graph, each in ascending transfer-id
-    order and ordered by its smallest member — the order the scoped
-    allocator emits, so both solve each component with the same
-    floating-point operations."""
-    edge_users = network._edge_users
-    active = network._active
-    components: List[list] = []
+def all_components(routes: Routes) -> List[List[int]]:
+    """Partition the flow ids of *routes* (id -> edges) into connected
+    components of the link-sharing graph, each in ascending id order and
+    ordered by its smallest member — the order the scoped allocator
+    emits, so both solve each component with the same floating-point
+    operations."""
+    users: Dict[Hashable, List[int]] = {}
+    for fid, route in routes.items():
+        for edge in route:
+            users.setdefault(edge, []).append(fid)
+    components: List[List[int]] = []
     visited: Set[int] = set()
-    for flow in sorted(active.values(), key=lambda f: f.transfer_id):
-        if flow.transfer_id in visited:
+    for fid in sorted(routes):
+        if fid in visited:
             continue
-        ids: Set[int] = {flow.transfer_id}
-        stack = [flow]
-        seen: Set[DirectedEdge] = set()
+        ids: Set[int] = {fid}
+        stack = [fid]
+        seen: Set[Hashable] = set()
         while stack:
-            current = stack.pop()
-            for edge in current.route:
+            for edge in routes[stack.pop()]:
                 if edge in seen:
                     continue
                 seen.add(edge)
-                for fid in edge_users.get(edge, ()):
-                    if fid not in ids:
-                        ids.add(fid)
-                        stack.append(active[fid])
+                for other in users[edge]:
+                    if other not in ids:
+                        ids.add(other)
+                        stack.append(other)
         visited |= ids
-        components.append([active[fid] for fid in sorted(ids)])
+        components.append(sorted(ids))
     return components
 
 
 class DenseFlowNetwork(FlowNetwork):
     """A :class:`FlowNetwork` that re-solves every active flow and
     reschedules every delivery on each flow start, finish, or capacity
-    change — no scoping, no rate-stability fast path.
+    change — no scoping, no contention-free path, no rate-stability fast
+    path.
 
-    The per-component solver and its operation order are unchanged, so
-    results match the scoped allocator bit for bit except for the ulps
-    the unconditional progress settle can accumulate on long, globally
+    It partitions the active flows with :func:`all_components` and solves
+    every component, single flows included, with the scalar solver over
+    the live capacities; only the rate installation is shared with the
+    scoped allocator.  Components come out in the scoped allocator's
+    order and the scalar solver is bit-identical to both of its solvers,
+    so results match it bit for bit except for the ulps the
+    unconditional progress settle can accumulate on long, globally
     coupled storms.
     """
 
     def _reallocate(self) -> None:
         self.reallocations += 1
-        now = self.engine._now
-        components = all_components(self)
         self._dirty.clear()
-        if not components:
+        if not self._active:
             return
-        solved: list = []
-        pending: List[Event] = []
-        for component in components:
-            rates = self._maxmin_component(component)
-            for flow in component:
-                self._apply_rate(flow, rates[flow.transfer_id], now, pending)
-            solved.extend(component)
-        if pending:
-            self.engine.schedule_bulk(pending)
-        if self._hooks:
-            self.invoke_hooks(HookCtx(
-                HOOK_FLOW_REALLOC, now, solved,
-                detail={"topology": self.topology},
-            ))
+        slots = {self._tid[slot]: slot for slot in self._active}
+        routes = {tid: self._route_edges[self._route[slot]]
+                  for tid, slot in slots.items()}
+        solved = [
+            ([slots[tid] for tid in component],
+             maxmin_scalar([routes[tid] for tid in component], self._cap,
+                           self._warn_allocator))
+            for component in all_components(routes)
+        ]
+        self._install([pair for members, rates in solved
+                       for pair in zip(members, rates)], solved)
 
 
-def maxmin_rates_reference(network: FlowNetwork,
-                           flows: list) -> Dict[int, float]:
+def maxmin_rates_reference(topology: nx.Graph,
+                           routes: Mapping[int, Sequence[DirectedEdge]]
+                           ) -> Dict[int, float]:
     """The original dense allocator: one global progressive filling over
-    *flows* with per-iteration set intersections, reading capacities
-    from *network*'s topology."""
+    *routes* (flow id -> directed edge list) with per-iteration set
+    intersections, reading capacities from *topology*."""
     residual: Dict[DirectedEdge, float] = {}
     users: Dict[DirectedEdge, Set[int]] = {}
-    for flow in flows:
-        for edge in flow.route:
+    for fid, route in routes.items():
+        for edge in route:
             if edge not in residual:
                 u, v = edge
-                residual[edge] = network.topology[u][v]["bandwidth"]
+                residual[edge] = topology[u][v]["bandwidth"]
                 users[edge] = set()
-            users[edge].add(flow.transfer_id)
-    rates = {flow.transfer_id: 0.0 for flow in flows}
+            users[edge].add(fid)
+    rates = {fid: 0.0 for fid in routes}
     unfrozen = set(rates)
-    flow_routes = {f.transfer_id: f.route for f in flows}
     while unfrozen:
         delta = None
         for edge, flow_ids in users.items():
@@ -131,7 +135,7 @@ def maxmin_rates_reference(network: FlowNetwork,
             rates[fid] += delta
         frozen = {
             fid for fid in unfrozen
-            if any(edge in saturated for edge in flow_routes[fid])
+            if any(edge in saturated for edge in routes[fid])
         }
         if not frozen:
             break  # numerical safety; the live solver warns here

@@ -12,10 +12,11 @@ model implements the paper's 4-step packet process (Figure 5):
    per pair, and a pair with a single candidate always takes it, so
    single-path topologies behave bit-identically under every strategy.
 2. **Bandwidth allocation** — max-min fair shares over directed link
-   capacities (progressive filling), solved per component: a link→flow
-   incidence index scopes each re-allocation to the contention component
-   touched by the flows that joined or left, so disjoint traffic keeps
-   its rates untouched.
+   capacities (progressive filling), solved per contention component:
+   per-edge user sets scope each re-allocation to the components touched
+   by the flows that joined or left, so disjoint traffic keeps its rates
+   untouched, and a flow that shares no link takes its route's
+   bottleneck capacity without a solve.
 3. **Progress update** — flows whose rate actually changed have their
    remaining bytes settled and their delivery event rescheduled; flows
    whose rate is unchanged keep their existing heap entry (the
@@ -26,24 +27,24 @@ model implements the paper's 4-step packet process (Figure 5):
 Path latency is paid once, up front: a flow joins the bandwidth allocation
 after its route latency elapses.
 
-Scoped allocation is behavior-preserving by construction: max-min
-fairness decomposes over connected components of the flow/link sharing
-graph, every component is solved as an isolated problem, and the
-component solver's output depends only on the component's flow set,
-routes, and capacities — never on iteration order or on what the rest of
-the network is doing.  The original dense allocator (one global
-progressive filling, every delivery rescheduled on every change) lives
-outside the package as a differential oracle, in
-``benchmarks/dense_network.py``; differential property tests pin the
-two against each other and BENCH_network's ``legacy`` arm times it
-(see ``docs/network.md``).
+Directed edges and candidate paths are interned to ints when a route is
+first built: per-edge state lives in lists indexed by edge id, and a
+route id carries its edge-id tuple, summed latency and cached bottleneck.
+Per-flow state lives in columns indexed by a slot that is recycled at
+delivery, so the columns grow with peak concurrent flows; the
+:class:`~repro.network.base.Transfer` that :meth:`FlowNetwork.send`
+returns is the only per-flow object.  The component solvers are pure
+functions in :mod:`repro.network.maxmin`.  Why scoped allocation
+reproduces the dense allocator kept in ``benchmarks/dense_network.py``
+(the differential oracle) is in ``docs/network.md``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 import networkx as nx
 
@@ -51,35 +52,22 @@ from repro.engine.engine import Engine
 from repro.engine.events import CallbackEvent, Event
 from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import Transfer
+from repro.network.maxmin import _RATE_EPS, EdgeIds, maxmin_rates
 from repro.network.routing import (
     RoutingStrategy,
     ShortestPathRouting,
     get_routing_strategy,
 )
 
-try:  # vectorized waterfill fast path; the scalar solver is always kept
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-_RATE_EPS = 1e-9
-
-#: Component size at which the numpy waterfill takes over from the scalar
-#: solver.  Below it, array setup costs more than the dict loops save; the
-#: two paths produce bit-identical rates (see
-#: ``tests/test_fold.py::test_vector_waterfill_matches_scalar``), so the
-#: threshold is purely a speed knob.  Each side wins on its own range
-#: (measured per component in ``docs/network.md``).
-_VECTOR_MIN_FLOWS = 24
-
 #: Hook positions for observers.
 HOOK_FLOW_START = "flow_start"
 HOOK_FLOW_DELIVER = "flow_deliver"
-#: Fired after every bandwidth reallocation with the solved flow list and
-#: the topology in the detail — the link-capacity sanitizer's feed.  The
-#: list holds the re-solved contention component(s); component closure
-#: guarantees every user of every link those flows touch is present, so
-#: per-link rate sums stay complete.
+#: Fired after every bandwidth reallocation with the solved flows (as
+#: :class:`FlowView` records) and the topology in the detail — the
+#: link-capacity sanitizer's feed.  The list holds the re-solved
+#: contention component(s); component closure guarantees every user of
+#: every link those flows touch is present, so per-link rate sums stay
+#: complete.
 HOOK_FLOW_REALLOC = "flow_realloc"
 #: Fired when the allocator hits a numerical-safety edge (e.g. progressive
 #: filling failing to freeze any flow).  ``item`` is the warning message;
@@ -97,19 +85,25 @@ class RoutingError(ValueError):
     """
 
 
-class _Flow(Transfer):
-    """Internal flow state layered on the public Transfer record."""
+class FlowView(NamedTuple):
+    """Read-only snapshot of one flow, built for hook payloads only.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.route: List[DirectedEdge] = []
-        #: Index of the chosen candidate path for this flow's pair (0 on
-        #: single-path pairs and under the default shortest-path policy).
-        self.path_index: int = 0
-        self.remaining: float = self.nbytes
-        self.rate: float = 0.0
-        self.last_update: float = 0.0
-        self.deliver_event: Optional[Event] = None
+    ``route`` is the flow's directed edge list (empty for local and
+    zero-byte transfers) and ``rate`` its allocated bytes/s at the
+    moment the hook fires.
+    """
+
+    transfer: Transfer
+    rate: float
+    route: List[DirectedEdge]
+
+    @property
+    def src(self) -> str:
+        return self.transfer.src
+
+    @property
+    def dst(self) -> str:
+        return self.transfer.dst
 
 
 class FlowNetwork(Hookable):
@@ -150,52 +144,62 @@ class FlowNetwork(Hookable):
             routing = get_routing_strategy(routing, seed=routing_seed)
         #: The active strategy instance, or ``None`` for legacy routing.
         self.routing: Optional[RoutingStrategy] = routing
-        self._route_cache: Dict[Tuple[str, str], List[DirectedEdge]] = {}
-        # Directed edge -> live capacity, shadowing the topology's edge
-        # attribute.  networkx adjacency lookups build an AtlasView per
-        # access — far too slow for the allocator's inner loops — so the
-        # hot paths read this plain dict instead.  The *only* runtime
-        # mutation point for capacities is :meth:`set_link_capacity`,
-        # which writes both the graph and this cache.
-        self._bandwidth_cache: Dict[DirectedEdge, float] = {}
-        # id(route list) -> summed link latency.  Route lists are interned
-        # in _route_cache/_candidate_cache for the network's lifetime, so
-        # their ids are stable cache keys; link latencies never change at
-        # runtime (faults degrade bandwidth, not latency).
-        self._latency_sum: Dict[int, float] = {}
-        # (src, dst) -> candidate path list (legacy shortest path first,
-        # remaining equal-cost paths in sorted order).
-        self._candidate_cache: Dict[Tuple[str, str],
-                                    List[List[DirectedEdge]]] = {}
-        # (src, dst) -> chosen candidate index, for static (non-dynamic)
-        # strategies; one choice per pair per run.
+        # Per-edge state, indexed by edge id: live capacity (shadowing
+        # the topology attribute, which networkx serves through an
+        # AtlasView per access; set_link_capacity writes both), active
+        # flow slots, flows routed onto the edge but not yet active,
+        # delivered bytes, flows carried, peak concurrent flows, and the
+        # ids of the routes crossing it.
+        self._edge_ids: Dict[DirectedEdge, int] = {}
+        self._cap: List[float] = []
+        self._users: List[Set[int]] = []
+        self._committed: List[int] = []
+        self._bytes: List[float] = []
+        self._flows: List[int] = []
+        self._peak: List[int] = []
+        self._edge_routes: List[List[int]] = []
+        # Per-route state, indexed by route id: edge ids, the public edge
+        # list, summed latency and bottleneck capacity.
+        self._route_ids: Dict[EdgeIds, int] = {}
+        self._route_edges: List[EdgeIds] = []
+        self._route_list: List[List[DirectedEdge]] = []
+        self._latency: List[float] = []
+        self._bottleneck: List[float] = []
+        # Per pair: the legacy shortest path's route id; the candidate
+        # edge lists and route ids (shortest first, the rest sorted); the
+        # route of pairs with no choice to make (shortest-path routing,
+        # single candidates); a static strategy's chosen index; and the
+        # flows sent down each candidate of multi-candidate pairs.
+        self._primary: Dict[Tuple[str, str], int] = {}
+        self._candidates: Dict[Tuple[str, str], Tuple[
+            List[List[DirectedEdge]], List[int]]] = {}
+        self._fixed: Dict[Tuple[str, str], int] = {}
         self._choice_cache: Dict[Tuple[str, str], int] = {}
-        # (src, dst) -> {candidate index: flows sent down it}; recorded
-        # only for pairs that actually had more than one candidate.
         self._path_choices: Dict[Tuple[str, str], Dict[int, int]] = {}
-        # Directed edge -> flows routed onto it but not yet active (the
-        # send->activate latency window).  Adaptive routing reads this on
-        # top of the incidence index so a wave of flows issued at the
-        # same instant still sees its own earlier members' choices.
-        self._route_commitments: Dict[DirectedEdge, int] = {}
-        # Directed edge -> [bytes delivered, flows carried, peak
-        # concurrent flows] — the per-link congestion counters surfaced
-        # by :meth:`network_summary`.
-        self._link_stats: Dict[DirectedEdge, List] = {}
+        # Per-flow columns, indexed by slot; delivered flows free theirs.
+        self._xfer: List[Optional[Transfer]] = []
+        self._tid: List[int] = []
+        self._route: List[int] = []
+        self._remaining: List[float] = []
+        self._rate: List[float] = []
+        self._settled: List[float] = []
+        self._event: List[Optional[Event]] = []
+        self._columns = (self._xfer, self._tid, self._route, self._remaining,
+                         self._rate, self._settled, self._event)
+        self._free: List[int] = []
+        self._active: Set[int] = set()
+        # Edges whose users or capacity changed since the last
+        # reallocation; their users seed the next component walk.
+        self._dirty: Set[int] = set()
+        # Event handlers bound once: every flow schedules two events.
+        self._on_activate = self._activate
+        self._on_deliver = self._deliver
+        self._on_local = self._deliver_local
         # Flow-completion-time accumulators (wire flows only).
         self._fct_count = 0
         self._fct_total = 0.0
         self._fct_min = math.inf
         self._fct_max = 0.0
-        # Keyed by transfer_id; dict preserves insertion order, keeping
-        # iteration deterministic with O(1) removal.
-        self._active: Dict[int, _Flow] = {}
-        # Link -> ids of active flows crossing it (the incidence index
-        # scoped reallocation walks).
-        self._edge_users: Dict[DirectedEdge, Set[int]] = {}
-        # Links whose user set changed since the last reallocation; the
-        # seeds of the next contention-component walk.
-        self._dirty: Set[DirectedEdge] = set()
         self._ids = itertools.count()
         self._realloc_pending = False
         self.delivered_count = 0
@@ -209,21 +213,48 @@ class FlowNetwork(Hookable):
         self.allocator_warnings = 0
 
     # ------------------------------------------------------------------
+    # Interning
+    # ------------------------------------------------------------------
+    def _edge_id(self, edge: DirectedEdge) -> int:
+        eid = self._edge_ids.get(edge)
+        if eid is None:
+            u, v = edge
+            eid = self._edge_ids[edge] = len(self._cap)
+            self._cap.append(self.topology[u][v]["bandwidth"])
+            self._users.append(set())
+            self._committed.append(0)
+            self._bytes.append(0.0)
+            self._flows.append(0)
+            self._peak.append(0)
+            self._edge_routes.append([])
+        return eid
+
+    def _intern_route(self, edges: List[DirectedEdge]) -> int:
+        """Route id of an edge list, interning it on first sight."""
+        eids = tuple(self._edge_id(edge) for edge in edges)
+        rid = self._route_ids.get(eids)
+        if rid is None:
+            rid = self._route_ids[eids] = len(self._route_edges)
+            self._route_edges.append(eids)
+            self._route_list.append(edges)
+            topology = self.topology
+            # Link latencies never change at runtime (faults degrade
+            # bandwidth, not latency).
+            self._latency.append(
+                sum(topology[u][v]["latency"] for u, v in edges))
+            self._bottleneck.append(
+                min((self._cap[e] for e in eids), default=math.inf))
+            for eid in eids:
+                self._edge_routes[eid].append(rid)
+        return rid
+
+    # ------------------------------------------------------------------
     # Step 1: routing
     # ------------------------------------------------------------------
-    def route(self, src: str, dst: str) -> List[DirectedEdge]:
-        """Directed edge list of the cached shortest path src -> dst.
-
-        Computing a path also populates the reverse pair with the mirrored
-        edge list — paths are symmetric on our undirected topologies, so
-        collectives (which nearly always talk both ways across a pair) pay
-        for each route search once.
-
-        Raises :class:`RoutingError` naming the pair when either endpoint
-        is missing from the topology or no path connects them.
-        """
+    def _primary_id(self, src: str, dst: str) -> int:
         key = (src, dst)
-        if key not in self._route_cache:
+        rid = self._primary.get(key)
+        if rid is None:
             for endpoint in (src, dst):
                 if endpoint not in self.topology:
                     raise RoutingError(
@@ -238,42 +269,59 @@ class FlowNetwork(Hookable):
                     "disconnected between them"
                 ) from exc
             edges = list(zip(path, path[1:]))
-            self._route_cache[key] = edges
+            rid = self._primary[key] = self._intern_route(edges)
             reverse = (dst, src)
-            if reverse not in self._route_cache:
-                self._route_cache[reverse] = [(v, u) for u, v in reversed(edges)]
-        return self._route_cache[key]
+            if reverse not in self._primary:
+                self._primary[reverse] = self._intern_route(
+                    [(v, u) for u, v in reversed(edges)])
+        return rid
+
+    def route(self, src: str, dst: str) -> List[DirectedEdge]:
+        """Directed edge list of the cached shortest path src -> dst.
+
+        Computing a path also populates the reverse pair with the mirrored
+        edge list — paths are symmetric on our undirected topologies, so
+        collectives (which nearly always talk both ways across a pair) pay
+        for each route search once.
+
+        Raises :class:`RoutingError` naming the pair when either endpoint
+        is missing from the topology or no path connects them.
+        """
+        return self._route_list[self._primary_id(src, dst)]
 
     def path_latency(self, src: str, dst: str) -> float:
         """Sum of link latencies along the route (see :meth:`route` for
         the error raised on disconnected pairs)."""
-        return self._route_latency(self.route(src, dst))
-
-    def _route_latency(self, route: List[DirectedEdge]) -> float:
-        """Summed link latency of an interned route list, cached by id."""
-        key = id(route)
-        latency = self._latency_sum.get(key)
-        if latency is None:
-            topology = self.topology
-            latency = sum(topology[u][v]["latency"] for u, v in route)
-            self._latency_sum[key] = latency
-        return latency
+        return self._latency[self._primary_id(src, dst)]
 
     def link_bandwidth(self, edge: DirectedEdge) -> float:
-        """Live capacity of a directed edge, from the shadow cache.
+        """Live capacity of a directed edge.
 
         Reflects fault degradation immediately (see
         :meth:`set_link_capacity`); reads the topology only on first
-        touch per edge.  Routing strategies should prefer this over
-        ``topology[u][v]["bandwidth"]`` — it is the same value without
-        the per-access networkx adjacency-view cost.
+        touch per edge.
         """
-        bandwidth = self._bandwidth_cache.get(edge)
-        if bandwidth is None:
-            u, v = edge
-            bandwidth = self.topology[u][v]["bandwidth"]
-            self._bandwidth_cache[edge] = bandwidth
-        return bandwidth
+        return self._cap[self._edge_id(edge)]
+
+    def _candidate_entry(self, src: str, dst: str
+                         ) -> Tuple[List[List[DirectedEdge]], List[int]]:
+        key = (src, dst)
+        entry = self._candidates.get(key)
+        if entry is None:
+            primary = self._primary_id(src, dst)  # validates the pair
+            ids = [primary]
+            if self._route_edges[primary]:
+                paths = itertools.islice(
+                    nx.all_shortest_paths(self.topology, src, dst),
+                    self.max_candidate_paths,
+                )
+                for path in sorted(paths):
+                    rid = self._intern_route(list(zip(path, path[1:])))
+                    if rid != primary:
+                        ids.append(rid)
+            entry = self._candidates[key] = (
+                [self._route_list[rid] for rid in ids], ids)
+        return entry
 
     def candidate_routes(self, src: str, dst: str) -> List[List[DirectedEdge]]:
         """All equal-cost shortest paths src -> dst, as directed edge lists.
@@ -284,42 +332,47 @@ class FlowNetwork(Hookable):
         is capped at :attr:`max_candidate_paths` (deterministically — the
         cap keeps a sorted prefix).  The list is cached per pair.
         """
-        key = (src, dst)
-        cached = self._candidate_cache.get(key)
-        if cached is not None:
-            return cached
-        primary = self.route(src, dst)  # validates endpoints/connectivity
-        if not primary:
-            candidates = [primary]
-        else:
-            paths = itertools.islice(
-                nx.all_shortest_paths(self.topology, src, dst),
-                self.max_candidate_paths,
-            )
-            candidates = [primary]
-            for path in sorted(paths):
-                edges = list(zip(path, path[1:]))
-                if edges != primary:
-                    candidates.append(edges)
-        self._candidate_cache[key] = candidates
-        return candidates
+        return self._candidate_entry(src, dst)[0]
 
-    def _route_for(self, src: str, dst: str) -> Tuple[List[DirectedEdge], int]:
-        """Route a new flow: the chosen edge list and its candidate index.
+    def route_loads(self, src: str, dst: str
+                    ) -> List[List[Tuple[int, float]]]:
+        """Per-edge ``(flows, capacity)`` along every candidate path of
+        src -> dst, in :meth:`candidate_routes` order.
+
+        ``flows`` counts the edge's active flows plus the flows routed
+        onto it that are still inside their send -> activate latency
+        window (so a wave issued at one instant sees its own earlier
+        members); ``capacity`` is the live bandwidth.  This is the
+        allocator state routing strategies may read.
+        """
+        users = self._users
+        committed = self._committed
+        cap = self._cap
+        route_edges = self._route_edges
+        return [[(len(users[e]) + committed[e], cap[e])
+                 for e in route_edges[rid]]
+                for rid in self._candidate_entry(src, dst)[1]]
+
+    def _route_for(self, src: str, dst: str) -> int:
+        """Route a new flow whose pair is not in :attr:`_fixed`.
 
         ``None`` / shortest-path routing short-circuits to the legacy
-        cached path; pairs with a single candidate always take it (the
-        bit-identity guarantee for single-path topologies); otherwise the
-        strategy chooses, with the choice cached per pair for static
-        strategies and re-made per flow for dynamic ones.
+        path; pairs with a single candidate always take it (the
+        bit-identity guarantee for single-path topologies).  Both are
+        then pinned in :attr:`_fixed`, so later flows of the pair resolve
+        in one lookup.  Otherwise the strategy chooses, with the choice
+        cached per pair for static strategies and re-made per flow for
+        dynamic ones, and counted in the path-choice record.
         """
+        key = (src, dst)
         strategy = self.routing
         if strategy is None or isinstance(strategy, ShortestPathRouting):
-            return self.route(src, dst), 0
-        candidates = self.candidate_routes(src, dst)
-        if len(candidates) == 1:
-            return candidates[0], 0
-        key = (src, dst)
+            rid = self._fixed[key] = self._primary_id(src, dst)
+            return rid
+        candidates, ids = self._candidate_entry(src, dst)
+        if len(ids) == 1:
+            rid = self._fixed[key] = ids[0]
+            return rid
         if strategy.dynamic:
             index = strategy.choose(src, dst, candidates, self)
         else:
@@ -327,15 +380,15 @@ class FlowNetwork(Hookable):
             if index < 0:
                 index = strategy.choose(src, dst, candidates, self)
                 self._choice_cache[key] = index
-        if not 0 <= index < len(candidates):
+        if not 0 <= index < len(ids):
             raise ValueError(
                 f"routing strategy {strategy.name!r} chose path {index} "
                 f"for {src}->{dst}, out of range for "
-                f"{len(candidates)} candidates"
+                f"{len(ids)} candidates"
             )
         counts = self._path_choices.setdefault(key, {})
         counts[index] = counts.get(index, 0) + 1
-        return candidates[index], index
+        return ids[index]
 
     # ------------------------------------------------------------------
     # Public API
@@ -357,33 +410,45 @@ class FlowNetwork(Hookable):
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        route, path_index = self._route_for(src, dst)  # validates endpoints
-        flow = _Flow(next(self._ids), src, dst, float(nbytes), callback, tag)
-        flow.path_index = path_index
+        rid = self._fixed.get((src, dst))
+        if rid is None:
+            rid = self._route_for(src, dst)  # validates endpoints
         # engine._now read directly on the per-flow paths in this module:
         # the .now property costs a descriptor call per access.
         now = self.engine._now
-        flow.start_time = now
+        transfer = Transfer(next(self._ids), src, dst, float(nbytes),
+                            callback, tag, now)
+        edges = self._route_edges[rid]
+        wired = bool(edges) and nbytes != 0
         if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_FLOW_START, now, flow))
-        if not route or nbytes == 0:
+            self.invoke_hooks(HookCtx(HOOK_FLOW_START, now, FlowView(
+                transfer, 0.0, self._route_list[rid] if wired else [])))
+        if not wired:
             # Local move: no wire time; deliver via a zero-delay event so
             # callback ordering stays consistent with real transfers.
-            event: Event = CallbackEvent(
-                now + 0.0, lambda _ev, f=flow: self._deliver(f))
+            event: Event = CallbackEvent(now + 0.0, self._on_local, transfer)
         else:
-            flow.route = route
-            commitments = self._route_commitments
-            for edge in route:
-                commitments[edge] = commitments.get(edge, 0) + 1
-            event = CallbackEvent(
-                now + self._route_latency(route),
-                lambda _ev, f=flow: self._activate(f))
+            free = self._free
+            if not free:
+                free.append(len(self._xfer))
+                for column in self._columns:
+                    column.append(None)
+            slot = free.pop()
+            self._xfer[slot] = transfer
+            self._tid[slot] = transfer.transfer_id
+            self._route[slot] = rid
+            self._remaining[slot] = transfer.nbytes
+            self._rate[slot] = 0.0
+            committed = self._committed
+            for eid in edges:
+                committed[eid] += 1
+            event = CallbackEvent(now + self._latency[rid],
+                                  self._on_activate, slot)
         if pending is None:
             self.engine.schedule(event)
         else:
             pending.append(event)
-        return flow
+        return transfer
 
     @property
     def active_flows(self) -> int:
@@ -393,7 +458,8 @@ class FlowNetwork(Hookable):
         """Re-rate the undirected link *u*—*v* to *bandwidth* bytes/s.
 
         The fault injector's link-degradation primitive: mutates the
-        topology's edge attribute, then reuses the scoped re-solve —
+        topology's edge attribute, refreshes the cached bottleneck of
+        every route crossing the link, then reuses the scoped re-solve —
         both directed edges are marked dirty, so the next (coalesced)
         reallocation re-solves exactly the contention component(s) using
         the link and leaves disjoint traffic untouched.  Routes never
@@ -409,10 +475,15 @@ class FlowNetwork(Hookable):
             raise ValueError(f"link {u}-{v}: no such edge in the topology")
         value = float(bandwidth)
         self.topology[u][v]["bandwidth"] = value
+        cap = self._cap
         for edge in ((u, v), (v, u)):
-            self._bandwidth_cache[edge] = value
-            if self._edge_users.get(edge):
-                self._dirty.add(edge)
+            eid = self._edge_id(edge)
+            cap[eid] = value
+            for rid in self._edge_routes[eid]:
+                self._bottleneck[rid] = min(
+                    cap[e] for e in self._route_edges[rid])
+            if self._users[eid]:
+                self._dirty.add(eid)
         if self._active:
             self._request_reallocate()
 
@@ -420,50 +491,45 @@ class FlowNetwork(Hookable):
         """Freeze every active flow's progress for *delay* seconds.
 
         Companion to :meth:`Engine.defer_pending`: deferring a delivery
-        event postpones *when* a flow completes, but a later ``_apply_rate``
-        would still settle ``remaining -= rate * (now - last_update)`` as
-        if the flow had kept transferring through the outage.  Settling
-        progress up to now and advancing ``last_update`` past the stall
+        event postpones *when* a flow completes, but a later rate change
+        would still settle ``remaining -= rate * (now - settled)`` as if
+        the flow had kept transferring through the outage.  Settling
+        progress up to now and advancing the settle time past the stall
         window makes the outage transfer zero bytes.
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         now = self.engine.now
-        for flow in self._active.values():
-            flow.remaining -= flow.rate * (now - flow.last_update)
-            if flow.remaining < 0.0:
-                flow.remaining = 0.0
-            flow.last_update = now + delay
+        remaining, rate, settled = self._remaining, self._rate, self._settled
+        for slot in self._active:
+            left = remaining[slot] - rate[slot] * (now - settled[slot])
+            if left < 0.0:
+                left = 0.0
+            remaining[slot] = left
+            settled[slot] = now + delay
 
     # ------------------------------------------------------------------
     # Steps 2-3: allocation and progress updates
     # ------------------------------------------------------------------
-    def _activate(self, flow: _Flow) -> None:
-        flow.last_update = self.engine._now
-        self._active[flow.transfer_id] = flow
-        commitments = self._route_commitments
-        edge_users = self._edge_users
-        link_stats = self._link_stats
-        dirty = self._dirty
-        tid = flow.transfer_id
-        for edge in flow.route:
-            left = commitments.get(edge, 0) - 1
-            if left > 0:
-                commitments[edge] = left
-            else:
-                commitments.pop(edge, None)
-            users = edge_users.get(edge)
-            if users is None:
-                users = edge_users[edge] = set()
-            users.add(tid)
-            dirty.add(edge)
-            stats = link_stats.get(edge)
-            if stats is None:
-                stats = link_stats[edge] = [0.0, 0, 0]
-            stats[1] += 1
-            if len(users) > stats[2]:
-                stats[2] = len(users)
-        self._request_reallocate()
+    def _activate(self, event: Event) -> None:
+        slot = event.payload
+        self._settled[slot] = self.engine._now
+        self._active.add(slot)
+        committed = self._committed
+        users = self._users
+        flows = self._flows
+        peak = self._peak
+        edges = self._route_edges[self._route[slot]]
+        for eid in edges:
+            committed[eid] -= 1
+            holders = users[eid]
+            holders.add(slot)
+            flows[eid] += 1
+            if len(holders) > peak[eid]:
+                peak[eid] = len(holders)
+        self._dirty.update(edges)
+        if not self._realloc_pending:
+            self._request_reallocate()
 
     def _request_reallocate(self) -> None:
         """Coalesce reallocation requests within one virtual instant.
@@ -487,313 +553,139 @@ class FlowNetwork(Hookable):
         """Re-solve max-min rates for every contention component that
         changed and reschedule only the deliveries whose rate moved."""
         self.reallocations += 1
-        now = self.engine._now
-        components = self._dirty_components()
+        seeds = set(itertools.chain.from_iterable(
+            map(self._users.__getitem__, self._dirty)))
         self._dirty.clear()
-        if not components:
+        if not seeds:
             return
-        solved: List[_Flow] = []
-        pending: List[Event] = []
-        for component in components:
-            rates = self._maxmin_component(component)
-            for flow in component:
-                rate = rates[flow.transfer_id]
-                event = flow.deliver_event
-                if (rate == flow.rate and event is not None
+        solved = self._solve(seeds)
+        rate = self._rate
+        events = self._event
+        changed: List[Tuple[int, float]] = []
+        for members, rates in solved:
+            for slot, new in zip(members, rates):
+                event = events[slot]
+                if (new == rate[slot] and event is not None
                         and not event.cancelled):
                     # Rate-stability fast path: the rate is exactly
-                    # unchanged, so the existing heap entry is already
-                    # correct and stays put.
+                    # unchanged, so the existing heap entry stays put.
                     self.fastpath_hits += 1
                 else:
-                    self._apply_rate(flow, rate, now, pending)
-            solved.extend(component)
-        # One bulk insert for the whole reschedule wave (a collective can
-        # move hundreds of deliveries at once).  Sequence numbers are
-        # assigned in list order — the same order the per-flow heappushes
-        # used — and nothing dispatches between collection and insertion,
-        # so delivery order is bit-identical to the one-at-a-time path.
+                    changed.append((slot, new))
+        self._install(changed, solved)
+
+    def _solve(self, seeds: Iterable[int]
+               ) -> List[Tuple[List[int], Sequence[float]]]:
+        """Max-min rates of the contention components of *seeds*.
+
+        Returns ``(member slots, rates)`` per component in canonical
+        order — ascending by smallest member transfer id, members
+        ascending within — so a component re-solves with the same
+        floating-point operations whichever change dirtied it.  A flow
+        that is a component of its own (the contention-free path) takes
+        its route's cached bottleneck without a solver call: progressive
+        filling would saturate the bottleneck edge in its first round
+        (``cap - cap == 0.0``) with increment ``min(capacity)``.
+        """
+        route = self._route
+        route_edges = self._route_edges
+        bottleneck = self._bottleneck
+        tid = self._tid
+        keyed: List[Tuple[int, List[int], Sequence[float]]] = []
+        visited: Set[int] = set()
+        in_order = True
+        for seed in sorted(seeds, key=tid.__getitem__):
+            if seed in visited:
+                continue
+            members = self._component(seed)
+            visited.update(members)
+            if len(members) == 1:
+                rates: Sequence[float] = (bottleneck[route[seed]],)
+            else:
+                rates = maxmin_rates(
+                    [route_edges[route[slot]] for slot in members],
+                    self._cap, self._warn_allocator)
+            keyed.append((tid[members[0]], members, rates))
+            # A component's smallest member need not be a seed, so seed
+            # order alone cannot always order components.
+            in_order = in_order and members[0] == seed
+        if not in_order:
+            keyed.sort(key=lambda entry: entry[0])
+        return [(members, rates) for _, members, rates in keyed]
+
+    def _install(self, changed: List[Tuple[int, float]],
+                 solved: List[Tuple[List[int], Sequence[float]]]) -> None:
+        """Install each ``(slot, rate)`` of *changed*: settle progress at
+        the old rate, set the new one and reschedule the delivery, then
+        report every flow of *solved* to the reallocation hook."""
+        engine = self.engine
+        now = engine._now
+        rate = self._rate
+        remaining = self._remaining
+        settled = self._settled
+        events = self._event
+        pending: List[Event] = []
+        for slot, new in changed:
+            left = remaining[slot] - rate[slot] * (now - settled[slot])
+            if left < 0.0:
+                left = 0.0
+            remaining[slot] = left
+            settled[slot] = now
+            rate[slot] = new
+            event = events[slot]
+            if new > _RATE_EPS:
+                self.reschedules += 1
+                if event is not None and not event.cancelled:
+                    # Requeue the existing delivery event instead of
+                    # cancel-and-replace: mark_requeued orphans the old
+                    # heap entry (skipped silently, never observed) and
+                    # the bulk insert stamps a fresh sequence number.
+                    engine.mark_requeued(event)
+                    event.time = now + left / new
+                else:
+                    event = events[slot] = CallbackEvent(
+                        now + left / new, self._on_deliver, slot)
+                pending.append(event)
+            elif event is not None:
+                event.cancel()
+                events[slot] = None
+        # One bulk insert for the whole reschedule wave.  Sequence
+        # numbers are assigned in list order — the same order per-flow
+        # heappushes would use — and nothing dispatches between
+        # collection and insertion, so delivery order is unchanged.
         if pending:
-            self.engine.schedule_bulk(pending)
+            engine.schedule_bulk(pending)
         if self._hooks:
             self.invoke_hooks(HookCtx(
-                HOOK_FLOW_REALLOC, now, solved,
+                HOOK_FLOW_REALLOC, now,
+                [self._view(slot) for members, _ in solved
+                 for slot in members],
                 detail={"topology": self.topology},
             ))
 
-    def _apply_rate(self, flow: _Flow, rate: float, now: float,
-                    pending: List[Event]) -> None:
-        """Install a solved rate: settle progress and queue the delivery
-        reschedule onto *pending*."""
-        flow.remaining -= flow.rate * (now - flow.last_update)
-        if flow.remaining < 0.0:
-            flow.remaining = 0.0
-        flow.last_update = now
-        flow.rate = rate
-        event = flow.deliver_event
-        if rate > _RATE_EPS:
-            self.reschedules += 1
-            deliver_at = now + flow.remaining / rate
-            if event is not None and not event.cancelled:
-                # Requeue the existing delivery event instead of
-                # cancel-and-replace: mark_requeued orphans the old heap
-                # entry (skipped silently, never observed) and the bulk
-                # insert below stamps a fresh sequence number — the
-                # dispatch stream is bit-identical to the legacy path
-                # with no throwaway event allocation.
-                self.engine.mark_requeued(event)
-                event.time = deliver_at
-            else:
-                event = CallbackEvent(
-                    deliver_at, lambda _ev, f=flow: self._deliver(f))
-                flow.deliver_event = event
-            pending.append(event)
-        elif event is not None:
-            event.cancel()
-            flow.deliver_event = None
+    def _component(self, seed: int) -> List[int]:
+        """The seed's contention component (BFS over per-edge users),
+        sorted by transfer id."""
+        users = self._users
+        route = self._route
+        route_edges = self._route_edges
+        members = {seed}
+        stack = [seed]
+        seen: Set[int] = set()
+        while stack:
+            for eid in route_edges[route[stack.pop()]]:
+                if eid in seen:
+                    continue
+                seen.add(eid)
+                for other in users[eid]:
+                    if other not in members:
+                        members.add(other)
+                        stack.append(other)
+        return sorted(members, key=self._tid.__getitem__)
 
-    # ------------------------------------------------------------------
-    # Contention components (the incidence-index walks)
-    # ------------------------------------------------------------------
-    def _dirty_components(self) -> List[List[_Flow]]:
-        """Contention components touched since the last solve, directly.
-
-        One BFS per component over the incidence index, seeded from the
-        users of each dirty edge.  Flows outside the closure provably
-        keep their rates: max-min fairness decomposes over link-sharing
-        components.  Emission order is canonical — components ascend by
-        their smallest member transfer-id, members ascend within — so a
-        component re-solves with the same floating-point operations
-        whichever change dirtied it (with every loaded link dirty, this
-        partitions the whole active set the same way).
-        """
-        edge_users = self._edge_users
-        active = self._active
-        seeds: Set[int] = set()
-        for edge in self._dirty:
-            users = edge_users.get(edge)
-            if users:
-                seeds.update(users)
-        if not seeds:
-            return []
-        visited: Set[int] = set()
-        keyed: List[Tuple[int, List[_Flow]]] = []
-        for fid in sorted(seeds):
-            if fid in visited:
-                continue
-            flow = active[fid]
-            ids: Set[int] = {fid}
-            stack: List[_Flow] = [flow]
-            seen: Set[DirectedEdge] = set()
-            while stack:
-                current = stack.pop()
-                for edge in current.route:
-                    if edge in seen:
-                        continue
-                    seen.add(edge)
-                    for ofid in edge_users.get(edge, ()):
-                        if ofid not in ids:
-                            ids.add(ofid)
-                            stack.append(active[ofid])
-            visited |= ids
-            if len(ids) == 1:
-                # Disjoint flow — the overwhelmingly common case on
-                # multipath fabrics.
-                keyed.append((fid, [flow]))
-            else:
-                ordered = sorted(ids)
-                keyed.append((ordered[0],
-                              [active[f] for f in ordered]))
-        # A component's smallest member need not be a seed, so seed
-        # order alone cannot order components; sort by min member id.
-        if len(keyed) > 1:
-            keyed.sort(key=lambda kc: kc[0])
-        return [component for _, component in keyed]
-
-    # ------------------------------------------------------------------
-    # Max-min solvers
-    # ------------------------------------------------------------------
-    def _maxmin_component(self, flows: List[_Flow]) -> Dict[int, float]:
-        """Max-min rates for one contention component (progressive filling).
-
-        Dispatches to the numpy waterfill for components of at least
-        :data:`_VECTOR_MIN_FLOWS` flows and to the scalar counter-based
-        solver otherwise.  The two are bit-identical: every float the
-        vector path produces comes from the same IEEE operations in the
-        same per-round order (the bottleneck ``min`` is over the same
-        value set, and ``min`` of floats is order-independent).
-        """
-        if len(flows) == 1:
-            # An uncontended flow's progressive filling terminates after
-            # one round with its bottleneck capacity: the first increment
-            # is min(capacity) over the route, which saturates the
-            # bottleneck edge exactly (cap - cap == 0.0) and freezes the
-            # flow.  Returning that min directly is bit-identical
-            # (0.0 + delta == delta) and skips the residual/users/live
-            # dict construction entirely.
-            flow = flows[0]
-            route = flow.route
-            if route:
-                bandwidth = self._bandwidth_cache
-                best: Optional[float] = None
-                for edge in route:
-                    cap = bandwidth.get(edge)
-                    if cap is None:
-                        cap = self.link_bandwidth(edge)
-                    if best is None or cap < best:
-                        best = cap
-                return {flow.transfer_id: best}
-        if _np is not None and len(flows) >= _VECTOR_MIN_FLOWS:
-            return self._maxmin_component_vector(flows)
-        return self._maxmin_component_scalar(flows)
-
-    def _maxmin_component_scalar(self, flows: List[_Flow]) -> Dict[int, float]:
-        """Counter-based progressive filling over one contention component.
-
-        Per iteration: O(links) to find the bottleneck increment and update
-        residuals, plus O(route length) per newly frozen flow — the
-        per-edge live counters replace the dense oracle's
-        O(links x flows) set intersections.  Output depends only on the
-        component's flow set, routes, and capacities, never on iteration
-        order, so re-solving an unchanged component reproduces its rates
-        bit-for-bit.
-        """
-        bandwidth = self._bandwidth_cache
-        residual: Dict[DirectedEdge, float] = {}
-        users: Dict[DirectedEdge, List[int]] = {}
-        live: Dict[DirectedEdge, int] = {}
-        routes: Dict[int, List[DirectedEdge]] = {}
-        for flow in flows:
-            fid = flow.transfer_id
-            routes[fid] = flow.route
-            for edge in flow.route:
-                if edge not in residual:
-                    cap = bandwidth.get(edge)
-                    if cap is None:
-                        cap = self.link_bandwidth(edge)
-                    residual[edge] = cap
-                    users[edge] = []
-                    live[edge] = 0
-                users[edge].append(fid)
-                live[edge] += 1
-        rates: Dict[int, float] = {fid: 0.0 for fid in routes}
-        frozen: Set[int] = set()
-        total = len(rates)
-        while len(frozen) < total:
-            # Smallest equal increment any loaded edge can still give.
-            delta = None
-            for edge, count in live.items():
-                if count:
-                    candidate = residual[edge] / count
-                    if delta is None or candidate < delta:
-                        delta = candidate
-            if delta is None:  # pragma: no cover - every flow loads an edge
-                self._warn_allocator(
-                    f"progressive filling found no loaded link with "
-                    f"{total - len(frozen)} flow(s) unfrozen",
-                    unfrozen=total - len(frozen),
-                )
-                break
-            saturated: List[DirectedEdge] = []
-            for edge, count in live.items():
-                if count:
-                    residual[edge] -= delta * count
-                    if residual[edge] <= _RATE_EPS * max(delta, 1.0):
-                        saturated.append(edge)
-            for fid in rates:
-                if fid not in frozen:
-                    rates[fid] += delta
-            newly: List[int] = []
-            for edge in saturated:
-                for fid in users[edge]:
-                    if fid not in frozen:
-                        frozen.add(fid)
-                        newly.append(fid)
-            if not newly:
-                # Numerical safety: an increment that saturates no edge
-                # would loop forever.  Surface it instead of silently
-                # breaking — SZ004 turns this into a report finding.
-                self._warn_allocator(
-                    f"progressive filling stalled: increment {delta!r} "
-                    f"saturated no link with {total - len(frozen)} flow(s) "
-                    "unfrozen",
-                    delta=delta, unfrozen=total - len(frozen),
-                )
-                break
-            for fid in newly:
-                for edge in routes[fid]:
-                    live[edge] -= 1
-        return rates
-
-    def _maxmin_component_vector(self, flows: List[_Flow]) -> Dict[int, float]:
-        """Array-backed progressive filling (the numpy waterfill).
-
-        Same algorithm as :meth:`_maxmin_component_scalar` with the
-        per-round dict loops replaced by array ops over a flat
-        edge-index array: residual/live updates are elementwise, the
-        bottleneck increment is ``min`` over the loaded edges, and the
-        freeze step is a segmented ``bitwise_or.reduceat`` over each
-        flow's route slice.  Bit-identity with the scalar solver is
-        pinned by a differential test; the warning edges emit the same
-        messages through :meth:`_warn_allocator`.
-        """
-        route_lens = [len(flow.route) for flow in flows]
-        if min(route_lens) == 0:  # pragma: no cover - active flows have wires
-            return self._maxmin_component_scalar(flows)
-        bandwidth = self._bandwidth_cache
-        edge_index: Dict[DirectedEdge, int] = {}
-        caps: List[float] = []
-        flat: List[int] = []  # edge indices, routes concatenated in flow order
-        for flow in flows:
-            for edge in flow.route:
-                index = edge_index.get(edge)
-                if index is None:
-                    index = edge_index[edge] = len(caps)
-                    cap = bandwidth.get(edge)
-                    if cap is None:
-                        cap = self.link_bandwidth(edge)
-                    caps.append(cap)
-                flat.append(index)
-        n_flows = len(flows)
-        n_edges = len(caps)
-        lens = _np.asarray(route_lens, dtype=_np.int64)
-        flat_arr = _np.asarray(flat, dtype=_np.int64)
-        starts = _np.zeros(n_flows, dtype=_np.int64)
-        _np.cumsum(lens[:-1], out=starts[1:])
-        residual = _np.asarray(caps, dtype=_np.float64)
-        live = _np.bincount(flat_arr, minlength=n_edges)
-        rates = _np.zeros(n_flows, dtype=_np.float64)
-        frozen = _np.zeros(n_flows, dtype=bool)
-        unfrozen = n_flows
-        while unfrozen:
-            loaded = live > 0
-            if not loaded.any():  # pragma: no cover - every flow loads an edge
-                self._warn_allocator(
-                    f"progressive filling found no loaded link with "
-                    f"{unfrozen} flow(s) unfrozen",
-                    unfrozen=unfrozen,
-                )
-                break
-            delta = float(_np.min(residual[loaded] / live[loaded]))
-            residual[loaded] -= delta * live[loaded]
-            saturated = loaded & (residual <= _RATE_EPS * max(delta, 1.0))
-            rates[~frozen] += delta
-            newly = _np.bitwise_or.reduceat(saturated[flat_arr], starts)
-            newly &= ~frozen
-            if not newly.any():
-                self._warn_allocator(
-                    f"progressive filling stalled: increment {delta!r} "
-                    f"saturated no link with {unfrozen} flow(s) "
-                    "unfrozen",
-                    delta=delta, unfrozen=unfrozen,
-                )
-                break
-            frozen |= newly
-            unfrozen = int(n_flows - int(frozen.sum()))
-            live -= _np.bincount(flat_arr[_np.repeat(newly, lens)],
-                                 minlength=n_edges)
-        return {flow.transfer_id: float(rates[i])
-                for i, flow in enumerate(flows)}
+    def _view(self, slot: int) -> FlowView:
+        return FlowView(self._xfer[slot], self._rate[slot],
+                        self._route_list[self._route[slot]])
 
     def _warn_allocator(self, message: str, **detail) -> None:
         """Surface an allocator numerical-safety edge through the hook
@@ -807,52 +699,65 @@ class FlowNetwork(Hookable):
     # ------------------------------------------------------------------
     # Step 4: delivery
     # ------------------------------------------------------------------
-    def _deliver(self, flow: _Flow) -> None:
-        flow.deliver_time = self.engine._now
-        flow.deliver_event = None
-        was_active = self._active.pop(flow.transfer_id, None) is not None
-        if was_active:
-            edge_users = self._edge_users
-            link_stats = self._link_stats
-            dirty = self._dirty
-            tid = flow.transfer_id
-            nbytes = flow.nbytes
-            for edge in flow.route:
-                users = edge_users.get(edge)
-                if users is not None:
-                    users.discard(tid)
-                    if not users:
-                        del edge_users[edge]
-                dirty.add(edge)
-                link_stats[edge][0] += nbytes
-            if self._active:
+    def _deliver(self, event: Event) -> None:
+        """Deliver an active wired flow: tear down its edge users, free
+        its slot and fire its callback."""
+        slot = event.payload
+        now = self.engine._now
+        transfer = self._xfer[slot]
+        transfer.deliver_time = now
+        nbytes = transfer.nbytes
+        active = self._active
+        active.remove(slot)
+        users = self._users
+        link_bytes = self._bytes
+        edges = self._route_edges[self._route[slot]]
+        for eid in edges:
+            users[eid].discard(slot)
+            link_bytes[eid] += nbytes
+        if active:
+            self._dirty.update(edges)
+            if not self._realloc_pending:
                 self._request_reallocate()
-            else:
-                dirty.clear()
+        else:
+            self._dirty.clear()
         self.delivered_count += 1
-        self.total_bytes_delivered += flow.nbytes
-        if flow.route:
-            fct = flow.deliver_time - flow.start_time
-            self._fct_count += 1
-            self._fct_total += fct
-            if fct < self._fct_min:
-                self._fct_min = fct
-            if fct > self._fct_max:
-                self._fct_max = fct
-            if not was_active:
-                # Stalled/locally-completed routed flows still account
-                # their bytes; the active path folded this into the
-                # teardown loop above.
-                for edge in flow.route:
-                    self._link_stats[edge][0] += flow.nbytes
+        self.total_bytes_delivered += nbytes
+        fct = now - transfer.start_time
+        self._fct_count += 1
+        self._fct_total += fct
+        if fct < self._fct_min:
+            self._fct_min = fct
+        if fct > self._fct_max:
+            self._fct_max = fct
         if self._hooks:
-            self.invoke_hooks(
-                HookCtx(HOOK_FLOW_DELIVER, self.engine.now, flow))
-        flow.callback(flow)
+            self.invoke_hooks(HookCtx(HOOK_FLOW_DELIVER, now,
+                                      self._view(slot)))
+        self._xfer[slot] = None
+        self._event[slot] = None
+        self._free.append(slot)
+        transfer.callback(transfer)
+
+    def _deliver_local(self, event: Event) -> None:
+        """Deliver a local or zero-byte transfer (no wire, no slot)."""
+        transfer = event.payload
+        transfer.deliver_time = self.engine._now
+        self.delivered_count += 1
+        self.total_bytes_delivered += transfer.nbytes
+        if self._hooks:
+            self.invoke_hooks(HookCtx(HOOK_FLOW_DELIVER, self.engine._now,
+                                      FlowView(transfer, 0.0, [])))
+        transfer.callback(transfer)
 
     # ------------------------------------------------------------------
     # Congestion / routing metrics
     # ------------------------------------------------------------------
+    def _loaded_edges(self) -> List[Tuple[DirectedEdge, int]]:
+        """``(edge, edge id)`` of every edge that has carried a flow."""
+        flows = self._flows
+        return [(edge, eid) for edge, eid in self._edge_ids.items()
+                if flows[eid]]
+
     def stats_snapshot(self) -> Dict:
         """Copy of the cumulative traffic counters, for delta arithmetic.
 
@@ -871,8 +776,8 @@ class FlowNetwork(Hookable):
             "reallocations": self.reallocations,
             "reschedules": self.reschedules,
             "fastpath_hits": self.fastpath_hits,
-            "link_stats": {edge: (stats[0], stats[1])
-                           for edge, stats in self._link_stats.items()},
+            "link_stats": {edge: (self._bytes[eid], self._flows[eid])
+                           for edge, eid in self._loaded_edges()},
             "path_choices": {pair: dict(counts)
                              for pair, counts in self._path_choices.items()},
         }
@@ -903,9 +808,9 @@ class FlowNetwork(Hookable):
         before_links = before["link_stats"]
         for edge, (nbytes, nflows) in after["link_stats"].items():
             prior = before_links.get(edge, (0.0, 0))
-            stats = self._link_stats[edge]
-            stats[0] += repeats * (nbytes - prior[0])
-            stats[1] += repeats * (nflows - prior[1])
+            eid = self._edge_ids[edge]
+            self._bytes[eid] += repeats * (nbytes - prior[0])
+            self._flows[eid] += repeats * (nflows - prior[1])
         before_choices = before["path_choices"]
         for pair, counts in after["path_choices"].items():
             prior = before_choices.get(pair, {})
@@ -929,11 +834,12 @@ class FlowNetwork(Hookable):
         links: Dict[str, Dict[str, float]] = {}
         max_peak = 0
         hottest = None
-        for edge in sorted(self._link_stats):
-            nbytes, flows, peak = self._link_stats[edge]
+        for edge, eid in sorted(self._loaded_edges()):
+            nbytes, peak = self._bytes[eid], self._peak[eid]
             name = f"{edge[0]}->{edge[1]}"
             entry: Dict[str, float] = {
-                "bytes": nbytes, "flows": flows, "peak_flows": peak,
+                "bytes": nbytes, "flows": self._flows[eid],
+                "peak_flows": peak,
             }
             if total_time is not None and total_time > 0:
                 bandwidth = self.topology[edge[0]][edge[1]]["bandwidth"]
@@ -955,7 +861,7 @@ class FlowNetwork(Hookable):
             "flows_delivered": self.delivered_count,
             "bytes_delivered": self.total_bytes_delivered,
             "multipath_pairs": sum(
-                1 for c in self._candidate_cache.values() if len(c) > 1),
+                1 for _, ids in self._candidates.values() if len(ids) > 1),
             "path_choices": {
                 f"{src}->{dst}": {
                     str(index): count

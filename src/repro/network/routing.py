@@ -19,10 +19,10 @@ congestion and link failure.  This module is that policy layer:
   hash salt bumps and the next flow may land elsewhere (Conga/LetFlow
   lineage, still load-oblivious but escapes persistent collisions);
 * :class:`AdaptiveRouting` — congestion-adaptive: at flow start, score
-  every candidate path by the utilization of its links — read straight
-  from the allocator's link→flow incidence index and current link
-  capacities — and take the least-utilized one (degraded links are
-  avoided the moment their capacity drops).
+  every candidate path by the utilization of its links — the
+  allocator's per-edge flow counts and live link capacities — and take
+  the least-utilized one (degraded links are avoided the moment their
+  capacity drops).
 
 **The determinism contract.**  Every strategy is a pure function of
 ``(seed, pair, candidate list, simulation state)``: hashes use CRC-32 of
@@ -63,9 +63,10 @@ class RoutingStrategy:
     Subclasses set :attr:`name` (the registry key and config value),
     :attr:`dynamic` (``False`` lets the network cache the choice per
     pair), and implement :meth:`choose`.  ``network`` is the live
-    :class:`~repro.network.flow.FlowNetwork`; the allocator's incidence
-    index (``network._edge_users``) and the topology's live capacities
-    are the sanctioned state to read.
+    :class:`~repro.network.flow.FlowNetwork`; the sanctioned allocator
+    state to read is :meth:`~repro.network.flow.FlowNetwork.route_loads`
+    — per-edge flow counts and live capacities along every candidate, in
+    candidate order.
     """
 
     #: Registry key; also the value carried by ``SimulationConfig.routing``.
@@ -165,14 +166,15 @@ class AdaptiveRouting(RoutingStrategy):
 
     Scores each candidate path by its bottleneck *load factor* — for
     every link, ``(flows on it + 1) / capacity``, where the flow count
-    sums the allocator's link→flow incidence index with routed-but-not-
-    yet-active commitments (flows inside their send→activate latency
-    window, so a wave issued at one instant sees its own earlier
-    members), and the capacity comes from the live topology (a link
-    degraded by fault injection repels new flows immediately).  The path
-    with the smallest ``(bottleneck, total, index)`` triple wins; the
-    index tie-break keeps the choice deterministic when paths score
-    equal, and an all-idle fabric therefore takes the first candidate.
+    (from :meth:`~repro.network.flow.FlowNetwork.route_loads`) sums the
+    link's active flows with routed-but-not-yet-active commitments
+    (flows inside their send→activate latency window, so a wave issued
+    at one instant sees its own earlier members), and the capacity is
+    the live one (a link degraded by fault injection repels new flows
+    immediately).  The path with the smallest ``(bottleneck, total,
+    index)`` triple wins; the index tie-break keeps the choice
+    deterministic when paths score equal, and an all-idle fabric
+    therefore takes the first candidate.
     """
 
     name = "adaptive"
@@ -180,29 +182,14 @@ class AdaptiveRouting(RoutingStrategy):
 
     def choose(self, src: str, dst: str, candidates: List[Route],
                network) -> int:
-        # Capacities come from the network's shadow cache — same value
-        # as the topology edge attribute (set_link_capacity keeps both
-        # in sync) without the per-access networkx adjacency-view cost.
-        # The cache dict is read directly (falling back to the filling
-        # accessor on first touch): this method runs once per flow on
-        # adaptive fabrics and the bound-method call per edge is
-        # measurable.  Bandwidths are strictly positive, so the falsy
-        # check only fires on a genuine cache miss.
-        bw_cache = network._bandwidth_cache
-        link_bandwidth = network.link_bandwidth
-        users_get = network._edge_users.get
-        committed_get = network._route_commitments.get
         best_index = 0
         best_bottleneck = -1.0
         best_total = -1.0
-        for index, route in enumerate(candidates):
+        for index, edges in enumerate(network.route_loads(src, dst)):
             bottleneck = 0.0
             total = 0.0
-            for edge in route:
-                users = users_get(edge)
-                load = ((len(users) if users else 0)
-                        + committed_get(edge, 0) + 1) / (
-                            bw_cache.get(edge) or link_bandwidth(edge))
+            for flows, capacity in edges:
+                load = (flows + 1) / capacity
                 if load > bottleneck:
                     bottleneck = load
                 total += load

@@ -14,7 +14,7 @@ import pytest
 import repro.core.simulator as simulator_module
 from repro.collectives import ring_all_reduce
 from repro.core.config import SimulationConfig
-from repro.core.plan import ExtrapolationPlan
+from repro.core.plan import ExtrapolationPlan, PlanCache
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
@@ -27,7 +27,7 @@ from repro.workloads.registry import get_model
 
 _MASK = (1 << 64) - 1
 
-#: The quick scenario of ``benchmarks/bench_engine.py``.
+#: The straggler of the ``benchmarks/bench_engine.py`` scenario.
 STRAGGLER = {
     "schema_version": 1, "seed": 0,
     "stragglers": [{"gpu": "gpu1", "start": 0.001, "duration": 0.05,
@@ -90,6 +90,35 @@ def test_quick_engine_scenario_under_sanitize_and_verify(trace, faulted,
         assert sim.verify_report.ok and not sim.verify_report.findings
         digests.append(sim.verify_digest)
     assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def resnet50_trace():
+    return Tracer(get_gpu("A100")).trace(get_model("resnet50"), 128)
+
+
+@pytest.fixture(scope="module")
+def resnet50_plans():
+    return PlanCache()
+
+
+@pytest.mark.parametrize("faulted,digest,total", [
+    (True, "28c9f1ca8f4caee0", 0.2053144305068356),
+    (False, "cde0e7e7865bc072", 0.18863803921515243),
+])
+def test_full_engine_scenario(resnet50_trace, resnet50_plans, observed,
+                              faulted, digest, total):
+    """The same scenario at 64 GPUs with ResNet-50: the full scale of
+    the engine benchmark, 192,303 events on the exact path."""
+    config = SimulationConfig(
+        parallelism="ddp", num_gpus=64, topology="leaf_spine",
+        link_bandwidth=234e9, iterations=2, routing="adaptive",
+        faults=FaultSpec.from_dict(STRAGGLER) if faulted else None)
+    result = TrioSim(resnet50_trace, config, record_timeline=False,
+                     plan_cache=resnet50_plans).run()
+    assert str(observed) == digest
+    assert result.total_time == total
+    assert result.events == 192303
 
 
 def test_folded_ddp_run(trace, observed):

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-import repro.network.flow as flow_mod
+import repro.network.maxmin as maxmin_mod
 from repro.analysis import lint_config
 from repro.core.config import SimulationConfig
 from repro.core.fold import (
@@ -33,7 +33,7 @@ from repro.core.simulator import TrioSim, iteration_times_from_fences
 from repro.engine.engine import Engine
 from repro.faults.spec import FaultSpec
 from repro.gpus.specs import get_gpu
-from repro.network.flow import FlowNetwork, _Flow
+from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
@@ -312,20 +312,31 @@ class TestIterationTimesFromFences:
 # ----------------------------------------------------------------------
 # Vectorized waterfill == scalar waterfill
 # ----------------------------------------------------------------------
-def _synthetic_flows(network, pairs):
-    flows = []
-    for index, (src, dst, nbytes) in enumerate(pairs):
-        flow = _Flow(index, src, dst, nbytes, lambda _t: None)
-        flow.route = network.route(src, dst)
-        flows.append(flow)
-    return flows
+def _synthetic_routes(network, pairs):
+    """Solver input for *pairs*: edge-id routes and the capacity list,
+    interned here from the network's public routes and live link
+    capacities."""
+    edge_ids, capacity, routes = {}, [], []
+    for src, dst, _nbytes in pairs:
+        route = []
+        for edge in network.route(src, dst):
+            if edge not in edge_ids:
+                edge_ids[edge] = len(capacity)
+                capacity.append(network.link_bandwidth(edge))
+            route.append(edge_ids[edge])
+        routes.append(tuple(route))
+    return routes, capacity
+
+
+def _no_warn(message, **detail):
+    """The solvers' *warn* for inputs that cannot stall."""
 
 
 class TestVectorWaterfill:
     @pytest.mark.parametrize("topology_name,n", [
         ("ring", 32), ("leaf_spine", 16), ("fat_tree_clos", 16)])
     def test_vector_waterfill_matches_scalar(self, topology_name, n):
-        if flow_mod._np is None:
+        if maxmin_mod._np is None:
             pytest.skip("numpy unavailable")
         rng = random.Random(topology_name)
         topology = build_topology(topology_name, n, 25e9, 1e-6)
@@ -335,41 +346,41 @@ class TestVectorWaterfill:
             src, dst = rng.sample(range(n), 2)
             pairs.append((f"gpu{src}", f"gpu{dst}",
                           float(rng.randint(1, 10**9))))
-        flows = _synthetic_flows(network, pairs)
-        scalar = network._maxmin_component_scalar(flows)
-        vector = network._maxmin_component_vector(flows)
+        routes, capacity = _synthetic_routes(network, pairs)
+        scalar = maxmin_mod.maxmin_scalar(routes, capacity, _no_warn)
+        vector = maxmin_mod.maxmin_vector(routes, capacity, _no_warn)
         # Exact equality, not approx: bit-identity is the contract.
         assert vector == scalar
 
     def test_dispatcher_threshold(self, monkeypatch):
-        if flow_mod._np is None:
+        if maxmin_mod._np is None:
             pytest.skip("numpy unavailable")
         topology = build_topology("ring", 8, 25e9, 1e-6)
         network = FlowNetwork(Engine(), topology)
-        flows = _synthetic_flows(
+        routes, capacity = _synthetic_routes(
             network, [(f"gpu{i}", f"gpu{(i + 1) % 8}", 1e6)
                       for i in range(8)])
         calls = []
+        scalar = maxmin_mod.maxmin_scalar
         monkeypatch.setattr(
-            network, "_maxmin_component_vector",
-            lambda fl: calls.append(len(fl)) or
-            network._maxmin_component_scalar(fl))
-        network._maxmin_component(flows)          # below threshold: scalar
+            maxmin_mod, "maxmin_vector",
+            lambda r, c, warn: calls.append(len(r)) or scalar(r, c, warn))
+        maxmin_mod.maxmin_rates(routes, capacity, _no_warn)  # below: scalar
         assert calls == []
-        monkeypatch.setattr(flow_mod, "_VECTOR_MIN_FLOWS", 4)
-        network._maxmin_component(flows)          # above: vector
+        monkeypatch.setattr(maxmin_mod, "_VECTOR_MIN_FLOWS", 4)
+        maxmin_mod.maxmin_rates(routes, capacity, _no_warn)  # above: vector
         assert calls == [8]
 
     def test_end_to_end_sim_unchanged_by_vector_path(self, trace,
                                                      monkeypatch):
-        if flow_mod._np is None:
+        if maxmin_mod._np is None:
             pytest.skip("numpy unavailable")
         config = SimulationConfig(parallelism="ddp", num_gpus=32,
                                   topology="ring", iterations=1)
         with_vector_threshold_4 = None
-        monkeypatch.setattr(flow_mod, "_VECTOR_MIN_FLOWS", 4)
+        monkeypatch.setattr(maxmin_mod, "_VECTOR_MIN_FLOWS", 4)
         with_vector_threshold_4 = TrioSim(trace, config).run()
-        monkeypatch.setattr(flow_mod, "_VECTOR_MIN_FLOWS", 10**9)
+        monkeypatch.setattr(maxmin_mod, "_VECTOR_MIN_FLOWS", 10**9)
         scalar_only = TrioSim(trace, config).run()
         assert payload(with_vector_threshold_4) == payload(scalar_only)
 

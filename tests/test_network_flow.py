@@ -1,5 +1,6 @@
 """Tests for the flow-based network model (max-min sharing, rescheduling)."""
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -152,15 +153,19 @@ class TestAccounting:
         assert route == [("gpu0", "switch0"), ("switch0", "gpu2")]
         assert net.route("gpu0", "gpu2") is route  # cached
 
-    def test_route_populates_reverse_pair(self):
+    def test_route_populates_reverse_pair(self, monkeypatch):
         """One lookup fills both directions: the reverse route is the
         mirrored edge list, served from cache without a second search."""
         _engine, net = _net(switch(4, bandwidth=1.0))
+        searches = []
+        search = nx.shortest_path
+        monkeypatch.setattr(nx, "shortest_path", lambda graph, src, dst: (
+            searches.append((src, dst)) or search(graph, src, dst)))
         net.route("gpu0", "gpu2")
-        assert ("gpu2", "gpu0") in net._route_cache
         assert net.route("gpu2", "gpu0") == [
             ("gpu2", "switch0"), ("switch0", "gpu0")
         ]
+        assert searches == [("gpu0", "gpu2")]
 
     def test_reverse_route_matches_fresh_search_on_ring(self):
         _engine, net = _net(ring(6, bandwidth=1.0))

@@ -15,7 +15,9 @@ all against the dense oracle kept in ``benchmarks/dense_network.py``:
 
 Plus the churn regression: a staggered ring-all-reduce load must keep
 engine event cancellations under a fixed budget and at least 3x below
-the legacy dense allocator's churn.
+the legacy dense allocator's churn; and the contention-free path: a
+flow alone on its links gets the scalar solver's rate without a solve,
+including after its link is re-rated.
 """
 
 import math
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 import repro.core.simulator as simulator_mod
 import repro.network.flow as flow_mod
+import repro.network.maxmin as maxmin_mod
 from benchmarks.dense_network import (
     DenseFlowNetwork,
     all_components,
@@ -36,9 +39,11 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
+from repro.faults.spec import FaultSpec, Straggler
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
 from repro.network.topology import (
+    build_topology,
     fat_tree,
     gpu_names,
     mesh2d,
@@ -55,20 +60,31 @@ from repro.workloads.registry import get_model
 # ----------------------------------------------------------------------
 
 
-def _install_flows(net, pairs):
-    """Plant active flows directly (white-box: no engine run needed to
-    exercise the solvers)."""
-    flows = []
+def _flow_routes(net, pairs):
+    """``{flow id: directed edge list}`` for every pair with a wire, from
+    the network's public routes (local pairs carry no flow)."""
+    routes = {}
     for i, (src, dst) in enumerate(pairs):
-        flow = flow_mod._Flow(i, src, dst, 1.0, lambda t: None, None)
-        flow.route = net.route(src, dst)
-        if not flow.route:
-            continue
-        net._active[i] = flow
-        for edge in flow.route:
-            net._edge_users.setdefault(edge, set()).add(i)
-        flows.append(flow)
-    return flows
+        route = net.route(src, dst)
+        if route:
+            routes[i] = route
+    return routes
+
+
+def _edge_ids(net, routes):
+    """Solver input for *routes* (a sequence of directed edge lists):
+    edge-id tuples plus the capacity list, with capacities read live
+    from the network."""
+    edge_ids, capacity, out = {}, [], []
+    for route in routes:
+        ids = []
+        for edge in route:
+            if edge not in edge_ids:
+                edge_ids[edge] = len(capacity)
+                capacity.append(net.link_bandwidth(edge))
+            ids.append(edge_ids[edge])
+        out.append(tuple(ids))
+    return out, capacity
 
 
 def _topology(draw):
@@ -113,11 +129,14 @@ def _degradations(draw, topology):
     ]
 
 
-def _solver_rates(net, component):
-    """The component's rates from the dispatcher and from each solver."""
-    return (net._maxmin_component(component),
-            net._maxmin_component_scalar(component),
-            net._maxmin_component_vector(component))
+def _solver_rates(net, routes, component):
+    """The component's rates (in member order) from the dispatcher and
+    from each solver."""
+    solver_input = (*_edge_ids(net, [routes[fid] for fid in component]),
+                    lambda message, **detail: None)
+    return (maxmin_mod.maxmin_rates(*solver_input),
+            maxmin_mod.maxmin_scalar(*solver_input),
+            maxmin_mod.maxmin_vector(*solver_input))
 
 
 # ----------------------------------------------------------------------
@@ -131,21 +150,22 @@ class TestDifferentialAllocator:
     def test_component_solver_matches_reference(self, case, data):
         topology, pairs = case
         net = FlowNetwork(Engine(), topology)
-        flows = _install_flows(net, pairs)
-        if not flows:
+        routes = _flow_routes(net, pairs)
+        if not routes:
             return
         for (u, v), factor in data.draw(_degradations(topology)):
             net.set_link_capacity(u, v, topology[u][v]["bandwidth"] * factor)
-        reference = maxmin_rates_reference(net, flows)
+        reference = maxmin_rates_reference(topology, routes)
         solved = {}
-        components = all_components(net)
+        components = all_components(routes)
         for component in components:
-            dispatched, scalar, vector = _solver_rates(net, component)
+            dispatched, scalar, vector = _solver_rates(net, routes,
+                                                       component)
             # Either side of _VECTOR_MIN_FLOWS, the two solvers are
             # interchangeable bit for bit.
             assert scalar == vector
             assert dispatched == scalar
-            solved.update(scalar)
+            solved.update(zip(component, scalar))
         assert set(solved) == set(reference)
         for fid, rate in solved.items():
             assert math.isclose(rate, reference[fid], rel_tol=1e-9,
@@ -154,24 +174,25 @@ class TestDifferentialAllocator:
                 f"{reference[fid]!r}"
             )
         # The partition covers every flow exactly once.
-        assert sorted(f.transfer_id for c in components for f in c) == \
-            sorted(f.transfer_id for f in flows)
+        assert sorted(fid for c in components for fid in c) == \
+            sorted(routes)
 
     @given(case=_random_case())
     @settings(max_examples=60, deadline=None)
     def test_component_rates_conserve_capacity(self, case):
         topology, pairs = case
         net = FlowNetwork(Engine(), topology)
-        flows = _install_flows(net, pairs)
-        if not flows:
+        routes = _flow_routes(net, pairs)
+        if not routes:
             return
         rates = {}
-        for component in all_components(net):
-            rates.update(net._maxmin_component(component))
+        for component in all_components(routes):
+            rates.update(zip(component,
+                             _solver_rates(net, routes, component)[0]))
         loads = {}
-        for flow in flows:
-            for edge in flow.route:
-                loads[edge] = loads.get(edge, 0.0) + rates[flow.transfer_id]
+        for fid, route in routes.items():
+            for edge in route:
+                loads[edge] = loads.get(edge, 0.0) + rates[fid]
         for (u, v), load in loads.items():
             assert load <= topology[u][v]["bandwidth"] * (1 + 1e-6) + 1e-9
         # Progressive filling starves nobody.
@@ -179,12 +200,12 @@ class TestDifferentialAllocator:
 
     def test_components_are_link_disjoint(self):
         net = FlowNetwork(Engine(), mesh2d(1, 6, bandwidth=10.0))
-        flows = _install_flows(net, [("gpu0", "gpu2"), ("gpu1", "gpu2"),
-                                     ("gpu3", "gpu5"), ("gpu4", "gpu5")])
-        components = all_components(net)
+        routes = _flow_routes(net, [("gpu0", "gpu2"), ("gpu1", "gpu2"),
+                                    ("gpu3", "gpu5"), ("gpu4", "gpu5")])
+        components = all_components(routes)
         assert len(components) == 2
         edge_sets = [
-            {edge for flow in component for edge in flow.route}
+            {edge for fid in component for edge in routes[fid]}
             for component in components
         ]
         assert not (edge_sets[0] & edge_sets[1])
@@ -199,10 +220,17 @@ def _network(engine, topology, dense):
     return (DenseFlowNetwork if dense else FlowNetwork)(engine, topology)
 
 
-def _simulate_sends(topology, sends, dense):
+def _simulate_sends(topology, sends, faults, dense):
+    """Delivery time per send; *faults* are ``(time, (u, v), factor)``
+    link re-ratings applied mid-run."""
     engine = Engine()
+    topology = topology.copy()
     net = _network(engine, topology, dense)
     done = {}
+    for at, (u, v), factor in faults:
+        engine.call_at(at, lambda ev, u=u, v=v, f=factor:
+                       net.set_link_capacity(
+                           u, v, topology[u][v]["bandwidth"] * f))
     for key, (start, src, dst, nbytes) in enumerate(sends):
         engine.call_at(start, lambda ev, k=key, s=src, d=dst, n=nbytes:
                        net.send(s, d, n, lambda t, kk=k: done.setdefault(
@@ -216,6 +244,10 @@ class TestEndToEndEquivalence:
            data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_delivery_times_match_dense_mode(self, case, data):
+        """Random sends, with links re-rated mid-run by fault-injector
+        style degradations: the scoped allocator's cached route
+        bottlenecks must follow the live capacities the dense network
+        solves with."""
         topology, pairs = case
         sends = []
         for src, dst in pairs:
@@ -223,8 +255,11 @@ class TestEndToEndEquivalence:
                                         allow_nan=False))
             nbytes = data.draw(st.floats(min_value=1.0, max_value=1e6))
             sends.append((start, src, dst, nbytes))
-        fast = _simulate_sends(topology, sends, dense=False)
-        dense = _simulate_sends(topology, sends, dense=True)
+        faults = [(data.draw(st.floats(min_value=0.0, max_value=2.0,
+                                       allow_nan=False)), link, factor)
+                  for link, factor in data.draw(_degradations(topology))]
+        fast = _simulate_sends(topology, sends, faults, dense=False)
+        dense = _simulate_sends(topology, sends, faults, dense=True)
         assert set(fast) == set(dense)
         for key in fast:
             assert fast[key] == pytest.approx(dense[key], rel=1e-9, abs=1e-12)
@@ -346,3 +381,156 @@ class TestDeterminism:
             return payloads
 
         assert run_grid(FlowNetwork) == run_grid(DenseFlowNetwork)
+
+
+# ----------------------------------------------------------------------
+# The contention-free path: a flow alone on its links skips the solver
+# ----------------------------------------------------------------------
+
+
+class _SolverCalls:
+    """Counts calls into the general component solver."""
+
+    def __init__(self):
+        self.sizes = []
+        self._solve = flow_mod.maxmin_rates
+
+    def __call__(self, routes, capacity, warn):
+        self.sizes.append(len(routes))
+        return self._solve(routes, capacity, warn)
+
+
+class _SingletonCheck:
+    """``HOOK_FLOW_REALLOC`` observer: every solved flow that shares no
+    link with the other solved flows is a component of its own (the
+    payload is closed over link sharing), so the contention-free path
+    set its rate — which must equal the scalar solver's rate for that
+    singleton, bit for bit.  Contended components must each have cost
+    exactly one general-solver call since the previous reallocation."""
+
+    def __init__(self, net, solver_calls):
+        self.net = net
+        self.solver_calls = solver_calls
+        self.singletons = 0
+
+    def func(self, ctx):
+        if ctx.pos != flow_mod.HOOK_FLOW_REALLOC:
+            return
+        users = {}
+        for view in ctx.item:
+            for edge in view.route:
+                users[edge] = users.get(edge, 0) + 1
+        contended = 0
+        for view in ctx.item:
+            if any(users[edge] > 1 for edge in view.route):
+                contended += 1
+                continue
+            self.singletons += 1
+            routes, capacity = _edge_ids(self.net, [view.route])
+            assert [view.rate] == maxmin_mod.maxmin_scalar(
+                routes, capacity, lambda message, **detail: None)
+        solved = sum(self.solver_calls.sizes)
+        assert solved == contended
+        assert 1 not in self.solver_calls.sizes
+        self.solver_calls.sizes.clear()
+
+
+class _RateLog:
+    """``HOOK_FLOW_REALLOC`` observer recording every solved rate."""
+
+    def __init__(self, rates):
+        self.rates = rates
+
+    def func(self, ctx):
+        if ctx.pos == flow_mod.HOOK_FLOW_REALLOC:
+            self.rates.extend(view.rate for view in ctx.item)
+
+
+class TestContentionFreePath:
+    @given(case=_random_case(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rate_equals_scalar_solver_for_singletons(self, case, data):
+        topology, pairs = case
+        engine = Engine()
+        net = FlowNetwork(engine, topology)
+        for (u, v), factor in data.draw(_degradations(topology)):
+            net.set_link_capacity(u, v, topology[u][v]["bandwidth"] * factor)
+        calls = _SolverCalls()
+        check = _SingletonCheck(net, calls)
+        net.accept_hook(check)
+        for src, dst in pairs:
+            start = data.draw(st.floats(min_value=0.0, max_value=2.0,
+                                        allow_nan=False))
+            nbytes = data.draw(st.floats(min_value=1.0, max_value=1e6))
+            engine.call_at(start, lambda ev, s=src, d=dst, n=nbytes:
+                           net.send(s, d, n, lambda t: None))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow_mod, "maxmin_rates", calls)
+            engine.run()
+        assert net.active_flows == 0
+        assert net.delivered_count == len(pairs)
+
+    def test_degraded_link_reaches_a_lone_flow(self):
+        """Re-rating a link under a lone in-flight flow refreshes the
+        cached bottleneck of every route crossing it, in both
+        directions: the flow's next rate and delivery time, and later
+        lone flows, use the new capacity."""
+        engine = Engine()
+        net = FlowNetwork(engine, mesh2d(1, 3, bandwidth=100.0,
+                                         latency=0.0))
+        check = _SingletonCheck(net, _SolverCalls())
+        net.accept_hook(check)
+        rates = []
+        net.accept_hook(_RateLog(rates))
+        done = {}
+
+        def send(key, src, dst):
+            net.send(src, dst, 100.0,
+                     lambda t: done.setdefault(key, engine.now))
+
+        send("first", "gpu0", "gpu2")
+        engine.call_at(0.5, lambda ev: net.set_link_capacity(
+            "gpu1", "gpu2", 25.0))
+        engine.call_at(3.0, lambda ev: send("again", "gpu0", "gpu2"))
+        engine.call_at(8.0, lambda ev: send("reverse", "gpu2", "gpu0"))
+        engine.run()
+        # 50 bytes left at t=0.5, then 25 B/s: 2 s more.
+        assert done["first"] == 2.5
+        assert done["again"] == 7.0
+        assert done["reverse"] == 12.0
+        assert rates == [100.0, 25.0, 25.0, 25.0]
+        assert check.singletons == 4
+        assert net.link_bandwidth(("gpu2", "gpu1")) == 25.0
+
+    def test_general_solver_runs_only_under_contention(self, rn18_trace,
+                                                       monkeypatch):
+        """On the quick ``exact_fabric`` configuration no two flows ever
+        share a link, so every rate comes from the contention-free path;
+        the quick ``fabric_storm`` rings do contend."""
+        calls = _SolverCalls()
+        monkeypatch.setattr(flow_mod, "maxmin_rates", calls)
+        straggler = FaultSpec(stragglers=(
+            Straggler(gpu="gpu1", start=0.005, duration=0.005, factor=1.5),))
+        config = SimulationConfig(
+            parallelism="ddp", num_gpus=16, topology="leaf_spine",
+            oversubscription=2.0, link_bandwidth=234e9, iterations=2,
+            routing="adaptive", faults=straggler)
+        result = TrioSim(rn18_trace, config, record_timeline=False).run()
+        assert result.network["flows_delivered"] > 0
+        assert result.network["multipath_pairs"] > 0
+        assert calls.sizes == []
+
+        topology = build_topology("leaf_spine", 16, 100e9, 1e-6,
+                                  gpus_per_leaf=8, oversubscription=2.0)
+        topology["leaf0"]["spine0"]["bandwidth"] *= 0.02
+        for routing in ("ecmp", "adaptive"):
+            engine = Engine()
+            net = FlowNetwork(engine, topology.copy(), routing=routing)
+            sim = TaskGraphSimulator(engine, net)
+            # Every hop leaves its leaf; the second ring shifts by one.
+            base = [(i % 2) * 8 + i // 2 for i in range(16)]
+            for shift in range(2):
+                ring_all_reduce(sim, [f"gpu{(g + shift) % 16}" for g in base],
+                                8 * 2 ** 20, tag=f"ring{shift}")
+            sim.run()
+        assert calls.sizes and min(calls.sizes) > 1

@@ -180,6 +180,37 @@ class TestStrategyChoices:
         route = net.candidate_routes("gpu0", "gpu2")[int(index)]
         assert ("leaf0", "spine0") not in route
 
+    def test_adaptive_tie_break_is_bottleneck_total_index(self):
+        engine, net = _net(_fabric(spines=4), routing="adaptive")
+        net.send("gpu0", "gpu2", 1000.0, lambda t: None)
+        engine.run()
+        # An idle fabric ties on every score: the first candidate wins.
+        assert net.network_summary()["path_choices"]["gpu0->gpu2"] == {
+            "0": 1}
+        engine, net = _net(_fabric(spines=2), routing="adaptive")
+        # The shared downlink is every candidate's bottleneck; a slower
+        # first uplink only raises candidate 0's total.
+        net.set_link_capacity("gpu0", "leaf0", 1.0)
+        net.set_link_capacity("leaf0", "spine0", 50.0)
+        net.send("gpu0", "gpu2", 1000.0, lambda t: None)
+        engine.run()
+        assert net.network_summary()["path_choices"]["gpu0->gpu2"] == {
+            "1": 1}
+
+    def test_route_loads_count_committed_and_active_flows(self):
+        engine, net = _net(_fabric(latency=1.0), routing="adaptive")
+        net.send("gpu0", "gpu2", 100.0, lambda t: None)
+        # In the send -> activate latency window, then active.
+        for until in (0.5, 3.5):
+            engine.run(until=until)
+            chosen, other = net.route_loads("gpu0", "gpu2")
+            assert [flows for flows, _ in chosen] == [1] * 4
+            assert [flows for flows, _ in other] == [1, 0, 0, 1]
+        engine.run()
+        assert net.route_loads("gpu0", "gpu2")[0] == [(0, 100.0)] * 4
+        net.set_link_capacity("leaf0", "spine0", 25.0)
+        assert net.route_loads("gpu0", "gpu2")[0][1] == (0, 25.0)
+
     def test_out_of_range_choice_rejected(self):
         class Wild(RoutingStrategy):
             name = "wild-test"
