@@ -3,16 +3,9 @@
 Paper claim: every DDP-on-P2 simulation completes within seconds, and
 wall time tracks the trace size.  This is the one benchmark where the
 *benchmarked quantity itself* is the figure.
-
-The large-scale case extends the figure beyond the paper: a >= 64-GPU
-collective-heavy load that stresses the network hot path, comparing the
-incremental max-min allocator against the legacy dense one (see
-``network_load.py`` and ``bench_to_json.py`` for the recorded baseline).
 """
 
 from conftest import QUICK
-
-from network_load import compare_modes
 
 from repro.experiments import fig14
 
@@ -28,32 +21,3 @@ def test_fig14_simulator_execution_time(benchmark, show):
     by_ops = sorted(result.rows, key=lambda r: r.detail["operators"])
     assert by_ops[-1].predicted > by_ops[0].predicted * 0.5
 
-
-def test_fig14_large_scale_collectives(benchmark, show):
-    """>= 64 GPUs of staggered gradient-bucket all-reduces: the incremental
-    allocator must cut engine event cancellations >= 3x without changing
-    the simulated time."""
-    gpus = 64 if QUICK else 128
-    buckets = 2 if QUICK else 4
-    nbytes = 8e6 if QUICK else 32e6
-    result = benchmark.pedantic(
-        lambda: compare_modes("hierarchical_buckets", num_gpus=gpus,
-                              buckets=buckets, nbytes=nbytes),
-        rounds=1, iterations=1,
-    )
-    inc, leg = result["incremental"], result["legacy"]
-    show(
-        f"{gpus} GPUs, {buckets} buckets/node\n"
-        f"  legacy      {leg['wall_time_s'] * 1e3:8.0f} ms wall, "
-        f"{leg['cancellations']:7d} cancellations, "
-        f"{leg['events_per_sec']:,.0f} events/s\n"
-        f"  incremental {inc['wall_time_s'] * 1e3:8.0f} ms wall, "
-        f"{inc['cancellations']:7d} cancellations, "
-        f"{inc['events_per_sec']:,.0f} events/s\n"
-        f"  {result['cancellation_reduction']:,.1f}x fewer cancellations, "
-        f"{result['wall_speedup']:.2f}x wall speedup, identical simulated "
-        f"time: {result['identical_simulated_time']}"
-    )
-    assert result["identical_simulated_time"]
-    assert leg["cancellations"] >= 3 * max(inc["cancellations"], 1)
-    assert inc["events"] == leg["events"]

@@ -89,8 +89,8 @@ class Engine(Hookable):
         """Cumulative count of queued events that were cancelled.
 
         Unlike the internal compaction counter this never resets during a
-        run — it is the churn metric the network fast path is measured
-        against (see ``benchmarks/bench_to_json.py``).
+        run — it is the churn metric the network fast path is pinned
+        by (see ``tests/test_network_incremental.py::TestChurnRegression``).
         """
         return self._cancelled_total
 

@@ -35,7 +35,7 @@ delivery, so the columns grow with peak concurrent flows; the
 :class:`~repro.network.base.Transfer` that :meth:`FlowNetwork.send`
 returns is the only per-flow object.  The component solvers are pure
 functions in :mod:`repro.network.maxmin`.  Why scoped allocation
-reproduces the dense allocator kept in ``benchmarks/dense_network.py``
+reproduces the dense allocator kept in ``tests/dense_network.py``
 (the differential oracle) is in ``docs/network.md``.
 """
 

@@ -4,15 +4,11 @@
 components a flow start, finish or capacity change touches, gives a flow
 that shares no link its route's bottleneck without a solve, and keeps a
 flow's delivery event when its rate comes out exactly unchanged.  This
-module keeps the original behaviour it replaced, outside the package,
-for two users:
-
-* ``tests/test_network_incremental.py`` pins the scoped allocator
-  against it: per-component rates against :func:`maxmin_rates_reference`
-  (one global progressive filling), and whole simulations against
-  :class:`DenseFlowNetwork`;
-* ``network_load.py`` runs every BENCH_network scenario on both, as the
-  ``legacy`` and ``incremental`` arms.
+module keeps the original behaviour it replaced, outside the package:
+``tests/test_network_incremental.py`` pins the scoped allocator against
+it, per-component rates against :func:`maxmin_rates_reference` (one
+global progressive filling) and whole simulations against
+:class:`DenseFlowNetwork`.
 
 :func:`all_components` and :func:`maxmin_rates_reference` are pure
 functions of ``{flow id: route}`` mappings, so they never read the

@@ -29,6 +29,7 @@ from repro.core.fold import (
     fold_decision,
     steady,
 )
+from repro.core.plan import PlanCache
 from repro.core.simulator import TrioSim, iteration_times_from_fences
 from repro.engine.engine import Engine
 from repro.faults.spec import FaultSpec
@@ -240,6 +241,39 @@ class TestFoldedAccuracy:
         result = TrioSim(trace, make_config(iterations=1)).run()
         assert "fold_status" not in result.profile
         assert result.iteration_times == []
+
+
+class TestFoldAtScale:
+    """Folding's speed and accuracy contracts on 16 GPUs, 8 iterations,
+    ``fold_warmup=1``: the speed-up is a pinned event count, so it
+    repeats exactly where a wall-time ratio would not."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, trace):
+        cache = PlanCache()
+        scale = dict(num_gpus=16, link_bandwidth=234e9, iterations=8,
+                     fold_warmup=1)
+        config = make_config(**scale)
+        folded, exact = (
+            TrioSim(trace, make_config(fold=fold, **scale),
+                    record_timeline=False, plan_cache=cache).run()
+            for fold in (True, False))
+        return config, folded, exact
+
+    def test_event_counts_pinned(self, pair):
+        _, folded, exact = pair
+        assert folded.profile["fold_status"] == "folded"
+        assert folded.profile["counters"]["iterations_folded"] == 7
+        assert (exact.events, folded.events) == (39455, 4931)
+        assert exact.events >= 3 * folded.events
+
+    def test_drift_within_tolerance(self, pair):
+        config, folded, exact = pair
+        assert len(folded.iteration_times) == config.iterations
+        times = [(folded.total_time, exact.total_time)]
+        times += zip(folded.iteration_times, exact.iteration_times)
+        for mine, theirs in times:
+            assert abs(mine - theirs) / theirs <= config.fold_tolerance
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the incremental max-min allocator and churn-free rescheduling.
 
 Three layers of evidence that the optimization is behavior-preserving,
-all against the dense oracle kept in ``benchmarks/dense_network.py``:
+all against the dense oracle kept in ``tests/dense_network.py``:
 
 * a **differential property test** — on randomized topologies, flow
   sets and fault-injector capacity degradations, the scalar and numpy
@@ -13,9 +13,10 @@ all against the dense oracle kept in ``benchmarks/dense_network.py``:
 * a **determinism test** — ``SimulationResult`` is bit-identical across
   the two networks on the 16-point DDP sweep grid.
 
-Plus the churn regression: a staggered ring-all-reduce load must keep
-engine event cancellations under a fixed budget and at least 3x below
-the legacy dense allocator's churn; and the contention-free path: a
+Plus the churn regression: staggered node-local ring all-reduces on 16
+and 64 GPUs run the same simulated time and event count on both
+networks, with no cancellations under the scoped allocator against a
+pinned count under the dense one; and the contention-free path: a
 flow alone on its links gets the scalar solver's rate without a solve,
 including after its link is re-rated.
 """
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 import repro.core.simulator as simulator_mod
 import repro.network.flow as flow_mod
 import repro.network.maxmin as maxmin_mod
-from benchmarks.dense_network import (
+from tests.dense_network import (
     DenseFlowNetwork,
     all_components,
     maxmin_rates_reference,
@@ -297,36 +298,43 @@ class TestEndToEndEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Churn regression: cancellations stay under budget
+# Churn regression: scoped reallocation cancels no delivery
 # ----------------------------------------------------------------------
 
 
-def _bucketed_all_reduce_churn(dense):
+def _bucketed_all_reduce_churn(dense, nodes, per_node, intra, inter,
+                               buckets):
+    """Staggered node-local 8 MB gradient-bucket ring all-reduces on a
+    multi-node cluster: ``(total, events, cancellations)``."""
     engine = Engine()
-    topology = multi_node(4, 4, intra_bandwidth=100e9, inter_bandwidth=25e9)
+    topology = multi_node(nodes, per_node, intra_bandwidth=intra,
+                          inter_bandwidth=inter)
     net = _network(engine, topology, dense)
     sim = TaskGraphSimulator(engine, net)
-    for node, group in enumerate(node_groups(4, 4)):
-        for bucket in range(3):
+    for node, group in enumerate(node_groups(nodes, per_node)):
+        for bucket in range(buckets):
             gate = sim.add_compute(f"n{node}.g{bucket}", group[0],
                                    duration=bucket * 2e-4 + node * 3.7e-5)
             ring_all_reduce(sim, group, 8e6, deps=[gate],
                             tag=f"n{node}.b{bucket}")
     total = sim.run()
-    return total, engine.total_cancelled
+    return total, engine.dispatched_events, engine.total_cancelled
 
 
 class TestChurnRegression:
-    def test_ring_all_reduce_cancellation_budget(self):
-        total_inc, cancelled_inc = _bucketed_all_reduce_churn(dense=False)
-        total_leg, cancelled_leg = _bucketed_all_reduce_churn(dense=True)
-        assert total_inc == total_leg
+    @pytest.mark.parametrize("cluster,total,events,cancelled_dense", [
+        ((4, 4, 100e9, 25e9, 3), 0.001059, 792, 472),
+        ((8, 8, 300e9, 50e9, 2), 0.0007786666666666676, 4252, 2064),
+    ], ids=["16-gpus", "64-gpus"])
+    def test_ring_all_reduce_cancellation_budget(self, cluster, total,
+                                                 events, cancelled_dense):
+        scoped = _bucketed_all_reduce_churn(False, *cluster)
+        dense = _bucketed_all_reduce_churn(True, *cluster)
+        assert scoped[:2] == dense[:2] == (total, events)
         # Node-local collectives are link-disjoint: scoped reallocation
-        # must not cancel any cross-node delivery.  Budget is a fixed
-        # absolute cap, not a ratio, so a regression cannot hide behind
-        # the legacy number growing.
-        assert cancelled_inc <= 50
-        assert cancelled_leg >= 3 * max(cancelled_inc, 1)
+        # must not cancel any delivery, while the dense allocator
+        # reschedules every in-flight flow in the cluster at each wave.
+        assert (dense[2], scoped[2]) == (cancelled_dense, 0)
 
     def test_single_collective_no_worse_than_dense(self):
         """One global ring all-reduce (fully coupled): churn must never

@@ -291,10 +291,11 @@ class TestSimulatorIntegration:
             oversubscription=2.0, link_bandwidth=10e9,
             routing=routing, routing_seed=1, faults=faults, **kw)
 
-    def test_run_records_network_metrics(self, trace):
-        res = TrioSim(trace, self._config("ecmp")).run()
+    @pytest.mark.parametrize("routing", ["ecmp", "flowlet", "adaptive"])
+    def test_run_records_network_metrics(self, trace, routing):
+        res = TrioSim(trace, self._config(routing)).run()
         net = res.network
-        assert net["routing"] == "ecmp"
+        assert net["routing"] == routing
         assert net["multipath_pairs"] > 0
         assert net["path_choices"]
         assert net["links"]
