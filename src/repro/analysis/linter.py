@@ -124,25 +124,23 @@ def lint_config(config: Union[SimulationConfig, dict],
 # Plans
 # ----------------------------------------------------------------------
 def lint_plan(plan: Any, config: SimulationConfig,
-              trace: Optional[Trace] = None, prepared: bool = False,
+              trace: Optional[Trace] = None,
               registry: Optional[RuleRegistry] = None) -> Report:
     """Run every plan rule against a pre-built extrapolation plan.
 
-    *trace* is the trace the plan would execute against; unless
-    ``prepared`` is true it is first cross-GPU rescaled to ``config.gpu``
-    — the same preparation :class:`~repro.core.simulator.TrioSim` applies
-    — so the expected plan key is derived from what the extrapolator
-    would actually consume.  Without a trace the key check (PL001) is
-    skipped and only structural rules run.
+    *trace* is the trace the plan would execute against.  It is
+    cross-GPU rescaled to ``config.gpu`` through the same memoized
+    :func:`~repro.extrapolator.optime.rescale` that
+    :class:`~repro.core.simulator.TrioSim` uses (a no-op for an already
+    rescaled trace), so the expected plan key is derived from what the
+    extrapolator would actually consume.  Without a trace the key check
+    (PL001) is skipped and only structural rules run.
     """
     registry = registry or DEFAULT_REGISTRY
-    if trace is not None and not prepared:
-        target = config.gpu
-        if target is not None and target.upper() != trace.gpu_name.upper():
-            from repro.perfmodel.scaling import CrossGPUScaler
+    if trace is not None:
+        from repro.extrapolator.optime import rescale
 
-            trace = CrossGPUScaler.between(
-                trace.gpu_name, target).convert_trace(trace)
+        trace = rescale(trace, config.gpu)
     ctx = PlanContext(plan, config, trace)
     return registry.run_category("plan", ctx, Report())
 

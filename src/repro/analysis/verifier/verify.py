@@ -103,7 +103,7 @@ def _build_verified(sim: Any, config: SimulationConfig,
 def verify_config(config: Union[SimulationConfig, dict],
                   trace: Optional[Trace] = None,
                   registry: Optional[RuleRegistry] = None,
-                  plan_cache: Any = None, op_time: Any = None) -> Report:
+                  plan_cache: Any = None) -> Report:
     """Config lint, then build this point's plan and deep-verify it.
 
     Mirrors :func:`~repro.analysis.linter.lint_config` but adds the deep
@@ -118,7 +118,7 @@ def verify_config(config: Union[SimulationConfig, dict],
         config = SimulationConfig.from_dict(config)
     from repro.core.simulator import TrioSim
 
-    sim = TrioSim(trace, config, record_timeline=False, op_time=op_time,
+    sim = TrioSim(trace, config, record_timeline=False,
                   plan_cache=plan_cache)
     return report.merge(_build_verified(sim, config, registry,
                                         plan_cache)[0])

@@ -38,13 +38,17 @@ from repro.extrapolator.data_parallel import (
     DataParallelExtrapolator,
     DistributedDataParallelExtrapolator,
 )
-from repro.extrapolator.optime import build_op_time
+from repro.extrapolator.optime import prepare
 from repro.extrapolator.pipeline import PipelineExtrapolator
 from repro.extrapolator.single import SingleGPUExtrapolator
 from repro.extrapolator.tensor_parallel import TensorParallelExtrapolator
 from repro.network.flow import FlowNetwork
-from repro.network.topology import TOPOLOGIES, TopologySpec, build_topology_cached
-from repro.perfmodel.scaling import CrossGPUScaler
+from repro.network.topology import (
+    TOPOLOGIES,
+    TopologySpec,
+    add_host_links,
+    build_topology_cached,
+)
 from repro.trace.trace import Trace
 
 #: Engine events between heartbeat calls.  Small enough that the sweep
@@ -83,12 +87,6 @@ class TrioSim:
     hooks:
         Extra observers attached to the task-graph simulator — e.g. a
         :class:`repro.engine.Monitor` for AkitaRTM-style live progress.
-    op_time:
-        Optional pre-built :class:`~repro.extrapolator.optime.OpTimeModel`.
-        The sweep service fits the (potentially expensive) performance
-        model once per ``(trace, target GPU)`` and shares it across every
-        sweep point; it must have been built on the *prepared* (already
-        cross-GPU-rescaled) trace.
     allow_chaos:
         Permit a ``chaos_kill_at`` in ``config.faults`` to arm (the
         process then SIGKILLs itself mid-run).  Only the sweep service's
@@ -125,7 +123,7 @@ class TrioSim:
     """
 
     def __init__(self, trace: Trace, config: SimulationConfig,
-                 record_timeline: bool = True, hooks=(), op_time=None,
+                 record_timeline: bool = True, hooks=(),
                  allow_chaos: bool = False,
                  plan: ExtrapolationPlan = None,
                  plan_cache: PlanCache = None, verify: bool = False,
@@ -159,25 +157,11 @@ class TrioSim:
         #: config carries no (non-empty) fault spec.
         self.fault_stats = None
         _prep_started = _wall.perf_counter()
-        self.trace = self._prepare_trace(trace)
-        if op_time is not None and op_time.trace is not self.trace:
-            raise ValueError(
-                "op_time was fitted on a different trace; build it on the "
-                "prepared (cross-GPU-rescaled) trace"
-            )
-        self.op_time = op_time or build_op_time(self.trace,
-                                                self.config.perf_model)
+        # Cross-GPU rescaling and the performance-model fit are memoized
+        # per process: every run over the same trace shares them.
+        self.trace, self.op_time = prepare(trace, config.gpu,
+                                           config.perf_model)
         self._trace_prep_wall = _wall.perf_counter() - _prep_started
-
-    # ------------------------------------------------------------------
-    # Trace preparation (cross-GPU rescaling)
-    # ------------------------------------------------------------------
-    def _prepare_trace(self, trace: Trace) -> Trace:
-        target = self.config.gpu
-        if target is not None and target.upper() != trace.gpu_name.upper():
-            scaler = CrossGPUScaler.between(trace.gpu_name, target)
-            return scaler.convert_trace(trace)
-        return trace
 
     # ------------------------------------------------------------------
     # Assembly
@@ -233,13 +217,8 @@ class TrioSim:
                                routing_seed=cfg.routing_seed)
         if cfg.include_host_transfers:
             topology = topology.copy()
-            topology.add_node("host")
-            for i in range(cfg.num_gpus):
-                topology.add_edge(
-                    "host", f"gpu{i}",
-                    bandwidth=cfg.host_bandwidth,
-                    latency=cfg.host_latency,
-                )
+            add_host_links(topology, cfg.num_gpus, cfg.host_bandwidth,
+                           cfg.host_latency)
         return FlowNetwork(engine, topology, routing=routing,
                            routing_seed=cfg.routing_seed)
 
@@ -313,8 +292,7 @@ class TrioSim:
         if self.plan is not None:
             from repro.analysis import AnalysisError, lint_plan
 
-            report = lint_plan(self.plan, self.config, self.trace,
-                               prepared=True)
+            report = lint_plan(self.plan, self.config, self.trace)
             if report.has_errors:
                 raise AnalysisError(
                     report, "supplied plan does not match this config")

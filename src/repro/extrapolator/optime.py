@@ -17,11 +17,13 @@ Scaling rules (per-operator, from the trace's tensor table):
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from collections import OrderedDict
+from typing import Dict, Optional, Tuple
 
 from repro.perfmodel.li_model import LiModel
+from repro.perfmodel.scaling import CrossGPUScaler
 from repro.trace.records import OperatorRecord
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, trace_digest
 from repro.workloads.graph import TENSOR_PARALLEL_KINDS
 
 
@@ -117,3 +119,64 @@ def build_op_time(trace: Trace, perf_model: str = "li") -> OpTimeModel:
 
         return OpTimeModel(trace, PiecewiseThroughputModel.fit(trace))
     return OpTimeModel(trace)
+
+
+# ----------------------------------------------------------------------
+# Prepared inputs, memoized per process
+# ----------------------------------------------------------------------
+
+#: Bound on memoized prepared inputs (rescaled traces and op-time models).
+PREPARED_LIMIT = 64
+
+#: ``("rescale", source digest, TARGET GPU) -> Trace`` and
+#: ``("fit", prepared digest, perf_model) -> OpTimeModel``, one LRU.  Keys
+#: are content digests (:func:`~repro.trace.trace.trace_digest`), so equal
+#: traces loaded twice share an entry.
+_PREPARED: "OrderedDict[tuple, object]" = OrderedDict()
+
+
+def _memoized(key: tuple, build):
+    value = _PREPARED.pop(key, None)
+    if value is None:
+        value = build()
+    _PREPARED[key] = value  # (re)inserted as most recently used
+    while len(_PREPARED) > PREPARED_LIMIT:
+        _PREPARED.popitem(last=False)
+    return value
+
+
+def rescale(trace: Trace, gpu: Optional[str]) -> Trace:
+    """*trace* cross-GPU rescaled to *gpu* (paper §4.4's rescaling step).
+
+    Idempotent: a trace already on *gpu* (or ``gpu=None``) comes back
+    unchanged.  Otherwise the conversion runs at most once per
+    ``(trace content, target GPU)`` in this process.
+    """
+    if gpu is None or gpu.upper() == trace.gpu_name.upper():
+        return trace
+    key = ("rescale", trace_digest(trace), gpu.upper())
+    return _memoized(key, lambda: CrossGPUScaler.between(
+        trace.gpu_name, gpu).convert_trace(trace))
+
+
+def prepare(trace: Trace, gpu: Optional[str],
+            perf_model: str = "li") -> Tuple[Trace, OpTimeModel]:
+    """The prepared trace and op-time model a config runs against.
+
+    *trace* is rescaled to *gpu* (see :func:`rescale`) and the
+    performance model is built at most once per ``(prepared trace
+    content, perf_model)`` in this process, so every run, sweep point and
+    verification over the same trace shares one fit.  The shared model
+    may have been built on an equal copy of the prepared trace.
+    """
+    prepared = rescale(trace, gpu)
+    op_time = _memoized(("fit", trace_digest(prepared), perf_model),
+                        lambda: build_op_time(prepared, perf_model))
+    return prepared, op_time
+
+
+def clear_prepared() -> int:
+    """Drop every memoized prepared input; returns the number evicted."""
+    evicted = len(_PREPARED)
+    _PREPARED.clear()
+    return evicted

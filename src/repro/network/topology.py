@@ -356,8 +356,7 @@ class TopologyEntry:
 class TopologyRegistry:
     """Named topology builders with uniform signatures.
 
-    Replaces the historical if/elif-style ``_BUILDERS`` name dispatch:
-    every builder registers under a stable name with a typed
+    Every builder registers under a stable name with a typed
     ``params_schema``, so new fabrics plug in without touching core
     dispatch code, and :class:`TopologySpec` params are validated before
     any graph is built.
@@ -598,22 +597,6 @@ register_topology(
     multipath=True)
 
 
-#: Deprecated alias kept for the historical if/elif dispatch table; reads
-#: through to the registry.  New code should use :data:`TOPOLOGIES`.
-class _BuilderView(Mapping):
-    def __getitem__(self, name):
-        return TOPOLOGIES.get(name).builder
-
-    def __iter__(self):
-        return iter(TOPOLOGIES.names())
-
-    def __len__(self):
-        return len(TOPOLOGIES.names())
-
-
-_BUILDERS: Mapping[str, Callable] = _BuilderView()
-
-
 def build_topology(name: str, n: int, bandwidth: float,
                    latency: float = 1e-6, **params) -> nx.Graph:
     """Build a named topology through the registry.
@@ -636,6 +619,16 @@ def build_topology(name: str, n: int, bandwidth: float,
 #: must ``.copy()`` what they get back.
 _TOPOLOGY_CACHE: "OrderedDict[tuple, nx.Graph]" = OrderedDict()
 TOPOLOGY_CACHE_LIMIT = 32
+
+
+def add_host_links(graph: nx.Graph, n: int, bandwidth: float,
+                   latency: float) -> None:
+    """Add a ``host`` node linked to each of the first *n* GPUs of
+    *graph*, in place (the host-transfer augmentation)."""
+    graph.add_node("host")
+    for gpu in gpu_names(n):
+        graph.add_edge("host", gpu,
+                       bandwidth=float(bandwidth), latency=float(latency))
 
 
 def build_topology_cached(name: str, n: int, bandwidth: float,
@@ -665,10 +658,7 @@ def build_topology_cached(name: str, n: int, bandwidth: float,
         return graph
     graph = build_topology(name, n, bandwidth, latency, **params)
     if host is not None:
-        graph.add_node("host")
-        for gpu in gpu_names(n):
-            graph.add_edge("host", gpu,
-                           bandwidth=float(host[0]), latency=float(host[1]))
+        add_host_links(graph, n, *host)
     _TOPOLOGY_CACHE[key] = graph
     while len(_TOPOLOGY_CACHE) > TOPOLOGY_CACHE_LIMIT:
         _TOPOLOGY_CACHE.popitem(last=False)

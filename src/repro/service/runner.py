@@ -7,9 +7,11 @@
 * a content-addressed on-disk result cache (:mod:`repro.service.cache`) —
   re-running any figure or sweep returns previously computed points
   instantly;
-* shared-work dedup — cross-GPU trace rescaling happens once per
-  ``(trace, target GPU)`` in the parent, and performance-model fits happen
-  once per worker process instead of once per point;
+* shared-work dedup — cross-GPU trace rescaling and performance-model
+  fits go through :func:`repro.extrapolator.optime.prepare`, which
+  memoizes them per process: rescaling happens once per ``(trace, target
+  GPU)`` in the parent, and each fit once per worker process instead of
+  once per point;
 * extrapolation-plan sharing (:mod:`repro.core.plan`) — points differing
   only in network/topology/fault parameters reuse one cached task-graph
   plan; with a plan directory the parent pre-builds each distinct plan
@@ -62,7 +64,7 @@ from __future__ import annotations
 import os
 import random
 import time as _wall
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -72,7 +74,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.findings import Report
 from repro.analysis.linter import lint_config
@@ -82,8 +84,7 @@ from repro.core.plan import PlanCache
 from repro.core.results import SimulationResult
 from repro.core.simulator import TrioSim
 from repro.engine.hooks import HookCtx, Hookable
-from repro.extrapolator.optime import OpTimeModel
-from repro.perfmodel.scaling import CrossGPUScaler
+from repro.extrapolator.optime import rescale
 from repro.service import transport
 from repro.service import worker as _worker
 from repro.service.breaker import CircuitBreaker
@@ -247,9 +248,6 @@ class SweepRunner(Hookable):
         retry pass then re-attributes point by point.
     """
 
-    #: Bound on memoized (rescaled trace, fitted models) entries.
-    SHARED_WORK_LIMIT = 64
-
     #: Isolated re-executions granted to a point whose worker died; a
     #: point still crashing after these gets the in-process rescue run.
     MAX_CRASH_RETRIES = 2
@@ -303,50 +301,8 @@ class SweepRunner(Hookable):
         self.last_metrics: Optional[SweepMetrics] = None
         #: Resume admission findings (SV rules) from the latest run().
         self.last_resume_report = None
-        # (trace digest, target gpu) -> [prepared Trace, {perf_model: OpTimeModel}]
-        # An LRU shared across run() calls, so per-point predict() loops
-        # (the experiments harness) still rescale and fit exactly once.
-        self._shared: "OrderedDict[str, list]" = OrderedDict()
         for hook in hooks:
             self.accept_hook(hook)
-
-    # ------------------------------------------------------------------
-    # Shared-work preparation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _gpu_key(trace: Trace, config: SimulationConfig) -> str:
-        """The rescaling target this config needs ("native" = none)."""
-        target = config.gpu
-        if target is not None and target.upper() != trace.gpu_name.upper():
-            return target.upper()
-        return "native"
-
-    def _shared_work(self, trace: Trace, gpu_key: str) -> list:
-        """The memoized ``[prepared trace, op-time models]`` slot for
-        ``(trace, target GPU)`` — rescaling runs at most once per pair."""
-        slot_key = f"{trace_digest(trace)}:{gpu_key}"
-        slot = self._shared.get(slot_key)
-        if slot is None:
-            if gpu_key == "native":
-                prepared = trace
-            else:
-                scaler = CrossGPUScaler.between(trace.gpu_name, gpu_key)
-                prepared = scaler.convert_trace(trace)
-            slot = [prepared, {}]
-            self._shared[slot_key] = slot
-            if len(self._shared) > self.SHARED_WORK_LIMIT:
-                self._shared.popitem(last=False)
-        else:
-            self._shared.move_to_end(slot_key)
-        return slot
-
-    def _prepared(self, trace: Trace,
-                  config: SimulationConfig) -> Tuple[Trace, OpTimeModel]:
-        """The point's prepared trace and its memoized op-time model."""
-        gpu_key = self._gpu_key(trace, config)
-        point_trace, op_times = self._shared_work(trace, gpu_key)
-        return point_trace, _worker.shared_op_time(
-            point_trace, config.perf_model, op_times, gpu_key)
 
     def _plan_pass(self, sweep: _Sweep, points: List[SweepOutcome],
                    verify: bool) -> List[SweepOutcome]:
@@ -368,10 +324,8 @@ class SweepRunner(Hookable):
         for outcome in points:
             report = None
             try:
-                point_trace, op_time = self._prepared(sweep.trace,
-                                                      outcome.config)
-                sim = TrioSim(point_trace, outcome.config,
-                              record_timeline=False, op_time=op_time)
+                sim = TrioSim(sweep.trace, outcome.config,
+                              record_timeline=False)
                 key = sim.plan_key()
                 if key not in reports:
                     if self.plan_cache is None:
@@ -707,11 +661,10 @@ class SweepRunner(Hookable):
         config = outcome.config
         findings: list = []
         try:
-            point_trace, op_time = self._prepared(sweep.trace, config)
             result = _worker.simulate_point(
-                point_trace, config, sweep.record_timeline,
-                self._hard_deadline(config), op_time=op_time,
-                sanitizer_sink=findings, plan_cache=self.plan_cache,
+                sweep.trace, config, sweep.record_timeline,
+                self._hard_deadline(config), sanitizer_sink=findings,
+                plan_cache=self.plan_cache,
                 verify="runtime" if self.verify else False,
                 deadline_soft=self._soft_deadline(config),
             )
@@ -734,7 +687,7 @@ class SweepRunner(Hookable):
     # ------------------------------------------------------------------
     def _point_payload(self, sweep: _Sweep, outcome: SweepOutcome) -> dict:
         return {
-            "trace_key": self._gpu_key(sweep.trace, outcome.config),
+            "trace_key": rescale(sweep.trace, outcome.config.gpu).gpu_name,
             "config": outcome.config.to_dict(),
             "record_timeline": sweep.record_timeline,
             "timeout": self._hard_deadline(outcome.config),
@@ -783,15 +736,16 @@ class SweepRunner(Hookable):
     def _run_parallel(self, sweep: _Sweep, points: List[SweepOutcome],
                       workers: int) -> None:
         # Each distinct target GPU's trace is rescaled once and packed
-        # once per sweep: framed protocol-5 with the numeric trace
-        # columns as out-of-band buffers.  Every pool (re)build re-ships
-        # this same blob to each worker.
-        gpu_keys = dict.fromkeys(self._gpu_key(sweep.trace, o.config)
-                                 for o in points)
-        sweep.trace_payload = transport.pack_traces({
-            gpu_key: self._shared_work(sweep.trace, gpu_key)[0].to_dict()
-            for gpu_key in gpu_keys
-        })
+        # once per sweep, keyed by its GPU name (unique for one source
+        # trace): framed protocol-5 with the numeric trace columns as
+        # out-of-band buffers.  Every pool (re)build re-ships this same
+        # blob to each worker.
+        prepared = {}
+        for outcome in points:
+            trace = rescale(sweep.trace, outcome.config.gpu)
+            prepared[trace.gpu_name] = trace
+        sweep.trace_payload = transport.pack_traces(
+            {name: trace.to_dict() for name, trace in prepared.items()})
         if self.plan_cache is not None and self.plan_cache.root is not None:
             self._plan_pass(sweep, points, verify=False)
         crashed = self._parallel_wave(sweep, points, workers)

@@ -1,10 +1,11 @@
 """Sweep-point execution, shared by worker processes and in-process runs.
 
 A worker process is seeded once (via the pool initializer) with every
-prepared trace of the sweep, keyed by trace digest.  Within the process,
-the parsed :class:`Trace` and the fitted performance model are memoized per
-``(trace, perf_model)`` — the expensive shared work (piecewise fits, Li's
-Model regression) happens once per process, not once per sweep point.
+prepared trace of the sweep, keyed by GPU name.  Within the process, each
+trace is parsed once, and :func:`repro.extrapolator.optime.prepare`
+memoizes the fitted performance model per ``(trace, perf_model)`` — the
+expensive shared work (piecewise fits, Li's Model regression) happens once
+per process, not once per sweep point.
 
 Per-point timeouts use ``SIGALRM`` so a runaway simulation inside a worker
 is interrupted and reported as a structured error instead of hanging the
@@ -23,12 +24,11 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.config import SimulationConfig
 from repro.core.plan import PlanCache
 from repro.core.simulator import TrioSim
-from repro.extrapolator.optime import OpTimeModel, build_op_time
 from repro.service import transport
 from repro.trace.trace import Trace
 
@@ -188,12 +188,11 @@ def deadline(seconds: Optional[float]):
 # Per-process shared state
 # ----------------------------------------------------------------------
 
-#: Serialized traces this worker may simulate, keyed by trace digest.
+#: Serialized prepared traces this worker may simulate, keyed by GPU name.
 _TRACE_DICTS: Dict[str, dict] = {}
 
-#: Parsed traces and fitted operator-time models, memoized per process.
+#: Parsed traces, memoized per process.
 _PARSED: Dict[str, Trace] = {}
-_OP_TIMES: Dict[Tuple[str, str], OpTimeModel] = {}
 
 #: This worker's extrapolation-plan cache, or ``None`` when disabled.
 _PLAN_CACHE: Optional[PlanCache] = None
@@ -203,7 +202,7 @@ def init_worker(trace_dicts,
                 plan_mode: Optional[str] = "") -> None:
     """Pool initializer: receive every prepared trace exactly once.
 
-    *trace_dicts* is either a plain ``{gpu_key: trace dict}`` mapping or
+    *trace_dicts* is either a plain ``{gpu_name: trace dict}`` mapping or
     a :func:`repro.service.transport.pack_traces` blob — the runner
     ships the latter (framed protocol-5, numeric trace columns as
     out-of-band buffers) so the per-worker copy of every prepared trace
@@ -223,7 +222,6 @@ def init_worker(trace_dicts,
     _TRACE_DICTS.clear()
     _TRACE_DICTS.update(trace_dicts)
     _PARSED.clear()
-    _OP_TIMES.clear()
     if plan_mode is None:
         _PLAN_CACHE = None
     elif plan_mode == "":
@@ -232,25 +230,8 @@ def init_worker(trace_dicts,
         _PLAN_CACHE = PlanCache(root=plan_mode)
 
 
-def shared_op_time(trace: Trace, perf_model: str,
-                   memo: Dict[Tuple[str, str], OpTimeModel],
-                   trace_key: str) -> OpTimeModel:
-    """The memoized :class:`OpTimeModel` for ``(trace, perf_model)``.
-
-    Fitting happens at most once per *memo* (one per worker process, one
-    per in-process runner); the piecewise model's throughput curves are the
-    expensive part this dedups.
-    """
-    key = (trace_key, perf_model)
-    op_time = memo.get(key)
-    if op_time is None:
-        op_time = memo[key] = build_op_time(trace, perf_model)
-    return op_time
-
-
 def simulate_point(trace: Trace, config: SimulationConfig,
                    record_timeline: bool, timeout: Optional[float],
-                   op_time: Optional[OpTimeModel] = None,
                    sanitizer_sink: Optional[list] = None,
                    allow_chaos: bool = False,
                    plan_cache: Optional[PlanCache] = None,
@@ -275,9 +256,8 @@ def simulate_point(trace: Trace, config: SimulationConfig,
     heartbeat = soft_deadline_heartbeat(soft) if soft else None
     with deadline(timeout):
         sim = TrioSim(trace, config, record_timeline=record_timeline,
-                      op_time=op_time, allow_chaos=allow_chaos,
-                      plan_cache=plan_cache, verify=verify,
-                      heartbeat=heartbeat)
+                      allow_chaos=allow_chaos, plan_cache=plan_cache,
+                      verify=verify, heartbeat=heartbeat)
         result = sim.run()
         if sanitizer_sink is not None and sim.verify_report is not None:
             sanitizer_sink.extend(sim.verify_report.to_dicts())
@@ -299,12 +279,10 @@ def run_point(payload: dict) -> dict:
             trace = Trace.from_dict(_TRACE_DICTS[trace_key])
             _PARSED[trace_key] = trace
         config = SimulationConfig.from_dict(payload["config"])
-        op_time = shared_op_time(trace, config.perf_model, _OP_TIMES,
-                                 trace_key)
         sanitizer_findings: list = []
         result = simulate_point(
             trace, config, payload["record_timeline"], payload["timeout"],
-            op_time=op_time, sanitizer_sink=sanitizer_findings,
+            sanitizer_sink=sanitizer_findings,
             allow_chaos=True, plan_cache=_PLAN_CACHE,
             verify=payload.get("verify", False),
             deadline_soft=payload.get("deadline_soft"),

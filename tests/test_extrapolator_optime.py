@@ -5,12 +5,19 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.plan import PlanBuilder
 from repro.core.simulator import TrioSim
-from repro.extrapolator.optime import OpTimeModel
+from repro.analysis.verifier import verify_spec
+from repro.extrapolator.optime import (
+    OpTimeModel,
+    build_op_time,
+    clear_prepared,
+    prepare,
+    rescale,
+)
 from repro.extrapolator.tensor_parallel import TensorParallelExtrapolator
 from repro.gpus.specs import get_gpu
 from repro.perfmodel.li_model import LiModel
 from repro.perfmodel.piecewise import PiecewiseThroughputModel
-from repro.service.worker import shared_op_time
+from repro.perfmodel.scaling import CrossGPUScaler
 from repro.trace.records import OperatorRecord, TensorRecord
 from repro.trace.trace import Trace
 from repro.trace.tracer import Tracer
@@ -148,7 +155,8 @@ class TestScaledDurationMemo:
     @pytest.mark.parametrize("perf_model", ["li", "piecewise"])
     def test_shared_model_across_batch_sizes_matches_fresh(self, trace,
                                                            perf_model):
-        memo = {}
+        clear_prepared()
+        models = []
         for fields in [dict(parallelism="pp", num_gpus=2, chunks=2),
                        dict(parallelism="pp", num_gpus=2, chunks=2,
                             batch_size=32),
@@ -157,10 +165,67 @@ class TestScaledDurationMemo:
                             batch_size=128),
                        dict(parallelism="tp", num_gpus=4, batch_size=32)]:
             config = SimulationConfig(perf_model=perf_model, **fields)
-            shared = shared_op_time(trace, perf_model, memo, "resnet18")
-            reused = TrioSim(trace, config, record_timeline=False,
-                             op_time=shared).build_plan()
-            fresh = TrioSim(trace, config, record_timeline=False).build_plan()
+            sim = TrioSim(trace, config, record_timeline=False)
+            models.append(sim.op_time)
+            reused = sim.build_plan()
+            sim.op_time = build_op_time(trace, perf_model)
+            fresh = sim.build_plan()
             assert [d.hex() for d in reused.block()["duration"]] == \
                 [d.hex() for d in fresh.block()["duration"]], fields
-        assert len(memo) == 1
+        assert all(model is models[0] for model in models)
+
+
+class TestPreparedMemo:
+    """``prepare`` rescales and fits once per process, whoever asks."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_prepared()
+        yield
+        clear_prepared()
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        original = LiModel.fit.__func__
+
+        def counting(cls, trace):
+            calls.append(trace)
+            return original(cls, trace)
+
+        monkeypatch.setattr(LiModel, "fit", classmethod(counting))
+        return calls
+
+    def test_one_li_fit_across_direct_runs(self, trace, fits):
+        totals = [
+            TrioSim(trace, SimulationConfig(parallelism="ddp", num_gpus=2,
+                                            batch_size=batch),
+                    record_timeline=False).run().total_time
+            for batch in (32, 128, 256)
+        ]
+        assert len(fits) == 1
+        assert len(set(totals)) == 3
+
+    def test_one_fit_for_verify_spec_batch_axis(self, fits):
+        spec = {"model": "resnet18", "batch": 16,
+                "base": {"parallelism": "ddp", "num_gpus": 2},
+                "axes": {"batch_size": [8, 32, 64]}}
+        assert verify_spec(spec).ok
+        assert len(fits) == 1
+
+    def test_equal_traces_share_one_model(self, trace):
+        copy = Trace.from_dict(trace.to_dict())
+        assert prepare(copy, None)[1] is prepare(trace, None)[1]
+        assert prepare(trace, None, "piecewise")[1] is not \
+            prepare(trace, None)[1]
+
+    def test_prepared_trace_is_not_rescaled_again(self, trace, monkeypatch):
+        prepared = rescale(trace, "H100")
+        assert prepared.gpu_name == "H100"
+        calls = []
+        monkeypatch.setattr(CrossGPUScaler, "convert_trace",
+                            lambda self, t: calls.append(t))
+        assert rescale(prepared, "h100") is prepared
+        sim = TrioSim(prepared, SimulationConfig(num_gpus=2, gpu="H100"))
+        assert sim.trace is prepared
+        assert calls == []

@@ -9,7 +9,7 @@ from repro.engine.engine import Engine
 from repro.engine.monitor import Monitor
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
-from repro.network.topology import ring
+from repro.network.topology import build_topology, ring
 from repro.trace.tracer import Tracer
 from repro.workloads import get_model
 
@@ -121,6 +121,24 @@ class TestHostTransfers:
         h2d = [r for r in host.timeline if r.name.startswith("h2d:")]
         assert len(h2d) == 4
         assert all("gpu0" in r.resource for r in h2d)
+
+    @pytest.mark.parametrize("prebuilt", [False, True],
+                             ids=["named", "graph"])
+    def test_named_and_prebuilt_topologies_agree(self, prebuilt):
+        # Both network paths add host links through one helper; the
+        # caller's graph must stay untouched.
+        trace = Tracer(get_gpu("A100")).trace(get_model("resnet18"), 32)
+        graph = build_topology("ring", 4, 50e9, 2e-6)
+        config = SimulationConfig(
+            parallelism="ddp", num_gpus=4,
+            topology=graph if prebuilt else "ring",
+            link_bandwidth=50e9, link_latency=2e-6,
+            include_host_transfers=True, host_bandwidth=10e9, iterations=2,
+        )
+        result = TrioSim(trace, config, record_timeline=False).run()
+        assert result.total_time == 0.019565903602891864
+        assert result.events == 1699
+        assert "host" not in graph
 
     def test_off_by_default(self, trace):
         base = self._run(trace, False)

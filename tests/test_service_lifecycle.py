@@ -68,7 +68,7 @@ def serial(trace):
 def worker_state(monkeypatch):
     """Isolate the worker module's per-process globals: the fake
     dispatcher initializes "workers" inside this process."""
-    for name in ("_TRACE_DICTS", "_PARSED", "_OP_TIMES"):
+    for name in ("_TRACE_DICTS", "_PARSED"):
         monkeypatch.setattr(worker_mod, name, {})
     monkeypatch.setattr(worker_mod, "_PLAN_CACHE", None)
 

@@ -2,9 +2,9 @@
 
 The service's contract: parallel, in-process, and cache-replayed runs are
 all bit-identical to a sequential ``TrioSim`` loop; shared work (cross-GPU
-rescaling, perf-model fits) happens once per ``(trace, target GPU)``; a
-failing point degrades to a structured error record; and progress streams
-through the engine's hook mechanism.
+rescaling, perf-model fits) happens once per ``(trace, target GPU)`` in a
+process; a failing point degrades to a structured error record; and
+progress streams through the engine's hook mechanism.
 """
 
 import json
@@ -14,6 +14,8 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
+from repro.extrapolator import optime
+from repro.extrapolator.optime import clear_prepared
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
@@ -229,6 +231,15 @@ class TestErrors:
 
 
 class TestSharedWork:
+    """Sweeps and direct runs share one per-process prepared-input memo
+    (:func:`repro.extrapolator.optime.prepare`)."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_prepared()
+        yield
+        clear_prepared()
+
     def test_cross_gpu_rescale_once_per_target(self, trace, monkeypatch):
         calls = []
         original = CrossGPUScaler.convert_trace
@@ -244,16 +255,24 @@ class TestSharedWork:
         ]
         runner.run(trace, configs)
         assert len(calls) == 1
-        # The memo spans run() calls (the experiments harness pattern).
+        # The memo spans run() calls (the experiments harness pattern),
+        # runners, and direct TrioSim runs.
         runner.run(trace, [SimulationConfig(num_gpus=8, gpu="H100")])
+        SweepRunner(max_workers=1).run(
+            trace, [SimulationConfig(num_gpus=2, gpu="H100")])
+        TrioSim(trace, SimulationConfig(num_gpus=2, gpu="H100")).run()
         assert len(calls) == 1
 
-    def test_shared_memo_bounded(self, trace):
+    def test_shared_memo_bounded(self, trace, monkeypatch):
+        monkeypatch.setattr(optime, "PREPARED_LIMIT", 2)
         runner = SweepRunner(max_workers=1)
-        runner.SHARED_WORK_LIMIT = 2
         for gpu in ("A40", "A100", "H100"):
-            runner.run(trace, [SimulationConfig(num_gpus=2, gpu=gpu)])
-        assert len(runner._shared) <= 2
+            outcome = runner.run(trace, [SimulationConfig(num_gpus=2,
+                                                          gpu=gpu)])[0]
+            assert outcome.ok
+        # Each of A100 and H100 adds a rescaled trace and a model.
+        assert len(optime._PREPARED) == 2
+        assert clear_prepared() == 2
 
 
 # ----------------------------------------------------------------------
