@@ -2,11 +2,11 @@
 
 Both inputs the deep verifier accepts — a live (not yet run)
 :class:`~repro.core.taskgraph.TaskGraphSimulator` and a recorded
-:class:`~repro.core.plan.ExtrapolationPlan` — are lowered into the same
-:class:`GraphView`: parallel per-task arrays with *both* edge directions
-materialized (plans store backward dep indices, live graphs store forward
-successor edges in their task store; every whole-graph algorithm here
-needs both).
+:class:`~repro.core.plan.ExtrapolationPlan` — are lowered by one routine
+into the same :class:`GraphView`: parallel per-task arrays with *both*
+edge directions materialized (every whole-graph algorithm here needs
+both), from the task columns, a successor CSR, the declared dependency
+counts and the done flags.
 
 On top of the view sit the whole-graph algorithms the DV rules share:
 Kahn reachability, SCC cycle extraction, dependency levels, critical-path
@@ -16,13 +16,14 @@ Kahn reachability, SCC cycle extraction, dependency levels, critical-path
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import SimulationConfig
-from repro.core.taskgraph import KIND_NAMES
+import numpy as np
 
-#: Task kinds a well-formed graph may contain.
-TASK_KINDS = ("compute", "transfer", "barrier")
+from repro.core.config import SimulationConfig
+from repro.core.plan import dependency_defects, edge_rows, group_rows
+from repro.core.taskgraph import KIND_NAMES, TASK_COLUMNS
 
 
 class CriticalPath:
@@ -54,29 +55,42 @@ class CriticalPath:
 class GraphView:
     """Immutable per-task arrays plus derived whole-graph algorithms."""
 
-    __slots__ = ("n", "source", "ids", "names", "kinds", "gpus", "durations",
+    __slots__ = ("n", "source", "names", "kinds", "gpus", "durations",
                  "srcs", "dsts", "nbytes", "metas", "deps", "dependents",
                  "declared", "done", "defects", "_order", "_stuck")
 
-    def __init__(self) -> None:
-        self.n = 0
-        self.source = ""
-        self.ids: List[int] = []
-        self.names: List[str] = []
-        self.kinds: List[str] = []
-        self.gpus: List[Optional[str]] = []
-        self.durations: List[float] = []
-        self.srcs: List[Optional[str]] = []
-        self.dsts: List[Optional[str]] = []
-        self.nbytes: List[float] = []
-        self.metas: List[dict] = []
-        self.deps: List[List[int]] = []
-        self.dependents: List[List[int]] = []
-        self.declared: List[int] = []
-        self.done: List[bool] = []
+    def __init__(self, source: str, columns: Dict[str, list],
+                 succ_ptr: np.ndarray, succ_idx: np.ndarray,
+                 declared: Sequence[int], done: Sequence[bool],
+                 defects: List[Tuple[int, str]]) -> None:
+        """The one lowering, shared by :meth:`from_plan` and
+        :meth:`from_simulator`: task columns, the successor CSR of the
+        well-formed edges, declared dependency counts and done flags."""
+        self.source = source
+        n = self.n = len(declared)
+        kinds = dict(enumerate(KIND_NAMES))
+        self.names: List[str] = list(columns["name"])
+        self.kinds: List[str] = [kinds.get(k, k) for k in columns["kind"]]
+        self.gpus: List[Optional[str]] = list(columns["gpu"])
+        self.durations: List[float] = list(columns["duration"])
+        self.srcs: List[Optional[str]] = list(columns["src"])
+        self.dsts: List[Optional[str]] = list(columns["dst"])
+        self.nbytes: List[float] = list(columns["nbytes"])
+        self.metas: List[dict] = list(columns["meta"])
+        self.declared: List[int] = list(declared)
+        self.done: List[bool] = list(done)
         #: Structural defects found while lowering (dangling/forward/self
         #: dependency references) as ``(index, message)`` — DV001 input.
-        self.defects: List[Tuple[int, str]] = []
+        self.defects = defects
+        bounds = succ_ptr.tolist()
+        targets = succ_idx.tolist()
+        self.dependents: List[List[int]] = [
+            targets[bounds[i]:bounds[i + 1]] for i in range(n)]
+        dep_ptr, dep_idx = group_rows(succ_idx, edge_rows(succ_ptr), n)
+        bounds = dep_ptr.tolist()
+        sources = dep_idx.tolist()
+        self.deps: List[List[int]] = [
+            sources[bounds[i]:bounds[i + 1]] for i in range(n)]
         self._order: Optional[List[int]] = None
         self._stuck: Optional[List[int]] = None
 
@@ -85,84 +99,52 @@ class GraphView:
     # ------------------------------------------------------------------
     @classmethod
     def from_plan(cls, plan: Any) -> "GraphView":
-        """Lower an :class:`~repro.core.plan.ExtrapolationPlan`."""
-        view = cls()
-        view.source = "plan"
-        tasks = plan.tasks
-        view.n = len(tasks)
-        for index, task in enumerate(tasks):
-            view.ids.append(index)
-            view.names.append(task.name)
-            view.kinds.append(task.kind)
-            view.gpus.append(task.gpu)
-            view.durations.append(task.duration)
-            view.srcs.append(task.src)
-            view.dsts.append(task.dst)
-            view.nbytes.append(task.nbytes)
-            view.metas.append(task.meta)
-            view.dependents.append([])
-            view.declared.append(len(task.deps))
-            view.done.append(False)
-            kept: List[int] = []
-            for dep in task.deps:
-                if not isinstance(dep, int) or dep < 0 or dep >= len(tasks):
-                    view.defects.append(
-                        (index, f"dependency index {dep!r} is out of range "
-                                f"(plan has {len(tasks)} tasks)"))
-                elif dep == index:
-                    view.defects.append((index, "task depends on itself"))
-                elif dep > index:
-                    view.defects.append(
-                        (index, f"dependency index {dep} points forward "
-                                "(plans must reference earlier tasks)"))
-                else:
-                    kept.append(dep)
-            view.deps.append(kept)
-        for index, kept in enumerate(view.deps):
-            for dep in kept:
-                view.dependents[dep].append(index)
-        return view
+        """Lower an :class:`~repro.core.plan.ExtrapolationPlan`.
+
+        Edges are its well-formed dependencies; each forward, self or
+        out-of-range index is a defect instead (see
+        :func:`~repro.core.plan.dependency_defects`).  ``declared`` counts
+        every recorded dependency, malformed ones included.
+        """
+        n = len(plan)
+        defects = dependency_defects(plan.dep_ptr, plan.dep_idx)
+        keep = np.ones(len(plan.dep_idx), dtype=bool)
+        keep[[k for k, _, _ in defects]] = False
+        succ_ptr, succ_idx = group_rows(
+            plan.dep_idx[keep], edge_rows(plan.dep_ptr)[keep], n)
+        return cls("plan", plan.columns, succ_ptr, succ_idx,
+                   np.diff(plan.dep_ptr).tolist(), [False] * n,
+                   [(row, message) for _, row, message in defects])
 
     @classmethod
     def from_simulator(cls, sim: Any) -> "GraphView":
         """Lower a live :class:`~repro.core.taskgraph.TaskGraphSimulator`
         by reading its task store's columns.
 
-        Edges are the rows' successors (a plan block's CSR plus the
+        Edges are the rows' successors (a plan iteration's CSR plus the
         per-row ``succ`` lists), so fences appear as terminals→fence and
         fence→next-iteration-root edges; ``declared`` is the
         ``indegree`` counter the scheduler will decrement.
         """
-        view = cls()
-        view.source = "taskgraph"
         store = sim.store
-        n = view.n = len(store)
-        kinds = dict(enumerate(KIND_NAMES))
-        view.ids = list(range(n))
-        view.names = list(store.name)
-        view.kinds = [kinds.get(k, k) for k in store.kind]
-        view.gpus = list(store.gpu)
-        view.durations = list(store.duration)
-        view.srcs = list(store.src)
-        view.dsts = list(store.dst)
-        view.nbytes = list(store.nbytes)
-        view.metas = list(store.meta)
-        view.declared = list(store.indegree)
-        view.done = [end is not None for end in store.end]
-        view.deps = [[] for _ in range(n)]
-        view.dependents = [[] for _ in range(n)]
-        for index in range(n):
-            for target in store.successors(index):
-                if not isinstance(target, int) or not 0 <= target < n:
-                    view.defects.append(
-                        (index, f"successor {target!r} is not a row of "
-                                f"this simulator ({n} rows)"))
-                elif target == index:
-                    view.defects.append((index, "task depends on itself"))
-                else:
-                    view.dependents[index].append(target)
-                    view.deps[target].append(index)
-        return view
+        n = len(store)
+        lists = [store.successors(index) for index in range(n)]
+        sources = np.repeat(np.arange(n, dtype=np.int64),
+                            [len(targets) for targets in lists])
+        targets = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                              count=len(sources))
+        bad = (targets < 0) | (targets >= n) | (targets == sources)
+        defects = [
+            (row, "task depends on itself" if target == row else
+             f"successor {target!r} is not a row of this simulator "
+             f"({n} rows)")
+            for row, target in zip(sources[bad].tolist(),
+                                   targets[bad].tolist())]
+        succ_ptr, succ_idx = group_rows(sources[~bad], targets[~bad], n)
+        return cls("taskgraph",
+                   {name: getattr(store, name) for name in TASK_COLUMNS},
+                   succ_ptr, succ_idx, store.indegree,
+                   [end is not None for end in store.end], defects)
 
     # ------------------------------------------------------------------
     # Reachability / cycles
@@ -403,7 +385,7 @@ class GraphView:
     # Summary
     # ------------------------------------------------------------------
     def kind_counts(self) -> Dict[str, int]:
-        counts = dict.fromkeys(TASK_KINDS, 0)
+        counts = dict.fromkeys(KIND_NAMES, 0)
         for kind in self.kinds:
             counts[kind] = counts.get(kind, 0) + 1
         return counts

@@ -36,13 +36,13 @@ import networkx as nx
 
 from repro.analysis.registry import Emitter, rule
 from repro.analysis.verifier.graph import (
-    TASK_KINDS,
     CriticalPath,
     GraphView,
     collective_components,
     collective_groups,
 )
 from repro.core.config import SimulationConfig
+from repro.core.taskgraph import KIND_NAMES
 
 #: Per-rule cap so one systemic defect doesn't flood the report.
 MAX_FINDINGS_PER_RULE = 10
@@ -79,7 +79,7 @@ class VerifyContext:
         }
 
     def where(self, index: int) -> str:
-        return f"task[{self.view.ids[index]}]"
+        return f"task[{index}]"
 
 
 @rule("DV001", "verify-structure", "verify", "error", gate=True,
@@ -103,7 +103,7 @@ def check_structure(ctx: VerifyContext, emit: Emitter) -> None:
         report(index, message)
     for index in range(view.n):
         kind = view.kinds[index]
-        if kind not in TASK_KINDS:
+        if kind not in KIND_NAMES:
             report(index, f"unknown task kind {kind!r}", kind=str(kind))
             continue
         if kind == "compute":
@@ -153,7 +153,7 @@ def check_cycles(ctx: VerifyContext, emit: Emitter) -> None:
             message += (f"; the cycle passes through fence "
                         f"{fences[0]!r} — every later iteration deadlocks")
         emit(message, location=ctx.where(members[0]), size=len(members),
-             members=[view.ids[m] for m in members[:10]])
+             members=members[:10])
 
 
 @rule("DV003", "verify-dead-task", "verify", "error",

@@ -162,8 +162,8 @@ def detect_kind(data: dict) -> str:
     config."""
     if "operators" in data and "tensors" in data:
         return "trace"
-    if "tasks" in data and "key" in data:
-        return "plan"
+    if "key" in data and ("columns" in data or "tasks" in data):
+        return "plan"  # "tasks": a version-1 plan, rejected by schema
     if "axes" in data or "trace" in data or "model" in data or "base" in data:
         return "spec"
     if ("stragglers" in data or "link_faults" in data or "failures" in data) \

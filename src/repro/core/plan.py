@@ -12,8 +12,9 @@ This module splits the pipeline accordingly:
 * :class:`PlanBuilder` duck-types the graph-construction surface of
   :class:`~repro.core.taskgraph.TaskGraphSimulator`, so any extrapolator's
   :meth:`build` records into a plan instead of a live simulator;
-* :class:`ExtrapolationPlan` is the recorded DAG — one iteration's tasks
-  with dependency indices, content-keyed by :func:`plan_key`;
+* :class:`ExtrapolationPlan` is the recorded DAG — one iteration's task
+  columns plus a backward dependency CSR, content-keyed by
+  :func:`plan_key`;
 * :meth:`ExtrapolationPlan.instantiate_iterations` appends the plan's
   columns to a live simulator's task store once per iteration (plus
   fence wiring), bit-identical to running the extrapolator directly, at
@@ -41,13 +42,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import SimulationConfig
-from repro.core.taskgraph import KIND_NAMES, TaskGraphSimulator
+from repro.core.taskgraph import (
+    BARRIER,
+    COMPUTE,
+    KIND_NAMES,
+    TASK_COLUMNS,
+    TRANSFER,
+    TaskGraphSimulator,
+)
 from repro.trace.trace import Trace, trace_digest
 
 #: Bumped whenever the serialized plan format (or the meaning of a plan
 #: key) changes; part of every key, so stale persisted plans are never
 #: loaded across format changes.
-PLAN_SCHEMA_VERSION = 1
+PLAN_SCHEMA_VERSION = 2
 
 #: Config fields a plan depends on.  Everything else — topology, link
 #: bandwidth/latency, routing/routing_seed, oversubscription, host link
@@ -91,170 +99,172 @@ def plan_key(trace: Trace, config: SimulationConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class PlannedTask:
-    """One recorded task: the arguments of an ``add_*`` call plus the
-    indices of its dependencies within the plan."""
+def edge_rows(ptr: np.ndarray) -> np.ndarray:
+    """The row owning each entry of a CSR with row index *ptr*."""
+    return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
 
-    __slots__ = ("index", "kind", "name", "gpu", "duration", "priority",
-                 "src", "dst", "nbytes", "meta", "deps")
 
-    def __init__(self, index: int, kind: str, name: str,
-                 gpu: Optional[str] = None, duration: float = 0.0,
-                 priority: int = 0, src: Optional[str] = None,
-                 dst: Optional[str] = None, nbytes: float = 0.0,
-                 meta: Optional[dict] = None,
-                 deps: Tuple[int, ...] = ()):
-        self.index = index
-        self.kind = kind
-        self.name = name
-        self.gpu = gpu
-        self.duration = duration
-        self.priority = priority
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.meta = meta or {}
-        self.deps = deps
+def group_rows(keys: np.ndarray, values: np.ndarray,
+               n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ptr, grouped)``: a CSR of *values* grouped by *keys* (each in
+    ``range(n)``), keeping their given order within a group."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr, values[np.argsort(keys, kind="stable")]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PlannedTask #{self.index} {self.name} ({self.kind})>"
+
+def dependency_defects(dep_ptr: np.ndarray,
+                       dep_idx: np.ndarray) -> List[Tuple[int, int, str]]:
+    """Every entry of a backward dependency CSR that is not an earlier
+    row, as ``(position, row, message)`` in position order.
+
+    The one dependency check: :meth:`ExtrapolationPlan.from_dict` rejects
+    the first defect and the verifier's DV001 reports them all.  A
+    forward, self or out-of-range reference would corrupt the dependent
+    wiring at instantiation.
+    """
+    n = len(dep_ptr) - 1
+    rows = edge_rows(dep_ptr)
+    out = []
+    for k in np.flatnonzero((dep_idx < 0) | (dep_idx >= rows)).tolist():
+        row, dep = int(rows[k]), int(dep_idx[k])
+        if not 0 <= dep < n:
+            message = (f"dependency index {dep!r} is out of range "
+                       f"(plan has {n} tasks)")
+        elif dep == row:
+            message = "task depends on itself"
+        else:
+            message = (f"dependency index {dep} points forward "
+                       "(plans must reference earlier tasks)")
+        out.append((k, row, message))
+    return out
+
+
+def _int_array(values: object, what: str) -> np.ndarray:
+    """A JSON list of ints as int64; anything else raises ValueError (a
+    float, string or bool entry would otherwise be coerced)."""
+    if not isinstance(values, list):
+        raise ValueError(f"plan {what} list is missing")
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"invalid {what} {bad!r} (expected an integer)")
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"invalid {what}: beyond the 64-bit range") from None
 
 
 class PlanBuilder:
-    """Records an extrapolator's graph-construction calls into a plan.
+    """Records an extrapolator's graph-construction calls as plan columns.
 
     Exposes the same ``add_compute`` / ``add_transfer`` / ``add_barrier``
-    surface as :class:`~repro.core.taskgraph.TaskGraphSimulator` (each
-    returning the recorded :class:`PlannedTask`, usable as a dependency),
-    but schedules nothing: compute durations are stored *unscaled* (the
-    per-GPU ``compute_scale`` applies at instantiation), and fences are
-    an execute-time concern (:meth:`fence` raises).
+    surface as :class:`~repro.core.taskgraph.TaskGraphSimulator`, each
+    returning the recorded row id (an opaque handle, usable as a
+    dependency), but schedules nothing: compute durations are stored
+    *unscaled* (the per-GPU ``compute_scale`` applies at instantiation),
+    and fences are an execute-time concern (:meth:`fence` raises).
     """
 
     def __init__(self):
-        self.tasks: List[PlannedTask] = []
+        self.columns: Dict[str, list] = {name: [] for name in TASK_COLUMNS}
+        self._appends = [self.columns[name].append for name in TASK_COLUMNS]
+        self._dep_ptr = [0]
+        self._dep_idx: List[int] = []
 
-    def _record(self, kind: str, name: str, deps: Sequence[PlannedTask],
-                **fields) -> PlannedTask:
-        task = PlannedTask(
-            len(self.tasks), kind, name,
-            deps=tuple(dep.index for dep in deps), **fields,
-        )
-        self.tasks.append(task)
-        return task
+    def _record(self, kind: int, name: str, deps: Sequence[int],
+                gpu: Optional[str] = None, duration: float = 0.0,
+                priority: int = 0, src: Optional[str] = None,
+                dst: Optional[str] = None, nbytes: float = 0.0,
+                meta: Optional[dict] = None) -> int:
+        row = (kind, name, gpu, duration, priority, src, dst, nbytes, meta)
+        for append, value in zip(self._appends, row):  # TASK_COLUMNS order
+            append(value)
+        self._dep_idx.extend(deps)
+        self._dep_ptr.append(len(self._dep_idx))
+        return len(self._dep_ptr) - 2
 
     def add_compute(self, name: str, gpu: str, duration: float,
-                    deps: Sequence[PlannedTask] = (), priority: int = 0,
-                    **meta) -> PlannedTask:
+                    deps: Sequence[int] = (), priority: int = 0,
+                    **meta) -> int:
         if duration < 0:
             raise ValueError(f"task {name}: negative duration")
-        return self._record("compute", name, deps, gpu=gpu,
+        return self._record(COMPUTE, name, deps, gpu=gpu,
                             duration=float(duration), priority=priority,
                             meta=meta)
 
     def add_transfer(self, name: str, src: str, dst: str, nbytes: float,
-                     deps: Sequence[PlannedTask] = (), **meta) -> PlannedTask:
+                     deps: Sequence[int] = (), **meta) -> int:
         if nbytes < 0:
             raise ValueError(f"task {name}: negative bytes")
-        return self._record("transfer", name, deps, src=src, dst=dst,
+        return self._record(TRANSFER, name, deps, src=src, dst=dst,
                             nbytes=float(nbytes), meta=meta)
 
-    def add_barrier(self, name: str, deps: Sequence[PlannedTask] = (),
-                    **meta) -> PlannedTask:
-        return self._record("barrier", name, deps, meta=meta)
+    def add_barrier(self, name: str, deps: Sequence[int] = (),
+                    **meta) -> int:
+        return self._record(BARRIER, name, deps, meta=meta)
 
-    def fence(self, name: str = "fence") -> PlannedTask:
+    def fence(self, name: str = "fence") -> int:
         raise RuntimeError(
             "plans capture one iteration; fences are inserted at "
             "instantiation time (extrapolators must not call fence)"
         )
 
     def finish(self, key: str, build_wall: float = 0.0) -> "ExtrapolationPlan":
-        return ExtrapolationPlan(self.tasks, key, build_wall=build_wall)
+        return ExtrapolationPlan(self.columns, self._dep_ptr, self._dep_idx,
+                                 key, build_wall=build_wall)
 
 
 class ExtrapolationPlan:
-    """One extrapolated iteration, decoupled from any engine or network.
+    """One extrapolated iteration as a columnar task table, decoupled from
+    any engine or network.
 
     Parameters
     ----------
-    tasks:
-        The recorded tasks, dependency indices pointing backwards.
+    columns:
+        The :data:`~repro.core.taskgraph.TASK_COLUMNS` as equal-length
+        lists, ``kind`` as :data:`~repro.core.taskgraph.KIND_NAMES`
+        codes.  ``meta`` dicts are shared with every instance: nothing
+        mutates task metadata after creation.
+    dep_ptr, dep_idx:
+        Backward dependency CSR: row *i* depends on
+        ``dep_idx[dep_ptr[i]:dep_ptr[i + 1]]``, in recorded order, each an
+        earlier row.
     key:
         The :func:`plan_key` this plan was built under.
     build_wall:
         Wall seconds the recording build took (profiler bookkeeping).
+
+    Derived from the dependency CSR: the forward CSR ``succ_ptr`` /
+    ``succ_idx`` (each row's dependents in ascending order — the order
+    they were recorded in, so the release walk follows program order),
+    ``indegree``, ``roots``, ``terminal_ids`` and ``uniform_priority``.
     """
 
-    def __init__(self, tasks: Sequence[PlannedTask], key: str,
-                 build_wall: float = 0.0):
-        self.tasks: Tuple[PlannedTask, ...] = tuple(tasks)
+    def __init__(self, columns: Dict[str, list], dep_ptr: Sequence[int],
+                 dep_idx: Sequence[int], key: str, build_wall: float = 0.0):
+        self.columns = columns
+        self.dep_ptr = np.asarray(dep_ptr, dtype=np.int64)
+        self.dep_idx = np.asarray(dep_idx, dtype=np.int64)
         self.key = key
         self.build_wall = build_wall
-        self._block: Optional[dict] = None
-        has_dependents = [False] * len(self.tasks)
-        for task in self.tasks:
-            for dep in task.deps:
-                has_dependents[dep] = True
-        #: Indices of tasks with no dependents within the plan — what an
+        counts = np.diff(self.dep_ptr)
+        self.succ_ptr, self.succ_idx = group_rows(
+            self.dep_idx, edge_rows(self.dep_ptr), len(counts))
+        self.indegree: List[int] = counts.tolist()
+        self.roots: List[int] = np.flatnonzero(counts == 0).tolist()
+        #: Rows with no dependents within the plan — what an
         #: inter-iteration fence must wait on, in creation order.
         self.terminal_ids: Tuple[int, ...] = tuple(
-            i for i, used in enumerate(has_dependents) if not used
-        )
+            np.flatnonzero(np.diff(self.succ_ptr) == 0).tolist())
+        #: Whether every row has priority 0.
+        self.uniform_priority = not any(columns["priority"])
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.columns["kind"])
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def block(self) -> dict:
-        """The plan as task-store columns, computed once per plan.
-
-        Column lists are extended into the simulator's
-        :class:`~repro.core.taskgraph.TaskStore` per iteration.  The CSR
-        row of task *d* lists its dependents in ascending order — the
-        order they were recorded in, so the release walk follows program
-        order.  ``meta`` dicts are shared between instances: nothing
-        mutates task metadata after creation.
-        """
-        tpl = self._block
-        if tpl is None:
-            tasks = self.tasks
-            n = len(tasks)
-            deg = [0] * n
-            for t in tasks:
-                for d in t.deps:
-                    deg[d] += 1
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            indices = [0] * int(indptr[-1])
-            fill = indptr[:-1].tolist()
-            for j, t in enumerate(tasks):
-                for d in t.deps:
-                    indices[fill[d]] = j
-                    fill[d] += 1
-            tpl = {
-                "kind": [KIND_NAMES.index(t.kind) for t in tasks],
-                "name": [t.name for t in tasks],
-                "gpu": [t.gpu if t.kind == "compute" else None
-                        for t in tasks],
-                "duration": [t.duration for t in tasks],
-                "priority": [t.priority for t in tasks],
-                "src": [t.src for t in tasks],
-                "dst": [t.dst for t in tasks],
-                "nbytes": [t.nbytes for t in tasks],
-                "meta": [t.meta for t in tasks],
-                "indegree": [len(t.deps) for t in tasks],
-                "indptr": indptr,
-                "indices": np.asarray(indices, dtype=np.int64),
-                "roots": [i for i, t in enumerate(tasks) if not t.deps],
-                "terminals": self.terminal_ids,
-                "uniform_priority": not any(t.priority for t in tasks),
-            }
-            self._block = tpl
-        return tpl
-
     def instantiate_iterations(self, sim: TaskGraphSimulator, count: int,
                                start: int = 0) -> None:
         """Append *count* consecutive training iterations to *sim*.
@@ -277,66 +287,62 @@ class ExtrapolationPlan:
         continue *sim*'s rows, so a cold build and an instanced plan
         simulate bit-identically.
         """
-        sim._append_iterations(self.block(), count, start)
+        sim._append_iterations(self, count, start)
 
     # ------------------------------------------------------------------
     # Serialization (the on-disk persistence format)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        rows = []
-        for t in self.tasks:
-            if t.kind == "compute":
-                rows.append(["c", t.name, t.gpu, t.duration, t.priority,
-                             t.meta, list(t.deps)])
-            elif t.kind == "transfer":
-                rows.append(["t", t.name, t.src, t.dst, t.nbytes,
-                             t.meta, list(t.deps)])
-            else:
-                rows.append(["b", t.name, t.meta, list(t.deps)])
         return {
             "schema_version": PLAN_SCHEMA_VERSION,
             "key": self.key,
-            "tasks": rows,
+            "columns": {name: list(self.columns[name])
+                        for name in TASK_COLUMNS},
+            "dep_ptr": self.dep_ptr.tolist(),
+            "dep_idx": self.dep_idx.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtrapolationPlan":
+        """Load a serialized plan.  Malformed input raises ``ValueError``,
+        which puts a corrupt persisted plan on :meth:`PlanCache.get`'s
+        drop-and-rebuild path instead of into a simulation."""
+        if not isinstance(data, dict):
+            raise ValueError("a plan is a JSON object")
         version = data.get("schema_version")
         if version != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema version {version}")
-        tasks = []
-        for index, row in enumerate(data["tasks"]):
-            tag = row[0]
-            if tag == "c":
-                _, name, gpu, duration, priority, meta, deps = row
-                tasks.append(PlannedTask(index, "compute", name, gpu=gpu,
-                                         duration=duration,
-                                         priority=priority, meta=meta,
-                                         deps=tuple(deps)))
-            elif tag == "t":
-                _, name, src, dst, nbytes, meta, deps = row
-                tasks.append(PlannedTask(index, "transfer", name, src=src,
-                                         dst=dst, nbytes=nbytes, meta=meta,
-                                         deps=tuple(deps)))
-            elif tag == "b":
-                _, name, meta, deps = row
-                tasks.append(PlannedTask(index, "barrier", name, meta=meta,
-                                         deps=tuple(deps)))
-            else:
-                raise ValueError(f"unknown plan row tag {tag!r}")
-            for dep in tasks[-1].deps:
-                # Dependencies must point strictly backwards: a forward,
-                # self, or out-of-range reference would corrupt the
-                # dependent wiring at instantiation.  Raising ValueError
-                # here puts corrupt persisted plans on PlanCache.get's
-                # drop-and-rebuild path instead of into a simulation.
-                if not isinstance(dep, int) or not 0 <= dep < index:
-                    raise ValueError(
-                        f"plan row {index} ({tasks[-1].name!r}) has an "
-                        f"invalid dependency index {dep!r}: dependencies "
-                        "must reference earlier rows"
-                    )
-        return cls(tasks, data["key"])
+        key, columns = data.get("key"), data.get("columns")
+        if not isinstance(key, str) or not isinstance(columns, dict):
+            raise ValueError("plan needs a string key and a columns table")
+        missing = [name for name in TASK_COLUMNS
+                   if not isinstance(columns.get(name), list)]
+        if missing:
+            raise ValueError(f"plan columns missing: {missing}")
+        n = len(columns["kind"])
+        uneven = [name for name in TASK_COLUMNS if len(columns[name]) != n]
+        if uneven:
+            raise ValueError(f"plan columns {uneven} do not have {n} rows")
+        kinds = _int_array(columns["kind"], "kind code")
+        unknown = np.flatnonzero((kinds < 0) | (kinds >= len(KIND_NAMES)))
+        if unknown.size:
+            row = int(unknown[0])
+            raise ValueError(f"plan row {row} has unknown kind code "
+                             f"{columns['kind'][row]!r}")
+        dep_ptr = _int_array(data.get("dep_ptr"), "dep_ptr entry")
+        dep_idx = _int_array(data.get("dep_idx"), "dependency index")
+        if (len(dep_ptr) != n + 1 or dep_ptr[0] != 0
+                or dep_ptr[-1] != len(dep_idx) or np.any(np.diff(dep_ptr) < 0)):
+            raise ValueError("plan dep_ptr is not a row index over dep_idx")
+        defects = dependency_defects(dep_ptr, dep_idx)
+        if defects:
+            k, row, _ = defects[0]
+            raise ValueError(
+                f"plan row {row} ({columns['name'][row]!r}) has an invalid "
+                f"dependency index {data['dep_idx'][k]!r}: dependencies "
+                "must reference earlier rows")
+        return cls({name: columns[name] for name in TASK_COLUMNS},
+                   dep_ptr, dep_idx, key)
 
     def to_json(self) -> str:
         """Serialize to JSON (floats round-trip bit-exactly)."""

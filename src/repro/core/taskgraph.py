@@ -36,6 +36,11 @@ HOOK_TASK_END = "task_end"
 COMPUTE, TRANSFER, BARRIER = 0, 1, 2
 KIND_NAMES = ("compute", "transfer", "barrier")
 
+#: The static per-row columns of a task table, in serialization order:
+#: what an extrapolation plan records and a :class:`TaskStore` holds.
+TASK_COLUMNS = ("kind", "name", "gpu", "duration", "priority", "src", "dst",
+                "nbytes", "meta")
+
 
 class _GPUQueue:
     """FIFO compute queue of one GPU: ready row ids, one row in flight."""
@@ -49,16 +54,18 @@ class _GPUQueue:
 class TaskStore:
     """The columnar (structure-of-arrays) task table of one simulator.
 
-    One row per task, indexed by ``task_id``.  Rows are appended one at a
-    time by the ``add_*`` builders and a plan block at a time by
+    One row per task, indexed by ``task_id``: the :data:`TASK_COLUMNS`
+    plus the run-time columns below.  Rows are appended one at a time by
+    the ``add_*`` builders and a plan iteration at a time by
     :meth:`repro.core.plan.ExtrapolationPlan.instantiate_iterations`.
 
     Successors live in two places, walked in this order (which is the
     order the successors were created in):
 
-    * ``indptr``/``indices`` — CSR of the edges *inside* a plan block,
-      tiled with numpy and materialized as plain lists (CPython list
-      indexing beats per-element numpy access in the dispatch loop);
+    * ``indptr``/``indices`` — CSR of the edges *inside* a plan
+      iteration, tiled with numpy and materialized as plain lists
+      (CPython list indexing beats per-element numpy access in the
+      dispatch loop);
     * ``succ`` — every other edge, as a per-row list or ``None``: the
       builders' dependencies and the inter-iteration fence wiring
       (each terminal → its fence, each fence → the next iteration's
@@ -71,9 +78,8 @@ class TaskStore:
     fence releases the roots.
     """
 
-    __slots__ = ("kind", "name", "gpu", "duration", "priority", "src", "dst",
-                 "nbytes", "meta", "queue", "indegree", "indptr", "indices",
-                 "succ", "start", "end", "uniform_priority")
+    __slots__ = TASK_COLUMNS + ("queue", "indegree", "indptr", "indices",
+                                "succ", "start", "end", "uniform_priority")
 
     def __init__(self):
         self.kind: List[int] = []
@@ -316,42 +322,36 @@ class TaskGraphSimulator(Hookable):
         return SimTask(self.store, self._add(
             BARRIER, name, [d.task_id for d in deps], meta=meta))
 
-    def _append_iterations(self, block: dict, count: int, start: int) -> None:
-        """Append *count* copies of a plan *block* (see
+    def _append_iterations(self, plan, count: int, start: int) -> None:
+        """Append *count* copies of *plan*'s rows (see
         :meth:`repro.core.plan.ExtrapolationPlan.instantiate_iterations`),
         each iteration numbered ``>= 1`` behind a fence ``iteration{i}``."""
         store = self.store
-        n = len(block["kind"])
-        durations = block["duration"]
+        n = len(plan)
+        columns = plan.columns
+        gpus = columns["gpu"]
         scale = self.compute_scale
         if scale:
             # x * 1.0 is bit-identical to x: matches add_compute's
             # unconditional multiply (compute rows only).
-            durations = [d * scale.get(g, 1.0) if g is not None else d
-                         for d, g in zip(durations, block["gpu"])]
-        queues = [self._gpus[g] if g is not None else None
-                  for g in block["gpu"]]
-        if not block["uniform_priority"]:
+            columns = dict(columns, duration=[
+                d * scale.get(g, 1.0) if g is not None else d
+                for d, g in zip(columns["duration"], gpus)])
+        queues = [self._gpus[g] if g is not None else None for g in gpus]
+        if not plan.uniform_priority:
             store.uniform_priority = False
-        indptr, indices = block["indptr"], block["indices"]
-        roots, terminals = block["roots"], block["terminals"]
+        indptr, indices = plan.succ_ptr, plan.succ_idx
+        roots, terminals = plan.roots, plan.terminal_ids
         empty = [None] * n
         previous: Sequence[int] = ()
         for index in range(start, start + count):
             if index > 0:
                 self._fence_rows(f"iteration{index}", previous)
             first = len(store)
-            store.kind.extend(block["kind"])
-            store.name.extend(block["name"])
-            store.gpu.extend(block["gpu"])
-            store.duration.extend(durations)
-            store.priority.extend(block["priority"])
-            store.src.extend(block["src"])
-            store.dst.extend(block["dst"])
-            store.nbytes.extend(block["nbytes"])
-            store.meta.extend(block["meta"])
+            for name in TASK_COLUMNS:
+                getattr(store, name).extend(columns[name])
             store.queue.extend(queues)
-            store.indegree.extend(block["indegree"])
+            store.indegree.extend(plan.indegree)
             store.indptr.extend((indptr[1:] + len(store.indices)).tolist())
             store.indices.extend((indices + first).tolist())
             store.succ.extend(empty)

@@ -376,8 +376,8 @@ class Engine(Hookable):
                         self.invoke_hooks(
                             HookCtx(HOOK_AFTER_EVENT, time, event))
                     elif type(event) is callback_lane:
-                        # Inlined fast lane: a CallbackEvent is its own
-                        # handler, so skip the handler.handle indirection.
+                        # Inlined fast lane: call a CallbackEvent's
+                        # callback, skipping its handler's indirection.
                         event._callback(event)
                     else:
                         event.handler.handle(event)

@@ -7,12 +7,13 @@ shared helpers cover per-GPU operator chains and placement bookkeeping.
 Builds target a **graph builder**, not necessarily a live simulator: any
 object exposing ``add_compute`` / ``add_transfer`` / ``add_barrier`` with
 :class:`~repro.core.taskgraph.TaskGraphSimulator`'s signatures, whose
-return values are opaque dependency handles.  The plan/execute split
-(:mod:`repro.core.plan`) relies on this: the same ``build`` records into a
+return values are opaque dependency handles (a :class:`PlanBuilder` hands
+out row ids).  The plan/execute split (:mod:`repro.core.plan`) relies on
+this: the same ``build`` records into a
 :class:`~repro.core.plan.PlanBuilder` to produce a cacheable plan.  A
 build must therefore be a *pure function of the extrapolator's inputs*:
-emit tasks in deterministic program order, never read task attributes or
-builder state back, and never call ``fence`` (iteration boundaries are an
+emit tasks in deterministic program order, only pass handles back as
+dependencies, and never call ``fence`` (iteration boundaries are an
 execute-time concern).
 """
 

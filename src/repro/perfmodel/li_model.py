@@ -26,20 +26,12 @@ _EPS = 1e-12
 
 
 def _nnls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Non-negative least squares (scipy when available, else projected
-    gradient fallback so the library has no hard scipy dependency)."""
-    try:
-        from scipy.optimize import nnls
+    """Non-negative least squares (scipy's Lawson-Hanson solver; imported
+    on the first fit, so processes that never fit skip the import)."""
+    from scipy.optimize import nnls
 
-        coef, _ = nnls(X, y)
-        return coef
-    except ImportError:  # pragma: no cover - exercised only without scipy
-        coef = np.zeros(X.shape[1])
-        step = 1.0 / (np.linalg.norm(X, ord=2) ** 2 + _EPS)
-        for _ in range(2000):
-            grad = X.T @ (X @ coef - y)
-            coef = np.maximum(coef - step * grad, 0.0)
-        return coef
+    coef, _ = nnls(X, y)
+    return coef
 
 
 @dataclass

@@ -22,6 +22,7 @@ from repro.analysis import (
     verify_path,
 )
 from repro.cli import main
+from tests.plan_edits import set_deps
 
 
 @pytest.fixture(scope="module")
@@ -461,8 +462,8 @@ class TestPlanLint:
         assert kind == "plan" and report.ok
 
     def test_dv001_corrupt_plan(self, tmp_path, plan_dict):
-        corrupt = copy.deepcopy(plan_dict)
-        corrupt["tasks"][0][-1] = [5]  # forward dependency reference
+        # Row 0 depends on row 5: a forward dependency reference.
+        corrupt = set_deps(copy.deepcopy(plan_dict), 0, [5])
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(corrupt))
         report, kind, _ = verify_path(path)
@@ -478,7 +479,8 @@ class TestPlanLint:
         assert rule_ids(report) == {"DV001"}
 
     def test_pl002_empty_plan_file(self, tmp_path, plan_dict):
-        empty = dict(plan_dict, tasks=[])
+        empty = dict(plan_dict, dep_ptr=[0], dep_idx=[],
+                     columns={name: [] for name in plan_dict["columns"]})
         path = tmp_path / "empty.plan.json"
         path.write_text(json.dumps(empty))
         report, kind, _ = verify_path(path)

@@ -28,6 +28,7 @@ from repro.network.flow import (
 )
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
+from tests.plan_edits import rewired
 
 
 @pytest.fixture(scope="module")
@@ -313,10 +314,9 @@ class TestTrioSimSanitize:
             plan = original(self)
             # Rename rank gpu1 in every transfer: the collectives keep
             # their shape, but gpu9 is not a node of the 2-GPU ring.
-            for task in plan.tasks:
-                if task.kind == "transfer":
-                    task.src = "gpu9" if task.src == "gpu1" else task.src
-                    task.dst = "gpu9" if task.dst == "gpu1" else task.dst
+            for column in (plan.columns["src"], plan.columns["dst"]):
+                column[:] = ["gpu9" if node == "gpu1" else node
+                             for node in column]
             return plan
 
         dispatched = []
@@ -341,9 +341,8 @@ class TestTrioSimSanitize:
             plan = original(self)
             # Introduce a dependency cycle after extrapolation: the
             # first consumer of task 0 now also feeds task 0.
-            consumer = next(t for t in plan.tasks if 0 in t.deps)
-            plan.tasks[0].deps = (consumer.index,)
-            return plan
+            consumer = int(plan.succ_idx[plan.succ_ptr[0]])
+            return rewired(plan, 0, [consumer])
 
         monkeypatch.setattr(TrioSim, "build_plan", bad_build_plan)
         with pytest.raises(AnalysisError) as excinfo:

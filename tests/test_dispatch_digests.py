@@ -14,7 +14,7 @@ import pytest
 import repro.core.simulator as simulator_module
 from repro.collectives import ring_all_reduce
 from repro.core.config import SimulationConfig
-from repro.core.plan import ExtrapolationPlan, PlanCache
+from repro.core.plan import ExtrapolationPlan, PlanBuilder, PlanCache
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
@@ -121,6 +121,34 @@ def test_full_engine_scenario(resnet50_trace, resnet50_plans, observed,
     assert result.events == 192303
 
 
+def test_full_engine_plan_survives_disk(resnet50_trace, observed, tmp_path):
+    """The 64-GPU plan round-trips through its JSON file column for column
+    (floats bit for bit), and the run on the disk-loaded plan dispatches
+    the pinned schedule."""
+    config = SimulationConfig(
+        parallelism="ddp", num_gpus=64, topology="leaf_spine",
+        link_bandwidth=234e9, iterations=2, routing="adaptive")
+    plan = TrioSim(resnet50_trace, config).build_plan()
+    PlanCache(root=tmp_path).put(plan.key, plan)
+    back = ExtrapolationPlan.from_json(
+        (tmp_path / f"{plan.key}.plan.json").read_text())
+
+    def exact(values):
+        return [v.hex() if isinstance(v, float) else v for v in values]
+
+    for name, column in plan.columns.items():
+        assert exact(back.columns[name]) == exact(column), name
+    for name in ("dep_ptr", "dep_idx", "succ_ptr", "succ_idx"):
+        assert getattr(back, name).tolist() == getattr(plan, name).tolist()
+    sim = TrioSim(resnet50_trace, config, record_timeline=False,
+                  plan_cache=PlanCache(root=tmp_path))
+    result = sim.run()
+    assert result.profile["plan_source"] == "disk"
+    assert str(observed) == "cde0e7e7865bc072"
+    assert result.total_time == 0.18863803921515243
+    assert result.events == 192303
+
+
 def test_folded_ddp_run(trace, observed):
     config = SimulationConfig(parallelism="ddp", num_gpus=8, topology="ring",
                               link_bandwidth=100e9, iterations=8)
@@ -164,7 +192,7 @@ def test_direct_built_ring_all_reduce():
 def test_empty_plan_releases_its_fences():
     engine = Engine()
     sim = TaskGraphSimulator(engine, FlowNetwork(engine, ring(2, 100.0)))
-    ExtrapolationPlan([], key="empty").instantiate_iterations(sim, 3)
+    PlanBuilder().finish("empty").instantiate_iterations(sim, 3)
     assert sim.run() == 0.0
     assert [fence.name for fence in sim.fences] == ["iteration1",
                                                     "iteration2"]

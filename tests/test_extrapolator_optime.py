@@ -170,8 +170,8 @@ class TestScaledDurationMemo:
             reused = sim.build_plan()
             sim.op_time = build_op_time(trace, perf_model)
             fresh = sim.build_plan()
-            assert [d.hex() for d in reused.block()["duration"]] == \
-                [d.hex() for d in fresh.block()["duration"]], fields
+            assert [d.hex() for d in reused.columns["duration"]] == \
+                [d.hex() for d in fresh.columns["duration"]], fields
         assert all(model is models[0] for model in models)
 
 

@@ -134,7 +134,8 @@ def test_hybrid_fetches_inputs_per_replica_micro_batch():
     ex.fetch_inputs = True
     builder = PlanBuilder()
     ex.build(builder)
-    fetches = [t.name for t in builder.tasks if t.name.startswith("h2d:")]
+    fetches = [name for name in builder.columns["name"]
+               if name.startswith("h2d:")]
     assert fetches == ["h2d:gpu0/r0/mb0", "h2d:gpu0/r0/mb1",
                        "h2d:gpu2/r1/mb0", "h2d:gpu2/r1/mb1"]
     inputs = [t for t in trace.tensors.values() if t.category == "input"]

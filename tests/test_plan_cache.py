@@ -9,6 +9,8 @@ topology cache, and the fence-boundary clamp for faulted multi-iteration
 runs.
 """
 
+import json
+
 import pytest
 
 from repro.analysis import AnalysisError, lint_plan
@@ -266,6 +268,32 @@ class TestPlanLint:
 # ----------------------------------------------------------------------
 # Plan serialization and the cache itself
 # ----------------------------------------------------------------------
+#: Each way a plan file is damaged below, and what its rejection says.
+REJECTIONS = {
+    "not-json": "Expecting", "short-column": "do not have",
+    "missing-column": "missing", "unknown-kind": "unknown kind",
+    "dep-ptr-not-monotone": "dep_ptr", "dep-ptr-wrong-end": "dep_ptr",
+}
+
+
+def corrupted(data: dict, case: str) -> str:
+    """The text of a serialized plan damaged as *case* names."""
+    if case == "not-json":
+        return "{not json"
+    columns, ptr = data["columns"], data["dep_ptr"]
+    if case == "short-column":
+        columns["name"].pop()
+    elif case == "missing-column":
+        del columns["meta"]
+    elif case == "unknown-kind":
+        columns["kind"][0] = 7
+    elif case == "dep-ptr-not-monotone":
+        ptr[1] = ptr[-1] + 1
+    elif case == "dep-ptr-wrong-end":
+        ptr[-1] += 1
+    return json.dumps(data)
+
+
 class TestPlanCacheMechanics:
     def test_plan_roundtrips_through_json(self, trace):
         config = SimulationConfig(parallelism="hybrid", num_gpus=4,
@@ -284,7 +312,7 @@ class TestPlanCacheMechanics:
     def test_lru_is_bounded(self):
         cache = PlanCache(max_entries=2)
         for i in range(4):
-            cache.put(f"k{i}", ExtrapolationPlan((), f"k{i}"))
+            cache.put(f"k{i}", PlanBuilder().finish(f"k{i}"))
         assert len(cache) == 2
         assert cache.get("k0") is None
         assert cache.get("k3") is not None
@@ -292,9 +320,10 @@ class TestPlanCacheMechanics:
     def test_key_mismatch_rejected_on_put(self):
         cache = PlanCache()
         with pytest.raises(PlanKeyMismatch):
-            cache.put("expected", ExtrapolationPlan((), "actual"))
+            cache.put("expected", PlanBuilder().finish("actual"))
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, trace):
+    @pytest.mark.parametrize("corrupt", list(REJECTIONS))
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, trace, corrupt):
         config = SimulationConfig(parallelism="ddp", num_gpus=2,
                                   topology="ring")
         sim = TrioSim(trace, config)
@@ -302,7 +331,11 @@ class TestPlanCacheMechanics:
         key = sim.plan_key()
         cache.get_or_build(key, sim.build_plan)
         path = tmp_path / f"{key}.plan.json"
-        path.write_text("{not json")
+        text = corrupted(json.loads(path.read_text()), corrupt)
+        # A ValueError, never a TypeError, so PlanCache.get rebuilds.
+        with pytest.raises(ValueError, match=REJECTIONS[corrupt]):
+            ExtrapolationPlan.from_json(text)
+        path.write_text(text)
         fresh = PlanCache(root=tmp_path)
         assert fresh.get(key) is None
         assert not path.exists()  # dropped, not left to fail forever

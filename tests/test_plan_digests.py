@@ -1,8 +1,8 @@
 """Pinned digests of extrapolated plans.
 
 Each case builds one iteration's :class:`~repro.core.plan.ExtrapolationPlan`
-and folds its task-store columns — names, durations (as ``float.hex``),
-transfer sizes and the dependency CSR — into a digest.  The values were
+and folds its columns — names, durations (as ``float.hex``), transfer
+sizes and the successor CSR — into a digest.  The values were
 recorded before plan building was made linear (indexed weight placement,
 memoized scaled durations), so a later refactor of the extrapolators that
 moves one operator duration by an ulp or reorders one edge fails here.
@@ -29,13 +29,13 @@ def traces():
 
 
 def plan_digest(plan) -> str:
-    block = plan.block()
+    columns = plan.columns
     h = hashlib.sha256()
-    for name, duration, nbytes in zip(block["name"], block["duration"],
-                                      block["nbytes"]):
+    for name, duration, nbytes in zip(columns["name"], columns["duration"],
+                                      columns["nbytes"]):
         h.update(f"{name}|{duration.hex()}|{nbytes.hex()}\n".encode())
-    h.update(block["indptr"].tobytes())
-    h.update(block["indices"].tobytes())
+    h.update(plan.succ_ptr.tobytes())
+    h.update(plan.succ_idx.tobytes())
     return h.hexdigest()[:16]
 
 

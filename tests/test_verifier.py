@@ -31,6 +31,7 @@ from repro.engine.events import CallbackEvent
 from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
+from tests.plan_edits import set_deps
 
 
 @pytest.fixture(scope="module")
@@ -416,23 +417,24 @@ class TestPlanVerification:
         clone = ExtrapolationPlan.from_json(plan.to_json())
         assert verify_plan(clone).ok
 
-    def test_from_dict_rejects_forward_dep(self, plan):
-        data = plan.to_dict()
-        data["tasks"][0][-1] = [5]  # forward reference
-        with pytest.raises(ValueError, match="invalid dependency index"):
-            ExtrapolationPlan.from_dict(data)
-
-    def test_from_dict_rejects_out_of_range_dep(self, plan):
-        data = plan.to_dict()
-        data["tasks"][-1][-1] = [10 ** 9]
+    @pytest.mark.parametrize("row,dep", [
+        (0, 5), (-1, 10 ** 9), (3, 3), (-1, -1), (-1, 2.5), (-1, "3"),
+        (-1, True),
+    ], ids=["forward", "out-of-range", "self", "negative", "float",
+            "string", "bool"])
+    def test_from_dict_rejects_bad_dep(self, plan, row, dep):
+        data = set_deps(plan.to_dict(), row % len(plan), [dep])
         with pytest.raises(ValueError, match="invalid dependency index"):
             ExtrapolationPlan.from_dict(data)
 
     def test_graphview_flags_tampered_plan(self, plan):
         clone = ExtrapolationPlan.from_json(plan.to_json())
-        clone.tasks[3].deps = (3,)  # self dependency, post-validation
+        # Self dependency, post-validation: row 3's first index is itself.
+        assert clone.dep_ptr[4] > clone.dep_ptr[3]
+        clone.dep_idx[clone.dep_ptr[3]] = 3
         report = verify_plan(clone)
         assert rule_ids(report) == {"DV001"}
+        assert "depends on itself" in report.findings[0].message
 
     def test_detect_kind_plan_and_faults(self, plan):
         assert detect_kind(plan.to_dict()) == "plan"
@@ -447,8 +449,7 @@ class TestPlanVerification:
         assert info["summary"]["tasks"] == len(plan)
 
     def test_verify_path_corrupt_plan(self, tmp_path, plan):
-        data = plan.to_dict()
-        data["tasks"][0][-1] = [5]
+        data = set_deps(plan.to_dict(), 0, [5])
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(data))
         report, kind, _ = verify_path(path)
@@ -496,8 +497,7 @@ class TestCatalogueAndSarif:
         assert problems and any("DV" in p for p in problems)
 
     def test_sarif_document_shape(self, tmp_path, plan):
-        data = plan.to_dict()
-        data["tasks"][0][-1] = [5]
+        data = set_deps(plan.to_dict(), 0, [5])
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(data))
         report, _, _ = verify_path(path)
@@ -548,8 +548,7 @@ class TestVerifyCli:
         assert "clean" in out and "graph:" in out and "critical path" in out
 
     def test_corrupt_plan_exits_one(self, tmp_path, plan, capsys):
-        data = plan.to_dict()
-        data["tasks"][0][-1] = [5]
+        data = set_deps(plan.to_dict(), 0, [5])
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 1
