@@ -1,12 +1,12 @@
 """Runtime sanitizers (``SZ``-series): invariant checkers wired through
-the existing :class:`~repro.engine.hooks.Hookable` mechanism.
+the engine's dispatch observers and the simulators' hook positions.
 
 Where the static lint passes reject bad *inputs*, sanitizers watch the
 simulation *while it runs* for invariants whose violation silently
 corrupts results:
 
 * :class:`TimeMonotonicSanitizer` — virtual time must never run backwards
-  across dispatched events (hooked on the engine);
+  across dispatched events (an engine dispatch observer);
 * :class:`LinkCapacitySanitizer` — after every bandwidth reallocation the
   flow rates crossing each directed link must not exceed its capacity
   (hooked on :class:`~repro.network.flow.FlowNetwork`);
@@ -87,23 +87,23 @@ def _emit(report: Report, rule_id: str, message: str, location: str = "",
 
 
 class TimeMonotonicSanitizer:
-    """Hook asserting the engine clock never moves backwards."""
+    """Dispatch observer asserting the engine clock never moves backwards."""
 
     def __init__(self, report: Report):
         self.report = report
         self._last = float("-inf")
         self._fired = 0
 
-    def func(self, ctx: HookCtx) -> None:
-        time = ctx.time
+    def observe(self, time: float, seq: int, event: object) -> None:
         if time >= self._last:
             self._last = time
         elif self._fired < MAX_FINDINGS_PER_SANITIZER:
             self._fired += 1
             _emit(self.report, "SZ001",
                   f"virtual time moved backwards: {time!r} after "
-                  f"{self._last!r} (at {ctx.pos})",
-                  location=ctx.pos, time=time, previous=self._last)
+                  f"{self._last!r} (event seq {seq})",
+                  location=f"t={time:g}", time=time, previous=self._last,
+                  seq=seq)
 
 
 class LinkCapacitySanitizer:

@@ -10,7 +10,7 @@ on three runtime invariants the static verifier cannot see:
   directly, reuses sequence numbers, or derives them from an unstable
   source makes same-timestamp pop order depend on heap internals — the
   runs *look* fine but diverge across processes.  The detector watches
-  every dispatch through the engine's observer fast path and checks,
+  every dispatch as an engine dispatch observer and checks,
   within each same-timestamp tie group, that heap order, sequence
   monotonicity, and the event's own stamped sequence all agree.  It
   also folds ``(time, seq)`` of every dispatch into an order digest —
@@ -52,7 +52,7 @@ from repro.analysis.sanitizers import (
     TimeMonotonicSanitizer,
     _emit,
 )
-from repro.engine.engine import Engine
+from repro.engine.engine import Engine, Observer
 from repro.engine.hooks import HookCtx
 from repro.network.flow import FlowNetwork
 
@@ -201,8 +201,9 @@ class RuntimeSuite:
         report = suite.finalize()
         suite.order_digest  # equal across identical runs
 
-    Attach before the run: the engine binds its dispatch observer once
-    at the top of :meth:`~repro.engine.engine.Engine.run`.  Every piece
+    The engine-side checks (SZ001, RC001) are dispatch observers of the
+    one run loop (:meth:`~repro.engine.engine.Engine.add_observer`), so a
+    verified run dispatches exactly as an unverified one.  Every piece
     is optional; a check whose subject was not attached, or whose rule
     the registry disables, is skipped.
     """
@@ -218,6 +219,7 @@ class RuntimeSuite:
         self._injector: Any = None
         self._sim: Any = None
         self._tie: Optional[TieOrderDetector] = None
+        self._observers: List[Observer] = []
         self._rng: Optional[RngDriftDetector] = None
         self._hooks: List[Tuple[Any, Any]] = []
 
@@ -228,11 +230,14 @@ class RuntimeSuite:
         self._engine, self._network = engine, network
         self._injector, self._sim = injector, sim
         if engine is not None:
-            if enabled("SZ001"):
-                self._hooks.append((engine, TimeMonotonicSanitizer(report)))
             if enabled("RC001"):
                 self._tie = TieOrderDetector(report)
-                engine.set_dispatch_observer(self._tie.observe)
+                self._observers.append(self._tie.observe)
+            if enabled("SZ001"):
+                self._observers.append(
+                    TimeMonotonicSanitizer(report).observe)
+            for observer in self._observers:
+                engine.add_observer(observer)
         if isinstance(network, FlowNetwork):
             for rule_id, sanitizer in (("SZ002", LinkCapacitySanitizer),
                                        ("SZ004", AllocatorWarningSanitizer),
@@ -262,8 +267,11 @@ class RuntimeSuite:
             self._rng = None
         if self._tie is not None:
             self.order_digest = self._tie.digest
-            self._engine.set_dispatch_observer(None)
             self._tie = None
+        if self._engine is not None:
+            for observer in self._observers:
+                self._engine.remove_observer(observer)
+        self._observers.clear()
         for hookable, hook in self._hooks:
             hookable.remove_hook(hook)
         self._hooks.clear()

@@ -134,9 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate_p.add_argument("--profile", action="store_true",
                             help="print the pipeline wall-time breakdown "
                                  "(trace-prep / plan / instancing / "
-                                 "engine, with the engine split into "
-                                 "queue-ops / handler / hook-overhead "
-                                 "sub-phases); see docs/plans.md and "
+                                 "engine); see docs/plans.md and "
                                  "docs/performance.md")
 
     sweep_p = sub.add_parser(
@@ -263,7 +261,7 @@ def _cmd_simulate(args) -> int:
         config.faults = FaultSpec.load(args.faults)
     wants_timeline = args.timeline is not None or args.report is not None
     sim = TrioSim(trace, config, record_timeline=wants_timeline,
-                  verify=args.verify, profile_engine=args.profile)
+                  verify=args.verify)
     if args.verify:
         from repro.analysis import AnalysisError, render_text
 

@@ -18,13 +18,8 @@ from typing import Dict, Optional
 #: steady-state check between warm-up iterations of a folded run;
 #: ``fold_extend`` times the algebraic extension of the folded tail
 #: (timeline replication + counter scaling).  Both are absent from
-#: unfolded runs.  The ``engine.*`` sub-phases split the engine phase
-#: into the buckets the engine's observed run loop times when a profile
-#: sink is installed (heap bookkeeping, handler bodies, engine-level
-#: hook dispatch) and appear only under ``profile_engine`` /
-#: ``simulate --profile``.
+#: unfolded runs.
 PHASES = ("trace_prep", "plan", "instancing", "fold_detect", "engine",
-          "engine.queue_ops", "engine.handler", "engine.hook_overhead",
           "fold_extend")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time as _wall
 from collections import defaultdict
-from typing import Dict, Optional
 
 import networkx as nx
 
@@ -56,6 +55,29 @@ from repro.trace.trace import Trace
 #: milliseconds, large enough that the wall-clock read stays invisible
 #: in profiles.
 HEARTBEAT_EVERY = 256
+
+
+def heartbeat_observer(engine: Engine, heartbeat, every: int = HEARTBEAT_EVERY):
+    """The dispatch observer behind ``TrioSim(heartbeat=)``.
+
+    Calls ``heartbeat(engine)`` every *every* dispatched events, before
+    that event's callback runs.  An exception the heartbeat raises
+    propagates out of :meth:`Engine.run`, stopping the run with its
+    partial progress (``engine.now``, ``engine.dispatched_events``)
+    intact — the sweep service's soft deadline.
+    """
+    if every < 1:
+        raise ValueError("heartbeat interval must be >= 1 event")
+    countdown = every
+
+    def observe(_time: float, _seq: int, _event) -> None:
+        nonlocal countdown
+        countdown -= 1
+        if not countdown:
+            countdown = every
+            heartbeat(engine)
+
+    return observe
 
 
 def iteration_times_from_fences(fence_end_times, total: float):
@@ -116,7 +138,8 @@ class TrioSim:
         the static tier (when the caller verified the plan already).
     heartbeat:
         Optional ``(engine) -> None`` callback fired every
-        :data:`HEARTBEAT_EVERY` dispatched events — the sweep service's
+        :data:`HEARTBEAT_EVERY` dispatched events (a dispatch observer,
+        see :func:`heartbeat_observer`) — the sweep service's
         cooperative soft-deadline check.  Unlike hooks, a heartbeat
         never affects fold eligibility: it observes wall clock, not
         simulation state.
@@ -127,15 +150,7 @@ class TrioSim:
                  allow_chaos: bool = False,
                  plan: ExtrapolationPlan = None,
                  plan_cache: PlanCache = None, verify: bool = False,
-                 heartbeat=None, profile_engine: bool = False):
-        #: When true the engine runs its observed loop with timing and
-        #: the result's profile gains ``engine.queue_ops`` /
-        #: ``engine.handler`` / ``engine.hook_overhead`` sub-phases —
-        #: where exact-path time actually goes.  Dispatch order is
-        #: unchanged; the instrumentation costs ~2 clock reads/event.
-        self.profile_engine = profile_engine
-        self._engine_profile: Optional[Dict[str, float]] = \
-            {} if profile_engine else None
+                 heartbeat=None):
         self.config = config
         self.record_timeline = record_timeline
         self.hooks = tuple(hooks)
@@ -330,10 +345,6 @@ class TrioSim:
             plan = self._resolve_plan(profiler)
         with profiler.phase("engine"):
             engine = Engine()
-            if self._engine_profile is not None:
-                engine.set_profile(self._engine_profile)
-            if self.heartbeat is not None:
-                engine.set_heartbeat(self.heartbeat, HEARTBEAT_EVERY)
             network = self._build_network(engine)
             sim = TaskGraphSimulator(engine, network)
         if self.config.gpu_slowdowns:
@@ -345,13 +356,23 @@ class TrioSim:
             sim.accept_hook(hook)
         decision = fold_decision(self.config, network=network,
                                  hooks=self.hooks, verify=bool(self.verify))
-        if decision.eligible:
-            return self._run_folded(profiler, plan, engine, network, sim,
-                                    recorder, started)
-        if self.config.iterations > 1:
-            profiler.fold_status = decision.status
-        return self._run_exact(profiler, plan, engine, network, sim,
-                               recorder, started)
+        beat = None
+        if self.heartbeat is not None:
+            beat = heartbeat_observer(engine, self.heartbeat)
+            engine.add_observer(beat)
+        try:
+            if decision.eligible:
+                return self._run_folded(profiler, plan, engine, network,
+                                        sim, recorder, started)
+            if self.config.iterations > 1:
+                profiler.fold_status = decision.status
+            return self._run_exact(profiler, plan, engine, network, sim,
+                                   recorder, started)
+        finally:
+            # The observer closes over the engine: drop it so the
+            # finished run is freed by reference counting.
+            if beat is not None:
+                engine.remove_observer(beat)
 
     def _run_exact(self, profiler: PipelineProfiler, plan: ExtrapolationPlan,
                    engine: Engine, network, sim: TaskGraphSimulator,
@@ -387,8 +408,12 @@ class TrioSim:
                 self.verify_report = pre
             suite = RuntimeSuite().attach(engine=engine, network=network,
                                           injector=injector, sim=sim)
-        with profiler.phase("engine"):
-            total = sim.run()
+        try:
+            with profiler.phase("engine"):
+                total = sim.run()
+        finally:
+            if injector is not None:
+                injector.release()
         if injector is not None:
             self.fault_stats = injector.stats()
         if suite is not None:
@@ -519,12 +544,6 @@ class TrioSim:
                 per_layer[record.layer] += record.duration
             if record.phase:
                 per_phase[record.phase] += record.duration
-        if self._engine_profile:
-            # Split the engine phase into the observed loop's timing
-            # buckets (queue_ops / handler / hook_overhead) so
-            # ``simulate --profile`` shows where exact-path time goes.
-            for bucket, seconds in sorted(self._engine_profile.items()):
-                profiler.add_phase(f"engine.{bucket}", seconds)
         summarize = getattr(network, "network_summary", None)
         return SimulationResult(
             total_time=total,

@@ -25,7 +25,8 @@ import inspect
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.engine.engine import CallbackEvent, Engine
+from repro.engine.engine import Engine
+from repro.engine.events import Event
 from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import NetworkModel
 
@@ -425,8 +426,7 @@ class TaskGraphSimulator(Hookable):
             # never recurse.
             now = self.engine._now
             store.start[tid] = now
-            pending.append(CallbackEvent(
-                now + 0.0, lambda _ev, t=tid: self._finish(t)))
+            pending.append(Event(now + 0.0, self._complete, tid))
 
     def _dispatch(self, queue: _GPUQueue, pending: list) -> None:
         ready = queue.ready
@@ -450,8 +450,12 @@ class TaskGraphSimulator(Hookable):
         scale = self.runtime_compute_scale
         if scale is not None:
             duration *= scale(store.gpu[tid], now)
-        pending.append(CallbackEvent(
-            now + duration, lambda _ev, t=tid: self._finish(t)))
+        pending.append(Event(now + duration, self._complete, tid))
+
+    def _complete(self, event: Event) -> None:
+        """Callback of compute and barrier completion events: the row id
+        rides in the payload, so no closure is allocated per task."""
+        self._finish(event.payload)
 
     def _finish(self, tid: int) -> None:
         store = self.store

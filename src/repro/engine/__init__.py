@@ -2,35 +2,31 @@
 
 The engine is the substrate every other subsystem builds on.  It provides:
 
-* :class:`~repro.engine.events.Event` — a unit of future work bound to a
-  virtual time and a handler.
+* :class:`~repro.engine.events.Event` — a unit of future work: a virtual
+  time, a ``callback(event)`` and an optional payload.
 * :class:`~repro.engine.engine.Engine` — the event kernel: a priority queue
-  of events, a virtual clock, and a run loop.
-* :class:`~repro.engine.component.Component` / :class:`Port` /
-  :class:`Connection` — message-passing building blocks for simulated
-  devices, mirroring the Akita Simulator Engine's abstractions.
-* :class:`~repro.engine.hooks.Hook` — observation points for monitoring and
-  tracing (the AkitaRTM / Daisen analog).
+  of events, a virtual clock, one run loop, and one list of dispatch
+  observers (``add_observer`` / ``remove_observer``) through which the
+  sanitizers, race detectors and heartbeats watch that loop.
+* :class:`~repro.engine.hooks.Hook` — named observation points that the
+  task-graph simulator, the network models and the sweep runner fire
+  (the AkitaRTM / Daisen analog); :class:`Monitor` records them.
+
+Network models plug in through :mod:`repro.network.base`'s ``send``
+contract, not through message-passing components.
 """
 
-from repro.engine.component import Component, Connection, Message, Port
 from repro.engine.engine import Engine
-from repro.engine.events import CallbackEvent, Event, EventHandler
+from repro.engine.events import Event
 from repro.engine.hooks import Hook, HookCtx, Hookable
 from repro.engine.monitor import Monitor, ProgressRecord
 
 __all__ = [
-    "CallbackEvent",
-    "Component",
-    "Connection",
     "Engine",
     "Event",
-    "EventHandler",
     "Hook",
     "HookCtx",
     "Hookable",
-    "Message",
     "Monitor",
-    "Port",
     "ProgressRecord",
 ]

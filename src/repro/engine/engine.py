@@ -1,8 +1,11 @@
 """The event-driven simulation kernel.
 
-The :class:`Engine` owns the virtual clock and the event queue.  Handlers
-react to events and schedule more events; the engine repeatedly pops the
-earliest event and dispatches it until the queue drains (or a limit is hit).
+The :class:`Engine` owns the virtual clock and the event queue.  Event
+callbacks react to events and schedule more events; the engine repeatedly
+pops the earliest event and dispatches it until the queue drains (or a
+limit is hit).  :meth:`Engine.run` is the only loop that dispatches
+events: observed runs (``--verify``, heartbeats) take it too, through the
+engine's list of dispatch observers.
 
 This mirrors the Akita Simulator Engine used by the original TrioSim: the
 event-driven style lets the simulator "fast-forward unnecessary details" —
@@ -12,15 +15,12 @@ an operator that takes 3 ms is one event, not three million cycles.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.engine.events import CallbackEvent, Event
-from repro.engine.hooks import HookCtx, Hookable
+from repro.engine.events import Event
 
-#: Hook positions emitted by the engine.
-HOOK_BEFORE_EVENT = "before_event"
-HOOK_AFTER_EVENT = "after_event"
+#: A dispatch observer, called as ``observer(time, seq, event)``.
+Observer = Callable[[float, int, Event], None]
 
 
 class SimulationLimitError(RuntimeError):
@@ -35,7 +35,7 @@ class SimulationLimitError(RuntimeError):
 COMPACT_FLOOR = 64
 
 
-class Engine(Hookable):
+class Engine:
     """Event kernel: virtual clock + priority queue + run loop.
 
     Parameters
@@ -47,7 +47,6 @@ class Engine(Hookable):
     """
 
     def __init__(self, max_events: int = 200_000_000):
-        super().__init__()
         self._queue: List[Tuple[float, int, Event]] = []
         self._now = 0.0
         self._seq = 0
@@ -56,12 +55,7 @@ class Engine(Hookable):
         self._cancelled_total = 0
         self._compactions = 0
         self._max_events = max_events
-        self._paused = False
-        self._dispatch_observer: Optional[
-            Callable[[float, int, Event], None]] = None
-        self._heartbeat: Optional[Callable[["Engine"], None]] = None
-        self._heartbeat_every = 4096
-        self._profile: Optional[Dict[str, float]] = None
+        self._observers: List[Observer] = []
         # (id(event), orphaned seq) records for entries superseded by
         # mark_requeued.  Distinguishes legitimately-requeued stale
         # entries (skipped silently) from entries pushed around
@@ -160,7 +154,7 @@ class Engine(Hookable):
         which stamps a fresh sequence number.  The old heap entry still
         carries the previous sequence number, so the run loop recognises
         it as stale (``entry seq != event._seq``) and discards it before
-        the dispatch observer fires — the ``(time, seq)`` dispatch
+        any dispatch observer sees it — the ``(time, seq)`` dispatch
         stream is bit-identical to the cancel-and-replace path, with no
         throwaway event object and no cancelled-flag churn.
 
@@ -235,7 +229,7 @@ class Engine(Hookable):
 
     def call_at(self, time: float, callback: Callable[[Event], None], payload=None) -> Event:
         """Schedule *callback* to run at absolute virtual *time*."""
-        return self.schedule(CallbackEvent(time, callback, payload))
+        return self.schedule(Event(time, callback, payload))
 
     def call_after(self, delay: float, callback: Callable[[Event], None], payload=None) -> Event:
         """Schedule *callback* to run *delay* seconds from now."""
@@ -280,51 +274,24 @@ class Engine(Hookable):
             heapq.heapify(self._queue)
         return deferred
 
-    def set_dispatch_observer(
-            self, observer: Optional[Callable[[float, int, Event], None]]
-    ) -> None:
-        """Install a ``(time, seq, event)`` callback fired per dispatch.
+    def add_observer(self, observer: Observer) -> None:
+        """Call ``observer(time, seq, event)`` on every dispatch.
 
-        The observer sees each event's heap position (its timestamp and
-        tie-breaking sequence number) *before* the event is handled —
-        the instrumentation point of the determinism race detectors
-        (:mod:`repro.analysis.verifier.races`).  At most one observer;
-        ``None`` uninstalls.  Like the hook list, the observer is bound
-        once at the top of :meth:`run`: install it before running.
-        Costs nothing when unset (one bound-local check per loop setup).
+        Observers see each event's heap position (its timestamp and
+        tie-breaking sequence number) after the clock and the dispatch
+        count advance and *before* the event's callback runs — the one
+        instrumentation point of the sanitizers, the determinism race
+        detectors (:mod:`repro.analysis.verifier.races`) and the sweep
+        service's heartbeat.  Cancelled and requeue-stale entries are
+        never observed.  An exception an observer raises propagates out
+        of :meth:`run`.  With no observer the loop pays one list
+        emptiness check per event.
         """
-        self._dispatch_observer = observer
+        self._observers.append(observer)
 
-    def set_heartbeat(self, heartbeat: Optional[Callable[["Engine"], None]],
-                      every: int = 4096) -> None:
-        """Install a callback fired every *every* dispatched events.
-
-        The heartbeat is the wall-clock escape hatch for otherwise
-        uninterruptible runs: the sweep service's soft per-point deadline
-        checks elapsed wall time from it and raises to stop the run
-        cooperatively, keeping partial progress (``engine.now``,
-        :attr:`dispatched_events`) attributable.  Exceptions raised by the
-        heartbeat propagate out of :meth:`run`.  At most one heartbeat;
-        ``None`` uninstalls.  Costs one predictable branch per dispatch
-        when unset.
-        """
-        if every < 1:
-            raise ValueError("heartbeat interval must be >= 1 event")
-        self._heartbeat = heartbeat
-        self._heartbeat_every = every
-
-    def set_profile(self, sink: Optional[Dict[str, float]]) -> None:
-        """Accumulate run-loop timing into *sink*; ``None`` disables.
-
-        When a sink is installed :meth:`run` uses its observed loop,
-        which buckets wall time into ``queue_ops`` (heap peek/pop and
-        bookkeeping), ``handler`` (event handler bodies, where the
-        simulation actually runs) and ``hook_overhead`` (engine-level
-        hook dispatch).  The buckets are *added* to the sink's existing
-        values so repeated runs aggregate.  Instrumentation costs two
-        clock reads per event — only install it for profiling runs.
-        """
-        self._profile = sink
+    def remove_observer(self, observer: Observer) -> None:
+        """Stop calling a previously added *observer*."""
+        self._observers.remove(observer)
 
     def run(self, until: Optional[float] = None) -> float:
         """Dispatch events in time order.
@@ -333,19 +300,13 @@ class Engine(Hookable):
         next event would fire after *until* (the clock is then advanced to
         *until*).  Returns the final virtual time.
         """
-        self._paused = False
-        if (self._dispatch_observer is not None or self._heartbeat is not None
-                or self._profile is not None):
-            return self._run_observed(until)
         heappop = heapq.heappop
         queue = self._queue
-        # self._hooks is mutated in place by accept/remove, so binding the
-        # list keeps the emptiness check live while skipping two HookCtx
-        # allocations per event on the (common) unobserved path.
-        hooks = self._hooks
+        # Mutated in place by add_observer/remove_observer, so binding
+        # the list keeps the emptiness check live.
+        observers = self._observers
         max_events = self._max_events
-        callback_lane = CallbackEvent
-        while queue and not self._paused:
+        while queue:
             entry = queue[0]
             time = entry[0]
             if until is not None and time > until:
@@ -353,14 +314,15 @@ class Engine(Hookable):
                 return until
             # Drain every entry sharing this timestamp in one inner pass:
             # the heap already yields them in sequence order, and events a
-            # handler schedules *at* this timestamp carry higher sequence
+            # callback schedules *at* this timestamp carry higher sequence
             # numbers, so they surface here in the correct total order.
             while True:
                 heappop(queue)
                 event = entry[2]
+                seq = entry[1]
                 if not event.cancelled and (
-                        event._seq == entry[1]
-                        or not self._discard_stale(event, entry[1])):
+                        event._seq == seq
+                        or not self._discard_stale(event, seq)):
                     self._now = time
                     event._engine = None  # dequeued; cancel() needs no note
                     self._dispatched += 1
@@ -369,26 +331,16 @@ class Engine(Hookable):
                             f"exceeded max_events={max_events}; "
                             "possible runaway event loop"
                         )
-                    if hooks:
-                        self.invoke_hooks(
-                            HookCtx(HOOK_BEFORE_EVENT, time, event))
-                        event.handler.handle(event)
-                        self.invoke_hooks(
-                            HookCtx(HOOK_AFTER_EVENT, time, event))
-                    elif type(event) is callback_lane:
-                        # Inlined fast lane: call a CallbackEvent's
-                        # callback, skipping its handler's indirection.
-                        event._callback(event)
-                    else:
-                        event.handler.handle(event)
-                    if self._paused:
-                        break
+                    if observers:
+                        for observer in observers:
+                            observer(time, seq, event)
+                    event.callback(event)
                 else:
                     # Cancelled, or a stale entry left behind by a
                     # requeue (seq mismatch) — never dispatched, never
                     # observed.
-                    if event.cancelled and event._seq != entry[1]:
-                        self._discard_stale(event, entry[1])
+                    if event.cancelled and event._seq != seq:
+                        self._discard_stale(event, seq)
                     self._cancelled -= 1
                 if not queue:
                     break
@@ -398,99 +350,6 @@ class Engine(Hookable):
         if until is not None and not queue:
             self._now = max(self._now, until)
         return self._now
-
-    def _run_observed(self, until: Optional[float]) -> float:
-        """Run-loop variant for observed runs: a dispatch observer, a
-        heartbeat, or a profile sink is installed.
-
-        Dispatch order is identical to :meth:`run`'s fast loop; this
-        variant keeps the per-event observer/heartbeat call sites and
-        the profiler's clock reads out of the common path.  With a sink
-        (see :meth:`set_profile`) it adds ``queue_ops`` / ``handler`` /
-        ``hook_overhead`` seconds to it.
-        """
-        heappop = heapq.heappop
-        queue = self._queue
-        hooks = self._hooks
-        observer = self._dispatch_observer
-        heartbeat = self._heartbeat
-        beat_countdown = self._heartbeat_every
-        profile = self._profile
-        queue_ops = handler_s = hook_s = t0 = 0.0
-        callback_lane = CallbackEvent
-        try:
-            while queue and not self._paused:
-                if profile is not None:
-                    t0 = perf_counter()
-                time, seq, event = queue[0]
-                if until is not None and time > until:
-                    self._now = until
-                    if profile is not None:
-                        queue_ops += perf_counter() - t0
-                    return until
-                heappop(queue)
-                if event.cancelled or (
-                        event._seq != seq
-                        and self._discard_stale(event, seq)):
-                    # Cancelled, or a requeue-stale entry: skipped
-                    # before the observer, invisible to the dispatch
-                    # stream.
-                    if event.cancelled and event._seq != seq:
-                        self._discard_stale(event, seq)
-                    self._cancelled -= 1
-                    if profile is not None:
-                        queue_ops += perf_counter() - t0
-                    continue
-                event._engine = None
-                self._now = time
-                self._dispatched += 1
-                if self._dispatched > self._max_events:
-                    raise SimulationLimitError(
-                        f"exceeded max_events={self._max_events}; "
-                        "possible runaway event loop"
-                    )
-                if heartbeat is not None:
-                    beat_countdown -= 1
-                    if beat_countdown <= 0:
-                        beat_countdown = self._heartbeat_every
-                        heartbeat(self)
-                if observer is not None:
-                    observer(time, seq, event)
-                if profile is not None:
-                    t1 = perf_counter()
-                    queue_ops += t1 - t0
-                if hooks:
-                    self.invoke_hooks(HookCtx(HOOK_BEFORE_EVENT, time, event))
-                    if profile is not None:
-                        t2 = perf_counter()
-                        hook_s += t2 - t1
-                    event.handler.handle(event)
-                    if profile is not None:
-                        t3 = perf_counter()
-                        handler_s += t3 - t2
-                    self.invoke_hooks(HookCtx(HOOK_AFTER_EVENT, time, event))
-                    if profile is not None:
-                        hook_s += perf_counter() - t3
-                else:
-                    if type(event) is callback_lane:
-                        event._callback(event)
-                    else:
-                        event.handler.handle(event)
-                    if profile is not None:
-                        handler_s += perf_counter() - t1
-        finally:
-            if profile is not None:
-                for bucket, seconds in (("queue_ops", queue_ops),
-                                        ("handler", handler_s),
-                                        ("hook_overhead", hook_s)):
-                    profile[bucket] = profile.get(bucket, 0.0) + seconds
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        return self._now
-
-    def pause(self) -> None:
-        """Stop the run loop after the current event completes."""
-        self._paused = True
 
     def reset(self) -> None:
         """Clear the queue and rewind the clock (for test reuse)."""
@@ -504,4 +363,3 @@ class Engine(Hookable):
         self._cancelled = 0
         self._cancelled_total = 0
         self._compactions = 0
-        self._paused = False

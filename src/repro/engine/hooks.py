@@ -20,8 +20,8 @@ class HookCtx:
     Attributes
     ----------
     pos:
-        Name of the hook position (e.g. ``"before_event"``,
-        ``"task_start"``).
+        Name of the hook position (e.g. ``"task_start"``,
+        ``"flow_deliver"``).
     time:
         Virtual time at which the position fired.
     item:

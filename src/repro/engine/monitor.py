@@ -64,7 +64,7 @@ class Monitor:
         )
 
     def events_per_second(self) -> float:
-        """Wall-clock event dispatch rate observed so far."""
+        """Wall-clock rate of observed hook firings so far."""
         elapsed = _wall_time.perf_counter() - self._start_wall
         total = sum(self.counts.values())
         return total / elapsed if elapsed > 0 else 0.0

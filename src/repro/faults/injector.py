@@ -42,8 +42,10 @@ from repro.engine.events import Event
 from repro.engine.hooks import HookCtx
 from repro.faults.spec import FaultSpec
 
-#: Hook position fired (on the engine) after every injection the injector
-#: performs; ``item`` is the injection kind, ``detail`` carries specifics.
+#: Hook position fired on the task-graph simulator's hooks (what
+#: ``TrioSim(hooks=)`` attaches to) after every injection the injector
+#: performs; ``item`` is the injection kind (``"link"``,
+#: ``"checkpoint"`` or ``"failure"``), ``detail`` carries specifics.
 HOOK_FAULT_INJECT = "fault_inject"
 
 
@@ -171,6 +173,17 @@ class FaultInjector:
                 spec.chaos_kill_at, self._chaos_kill))
         return self
 
+    def release(self) -> None:
+        """Drop what the installed schedule links back to this injector:
+        the simulator's ``runtime_compute_scale`` callback and the
+        fault-arrival events (whose callbacks close over the injector).
+        Called when the run ends, so the finished run is freed by
+        reference counting rather than by the cyclic collector;
+        :meth:`stats` and :meth:`consistency_errors` keep working."""
+        if self.sim.runtime_compute_scale == self._scaled_dispatch:
+            self.sim.runtime_compute_scale = None
+        self._wall_events.clear()
+
     # ------------------------------------------------------------------
     # Stragglers
     # ------------------------------------------------------------------
@@ -215,7 +228,7 @@ class FaultInjector:
             capacity = self._base_capacity[key] * multiplier
         self.network.set_link_capacity(u, v, capacity)
         self.link_transitions += 1
-        self.engine.invoke_hooks(HookCtx(
+        self.sim.invoke_hooks(HookCtx(
             HOOK_FAULT_INJECT, self.engine.now, "link",
             detail={"link": f"{u}-{v}", "capacity": capacity,
                     "multiplier": multiplier},
@@ -244,7 +257,7 @@ class FaultInjector:
             return  # run drained; stop the periodic clock
         now = self.engine.now
         self._stall(self.clock.on_checkpoint(now))
-        self.engine.invoke_hooks(HookCtx(
+        self.sim.invoke_hooks(HookCtx(
             HOOK_FAULT_INJECT, now, "checkpoint",
             detail={"cost": self.spec.checkpoint_cost,
                     "count": self.clock.checkpoints_taken},
@@ -260,7 +273,7 @@ class FaultInjector:
         now = self.engine.now
         stall = self.clock.on_failure(now)
         self._stall(stall)
-        self.engine.invoke_hooks(HookCtx(
+        self.sim.invoke_hooks(HookCtx(
             HOOK_FAULT_INJECT, now, "failure",
             detail={"device": failure.device, "stall": stall,
                     "restore_cost": self.spec.restore_cost},

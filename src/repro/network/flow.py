@@ -49,7 +49,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 import networkx as nx
 
 from repro.engine.engine import Engine
-from repro.engine.events import CallbackEvent, Event
+from repro.engine.events import Event
 from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import Transfer
 from repro.network.maxmin import _RATE_EPS, EdgeIds, maxmin_rates
@@ -191,10 +191,6 @@ class FlowNetwork(Hookable):
         # Edges whose users or capacity changed since the last
         # reallocation; their users seed the next component walk.
         self._dirty: Set[int] = set()
-        # Event handlers bound once: every flow schedules two events.
-        self._on_activate = self._activate
-        self._on_deliver = self._deliver
-        self._on_local = self._deliver_local
         # Flow-completion-time accumulators (wire flows only).
         self._fct_count = 0
         self._fct_total = 0.0
@@ -426,7 +422,7 @@ class FlowNetwork(Hookable):
         if not wired:
             # Local move: no wire time; deliver via a zero-delay event so
             # callback ordering stays consistent with real transfers.
-            event: Event = CallbackEvent(now + 0.0, self._on_local, transfer)
+            event = Event(now + 0.0, self._deliver_local, transfer)
         else:
             free = self._free
             if not free:
@@ -442,8 +438,7 @@ class FlowNetwork(Hookable):
             committed = self._committed
             for eid in edges:
                 committed[eid] += 1
-            event = CallbackEvent(now + self._latency[rid],
-                                  self._on_activate, slot)
+            event = Event(now + self._latency[rid], self._activate, slot)
         if pending is None:
             self.engine.schedule(event)
         else:
@@ -643,8 +638,8 @@ class FlowNetwork(Hookable):
                     engine.mark_requeued(event)
                     event.time = now + left / new
                 else:
-                    event = events[slot] = CallbackEvent(
-                        now + left / new, self._on_deliver, slot)
+                    event = events[slot] = Event(
+                        now + left / new, self._deliver, slot)
                 pending.append(event)
             elif event is not None:
                 event.cancel()

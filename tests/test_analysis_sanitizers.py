@@ -50,15 +50,15 @@ class TestTimeMonotonic:
     def test_silent_on_monotonic_times(self):
         report = Report()
         sanitizer = TimeMonotonicSanitizer(report)
-        for t in (0.0, 0.5, 0.5, 1.25):
-            sanitizer.func(HookCtx("before_event", t))
+        for seq, t in enumerate((0.0, 0.5, 0.5, 1.25)):
+            sanitizer.observe(t, seq, None)
         assert report.ok
 
     def test_fires_on_backwards_time(self):
         report = Report()
         sanitizer = TimeMonotonicSanitizer(report)
-        sanitizer.func(HookCtx("before_event", 2.0))
-        sanitizer.func(HookCtx("before_event", 1.0))
+        sanitizer.observe(2.0, 0, None)
+        sanitizer.observe(1.0, 1, None)
         assert report.rule_ids() == ["SZ001"]
         assert report.has_errors
 
@@ -67,9 +67,9 @@ class TestTimeMonotonic:
 
         report = Report()
         sanitizer = TimeMonotonicSanitizer(report)
-        sanitizer.func(HookCtx("before_event", 100.0))
+        sanitizer.observe(100.0, 0, None)
         for t in range(50):
-            sanitizer.func(HookCtx("before_event", float(t)))
+            sanitizer.observe(float(t), t + 1, None)
         assert len(report.findings) == MAX_FINDINGS_PER_SANITIZER
 
 
@@ -202,16 +202,17 @@ class TestSanitizerSuite:
         engine, network = sim.engine, sim.network
         suite = RuntimeSuite().attach(engine=engine, network=network,
                                       sim=sim)
-        # Time-monotonic (SZ001); link-capacity (SZ002), allocator-
-        # convergence (SZ004) and path-capacity (SZ006); happens-before
-        # (RC002) on the task graph.
-        assert len(engine._hooks) == 1
+        # Tie-order (RC001) and time-monotonic (SZ001) dispatch
+        # observers; link-capacity (SZ002), allocator-convergence (SZ004)
+        # and path-capacity (SZ006); happens-before (RC002) on the task
+        # graph.
+        assert len(engine._observers) == 2
         assert len(network._hooks) == 3
         assert len(sim._hooks) == 1
         engine.run()
         report = suite.finalize()
         assert report.ok
-        assert engine._hooks == [] and network._hooks == []
+        assert engine._observers == [] and network._hooks == []
         assert sim._hooks == []
         assert isinstance(suite.order_digest, int)
 
@@ -221,7 +222,8 @@ class TestSanitizerSuite:
         engine = Engine()
         scoped = DEFAULT_REGISTRY.scoped(disable=["SZ001"])
         suite = RuntimeSuite(registry=scoped).attach(engine=engine)
-        assert engine._hooks == []
+        # Only the tie-order detector (RC001) observes the engine.
+        assert engine._observers == [suite._tie.observe]
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,18 @@ class TestSimulate:
         assert code == 0
 
 
+    def test_profile_prints_pipeline_phases(self, trace_file, capsys):
+        code = main(["simulate", str(trace_file), "--num-gpus", "2",
+                     "--profile"])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("pipeline:")]
+        assert len(lines) == 1
+        for phase in ("trace_prep", "plan", "instancing", "engine"):
+            assert f"{phase} " in lines[0], phase
+        assert "engine." not in lines[0]
+
+
 class TestExperiment:
     @pytest.mark.slow
     def test_quick_figure(self, capsys):

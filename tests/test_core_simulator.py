@@ -150,32 +150,52 @@ class TestResultMetadata:
         assert "total" in text and "comm" in text
 
 
-class TestEngineProfile:
-    def test_profile_engine_adds_sub_phases(self, trace):
-        cfg = SimulationConfig(parallelism="ddp", num_gpus=2)
-        res = TrioSim(trace, cfg, record_timeline=False,
-                      profile_engine=True).run()
-        phases = res.profile["phases"]
-        for bucket in ("engine.queue_ops", "engine.handler",
-                       "engine.hook_overhead"):
-            assert bucket in phases, bucket
-            assert phases[bucket] >= 0.0
-        # The sub-phases decompose the run loop's time; they cannot
-        # exceed the engine phase they instrument (wall-clock sanity,
-        # not an exact identity: the loop itself has overhead).
-        assert (phases["engine.queue_ops"] + phases["engine.handler"]
-                <= phases["engine"] * 1.5 + 1e-3)
+class TestFinishedRunIsFreed:
+    """A finished run holds no reference cycle: with the cyclic collector
+    off, reference counting alone frees the run's engine, network and
+    task-graph simulator once ``run()`` returns."""
 
-    def test_profile_engine_off_by_default(self, trace):
-        res = _run(trace, parallelism="ddp", num_gpus=2)
-        assert not any(name.startswith("engine.")
-                       for name in res.profile["phases"])
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["clean", "faulted"])
+    def test_engine_network_and_simulator_die_with_gc_disabled(
+            self, trace, faulted, monkeypatch):
+        import gc
+        import weakref
 
-    def test_profile_engine_does_not_perturb_results(self, trace):
-        cfg = SimulationConfig(parallelism="ddp", num_gpus=2,
-                               link_bandwidth=20e9)
-        plain = TrioSim(trace, cfg, record_timeline=False).run()
-        profiled = TrioSim(trace, cfg, record_timeline=False,
-                           profile_engine=True).run()
-        assert profiled.total_time == plain.total_time
-        assert profiled.events == plain.events
+        import repro.core.simulator as simulator_module
+        from repro.faults import (DeviceFailure, FaultSpec, LinkFault,
+                                  Straggler)
+
+        refs = {}
+
+        def tracked(cls):
+            class Tracked(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    refs[cls.__name__] = weakref.ref(self)
+            return Tracked
+
+        for name in ("Engine", "FlowNetwork", "TaskGraphSimulator"):
+            monkeypatch.setattr(simulator_module, name,
+                                tracked(getattr(simulator_module, name)))
+        faults = FaultSpec(
+            stragglers=(Straggler("gpu1", 0.0, 0.002, 2.0),),
+            link_faults=(LinkFault("gpu0-leaf0", 0.0, 0.002, 0.5),),
+            failures=(DeviceFailure("gpu2", 0.003),),
+            checkpoint_interval=0.002, checkpoint_cost=1e-4,
+            restore_cost=1e-4) if faulted else None
+        config = SimulationConfig(parallelism="ddp", num_gpus=16,
+                                  topology="leaf_spine", routing="adaptive",
+                                  faults=faults)
+        gc.collect()
+        gc.disable()
+        try:
+            result = TrioSim(trace, config).run()
+            alive = sorted(name for name, ref in refs.items()
+                           if ref() is not None)
+        finally:
+            gc.enable()
+        assert result.total_time > 0
+        assert sorted(refs) == ["Engine", "FlowNetwork",
+                                "TaskGraphSimulator"]
+        assert alive == []

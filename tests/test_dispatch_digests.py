@@ -64,7 +64,7 @@ def observed(monkeypatch):
     class ObservedEngine(Engine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.set_dispatch_observer(digest)
+            self.add_observer(digest)
 
     monkeypatch.setattr(simulator_module, "Engine", ObservedEngine)
     return digest
@@ -173,7 +173,7 @@ def test_not_steady_fallback(trace, observed):
 def test_direct_built_ring_all_reduce():
     engine = Engine()
     digest = _Digest()
-    engine.set_dispatch_observer(digest)
+    engine.add_observer(digest)
     topology = build_topology("leaf_spine", 16, 100e9, 1e-6,
                               gpus_per_leaf=4, oversubscription=2.0)
     network = FlowNetwork(engine, topology, routing="ecmp", routing_seed=7)

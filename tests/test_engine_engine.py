@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.simulator import heartbeat_observer
 from repro.engine.engine import Engine, SimulationLimitError
 
 
@@ -103,17 +104,6 @@ def test_run_until_advances_clock_when_queue_empty():
     assert eng.now == 7.0
 
 
-def test_pause_stops_the_loop():
-    eng = Engine()
-    seen = []
-    eng.call_at(1.0, lambda e: (seen.append(1), eng.pause()))
-    eng.call_at(2.0, lambda e: seen.append(2))
-    eng.run()
-    assert seen == [1]
-    eng.run()
-    assert seen == [1, 2]
-
-
 def test_dispatched_event_count():
     eng = Engine()
     for i in range(5):
@@ -157,20 +147,41 @@ def test_deterministic_across_runs():
     assert simulate() == simulate()
 
 
-def test_engine_hooks_fire_around_events():
-    from repro.engine.hooks import HookCtx
-
+def test_observers_fire_before_each_callback():
     eng = Engine()
-    positions = []
+    calls = []
 
-    class Hook:
-        def func(self, ctx: HookCtx):
-            positions.append(ctx.pos)
+    def first(time, seq, event):
+        calls.append(("first", time, seq, eng.dispatched_events))
 
-    eng.accept_hook(Hook())
-    eng.call_at(1.0, lambda e: None)
+    def second(time, seq, event):
+        calls.append(("second", time, seq, eng.now))
+
+    eng.add_observer(first)
+    eng.add_observer(second)
+    eng.call_at(1.0, lambda e: calls.append(("callback", e.time)))
     eng.run()
-    assert positions == ["before_event", "after_event"]
+    # In order of addition, after the clock and the dispatch count
+    # advance, and before the callback runs.
+    assert calls == [("first", 1.0, 0, 1), ("second", 1.0, 0, 1.0),
+                     ("callback", 1.0)]
+    eng.remove_observer(first)
+    eng.remove_observer(second)
+    calls.clear()
+    eng.call_at(2.0, lambda e: calls.append(("callback", e.time)))
+    eng.run()
+    assert calls == [("callback", 2.0)]
+
+
+def test_cancelled_and_requeued_entries_are_never_observed():
+    eng = Engine()
+    seen = []
+    eng.add_observer(lambda t, s, e: seen.append((t, s)))
+    eng.call_at(1.0, lambda e: None).cancel()
+    moved = eng.call_at(2.0, lambda e: None)
+    eng.reschedule(moved, 3.0)
+    eng.run()
+    assert seen == [(3.0, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +319,11 @@ def test_reset_zeroes_churn_counters():
 
 
 def _dispatch_order(eng, schedule):
-    from repro.engine.events import CallbackEvent
+    from repro.engine.events import Event
 
     order = []
     schedule(eng, [
-        CallbackEvent(t, lambda e, i=i: order.append(i))
+        Event(t, lambda e, i=i: order.append(i))
         for i, t in enumerate([3.0, 1.0, 2.0, 1.0, 2.0, 0.5])
     ])
     eng.run()
@@ -328,7 +339,7 @@ def test_schedule_bulk_matches_sequential_dispatch_order():
 
 
 def test_schedule_bulk_heapify_path_matches_push_path():
-    from repro.engine.events import CallbackEvent
+    from repro.engine.events import Event
 
     # A big batch against a near-empty queue takes the extend+heapify
     # fast path; (time, seq) is a total order, so pop order must match
@@ -339,7 +350,7 @@ def test_schedule_bulk_heapify_path_matches_push_path():
         eng = Engine()
         eng.call_at(50.5, lambda e: None)
         order = []
-        events = [CallbackEvent(t, lambda e, i=i: order.append(i))
+        events = [Event(t, lambda e, i=i: order.append(i))
                   for i, t in enumerate(times)]
         if bulk:
             eng.schedule_bulk(events)
@@ -352,14 +363,14 @@ def test_schedule_bulk_heapify_path_matches_push_path():
 
 
 def test_schedule_bulk_validates_like_schedule():
-    from repro.engine.events import CallbackEvent
+    from repro.engine.events import Event
 
     eng = Engine()
     eng.call_at(1.0, lambda e: None)
     eng.run()   # now == 1.0
     with pytest.raises(ValueError):
-        eng.schedule_bulk([CallbackEvent(0.5, lambda e: None)])
-    stale = CallbackEvent(2.0, lambda e: None)
+        eng.schedule_bulk([Event(0.5, lambda e: None)])
+    stale = Event(2.0, lambda e: None)
     stale.cancel()
     with pytest.raises(ValueError):
         eng.schedule_bulk([stale])
@@ -384,18 +395,20 @@ def _fold_digest(dispatches):
 
 
 def _bulk_vs_scalar_dispatches(batch_size, prefill, cancel_most, seed,
-                               bulk):
+                               bulk, observers=1):
     """Dispatch stream for one seeded prefill + batch scenario.
 
     With ``cancel_most`` the prefill is mostly cancelled — a burst that
     crosses ``COMPACT_FLOOR`` for the larger sizes, so compaction fires
     mid-stream.  The batch under test is then scheduled either via one
     :meth:`Engine.schedule_bulk` call or per-event
-    :meth:`Engine.schedule` calls.
+    :meth:`Engine.schedule` calls.  The stream is recorded by the event
+    callbacks; each of the *observers* dispatch observers must see the
+    same stream.
     """
     import random
 
-    from repro.engine.events import CallbackEvent
+    from repro.engine.events import Event
 
     rng = random.Random(seed)
     prefill_times = [rng.uniform(0.0, 10.0) for _ in range(prefill)]
@@ -405,18 +418,25 @@ def _bulk_vs_scalar_dispatches(batch_size, prefill, cancel_most, seed,
 
     eng = Engine()
     dispatches = []
-    eng.set_dispatch_observer(lambda t, s, e: dispatches.append((t, s)))
-    prefilled = [eng.call_at(t, lambda e: None) for t in prefill_times]
+    seen = [[] for _ in range(observers)]
+    for stream in seen:
+        eng.add_observer(lambda t, s, e, out=stream: out.append((t, s)))
+
+    def record(event):
+        dispatches.append((eng.now, event._seq))
+
+    prefilled = [eng.call_at(t, record) for t in prefill_times]
     for i, ev in enumerate(prefilled):
         if i not in keep:
             ev.cancel()
-    events = [CallbackEvent(t, lambda e: None) for t in batch_times]
+    events = [Event(t, record) for t in batch_times]
     if bulk:
         eng.schedule_bulk(events)
     else:
         for ev in events:
             eng.schedule(ev)
     eng.run()
+    assert all(stream == dispatches for stream in seen)
     return dispatches, len(keep)
 
 
@@ -431,16 +451,19 @@ def test_schedule_bulk_digest_equivalence_property(batch_size, seed):
     # cancelled — compaction pressure past the floor for the larger
     # sizes) makes batches > 8 take the heapify path; the dense scenario
     # (8x batch live prefills) fails the 4x-queue condition so the same
-    # batch sizes take the per-entry push path.
+    # batch sizes take the per-entry push path.  Observing the run (0, 1
+    # or 2 dispatch observers) must not change the stream either.
     scenarios = [(batch_size + 10, True), (batch_size * 8 + 10, False)]
     for prefill, cancel_most in scenarios:
         scalar, live = _bulk_vs_scalar_dispatches(
             batch_size, prefill, cancel_most, seed, bulk=False)
-        bulk, _ = _bulk_vs_scalar_dispatches(
-            batch_size, prefill, cancel_most, seed, bulk=True)
-        assert bulk == scalar
-        assert _fold_digest(bulk) == _fold_digest(scalar)
-        assert len(bulk) == batch_size + live
+        for observers in (0, 1, 2):
+            bulk, _ = _bulk_vs_scalar_dispatches(
+                batch_size, prefill, cancel_most, seed, bulk=True,
+                observers=observers)
+            assert bulk == scalar
+            assert _fold_digest(bulk) == _fold_digest(scalar)
+            assert len(bulk) == batch_size + live
 
 
 # ----------------------------------------------------------------------
@@ -455,11 +478,11 @@ def test_compaction_during_requeue_window_dispatches_once():
     # while clearing the record, so the event dispatched twice once the
     # re-submit landed — observed as transfer tasks finishing twice in
     # the 128-GPU legacy-allocator benchmark.
-    from repro.engine.events import CallbackEvent
+    from repro.engine.events import Event
 
     eng = Engine()
     fired = []
-    ev = CallbackEvent(1.0, lambda e: fired.append(eng.now))
+    ev = Event(1.0, lambda e: fired.append(eng.now))
     eng.schedule(ev)
     eng.mark_requeued(ev)
     eng._compact()          # inside the window: entry + record must go
@@ -473,11 +496,11 @@ def test_requeue_window_survives_cancellation_pressure():
     # Same window, compaction triggered organically by a cancellation
     # burst rather than called directly.
     from repro.engine.engine import COMPACT_FLOOR
-    from repro.engine.events import CallbackEvent
+    from repro.engine.events import Event
 
     eng = Engine()
     fired = []
-    ev = CallbackEvent(1.0, lambda e: fired.append(eng.now))
+    ev = Event(1.0, lambda e: fired.append(eng.now))
     eng.schedule(ev)
     eng.mark_requeued(ev)
     for _ in range(COMPACT_FLOOR * 2):
@@ -507,7 +530,8 @@ def test_reschedule_moves_event_without_double_dispatch():
 def test_heartbeat_fires_every_n_events():
     eng = Engine()
     beats = []
-    eng.set_heartbeat(lambda e: beats.append(e.dispatched_events), every=3)
+    eng.add_observer(heartbeat_observer(
+        eng, lambda e: beats.append(e.dispatched_events), every=3))
     for i in range(10):
         eng.call_at(float(i), lambda e: None)
     eng.run()
@@ -522,22 +546,25 @@ def test_heartbeat_exception_propagates_out_of_run():
         raise Budget
 
     eng = Engine()
-    eng.set_heartbeat(beat, every=2)
+    ran = []
+    eng.add_observer(heartbeat_observer(eng, beat, every=2))
     for i in range(5):
-        eng.call_at(float(i), lambda e: None)
+        eng.call_at(float(i), lambda e: ran.append(e.time))
     with pytest.raises(Budget):
         eng.run()
-    # The budget tripped at the second event, before its handler ran.
+    # The budget tripped at the second event, before its callback ran.
     assert eng.dispatched_events == 2
+    assert ran == [0.0]
 
 
 def test_heartbeat_clears_and_validates():
     eng = Engine()
     with pytest.raises(ValueError):
-        eng.set_heartbeat(lambda e: None, every=0)
+        heartbeat_observer(eng, lambda e: None, every=0)
     beats = []
-    eng.set_heartbeat(lambda e: beats.append(1), every=1)
-    eng.set_heartbeat(None)
+    observer = heartbeat_observer(eng, lambda e: beats.append(1), every=1)
+    eng.add_observer(observer)
+    eng.remove_observer(observer)
     eng.call_at(1.0, lambda e: None)
     eng.run()
     assert beats == []
@@ -547,7 +574,8 @@ def test_heartbeat_does_not_perturb_simulated_time():
     def run(with_beat):
         eng = Engine()
         if with_beat:
-            eng.set_heartbeat(lambda e: None, every=1)
+            eng.add_observer(heartbeat_observer(eng, lambda e: None,
+                                                every=1))
         order = []
         for i in range(8):
             eng.call_at(float(i) * 0.5, lambda e, i=i: order.append(i))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.events import CallbackEvent, Event, EventHandler
+from repro.engine.engine import Engine
+from repro.engine.events import Event
 
 
 class _Recorder:
@@ -15,41 +16,48 @@ class _Recorder:
 
 class TestEvent:
     def test_stores_time_and_handler(self):
-        handler = _Recorder()
+        handler = _Recorder().handle
         ev = Event(1.5, handler, payload={"x": 1})
         assert ev.time == 1.5
-        assert ev.handler is handler
+        assert ev.callback == handler
         assert ev.payload == {"x": 1}
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            Event(-0.1, _Recorder())
+            Event(-0.1, _Recorder().handle)
 
     def test_zero_time_allowed(self):
-        assert Event(0.0, _Recorder()).time == 0.0
+        assert Event(0.0, _Recorder().handle).time == 0.0
 
     def test_not_cancelled_initially(self):
-        assert not Event(1.0, _Recorder()).cancelled
+        assert not Event(1.0, _Recorder().handle).cancelled
 
     def test_cancel_marks_event(self):
-        ev = Event(1.0, _Recorder())
+        ev = Event(1.0, _Recorder().handle)
         ev.cancel()
         assert ev.cancelled
 
     def test_time_coerced_to_float(self):
-        assert isinstance(Event(1, _Recorder()).time, float)
+        assert isinstance(Event(1, _Recorder().handle).time, float)
 
     def test_handler_satisfies_protocol(self):
-        assert isinstance(_Recorder(), EventHandler)
+        # A handler object plugs in through its bound method: the engine
+        # calls the callback with the event itself.
+        recorder = _Recorder()
+        eng = Engine()
+        ev = eng.schedule(Event(1.0, recorder.handle))
+        eng.run()
+        assert recorder.seen == [ev]
 
-
-class TestCallbackEvent:
     def test_invokes_callable(self):
         calls = []
-        ev = CallbackEvent(2.0, lambda e: calls.append(e))
-        ev.handler.handle(ev)
+        ev = Event(2.0, lambda e: calls.append(e))
+        ev.callback(ev)
         assert calls == [ev]
 
     def test_payload_carried(self):
-        ev = CallbackEvent(0.5, lambda e: None, payload=42)
-        assert ev.payload == 42
+        eng = Engine()
+        seen = []
+        eng.schedule(Event(0.5, lambda e: seen.append(e.payload), payload=42))
+        eng.run()
+        assert seen == [42]

@@ -1,8 +1,11 @@
 """Tests for the hook system and the monitor."""
 
+from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.engine.hooks import Hook, HookCtx, Hookable
 from repro.engine.monitor import Monitor
+from repro.network.flow import FlowNetwork
+from repro.network.topology import build_topology
 
 
 class _Counter:
@@ -47,42 +50,43 @@ class TestHookable:
         assert isinstance(_Counter(), Hook)
 
 
+def _run_tasks(monitor, count=1):
+    """Run *count* back-to-back compute tasks with *monitor* on the
+    task-graph simulator's hooks (what ``TrioSim(hooks=)`` attaches to)."""
+    engine = Engine()
+    network = FlowNetwork(engine, build_topology("ring", 2, 100e9, 1e-6))
+    sim = TaskGraphSimulator(engine, network)
+    sim.accept_hook(monitor)
+    previous = []
+    for i in range(count):
+        previous = [sim.add_compute(f"op{i}", "gpu0", 1e-3, deps=previous)]
+    sim.run()
+
+
 class TestMonitor:
-    def test_records_engine_events(self):
-        eng = Engine()
+    def test_records_task_events(self):
         monitor = Monitor()
-        eng.accept_hook(monitor)
-        eng.call_at(1.0, lambda e: None)
-        eng.run()
-        assert monitor.counts["before_event"] == 1
-        assert monitor.counts["after_event"] == 1
+        _run_tasks(monitor)
+        assert monitor.counts["task_start"] == 1
+        assert monitor.counts["task_end"] == 1
         assert len(monitor.records) == 2
 
     def test_position_filter(self):
-        eng = Engine()
-        monitor = Monitor(positions=["after_event"])
-        eng.accept_hook(monitor)
-        eng.call_at(1.0, lambda e: None)
-        eng.run()
+        monitor = Monitor(positions=["task_end"])
+        _run_tasks(monitor)
         # Counts see everything, records only the filtered position.
-        assert monitor.counts["before_event"] == 1
-        assert [r.pos for r in monitor.records] == ["after_event"]
+        assert monitor.counts["task_start"] == 1
+        assert [r.pos for r in monitor.records] == ["task_end"]
 
     def test_max_records_bound(self):
-        eng = Engine()
         monitor = Monitor(max_records=5)
-        eng.accept_hook(monitor)
-        for i in range(10):
-            eng.call_at(float(i), lambda e: None)
-        eng.run()
+        _run_tasks(monitor, count=5)
+        assert sum(monitor.counts.values()) == 10
         assert len(monitor.records) == 5
 
     def test_events_per_second_positive(self):
-        eng = Engine()
         monitor = Monitor()
-        eng.accept_hook(monitor)
-        eng.call_at(0.0, lambda e: None)
-        eng.run()
+        _run_tasks(monitor)
         assert monitor.events_per_second() > 0
 
     def test_summary_copies(self):

@@ -16,10 +16,12 @@ from repro.analysis import lint_config
 from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
 from repro.engine.engine import Engine
+from repro.engine.monitor import Monitor
 from repro.faults import (
     ChaosError,
     DeviceFailure,
     FaultClock,
+    HOOK_FAULT_INJECT,
     FaultSpec,
     LinkFault,
     Straggler,
@@ -371,6 +373,26 @@ class TestPerturbations:
         sim = TrioSim(trace, _config(faults=spec), verify=True)
         sim.run()
         assert not sim.verify_report.has_errors
+
+    def test_injections_reach_trisim_hooks(self, trace):
+        # The injector fires ``fault_inject`` on the task-graph hooks,
+        # which is where ``TrioSim(hooks=)`` attaches.
+        baseline = _total(trace, _config())
+        spec = FaultSpec(
+            link_faults=(LinkFault("gpu0-gpu1", 0.0, baseline / 2, 0.5),),
+            failures=(DeviceFailure("gpu0", baseline / 2),),
+            checkpoint_interval=baseline / 4, checkpoint_cost=0.0,
+            restore_cost=baseline / 10,
+        )
+        monitor = Monitor(positions=[HOOK_FAULT_INJECT])
+        sim = TrioSim(trace, _config(faults=spec), hooks=[monitor])
+        sim.run()
+        items = [record.item for record in monitor.records]
+        assert set(items) == {"link", "checkpoint", "failure"}
+        assert items.count("link") == sim.fault_stats["link_transitions"]
+        assert items.count("failure") == 1
+        assert (items.count("checkpoint")
+                == sim.fault_stats["checkpoints_taken"])
 
 
 # ----------------------------------------------------------------------

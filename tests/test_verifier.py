@@ -27,7 +27,7 @@ from repro.cli import main
 from repro.core.plan import ExtrapolationPlan
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
-from repro.engine.events import CallbackEvent
+from repro.engine.events import Event
 from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
@@ -248,7 +248,7 @@ class TestRaceDetectors:
         # sequence number that disagrees with its heap position.
         engine = Engine()
         suite = RuntimeSuite().attach(engine=engine)
-        event = CallbackEvent(1.0, lambda e: None)
+        event = Event(1.0, lambda e: None)
         event._seq = 99
         heapq.heappush(engine._queue, (1.0, 7, event))
         engine.run()
@@ -265,9 +265,9 @@ class TestRaceDetectors:
 
         def rewind(event):
             engine._seq = 0
-            engine.schedule(CallbackEvent(1.0, lambda e: None))
+            engine.schedule(Event(1.0, lambda e: None))
 
-        engine.schedule(CallbackEvent(1.0, rewind))
+        engine.schedule(Event(1.0, rewind))
         engine.run()
         report = suite.finalize()
         assert rule_ids(report) == {"RC001"}
@@ -276,7 +276,7 @@ class TestRaceDetectors:
         engine = Engine()
         suite = RuntimeSuite().attach(engine=engine)
         for _ in range(5):
-            engine.schedule(CallbackEvent(1.0, lambda e: None))
+            engine.schedule(Event(1.0, lambda e: None))
         engine.run()
         assert suite.finalize().ok
 
@@ -327,7 +327,7 @@ class TestVerifyIntegration:
 
         ran = set()
         for cls, method, rule in (
-            (sz.TimeMonotonicSanitizer, "func", "SZ001"),
+            (sz.TimeMonotonicSanitizer, "observe", "SZ001"),
             (sz.LinkCapacitySanitizer, "func", "SZ002"),
             (sz.HeapLeakSanitizer, "check", "SZ003"),
             (sz.AllocatorWarningSanitizer, "func", "SZ004"),
