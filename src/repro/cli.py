@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import SimulationConfig
+from repro.core.profiler import render_profile
 from repro.core.simulator import TrioSim
 from repro.core.timeline import export_chrome_trace
 from repro.gpus.specs import GPU_SPECS, get_gpu
@@ -278,13 +279,7 @@ def _cmd_simulate(args) -> int:
         result = sim.run()
     print(result.summary())
     if args.profile and result.profile.get("phases"):
-        p = result.profile
-        parts = " | ".join(f"{name} {seconds * 1e3:.1f} ms"
-                           for name, seconds in p["phases"].items())
-        builds = p.get("counters", {}).get("extrapolator_builds", 0)
-        print(f"pipeline: {parts} | plan {p.get('plan_source', '?')} "
-              f"({builds} extrapolator build(s), "
-              f"{p.get('counters', {}).get('plan_instances', 1)} instance(s))")
+        print(render_profile(result.profile))
     if sim.fault_stats is not None:
         s = sim.fault_stats
         print(

@@ -66,13 +66,17 @@ class PipelineProfiler:
             out["fold_status"] = self.fold_status
         return out
 
-    def summary(self) -> str:
-        """One-line human rendering for CLI output."""
-        parts = [f"{name} {seconds * 1e3:.1f} ms"
-                 for name, seconds in self.to_dict()["phases"].items()]
-        builds = self.counters.get("extrapolator_builds", 0)
-        source = self.plan_source or ("built" if builds else "?")
-        line = f"pipeline: {' | '.join(parts)} | plan {source}"
-        if self.fold_status is not None:
-            line += f" | fold {self.fold_status}"
-        return line
+
+def render_profile(profile: dict) -> str:
+    """One-line rendering of a :meth:`PipelineProfiler.to_dict` payload
+    (``SimulationResult.profile``), with the fold status if it has one."""
+    parts = [f"{name} {seconds * 1e3:.1f} ms"
+             for name, seconds in profile.get("phases", {}).items()]
+    counters = profile.get("counters", {})
+    line = (f"pipeline: {' | '.join(parts)} | plan "
+            f"{profile.get('plan_source', '?')} "
+            f"({counters.get('extrapolator_builds', 0)} extrapolator "
+            f"build(s), {counters.get('plan_instances', 1)} instance(s))")
+    if "fold_status" in profile:
+        line += f" | fold {profile['fold_status']}"
+    return line

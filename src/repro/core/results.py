@@ -13,8 +13,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from repro.engine.hooks import HookCtx
-
 #: Version of the serialized result format.  Part of every cache key, so
 #: a schema change silently invalidates old cache entries instead of
 #: returning mis-shaped results.  v2 added the ``profile`` pipeline
@@ -47,35 +45,6 @@ class TimelineRecord:
         return cls(**data)
 
 
-class TimelineRecorder:
-    """Hook collecting :class:`TimelineRecord` entries from the task graph."""
-
-    def __init__(self):
-        self.records: List[TimelineRecord] = []
-
-    def func(self, ctx: HookCtx) -> None:
-        if ctx.pos != "task_end":
-            return
-        task = ctx.item
-        if task.kind == "compute":
-            resource = task.gpu
-        elif task.kind == "transfer":
-            resource = f"{task.src}->{task.dst}"
-        else:
-            return  # barriers carry no time
-        self.records.append(
-            TimelineRecord(
-                name=task.name,
-                kind=task.kind,
-                resource=resource,
-                start=task.start_time or 0.0,
-                end=task.end_time or 0.0,
-                phase=task.meta.get("phase"),
-                layer=task.meta.get("layer"),
-            )
-        )
-
-
 @dataclass
 class SimulationResult:
     """Output of one TrioSim run.
@@ -83,8 +52,11 @@ class SimulationResult:
     ``compute_time`` and ``communication_time`` are aggregate busy times
     (summed across GPUs / transfers); ``total_time`` is the simulated
     end-to-end iteration time.  ``per_layer`` maps layer name to its total
-    compute time across GPUs.  ``wall_time`` and ``events`` report the
-    simulator's own performance (paper Figure 14).  ``profile`` is the
+    compute time across GPUs and ``per_phase`` per training phase; both,
+    like ``timeline`` (every compute and transfer task in finish order),
+    are filled only by ``record_timeline=True`` runs.  ``wall_time`` and
+    ``events`` report the simulator's own performance (paper Figure 14).
+    ``profile`` is the
     pipeline profiler's per-phase wall breakdown and counters (see
     ``docs/plans.md``); like ``wall_time`` it describes *how* the result
     was produced, so bit-identity comparisons exclude it.  ``network``

@@ -27,8 +27,8 @@ from repro.core.config import SimulationConfig
 from repro.core.fold import fold_decision, steady
 from repro.core.plan import ExtrapolationPlan, PlanBuilder, PlanCache, plan_key
 from repro.core.profiler import PipelineProfiler
-from repro.core.results import SimulationResult, TimelineRecorder
-from repro.core.taskgraph import TaskGraphSimulator
+from repro.core.results import SimulationResult
+from repro.core.taskgraph import TaskGraphSimulator, TaskTotals
 from repro.core.timeline import shift_records
 from repro.engine.engine import Engine
 from repro.extrapolator.base import Extrapolator
@@ -105,7 +105,10 @@ class TrioSim:
     config:
         What to simulate (see :class:`~repro.core.config.SimulationConfig`).
     record_timeline:
-        Collect per-task timeline records (small overhead; on by default).
+        Fill the result's ``timeline`` and the ``per_layer`` /
+        ``per_phase`` breakdowns computed from it (empty with ``False``).
+        They are read from the task table after the run, so the option
+        changes neither the schedule nor fold eligibility.
     hooks:
         Extra observers attached to the task-graph simulator — e.g. a
         :class:`repro.engine.Monitor` for AkitaRTM-style live progress.
@@ -349,9 +352,6 @@ class TrioSim:
             sim = TaskGraphSimulator(engine, network)
         if self.config.gpu_slowdowns:
             sim.compute_scale.update(self.config.gpu_slowdowns)
-        recorder = TimelineRecorder() if self.record_timeline else None
-        if recorder is not None:
-            sim.accept_hook(recorder)
         for hook in self.hooks:
             sim.accept_hook(hook)
         decision = fold_decision(self.config, network=network,
@@ -363,11 +363,11 @@ class TrioSim:
         try:
             if decision.eligible:
                 return self._run_folded(profiler, plan, engine, network,
-                                        sim, recorder, started)
+                                        sim, started)
             if self.config.iterations > 1:
                 profiler.fold_status = decision.status
             return self._run_exact(profiler, plan, engine, network, sim,
-                                   recorder, started)
+                                   started)
         finally:
             # The observer closes over the engine: drop it so the
             # finished run is freed by reference counting.
@@ -376,7 +376,7 @@ class TrioSim:
 
     def _run_exact(self, profiler: PipelineProfiler, plan: ExtrapolationPlan,
                    engine: Engine, network, sim: TaskGraphSimulator,
-                   recorder, started: float) -> SimulationResult:
+                   started: float) -> SimulationResult:
         """The exact event-by-event path (every iteration fully simulated)."""
         with profiler.phase("instancing"):
             plan.instantiate_iterations(sim, self.config.iterations)
@@ -423,7 +423,8 @@ class TrioSim:
         if self.config.iterations > 1:
             iteration_times = iteration_times_from_fences(
                 [f.end_time for f in sim.fences], total)
-        return self._assemble(profiler, engine, network, sim, recorder,
+        return self._assemble(profiler, engine, network,
+                              sim.totals(timeline=self.record_timeline),
                               started, total, iteration_times)
 
     # ------------------------------------------------------------------
@@ -431,7 +432,7 @@ class TrioSim:
     # ------------------------------------------------------------------
     def _run_folded(self, profiler: PipelineProfiler,
                     plan: ExtrapolationPlan, engine: Engine, network,
-                    sim: TaskGraphSimulator, recorder,
+                    sim: TaskGraphSimulator,
                     started: float) -> SimulationResult:
         """Warm up event-by-event, then extend the tail algebraically.
 
@@ -444,19 +445,21 @@ class TrioSim:
         of the steady-state period (so iteration times telescope to the
         total exactly), additive counters extend by the last warm-up
         iteration's delta, and the timeline replicates the last warm-up
-        slice shifted by whole periods.  Otherwise the remaining
-        iterations are simulated exactly (``fold_status: not-steady``).
+        iteration's finish-log slice shifted by whole periods.
+        Otherwise the remaining iterations are simulated exactly
+        (``fold_status: not-steady``).
         """
         cfg = self.config
         warmup = cfg.fold_warmup
         boundaries = []   # end time of each simulated iteration
         durations = []
-        before = None
+        before = mark = None
         for index in range(warmup):
             with profiler.phase("instancing"):
                 plan.instantiate_iterations(sim, 1, start=index)
             if index == warmup - 1:
-                before = self._fold_snapshot(sim, network, recorder)
+                before = network.stats_snapshot()
+                mark = len(sim.store.finished)
             with profiler.phase("engine"):
                 end = sim.run()
             durations.append(end - (boundaries[-1] if boundaries else 0.0))
@@ -479,11 +482,12 @@ class TrioSim:
                 total = sim.run()
             iteration_times = iteration_times_from_fences(
                 [f.end_time for f in sim.fences], total)
-            return self._assemble(profiler, engine, network, sim, recorder,
+            return self._assemble(profiler, engine, network,
+                                  sim.totals(timeline=self.record_timeline),
                                   started, total, iteration_times)
         profiler.fold_status = "folded"
         profiler.count("iterations_folded", folded)
-        after = self._fold_snapshot(sim, network, recorder)
+        after = network.stats_snapshot()
         with profiler.phase("fold_extend"):
             period = durations[-1]
             base = boundaries[-1]
@@ -494,50 +498,37 @@ class TrioSim:
             iteration_times = [boundaries[0]]
             iteration_times.extend(boundaries[i + 1] - boundaries[i]
                                    for i in range(len(boundaries) - 1))
-            self._fold_extend(sim, network, recorder, before, after,
-                              boundaries, warmup, folded)
-        return self._assemble(profiler, engine, network, sim, recorder,
-                              started, total, iteration_times)
+            network.extend_stats(before, after, folded)
+            totals = self._fold_totals(sim, mark, boundaries, warmup, folded)
+        return self._assemble(profiler, engine, network, totals, started,
+                              total, iteration_times)
 
-    @staticmethod
-    def _fold_snapshot(sim: TaskGraphSimulator, network, recorder) -> dict:
-        """Cumulative counters before/after the last warm-up iteration."""
-        return {
-            "busy": {g: sim.gpu_busy_time(g) for g in sim.gpus_seen},
-            "comm_time": sim.comm_task_time,
-            "comm_bytes": sim.comm_bytes,
-            "records": len(recorder.records) if recorder is not None else 0,
-            "network": network.stats_snapshot(),
-        }
-
-    @staticmethod
-    def _fold_extend(sim: TaskGraphSimulator, network, recorder,
-                     before: dict, after: dict, boundaries,
-                     warmup: int, folded: int) -> None:
-        """Replay the last warm-up iteration's deltas *folded* times."""
-        for gpu in sim.gpus_seen:
-            delta = after["busy"][gpu] - before["busy"].get(gpu, 0.0)
-            sim.add_busy_time(gpu, folded * delta)
-        sim.comm_task_time += folded * (after["comm_time"]
-                                        - before["comm_time"])
-        sim.comm_bytes += folded * (after["comm_bytes"]
-                                    - before["comm_bytes"])
-        network.extend_stats(before["network"], after["network"], folded)
-        if recorder is not None:
-            span = recorder.records[before["records"]:after["records"]]
-            last_end = boundaries[warmup - 1]
-            for index in range(folded):
-                offset = boundaries[warmup + index] - last_end
-                recorder.records.extend(shift_records(span, offset))
+    def _fold_totals(self, sim: TaskGraphSimulator, mark: int, boundaries,
+                     warmup: int, folded: int) -> TaskTotals:
+        """Task totals read at finish-log position *mark* (the last
+        warm-up iteration's start) and at the end, extended by *folded*
+        times their difference; that iteration's records replicated."""
+        record = self.record_timeline
+        head = sim.totals(stop=mark, timeline=record)
+        last = sim.totals(since=head, timeline=record)
+        busy = {gpu: seconds + folded * (seconds - head.busy[gpu])
+                for gpu, seconds in last.busy.items()}
+        comm = last.comm + folded * (last.comm - head.comm)
+        timeline = head.timeline + last.timeline
+        last_end = boundaries[warmup - 1]
+        for index in range(folded if record else 0):
+            offset = boundaries[warmup + index] - last_end
+            timeline.extend(shift_records(last.timeline, offset))
+        return TaskTotals(busy, comm, timeline, last.position)
 
     def _assemble(self, profiler: PipelineProfiler, engine: Engine, network,
-                  sim: TaskGraphSimulator, recorder, started: float,
-                  total: float, iteration_times) -> SimulationResult:
+                  totals: TaskTotals, started: float, total: float,
+                  iteration_times) -> SimulationResult:
         wall = _wall.perf_counter() - started
         per_layer = defaultdict(float)
         per_phase = defaultdict(float)
-        timeline = recorder.records if recorder is not None else []
-        for record in timeline:
+        busy = totals.busy
+        for record in totals.timeline:
             if record.kind != "compute":
                 continue
             if record.layer:
@@ -547,12 +538,12 @@ class TrioSim:
         summarize = getattr(network, "network_summary", None)
         return SimulationResult(
             total_time=total,
-            compute_time=sim.compute_task_time,
-            communication_time=sim.comm_task_time,
-            per_gpu_busy={g: sim.gpu_busy_time(g) for g in sim.gpus_seen},
+            compute_time=sum(busy.values()),
+            communication_time=totals.comm,
+            per_gpu_busy={gpu: busy[gpu] for gpu in sorted(busy)},
             per_layer=dict(per_layer),
             per_phase=dict(per_phase),
-            timeline=timeline,
+            timeline=totals.timeline,
             wall_time=wall,
             events=engine.dispatched_events,
             iteration_times=iteration_times,

@@ -16,15 +16,19 @@ computation overlap (DDP, GPipe) arises in the simulation, rather than
 being an analytical correction.
 
 Tasks live as rows of one columnar :class:`TaskStore`; a
-:class:`SimTask` is a view of one row.
+:class:`SimTask` is a view of one row.  The table is the run's record: busy
+times and the timeline are read from it after the run (see
+:meth:`TaskGraphSimulator.totals`).
 """
 
 from __future__ import annotations
 
 import inspect
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence)
 
+from repro.core.results import TimelineRecord
 from repro.engine.engine import Engine
 from repro.engine.events import Event
 from repro.engine.hooks import HookCtx, Hookable
@@ -49,7 +53,6 @@ class _GPUQueue:
     def __init__(self):
         self.ready: list = []
         self.running = None
-        self.busy_time = 0.0
 
 
 class TaskStore:
@@ -77,10 +80,14 @@ class TaskStore:
     non-root rows carry no edge from the fence before them: they also
     wait on rows of their own iteration, which cannot start before the
     fence releases the roots.
+
+    ``finished`` logs row ids in the order they finished: the order the
+    timeline lists tasks in and the busy-time sums add them in.
     """
 
     __slots__ = TASK_COLUMNS + ("queue", "indegree", "indptr", "indices",
-                                "succ", "start", "end", "uniform_priority")
+                                "succ", "start", "end", "finished",
+                                "uniform_priority")
 
     def __init__(self):
         self.kind: List[int] = []
@@ -99,6 +106,7 @@ class TaskStore:
         self.succ: List[Optional[List[int]]] = []
         self.start: List[Optional[float]] = []
         self.end: List[Optional[float]] = []
+        self.finished: List[int] = []
         #: Whether every row has priority 0, so a GPU picks its next task
         #: by row id alone.
         self.uniform_priority = True
@@ -203,8 +211,6 @@ class TaskGraphSimulator(Hookable):
         #: — transient stragglers whose factor depends on *when* a task
         #: runs, not just where.  ``None`` (the default) costs one check.
         self.runtime_compute_scale: Optional[Callable[[str, float], float]] = None
-        self.comm_task_time = 0.0
-        self.comm_bytes = 0.0
         try:
             #: Whether the network's ``send`` accepts ``pending=`` (delivery
             #: events appended for one bulk submission per release wave).
@@ -461,19 +467,15 @@ class TaskGraphSimulator(Hookable):
         store = self.store
         now = self.engine._now
         store.end[tid] = now
+        store.finished.append(tid)
         self._unfinished -= 1
         if self._hooks:
             self.invoke_hooks(HookCtx(HOOK_TASK_END, now, SimTask(store, tid)))
         pending: list = []
-        kind = store.kind[tid]
-        if kind == COMPUTE:
+        if store.kind[tid] == COMPUTE:
             queue = store.queue[tid]
-            queue.busy_time += now - store.start[tid]
             queue.running = None
             self._dispatch(queue, pending)
-        elif kind == TRANSFER:
-            self.comm_task_time += now - store.start[tid]
-            self.comm_bytes += store.nbytes[tid]
         indegree = store.indegree
         indptr = store.indptr
         lo = indptr[tid]
@@ -499,24 +501,57 @@ class TaskGraphSimulator(Hookable):
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def gpu_busy_time(self, gpu: str) -> float:
-        return self._gpus[gpu].busy_time
-
-    def add_busy_time(self, gpu: str, seconds: float) -> None:
-        """Credit *seconds* of compute busy time to *gpu* without running
-        a task — the iteration-folding counter extension (the folded tail
-        dispatches no events but its compute time is known exactly)."""
-        self._gpus[gpu].busy_time += seconds
+    def totals(self, stop: Optional[int] = None,
+               since: Optional["TaskTotals"] = None,
+               timeline: bool = False) -> "TaskTotals":
+        """Walk the finish log from *since*'s position (or the start) to
+        *stop* (or the end), adding each compute row's ``end - start`` to
+        its GPU's busy time and each transfer's to the communication
+        time, in finish order, on top of *since*'s running totals.  With
+        *timeline*, each compute and transfer row read also yields a
+        :class:`TimelineRecord` (barriers carry no time)."""
+        store = self.store
+        if since is None:
+            busy = dict.fromkeys(self._gpus, 0.0)
+            comm, first = 0.0, 0
+        else:
+            busy, comm, first = dict(since.busy), since.comm, since.position
+        rows = store.finished[first:stop]
+        kind, gpu, start, end = store.kind, store.gpu, store.start, store.end
+        records: List[TimelineRecord] = []
+        for tid in rows:
+            code = kind[tid]
+            if code == BARRIER:
+                continue
+            if code == COMPUTE:
+                busy[gpu[tid]] += end[tid] - start[tid]
+            else:
+                comm += end[tid] - start[tid]
+            if timeline:
+                # As in shift_records: the frozen constructor costs 3x.
+                meta = store.meta[tid]
+                record = object.__new__(TimelineRecord)
+                record.__dict__.update(
+                    name=store.name[tid], kind=KIND_NAMES[code],
+                    resource=(gpu[tid] if code == COMPUTE else
+                              f"{store.src[tid]}->{store.dst[tid]}"),
+                    start=start[tid], end=end[tid],
+                    phase=meta.get("phase"), layer=meta.get("layer"))
+                records.append(record)
+        return TaskTotals(busy, comm, records, first + len(rows))
 
     @property
     def unfinished_tasks(self) -> int:
         """Tasks not yet finished (drains to 0 as the run completes)."""
         return self._unfinished
 
-    @property
-    def gpus_seen(self) -> List[str]:
-        return sorted(self._gpus)
 
-    @property
-    def compute_task_time(self) -> float:
-        return sum(q.busy_time for q in self._gpus.values())
+class TaskTotals(NamedTuple):
+    """What :meth:`TaskGraphSimulator.totals` read: per-GPU busy and
+    transfer time (running totals from the log's start), the timeline
+    records of the rows read, and the log position read up to."""
+
+    busy: Dict[str, float]
+    comm: float
+    timeline: List[TimelineRecord]
+    position: int

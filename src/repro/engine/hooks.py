@@ -3,8 +3,8 @@
 Hooks are the Akita-style observation mechanism: any :class:`Hookable`
 object invokes its registered hooks at named positions, passing a
 :class:`HookCtx` describing what happened.  Monitors, tracers, and the
-timeline recorder are all implemented as hooks, keeping observation code
-out of the simulation logic.
+verifier's race detectors are hooks, keeping observation code out of
+the simulation logic; the timeline is read from the task table instead.
 """
 
 from __future__ import annotations

@@ -94,6 +94,16 @@ class TestSimulate:
         for phase in ("trace_prep", "plan", "instancing", "engine"):
             assert f"{phase} " in lines[0], phase
         assert "engine." not in lines[0]
+        assert "| fold" not in lines[0]  # one iteration has no fold status
+        # A folded run renders its fold phases and its fold status.
+        code = main(["simulate", str(trace_file), "--parallelism", "ddp",
+                     "--num-gpus", "4", "--iterations", "8", "--profile"])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("pipeline:")]
+        assert len(lines) == 1
+        assert "fold_extend " in lines[0]
+        assert lines[0].endswith("| fold folded")
 
 
 class TestExperiment:

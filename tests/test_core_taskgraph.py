@@ -50,9 +50,11 @@ class TestCompute:
         sim.add_compute("a", "gpu0", 1.5)
         sim.add_compute("b", "gpu1", 0.5)
         sim.run()
-        assert sim.gpu_busy_time("gpu0") == pytest.approx(1.5)
-        assert sim.gpu_busy_time("gpu1") == pytest.approx(0.5)
-        assert sim.compute_task_time == pytest.approx(2.0)
+        totals = sim.totals()
+        assert totals.busy == {"gpu0": 1.5, "gpu1": 0.5}
+        assert sum(totals.busy.values()) == pytest.approx(2.0)
+        assert totals.comm == 0.0
+        assert totals.timeline == []  # only built on request
 
 
 class TestTransfers:
@@ -68,13 +70,39 @@ class TestTransfers:
         sim.add_compute("c", "gpu0", 2.0)
         sim.add_transfer("x", "gpu0", "gpu1", 200.0)
         assert sim.run() == pytest.approx(2.0)
-        assert sim.comm_task_time == pytest.approx(2.0)
+        totals = sim.totals()
+        assert totals.comm == pytest.approx(2.0)
+        assert totals.busy == {"gpu0": pytest.approx(2.0)}
 
-    def test_comm_accounting(self):
-        sim = _sim()
+
+class TestTotals:
+    def _run(self):
+        sim = _sim(bandwidth=100.0)
+        a = sim.add_compute("a", "gpu0", 2.0, layer="conv1", phase="forward")
         sim.add_transfer("x", "gpu0", "gpu1", 100.0)
+        sim.add_barrier("join", deps=[a])
+        sim.add_compute("b", "gpu1", 0.5, deps=[a])
         sim.run()
-        assert sim.comm_bytes == 100.0
+        return sim
+
+    def test_timeline_lists_tasks_in_finish_order(self):
+        totals = self._run().totals(timeline=True)
+        assert [(r.name, r.kind, r.resource) for r in totals.timeline] == [
+            ("x", "transfer", "gpu0->gpu1"), ("a", "compute", "gpu0"),
+            ("b", "compute", "gpu1")]
+        compute = totals.timeline[1]
+        assert (compute.start, compute.end) == (0.0, 2.0)
+        assert (compute.layer, compute.phase) == ("conv1", "forward")
+        assert totals.position == 4  # the barrier is logged, not recorded
+
+    def test_totals_continue_from_a_log_position(self):
+        sim = self._run()
+        whole = sim.totals(timeline=True)
+        head = sim.totals(stop=2, timeline=True)
+        rest = sim.totals(since=head, timeline=True)
+        assert head.busy == {"gpu0": 2.0, "gpu1": 0.0}
+        assert (rest.busy, rest.comm) == (whole.busy, whole.comm)
+        assert head.timeline + rest.timeline == whole.timeline
 
 
 class TestBarriersAndDeps:

@@ -51,8 +51,9 @@ def test_property_makespan_bounds(spec):
         lb = (finish_lb[i - reach] if deps else 0.0) + duration
         finish_lb.append(lb)
     makespan = sim.run()
+    busy = sim.totals().busy
     for gpu in range(4):
-        assert makespan >= sim.gpu_busy_time(f"gpu{gpu}") - 1e-9
+        assert makespan >= busy.get(f"gpu{gpu}", 0.0) - 1e-9
     assert makespan >= max(finish_lb) - 1e-9
     assert makespan <= sum(d for _g, d, _r in spec) + 1e-9
 
