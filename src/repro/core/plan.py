@@ -49,6 +49,7 @@ from repro.core.taskgraph import (
     TASK_COLUMNS,
     TRANSFER,
     TaskGraphSimulator,
+    intern_meta,
 )
 from repro.trace.trace import Trace, trace_digest
 
@@ -170,15 +171,24 @@ class PlanBuilder:
         self._appends = [self.columns[name].append for name in TASK_COLUMNS]
         self._dep_ptr = [0]
         self._dep_idx: List[int] = []
+        self._metas: Dict[tuple, dict] = {}
 
     def _record(self, kind: int, name: str, deps: Sequence[int],
                 gpu: Optional[str] = None, duration: float = 0.0,
                 priority: int = 0, src: Optional[str] = None,
                 dst: Optional[str] = None, nbytes: float = 0.0,
                 meta: Optional[dict] = None) -> int:
-        row = (kind, name, gpu, duration, priority, src, dst, nbytes, meta)
-        for append, value in zip(self._appends, row):  # TASK_COLUMNS order
-            append(value)
+        (add_kind, add_name, add_gpu, add_duration, add_priority, add_src,
+         add_dst, add_nbytes, add_meta) = self._appends  # TASK_COLUMNS order
+        add_kind(kind)
+        add_name(name)
+        add_gpu(gpu)
+        add_duration(duration)
+        add_priority(priority)
+        add_src(src)
+        add_dst(dst)
+        add_nbytes(nbytes)
+        add_meta(intern_meta(self._metas, meta or {}))
         self._dep_idx.extend(deps)
         self._dep_ptr.append(len(self._dep_idx))
         return len(self._dep_ptr) - 2

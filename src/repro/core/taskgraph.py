@@ -24,7 +24,6 @@ times and the timeline are read from it after the run (see
 from __future__ import annotations
 
 import inspect
-from collections import defaultdict
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence)
 
@@ -32,7 +31,7 @@ from repro.core.results import TimelineRecord
 from repro.engine.engine import Engine
 from repro.engine.events import Event
 from repro.engine.hooks import HookCtx, Hookable
-from repro.network.base import NetworkModel
+from repro.network.base import NetworkModel, Transfer
 
 HOOK_TASK_START = "task_start"
 HOOK_TASK_END = "task_end"
@@ -47,12 +46,26 @@ TASK_COLUMNS = ("kind", "name", "gpu", "duration", "priority", "src", "dst",
                 "nbytes", "meta")
 
 
-class _GPUQueue:
-    """FIFO compute queue of one GPU: ready row ids, one row in flight."""
+def intern_meta(memo: Dict[tuple, dict], meta: dict) -> dict:
+    """The dict of *memo* whose items, in order, compare equal to
+    *meta*'s, stored on first sight: rows with equal metadata share one
+    dict.  *meta* itself when a value is unhashable."""
+    try:
+        return memo.setdefault(tuple(meta.items()), meta)
+    except TypeError:
+        return meta
 
-    def __init__(self):
+
+class _GPUQueue:
+    """FIFO compute queue of one GPU: ready row ids, one row in flight,
+    and the GPU's runtime scale callback, if it has one."""
+
+    __slots__ = ("ready", "running", "scale")
+
+    def __init__(self, scale: Optional[Callable[[str, float], float]] = None):
         self.ready: list = []
         self.running = None
+        self.scale = scale
 
 
 class TaskStore:
@@ -161,7 +174,8 @@ class SimTask:
     src = _column("src", "Transfer source.")
     dst = _column("dst", "Transfer destination.")
     nbytes = _column("nbytes", "Transfer size in bytes.")
-    meta = _column("meta", "Free-form task metadata.")
+    meta = _column("meta", "Free-form task metadata, shared by the rows "
+                   "whose metadata is equal: nothing mutates it.")
     start_time = _column("start", "Dispatch time, or ``None``.")
     end_time = _column("end", "Finish time, or ``None``.")
 
@@ -198,19 +212,17 @@ class TaskGraphSimulator(Hookable):
         self.engine = engine
         self.network = network
         self.store = TaskStore()
-        self._gpus: Dict[str, _GPUQueue] = defaultdict(_GPUQueue)
-        self._unfinished = 0
+        self._gpus: Dict[str, _GPUQueue] = {}
         #: First row the next :meth:`run` considers as a root.
         self._cursor = 0
         self._fence: Optional[int] = None
         self.fences: List[SimTask] = []
+        self._metas: Dict[tuple, dict] = {}
         #: Per-GPU compute-duration multipliers (>= 1 slows a device) —
         #: heterogeneous/straggler systems without touching extrapolators.
         self.compute_scale: Dict[str, float] = {}
-        #: Optional ``(gpu, now) -> multiplier`` consulted at dispatch time
-        #: — transient stragglers whose factor depends on *when* a task
-        #: runs, not just where.  ``None`` (the default) costs one check.
-        self.runtime_compute_scale: Optional[Callable[[str, float], float]] = None
+        # GPU -> the callback set_runtime_scale registered for it.
+        self._runtime_scale: Dict[str, Callable[[str, float], float]] = {}
         try:
             #: Whether the network's ``send`` accepts ``pending=`` (delivery
             #: events appended for one bulk submission per release wave).
@@ -218,6 +230,28 @@ class TaskGraphSimulator(Hookable):
                 "pending" in inspect.signature(network.send).parameters)
         except (TypeError, ValueError):  # builtins / odd callables
             self._batched_send = False
+
+    def set_runtime_scale(self, gpu: str, callback: Optional[
+            Callable[[str, float], float]]) -> None:
+        """Multiply each compute task dispatched on *gpu* by
+        ``callback(gpu, now)`` — transient stragglers whose factor depends
+        on *when* a task runs, not just where.  ``None`` removes the
+        callback.  Only the GPUs given one consult it: dispatches on the
+        others pay one attribute check."""
+        if callback is None:
+            self._runtime_scale.pop(gpu, None)
+        else:
+            self._runtime_scale[gpu] = callback
+        queue = self._gpus.get(gpu)
+        if queue is not None:
+            queue.scale = callback
+
+    def _queue(self, gpu: str) -> _GPUQueue:
+        """*gpu*'s compute queue, made on first use."""
+        queue = self._gpus.get(gpu)
+        if queue is None:
+            queue = self._gpus[gpu] = _GPUQueue(self._runtime_scale.get(gpu))
+        return queue
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -243,8 +277,8 @@ class TaskGraphSimulator(Hookable):
         store.src.append(src)
         store.dst.append(dst)
         store.nbytes.append(nbytes)
-        store.meta.append(meta if meta is not None else {})
-        store.queue.append(self._gpus[gpu] if kind == COMPUTE else None)
+        store.meta.append(intern_meta(self._metas, meta or {}))
+        store.queue.append(self._queue(gpu) if kind == COMPUTE else None)
         store.indegree.append(0)
         store.indptr.append(store.indptr[-1])
         store.succ.append(None)
@@ -256,7 +290,6 @@ class TaskGraphSimulator(Hookable):
             store.link(dep, tid)
         if self._fence is not None:
             store.link(self._fence, tid)
-        self._unfinished += 1
         return tid
 
     def fence(self, name: str = "fence") -> SimTask:
@@ -344,7 +377,9 @@ class TaskGraphSimulator(Hookable):
             columns = dict(columns, duration=[
                 d * scale.get(g, 1.0) if g is not None else d
                 for d, g in zip(columns["duration"], gpus)])
-        queues = [self._gpus[g] if g is not None else None for g in gpus]
+        made = {g: self._queue(g) for g in dict.fromkeys(gpus)
+                if g is not None}
+        queues = [made.get(g) for g in gpus]
         if not plan.uniform_priority:
             store.uniform_priority = False
         indptr, indices = plan.succ_ptr, plan.succ_idx
@@ -368,7 +403,6 @@ class TaskGraphSimulator(Hookable):
             if fence is not None:
                 for root in roots:
                     store.link(fence, first + root)
-            self._unfinished += n
             previous = [first + t for t in terminals]
 
     # ------------------------------------------------------------------
@@ -386,11 +420,12 @@ class TaskGraphSimulator(Hookable):
         if pending:
             self.engine.schedule_bulk(pending)
         self.engine.run()
-        if self._unfinished:
+        unfinished = self.unfinished_tasks
+        if unfinished:
             stuck = [store.name[t] for t in range(len(store))
                      if end[t] is None][:10]
             raise RuntimeError(
-                f"{self._unfinished} tasks never became ready "
+                f"{unfinished} tasks never became ready "
                 f"(dependency cycle?); e.g. {stuck}"
             )
         return max(end) if end else self.engine.now
@@ -413,9 +448,8 @@ class TaskGraphSimulator(Hookable):
                     HookCtx(HOOK_TASK_START, now, SimTask(store, tid)))
             if self._batched_send:
                 self.network.send(store.src[tid], store.dst[tid],
-                                  store.nbytes[tid],
-                                  lambda _t, t=tid: self._finish(t),
-                                  tag=store.name[tid], pending=pending)
+                                  store.nbytes[tid], self._delivered, tid,
+                                  pending)
             else:
                 # Networks without batched delivery schedule directly;
                 # flushing first keeps the event-creation order (and so
@@ -424,9 +458,7 @@ class TaskGraphSimulator(Hookable):
                     self.engine.schedule_bulk(pending)
                     del pending[:]
                 self.network.send(store.src[tid], store.dst[tid],
-                                  store.nbytes[tid],
-                                  lambda _t, t=tid: self._finish(t),
-                                  tag=store.name[tid])
+                                  store.nbytes[tid], self._delivered, tid)
         else:  # barrier / fence
             # Completes via a zero-delay event, so long barrier chains
             # never recurse.
@@ -453,7 +485,7 @@ class TaskGraphSimulator(Hookable):
         if self._hooks:
             self.invoke_hooks(HookCtx(HOOK_TASK_START, now, SimTask(store, tid)))
         duration = store.duration[tid]
-        scale = self.runtime_compute_scale
+        scale = queue.scale
         if scale is not None:
             duration *= scale(store.gpu[tid], now)
         pending.append(Event(now + duration, self._complete, tid))
@@ -463,24 +495,36 @@ class TaskGraphSimulator(Hookable):
         rides in the payload, so no closure is allocated per task."""
         self._finish(event.payload)
 
+    def _delivered(self, transfer: Transfer) -> None:
+        """Delivery callback of every transfer row: the row id rides in
+        the transfer's tag, so no closure is allocated per transfer."""
+        self._finish(transfer.tag)
+
     def _finish(self, tid: int) -> None:
         store = self.store
         now = self.engine._now
         store.end[tid] = now
         store.finished.append(tid)
-        self._unfinished -= 1
         if self._hooks:
             self.invoke_hooks(HookCtx(HOOK_TASK_END, now, SimTask(store, tid)))
         pending: list = []
         if store.kind[tid] == COMPUTE:
             queue = store.queue[tid]
             queue.running = None
-            self._dispatch(queue, pending)
+            if queue.ready:
+                self._dispatch(queue, pending)
         indegree = store.indegree
         indptr = store.indptr
         lo = indptr[tid]
         hi = indptr[tid + 1]
-        if lo != hi:
+        if hi - lo == 1:
+            # The common case: one successor inside the plan iteration.
+            rid = store.indices[lo]
+            left = indegree[rid] - 1
+            indegree[rid] = left
+            if not left:
+                self._start(rid, pending)
+        elif lo != hi:
             indices = store.indices
             for k in range(lo, hi):
                 rid = indices[k]
@@ -543,7 +587,8 @@ class TaskGraphSimulator(Hookable):
     @property
     def unfinished_tasks(self) -> int:
         """Tasks not yet finished (drains to 0 as the run completes)."""
-        return self._unfinished
+        store = self.store
+        return len(store) - len(store.finished)
 
 
 class TaskTotals(NamedTuple):

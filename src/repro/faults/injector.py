@@ -3,10 +3,11 @@
 The injector is a client of the existing engine/hook machinery — it owns
 no simulation state of its own.  Installed before :meth:`Engine.run`, it
 
-* registers a :attr:`~repro.core.taskgraph.TaskGraphSimulator.runtime_compute_scale`
-  callback so compute tasks dispatched inside an open straggler window
-  take ``factor``× their healthy duration (a pure function of the
-  explicit schedule — no events needed);
+* registers a runtime scale callback
+  (:meth:`~repro.core.taskgraph.TaskGraphSimulator.set_runtime_scale`) on
+  each GPU that has a straggler window, so compute tasks dispatched
+  inside an open window take ``factor``× their healthy duration (a pure
+  function of the explicit schedule — no events needed);
 * schedules link-fault open/close events that re-rate links through
   :meth:`FlowNetwork.set_link_capacity`, riding the scoped max-min
   re-solve so only the affected contention component is touched;
@@ -153,8 +154,8 @@ class FaultInjector:
         if self._installed:
             raise RuntimeError("injector already installed")
         self._installed = True
-        if self._gpu_windows:
-            self.sim.runtime_compute_scale = self._scaled_dispatch
+        for gpu in self._gpu_windows:
+            self.sim.set_runtime_scale(gpu, self._scaled_dispatch)
         for fault in spec.link_faults:
             self._wall_events.append(self.engine.call_at(
                 fault.start, lambda _ev, f=fault: self._open_link_fault(f)))
@@ -175,34 +176,34 @@ class FaultInjector:
 
     def release(self) -> None:
         """Drop what the installed schedule links back to this injector:
-        the simulator's ``runtime_compute_scale`` callback and the
+        the straggling GPUs' runtime scale callbacks and the
         fault-arrival events (whose callbacks close over the injector).
         Called when the run ends, so the finished run is freed by
         reference counting rather than by the cyclic collector;
         :meth:`stats` and :meth:`consistency_errors` keep working."""
-        if self.sim.runtime_compute_scale == self._scaled_dispatch:
-            self.sim.runtime_compute_scale = None
+        if self._installed:
+            for gpu in self._gpu_windows:
+                self.sim.set_runtime_scale(gpu, None)
         self._wall_events.clear()
 
     # ------------------------------------------------------------------
     # Stragglers
     # ------------------------------------------------------------------
-    def _scale_for(self, gpu: str, now: float) -> float:
+    def _scaled_dispatch(self, gpu: str, now: float) -> float:
+        """The runtime scale callback of a straggling GPU: the product of
+        the factors of its windows open at *now*, counting each task it
+        scales.
+
+        The scheduler consults it exactly once per compute dispatch on
+        the GPUs it is registered for, and only those have windows, so
+        counting here sees every straggled task — without keeping the
+        simulator's hook list non-empty (an empty hook list lets the
+        scheduler skip task-view materialisation entirely).
+        """
         factor = 1.0
-        for window in self._gpu_windows.get(gpu, ()):
+        for window in self._gpu_windows[gpu]:
             if window.start <= now < window.end:
                 factor *= window.factor
-        return factor
-
-    def _scaled_dispatch(self, gpu: str, now: float) -> float:
-        """The ``runtime_compute_scale`` callback: scale + straggler count.
-
-        The scheduler consults it exactly once per compute dispatch, so
-        counting here is equivalent to the old task-start hook — without
-        keeping the simulator's hook list non-empty (an empty hook list
-        lets the scheduler skip task-view materialisation entirely).
-        """
-        factor = self._scale_for(gpu, now)
         if factor != 1.0:
             self.straggled_tasks += 1
         return factor

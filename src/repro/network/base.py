@@ -17,8 +17,9 @@ class Transfer:
     """A point-to-point data movement in flight.
 
     ``callback`` fires exactly once, at delivery, with the transfer as its
-    argument.  ``tag`` is free-form context for the initiator (e.g. which
-    collective step the transfer implements).
+    argument.  ``tag`` is free-form context for the initiator, which the
+    network never reads: the task-graph simulator passes the task's row
+    id, so one bound method completes every transfer.
     """
 
     transfer_id: int

@@ -412,8 +412,9 @@ class FlowNetwork(Hookable):
         # engine._now read directly on the per-flow paths in this module:
         # the .now property costs a descriptor call per access.
         now = self.engine._now
-        transfer = Transfer(next(self._ids), src, dst, float(nbytes),
-                            callback, tag, now)
+        transfer_id = next(self._ids)
+        nbytes = float(nbytes)
+        transfer = Transfer(transfer_id, src, dst, nbytes, callback, tag, now)
         edges = self._route_edges[rid]
         wired = bool(edges) and nbytes != 0
         if self._hooks:
@@ -431,9 +432,9 @@ class FlowNetwork(Hookable):
                     column.append(None)
             slot = free.pop()
             self._xfer[slot] = transfer
-            self._tid[slot] = transfer.transfer_id
+            self._tid[slot] = transfer_id
             self._route[slot] = rid
-            self._remaining[slot] = transfer.nbytes
+            self._remaining[slot] = nbytes
             self._rate[slot] = 0.0
             committed = self._committed
             for eid in edges:
@@ -580,17 +581,27 @@ class FlowNetwork(Hookable):
         that is a component of its own (the contention-free path) takes
         its route's cached bottleneck without a solver call: progressive
         filling would saturate the bottleneck edge in its first round
-        (``cap - cap == 0.0``) with increment ``min(capacity)``.
+        (``cap - cap == 0.0``) with increment ``min(capacity)``.  A flow
+        that is the only user of every edge of its route is such a
+        component, found without the breadth-first search.
         """
         route = self._route
         route_edges = self._route_edges
         bottleneck = self._bottleneck
+        users = self._users
         tid = self._tid
         keyed: List[Tuple[int, List[int], Sequence[float]]] = []
         visited: Set[int] = set()
         in_order = True
         for seed in sorted(seeds, key=tid.__getitem__):
             if seed in visited:
+                continue
+            edges = route_edges[route[seed]]
+            for eid in edges:
+                if len(users[eid]) != 1:
+                    break
+            else:  # alone on every edge: no other flow can reach it
+                keyed.append((tid[seed], [seed], (bottleneck[route[seed]],)))
                 continue
             members = self._component(seed)
             visited.update(members)
@@ -619,6 +630,7 @@ class FlowNetwork(Hookable):
         remaining = self._remaining
         settled = self._settled
         events = self._event
+        deliver = self._deliver
         pending: List[Event] = []
         for slot, new in changed:
             left = remaining[slot] - rate[slot] * (now - settled[slot])
@@ -629,7 +641,6 @@ class FlowNetwork(Hookable):
             rate[slot] = new
             event = events[slot]
             if new > _RATE_EPS:
-                self.reschedules += 1
                 if event is not None and not event.cancelled:
                     # Requeue the existing delivery event instead of
                     # cancel-and-replace: mark_requeued orphans the old
@@ -638,8 +649,8 @@ class FlowNetwork(Hookable):
                     engine.mark_requeued(event)
                     event.time = now + left / new
                 else:
-                    event = events[slot] = Event(
-                        now + left / new, self._deliver, slot)
+                    event = events[slot] = Event(now + left / new, deliver,
+                                                 slot)
                 pending.append(event)
             elif event is not None:
                 event.cancel()
@@ -649,6 +660,7 @@ class FlowNetwork(Hookable):
         # heappushes would use — and nothing dispatches between
         # collection and insertion, so delivery order is unchanged.
         if pending:
+            self.reschedules += len(pending)
             engine.schedule_bulk(pending)
         if self._hooks:
             self.invoke_hooks(HookCtx(

@@ -14,6 +14,7 @@ profiler would see).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -83,11 +84,7 @@ class GPUExecutionModel:
 
     def arch_tuning(self, kind: str) -> float:
         """Deterministic per-(GPU, operator-class) kernel-tuning factor."""
-        digest = hashlib.blake2b(
-            repr(("arch", self.spec.name, kind)).encode(), digest_size=8
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        return float(np.exp(rng.normal(0.0, _ARCH_TUNING_SIGMA)))
+        return _arch_tuning(self.spec.name, kind)
 
     # ------------------------------------------------------------------
     # Base (noise-free) timing
@@ -170,3 +167,15 @@ class GPUExecutionModel:
         """Measured time: base time with per-(operator, run) noise."""
         base = self.layer_time(layer, batch, direction, shard)
         return base * self._noise(layer.name, batch, direction, shard, run)
+
+
+@functools.lru_cache(maxsize=None)
+def _arch_tuning(gpu_name: str, kind: str) -> float:
+    """:meth:`GPUExecutionModel.arch_tuning`, drawn once per (GPU name,
+    operator class): it depends on nothing else, and each draw seeds a
+    fresh NumPy generator."""
+    digest = hashlib.blake2b(
+        repr(("arch", gpu_name, kind)).encode(), digest_size=8
+    ).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "little"))
+    return float(np.exp(rng.normal(0.0, _ARCH_TUNING_SIGMA)))

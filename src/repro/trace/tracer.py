@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -81,9 +82,7 @@ class Tracer:
         systematic component times a per-operator component."""
         if not self.profiler_overhead:
             return 1.0
-        kind_part = self._lognormal(
-            PROFILER_KIND_SIGMA, "profiler-kind", self.gpu.name, kind
-        )
+        kind_part = _kind_inflation(self.gpu.name, kind)
         op_part = self._lognormal(
             PROFILER_INFLATION_SIGMA, "profiler-op", self.gpu.name, *identity
         )
@@ -212,3 +211,12 @@ class Tracer:
                 )
             )
         return trace
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_inflation(gpu_name: str, kind: str) -> float:
+    """The per-(GPU, class) component of :meth:`Tracer._inflation`, drawn
+    once per pair: it depends on nothing else, and each draw seeds a
+    fresh NumPy generator."""
+    return Tracer._lognormal(PROFILER_KIND_SIGMA, "profiler-kind", gpu_name,
+                             kind)

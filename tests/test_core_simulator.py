@@ -199,3 +199,29 @@ class TestFinishedRunIsFreed:
         assert sorted(refs) == ["Engine", "FlowNetwork",
                                 "TaskGraphSimulator"]
         assert alive == []
+
+
+def test_transfers_complete_through_one_shared_callback(trace, monkeypatch):
+    """Every transfer is delivered through the simulator's one delivery
+    method, with its row id as the tag: no closure per transfer."""
+    from repro.core.taskgraph import TRANSFER
+    from repro.network.flow import FlowNetwork
+
+    sent = []
+    send = FlowNetwork.send
+
+    def spy(self, src, dst, nbytes, callback, tag=None, pending=None):
+        sent.append((src, dst, callback, tag))
+        return send(self, src, dst, nbytes, callback, tag, pending)
+
+    monkeypatch.setattr(FlowNetwork, "send", spy)
+    _run(trace, parallelism="ddp", num_gpus=4, topology="leaf_spine",
+         iterations=2)
+    callbacks = {callback for _, _, callback, _ in sent}
+    assert len(callbacks) == 1
+    store = next(iter(callbacks)).__self__.store
+    transfers = [tid for tid, kind in enumerate(store.kind)
+                 if kind == TRANSFER]
+    assert sorted(tag for *_, tag in sent) == transfers
+    assert all((store.src[tag], store.dst[tag]) == (src, dst)
+               for src, dst, _, tag in sent)

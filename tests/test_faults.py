@@ -306,12 +306,41 @@ class TestDeterminism:
         assert _total(trace, replayed) == first
 
 
+#: The two-iteration gpu1 straggler run's straggled-task count and total.
+STRAGGLED_TASKS = 60
+STRAGGLED_TOTAL = "0x1.74eb04f014b95p-6"
+
+
 class TestPerturbations:
     def test_straggler_slows_the_run(self, trace):
         baseline = _total(trace, _config())
         spec = FaultSpec(stragglers=(
             Straggler("gpu1", 0.0, baseline, 4.0),))
         assert _total(trace, _config(faults=spec)) > baseline
+
+    def test_straggler_callback_runs_only_on_the_straggling_gpu(
+            self, trace, monkeypatch):
+        from repro.core.taskgraph import COMPUTE
+        from repro.faults.injector import FaultInjector
+
+        seen = []
+        scaled_dispatch = FaultInjector._scaled_dispatch
+
+        def spy(self, gpu, now):
+            seen.append(gpu)
+            return scaled_dispatch(self, gpu, now)
+
+        monkeypatch.setattr(FaultInjector, "_scaled_dispatch", spy)
+        spec = FaultSpec(stragglers=(Straggler("gpu1", 0.0025, 0.005, 2.0),))
+        sim = TrioSim(trace, _config(faults=spec, iterations=2))
+        result = sim.run()
+        columns = sim.build_plan().columns
+        on_gpu1 = sum(1 for kind, gpu in zip(columns["kind"], columns["gpu"])
+                      if kind == COMPUTE and gpu == "gpu1")
+        assert seen == ["gpu1"] * (2 * on_gpu1)
+        # Recorded when every GPU's dispatches consulted the callback.
+        assert sim.fault_stats["straggled_tasks"] == STRAGGLED_TASKS
+        assert result.total_time.hex() == STRAGGLED_TOTAL
 
     def test_link_fault_slows_the_run(self, trace):
         baseline = _total(trace, _config())

@@ -9,11 +9,13 @@ moves one operator duration by an ulp or reorders one edge fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
+from repro.core.taskgraph import TaskGraphSimulator
 from repro.gpus.specs import get_gpu
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
@@ -74,3 +76,41 @@ def test_plan_digest_is_pinned(traces, case):
     plan = TrioSim(traces[model], SimulationConfig(**fields),
                    record_timeline=False).build_plan()
     assert plan_digest(plan) == DIGESTS[case]
+
+
+#: ``sha256(plan.to_json())[:16]`` of ResNet-18 plans, recorded when each
+#: row still carried its own metadata dict.
+JSON_DIGESTS = {
+    "ddp": ("resnet18", dict(parallelism="ddp", num_gpus=4),
+            "82a6115a812c9924"),
+    "hybrid": ("resnet18", dict(parallelism="hybrid", num_gpus=4,
+                                dp_degree=2, chunks=2), "45bd734ed4dd4103"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_DIGESTS))
+def test_equal_metadata_is_one_dict(traces, case):
+    model, fields, digest = JSON_DIGESTS[case]
+    plan = TrioSim(traces[model], SimulationConfig(**fields),
+                   record_timeline=False).build_plan()
+    metas = plan.columns["meta"]
+    distinct = {json.dumps(meta) for meta in metas}
+    assert len({id(meta) for meta in metas}) == len(distinct) < len(metas)
+    assert hashlib.sha256(plan.to_json().encode()).hexdigest()[:16] == digest
+
+
+def test_simulator_rows_share_equal_metadata():
+    from repro.engine.engine import Engine
+    from repro.network.flow import FlowNetwork
+    from repro.network.topology import build_topology
+
+    engine = Engine()
+    sim = TaskGraphSimulator(engine, FlowNetwork(
+        engine, build_topology("ring", 4, 25e9, 1e-6)))
+    first = sim.add_transfer("a", "gpu0", "gpu1", 1e6, collective="ring0")
+    second = sim.add_transfer("b", "gpu1", "gpu2", 1e6, collective="ring0")
+    other = sim.add_transfer("c", "gpu2", "gpu3", 1e6, collective="ring1")
+    bucket = sim.add_barrier("d", bucket=[1, 2])
+    assert first.meta is second.meta == {"collective": "ring0"}
+    assert other.meta == {"collective": "ring1"}
+    assert bucket.meta == {"bucket": [1, 2]}  # unhashable: kept as given

@@ -1,5 +1,7 @@
 """Tests for the synthetic tracer."""
 
+import hashlib
+
 import pytest
 
 from repro.gpus.specs import get_gpu
@@ -82,3 +84,25 @@ class TestDeterminismAndKnobs:
         t32 = tracer.trace(get_model("resnet18"), 32)
         t64 = tracer.trace(get_model("resnet18"), 64)
         assert t64.total_duration > 1.5 * t32.total_duration
+
+
+#: ``float.hex`` digests of every operator duration, recorded when each
+#: operator still drew its per-(GPU, class) factors afresh: memoizing
+#: those draws must not move a duration by one ulp (``test_golden.py``
+#: checks traces only to ``rel=1e-3``).
+OP_DURATION_DIGESTS = {
+    ("resnet50", "A100", 64): "ee486a75417f454d",
+    ("gpt2", "H100", 8): "34a3fd2a8bf6f260",
+    ("vgg16", "A40", 16): "56cf8d274124924f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OP_DURATION_DIGESTS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_op_durations_pinned(case):
+    model, gpu, batch = case
+    trace = Tracer(get_gpu(gpu)).trace(get_model(model), batch)
+    digest = hashlib.sha256()
+    for op in trace.operators:
+        digest.update(f"{op.name}|{op.duration.hex()}\n".encode())
+    assert digest.hexdigest()[:16] == OP_DURATION_DIGESTS[case]
