@@ -164,6 +164,9 @@ class PlanBuilder:
     dependency), but schedules nothing: compute durations are stored
     *unscaled* (the per-GPU ``compute_scale`` applies at instantiation),
     and fences are an execute-time concern (:meth:`fence` raises).
+    Metadata is stored through :func:`~repro.core.taskgraph.intern_meta`:
+    metadata equal by ``==`` to an earlier row's is stored as that row's
+    dict.
     """
 
     def __init__(self):

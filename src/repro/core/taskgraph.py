@@ -49,7 +49,11 @@ TASK_COLUMNS = ("kind", "name", "gpu", "duration", "priority", "src", "dst",
 def intern_meta(memo: Dict[tuple, dict], meta: dict) -> dict:
     """The dict of *memo* whose items, in order, compare equal to
     *meta*'s, stored on first sight: rows with equal metadata share one
-    dict.  *meta* itself when a value is unhashable."""
+    dict.  *meta* itself when a value is unhashable.
+
+    Values compare by ``==``, so metadata equal to an earlier row's but
+    of another type (``1``, ``1.0``, ``True``) is stored as the earlier
+    row's dict."""
     try:
         return memo.setdefault(tuple(meta.items()), meta)
     except TypeError:
@@ -340,6 +344,9 @@ class TaskGraphSimulator(Hookable):
         ``priority`` breaks ties among simultaneously-ready tasks on the
         same GPU (lower first, then creation order) — how schedule
         variants like 1F1B impose their issue order.
+
+        ``**meta`` is stored through :func:`intern_meta`: metadata equal
+        by ``==`` to an earlier row's is stored as that row's dict.
         """
         if duration < 0:
             raise ValueError(f"task {name}: negative duration")
@@ -350,7 +357,8 @@ class TaskGraphSimulator(Hookable):
 
     def add_transfer(self, name: str, src: str, dst: str, nbytes: float,
                      deps: Sequence[SimTask] = (), **meta) -> SimTask:
-        """A network transfer of *nbytes* from *src* to *dst*."""
+        """A network transfer of *nbytes* from *src* to *dst*;
+        ``**meta`` is stored as :meth:`add_compute` says."""
         if nbytes < 0:
             raise ValueError(f"task {name}: negative bytes")
         return SimTask(self.store, self._add(
@@ -358,7 +366,8 @@ class TaskGraphSimulator(Hookable):
             nbytes=float(nbytes), meta=meta))
 
     def add_barrier(self, name: str, deps: Sequence[SimTask] = (), **meta) -> SimTask:
-        """A zero-cost join node."""
+        """A zero-cost join node; ``**meta`` is stored as
+        :meth:`add_compute` says."""
         return SimTask(self.store, self._add(
             BARRIER, name, [d.task_id for d in deps], meta=meta))
 
@@ -511,20 +520,12 @@ class TaskGraphSimulator(Hookable):
         if store.kind[tid] == COMPUTE:
             queue = store.queue[tid]
             queue.running = None
-            if queue.ready:
-                self._dispatch(queue, pending)
+            self._dispatch(queue, pending)
         indegree = store.indegree
         indptr = store.indptr
         lo = indptr[tid]
         hi = indptr[tid + 1]
-        if hi - lo == 1:
-            # The common case: one successor inside the plan iteration.
-            rid = store.indices[lo]
-            left = indegree[rid] - 1
-            indegree[rid] = left
-            if not left:
-                self._start(rid, pending)
-        elif lo != hi:
+        if lo != hi:
             indices = store.indices
             for k in range(lo, hi):
                 rid = indices[k]

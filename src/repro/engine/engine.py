@@ -119,9 +119,6 @@ class Engine:
         for reschedule waves (collective flow reallocation) and bulk
         iteration instancing.
         """
-        if len(events) == 1:
-            self.schedule(events[0])
-            return
         if not events:
             return
         now = self._now

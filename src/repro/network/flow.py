@@ -578,12 +578,11 @@ class FlowNetwork(Hookable):
         order — ascending by smallest member transfer id, members
         ascending within — so a component re-solves with the same
         floating-point operations whichever change dirtied it.  A flow
-        that is a component of its own (the contention-free path) takes
-        its route's cached bottleneck without a solver call: progressive
-        filling would saturate the bottleneck edge in its first round
-        (``cap - cap == 0.0``) with increment ``min(capacity)``.  A flow
-        that is the only user of every edge of its route is such a
-        component, found without the breadth-first search.
+        that is the only user of every edge of its route takes its
+        route's cached bottleneck without a search or solver call:
+        progressive filling would saturate the bottleneck edge in its
+        first round (``cap - cap == 0.0``) with increment
+        ``min(capacity)``.
         """
         route = self._route
         route_edges = self._route_edges
@@ -605,12 +604,8 @@ class FlowNetwork(Hookable):
                 continue
             members = self._component(seed)
             visited.update(members)
-            if len(members) == 1:
-                rates: Sequence[float] = (bottleneck[route[seed]],)
-            else:
-                rates = maxmin_rates(
-                    [route_edges[route[slot]] for slot in members],
-                    self._cap, self._warn_allocator)
+            rates = maxmin_rates([route_edges[route[slot]] for slot in members],
+                                 self._cap, self._warn_allocator)
             keyed.append((tid[members[0]], members, rates))
             # A component's smallest member need not be a seed, so seed
             # order alone cannot always order components.

@@ -114,3 +114,16 @@ def test_simulator_rows_share_equal_metadata():
     assert first.meta is second.meta == {"collective": "ring0"}
     assert other.meta == {"collective": "ring1"}
     assert bucket.meta == {"bucket": [1, 2]}  # unhashable: kept as given
+
+
+def test_metadata_equal_by_value_is_stored_as_the_first_seen():
+    from repro.core.plan import PlanBuilder
+
+    builder = PlanBuilder()
+    first = builder.add_barrier("a", step=1)
+    second = builder.add_barrier("b", step=True)
+    third = builder.add_barrier("c", step=1.5)
+    metas = builder.columns["meta"]
+    assert metas[second] is metas[first]
+    assert type(metas[second]["step"]) is int
+    assert metas[third] == {"step": 1.5}
