@@ -13,6 +13,11 @@ the prediction exact when nothing changes and smooth as parameters move.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -24,13 +29,67 @@ from repro.trace.trace import Trace
 
 _EPS = 1e-12
 
+#: scipy ``(major, minor)`` releases whose compiled NNLS routine
+#: ``tests/test_perfmodel_li_model.py`` has matched bit for bit against
+#: ``scipy.optimize.nnls`` on every zoo fit problem.
+VERIFIED_SCIPY_RELEASES = frozenset({(1, 17)})
 
-def _nnls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Non-negative least squares (scipy's Lawson-Hanson solver; imported
-    on the first fit, so processes that never fit skip the import)."""
-    from scipy.optimize import nnls
 
-    coef, _ = nnls(X, y)
+@functools.lru_cache(maxsize=None)
+def _nnls_kernel():
+    """scipy's compiled Lawson-Hanson routine ``nnls(A, b, maxiter) ->
+    (x, rnorm, info)``, loaded straight from ``scipy/optimize/_slsqplib``
+    so that ``scipy/optimize/__init__.py`` (0.5 s of imports) never runs;
+    ``None`` on a scipy release outside :data:`VERIFIED_SCIPY_RELEASES`
+    or when the extension file is missing."""
+    import scipy
+
+    release = tuple(int(part) for part in scipy.__version__.split(".")[:2])
+    if release not in VERIFIED_SCIPY_RELEASES:
+        return None
+    name = "scipy.optimize._slsqplib"
+    stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_slsqplib")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            break
+    else:
+        return None
+    registered = name in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
+    module = loader.create_module(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if not registered:
+        # CPython files a single-phase extension in sys.modules as it
+        # loads.  Left there, a later ``import scipy.optimize`` would
+        # find it and never set it as the package's ``_slsqplib``
+        # attribute, so take it out again.
+        sys.modules.pop(name, None)
+    return module.nnls
+
+
+def _nnls(X: np.ndarray, y: np.ndarray, maxiter: Optional[int] = None) -> np.ndarray:
+    """Non-negative least squares by scipy's Lawson-Hanson solver.
+
+    Calls the compiled routine that ``scipy.optimize.nnls`` wraps, with
+    that wrapper's contract: finite float64 inputs (``ValueError``
+    otherwise), ``maxiter = 3 * n`` by default and ``RuntimeError`` when
+    it is reached.  The routine is C code over scipy's bundled
+    LAPACK/BLAS, so no numpy port gives bit-equal coefficients.  On a
+    scipy release the differential test has not verified, the fit goes
+    through ``scipy.optimize.nnls`` itself.
+    """
+    A = np.asarray_chkfinite(X, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(y, dtype=np.float64)
+    if maxiter is None:
+        maxiter = 3 * A.shape[1]
+    kernel = _nnls_kernel()
+    if kernel is None:
+        from scipy.optimize import nnls
+
+        return nnls(A, b, maxiter=maxiter)[0]
+    coef, _rnorm, info = kernel(A, b, maxiter)
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
     return coef
 
 

@@ -1,17 +1,25 @@
 """Tests for Li's Model (regression performance model)."""
 
+import importlib.machinery
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpus.specs import get_gpu
+from repro.perfmodel import li_model
 from repro.perfmodel.features import features, op_features
 from repro.perfmodel.li_model import LiModel
 from repro.trace.records import OperatorRecord, TensorRecord
 from repro.trace.trace import Trace
 from repro.trace.tracer import Tracer
-from repro.workloads import get_model
+from repro.workloads import MODEL_NAMES, get_model
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _synthetic_trace(a=1e-12, b=1e-10, c=1e-6, n=20, kind="conv"):
@@ -138,3 +146,115 @@ class TestOnRealTraces:
             for op in t64.operators
         )
         assert predicted == pytest.approx(t128.total_duration, rel=0.10)
+
+
+def _fit_problems(monkeypatch, traces):
+    """Every ``(X, y, coef)`` that ``LiModel.fit`` solves over *traces*."""
+    problems = []
+    solve = li_model._nnls
+
+    def record(X, y):
+        coef = solve(X, y)
+        problems.append((X, y, coef))
+        return coef
+
+    with monkeypatch.context() as patch:
+        patch.setattr(li_model, "_nnls", record)
+        for trace in traces:
+            LiModel.fit(trace)
+    return problems
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def solver_path(request, monkeypatch):
+    """Run a test once through the compiled kernel and once through the
+    ``scipy.optimize.nnls`` fallback."""
+    if request.param == "kernel":
+        if li_model._nnls_kernel() is None:
+            pytest.skip("this scipy release is not verified for the kernel")
+    else:
+        monkeypatch.setattr(li_model, "_nnls_kernel", lambda: None)
+    return request.param
+
+
+class TestNnlsKernel:
+    def test_matches_scipy_on_every_zoo_fit(self, monkeypatch):
+        """Differential oracle: every fit problem of the zoo on three GPUs
+        is solved bit for bit as ``scipy.optimize.nnls`` solves it, and the
+        oracle imports cleanly after the kernel has loaded."""
+        if li_model._nnls_kernel() is None:
+            pytest.skip("add this scipy release to VERIFIED_SCIPY_RELEASES "
+                        "to verify its kernel")
+        traces = [Tracer(get_gpu(gpu)).trace(get_model(name), 16)
+                  for gpu in ("A40", "A100", "H100") for name in MODEL_NAMES]
+        problems = _fit_problems(monkeypatch, traces)
+        assert len(problems) == 309
+        assert max(X.shape[0] for X, _y, _coef in problems) == 1814
+
+        from scipy.optimize import nnls
+
+        mismatched = [i for i, (X, y, coef) in enumerate(problems)
+                      if nnls(X, y)[0].tobytes() != coef.tobytes()]
+        assert mismatched == []
+
+    def test_fit_skips_the_optimize_package(self):
+        """In a fresh interpreter, ``import repro`` loads no scipy module,
+        and a fit on a verified release leaves ``scipy.optimize`` (0.5 s of
+        imports) unimported."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from repro.perfmodel.li_model import LiModel, _nnls_kernel\n"
+            "trace = repro.Tracer(repro.get_gpu('A100')).trace("
+            "repro.get_model('resnet18'), 16)\n"
+            "LiModel.fit(trace)\n"
+            "print(_nnls_kernel() is not None)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env={"PYTHONPATH": SRC})
+        after_import, kernel, optimize = proc.stdout.splitlines()
+        assert after_import == "[]"
+        if kernel == "True":
+            assert optimize == "[]"
+        else:
+            assert "'scipy.optimize'" in optimize
+
+    def test_gate_rejects_unverified_release(self, monkeypatch):
+        monkeypatch.setattr(li_model, "VERIFIED_SCIPY_RELEASES", frozenset())
+        assert li_model._nnls_kernel.__wrapped__() is None
+
+    def test_missing_extension_file_gives_no_kernel(self, monkeypatch):
+        import scipy
+
+        release = tuple(int(part) for part in scipy.__version__.split(".")[:2])
+        monkeypatch.setattr(li_model, "VERIFIED_SCIPY_RELEASES",
+                            frozenset({release}))
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                            [".missing"])
+        assert li_model._nnls_kernel.__wrapped__() is None
+
+    def test_fallback_gives_the_same_coefficients(self, monkeypatch):
+        trace = Tracer(get_gpu("A100")).trace(get_model("resnet18"), 16)
+        problems = _fit_problems(monkeypatch, [trace])
+        assert problems
+        monkeypatch.setattr(li_model, "_nnls_kernel", lambda: None)
+        for X, y, coef in problems:
+            assert li_model._nnls(X, y).tobytes() == coef.tobytes()
+
+    @pytest.mark.parametrize("bad", ["X", "y"])
+    def test_non_finite_input_raises(self, solver_path, bad):
+        X = np.eye(3)
+        y = np.array([1.0, 2.0, 3.0])
+        (X if bad == "X" else y)[1] = np.nan
+        with pytest.raises(ValueError):
+            li_model._nnls(X, y)
+
+    def test_iteration_cap_raises(self, solver_path):
+        # The solve from x = 0 needs more than two iterations.
+        X = np.eye(3)
+        y = np.array([1.0, 2.0, 3.0])
+        assert list(li_model._nnls(X, y)) == [1.0, 2.0, 3.0]
+        with pytest.raises(RuntimeError):
+            li_model._nnls(X, y, maxiter=2)
