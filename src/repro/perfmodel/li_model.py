@@ -67,27 +67,25 @@ def _nnls_kernel():
     return module.nnls
 
 
-def _nnls(X: np.ndarray, y: np.ndarray, maxiter: Optional[int] = None) -> np.ndarray:
+def _nnls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Non-negative least squares by scipy's Lawson-Hanson solver.
 
     Calls the compiled routine that ``scipy.optimize.nnls`` wraps, with
     that wrapper's contract: finite float64 inputs (``ValueError``
-    otherwise), ``maxiter = 3 * n`` by default and ``RuntimeError`` when
-    it is reached.  The routine is C code over scipy's bundled
+    otherwise), ``maxiter = 3 * n`` and ``RuntimeError`` when it is
+    reached.  The routine is C code over scipy's bundled
     LAPACK/BLAS, so no numpy port gives bit-equal coefficients.  On a
     scipy release the differential test has not verified, the fit goes
     through ``scipy.optimize.nnls`` itself.
     """
     A = np.asarray_chkfinite(X, dtype=np.float64, order="C")
     b = np.asarray_chkfinite(y, dtype=np.float64)
-    if maxiter is None:
-        maxiter = 3 * A.shape[1]
     kernel = _nnls_kernel()
     if kernel is None:
         from scipy.optimize import nnls
 
-        return nnls(A, b, maxiter=maxiter)[0]
-    coef, _rnorm, info = kernel(A, b, maxiter)
+        return nnls(A, b)[0]
+    coef, _rnorm, info = kernel(A, b, 3 * A.shape[1])
     if info == 3:
         raise RuntimeError("Maximum number of iterations reached.")
     return coef

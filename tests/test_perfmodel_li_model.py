@@ -251,10 +251,23 @@ class TestNnlsKernel:
         with pytest.raises(ValueError):
             li_model._nnls(X, y)
 
-    def test_iteration_cap_raises(self, solver_path):
-        # The solve from x = 0 needs more than two iterations.
-        X = np.eye(3)
-        y = np.array([1.0, 2.0, 3.0])
-        assert list(li_model._nnls(X, y)) == [1.0, 2.0, 3.0]
+    def test_iteration_cap_raises(self, monkeypatch, solver_path):
+        """Both paths raise ``RuntimeError`` when the routine reports
+        (``info == 3``) that it reached its cap of ``3 * n`` iterations."""
+        caps = []
+
+        def capped(A, b, maxiter=None, **_):
+            caps.append(maxiter)
+            return np.zeros(A.shape[1]), 0.0, 3
+
+        if solver_path == "kernel":
+            monkeypatch.setattr(li_model, "_nnls_kernel", lambda: capped)
+        else:
+            import scipy.optimize._nnls
+
+            monkeypatch.setattr(scipy.optimize._nnls, "_nnls", capped)
         with pytest.raises(RuntimeError):
-            li_model._nnls(X, y, maxiter=2)
+            li_model._nnls(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        assert len(caps) == 1
+        if solver_path == "kernel":
+            assert caps == [9]
