@@ -110,8 +110,9 @@ class TrioSim:
         They are read from the task table after the run, so the option
         changes neither the schedule nor fold eligibility.
     hooks:
-        Extra observers attached to the task-graph simulator — e.g. a
-        :class:`repro.engine.Monitor` for AkitaRTM-style live progress.
+        Extra observers attached to the task-graph simulator: any object
+        with a ``func(ctx)`` method, called with a
+        :class:`repro.engine.HookCtx` at each hook position it fires.
     allow_chaos:
         Permit a ``chaos_kill_at`` in ``config.faults`` to arm (the
         process then SIGKILLs itself mid-run).  Only the sweep service's

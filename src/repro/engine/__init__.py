@@ -10,7 +10,8 @@ The engine is the substrate every other subsystem builds on.  It provides:
   sanitizers, race detectors and heartbeats watch that loop.
 * :class:`~repro.engine.hooks.Hook` — named observation points that the
   task-graph simulator, the network models and the sweep runner fire
-  (the AkitaRTM / Daisen analog); :class:`Monitor` records them.
+  (the AkitaRTM / Daisen analog); any object with a ``func(ctx)`` method
+  observes them.
 
 Network models plug in through :mod:`repro.network.base`'s ``send``
 contract, not through message-passing components.
@@ -19,7 +20,6 @@ contract, not through message-passing components.
 from repro.engine.engine import Engine
 from repro.engine.events import Event
 from repro.engine.hooks import Hook, HookCtx, Hookable
-from repro.engine.monitor import Monitor, ProgressRecord
 
 __all__ = [
     "Engine",
@@ -27,6 +27,4 @@ __all__ = [
     "Hook",
     "HookCtx",
     "Hookable",
-    "Monitor",
-    "ProgressRecord",
 ]

@@ -2,9 +2,10 @@
 
 Hooks are the Akita-style observation mechanism: any :class:`Hookable`
 object invokes its registered hooks at named positions, passing a
-:class:`HookCtx` describing what happened.  Monitors, tracers, and the
-verifier's race detectors are hooks, keeping observation code out of
-the simulation logic; the timeline is read from the task table instead.
+:class:`HookCtx` describing what happened.  Progress observers, tracers
+and the verifier's race detectors are hooks, keeping observation code
+out of the simulation logic; the timeline is read from the task table
+instead.
 """
 
 from __future__ import annotations

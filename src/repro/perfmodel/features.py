@@ -28,11 +28,3 @@ def op_features(trace: Trace, op: OperatorRecord) -> np.ndarray:
     """Feature vector of a traced operator."""
     return features(op.flops, trace.op_bytes(op))
 
-
-def scaled_op_features(trace: Trace, op: OperatorRecord,
-                       flops_scale: float, bytes_scale: float) -> np.ndarray:
-    """Features of a hypothetical operator derived from a traced one by
-    scaling its work and traffic (batch-size change or tensor sharding)."""
-    if flops_scale < 0 or bytes_scale < 0:
-        raise ValueError("scales must be non-negative")
-    return features(op.flops * flops_scale, trace.op_bytes(op) * bytes_scale)

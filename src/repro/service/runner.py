@@ -85,7 +85,6 @@ from repro.core.results import SimulationResult
 from repro.core.simulator import TrioSim
 from repro.engine.hooks import HookCtx, Hookable
 from repro.extrapolator.optime import rescale
-from repro.service import transport
 from repro.service import worker as _worker
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, trace_digest
@@ -158,8 +157,8 @@ class _Sweep:
     #: index.
     journal: Optional[SweepJournal] = None
     keys: List[str] = field(default_factory=list)
-    #: Packed prepared traces each pool (re)build ships to its workers.
-    trace_payload: bytes = b""
+    #: Prepared traces by GPU name, handed to every pool (re)build.
+    traces: Dict[str, Trace] = field(default_factory=dict)
 
 
 class SweepRunner(Hookable):
@@ -220,12 +219,6 @@ class SweepRunner(Hookable):
         cache so the sweep itself reuses them.
         Runtime findings ride each outcome's ``sanitizer_findings``
         (distinguishable by their ``SZ``/``RC``/``DV`` rule ids).
-    retry_seed:
-        Seed of the crash-retry backoff jitter, so retry timing (the only
-        nondeterminism a crash introduces) is reproducible.
-    retry_backoff:
-        Base of the bounded exponential backoff between isolated retries
-        of a crashed point, in seconds.
     plan_cache:
         Extrapolation-plan sharing (see :mod:`repro.core.plan`; on by
         default).  ``True`` keeps an in-memory :class:`PlanCache` in the
@@ -235,17 +228,6 @@ class SweepRunner(Hookable):
         once and every worker load it; ``False``/``None`` disables the
         cache and every point re-extrapolates.  Results are bit-identical
         in all three modes.
-    dispatch_chunk:
-        Points per pool submission.  ``None`` (default) sizes chunks
-        automatically — single-point chunks for small sweeps (keeping
-        crash attribution maximally precise), growing bounded chunks
-        once the sweep is large enough that per-future dispatch and
-        serialization overhead matters.  Every point in a chunk is
-        still admitted by the breaker and write-ahead journaled
-        individually before the chunk is submitted, runs under its own
-        deadlines, and degrades to its own error record; a worker crash
-        takes the whole in-flight chunk as victims, which the isolated
-        retry pass then re-attributes point by point.
     """
 
     #: Isolated re-executions granted to a point whose worker died; a
@@ -255,18 +237,24 @@ class SweepRunner(Hookable):
     #: Ceiling on any single backoff sleep, seconds.
     MAX_BACKOFF = 2.0
 
+    #: Base of the bounded exponential backoff between isolated retries
+    #: of a crashed point, seconds.
+    RETRY_BACKOFF = 0.05
+
+    #: Seed of the backoff jitter, so retry timing (the only
+    #: nondeterminism a crash introduces) is reproducible.
+    RETRY_SEED = 0
+
     def __init__(self, max_workers: Optional[int] = None,
                  cache: Union[ResultCache, str, Path, None] = None,
                  hooks: Sequence = (),
                  verify: bool = False,
-                 retry_seed: int = 0, retry_backoff: float = 0.05,
                  plan_cache: Union[PlanCache, str, Path, bool, None] = True,
                  deadline_soft: Optional[float] = None,
                  deadline_hard: Optional[float] = None,
                  journal: Union[SweepJournal, str, Path, None] = None,
                  resume: bool = False,
-                 breaker: Union[CircuitBreaker, bool, None] = None,
-                 dispatch_chunk: Optional[int] = None):
+                 breaker: Union[CircuitBreaker, bool, None] = None):
         super().__init__()
         self.max_workers = max_workers if max_workers is not None \
             else (os.cpu_count() or 1)
@@ -292,12 +280,7 @@ class SweepRunner(Hookable):
             self.breaker: Optional[CircuitBreaker] = CircuitBreaker()
         else:
             self.breaker = breaker or None
-        if dispatch_chunk is not None and dispatch_chunk < 1:
-            raise ValueError("dispatch_chunk must be >= 1")
-        self.dispatch_chunk = dispatch_chunk
         self.verify = verify
-        self.retry_seed = retry_seed
-        self.retry_backoff = retry_backoff
         self.last_metrics: Optional[SweepMetrics] = None
         #: Resume admission findings (SV rules) from the latest run().
         self.last_resume_report = None
@@ -698,7 +681,7 @@ class SweepRunner(Hookable):
         }
 
     def _new_pool(self, workers: int,
-                  trace_payload: bytes) -> ProcessPoolExecutor:
+                  traces: Dict[str, Trace]) -> ProcessPoolExecutor:
         """The executor points are dispatched to — the single seam
         between the lifecycle and the processes running it.
 
@@ -710,42 +693,37 @@ class SweepRunner(Hookable):
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker.init_worker,
-            initargs=(trace_payload, plan_mode),
+            initargs=(traces, plan_mode),
         )
 
     def _submit(self, pool, sweep: _Sweep,
                 batch: List[SweepOutcome]) -> Future:
-        """Submit *batch* as one packed ``run_chunk`` future (replies
-        come back as a list in batch order)."""
-        return pool.submit(_worker.run_chunk, transport.pack(
-            [self._point_payload(sweep, o) for o in batch]))
+        """Submit *batch* as one ``run_chunk`` future (replies come
+        back as a list in batch order)."""
+        return pool.submit(_worker.run_chunk,
+                           [self._point_payload(sweep, o) for o in batch])
 
     def _chunk_size(self, n_points: int, workers: int) -> int:
-        """Points per pool submission (see ``dispatch_chunk``).
+        """Points per pool submission.
 
-        Auto mode keeps single-point chunks until the sweep is big
-        enough that at least four chunks per worker remain after
-        chunking, then grows chunks up to 8 points — bounding both the
-        per-future overhead and the blast radius of a chunk-killing
-        crash.
+        Single-point chunks (the most precise crash attribution) until
+        the sweep is big enough that at least four chunks per worker
+        remain after chunking, then chunks of up to 8 points — bounding
+        both the per-future overhead and the blast radius of a
+        chunk-killing crash.  Every point in a chunk is still admitted
+        by the breaker and write-ahead journaled on its own, runs under
+        its own deadlines, and degrades to its own error record.
         """
-        if self.dispatch_chunk is not None:
-            return self.dispatch_chunk
         return max(1, min(8, n_points // (workers * 4)))
 
     def _run_parallel(self, sweep: _Sweep, points: List[SweepOutcome],
                       workers: int) -> None:
-        # Each distinct target GPU's trace is rescaled once and packed
-        # once per sweep, keyed by its GPU name (unique for one source
-        # trace): framed protocol-5 with the numeric trace columns as
-        # out-of-band buffers.  Every pool (re)build re-ships this same
-        # blob to each worker.
-        prepared = {}
+        # Each distinct target GPU's trace is rescaled once per sweep,
+        # keyed by its GPU name (unique for one source trace); every pool
+        # (re)build hands this same table to its workers.
         for outcome in points:
             trace = rescale(sweep.trace, outcome.config.gpu)
-            prepared[trace.gpu_name] = trace
-        sweep.trace_payload = transport.pack_traces(
-            {name: trace.to_dict() for name, trace in prepared.items()})
+            sweep.traces[trace.gpu_name] = trace
         if self.plan_cache is not None and self.plan_cache.root is not None:
             self._plan_pass(sweep, points, verify=False)
         crashed = self._parallel_wave(sweep, points, workers)
@@ -787,25 +765,24 @@ class SweepRunner(Hookable):
         futures are in flight — so every submission passes the circuit
         breaker with current information and is write-ahead journaled
         just before it reaches the pool.  Points travel in chunks of
-        :meth:`_chunk_size` per future (a chunk is one packed blob; the
-        worker runs its points sequentially, each under its own
-        deadline), which amortizes the submit/result round-trip on large
-        sweeps.  When the breaker is open or half-open with work still
-        in flight, dispatch pauses rather than failing the queue fast,
-        so a successful half-open probe closes the breaker and the
-        remaining points dispatch normally (the same recovery semantics
-        as the in-process path).  A worker death breaks only the
-        in-flight window: those points are collected for the isolated
-        retry pass, the pool is rebuilt, and the undispatched queue
-        continues on the fresh pool.  Ctrl-C cancels the queue, waits
-        out the running points, and re-raises — no worker processes
-        outlive the sweep.
+        :meth:`_chunk_size` per future (the worker runs its points
+        sequentially, each under its own deadline), which amortizes the
+        submit/result round-trip on large sweeps.  When the breaker is
+        open or half-open with work still in flight, dispatch pauses
+        rather than failing the queue fast, so a successful half-open
+        probe closes the breaker and the remaining points dispatch
+        normally (the same recovery semantics as the in-process path).
+        A worker death breaks only the in-flight window: those points
+        are collected for the isolated retry pass, the pool is rebuilt,
+        and the undispatched queue continues on the fresh pool.  Ctrl-C
+        cancels the queue, waits out the running points, and re-raises —
+        no worker processes outlive the sweep.
         """
         crashed: List[SweepOutcome] = []
         queue = deque(points)
         window = max(1, workers * 2)
         chunk_size = self._chunk_size(len(points), workers)
-        pool = self._new_pool(workers, sweep.trace_payload)
+        pool = self._new_pool(workers, sweep.traces)
         futures: Dict[Future, List[SweepOutcome]] = {}
         try:
             while queue or futures:
@@ -846,7 +823,7 @@ class SweepRunner(Hookable):
                         # these points are crash-window victims too.
                         self._crash(sweep, batch, crashed)
                         pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._new_pool(workers, sweep.trace_payload)
+                        pool = self._new_pool(workers, sweep.traces)
                 if not futures:
                     continue  # breaker fast-failed the whole window
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
@@ -865,7 +842,7 @@ class SweepRunner(Hookable):
                             self._crash(sweep, batch, crashed)
                     futures.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._new_pool(workers, sweep.trace_payload)
+                    pool = self._new_pool(workers, sweep.traces)
         except KeyboardInterrupt:
             pool.shutdown(wait=True, cancel_futures=True)
             raise
@@ -884,7 +861,7 @@ class SweepRunner(Hookable):
         graceful-degradation rung: an in-process run with chaos specs
         disarmed (no pool to crash); only if that also fails is the
         point declared ``WorkerCrashed``."""
-        rng = random.Random(self.retry_seed)
+        rng = random.Random(self.RETRY_SEED)
         for outcome in sorted(crashed, key=lambda o: o.index):
             reply = None
             for attempt in range(self.MAX_CRASH_RETRIES):
@@ -901,12 +878,12 @@ class SweepRunner(Hookable):
     def _backoff_delay(self, rng: random.Random, attempt: int) -> float:
         """Jittered exponential backoff, capped at :attr:`MAX_BACKOFF`."""
         return min(self.MAX_BACKOFF,
-                   self.retry_backoff * (2 ** attempt) * (0.5 + rng.random()))
+                   self.RETRY_BACKOFF * (2 ** attempt) * (0.5 + rng.random()))
 
     def _isolated_attempt(self, sweep: _Sweep,
                           outcome: SweepOutcome) -> Optional[dict]:
         """One retry on a dedicated pool; ``None`` when the worker died."""
-        pool = self._new_pool(1, sweep.trace_payload)
+        pool = self._new_pool(1, sweep.traces)
         try:
             return self._submit(pool, sweep, [outcome]).result()[0]
         except BrokenProcessPool:

@@ -1,11 +1,11 @@
 """Sweep-point execution, shared by worker processes and in-process runs.
 
 A worker process is seeded once (via the pool initializer) with every
-prepared trace of the sweep, keyed by GPU name.  Within the process, each
-trace is parsed once, and :func:`repro.extrapolator.optime.prepare`
-memoizes the fitted performance model per ``(trace, perf_model)`` — the
-expensive shared work (piecewise fits, Li's Model regression) happens once
-per process, not once per sweep point.
+prepared trace of the sweep, keyed by GPU name.  Within the process,
+:func:`repro.extrapolator.optime.prepare` memoizes the fitted performance
+model per ``(trace, perf_model)`` — the expensive shared work (piecewise
+fits, Li's Model regression) happens once per process, not once per sweep
+point.
 
 Per-point timeouts use ``SIGALRM`` so a runaway simulation inside a worker
 is interrupted and reported as a structured error instead of hanging the
@@ -24,12 +24,11 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import SimulationConfig
 from repro.core.plan import PlanCache
 from repro.core.simulator import TrioSim
-from repro.service import transport
 from repro.trace.trace import Trace
 
 #: Error ``kind`` reported for any deadline overrun (soft or hard) —
@@ -188,26 +187,21 @@ def deadline(seconds: Optional[float]):
 # Per-process shared state
 # ----------------------------------------------------------------------
 
-#: Serialized prepared traces this worker may simulate, keyed by GPU name.
-_TRACE_DICTS: Dict[str, dict] = {}
-
-#: Parsed traces, memoized per process.
-_PARSED: Dict[str, Trace] = {}
+#: Prepared traces this worker may simulate, keyed by GPU name.
+_TRACES: Dict[str, Trace] = {}
 
 #: This worker's extrapolation-plan cache, or ``None`` when disabled.
 _PLAN_CACHE: Optional[PlanCache] = None
 
 
-def init_worker(trace_dicts,
+def init_worker(traces: Dict[str, Trace],
                 plan_mode: Optional[str] = "") -> None:
     """Pool initializer: receive every prepared trace exactly once.
 
-    *trace_dicts* is either a plain ``{gpu_name: trace dict}`` mapping or
-    a :func:`repro.service.transport.pack_traces` blob — the runner
-    ships the latter (framed protocol-5, numeric trace columns as
-    out-of-band buffers) so the per-worker copy of every prepared trace
-    costs a handful of memcpys instead of a deep pickle of nested
-    dicts.
+    *traces* is the sweep's ``{gpu_name: Trace}`` table, built by the
+    parent process.  Under the ``fork`` start method the child inherits
+    it without any pickling; under ``spawn`` or ``forkserver`` it
+    crosses as one plain pickle per worker.
 
     *plan_mode* configures plan caching in this process: ``None``
     disables it, ``""`` (the default) gives the worker a private
@@ -217,11 +211,8 @@ def init_worker(trace_dicts,
     load.
     """
     global _PLAN_CACHE
-    if transport.is_packed(trace_dicts):
-        trace_dicts = transport.unpack_traces(trace_dicts)
-    _TRACE_DICTS.clear()
-    _TRACE_DICTS.update(trace_dicts)
-    _PARSED.clear()
+    _TRACES.clear()
+    _TRACES.update(traces)
     if plan_mode is None:
         _PLAN_CACHE = None
     elif plan_mode == "":
@@ -273,11 +264,7 @@ def run_point(payload: dict) -> dict:
     the pool.
     """
     try:
-        trace_key = payload["trace_key"]
-        trace = _PARSED.get(trace_key)
-        if trace is None:
-            trace = Trace.from_dict(_TRACE_DICTS[trace_key])
-            _PARSED[trace_key] = trace
+        trace = _TRACES[payload["trace_key"]]
         config = SimulationConfig.from_dict(payload["config"])
         sanitizer_findings: list = []
         result = simulate_point(
@@ -293,21 +280,18 @@ def run_point(payload: dict) -> dict:
         return {"ok": False, "error": error_record(exc)}
 
 
-def run_chunk(payloads) -> list:
+def run_chunk(payloads: List[dict]) -> List[dict]:
     """Process-pool entry point: simulate a chunk of sweep points.
 
-    *payloads* is either a list of :func:`run_point` payload dicts or a
-    :func:`repro.service.transport.pack` blob of one; replies come back
-    in submission order, one :func:`run_point` reply per payload.  Each
-    point still runs under its own deadlines and degrades to its own
-    error record — chunking only amortizes the per-future dispatch and
-    serialization overhead, it never couples point outcomes (except
-    that a worker crash takes the whole in-flight chunk down, which the
-    runner's retry pass then re-attributes point by point).
+    *payloads* is a list of :func:`run_point` payload dicts; replies come
+    back in submission order, one :func:`run_point` reply per payload.
+    Each point still runs under its own deadlines and degrades to its
+    own error record — chunking only amortizes the per-future dispatch
+    overhead, it never couples point outcomes (except that a worker
+    crash takes the whole in-flight chunk down, which the runner's retry
+    pass then re-attributes point by point).
 
     ``run_point`` is resolved through the module namespace on each call
     so test seams that monkeypatch it keep working under chunking.
     """
-    if transport.is_packed(payloads):
-        payloads = transport.unpack(payloads)
     return [run_point(payload) for payload in payloads]

@@ -11,11 +11,9 @@ single-GPU model (our substitute for profiling on a physical GPU).
 from repro.trace.records import OperatorRecord, TensorRecord
 from repro.trace.trace import Trace, TraceFormatError, validate_trace_dict
 from repro.trace.tracer import Tracer
-from repro.trace.execution_graph import ExecutionGraph
 from repro.trace.tools import TraceDiff, diff, filter_phase, summarize
 
 __all__ = [
-    "ExecutionGraph",
     "OperatorRecord",
     "TensorRecord",
     "Trace",

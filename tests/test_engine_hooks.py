@@ -1,11 +1,6 @@
-"""Tests for the hook system and the monitor."""
+"""Tests for the hook system."""
 
-from repro.core.taskgraph import TaskGraphSimulator
-from repro.engine.engine import Engine
 from repro.engine.hooks import Hook, HookCtx, Hookable
-from repro.engine.monitor import Monitor
-from repro.network.flow import FlowNetwork
-from repro.network.topology import build_topology
 
 
 class _Counter:
@@ -49,49 +44,3 @@ class TestHookable:
     def test_counter_satisfies_protocol(self):
         assert isinstance(_Counter(), Hook)
 
-
-def _run_tasks(monitor, count=1):
-    """Run *count* back-to-back compute tasks with *monitor* on the
-    task-graph simulator's hooks (what ``TrioSim(hooks=)`` attaches to)."""
-    engine = Engine()
-    network = FlowNetwork(engine, build_topology("ring", 2, 100e9, 1e-6))
-    sim = TaskGraphSimulator(engine, network)
-    sim.accept_hook(monitor)
-    previous = []
-    for i in range(count):
-        previous = [sim.add_compute(f"op{i}", "gpu0", 1e-3, deps=previous)]
-    sim.run()
-
-
-class TestMonitor:
-    def test_records_task_events(self):
-        monitor = Monitor()
-        _run_tasks(monitor)
-        assert monitor.counts["task_start"] == 1
-        assert monitor.counts["task_end"] == 1
-        assert len(monitor.records) == 2
-
-    def test_position_filter(self):
-        monitor = Monitor(positions=["task_end"])
-        _run_tasks(monitor)
-        # Counts see everything, records only the filtered position.
-        assert monitor.counts["task_start"] == 1
-        assert [r.pos for r in monitor.records] == ["task_end"]
-
-    def test_max_records_bound(self):
-        monitor = Monitor(max_records=5)
-        _run_tasks(monitor, count=5)
-        assert sum(monitor.counts.values()) == 10
-        assert len(monitor.records) == 5
-
-    def test_events_per_second_positive(self):
-        monitor = Monitor()
-        _run_tasks(monitor)
-        assert monitor.events_per_second() > 0
-
-    def test_summary_copies(self):
-        monitor = Monitor()
-        monitor.func(HookCtx("p", 0.0))
-        summary = monitor.summary()
-        summary["p"] = 99
-        assert monitor.counts["p"] == 1

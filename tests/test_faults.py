@@ -16,7 +16,6 @@ from repro.analysis import lint_config
 from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
 from repro.engine.engine import Engine
-from repro.engine.monitor import Monitor
 from repro.faults import (
     ChaosError,
     DeviceFailure,
@@ -311,6 +310,16 @@ STRAGGLED_TASKS = 60
 STRAGGLED_TOTAL = "0x1.74eb04f014b95p-6"
 
 
+class _Recorder:
+    """Hook keeping every context it sees."""
+
+    def __init__(self):
+        self.seen = []
+
+    def func(self, ctx):
+        self.seen.append(ctx)
+
+
 class TestPerturbations:
     def test_straggler_slows_the_run(self, trace):
         baseline = _total(trace, _config())
@@ -413,10 +422,10 @@ class TestPerturbations:
             checkpoint_interval=baseline / 4, checkpoint_cost=0.0,
             restore_cost=baseline / 10,
         )
-        monitor = Monitor(positions=[HOOK_FAULT_INJECT])
-        sim = TrioSim(trace, _config(faults=spec), hooks=[monitor])
+        hook = _Recorder()
+        sim = TrioSim(trace, _config(faults=spec), hooks=[hook])
         sim.run()
-        items = [record.item for record in monitor.records]
+        items = [ctx.item for ctx in hook.seen if ctx.pos == HOOK_FAULT_INJECT]
         assert set(items) == {"link", "checkpoint", "failure"}
         assert items.count("link") == sim.fault_stats["link_transitions"]
         assert items.count("failure") == 1

@@ -6,7 +6,6 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
-from repro.engine.monitor import Monitor
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology, ring
@@ -145,9 +144,20 @@ class TestHostTransfers:
         assert not any(r.name.startswith("h2d:") for r in base.timeline)
 
 
+class _Recorder:
+    """Hook keeping every context it sees."""
+
+    def __init__(self):
+        self.seen = []
+
+    def func(self, ctx):
+        self.seen.append(ctx)
+
+
 class TestMonitorHook:
     def test_monitor_attaches(self, trace):
-        monitor = Monitor(positions=["task_end"])
+        hook = _Recorder()
         config = SimulationConfig(parallelism="single")
-        TrioSim(trace, config, hooks=[monitor]).run()
-        assert monitor.counts["task_end"] == len(trace.operators)
+        TrioSim(trace, config, hooks=[hook]).run()
+        ends = [ctx for ctx in hook.seen if ctx.pos == "task_end"]
+        assert len(ends) == len(trace.operators)

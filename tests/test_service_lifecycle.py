@@ -68,8 +68,7 @@ def serial(trace):
 def worker_state(monkeypatch):
     """Isolate the worker module's per-process globals: the fake
     dispatcher initializes "workers" inside this process."""
-    for name in ("_TRACE_DICTS", "_PARSED"):
-        monkeypatch.setattr(worker_mod, name, {})
+    monkeypatch.setattr(worker_mod, "_TRACES", {})
     monkeypatch.setattr(worker_mod, "_PLAN_CACHE", None)
 
 
@@ -157,7 +156,8 @@ class TestRetryLadder:
         monkeypatch.setitem(globals(), "_CRASH_DIR", str(attempts))
         monkeypatch.setitem(globals(), "_CRASHES", crashes)
 
-        runner = SweepRunner(max_workers=2, retry_backoff=0.0)
+        monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.0)
+        runner = SweepRunner(max_workers=2)
         outcome = runner.run(trace, [killer, POINTS[0]])[0]
 
         # Every kill landed on a sacrificial worker, and the attempt
@@ -223,8 +223,8 @@ class _FakePool:
     isolated retries) complete every submission at once.
     """
 
-    def __init__(self, script, workers, trace_payload):
-        worker_mod.init_worker(trace_payload, "")
+    def __init__(self, script, workers, traces):
+        worker_mod.init_worker(traces, "")
         self.script = script
         self.eager = workers == 1
         self.pending = {}
@@ -285,8 +285,8 @@ def _fake_wait(script):
 def _install_script(runner, monkeypatch, script):
     """Route every dispatch of *runner* through *script*: the fake pool
     for pooled runs, a scripted ``simulate_point`` for in-process ones."""
-    runner._new_pool = lambda workers, payload: _FakePool(
-        script, workers, payload)
+    runner._new_pool = lambda workers, traces: _FakePool(
+        script, workers, traces)
     monkeypatch.setattr(runner_mod, "wait", _fake_wait(script))
     real = _REAL_SIMULATE_POINT
 
@@ -323,10 +323,12 @@ def _faulty_run(trace, configs, journal_dir, rng, monkeypatch, resume,
     workers = rng.choice([1, 2, 2, 3])
     breaker = rng.choice([None, CircuitBreaker(
         window=4, threshold=0.5, min_samples=2, probe_interval=2)])
+    chunk = rng.choice([None, 1, 2, 3])
+    monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.0)
     runner = SweepRunner(max_workers=workers, journal=journal_dir,
-                         resume=resume, breaker=breaker, retry_backoff=0.0,
-                         dispatch_chunk=rng.choice([None, 1, 2, 3]),
-                         hooks=[captured])
+                         resume=resume, breaker=breaker, hooks=[captured])
+    if chunk is not None:
+        monkeypatch.setattr(runner, "_chunk_size", lambda n, w: chunk)
     # Calm runs, crash storms (which reach the rescue rung and trip the
     # breaker) and timeout storms, all with rare interrupts and kills.
     script = _Script(rng, {"ok": 12, "crash": rng.choice([1, 3, 12]),
@@ -446,9 +448,10 @@ def test_real_pool_interleavings_resume_to_serial_results(
     journal_dir = tmp_path / "journal"
 
     hooks = [_InterruptAt(rng.randint(1, 4))] if seed != 0 else []
-    runner = SweepRunner(max_workers=2, journal=journal_dir,
-                         retry_backoff=0.0, hooks=hooks,
-                         dispatch_chunk=rng.choice([1, 2]))
+    chunk = rng.choice([1, 2])
+    monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.0)
+    runner = SweepRunner(max_workers=2, journal=journal_dir, hooks=hooks)
+    monkeypatch.setattr(runner, "_chunk_size", lambda n, w: chunk)
     try:
         outcomes = runner.run(trace, configs)
         _check_settled(runner, outcomes, interrupted=False)

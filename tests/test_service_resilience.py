@@ -59,7 +59,8 @@ class _PointHook:
 # Worker crashes
 # ----------------------------------------------------------------------
 class TestWorkerCrash:
-    def test_killed_worker_fails_one_point_not_the_sweep(self, trace):
+    def test_killed_worker_fails_one_point_not_the_sweep(
+            self, trace, monkeypatch):
         configs = [
             _config(num_gpus=2),
             _config(num_gpus=2, faults=FaultSpec(chaos_kill_at=1e-4)),
@@ -70,8 +71,8 @@ class TestWorkerCrash:
             for i, cfg in enumerate(configs) if cfg.faults is None
         }
         hook = _PointHook()
-        runner = SweepRunner(max_workers=2, retry_backoff=0.001,
-                             hooks=[hook])
+        monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.001)
+        runner = SweepRunner(max_workers=2, hooks=[hook])
         outcomes = runner.run(trace, configs)
 
         crashed = outcomes[1]
@@ -92,10 +93,12 @@ class TestWorkerCrash:
         assert {o.index: o.retries for o in hook.outcomes}[1] \
             == SweepRunner.MAX_CRASH_RETRIES
 
-    def test_retry_backoff_is_seeded_and_bounded(self):
+    def test_retry_backoff_is_seeded_and_bounded(self, monkeypatch):
         import random
 
-        runner = SweepRunner(max_workers=1, retry_seed=5, retry_backoff=10.0)
+        monkeypatch.setattr(SweepRunner, "RETRY_SEED", 5)
+        monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 10.0)
+        runner = SweepRunner(max_workers=1)
         delays_a = [runner._backoff_delay(random.Random(5), a)
                     for a in range(4)]
         delays_b = [runner._backoff_delay(random.Random(5), a)
@@ -330,7 +333,8 @@ class TestDegradationRung:
         sequential = [TrioSim(trace, cfg).run().total_time
                       for cfg in configs]
 
-        runner = SweepRunner(max_workers=2, retry_backoff=0.001)
+        monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.001)
+        runner = SweepRunner(max_workers=2)
         outcomes = runner.run(trace, configs)
 
         # Every worker attempt died, yet the sweep still produced real,

@@ -8,6 +8,8 @@ progress streams through the engine's hook mechanism.
 """
 
 import json
+import pickle
+from concurrent.futures import Future
 
 import networkx as nx
 import pytest
@@ -72,24 +74,22 @@ class TestDeterminism:
         outcomes = SweepRunner(max_workers=1).run(trace, configs)
         assert [o.unwrap().total_time for o in outcomes] == sequential
 
-    def test_chunked_dispatch_bit_identical_to_sequential(self, trace):
-        # Chunked point submission (several points per pool future,
-        # packed through the transport) must not change results, order,
-        # or labels relative to the one-point-per-future path.
+    def test_chunked_dispatch_bit_identical_to_sequential(
+            self, trace, monkeypatch):
+        # Chunked point submission (several points per pool future)
+        # must not change results, order, or labels relative to the
+        # one-point-per-future path.
         configs = _grid()
         sequential = [
             TrioSim(trace, cfg, record_timeline=False).run().total_time
             for cfg in configs
         ]
         for chunk in (2, 3):
-            outcomes = SweepRunner(max_workers=2,
-                                   dispatch_chunk=chunk).run(trace, configs)
+            monkeypatch.setattr(SweepRunner, "_chunk_size",
+                                lambda self, n, workers: chunk)
+            outcomes = SweepRunner(max_workers=2).run(trace, configs)
             assert [o.unwrap().total_time for o in outcomes] == sequential
             assert [o.index for o in outcomes] == list(range(len(configs)))
-
-    def test_dispatch_chunk_validates(self):
-        with pytest.raises(ValueError):
-            SweepRunner(dispatch_chunk=0)
 
     def test_auto_chunk_size_scales_with_sweep(self):
         runner = SweepRunner(max_workers=2)
@@ -98,8 +98,6 @@ class TestDeterminism:
         assert runner._chunk_size(4, workers=2) == 1
         assert runner._chunk_size(40, workers=2) == 5
         assert runner._chunk_size(1000, workers=2) == 8
-        assert SweepRunner(max_workers=2,
-                           dispatch_chunk=3)._chunk_size(4, workers=2) == 3
 
     def test_outcomes_preserve_input_order_and_labels(self, trace):
         configs = _grid()
@@ -109,6 +107,95 @@ class TestDeterminism:
         assert [o.index for o in outcomes] == list(range(len(configs)))
         assert [o.label for o in outcomes] == labels
         assert [o.config for o in outcomes] == configs
+
+
+# ----------------------------------------------------------------------
+# The prepared-trace table handed to pool workers
+# ----------------------------------------------------------------------
+
+#: Host-timing fields: not simulation state, so not compared.
+HOST_FIELDS = ("wall_time", "profile")
+
+
+def _comparable(result):
+    return {k: v for k, v in result.to_dict().items() if k not in HOST_FIELDS}
+
+
+def _two_gpu_grid():
+    """Points on the trace's own GPU (A40) and on a rescaled H100."""
+    return [
+        SimulationConfig(parallelism="ddp", num_gpus=n, gpu=gpu)
+        for n in (2, 4) for gpu in (None, "H100")
+    ]
+
+
+class _InlinePool:
+    """A pool stand-in that starts no process: its "workers" receive the
+    trace table after the pickle round trip the ``spawn`` and
+    ``forkserver`` start methods give initargs, then run each
+    submission at once in this process."""
+
+    def __init__(self, traces, plan_mode):
+        self.loaded = pickle.loads(pickle.dumps(traces))
+        worker_mod.init_worker(self.loaded, plan_mode)
+
+    def submit(self, fn, payload):
+        future = Future()
+        future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestTraceTable:
+    def test_two_target_gpus_bit_identical_to_sequential(
+            self, trace, monkeypatch):
+        tables = []
+        real_pool = SweepRunner._new_pool
+
+        def spy(self, workers, traces):
+            tables.append(dict(traces))
+            return real_pool(self, workers, traces)
+
+        monkeypatch.setattr(SweepRunner, "_new_pool", spy)
+        configs = _two_gpu_grid()
+        outcomes = SweepRunner(max_workers=2).run(trace, configs)
+        assert [sorted(t) for t in tables] == [["A40", "H100"]]
+        assert tables[0]["A40"] is trace
+        assert [_comparable(o.unwrap()) for o in outcomes] == [
+            _comparable(TrioSim(trace, cfg, record_timeline=False).run())
+            for cfg in configs
+        ]
+
+    def test_table_survives_pickled_initargs(self, trace, monkeypatch):
+        # Python 3.14 starts Linux pool workers with forkserver, which
+        # pickles initargs; fork (the default before) hands them over
+        # as they are.
+        monkeypatch.setattr(worker_mod, "_TRACES", {})
+        monkeypatch.setattr(worker_mod, "_PLAN_CACHE", None)
+        pools = []
+
+        def inline(self, workers, traces):
+            pools.append((traces, _InlinePool(traces, "")))
+            return pools[-1][1]
+
+        monkeypatch.setattr(SweepRunner, "_new_pool", inline)
+        configs = _two_gpu_grid()
+        outcomes = SweepRunner(max_workers=2).run(trace, configs)
+
+        (sent, pool), = pools
+        assert sorted(pool.loaded) == sorted(sent) == ["A40", "H100"]
+        for key, loaded in pool.loaded.items():
+            assert loaded is not sent[key]
+            # Re-derive the digest from content, not the memo the
+            # pickle carried along.
+            vars(loaded).pop("_digest_memo", None)
+            assert trace_digest(loaded) == trace_digest(sent[key])
+        assert [_comparable(o.unwrap()) for o in outcomes] == [
+            _comparable(TrioSim(trace, cfg, record_timeline=False).run())
+            for cfg in configs
+        ]
 
 
 # ----------------------------------------------------------------------

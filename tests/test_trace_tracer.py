@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
+from repro.analysis import lint_trace
 from repro.gpus.specs import get_gpu
-from repro.trace.execution_graph import ExecutionGraph
 from repro.trace.tracer import Tracer
 from repro.workloads import get_model
 
@@ -49,8 +49,8 @@ class TestStructure:
         assert first_input.category == "input"
 
     def test_dependency_graph_well_formed(self, resnet_trace):
-        graph = ExecutionGraph(resnet_trace)
-        assert graph.is_topologically_ordered()
+        # The trace rules include TR008 (dataflow-cycle).
+        assert not lint_trace(resnet_trace).has_errors
 
 
 class TestDeterminismAndKnobs:
