@@ -184,10 +184,6 @@ class GraphView:
         self._order, self._stuck = order, stuck
         return order, stuck
 
-    @property
-    def is_acyclic(self) -> bool:
-        return not self._kahn()[1]
-
     def cycles(self, limit: int = 8) -> List[List[int]]:
         """Cyclic strongly connected components (lists of task indices).
 

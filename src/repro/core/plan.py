@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time as _wall
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -222,9 +221,8 @@ class PlanBuilder:
             "instantiation time (extrapolators must not call fence)"
         )
 
-    def finish(self, key: str, build_wall: float = 0.0) -> "ExtrapolationPlan":
-        return ExtrapolationPlan(self.columns, self._dep_ptr, self._dep_idx,
-                                 key, build_wall=build_wall)
+    def finish(self, key: str) -> "ExtrapolationPlan":
+        return ExtrapolationPlan(self.columns, self._dep_ptr, self._dep_idx, key)
 
 
 class ExtrapolationPlan:
@@ -244,8 +242,6 @@ class ExtrapolationPlan:
         earlier row.
     key:
         The :func:`plan_key` this plan was built under.
-    build_wall:
-        Wall seconds the recording build took (profiler bookkeeping).
 
     Derived from the dependency CSR: the forward CSR ``succ_ptr`` /
     ``succ_idx`` (each row's dependents in ascending order — the order
@@ -254,12 +250,11 @@ class ExtrapolationPlan:
     """
 
     def __init__(self, columns: Dict[str, list], dep_ptr: Sequence[int],
-                 dep_idx: Sequence[int], key: str, build_wall: float = 0.0):
+                 dep_idx: Sequence[int], key: str):
         self.columns = columns
         self.dep_ptr = np.asarray(dep_ptr, dtype=np.int64)
         self.dep_idx = np.asarray(dep_idx, dtype=np.int64)
         self.key = key
-        self.build_wall = build_wall
         counts = np.diff(self.dep_ptr)
         self.succ_ptr, self.succ_idx = group_rows(
             self.dep_idx, edge_rows(self.dep_ptr), len(counts))
@@ -464,9 +459,7 @@ class PlanCache:
         if plan is not None:
             return plan, ("disk" if self.disk_hits > before_disk
                           else "memory")
-        started = _wall.perf_counter()
         plan = build()
-        plan.build_wall = _wall.perf_counter() - started
         self.builds += 1
         self.put(key, plan)
         return plan, "built"

@@ -2,7 +2,7 @@
 
 An extrapolator owns the conversion of one single-GPU trace into a task
 DAG for one parallelism strategy.  Subclasses implement :meth:`build`;
-shared helpers cover per-GPU operator chains and placement bookkeeping.
+shared helpers cover per-GPU operator chains and host input fetches.
 
 Builds target a **graph builder**, not necessarily a live simulator: any
 object exposing ``add_compute`` / ``add_transfer`` / ``add_barrier`` with
@@ -24,7 +24,6 @@ from typing import List, Sequence
 
 from repro.core.taskgraph import SimTask, TaskGraphSimulator
 from repro.extrapolator.optime import OpTimeModel
-from repro.memory.tensor_store import TensorStore
 from repro.network.topology import gpu_names
 from repro.trace.records import OperatorRecord
 from repro.trace.trace import Trace
@@ -59,7 +58,6 @@ class Extrapolator(ABC):
         self.op_time = op_time
         self.num_gpus = num_gpus
         self.gpus = gpu_names(num_gpus)
-        self.store = TensorStore()
         #: When True (set by TrioSim from the config), builds insert a
         #: host -> GPU transfer of the input batch before the forward
         #: pass — the paper's "CPU to GPU data movement".
@@ -123,24 +121,9 @@ class Extrapolator(ABC):
         if not self.fetch_inputs:
             return []
         nbytes = self.input_bytes(batch_scale) * fraction
-        for tensor in self.trace.tensors.values():
-            if tensor.category == "input":
-                self.store.place(tensor.tensor_id, self.HOST, tensor.nbytes)
         task = sim.add_transfer(
             f"h2d:{gpu}{tag}", self.HOST, gpu, nbytes, deps=deps,
             phase="forward",
         )
         return [task]
 
-    def place_replicated_weights(self) -> None:
-        """Mark every weight tensor resident on every GPU (replicated
-        setups: DDP keeps per-process replicas created at init time)."""
-        for tensor in self.trace.weight_tensors():
-            for gpu in self.gpus:
-                self.store.place(tensor.tensor_id, gpu, tensor.nbytes)
-
-    def place_weights_on_root(self, root: str = "gpu0") -> None:
-        """Mark weights resident only on the root (threaded DataParallel
-        re-replicates the module from GPU 0 every iteration)."""
-        for tensor in self.trace.weight_tensors():
-            self.store.place(tensor.tensor_id, root, tensor.nbytes)

@@ -38,7 +38,6 @@ class DataParallelExtrapolator(Extrapolator):
         self.batch_scale = batch_scale
 
     def build(self, sim: TaskGraphSimulator) -> None:
-        self.place_weights_on_root(self.gpus[0])
         param_bytes = sum(t.nbytes for t in self.trace.weight_tensors())
         input_bytes = sum(
             self.trace.tensors[t].nbytes
@@ -105,7 +104,6 @@ class DistributedDataParallelExtrapolator(Extrapolator):
         return boundaries
 
     def build(self, sim: TaskGraphSimulator) -> None:
-        self.place_replicated_weights()
         fwd_ops = self.trace.forward_ops
         bwd_ops = self.trace.backward_ops
         per_gpu_bwd_tasks: List[List[SimTask]] = []

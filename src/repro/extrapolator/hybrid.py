@@ -45,8 +45,6 @@ class HybridExtrapolator(Extrapolator):
         self._pipeline = PipelineExtrapolator(
             trace, op_time, pp_stages, chunks=chunks, batch_scale=batch_scale
         )
-        # Every replica's stage weights land in this extrapolator's store.
-        self._pipeline.store = self.store
 
     def replica_gpus(self, replica: int) -> List[str]:
         """The GPUs hosting one replica's pipeline, stage-adjacent."""

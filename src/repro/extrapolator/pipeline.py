@@ -134,20 +134,6 @@ class PipelineExtrapolator(Extrapolator):
         for op in self.trace.optimizer_ops:
             opt_by_layer[op.layer].append(op)
 
-        # Each stage holds the weights its forward ops read; a weight read
-        # on several stages is homed on the first.  Within an op, weights
-        # are placed in tensor-table order.
-        tensors = self.trace.tensors
-        weight_rank = {
-            tid: rank for rank, (tid, tensor) in enumerate(tensors.items())
-            if tensor.category == "weight"
-        }
-        for s, stage_ops in enumerate(stages):
-            for op in stage_ops:
-                weights = {tid for tid in op.inputs if tid in weight_rank}
-                for tid in sorted(weights, key=weight_rank.__getitem__):
-                    self.store.place(tid, gpus[s], tensors[tid].nbytes)
-
         one_f_one_b = self.schedule == "1f1b"
         priorities = self._issue_priorities(n) if one_f_one_b else {}
 

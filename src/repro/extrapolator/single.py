@@ -23,9 +23,6 @@ class SingleGPUExtrapolator(Extrapolator):
 
     def build(self, sim: TaskGraphSimulator) -> None:
         gpu = self.gpus[0]
-        for tensor in self.trace.tensors.values():
-            if tensor.category != "input" or not self.fetch_inputs:
-                self.store.place(tensor.tensor_id, gpu, tensor.nbytes)
         fetch = self.add_input_fetch(sim, gpu, self.batch_scale)
         self.chain_ops(sim, gpu, self.trace.operators, deps=fetch,
                        batch_scale=self.batch_scale)

@@ -124,7 +124,6 @@ class TensorParallelExtrapolator(Extrapolator):
         return frontier
 
     def build(self, sim: TaskGraphSimulator) -> None:
-        self.place_replicated_weights()
         fetch = [
             task for gpu in self.gpus
             for task in self.add_input_fetch(sim, gpu, self.batch_scale)

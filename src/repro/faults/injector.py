@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
@@ -68,9 +68,7 @@ class FaultClock:
     replays the whole run so far, exactly as a checkpointless job would.
     """
 
-    def __init__(self, interval: Optional[float], checkpoint_cost: float,
-                 restore_cost: float):
-        self.interval = interval
+    def __init__(self, checkpoint_cost: float, restore_cost: float):
         self.checkpoint_cost = checkpoint_cost
         self.restore_cost = restore_cost
         self.resume = 0.0
@@ -123,8 +121,7 @@ class FaultInjector:
         self.network = network
         self.spec = spec
         self.allow_chaos = allow_chaos
-        self.clock = FaultClock(spec.checkpoint_interval,
-                                spec.checkpoint_cost, spec.restore_cost)
+        self.clock = FaultClock(spec.checkpoint_cost, spec.restore_cost)
         #: Events pinned to absolute wall-clock time (fault arrivals);
         #: excluded from :meth:`Engine.defer_pending` during stalls.
         self._wall_events: List[Event] = []

@@ -1,6 +1,5 @@
-"""Tensor placement tracking and memory estimation."""
+"""Per-GPU memory estimation."""
 
 from repro.memory.estimator import MemoryEstimate, check_fits, estimate_memory
-from repro.memory.tensor_store import TensorStore
 
-__all__ = ["MemoryEstimate", "TensorStore", "check_fits", "estimate_memory"]
+__all__ = ["MemoryEstimate", "check_fits", "estimate_memory"]

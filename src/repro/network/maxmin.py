@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-try:  # vectorized waterfill fast path; the scalar solver is always kept
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 _RATE_EPS = 1e-9
 
@@ -43,7 +40,7 @@ def maxmin_rates(routes: Sequence[EdgeIds], capacity: Sequence[float],
     order (the bottleneck ``min`` is over the same value set, and
     ``min`` of floats is order-independent).
     """
-    if _np is not None and len(routes) >= _VECTOR_MIN_FLOWS:
+    if len(routes) >= _VECTOR_MIN_FLOWS:
         return maxmin_vector(routes, capacity, warn)
     return maxmin_scalar(routes, capacity, warn)
 

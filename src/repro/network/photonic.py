@@ -115,10 +115,6 @@ class PhotonicNetwork(Hookable):
         self._admit(flow)
         return flow
 
-    @property
-    def established_circuits(self) -> int:
-        return sum(1 for c in self._circuits.values() if c.established)
-
     def ports_in_use(self, node: str) -> int:
         return self._ports_used[node]
 

@@ -14,7 +14,6 @@ from typing import Tuple
 
 #: Bytes per element of each supported dtype.
 DTYPE_BYTES = {"float32": 4, "float16": 2, "bfloat16": 2, "int64": 8, "int32": 4}
-_DTYPE_BYTES = DTYPE_BYTES  # backwards-compatible alias
 
 #: Tensor categories reported by the Execution Graph Observer.
 TENSOR_CATEGORIES = ("input", "weight", "gradient", "output", "activation")
@@ -47,7 +46,7 @@ class TensorRecord:
     def __post_init__(self):
         if self.category not in TENSOR_CATEGORIES:
             raise ValueError(f"unknown tensor category {self.category!r}")
-        if self.dtype not in _DTYPE_BYTES:
+        if self.dtype not in DTYPE_BYTES:
             raise ValueError(f"unknown dtype {self.dtype!r}")
         if any(d < 0 for d in self.dims):
             raise ValueError(f"negative dimension in {self.dims}")
@@ -59,7 +58,7 @@ class TensorRecord:
     @property
     def nbytes(self) -> int:
         """Size in bytes — what moves over the wire if fetched remotely."""
-        return self.elems * _DTYPE_BYTES[self.dtype]
+        return self.elems * DTYPE_BYTES[self.dtype]
 
 
 @dataclass(frozen=True)

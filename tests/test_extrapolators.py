@@ -156,15 +156,3 @@ class TestBaseValidation:
     def test_zero_gpus_rejected(self, trace):
         with pytest.raises(ValueError):
             DistributedDataParallelExtrapolator(trace, OpTimeModel(trace), 0)
-
-    def test_weight_placement_helpers(self, trace):
-        ex = DistributedDataParallelExtrapolator(trace, OpTimeModel(trace), 2)
-        ex.place_replicated_weights()
-        weight = trace.weight_tensors()[0]
-        assert ex.store.holds(weight.tensor_id, "gpu0")
-        assert ex.store.holds(weight.tensor_id, "gpu1")
-
-        ex2 = DataParallelExtrapolator(trace, OpTimeModel(trace), 2)
-        ex2.place_weights_on_root("gpu0")
-        assert ex2.store.holds(weight.tensor_id, "gpu0")
-        assert not ex2.store.holds(weight.tensor_id, "gpu1")

@@ -251,22 +251,19 @@ class TestTopologyHelpers:
 # ----------------------------------------------------------------------
 class TestFaultClock:
     def test_failure_without_checkpoint_replays_from_zero(self):
-        clock = FaultClock(interval=None, checkpoint_cost=0.0,
-                          restore_cost=0.5)
+        clock = FaultClock(checkpoint_cost=0.0, restore_cost=0.5)
         assert clock.on_failure(10.0) == pytest.approx(10.5)
         assert clock.failures_recovered == 1
 
     def test_checkpoint_bounds_lost_work(self):
-        clock = FaultClock(interval=1.0, checkpoint_cost=0.1,
-                          restore_cost=0.5)
+        clock = FaultClock(checkpoint_cost=0.1, restore_cost=0.5)
         assert clock.on_checkpoint(4.0) == pytest.approx(0.1)
         # Failure at t=5: productive time since the checkpoint resumed at
         # 4.1 is 0.9; stall = lost 0.9 + restore 0.5.
         assert clock.on_failure(5.0) == pytest.approx(1.4)
 
     def test_stall_time_is_not_lost_work(self):
-        clock = FaultClock(interval=1.0, checkpoint_cost=0.1,
-                          restore_cost=0.5)
+        clock = FaultClock(checkpoint_cost=0.1, restore_cost=0.5)
         clock.on_checkpoint(4.0)
         clock.on_failure(5.0)   # stalls 1.4; resume anchor stays at 4.1
         # A second failure right when the replay finishes re-loses the

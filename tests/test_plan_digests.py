@@ -55,6 +55,15 @@ CASES = {
                                 dp_degree=2, chunks=2)),
     "single-2x": ("resnet18", dict(parallelism="single", num_gpus=1,
                                    batch_size=64)),
+    "dp": ("resnet18", dict(parallelism="dp", num_gpus=4)),
+    "ddp": ("resnet18", dict(parallelism="ddp", num_gpus=4)),
+    "fsdp": ("resnet18", dict(parallelism="fsdp", num_gpus=4)),
+    "single-h2d": ("resnet18", dict(parallelism="single", num_gpus=1,
+                                    include_host_transfers=True)),
+    "ddp-h2d": ("resnet18", dict(parallelism="ddp", num_gpus=4,
+                                 include_host_transfers=True)),
+    "pp-h2d": ("resnet18", dict(parallelism="pp", num_gpus=2, chunks=2,
+                                include_host_transfers=True)),
 }
 
 #: Recorded on the full-table-scan, unmemoized plan builder.
@@ -67,6 +76,14 @@ DIGESTS = {
     "tp-megatron": "33467e342e456639",
     "hybrid": "684e43cf543b69cd",
     "single-2x": "d7b035b0d21421c6",
+    # Recorded while every extrapolator still wrote tensor residency into
+    # a store that nothing read; its deletion must leave these unchanged.
+    "dp": "2071a4857c9a1335",
+    "ddp": "689541044f3ebeb8",
+    "fsdp": "3ac2e98b3824ccd7",
+    "single-h2d": "1bbe1090cc001ecf",
+    "ddp-h2d": "a5a7c673b9e2aa32",
+    "pp-h2d": "2925a91d51a07801",
 }
 
 

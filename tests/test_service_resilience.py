@@ -26,6 +26,7 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import HEARTBEAT_EVERY, TrioSim
 from repro.faults import FaultSpec, Straggler
 from repro.gpus.specs import get_gpu
+from repro.service import runner as runner_mod
 from repro.service import worker as worker_mod
 from repro.service.cache import ResultCache, trace_digest
 from repro.service.journal import JOURNAL_NAME, SweepJournal
@@ -106,6 +107,43 @@ class TestWorkerCrash:
         assert delays_a == delays_b
         assert all(0.0 < d <= SweepRunner.MAX_BACKOFF for d in delays_a)
         assert delays_a[-1] == SweepRunner.MAX_BACKOFF  # cap engages
+
+    def test_retry_sleeps_follow_retry_seed(self, trace, monkeypatch):
+        """``_retry_crashed`` draws its backoff jitter from a generator
+        seeded with ``RETRY_SEED``; every isolated attempt reports a
+        crash, so the point ends on the in-process rescue run."""
+        import random
+
+        sleeps = []
+        monkeypatch.setattr(runner_mod._wall, "sleep", sleeps.append)
+
+        def retry_sleeps():
+            runner = SweepRunner(max_workers=1)
+            monkeypatch.setattr(runner, "_isolated_attempt",
+                                lambda sweep, outcome: None)
+            sweep = runner_mod._Sweep(trace, False, "base",
+                                      runner_mod.SweepMetrics(), 0.0)
+            outcome = runner_mod.SweepOutcome(
+                0, _config(), state=runner_mod.PointState.CRASHED)
+            sleeps.clear()
+            runner._retry_crashed(sweep, [outcome])
+            assert outcome.state is runner_mod.PointState.DONE
+            assert outcome.retries == SweepRunner.MAX_CRASH_RETRIES
+            assert outcome.degraded
+            return runner, list(sleeps)
+
+        def expected(runner):
+            rng = random.Random(SweepRunner.RETRY_SEED)
+            return [runner._backoff_delay(rng, a)
+                    for a in range(SweepRunner.MAX_CRASH_RETRIES)]
+
+        runner, default = retry_sleeps()
+        assert default == expected(runner)
+        monkeypatch.setattr(SweepRunner, "RETRY_SEED",
+                            SweepRunner.RETRY_SEED + 1)
+        runner, reseeded = retry_sleeps()
+        assert reseeded == expected(runner)
+        assert reseeded != default
 
 
 # ----------------------------------------------------------------------
