@@ -20,7 +20,6 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
-from repro.analysis.plan_rules import PlanContext
 from repro.analysis.config_rules import ConfigContext
 from repro.analysis.findings import Finding, Report
 from repro.analysis.registry import (
@@ -123,26 +122,11 @@ def lint_config(config: Union[SimulationConfig, dict],
 # ----------------------------------------------------------------------
 # Plans
 # ----------------------------------------------------------------------
-def lint_plan(plan: Any, config: SimulationConfig,
-              trace: Optional[Trace] = None,
+def lint_plan(plan: Any,
               registry: Optional[RuleRegistry] = None) -> Report:
-    """Run every plan rule against a pre-built extrapolation plan.
-
-    *trace* is the trace the plan would execute against.  It is
-    cross-GPU rescaled to ``config.gpu`` through the same memoized
-    :func:`~repro.extrapolator.optime.rescale` that
-    :class:`~repro.core.simulator.TrioSim` uses (a no-op for an already
-    rescaled trace), so the expected plan key is derived from what the
-    extrapolator would actually consume.  Without a trace the key check
-    (PL001) is skipped and only structural rules run.
-    """
+    """Run every plan rule against a pre-built extrapolation plan."""
     registry = registry or DEFAULT_REGISTRY
-    if trace is not None:
-        from repro.extrapolator.optime import rescale
-
-        trace = rescale(trace, config.gpu)
-    ctx = PlanContext(plan, config, trace)
-    return registry.run_category("plan", ctx, Report())
+    return registry.run_category("plan", plan, Report())
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Optional
 from repro.analysis.config_rules import ConfigContext
 from repro.analysis.registry import Emitter, rule
 from repro.core.fold import FOLD_MIN_FOLDED, config_fold_reason
+from repro.network.routing import get_routing_strategy, routing_names
 
 
 def _fault_horizon(faults) -> Optional[float]:
@@ -70,12 +71,19 @@ def check_fold_eligibility(ctx: ConfigContext, emit: Emitter) -> None:
         return
     if reason is not None:
         return  # e.g. custom-network: not fixable from the config
-    if ctx.multipath and config.routing in ("flowlet", "adaptive"):
-        emit(
-            f"dynamic routing {config.routing!r} on multipath topology "
-            f"{ctx.topology_name!r} disqualifies this "
-            f"{config.iterations}-iteration run from folding "
-            f"(per-flow path choices depend on instantaneous congestion); "
-            f"'ecmp' keeps multipath load-balancing and stays foldable",
-            location="routing",
-        )
+    # The same test as the fold gate: a strategy engages on a prebuilt
+    # graph or a multipath named topology, and a dynamic one rules out
+    # folding.  Unknown names are NW003's error.
+    if not (ctx.prebuilt or ctx.multipath) \
+            or config.routing not in routing_names() \
+            or not get_routing_strategy(config.routing).dynamic:
+        return
+    where = ("a prebuilt topology graph" if ctx.prebuilt
+             else f"multipath topology {ctx.topology_name!r}")
+    emit(
+        f"dynamic routing {config.routing!r} on {where} disqualifies "
+        f"this {config.iterations}-iteration run from folding "
+        f"(per-flow path choices depend on instantaneous congestion); "
+        f"'ecmp' keeps multipath load-balancing and stays foldable",
+        location="routing",
+    )

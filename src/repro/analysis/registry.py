@@ -14,7 +14,7 @@ Runtime sanitizers register with ``fn=None``: they appear in the catalogue
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import SEVERITIES, Finding, Report
 
@@ -32,7 +32,7 @@ RULE_SERIES: Dict[str, int] = {
     "TR": 11,  # trace rules
     "CF": 11,  # config rules
     "SP": 2,   # sweep-spec rules
-    "PL": 2,   # extrapolation-plan rules
+    "PL": 1,   # extrapolation-plan rules
     "NW": 4,   # fabric/routing rules
     "FT": 6,   # fault-spec rules
     "PF": 1,   # performance rules (fold eligibility)
@@ -41,6 +41,14 @@ RULE_SERIES: Dict[str, int] = {
     "RC": 3,   # determinism race detectors (Tier B)
     "SV": 2,   # sweep-service resume admission (journal fingerprints,
                # deadline sanity; emitted by repro.service.journal)
+}
+
+#: Numbers of deleted rules, series prefix -> numbers.  A retired id is
+#: never reused (SARIF baselines and ``--disable`` lists name rules by
+#: id), so :func:`check_catalogue` expects the series' live ids to skip
+#: these.
+RETIRED_RULES: Dict[str, Tuple[int, ...]] = {
+    "PL": (1,),  # the supplied-plan key check
 }
 
 _RULES_LOADED = False
@@ -96,12 +104,14 @@ def check_catalogue(registry: Optional["RuleRegistry"] = None) -> List[str]:
             problems.append(
                 f"series {series} has {len(ids)} rule(s), catalogue "
                 f"declares {expected}")
+        retired = RETIRED_RULES.get(series, ())
         numbers = sorted(int(i[len(series):]) for i in ids)
-        want = list(range(1, len(numbers) + 1))
+        want = [n for n in range(1, len(numbers) + len(retired) + 1)
+                if n not in retired]
         if numbers != want:
             problems.append(
                 f"series {series} ids are not contiguous from "
-                f"{series}001: found {ids}")
+                f"{series}001 (retired numbers skipped): found {ids}")
     return problems
 
 

@@ -39,6 +39,9 @@ from repro.network.flow import HOOK_FLOW_REALLOC, HOOK_FLOW_WARNING
 
 #: Per-sanitizer cap so a broken invariant doesn't flood the report.
 MAX_FINDINGS_PER_SANITIZER = 20
+#: Relative slack on capacity comparisons, absorbing the allocator's
+#: progressive-filling arithmetic.
+REL_TOLERANCE = 1e-6
 
 # Runtime rules carry no lint function: they fire from hooks.  Registering
 # them keeps the catalogue complete and lets ``--disable`` suppress them.
@@ -115,9 +118,8 @@ class LinkCapacitySanitizer:
     allocator's progressive-filling arithmetic).
     """
 
-    def __init__(self, report: Report, rel_tolerance: float = 1e-6):
+    def __init__(self, report: Report):
         self.report = report
-        self.rel_tolerance = rel_tolerance
         self._fired = 0
 
     def func(self, ctx: HookCtx) -> None:
@@ -132,7 +134,7 @@ class LinkCapacitySanitizer:
                 loads[edge] = loads.get(edge, 0.0) + flow.rate
         for (u, v), load in loads.items():
             capacity = topology[u][v]["bandwidth"]
-            if load > capacity * (1.0 + self.rel_tolerance) + 1e-3:
+            if load > capacity * (1.0 + REL_TOLERANCE) + 1e-3:
                 if self._fired < MAX_FINDINGS_PER_SANITIZER:
                     self._fired += 1
                     _emit(self.report, "SZ002",
@@ -153,9 +155,8 @@ class PathCapacitySanitizer:
     can never hand one flow more than its path's bottleneck.
     """
 
-    def __init__(self, report: Report, rel_tolerance: float = 1e-6):
+    def __init__(self, report: Report):
         self.report = report
-        self.rel_tolerance = rel_tolerance
         self._fired = 0
 
     def func(self, ctx: HookCtx) -> None:
@@ -180,7 +181,7 @@ class PathCapacitySanitizer:
                     bottleneck = capacity
             if bottleneck is None or flow.rate <= 0.0:
                 continue
-            if flow.rate > bottleneck * (1.0 + self.rel_tolerance) + 1e-3:
+            if flow.rate > bottleneck * (1.0 + REL_TOLERANCE) + 1e-3:
                 if self._fired < MAX_FINDINGS_PER_SANITIZER:
                     self._fired += 1
                     _emit(self.report, "SZ006",

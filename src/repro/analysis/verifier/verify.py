@@ -214,9 +214,7 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
             registry.emit(report, _SCHEMA_RULE[kind],
                           f"plan does not deserialize: {exc}")
             return report, kind, info
-        # No trace: PL001 (key mismatch) skips itself, PL002 still runs.
-        report = _linter.lint_plan(plan, config or SimulationConfig(),
-                                   registry=registry)
+        report = _linter.lint_plan(plan, registry=registry)
         report.merge(verify_plan(plan, config=config, registry=registry))
         info["summary"] = plan_summary(plan, config)
         return report, kind, info

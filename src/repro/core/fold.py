@@ -81,8 +81,7 @@ def config_fold_reason(config) -> Optional[str]:
     return None
 
 
-def fold_decision(config, network=None, hooks=(),
-                  verify: bool = False) -> FoldDecision:
+def fold_decision(config, network=None, verify: bool = False) -> FoldDecision:
     """Decide whether a :class:`~repro.core.simulator.TrioSim` run folds.
 
     Beyond the static config gate (:func:`config_fold_reason`), a run is
@@ -94,24 +93,17 @@ def fold_decision(config, network=None, hooks=(),
       Static strategies (``shortest``, ``ecmp``) choose per pair, not
       per instant, and stay eligible — as do dynamic strategies that the
       simulator nulled on single-path topologies.
-    * ``custom-network`` — the built network lacks the
-      ``stats_snapshot`` / ``extend_stats`` counter-extension contract.
-    * ``hooks`` / ``verify`` — user hooks and the verifier's runtime
-      tier (sanitizers and race detectors) are defined over the full
-      event stream; folded iterations dispatch no events, so these force
-      the exact path.
+    * ``verify`` — the verifier's runtime tier (sanitizers and race
+      detectors) is defined over the full event stream; folded
+      iterations dispatch no events, so it forces the exact path.
     """
     reason = config_fold_reason(config)
-    if reason is None and hooks:
-        reason = "hooks"
     if reason is None and verify:
         reason = "verify"
     if reason is None and network is not None:
         strategy = getattr(network, "routing", None)
         if strategy is not None and getattr(strategy, "dynamic", False):
             reason = "dynamic-routing"
-        elif not hasattr(network, "stats_snapshot"):
-            reason = "custom-network"
     if reason is not None:
         return FoldDecision(False, reason)
     return FoldDecision(True)

@@ -284,8 +284,7 @@ class ExtrapolationPlan:
         terminals (numbering continues from *start*, so a continuation
         span keeps the fence names the all-upfront build would have
         used).  A span's first fence has no terminals to wait on and
-        falls back to the previous fence (see
-        :meth:`TaskGraphSimulator.fence_from`) — on an already-drained
+        falls back to the previous fence — on an already-drained
         graph the continuation then replays the schedule the all-upfront
         build would have produced, at the same virtual times.
 

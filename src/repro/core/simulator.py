@@ -57,17 +57,17 @@ from repro.trace.trace import Trace
 HEARTBEAT_EVERY = 256
 
 
-def heartbeat_observer(engine: Engine, heartbeat, every: int = HEARTBEAT_EVERY):
+def heartbeat_observer(engine: Engine, heartbeat):
     """The dispatch observer behind ``TrioSim(heartbeat=)``.
 
-    Calls ``heartbeat(engine)`` every *every* dispatched events, before
-    that event's callback runs.  An exception the heartbeat raises
-    propagates out of :meth:`Engine.run`, stopping the run with its
-    partial progress (``engine.now``, ``engine.dispatched_events``)
-    intact — the sweep service's soft deadline.
+    Calls ``heartbeat(engine)`` every :data:`HEARTBEAT_EVERY` dispatched
+    events, before that event's callback runs.  An exception the
+    heartbeat raises propagates out of :meth:`Engine.run`, stopping the
+    run with its partial progress (``engine.now``,
+    ``engine.dispatched_events``) intact — the sweep service's soft
+    deadline.
     """
-    if every < 1:
-        raise ValueError("heartbeat interval must be >= 1 event")
+    every = HEARTBEAT_EVERY
     countdown = every
 
     def observe(_time: float, _seq: int, _event) -> None:
@@ -109,20 +109,11 @@ class TrioSim:
         ``per_phase`` breakdowns computed from it (empty with ``False``).
         They are read from the task table after the run, so the option
         changes neither the schedule nor fold eligibility.
-    hooks:
-        Extra observers attached to the task-graph simulator: any object
-        with a ``func(ctx)`` method, called with a
-        :class:`repro.engine.HookCtx` at each hook position it fires.
     allow_chaos:
         Permit a ``chaos_kill_at`` in ``config.faults`` to arm (the
         process then SIGKILLs itself mid-run).  Only the sweep service's
         sacrificial worker processes pass ``True``; everywhere else such
         a spec raises :class:`repro.faults.ChaosError`.
-    plan:
-        Optional pre-built :class:`~repro.core.plan.ExtrapolationPlan` to
-        execute instead of running the extrapolator.  Its key must match
-        this (trace, config) pair — checked by lint rule PL001, raising
-        :class:`repro.analysis.AnalysisError` on mismatch.
     plan_cache:
         Optional :class:`~repro.core.plan.PlanCache`.  :meth:`run` looks
         the plan up by :meth:`plan_key` and builds (and caches) it only
@@ -144,23 +135,18 @@ class TrioSim:
         Optional ``(engine) -> None`` callback fired every
         :data:`HEARTBEAT_EVERY` dispatched events (a dispatch observer,
         see :func:`heartbeat_observer`) — the sweep service's
-        cooperative soft-deadline check.  Unlike hooks, a heartbeat
-        never affects fold eligibility: it observes wall clock, not
-        simulation state.
+        cooperative soft-deadline check.  A heartbeat never affects fold
+        eligibility: it observes wall clock, not simulation state.
     """
 
     def __init__(self, trace: Trace, config: SimulationConfig,
-                 record_timeline: bool = True, hooks=(),
-                 allow_chaos: bool = False,
-                 plan: ExtrapolationPlan = None,
+                 record_timeline: bool = True, allow_chaos: bool = False,
                  plan_cache: PlanCache = None, verify: bool = False,
                  heartbeat=None):
         self.config = config
         self.record_timeline = record_timeline
-        self.hooks = tuple(hooks)
         self.heartbeat = heartbeat
         self.allow_chaos = allow_chaos
-        self.plan = plan
         self.plan_cache = plan_cache
         self.verify = verify
         #: Verifier findings of the last :meth:`run` (a
@@ -308,15 +294,6 @@ class TrioSim:
         return builder.finish(self.plan_key())
 
     def _resolve_plan(self, profiler: PipelineProfiler) -> ExtrapolationPlan:
-        if self.plan is not None:
-            from repro.analysis import AnalysisError, lint_plan
-
-            report = lint_plan(self.plan, self.config, self.trace)
-            if report.has_errors:
-                raise AnalysisError(
-                    report, "supplied plan does not match this config")
-            profiler.plan_source = "supplied"
-            return self.plan
         if self.plan_cache is not None:
             plan, source = self.plan_cache.get_or_build(
                 self.plan_key(), self.build_plan)
@@ -339,7 +316,7 @@ class TrioSim:
         take the steady-state folding path: ``fold_warmup`` iterations
         are simulated event-by-event and the rest are extended
         algebraically.  Everything else — single iterations, faulted or
-        observed runs, ``fold=False`` — takes the exact event-by-event
+        verified runs, ``fold=False`` — takes the exact event-by-event
         path, bit-identically to builds that predate folding.
         """
         started = _wall.perf_counter()
@@ -353,10 +330,8 @@ class TrioSim:
             sim = TaskGraphSimulator(engine, network)
         if self.config.gpu_slowdowns:
             sim.compute_scale.update(self.config.gpu_slowdowns)
-        for hook in self.hooks:
-            sim.accept_hook(hook)
         decision = fold_decision(self.config, network=network,
-                                 hooks=self.hooks, verify=bool(self.verify))
+                                 verify=bool(self.verify))
         beat = None
         if self.heartbeat is not None:
             beat = heartbeat_observer(engine, self.heartbeat)

@@ -33,7 +33,6 @@ from repro.engine.events import Event
 from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import NetworkModel, Transfer
 
-HOOK_TASK_START = "task_start"
 HOOK_TASK_END = "task_end"
 
 #: Codes of the store's ``kind`` column, indexing :data:`KIND_NAMES`.
@@ -311,19 +310,13 @@ class TaskGraphSimulator(Hookable):
                      and end[t] is None]
         return SimTask(store, self._fence_rows(name, terminals))
 
-    def fence_from(self, name: str, terminals: Sequence[SimTask]) -> SimTask:
-        """A :meth:`fence` whose wait-set is the given *terminals*.
-
-        Callers that know the terminal tasks skip :meth:`fence`'s scan of
-        the whole graph, with identical semantics (tasks created
-        afterwards implicitly depend on the fence; an empty wait-set
-        falls back to the previous fence so consecutive fences still
-        order correctly).
-        """
-        return SimTask(self.store, self._fence_rows(
-            name, [t.task_id for t in terminals]))
-
     def _fence_rows(self, name: str, terminals: Sequence[int]) -> int:
+        """Add a fence row waiting on the unfinished *terminals*.
+
+        Tasks created afterwards implicitly depend on the fence; an
+        empty wait-set falls back to the previous fence so consecutive
+        fences still order correctly.
+        """
         end = self.store.end
         live = [t for t in terminals if end[t] is None]
         previous = self._fence
@@ -452,9 +445,6 @@ class TaskGraphSimulator(Hookable):
             # descriptor call per event on this path.
             now = self.engine._now
             store.start[tid] = now
-            if self._hooks:
-                self.invoke_hooks(
-                    HookCtx(HOOK_TASK_START, now, SimTask(store, tid)))
             if self._batched_send:
                 self.network.send(store.src[tid], store.dst[tid],
                                   store.nbytes[tid], self._delivered, tid,
@@ -491,8 +481,6 @@ class TaskGraphSimulator(Hookable):
         queue.running = tid
         now = self.engine._now
         store.start[tid] = now
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_TASK_START, now, SimTask(store, tid)))
         duration = store.duration[tid]
         scale = queue.scale
         if scale is not None:

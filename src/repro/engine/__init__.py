@@ -9,9 +9,9 @@ The engine is the substrate every other subsystem builds on.  It provides:
   observers (``add_observer`` / ``remove_observer``) through which the
   sanitizers, race detectors and heartbeats watch that loop.
 * :class:`~repro.engine.hooks.Hook` — named observation points that the
-  task-graph simulator, the network models and the sweep runner fire
-  (the AkitaRTM / Daisen analog); any object with a ``func(ctx)`` method
-  observes them.
+  task-graph simulator, the flow network (:class:`~repro.network.flow.
+  FlowNetwork`) and the sweep runner fire (the AkitaRTM / Daisen
+  analog); any object with a ``func(ctx)`` method observes them.
 
 Network models plug in through :mod:`repro.network.base`'s ``send``
 contract, not through message-passing components.

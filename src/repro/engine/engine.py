@@ -165,12 +165,6 @@ class Engine:
             self._requeue_stale.add((id(event), event._seq))
             self._note_cancelled()
 
-    def reschedule(self, event: Event, time: float) -> Event:
-        """Move a queued *event* to absolute *time* (see :meth:`mark_requeued`)."""
-        self.mark_requeued(event)
-        event.time = time
-        return self.schedule(event)
-
     def _discard_stale(self, event: Event, seq: int) -> bool:
         """Consume the requeue record for a seq-mismatched heap entry.
 

@@ -21,8 +21,8 @@ class HookCtx:
     Attributes
     ----------
     pos:
-        Name of the hook position (e.g. ``"task_start"``,
-        ``"flow_deliver"``).
+        Name of the hook position (e.g. ``"task_end"``,
+        ``"flow_realloc"``).
     time:
         Virtual time at which the position fired.
     item:
@@ -58,10 +58,6 @@ class Hookable:
     def remove_hook(self, hook: Hook) -> None:
         """Unregister a previously accepted hook."""
         self._hooks.remove(hook)
-
-    @property
-    def num_hooks(self) -> int:
-        return len(self._hooks)
 
     def invoke_hooks(self, ctx: HookCtx) -> None:
         """Invoke every registered hook with *ctx* (no-op when none)."""

@@ -6,7 +6,6 @@ covers the fault model end to end.
 """
 
 from repro.faults.injector import (
-    HOOK_FAULT_INJECT,
     ChaosError,
     FaultClock,
     FaultInjector,
@@ -22,7 +21,6 @@ from repro.faults.spec import (
 
 __all__ = [
     "FAULT_SCHEMA_VERSION",
-    "HOOK_FAULT_INJECT",
     "ChaosError",
     "DeviceFailure",
     "FaultClock",

@@ -40,14 +40,7 @@ from typing import Dict, List, Tuple
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.engine.events import Event
-from repro.engine.hooks import HookCtx
 from repro.faults.spec import FaultSpec
-
-#: Hook position fired on the task-graph simulator's hooks (what
-#: ``TrioSim(hooks=)`` attaches to) after every injection the injector
-#: performs; ``item`` is the injection kind (``"link"``,
-#: ``"checkpoint"`` or ``"failure"``), ``detail`` carries specifics.
-HOOK_FAULT_INJECT = "fault_inject"
 
 
 class ChaosError(RuntimeError):
@@ -160,7 +153,7 @@ class FaultInjector:
                 fault.end, lambda _ev, f=fault: self._close_link_fault(f)))
         for failure in spec.failures:
             self._wall_events.append(self.engine.call_at(
-                failure.time, lambda _ev, f=failure: self._fail(f)))
+                failure.time, self._fail))
         if spec.checkpoint_interval is not None:
             # Deliberately NOT a wall event: stalls push checkpoints out
             # along with the work they protect, so a checkpoint never
@@ -226,11 +219,6 @@ class FaultInjector:
             capacity = self._base_capacity[key] * multiplier
         self.network.set_link_capacity(u, v, capacity)
         self.link_transitions += 1
-        self.sim.invoke_hooks(HookCtx(
-            HOOK_FAULT_INJECT, self.engine.now, "link",
-            detail={"link": f"{u}-{v}", "capacity": capacity,
-                    "multiplier": multiplier},
-        ))
 
     def _open_link_fault(self, fault) -> None:
         u, v = fault.endpoints
@@ -255,27 +243,15 @@ class FaultInjector:
             return  # run drained; stop the periodic clock
         now = self.engine.now
         self._stall(self.clock.on_checkpoint(now))
-        self.sim.invoke_hooks(HookCtx(
-            HOOK_FAULT_INJECT, now, "checkpoint",
-            detail={"cost": self.spec.checkpoint_cost,
-                    "count": self.clock.checkpoints_taken},
-        ))
         assert self.spec.checkpoint_interval is not None
         self.engine.call_at(
             now + self.spec.checkpoint_cost + self.spec.checkpoint_interval,
             self._checkpoint)
 
-    def _fail(self, failure) -> None:
+    def _fail(self, _event) -> None:
         if self.sim.unfinished_tasks == 0:
             return  # nothing in flight to lose
-        now = self.engine.now
-        stall = self.clock.on_failure(now)
-        self._stall(stall)
-        self.sim.invoke_hooks(HookCtx(
-            HOOK_FAULT_INJECT, now, "failure",
-            detail={"device": failure.device, "stall": stall,
-                    "restore_cost": self.spec.restore_cost},
-        ))
+        self._stall(self.clock.on_failure(self.engine.now))
 
     def _chaos_kill(self, _event) -> None:  # pragma: no cover - kills itself
         os.kill(os.getpid(), signal.SIGKILL)

@@ -60,8 +60,6 @@ from repro.network.routing import (
 )
 
 #: Hook positions for observers.
-HOOK_FLOW_START = "flow_start"
-HOOK_FLOW_DELIVER = "flow_deliver"
 #: Fired after every bandwidth reallocation with the solved flows (as
 #: :class:`FlowView` records) and the topology in the detail — the
 #: link-capacity sanitizer's feed.  The list holds the re-solved
@@ -416,11 +414,7 @@ class FlowNetwork(Hookable):
         nbytes = float(nbytes)
         transfer = Transfer(transfer_id, src, dst, nbytes, callback, tag, now)
         edges = self._route_edges[rid]
-        wired = bool(edges) and nbytes != 0
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_FLOW_START, now, FlowView(
-                transfer, 0.0, self._route_list[rid] if wired else [])))
-        if not wired:
+        if not edges or nbytes == 0:
             # Local move: no wire time; deliver via a zero-delay event so
             # callback ordering stays consistent with real transfers.
             event = Event(now + 0.0, self._deliver_local, transfer)
@@ -732,9 +726,6 @@ class FlowNetwork(Hookable):
             self._fct_min = fct
         if fct > self._fct_max:
             self._fct_max = fct
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_FLOW_DELIVER, now,
-                                      self._view(slot)))
         self._xfer[slot] = None
         self._event[slot] = None
         self._free.append(slot)
@@ -746,9 +737,6 @@ class FlowNetwork(Hookable):
         transfer.deliver_time = self.engine._now
         self.delivered_count += 1
         self.total_bytes_delivered += transfer.nbytes
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_FLOW_DELIVER, self.engine._now,
-                                      FlowView(transfer, 0.0, [])))
         transfer.callback(transfer)
 
     # ------------------------------------------------------------------

@@ -21,13 +21,9 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.engine.engine import Engine
 from repro.engine.events import Event
-from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import Transfer
 
 _RATE_EPS = 1e-9
-
-HOOK_CIRCUIT_UP = "circuit_up"
-HOOK_CIRCUIT_DOWN = "circuit_down"
 
 Pair = FrozenSet[str]
 
@@ -55,7 +51,7 @@ class _Circuit:
         return self.established and not self.flows and not self.waiting
 
 
-class PhotonicNetwork(Hookable):
+class PhotonicNetwork:
     """Circuit-switching photonic transport.
 
     Parameters
@@ -80,7 +76,6 @@ class PhotonicNetwork(Hookable):
     def __init__(self, engine: Engine, nodes, bandwidth: float,
                  setup_latency: float = 20e-3, ports_per_node: int = 8,
                  link_latency: float = 0.5e-6):
-        super().__init__()
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if ports_per_node < 1:
@@ -163,7 +158,6 @@ class PhotonicNetwork(Hookable):
             self._ports_used[endpoint] -= 1
         del self._circuits[victim.pair]
         self.circuits_torn_down += 1
-        self.invoke_hooks(HookCtx(HOOK_CIRCUIT_DOWN, self.engine.now, victim))
         return True
 
     def _circuit_up(self, circuit: _Circuit) -> None:
@@ -171,7 +165,6 @@ class PhotonicNetwork(Hookable):
         circuit.established = True
         circuit.last_used = self.engine.now
         self.circuits_established += 1
-        self.invoke_hooks(HookCtx(HOOK_CIRCUIT_UP, self.engine.now, circuit))
         waiting, circuit.waiting = circuit.waiting, []
         for flow in waiting:
             self._attach(circuit, flow)

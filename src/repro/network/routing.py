@@ -39,7 +39,7 @@ exactly one run of one strategy.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 DirectedEdge = Tuple[str, str]
 Route = List[DirectedEdge]
@@ -84,11 +84,6 @@ class RoutingStrategy:
         flow starting now.  Called only when ``len(candidates) > 1``."""
         raise NotImplementedError
 
-    def cache_token(self) -> Tuple:
-        """Identity of this strategy's decisions (name + seed); part of
-        route-choice cache keys wherever choices outlive the instance."""
-        return (self.name, self.seed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} seed={self.seed}>"
 
@@ -125,7 +120,7 @@ class EcmpRouting(RoutingStrategy):
 class FlowletRouting(RoutingStrategy):
     """Flowlet-style ECMP: rehash a pair's path after an idle gap.
 
-    While flows of a pair keep starting within :attr:`idle_gap` seconds
+    While flows of a pair keep starting within :attr:`IDLE_GAP` seconds
     of each other they share one hashed path (a *flowlet*); a longer gap
     bumps the pair's salt, so the next burst re-rolls the hash and may
     escape a congested or degraded path.
@@ -134,16 +129,12 @@ class FlowletRouting(RoutingStrategy):
     name = "flowlet"
     dynamic = True
 
-    #: Default idle gap (seconds of virtual time) after which a pair
-    #: re-rolls its path hash; a fraction of a typical collective wave.
-    DEFAULT_IDLE_GAP = 2e-4
+    #: Idle gap (seconds of virtual time) after which a pair re-rolls
+    #: its path hash; a fraction of a typical collective wave.
+    IDLE_GAP = 2e-4
 
-    def __init__(self, seed: int = 0, idle_gap: Optional[float] = None):
+    def __init__(self, seed: int = 0):
         super().__init__(seed)
-        self.idle_gap = float(
-            self.DEFAULT_IDLE_GAP if idle_gap is None else idle_gap)
-        if self.idle_gap < 0:
-            raise ValueError("idle_gap must be non-negative")
         #: (src, dst) -> [salt, last_flow_start_time]
         self._flowlets: Dict[Tuple[str, str], List[float]] = {}
 
@@ -154,7 +145,7 @@ class FlowletRouting(RoutingStrategy):
         if state is None:
             state = self._flowlets[(src, dst)] = [0, now]
         else:
-            if now - state[1] > self.idle_gap:
+            if now - state[1] > self.IDLE_GAP:
                 state[0] += 1
             state[1] = now
         return stable_hash(src, dst, str(state[0]),
@@ -211,22 +202,17 @@ class AdaptiveRouting(RoutingStrategy):
 _STRATEGIES: Dict[str, Type[RoutingStrategy]] = {}
 
 
-def register_routing_strategy(cls: Type[RoutingStrategy],
-                              override: bool = False
+def register_routing_strategy(cls: Type[RoutingStrategy]
                               ) -> Type[RoutingStrategy]:
     """Register a :class:`RoutingStrategy` subclass under ``cls.name``.
 
-    Usable as a decorator.  Raises ``ValueError`` on duplicates unless
-    ``override=True``.
+    Usable as a decorator.  Raises ``ValueError`` on a duplicate name.
     """
     name = cls.name
     if not name or name == RoutingStrategy.name:
         raise ValueError("strategy classes must set a distinct .name")
-    if name in _STRATEGIES and not override:
-        raise ValueError(
-            f"routing strategy {name!r} is already registered; pass "
-            "override=True to replace it"
-        )
+    if name in _STRATEGIES:
+        raise ValueError(f"routing strategy {name!r} is already registered")
     _STRATEGIES[name] = cls
     return cls
 
@@ -236,8 +222,7 @@ def routing_names() -> List[str]:
     return list(_STRATEGIES)
 
 
-def get_routing_strategy(name: str, seed: int = 0,
-                         **kwargs) -> RoutingStrategy:
+def get_routing_strategy(name: str, seed: int = 0) -> RoutingStrategy:
     """Instantiate a registered strategy by name.
 
     Raises ``KeyError`` naming the known strategies for an unknown name —
@@ -248,7 +233,7 @@ def get_routing_strategy(name: str, seed: int = 0,
         raise KeyError(
             f"unknown routing strategy {name!r}; known: {routing_names()}"
         )
-    return _STRATEGIES[name](seed=seed, **kwargs)
+    return _STRATEGIES[name](seed=seed)
 
 
 for _cls in (ShortestPathRouting, EcmpRouting, FlowletRouting,

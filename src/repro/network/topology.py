@@ -367,18 +367,14 @@ class TopologyRegistry:
 
     def register(self, name: str, builder: Callable[..., nx.Graph],
                  params_schema: Optional[Mapping[str, type]] = None,
-                 description: str = "", multipath: bool = False,
-                 override: bool = False) -> TopologyEntry:
+                 description: str = "",
+                 multipath: bool = False) -> TopologyEntry:
         """Register *builder* (``(n, bandwidth, latency, **params)``).
 
-        Raises ``ValueError`` on a duplicate name unless ``override=True``
-        (the hook for swapping in an experimental variant).
+        Raises ``ValueError`` on a duplicate name.
         """
-        if name in self._entries and not override:
-            raise ValueError(
-                f"topology {name!r} is already registered; pass "
-                "override=True to replace it"
-            )
+        if name in self._entries:
+            raise ValueError(f"topology {name!r} is already registered")
         entry = TopologyEntry(
             name=name, builder=builder,
             params_schema=dict(params_schema or {}),

@@ -69,19 +69,6 @@ class GPUExecutionModel:
         self.noise_sigma = noise_sigma
         self.seed = seed
 
-    # ------------------------------------------------------------------
-    # Efficiency curves
-    # ------------------------------------------------------------------
-    def _math_efficiency(self, flops: float, peak: float) -> float:
-        """Achieved fraction of *peak* FLOP/s for an op of *flops* work."""
-        half_work = peak * _MATH_HALF_SATURATION_SECONDS
-        return flops / (flops + half_work)
-
-    def _mem_efficiency(self, nbytes: float) -> float:
-        """Achieved fraction of peak memory bandwidth for *nbytes* moved."""
-        half_bytes = self.spec.mem_bandwidth * _MEM_HALF_SATURATION_SECONDS
-        return _MAX_MEM_EFFICIENCY * nbytes / (nbytes + half_bytes)
-
     def arch_tuning(self, kind: str) -> float:
         """Deterministic per-(GPU, operator-class) kernel-tuning factor."""
         return _arch_tuning(self.spec.name, kind)

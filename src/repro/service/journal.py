@@ -179,15 +179,12 @@ class SweepJournal:
     ----------
     root:
         Directory holding ``journal.jsonl``; created on first append.
-    fsync:
-        Force every record to stable storage before :meth:`append`
-        returns (on by default — the point of a write-ahead journal).
-        Tests may disable it for speed.
+        Every record reaches stable storage before :meth:`append`
+        returns — the point of a write-ahead journal.
     """
 
-    def __init__(self, root: Union[str, Path], fsync: bool = True):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.fsync = fsync
         self._handle = None
 
     @property
@@ -207,8 +204,7 @@ class SweepJournal:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:

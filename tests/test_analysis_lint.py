@@ -662,10 +662,9 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule_id in ("TR001", "CF002", "DV002", "SZ001", "SP001",
                         "NW001", "NW002", "NW003", "NW004", "SZ006",
-                        "PL001", "PL002", "DV001", "DV005", "RC001",
-                        "RC003"):
+                        "PL002", "DV001", "DV005", "RC001", "RC003"):
             assert rule_id in out
-        assert set(re.findall(r"\bPL\d{3}\b", out)) == {"PL001", "PL002"}
+        assert set(re.findall(r"\bPL\d{3}\b", out)) == {"PL002"}
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["verify"]) == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import simulator
 from repro.core.simulator import heartbeat_observer
 from repro.engine.engine import Engine, SimulationLimitError
 
@@ -179,7 +180,9 @@ def test_cancelled_and_requeued_entries_are_never_observed():
     eng.add_observer(lambda t, s, e: seen.append((t, s)))
     eng.call_at(1.0, lambda e: None).cancel()
     moved = eng.call_at(2.0, lambda e: None)
-    eng.reschedule(moved, 3.0)
+    eng.mark_requeued(moved)
+    moved.time = 3.0
+    eng.schedule(moved)
     eng.run()
     assert seen == [(3.0, 2)]
 
@@ -516,7 +519,9 @@ def test_reschedule_moves_event_without_double_dispatch():
     eng = Engine()
     fired = []
     ev = eng.call_at(1.0, lambda e: fired.append(eng.now))
-    eng.reschedule(ev, 3.0)
+    eng.mark_requeued(ev)
+    ev.time = 3.0
+    eng.schedule(ev)
     eng.run()
     assert fired == [3.0]
     assert eng.total_cancelled == 1   # orphaned entry counts as churn
@@ -527,18 +532,21 @@ def test_reschedule_moves_event_without_double_dispatch():
 # ----------------------------------------------------------------------
 
 
-def test_heartbeat_fires_every_n_events():
+def test_heartbeat_fires_every_n_events(monkeypatch):
+    monkeypatch.setattr(simulator, "HEARTBEAT_EVERY", 3)
     eng = Engine()
     beats = []
     eng.add_observer(heartbeat_observer(
-        eng, lambda e: beats.append(e.dispatched_events), every=3))
+        eng, lambda e: beats.append(e.dispatched_events)))
     for i in range(10):
         eng.call_at(float(i), lambda e: None)
     eng.run()
     assert beats == [3, 6, 9]
 
 
-def test_heartbeat_exception_propagates_out_of_run():
+def test_heartbeat_exception_propagates_out_of_run(monkeypatch):
+    monkeypatch.setattr(simulator, "HEARTBEAT_EVERY", 2)
+
     class Budget(Exception):
         pass
 
@@ -547,7 +555,7 @@ def test_heartbeat_exception_propagates_out_of_run():
 
     eng = Engine()
     ran = []
-    eng.add_observer(heartbeat_observer(eng, beat, every=2))
+    eng.add_observer(heartbeat_observer(eng, beat))
     for i in range(5):
         eng.call_at(float(i), lambda e: ran.append(e.time))
     with pytest.raises(Budget):
@@ -557,12 +565,11 @@ def test_heartbeat_exception_propagates_out_of_run():
     assert ran == [0.0]
 
 
-def test_heartbeat_clears_and_validates():
+def test_heartbeat_clears_and_validates(monkeypatch):
+    monkeypatch.setattr(simulator, "HEARTBEAT_EVERY", 1)
     eng = Engine()
-    with pytest.raises(ValueError):
-        heartbeat_observer(eng, lambda e: None, every=0)
     beats = []
-    observer = heartbeat_observer(eng, lambda e: beats.append(1), every=1)
+    observer = heartbeat_observer(eng, lambda e: beats.append(1))
     eng.add_observer(observer)
     eng.remove_observer(observer)
     eng.call_at(1.0, lambda e: None)
@@ -570,12 +577,13 @@ def test_heartbeat_clears_and_validates():
     assert beats == []
 
 
-def test_heartbeat_does_not_perturb_simulated_time():
+def test_heartbeat_does_not_perturb_simulated_time(monkeypatch):
+    monkeypatch.setattr(simulator, "HEARTBEAT_EVERY", 1)
+
     def run(with_beat):
         eng = Engine()
         if with_beat:
-            eng.add_observer(heartbeat_observer(eng, lambda e: None,
-                                                every=1))
+            eng.add_observer(heartbeat_observer(eng, lambda e: None))
         order = []
         for i in range(8):
             eng.call_at(float(i) * 0.5, lambda e, i=i: order.append(i))

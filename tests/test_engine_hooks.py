@@ -29,7 +29,6 @@ class TestHookable:
         target.remove_hook(hook)
         target.invoke_hooks(HookCtx("pos", 1.0))
         assert hook.count == 0
-        assert target.num_hooks == 0
 
     def test_ctx_fields(self):
         target = Hookable()

@@ -20,7 +20,6 @@ from repro.faults import (
     ChaosError,
     DeviceFailure,
     FaultClock,
-    HOOK_FAULT_INJECT,
     FaultSpec,
     LinkFault,
     Straggler,
@@ -307,16 +306,6 @@ STRAGGLED_TASKS = 60
 STRAGGLED_TOTAL = "0x1.74eb04f014b95p-6"
 
 
-class _Recorder:
-    """Hook keeping every context it sees."""
-
-    def __init__(self):
-        self.seen = []
-
-    def func(self, ctx):
-        self.seen.append(ctx)
-
-
 class TestPerturbations:
     def test_straggler_slows_the_run(self, trace):
         baseline = _total(trace, _config())
@@ -408,26 +397,6 @@ class TestPerturbations:
         sim = TrioSim(trace, _config(faults=spec), verify=True)
         sim.run()
         assert not sim.verify_report.has_errors
-
-    def test_injections_reach_trisim_hooks(self, trace):
-        # The injector fires ``fault_inject`` on the task-graph hooks,
-        # which is where ``TrioSim(hooks=)`` attaches.
-        baseline = _total(trace, _config())
-        spec = FaultSpec(
-            link_faults=(LinkFault("gpu0-gpu1", 0.0, baseline / 2, 0.5),),
-            failures=(DeviceFailure("gpu0", baseline / 2),),
-            checkpoint_interval=baseline / 4, checkpoint_cost=0.0,
-            restore_cost=baseline / 10,
-        )
-        hook = _Recorder()
-        sim = TrioSim(trace, _config(faults=spec), hooks=[hook])
-        sim.run()
-        items = [ctx.item for ctx in hook.seen if ctx.pos == HOOK_FAULT_INJECT]
-        assert set(items) == {"link", "checkpoint", "failure"}
-        assert items.count("link") == sim.fault_stats["link_transitions"]
-        assert items.count("failure") == 1
-        assert (items.count("checkpoint")
-                == sim.fault_stats["checkpoints_taken"])
 
 
 # ----------------------------------------------------------------------

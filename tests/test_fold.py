@@ -6,8 +6,8 @@ The load-bearing properties:
   iteration times, and counters to within the fold tolerance (observed
   drift is machine-epsilon scale), and its warm-up iterations match the
   unfolded run *exactly*.
-* **Bit-identical fallback** — anything fold-ineligible (faults, hooks,
-  verify, dynamic routing, ``fold=False``) takes the exact
+* **Bit-identical fallback** — anything fold-ineligible (faults, verify,
+  dynamic routing, ``fold=False``) takes the exact
   event-by-event path and produces results bit-identical to a run with
   folding disabled.
 * **Vector == scalar** — the numpy waterfill returns the exact same
@@ -20,6 +20,7 @@ import random
 import pytest
 
 import repro.network.maxmin as maxmin_mod
+import repro.network.routing as routing_mod
 from repro.analysis import lint_config
 from repro.core.config import SimulationConfig
 from repro.core.fold import (
@@ -35,6 +36,7 @@ from repro.engine.engine import Engine
 from repro.faults.spec import FaultSpec
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
+from repro.network.routing import EcmpRouting
 from repro.network.topology import build_topology
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
@@ -127,7 +129,6 @@ class TestEligibility:
 
     def test_observers_force_exact_path(self):
         config = make_config()
-        assert fold_decision(config, hooks=(object(),)).reason == "hooks"
         assert fold_decision(config, verify=True).reason == "verify"
 
     def test_dynamic_routing_ineligible_static_eligible(self):
@@ -139,13 +140,6 @@ class TestEligibility:
             network = FlowNetwork(engine, topology, routing=name)
             decision = fold_decision(config, network=network)
             assert (None if decision.eligible else decision.reason) == expect
-
-    def test_network_without_snapshot_contract(self):
-        class Opaque:
-            pass
-
-        decision = fold_decision(make_config(), network=Opaque())
-        assert decision.reason == "custom-network"
 
     def test_steady(self):
         assert steady(1.0, 1.0, 0.0)
@@ -302,16 +296,6 @@ class TestExactFallbacks:
         result = TrioSim(trace, make_config(), verify=True).run()
         assert result.profile["fold_status"] == "off:verify"
 
-    def test_hooked_run_auto_disables_bit_identically(self, trace):
-        class Hook:
-            def func(self, ctx):
-                pass
-
-        hooked = TrioSim(trace, make_config(), hooks=(Hook(),)).run()
-        exact = TrioSim(trace, make_config(fold=False)).run()
-        assert hooked.profile["fold_status"] == "off:hooks"
-        assert payload(hooked) == payload(exact)
-
     def test_adaptive_routing_auto_disables(self, trace):
         config = make_config(num_gpus=8, topology="leaf_spine",
                              routing="adaptive")
@@ -370,8 +354,6 @@ class TestVectorWaterfill:
     @pytest.mark.parametrize("topology_name,n", [
         ("ring", 32), ("leaf_spine", 16), ("fat_tree_clos", 16)])
     def test_vector_waterfill_matches_scalar(self, topology_name, n):
-        if maxmin_mod._np is None:
-            pytest.skip("numpy unavailable")
         rng = random.Random(topology_name)
         topology = build_topology(topology_name, n, 25e9, 1e-6)
         network = FlowNetwork(Engine(), topology)
@@ -387,8 +369,6 @@ class TestVectorWaterfill:
         assert vector == scalar
 
     def test_dispatcher_threshold(self, monkeypatch):
-        if maxmin_mod._np is None:
-            pytest.skip("numpy unavailable")
         topology = build_topology("ring", 8, 25e9, 1e-6)
         network = FlowNetwork(Engine(), topology)
         routes, capacity = _synthetic_routes(
@@ -407,8 +387,6 @@ class TestVectorWaterfill:
 
     def test_end_to_end_sim_unchanged_by_vector_path(self, trace,
                                                      monkeypatch):
-        if maxmin_mod._np is None:
-            pytest.skip("numpy unavailable")
         config = SimulationConfig(parallelism="ddp", num_gpus=32,
                                   topology="ring", iterations=1)
         with_vector_threshold_4 = None
@@ -461,3 +439,29 @@ class TestPF001:
         # run stays foldable and the warning would be noise.
         config = make_config(iterations=8, routing="adaptive")
         assert self.findings(config) == []
+
+    def test_dynamic_routing_on_prebuilt_graph_warns(self, trace):
+        # Strategies engage on every prebuilt graph, so the fold gate
+        # rules the run out and the lint must say so.
+        config = make_config(
+            num_gpus=8, routing="adaptive",
+            topology=build_topology("leaf_spine", 8, 25e9, 1e-6))
+        found = self.findings(config)
+        assert len(found) == 1
+        assert "prebuilt" in found[0].message
+        result = TrioSim(trace, config).run()
+        assert result.profile["fold_status"] == "off:dynamic-routing"
+
+    def test_custom_dynamic_strategy_warns(self, trace, monkeypatch):
+        class Sticky(EcmpRouting):
+            name = "sticky"
+            dynamic = True
+
+        monkeypatch.setitem(routing_mod._STRATEGIES, Sticky.name, Sticky)
+        config = make_config(num_gpus=8, topology="leaf_spine",
+                             routing="sticky")
+        found = self.findings(config)
+        assert len(found) == 1
+        assert "'sticky'" in found[0].message
+        result = TrioSim(trace, config).run()
+        assert result.profile["fold_status"] == "off:dynamic-routing"

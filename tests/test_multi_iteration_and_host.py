@@ -142,22 +142,3 @@ class TestHostTransfers:
     def test_off_by_default(self, trace):
         base = self._run(trace, False)
         assert not any(r.name.startswith("h2d:") for r in base.timeline)
-
-
-class _Recorder:
-    """Hook keeping every context it sees."""
-
-    def __init__(self):
-        self.seen = []
-
-    def func(self, ctx):
-        self.seen.append(ctx)
-
-
-class TestMonitorHook:
-    def test_monitor_attaches(self, trace):
-        hook = _Recorder()
-        config = SimulationConfig(parallelism="single")
-        TrioSim(trace, config, hooks=[hook]).run()
-        ends = [ctx for ctx in hook.seen if ctx.pos == "task_end"]
-        assert len(ends) == len(trace.operators)

@@ -79,7 +79,6 @@ class TestStrategyRegistry:
         strat = get_routing_strategy("ecmp", seed=5)
         assert isinstance(strat, EcmpRouting)
         assert strat.seed == 5
-        assert strat.cache_token() == ("ecmp", 5)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="ecmp"):
@@ -92,17 +91,6 @@ class TestStrategyRegistry:
     def test_base_name_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             register_routing_strategy(RoutingStrategy)
-
-    def test_override_and_restore(self):
-        class LoudEcmp(EcmpRouting):
-            pass
-
-        register_routing_strategy(LoudEcmp, override=True)
-        try:
-            assert isinstance(get_routing_strategy("ecmp"), LoudEcmp)
-        finally:
-            register_routing_strategy(EcmpRouting, override=True)
-        assert type(get_routing_strategy("ecmp")) is EcmpRouting
 
 
 class TestCandidateRoutes:
@@ -146,8 +134,9 @@ class TestStrategyChoices:
             picks.append(net.network_summary()["path_choices"])
         assert picks[0] == picks[1]
 
-    def test_flowlet_rehashes_after_idle_gap(self):
-        strat = FlowletRouting(seed=0, idle_gap=1.0)
+    def test_flowlet_rehashes_after_idle_gap(self, monkeypatch):
+        monkeypatch.setattr(FlowletRouting, "IDLE_GAP", 1.0)
+        strat = FlowletRouting(seed=0)
         engine, net = _net(_fabric(spines=16), routing=strat)
         net.send("gpu0", "gpu2", 100.0, lambda t: None)
         engine.run()

@@ -51,13 +51,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             reg.register("line", _line3)
 
-    def test_override_replaces(self):
-        reg = TopologyRegistry()
-        reg.register("line", _line3)
-        reg.register("line", lambda n, bw, lat=1e-6: _line3(2, bw, lat),
-                     override=True)
-        assert reg.build("line", 5, BW).number_of_nodes() == 2
-
     def test_unknown_name_raises_keyerror_naming_known(self):
         with pytest.raises(KeyError, match="leaf_spine"):
             TOPOLOGIES.get("torus9d")

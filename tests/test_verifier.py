@@ -480,6 +480,17 @@ class TestPlanVerification:
 class TestCatalogueAndSarif:
     def test_catalogue_is_complete(self):
         assert check_catalogue() == []
+        assert [r.id for r in DEFAULT_REGISTRY.rules(enabled_only=False)
+                if r.id.startswith("PL")] == ["PL002"]
+
+    def test_catalogue_flags_reused_retired_id(self):
+        from repro.analysis.registry import RuleRegistry, Rule
+
+        registry = RuleRegistry()
+        registry.register(Rule(id="PL001", name="a", category="plan",
+                               severity="error", description="d"))
+        problems = check_catalogue(registry)
+        assert any("retired" in p and "PL001" in p for p in problems)
 
     def test_catalogue_covers_verifier_series(self):
         ids = {r.id for r in DEFAULT_REGISTRY.rules()}
