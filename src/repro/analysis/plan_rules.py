@@ -1,9 +1,8 @@
 """Plan rules: structural checks on a pre-built extrapolation plan.
 
-``repro verify`` runs the plan pass on a plan file before the deep
-verifier (:func:`~repro.analysis.verifier.verify_plan`).  The plan key
-needs no rule: :meth:`~repro.core.plan.PlanCache.get_or_build` checks
-it on every lookup.
+:func:`~repro.analysis.verifier.verify_plan` runs the plan pass before
+the deep verifier, so config and trace verification and the sweep's
+``--verify`` gate all check every plan they build.
 """
 
 from __future__ import annotations

@@ -59,14 +59,17 @@ def verify_taskgraph(sim: Any, topology: Optional[nx.Graph] = None,
 
 def verify_plan(plan: Any, config: Optional[SimulationConfig] = None,
                 registry: Optional[RuleRegistry] = None) -> Report:
-    """Deep-verify a recorded extrapolation plan.
+    """Plan lint (the ``PL`` rules), then deep-verify a recorded
+    extrapolation plan.
 
     With a *config*, slack annotations use its link parameters and DV005
     checks peaks against its target GPU; the findings themselves depend
     only on the plan (two configs sharing a plan key share a verdict).
     """
     registry = registry or DEFAULT_REGISTRY
-    return _run_verify(GraphView.from_plan(plan), config, None, registry)
+    report = _linter.lint_plan(plan, registry)
+    return report.merge(_run_verify(GraphView.from_plan(plan), config, None,
+                                    registry))
 
 
 def plan_summary(plan: Any,
@@ -158,12 +161,10 @@ def verify_spec(source: Any, base_dir: Union[str, Path, None] = None,
 # Files (the CLI entry point)
 # ----------------------------------------------------------------------
 def detect_kind(data: dict) -> str:
-    """Classify a parsed JSON document as trace, plan, spec, faults, or
+    """Classify a parsed JSON document as trace, spec, faults, or
     config."""
     if "operators" in data and "tensors" in data:
         return "trace"
-    if "key" in data and ("columns" in data or "tasks" in data):
-        return "plan"  # "tasks": a version-1 plan, rejected by schema
     if "axes" in data or "trace" in data or "model" in data or "base" in data:
         return "spec"
     if ("stragglers" in data or "link_faults" in data or "failures" in data) \
@@ -175,8 +176,8 @@ def detect_kind(data: dict) -> str:
 #: The rule a file is reported under, per input kind, when it cannot be
 #: read or does not deserialize.  An unreadable file of unknown kind is
 #: reported as a config.
-_SCHEMA_RULE = {"trace": "TR001", "spec": "SP001", "plan": "DV001",
-                "faults": "CF011", "config": "CF011", "auto": "CF011"}
+_SCHEMA_RULE = {"trace": "TR001", "spec": "SP001", "faults": "CF011",
+                "config": "CF011", "auto": "CF011"}
 
 
 def verify_path(path: Union[str, Path], kind: str = "auto",
@@ -204,20 +205,6 @@ def verify_path(path: Union[str, Path], kind: str = "auto",
     if kind == "spec":
         return (verify_spec(data, base_dir=Path(path).parent,
                             registry=registry), kind, info)
-
-    if kind == "plan":
-        from repro.core.plan import ExtrapolationPlan
-
-        try:
-            plan = ExtrapolationPlan.from_dict(data)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            registry.emit(report, _SCHEMA_RULE[kind],
-                          f"plan does not deserialize: {exc}")
-            return report, kind, info
-        report = _linter.lint_plan(plan, registry=registry)
-        report.merge(verify_plan(plan, config=config, registry=registry))
-        info["summary"] = plan_summary(plan, config)
-        return report, kind, info
 
     if kind == "faults":
         try:

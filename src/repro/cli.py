@@ -146,9 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default: spec, then CPU count)")
     sweep_p.add_argument("--cache", default=None, metavar="DIR",
                          help="result cache directory (default: spec's)")
-    sweep_p.add_argument("--timeout", type=float, default=None,
-                         help="alias for --deadline-hard (which wins "
-                              "when both are given)")
     sweep_p.add_argument("--deadline-soft", type=float, default=None,
                          help="cooperative per-point budget, seconds: the "
                               "engine heartbeat stops the point with a "
@@ -157,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--deadline-hard", type=float, default=None,
                          help="hard per-point budget, seconds: SIGALRM/"
                               "watchdog kill (default: spec's "
-                              "deadline_hard, or its legacy timeout)")
+                              "deadline_hard)")
     sweep_p.add_argument("--journal", default=None, metavar="DIR",
                          help="write-ahead journal directory: every "
                               "dispatch and disposition is fsync'd so a "
@@ -188,24 +185,19 @@ def _build_parser() -> argparse.ArgumentParser:
                               "dispatch (VerifyError outcomes) and run the "
                               "sanitizers and determinism race detectors "
                               "on every point")
-    sweep_p.add_argument("--plan-cache", default=None, metavar="DIR",
-                         help="persist extrapolation plans in DIR so the "
-                              "parent builds each distinct plan once and "
-                              "workers load it (default: spec's plan_dir, "
-                              "else in-memory sharing)")
     sweep_p.add_argument("--no-plan-cache", action="store_true",
                          help="disable extrapolation-plan sharing; every "
                               "point re-runs the extrapolator")
 
     verify_p = sub.add_parser(
-        "verify", help="statically check and deep-verify a trace, plan, "
+        "verify", help="statically check and deep-verify a trace, "
                        "config, fault spec, or sweep spec"
     )
     verify_p.add_argument("path", nargs="?", default=None,
                           help="JSON file to verify")
     verify_p.add_argument("--kind", default="auto",
-                          choices=("auto", "trace", "config", "plan",
-                                   "faults", "spec"),
+                          choices=("auto", "trace", "config", "faults",
+                                   "spec"),
                           help="input kind (default: detect from content)")
     verify_p.add_argument("--format", default="text",
                           choices=("text", "json", "sarif"), dest="fmt")
@@ -361,14 +353,6 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec.load(spec_path)
     trace = spec.load_trace(base_dir=spec_path.parent)
     labels, configs = zip(*spec.expand())
-    if args.no_plan_cache:
-        plan_cache = None
-    elif args.plan_cache is not None:
-        plan_cache = args.plan_cache
-    elif spec.plan_dir is not None:
-        plan_cache = spec.plan_dir
-    else:
-        plan_cache = True
     journal = (args.journal if args.journal is not None
                else spec.journal_dir)
     if args.resume and journal is None:
@@ -383,18 +367,16 @@ def _cmd_sweep(args) -> int:
         breaker = CircuitBreaker(**spec.breaker)
     else:
         breaker = bool(spec.breaker) or args.breaker
-    # --timeout is the legacy spelling of --deadline-hard.
-    hard = (args.deadline_hard if args.deadline_hard is not None
-            else args.timeout)
     runner = SweepRunner(
         max_workers=args.workers if args.workers is not None else spec.workers,
         cache=args.cache if args.cache is not None else spec.cache_dir,
         hooks=(_SweepProgress(),),
         verify=args.verify,
-        plan_cache=plan_cache,
+        plan_cache=not args.no_plan_cache,
         deadline_soft=(args.deadline_soft if args.deadline_soft is not None
                        else spec.deadline_soft),
-        deadline_hard=(hard if hard is not None else spec.deadline_hard),
+        deadline_hard=(args.deadline_hard if args.deadline_hard is not None
+                       else spec.deadline_hard),
         journal=journal,
         resume=args.resume,
         breaker=breaker,

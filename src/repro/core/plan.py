@@ -19,10 +19,8 @@ This module splits the pipeline accordingly:
   columns to a live simulator's task store once per iteration (plus
   fence wiring), bit-identical to running the extrapolator directly, at
   a fraction of the cost;
-* :class:`PlanCache` is a bounded in-process LRU with optional
-  content-addressed on-disk persistence, so sweep points that differ only
-  in network/fault parameters — and repeat sweeps, and pool workers —
-  share one extrapolation.
+* :class:`PlanCache` is a bounded in-process LRU, so sweep points that
+  differ only in network/fault parameters share one extrapolation.
 
 The plan key deliberately *excludes* network, topology, host-link, fault,
 per-GPU-slowdown, and iteration parameters: those apply at execute time.
@@ -32,11 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +39,12 @@ from repro.core.config import SimulationConfig
 from repro.core.taskgraph import (
     BARRIER,
     COMPUTE,
-    KIND_NAMES,
     TASK_COLUMNS,
     TRANSFER,
     TaskGraphSimulator,
     intern_meta,
 )
 from repro.trace.trace import Trace, trace_digest
-
-#: Bumped whenever the serialized plan format (or the meaning of a plan
-#: key) changes; part of every key, so stale persisted plans are never
-#: loaded across format changes.
-PLAN_SCHEMA_VERSION = 2
 
 #: Config fields a plan depends on.  Everything else — topology, link
 #: bandwidth/latency, routing/routing_seed, oversubscription, host link
@@ -72,10 +61,6 @@ PLAN_KEY_FIELDS = (
 )
 
 
-class PlanKeyMismatch(ValueError):
-    """A pre-built plan was executed under a config it was not built for."""
-
-
 def plan_invariants(config: SimulationConfig) -> dict:
     """The plan-relevant (iteration-invariant) slice of *config*."""
     return {name: getattr(config, name) for name in PLAN_KEY_FIELDS}
@@ -90,7 +75,6 @@ def plan_key(trace: Trace, config: SimulationConfig) -> str:
     """
     canonical = json.dumps(
         {
-            "plan_schema": PLAN_SCHEMA_VERSION,
             "trace": trace_digest(trace),
             "config": plan_invariants(config),
         },
@@ -118,8 +102,7 @@ def dependency_defects(dep_ptr: np.ndarray,
     """Every entry of a backward dependency CSR that is not an earlier
     row, as ``(position, row, message)`` in position order.
 
-    The one dependency check: :meth:`ExtrapolationPlan.from_dict` rejects
-    the first defect and the verifier's DV001 reports them all.  A
+    The one dependency check, reported by the verifier's DV001.  A
     forward, self or out-of-range reference would corrupt the dependent
     wiring at instantiation.
     """
@@ -138,20 +121,6 @@ def dependency_defects(dep_ptr: np.ndarray,
                        "(plans must reference earlier tasks)")
         out.append((k, row, message))
     return out
-
-
-def _int_array(values: object, what: str) -> np.ndarray:
-    """A JSON list of ints as int64; anything else raises ValueError (a
-    float, string or bool entry would otherwise be coerced)."""
-    if not isinstance(values, list):
-        raise ValueError(f"plan {what} list is missing")
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"invalid {what} {bad!r} (expected an integer)")
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"invalid {what}: beyond the 64-bit range") from None
 
 
 class PlanBuilder:
@@ -296,180 +265,31 @@ class ExtrapolationPlan:
         """
         sim._append_iterations(self, count, start)
 
-    # ------------------------------------------------------------------
-    # Serialization (the on-disk persistence format)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": PLAN_SCHEMA_VERSION,
-            "key": self.key,
-            "columns": {name: list(self.columns[name])
-                        for name in TASK_COLUMNS},
-            "dep_ptr": self.dep_ptr.tolist(),
-            "dep_idx": self.dep_idx.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExtrapolationPlan":
-        """Load a serialized plan.  Malformed input raises ``ValueError``,
-        which puts a corrupt persisted plan on :meth:`PlanCache.get`'s
-        drop-and-rebuild path instead of into a simulation."""
-        if not isinstance(data, dict):
-            raise ValueError("a plan is a JSON object")
-        version = data.get("schema_version")
-        if version != PLAN_SCHEMA_VERSION:
-            raise ValueError(f"unsupported plan schema version {version}")
-        key, columns = data.get("key"), data.get("columns")
-        if not isinstance(key, str) or not isinstance(columns, dict):
-            raise ValueError("plan needs a string key and a columns table")
-        missing = [name for name in TASK_COLUMNS
-                   if not isinstance(columns.get(name), list)]
-        if missing:
-            raise ValueError(f"plan columns missing: {missing}")
-        n = len(columns["kind"])
-        uneven = [name for name in TASK_COLUMNS if len(columns[name]) != n]
-        if uneven:
-            raise ValueError(f"plan columns {uneven} do not have {n} rows")
-        kinds = _int_array(columns["kind"], "kind code")
-        unknown = np.flatnonzero((kinds < 0) | (kinds >= len(KIND_NAMES)))
-        if unknown.size:
-            row = int(unknown[0])
-            raise ValueError(f"plan row {row} has unknown kind code "
-                             f"{columns['kind'][row]!r}")
-        dep_ptr = _int_array(data.get("dep_ptr"), "dep_ptr entry")
-        dep_idx = _int_array(data.get("dep_idx"), "dependency index")
-        if (len(dep_ptr) != n + 1 or dep_ptr[0] != 0
-                or dep_ptr[-1] != len(dep_idx) or np.any(np.diff(dep_ptr) < 0)):
-            raise ValueError("plan dep_ptr is not a row index over dep_idx")
-        defects = dependency_defects(dep_ptr, dep_idx)
-        if defects:
-            k, row, _ = defects[0]
-            raise ValueError(
-                f"plan row {row} ({columns['name'][row]!r}) has an invalid "
-                f"dependency index {data['dep_idx'][k]!r}: dependencies "
-                "must reference earlier rows")
-        return cls({name: columns[name] for name in TASK_COLUMNS},
-                   dep_ptr, dep_idx, key)
-
-    def to_json(self) -> str:
-        """Serialize to JSON (floats round-trip bit-exactly)."""
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExtrapolationPlan":
-        return cls.from_dict(json.loads(text))
-
 
 class PlanCache:
-    """Bounded LRU of :class:`ExtrapolationPlan` entries, optionally
-    persisted to a content-addressed directory.
+    """Bounded in-process LRU of :class:`ExtrapolationPlan` entries."""
 
-    Parameters
-    ----------
-    root:
-        Optional directory for on-disk persistence (created on first
-        store).  With a root, plans survive process boundaries: pool
-        workers and repeat sweeps load instead of re-extrapolating.
-    max_entries:
-        In-memory LRU bound; plans are large (one entry per task), so the
-        default stays small.
-    """
+    #: Plans kept; plans are large (one row per task), so the bound stays
+    #: small and the least recently used plan is dropped beyond it.
+    MAX_ENTRIES = 8
 
-    def __init__(self, root: Union[str, Path, None] = None,
-                 max_entries: int = 8):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.root = Path(root) if root is not None else None
-        self.max_entries = max_entries
-        self._mem: "OrderedDict[str, ExtrapolationPlan]" = OrderedDict()
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.builds = 0
-
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / f"{key}.plan.json"
-
-    def get(self, key: str) -> Optional[ExtrapolationPlan]:
-        """The cached plan for *key* from memory then disk, or ``None``."""
-        plan = self._mem.get(key)
-        if plan is not None:
-            self._mem.move_to_end(key)
-            self.memory_hits += 1
-            return plan
-        if self.root is not None:
-            try:
-                text = self._path(key).read_text()
-            except OSError:
-                return None
-            try:
-                plan = ExtrapolationPlan.from_json(text)
-            except (ValueError, KeyError, IndexError):
-                # Corrupt or stale-schema entry: drop it, treat as a miss.
-                try:
-                    self._path(key).unlink()
-                except OSError:
-                    pass
-                return None
-            if plan.key != key:
-                return None  # content/key mismatch: never trust it
-            self.disk_hits += 1
-            self._remember(key, plan)
-            return plan
-        return None
-
-    def put(self, key: str, plan: ExtrapolationPlan) -> None:
-        """Cache *plan* under *key* in memory and (if rooted) on disk."""
-        if plan.key != key:
-            raise PlanKeyMismatch(
-                f"plan keyed {plan.key[:12]}… cannot be stored as {key[:12]}…"
-            )
-        self._remember(key, plan)
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(plan.to_json())
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-
-    def _remember(self, key: str, plan: ExtrapolationPlan) -> None:
-        self._mem[key] = plan
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.max_entries:
-            self._mem.popitem(last=False)
+    def __init__(self):
+        self._plans: "OrderedDict[str, ExtrapolationPlan]" = OrderedDict()
 
     def get_or_build(self, key: str,
                      build: Callable[[], ExtrapolationPlan]
                      ) -> Tuple[ExtrapolationPlan, str]:
-        """The plan for *key*, building (and caching) on a miss.
+        """The plan for *key*, building (and caching) it on a miss.
 
-        Returns ``(plan, source)`` with source one of ``"memory"``,
-        ``"disk"``, or ``"built"``.
+        Returns ``(plan, source)`` with source ``"memory"`` or
+        ``"built"``.
         """
-        before_disk = self.disk_hits
-        plan = self.get(key)
+        plans = self._plans
+        plan = plans.get(key)
         if plan is not None:
-            return plan, ("disk" if self.disk_hits > before_disk
-                          else "memory")
-        plan = build()
-        self.builds += 1
-        self.put(key, plan)
+            plans.move_to_end(key)
+            return plan, "memory"
+        plan = plans[key] = build()
+        while len(plans) > self.MAX_ENTRIES:
+            plans.popitem(last=False)
         return plan, "built"
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "builds": self.builds,
-            "entries": len(self._mem),
-        }

@@ -7,7 +7,6 @@ cache every result by content, dedup shared preparation work, and keep
 going when individual points fail.
 """
 
-from repro.core.plan import PlanCache
 from repro.service.cache import ResultCache, trace_digest
 from repro.service.journal import (
     JournalMismatchError,
@@ -17,9 +16,7 @@ from repro.service.journal import (
     sweep_fingerprint,
 )
 from repro.service.runner import (
-    HOOK_SWEEP_END,
     HOOK_SWEEP_POINT,
-    HOOK_SWEEP_START,
     CircuitBreaker,
     PointState,
     SweepError,
@@ -32,13 +29,10 @@ from repro.service.spec import SweepSpec
 from repro.service.worker import PointSoftTimeoutError, PointTimeoutError
 
 __all__ = [
-    "HOOK_SWEEP_END",
     "HOOK_SWEEP_POINT",
-    "HOOK_SWEEP_START",
     "CircuitBreaker",
     "JournalMismatchError",
     "JournalState",
-    "PlanCache",
     "PointState",
     "PointSoftTimeoutError",
     "PointTimeoutError",

@@ -14,8 +14,7 @@
   once per point;
 * extrapolation-plan sharing (:mod:`repro.core.plan`) — points differing
   only in network/topology/fault parameters reuse one cached task-graph
-  plan; with a plan directory the parent pre-builds each distinct plan
-  once and workers load it from disk;
+  plan, held in memory by the parent and by each worker process;
 * graceful degradation — a failing config yields a structured
   :class:`SweepError` (with the worker traceback) instead of killing the
   sweep;
@@ -38,9 +37,9 @@
   ``CircuitOpen`` instead of feeding workers to a dying machine, with
   half-open probes to resume once points succeed again;
 * live progress through the existing :mod:`repro.engine.hooks` mechanism —
-  the runner is a :class:`Hookable` and fires ``sweep_start`` /
-  ``sweep_point`` / ``sweep_end`` positions with completed/total counts,
-  cache hit-rate, aggregate simulated-events/sec, and an ETA.
+  the runner is a :class:`Hookable` and fires ``sweep_point`` once per
+  completed point with completed/total counts, cache hit-rate, aggregate
+  simulated-events/sec, and an ETA.
 
 Every point walks one explicit lifecycle (:class:`PointState`), and a
 single transition function, :meth:`SweepRunner._advance`, performs all
@@ -106,9 +105,7 @@ from repro.service.outcome import (
 from repro.trace.trace import Trace
 
 __all__ = [
-    "HOOK_SWEEP_END",
     "HOOK_SWEEP_POINT",
-    "HOOK_SWEEP_START",
     "CircuitBreaker",
     "PointState",
     "SweepError",
@@ -119,9 +116,7 @@ __all__ = [
 ]
 
 #: Hook positions emitted by the runner.
-HOOK_SWEEP_START = "sweep_start"
 HOOK_SWEEP_POINT = "sweep_point"
-HOOK_SWEEP_END = "sweep_end"
 
 
 #: Legal lifecycle moves by source state: the listed targets, plus
@@ -221,13 +216,10 @@ class SweepRunner(Hookable):
         (distinguishable by their ``SZ``/``RC``/``DV`` rule ids).
     plan_cache:
         Extrapolation-plan sharing (see :mod:`repro.core.plan`; on by
-        default).  ``True`` keeps an in-memory :class:`PlanCache` in the
-        parent (in-process points) plus a private one per worker; a
-        directory path (or a rooted :class:`PlanCache`) additionally
-        persists plans, letting the parent pre-build each distinct plan
-        once and every worker load it; ``False``/``None`` disables the
-        cache and every point re-extrapolates.  Results are bit-identical
-        in all three modes.
+        default): an in-memory :class:`PlanCache` in the parent
+        (in-process points and the *verify* gate) plus a private one per
+        worker.  ``False`` disables it and every point re-extrapolates;
+        results are bit-identical either way.
     """
 
     #: Isolated re-executions granted to a point whose worker died; a
@@ -249,7 +241,7 @@ class SweepRunner(Hookable):
                  cache: Union[ResultCache, str, Path, None] = None,
                  hooks: Sequence = (),
                  verify: bool = False,
-                 plan_cache: Union[PlanCache, str, Path, bool, None] = True,
+                 plan_cache: bool = True,
                  deadline_soft: Optional[float] = None,
                  deadline_hard: Optional[float] = None,
                  journal: Union[SweepJournal, str, Path, None] = None,
@@ -260,14 +252,7 @@ class SweepRunner(Hookable):
             else (os.cpu_count() or 1)
         self.cache = (ResultCache(cache)
                       if isinstance(cache, (str, Path)) else cache)
-        if plan_cache is True:
-            self.plan_cache: Optional[PlanCache] = PlanCache()
-        elif isinstance(plan_cache, (str, Path)):
-            self.plan_cache = PlanCache(root=plan_cache)
-        elif isinstance(plan_cache, PlanCache):
-            self.plan_cache = plan_cache
-        else:
-            self.plan_cache = None
+        self.plan_cache = PlanCache() if plan_cache else None
         if (deadline_soft is not None and deadline_hard is not None
                 and deadline_soft > deadline_hard):
             raise ValueError("deadline_soft must not exceed deadline_hard")
@@ -287,18 +272,17 @@ class SweepRunner(Hookable):
         for hook in hooks:
             self.accept_hook(hook)
 
-    def _plan_pass(self, sweep: _Sweep, points: List[SweepOutcome],
-                   verify: bool) -> List[SweepOutcome]:
-        """Build each distinct plan once in the parent; with *verify*,
-        deep-verify it too.  Returns the points that may still run.
+    def _plan_pass(self, sweep: _Sweep,
+                   points: List[SweepOutcome]) -> List[SweepOutcome]:
+        """Build and deep-verify each distinct plan once in the parent.
+        Returns the points that may still run.
 
         Points differing only in execute-time parameters share an
-        extrapolation plan, so a 16-point network sweep builds (and
-        verifies) one graph, not sixteen; the plans land in the plan
-        cache and the sweep itself reuses them — with a disk-backed
-        cache, pool workers load instead of re-extrapolating.  A config
-        whose graph can't even be built is passed through: it fails
-        identically, with a proper error record, when its point runs.
+        extrapolation plan, so a 16-point network sweep builds and
+        verifies one graph, not sixteen; the plans land in the parent's
+        plan cache, which in-process points reuse.  A config whose graph
+        can't even be built is passed through: it fails identically,
+        with a proper error record, when its point runs.
         """
         from repro.analysis.verifier import verify_plan
 
@@ -317,8 +301,7 @@ class SweepRunner(Hookable):
                         plan, source = self.plan_cache.get_or_build(
                             key, sim.build_plan)
                         sweep.metrics.plan_builds += source == "built"
-                    reports[key] = (verify_plan(plan, config=outcome.config)
-                                    if verify else None)
+                    reports[key] = verify_plan(plan, config=outcome.config)
                 report = reports[key]
             except Exception:
                 report = None
@@ -342,9 +325,6 @@ class SweepRunner(Hookable):
         started = _wall.perf_counter()
         metrics = SweepMetrics(total=len(configs))
         self.last_metrics = metrics
-        self.invoke_hooks(
-            HookCtx(HOOK_SWEEP_START, 0.0, item=None, detail=metrics.detail())
-        )
 
         outcomes = [
             SweepOutcome(index=i, config=cfg, label=labels[i])
@@ -372,7 +352,7 @@ class SweepRunner(Hookable):
                     self._reject(sweep, outcome, report)
                 else:
                     admitted.append(outcome)
-            survivors = (self._plan_pass(sweep, admitted, verify=True)
+            survivors = (self._plan_pass(sweep, admitted)
                          if self.verify else admitted)
 
             # Cache pass: satisfy points without any simulation.
@@ -403,23 +383,20 @@ class SweepRunner(Hookable):
                 self._run_inproc(sweep, inproc)
         except KeyboardInterrupt:
             # Mark everything that never reached a terminal state, leave
-            # a clean journal tail, fire sweep_end, and let the
-            # interrupt propagate (the CLI exits 130).
+            # a clean journal tail, and let the interrupt propagate (the
+            # CLI exits 130).
             for outcome in outcomes:
                 if outcome.state not in TERMINAL_STATES:
                     self._advance(sweep, outcome, PointState.INTERRUPTED)
-            self._close(sweep, outcomes)
+            self._close(sweep)
             raise
-        self._close(sweep, outcomes)
+        self._close(sweep)
         return outcomes
 
-    def _close(self, sweep: _Sweep, outcomes: List[SweepOutcome]) -> None:
-        """Fire ``sweep_end`` and write the journal's end record."""
+    def _close(self, sweep: _Sweep) -> None:
+        """Stamp the sweep's elapsed time and write the journal's end
+        record."""
         sweep.metrics.elapsed = _wall.perf_counter() - sweep.started
-        self.invoke_hooks(
-            HookCtx(HOOK_SWEEP_END, 0.0, item=outcomes,
-                    detail=sweep.metrics.detail())
-        )
         if self.journal is not None:
             self.journal.end(sweep.metrics.detail())
             self.journal.close()
@@ -572,7 +549,7 @@ class SweepRunner(Hookable):
             metrics.fresh_events += result.events
             plan_source = result.profile.get("plan_source")
             metrics.plan_builds += plan_source == "built"
-            metrics.plan_cache_hits += plan_source in ("memory", "disk")
+            metrics.plan_cache_hits += plan_source == "memory"
             if self.cache is not None and outcome.config.is_serializable:
                 self.cache.store(
                     self.cache.point_key(sweep.base_key, outcome.config,
@@ -683,17 +660,13 @@ class SweepRunner(Hookable):
     def _new_pool(self, workers: int,
                   traces: Dict[str, Trace]) -> ProcessPoolExecutor:
         """The executor points are dispatched to — the single seam
-        between the lifecycle and the processes running it.
-
-        Workers get the plan cache as ``None`` (disabled), ``""``
-        (private in-memory) or the shared directory.
+        between the lifecycle and the processes running it.  Each worker
+        gets a private plan cache unless plan sharing is off.
         """
-        plans = self.plan_cache
-        plan_mode = None if plans is None else str(plans.root or "")
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker.init_worker,
-            initargs=(traces, plan_mode),
+            initargs=(traces, self.plan_cache is not None),
         )
 
     def _submit(self, pool, sweep: _Sweep,
@@ -724,8 +697,6 @@ class SweepRunner(Hookable):
         for outcome in points:
             trace = rescale(sweep.trace, outcome.config.gpu)
             sweep.traces[trace.gpu_name] = trace
-        if self.plan_cache is not None and self.plan_cache.root is not None:
-            self._plan_pass(sweep, points, verify=False)
         crashed = self._parallel_wave(sweep, points, workers)
         if crashed:
             self._retry_crashed(sweep, crashed)

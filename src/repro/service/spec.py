@@ -11,7 +11,6 @@ are cross-producted::
                 "link_bandwidth": [25e9, 100e9, 234e9]},
       "workers": 4,
       "cache_dir": ".repro-cache",
-      "plan_dir": ".repro-plans",
       "journal_dir": ".repro-journal",
       "deadline_soft": 60,
       "deadline_hard": 120,
@@ -38,7 +37,7 @@ from repro.trace.trace import Trace
 
 _TOP_LEVEL_KEYS = {
     "trace", "model", "gpu", "batch", "seq_len",
-    "base", "axes", "workers", "cache_dir", "timeout", "plan_dir",
+    "base", "axes", "workers", "cache_dir",
     "journal_dir", "deadline_soft", "deadline_hard", "breaker",
 }
 
@@ -56,15 +55,11 @@ class SweepSpec:
     seq_len: Optional[int] = None
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
-    #: Directory for the persistent extrapolation-plan cache
-    #: (``docs/plans.md``); ``None`` keeps plan sharing in-memory only.
-    plan_dir: Optional[str] = None
     #: Directory for the crash-safe write-ahead journal
     #: (``docs/resilience.md``); ``None`` disables journaling.
     journal_dir: Optional[str] = None
     #: Per-point deadline budgets (seconds): cooperative soft stop and
-    #: hard kill.  The legacy ``timeout`` key is read as ``deadline_hard``
-    #: (which wins when both are given).
+    #: hard kill.
     deadline_soft: Optional[float] = None
     deadline_hard: Optional[float] = None
     #: Dispatch circuit breaker: ``True`` for defaults, or a dict of
@@ -113,12 +108,9 @@ class SweepSpec:
             seq_len=data.get("seq_len"),
             workers=data.get("workers"),
             cache_dir=data.get("cache_dir"),
-            plan_dir=data.get("plan_dir"),
             journal_dir=data.get("journal_dir"),
             deadline_soft=data.get("deadline_soft"),
-            deadline_hard=(data["deadline_hard"]
-                           if data.get("deadline_hard") is not None
-                           else data.get("timeout")),
+            deadline_hard=data.get("deadline_hard"),
             breaker=data.get("breaker"),
         )
 

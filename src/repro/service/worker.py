@@ -194,8 +194,7 @@ _TRACES: Dict[str, Trace] = {}
 _PLAN_CACHE: Optional[PlanCache] = None
 
 
-def init_worker(traces: Dict[str, Trace],
-                plan_mode: Optional[str] = "") -> None:
+def init_worker(traces: Dict[str, Trace], share_plans: bool = True) -> None:
     """Pool initializer: receive every prepared trace exactly once.
 
     *traces* is the sweep's ``{gpu_name: Trace}`` table, built by the
@@ -203,22 +202,13 @@ def init_worker(traces: Dict[str, Trace],
     it without any pickling; under ``spawn`` or ``forkserver`` it
     crosses as one plain pickle per worker.
 
-    *plan_mode* configures plan caching in this process: ``None``
-    disables it, ``""`` (the default) gives the worker a private
-    in-memory :class:`PlanCache`, and any other string is a directory a
-    disk-backed cache shares with the parent and sibling workers — the
-    parent pre-builds each distinct plan there, so workers only ever
-    load.
+    With *share_plans* the worker keeps a private in-memory
+    :class:`PlanCache`; without, every point it runs re-extrapolates.
     """
     global _PLAN_CACHE
     _TRACES.clear()
     _TRACES.update(traces)
-    if plan_mode is None:
-        _PLAN_CACHE = None
-    elif plan_mode == "":
-        _PLAN_CACHE = PlanCache()
-    else:
-        _PLAN_CACHE = PlanCache(root=plan_mode)
+    _PLAN_CACHE = PlanCache() if share_plans else None
 
 
 def simulate_point(trace: Trace, config: SimulationConfig,

@@ -20,9 +20,10 @@ from repro.analysis import (
     render_json,
     render_text,
     verify_path,
+    verify_plan,
 )
 from repro.cli import main
-from tests.plan_edits import set_deps
+from tests.plan_edits import plan_file, rewired
 
 
 @pytest.fixture(scope="module")
@@ -448,43 +449,34 @@ class TestSpecLint:
 # ----------------------------------------------------------------------
 class TestPlanLint:
     @pytest.fixture(scope="class")
-    def plan_dict(self, trace):
+    def plan(self, trace):
         from repro import TrioSim
 
         sim = TrioSim(trace, SimulationConfig(parallelism="ddp", num_gpus=2),
                       record_timeline=False)
-        return sim.build_plan().to_dict()
+        return sim.build_plan()
 
-    def test_verify_path_clean_plan(self, tmp_path, plan_dict):
+    def test_verify_path_clean_plan(self, tmp_path, plan):
+        # A plan file written by an older version is not an input kind:
+        # it reads as a config whose plan fields are unknown.
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan_dict))
+        path.write_text(json.dumps(plan_file(plan)))
         report, kind, _ = verify_path(path)
-        assert kind == "plan" and report.ok
+        assert kind == "config" and rule_ids(report) == {"CF011"}
+        assert "['columns', 'dep_idx', 'dep_ptr', 'key']" in \
+            report.findings[0].message
 
-    def test_dv001_corrupt_plan(self, tmp_path, plan_dict):
+    def test_dv001_corrupt_plan(self, plan):
         # Row 0 depends on row 5: a forward dependency reference.
-        corrupt = set_deps(copy.deepcopy(plan_dict), 0, [5])
-        path = tmp_path / "bad_plan.json"
-        path.write_text(json.dumps(corrupt))
-        report, kind, _ = verify_path(path)
-        assert kind == "plan"
+        report = verify_plan(rewired(plan, 0, [5]))
         assert rule_ids(report) == {"DV001"}
+        assert "points forward" in report.findings[0].message
 
-    def test_dv001_bad_schema_version(self, tmp_path, plan_dict):
-        corrupt = copy.deepcopy(plan_dict)
-        corrupt["schema_version"] = 999
-        path = tmp_path / "bad_plan.json"
-        path.write_text(json.dumps(corrupt))
-        report, _, _ = verify_path(path, kind="plan")
-        assert rule_ids(report) == {"DV001"}
+    def test_pl002_empty_plan(self):
+        from repro.core.plan import PlanBuilder
 
-    def test_pl002_empty_plan_file(self, tmp_path, plan_dict):
-        empty = dict(plan_dict, dep_ptr=[0], dep_idx=[],
-                     columns={name: [] for name in plan_dict["columns"]})
-        path = tmp_path / "empty.plan.json"
-        path.write_text(json.dumps(empty))
-        report, kind, _ = verify_path(path)
-        assert kind == "plan" and not report.has_errors
+        report = verify_plan(PlanBuilder().finish("0" * 64))
+        assert not report.has_errors
         assert rule_ids(report) == {"PL002"}
 
     def test_verify_path_faults_kind(self, tmp_path):
@@ -541,7 +533,7 @@ class TestReporting:
         assert kind == "trace" and report.ok
 
     @pytest.mark.parametrize("kind, rule", [
-        ("trace", "TR001"), ("spec", "SP001"), ("plan", "DV001"),
+        ("trace", "TR001"), ("spec", "SP001"),
         ("faults", "CF011"), ("config", "CF011"), ("auto", "CF011"),
     ])
     def test_verify_path_unreadable(self, tmp_path, kind, rule):

@@ -254,17 +254,15 @@ class TestSweepBreakerFlags:
         assert main(["sweep", str(path), "--breaker", "--no-breaker"]) == 0
         assert captured_runner_kwargs["breaker"] is None
 
-    def test_legacy_timeout_spellings_become_deadline_hard(
+    def test_deadline_hard_comes_from_spec_or_flag(
             self, trace_file, tmp_path, captured_runner_kwargs):
-        path = self._spec(trace_file, tmp_path, timeout=30.0)
+        path = self._spec(trace_file, tmp_path, deadline_hard=30.0)
         assert main(["sweep", str(path)]) == 0
         assert captured_runner_kwargs["deadline_hard"] == 30.0
-        assert "timeout" not in captured_runner_kwargs
-        assert main(["sweep", str(path), "--timeout", "20"]) == 0
-        assert captured_runner_kwargs["deadline_hard"] == 20.0
-        assert main(["sweep", str(path), "--timeout", "20",
-                     "--deadline-hard", "10"]) == 0
+        assert main(["sweep", str(path), "--deadline-hard", "10"]) == 0
         assert captured_runner_kwargs["deadline_hard"] == 10.0
+        with pytest.raises(SystemExit):
+            main(["sweep", str(path), "--timeout", "20"])
 
 
 class TestSaveResult:

@@ -14,11 +14,9 @@ from repro.faults.spec import FaultSpec, LinkFault
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
 from repro.network.routing import (
-    AdaptiveRouting,
     EcmpRouting,
     FlowletRouting,
     RoutingStrategy,
-    ShortestPathRouting,
     get_routing_strategy,
     register_routing_strategy,
     routing_names,

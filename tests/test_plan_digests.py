@@ -14,11 +14,14 @@ import json
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.core.plan import plan_invariants
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.gpus.specs import get_gpu
+from repro.trace.trace import trace_digest
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
+from tests.plan_edits import plan_file
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +98,9 @@ def test_plan_digest_is_pinned(traces, case):
     assert plan_digest(plan) == DIGESTS[case]
 
 
-#: ``sha256(plan.to_json())[:16]`` of ResNet-18 plans, recorded when each
-#: row still carried its own metadata dict.
+#: ``sha256`` prefixes of ResNet-18 plans in the plan file layout
+#: (:func:`~tests.plan_edits.plan_file`), recorded when each row still
+#: carried its own metadata dict.
 JSON_DIGESTS = {
     "ddp": ("resnet18", dict(parallelism="ddp", num_gpus=4),
             "82a6115a812c9924"),
@@ -105,15 +109,27 @@ JSON_DIGESTS = {
 }
 
 
+def file_key(sim: TrioSim) -> str:
+    """The key a plan file carried: the plan key with its file format
+    version (2) folded in."""
+    canonical = json.dumps({"plan_schema": 2,
+                            "trace": trace_digest(sim.trace),
+                            "config": plan_invariants(sim.config)},
+                           sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(JSON_DIGESTS))
 def test_equal_metadata_is_one_dict(traces, case):
     model, fields, digest = JSON_DIGESTS[case]
-    plan = TrioSim(traces[model], SimulationConfig(**fields),
-                   record_timeline=False).build_plan()
+    sim = TrioSim(traces[model], SimulationConfig(**fields),
+                  record_timeline=False)
+    plan = sim.build_plan()
     metas = plan.columns["meta"]
     distinct = {json.dumps(meta) for meta in metas}
     assert len({id(meta) for meta in metas}) == len(distinct) < len(metas)
-    assert hashlib.sha256(plan.to_json().encode()).hexdigest()[:16] == digest
+    text = json.dumps(plan_file(plan, key=file_key(sim)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_simulator_rows_share_equal_metadata():

@@ -224,7 +224,7 @@ class _FakePool:
     """
 
     def __init__(self, script, workers, traces):
-        worker_mod.init_worker(traces, "")
+        worker_mod.init_worker(traces)
         self.script = script
         self.eager = workers == 1
         self.pending = {}
@@ -326,7 +326,8 @@ def _faulty_run(trace, configs, journal_dir, rng, monkeypatch, resume,
     chunk = rng.choice([None, 1, 2, 3])
     monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.0)
     runner = SweepRunner(max_workers=workers, journal=journal_dir,
-                         resume=resume, breaker=breaker, hooks=[captured])
+                         resume=resume, breaker=breaker)
+    captured.watch(runner, monkeypatch)
     if chunk is not None:
         monkeypatch.setattr(runner, "_chunk_size", lambda n, w: chunk)
     # Calm runs, crash storms (which reach the rescue rung and trip the
@@ -354,15 +355,22 @@ def _faulty_run(trace, configs, journal_dir, rng, monkeypatch, resume,
 
 
 class _Capture:
-    """Keeps the outcome list a run reports at sweep_end (the only way
-    to see an interrupted run's outcomes)."""
+    """Keeps the outcome list a run builds (the only way to see an
+    interrupted run's outcomes): every run hands it to
+    ``_journal_open`` before any point moves, and the points change
+    state in place."""
 
     def __init__(self):
         self.last_outcomes = []
 
-    def func(self, ctx):
-        if ctx.pos == "sweep_end":
-            self.last_outcomes = ctx.item
+    def watch(self, runner, monkeypatch):
+        real = runner._journal_open
+
+        def journal_open(sweep, outcomes):
+            self.last_outcomes = outcomes
+            return real(sweep, outcomes)
+
+        monkeypatch.setattr(runner, "_journal_open", journal_open)
 
 
 @pytest.mark.parametrize("seed", range(80))

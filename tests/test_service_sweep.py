@@ -25,9 +25,7 @@ from repro.perfmodel.scaling import CrossGPUScaler
 from repro.service import worker as worker_mod
 from repro.service.cache import ResultCache, trace_digest
 from repro.service.runner import (
-    HOOK_SWEEP_END,
     HOOK_SWEEP_POINT,
-    HOOK_SWEEP_START,
     SweepMetrics,
     SweepOutcome,
     SweepPointError,
@@ -135,9 +133,9 @@ class _InlinePool:
     ``forkserver`` start methods give initargs, then run each
     submission at once in this process."""
 
-    def __init__(self, traces, plan_mode):
+    def __init__(self, traces):
         self.loaded = pickle.loads(pickle.dumps(traces))
-        worker_mod.init_worker(self.loaded, plan_mode)
+        worker_mod.init_worker(self.loaded)
 
     def submit(self, fn, payload):
         future = Future()
@@ -177,7 +175,7 @@ class TestTraceTable:
         pools = []
 
         def inline(self, workers, traces):
-            pools.append((traces, _InlinePool(traces, "")))
+            pools.append((traces, _InlinePool(traces)))
             return pools[-1][1]
 
         monkeypatch.setattr(SweepRunner, "_new_pool", inline)
@@ -380,9 +378,7 @@ class TestProgressHooks:
         hook = _Collector()
         configs = _grid()
         SweepRunner(max_workers=1, hooks=[hook]).run(trace, configs)
-        positions = [c.pos for c in hook.ctxs]
-        assert positions[0] == HOOK_SWEEP_START
-        assert positions[-1] == HOOK_SWEEP_END
+        assert {c.pos for c in hook.ctxs} == {HOOK_SWEEP_POINT}
         points = [c for c in hook.ctxs if c.pos == HOOK_SWEEP_POINT]
         assert len(points) == len(configs)
         assert [c.detail["completed"] for c in points] == \
@@ -469,8 +465,10 @@ class TestSweepSpec:
             SweepSpec(model="resnet18", axes={"num_gpu": [2]})
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep spec keys"):
-            SweepSpec.from_dict({"model": "resnet18", "axis": {}})
+        # plan_dir and timeout are removed keys: rejected, not ignored.
+        for key in ("axis", "plan_dir", "timeout"):
+            with pytest.raises(ValueError, match="unknown sweep spec keys"):
+                SweepSpec.from_dict({"model": "resnet18", key: {}})
 
     def test_load_trace_resolves_relative_paths(self, trace, tmp_path):
         trace.save(tmp_path / "t.json")

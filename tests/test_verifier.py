@@ -31,7 +31,7 @@ from repro.engine.events import Event
 from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
-from tests.plan_edits import set_deps
+from tests.plan_edits import plan_file, rewired
 
 
 @pytest.fixture(scope="module")
@@ -413,49 +413,39 @@ class TestVerifyIntegration:
 # Plans, path dispatch, and kind detection
 # ----------------------------------------------------------------------
 class TestPlanVerification:
-    def test_plan_round_trip_verifies_clean(self, plan):
-        clone = ExtrapolationPlan.from_json(plan.to_json())
-        assert verify_plan(clone).ok
-
-    @pytest.mark.parametrize("row,dep", [
-        (0, 5), (-1, 10 ** 9), (3, 3), (-1, -1), (-1, 2.5), (-1, "3"),
-        (-1, True),
-    ], ids=["forward", "out-of-range", "self", "negative", "float",
-            "string", "bool"])
-    def test_from_dict_rejects_bad_dep(self, plan, row, dep):
-        data = set_deps(plan.to_dict(), row % len(plan), [dep])
-        with pytest.raises(ValueError, match="invalid dependency index"):
-            ExtrapolationPlan.from_dict(data)
-
     def test_graphview_flags_tampered_plan(self, plan):
-        clone = ExtrapolationPlan.from_json(plan.to_json())
-        # Self dependency, post-validation: row 3's first index is itself.
-        assert clone.dep_ptr[4] > clone.dep_ptr[3]
-        clone.dep_idx[clone.dep_ptr[3]] = 3
+        # Self dependency: row 3's first index is itself.
+        assert plan.dep_ptr[4] > plan.dep_ptr[3]
+        dep_idx = plan.dep_idx.copy()
+        dep_idx[plan.dep_ptr[3]] = 3
+        clone = ExtrapolationPlan(plan.columns, plan.dep_ptr, dep_idx,
+                                  plan.key)
         report = verify_plan(clone)
         assert rule_ids(report) == {"DV001"}
         assert "depends on itself" in report.findings[0].message
 
     def test_detect_kind_plan_and_faults(self, plan):
-        assert detect_kind(plan.to_dict()) == "plan"
+        # Plan files are no longer an input kind: one reads as a config.
+        assert detect_kind(plan_file(plan)) == "config"
         assert detect_kind({"stragglers": [
             {"gpu": "gpu1", "factor": 2.0}]}) == "faults"
 
     def test_verify_path_plan(self, tmp_path, plan):
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(json.dumps(plan_file(plan)))
         report, kind, info = verify_path(path)
-        assert kind == "plan" and report.ok
-        assert info["summary"]["tasks"] == len(plan)
+        assert kind == "config" and report.has_errors
+        assert rule_ids(report) == {"CF011"}
+        assert "summary" not in info
 
     def test_verify_path_corrupt_plan(self, tmp_path, plan):
-        data = set_deps(plan.to_dict(), 0, [5])
+        data = plan_file(rewired(plan, 0, [5]))
+        del data["columns"]["meta"]
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(data))
         report, kind, _ = verify_path(path)
-        assert kind == "plan"
-        assert rule_ids(report) == {"DV001"}
-        assert "does not deserialize" in report.findings[0].message
+        assert kind == "config"
+        assert rule_ids(report) == {"CF011"}
 
     def test_verify_path_trace_with_config(self, tmp_path, trace):
         path = tmp_path / "trace.json"
@@ -508,10 +498,8 @@ class TestCatalogueAndSarif:
         assert problems and any("DV" in p for p in problems)
 
     def test_sarif_document_shape(self, tmp_path, plan):
-        data = set_deps(plan.to_dict(), 0, [5])
+        report = verify_plan(rewired(plan, 0, [5]))
         path = tmp_path / "bad_plan.json"
-        path.write_text(json.dumps(data))
-        report, _, _ = verify_path(path)
         doc = json.loads(render_sarif(report, source=str(path)))
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -559,17 +547,12 @@ class TestVerifyCli:
         assert "clean" in out and "graph:" in out and "critical path" in out
 
     def test_corrupt_plan_exits_one(self, tmp_path, plan, capsys):
-        data = set_deps(plan.to_dict(), 0, [5])
-        path = tmp_path / "bad_plan.json"
-        path.write_text(json.dumps(data))
+        # A plan file, corrupt or not, is an unknown config: one finding
+        # and exit 1, not a traceback.
+        path = tmp_path / "bad.plan.json"
+        path.write_text(json.dumps(plan_file(rewired(plan, 0, [5]))))
         assert main(["verify", str(path)]) == 1
-        assert "DV001" in capsys.readouterr().out
-
-    def test_clean_plan_exits_zero(self, tmp_path, plan, capsys):
-        path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
-        assert main(["verify", str(path)]) == 0
-        assert "clean" in capsys.readouterr().out
+        assert "CF011" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert main(["verify", "--list-rules"]) == 0
