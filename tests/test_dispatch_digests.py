@@ -7,6 +7,11 @@ count to values recorded when it was proven dispatch-identical to the
 per-object dependency walk it replaced, and check that the verifier's
 runtime tier (sanitizers and race detectors) observes that same
 schedule.
+
+Each case also pins its task-table digest (``tests/task_table.py``):
+the outcome alone.  A change that reaches the same outcome with fewer
+events re-records the dispatch digest and the event count, and leaves
+the task-table digest where it is.
 """
 
 import pytest
@@ -24,6 +29,7 @@ from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology, ring
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
+from tests.task_table import task_table_digest
 
 _MASK = (1 << 64) - 1
 
@@ -70,12 +76,13 @@ def observed(monkeypatch):
     return digest
 
 
-@pytest.mark.parametrize("faulted,digest,total", [
-    (True, "1f230fd73109a37c", 0.022191069952813544),
-    (False, "9b34ac9e49f24202", 0.015341225055199572),
-])
-def test_quick_engine_scenario_under_sanitize_and_verify(trace, faulted,
-                                                         digest, total):
+@pytest.mark.parametrize("faulted,digest,table,total", [
+    (True, "1f230fd73109a37c", "6f640fd1d0a383ce", 0.022191069952813544),
+    (False, "9b34ac9e49f24202", "cdc9200ab0252193", 0.015341225055199572),
+], ids=["faulted", "clean"])
+def test_quick_engine_scenario_under_sanitize_and_verify(trace, task_tables,
+                                                         faulted, digest,
+                                                         table, total):
     config = SimulationConfig(
         parallelism="ddp", num_gpus=16, topology="leaf_spine",
         link_bandwidth=234e9, iterations=2, routing="adaptive",
@@ -90,6 +97,7 @@ def test_quick_engine_scenario_under_sanitize_and_verify(trace, faulted,
         assert sim.verify_report.ok and not sim.verify_report.findings
         digests.append(sim.verify_digest)
     assert digests[0] == digests[1]
+    assert [task_table_digest(store) for store in task_tables] == [table] * 2
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +110,12 @@ def resnet50_plans():
     return PlanCache()
 
 
-@pytest.mark.parametrize("faulted,digest,total", [
-    (True, "28c9f1ca8f4caee0", 0.2053144305068356),
-    (False, "cde0e7e7865bc072", 0.18863803921515243),
-])
+@pytest.mark.parametrize("faulted,digest,table,total", [
+    (True, "28c9f1ca8f4caee0", "1b2b441996ae488c", 0.2053144305068356),
+    (False, "cde0e7e7865bc072", "158fff894cce86f5", 0.18863803921515243),
+], ids=["faulted", "clean"])
 def test_full_engine_scenario(resnet50_trace, resnet50_plans, observed,
-                              faulted, digest, total):
+                              task_tables, faulted, digest, table, total):
     """The same scenario at 64 GPUs with ResNet-50: the full scale of
     the engine benchmark, 192,303 events on the exact path."""
     config = SimulationConfig(
@@ -119,9 +127,10 @@ def test_full_engine_scenario(resnet50_trace, resnet50_plans, observed,
     assert str(observed) == digest
     assert result.total_time == total
     assert result.events == 192303
+    assert [task_table_digest(store) for store in task_tables] == [table]
 
 
-def test_folded_ddp_run(trace, observed):
+def test_folded_ddp_run(trace, observed, task_tables):
     config = SimulationConfig(parallelism="ddp", num_gpus=8, topology="ring",
                               link_bandwidth=100e9, iterations=8)
     result = TrioSim(trace, config, record_timeline=False).run()
@@ -129,9 +138,11 @@ def test_folded_ddp_run(trace, observed):
     assert str(observed) == "697d78edd5efdadd"
     assert result.total_time == 0.06135216481156757
     assert result.events == 3895
+    assert [task_table_digest(store) for store in task_tables] == [
+        "99afa7b459016677"]
 
 
-def test_not_steady_fallback(trace, observed):
+def test_not_steady_fallback(trace, observed, task_tables):
     config = SimulationConfig(parallelism="pp", num_gpus=4, topology="ring",
                               link_bandwidth=100e9, iterations=6, chunks=4,
                               fold_warmup=2, fold_tolerance=0.0)
@@ -140,6 +151,8 @@ def test_not_steady_fallback(trace, observed):
     assert str(observed) == "c45410a20be995e0"
     assert result.total_time == 0.027344143128436367
     assert result.events == 3971
+    assert [task_table_digest(store) for store in task_tables] == [
+        "15912000d152d9d4"]
 
 
 def test_direct_built_ring_all_reduce():
@@ -158,6 +171,7 @@ def test_direct_built_ring_all_reduce():
     assert sim.run() == 0.0013482911999999996
     assert str(digest) == "91bfee92ae015923"
     assert engine.dispatched_events == 2218
+    assert task_table_digest(sim.store) == "55b9ddde5438edcb"
     assert all(task.done for task in sim.tasks)
 
 
@@ -169,3 +183,4 @@ def test_empty_plan_releases_its_fences():
     assert [fence.name for fence in sim.fences] == ["iteration1",
                                                     "iteration2"]
     assert [fence.end_time for fence in sim.fences] == [0.0, 0.0]
+    assert task_table_digest(sim.store) == "7678d1e0a9940b00"

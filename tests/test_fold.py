@@ -40,6 +40,7 @@ from repro.network.routing import EcmpRouting
 from repro.network.topology import build_topology
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
+from tests.task_table import recorded_tables, task_table_digest
 
 
 @pytest.fixture(scope="module")
@@ -248,21 +249,26 @@ class TestFoldAtScale:
         scale = dict(num_gpus=16, link_bandwidth=234e9, iterations=8,
                      fold_warmup=1)
         config = make_config(**scale)
-        folded, exact = (
-            TrioSim(trace, make_config(fold=fold, **scale),
-                    record_timeline=False, plan_cache=cache).run()
-            for fold in (True, False))
-        return config, folded, exact
+        with recorded_tables() as stores:
+            folded, exact = (
+                TrioSim(trace, make_config(fold=fold, **scale),
+                        record_timeline=False, plan_cache=cache).run()
+                for fold in (True, False))
+        return config, folded, exact, [task_table_digest(s) for s in stores]
+
+    def test_task_tables_pinned(self, pair):
+        *_, tables = pair
+        assert tables == ["bda47511e2bddda0", "6488e71f5b6f1872"]
 
     def test_event_counts_pinned(self, pair):
-        _, folded, exact = pair
+        _, folded, exact, _ = pair
         assert folded.profile["fold_status"] == "folded"
         assert folded.profile["counters"]["iterations_folded"] == 7
         assert (exact.events, folded.events) == (39455, 4931)
         assert exact.events >= 3 * folded.events
 
     def test_drift_within_tolerance(self, pair):
-        config, folded, exact = pair
+        config, folded, exact, _ = pair
         assert len(folded.iteration_times) == config.iterations
         times = [(folded.total_time, exact.total_time)]
         times += zip(folded.iteration_times, exact.iteration_times)

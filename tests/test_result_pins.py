@@ -1,12 +1,13 @@
 """Pinned digests of whole simulation results.
 
 Each case hashes ``SimulationResult.to_dict()`` without its host-side
-timing (``wall_time``, ``profile``), with every float written exactly
-(``repr`` round-trips), so a pin holds only if totals, per-GPU busy
-times, per-layer/per-phase breakdowns, the timeline (order included),
-iteration times and the network summary are all bit-identical.  The
-values were recorded before busy-time and timeline accounting moved
-from per-event counters and a timeline hook to the task table.
+timing (``wall_time``, ``profile``) and without its event count, with
+every float written exactly (``repr`` round-trips), so a pin holds only
+if totals, per-GPU busy times, per-layer/per-phase breakdowns, the
+timeline (order included), iteration times and the network summary are
+all bit-identical.  Each case also pins the run's task-table digest
+(``tests/task_table.py``).  Both are outcomes; the event count is what
+the run cost, and is pinned on its own.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from repro.faults.spec import FaultSpec
 from repro.gpus.specs import get_gpu
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
+from tests.task_table import task_table_digest
 
 #: A straggler on gpu1 and a periodic checkpoint: the exact path.
 FAULTS = {
@@ -41,6 +43,7 @@ def digest(result) -> str:
     data = result.to_dict()
     data.pop("wall_time")
     data.pop("profile")
+    data.pop("events")
     text = json.dumps(data, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -62,23 +65,34 @@ CASES = {
         True, "off:faults"),
 }
 
+#: ``(result digest, task-table digest)`` per case.
 PINS = {
-    "ddp_folded_timeline": "647d1f9b96166f9f",
-    "ddp_folded_no_timeline": "3497d9bae209cefd",
-    "pp_1f1b": "e8d0dc52d6233eb7",
-    "ddp_straggler_checkpoint": "1dd36993ca35bcae",
+    "ddp_folded_timeline": ("60a7e4408e2f6ce6", "437cf099131fbe36"),
+    "ddp_folded_no_timeline": ("fdbbf287e9e34d33", "437cf099131fbe36"),
+    "pp_1f1b": ("bedb29a49229bb03", "a69a67fecde111c7"),
+    "ddp_straggler_checkpoint": ("5a42858be2419878", "8231821d5757f9ef"),
+}
+
+#: Events each case dispatches.
+EVENTS = {
+    "ddp_folded_timeline": 1679,
+    "ddp_folded_no_timeline": 1679,
+    "pp_1f1b": 1301,
+    "ddp_straggler_checkpoint": 3363,
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_result_digest(trace, case):
+def test_result_digest(trace, task_tables, case):
     overrides, timeline, fold_status = CASES[case]
     result = TrioSim(trace, SimulationConfig(**overrides),
                      record_timeline=timeline).run()
     assert result.profile.get("fold_status") == fold_status
     assert bool(result.timeline) == timeline
     assert bool(result.per_layer) == timeline
-    assert digest(result) == PINS[case]
+    assert (digest(result),
+            *map(task_table_digest, task_tables)) == PINS[case]
+    assert result.events == EVENTS[case]
 
 
 def test_timeline_needs_no_task_hook(trace, monkeypatch):
