@@ -133,6 +133,8 @@ class LinkCapacitySanitizer:
             for edge in flow.route:
                 loads[edge] = loads.get(edge, 0.0) + flow.rate
         for (u, v), load in loads.items():
+            if not topology.has_edge(u, v):
+                continue  # a link the topology lacks is SZ006's finding
             capacity = topology[u][v]["bandwidth"]
             if load > capacity * (1.0 + REL_TOLERANCE) + 1e-3:
                 if self._fired < MAX_FINDINGS_PER_SANITIZER:

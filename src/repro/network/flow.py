@@ -145,13 +145,15 @@ class FlowNetwork(Hookable):
         # Per-edge state, indexed by edge id: live capacity (shadowing
         # the topology attribute, which networkx serves through an
         # AtlasView per access; set_link_capacity writes both), active
-        # flow slots, flows routed onto the edge but not yet active,
-        # delivered bytes, flows carried, peak concurrent flows, and the
-        # ids of the routes crossing it.
+        # flow slots, flows routed onto the edge but not yet active, the
+        # slot of the idle-route flow on it (-1 for none), delivered
+        # bytes, flows carried, peak concurrent flows, and the ids of
+        # the routes crossing it.
         self._edge_ids: Dict[DirectedEdge, int] = {}
         self._cap: List[float] = []
         self._users: List[Set[int]] = []
         self._committed: List[int] = []
+        self._carrier: List[int] = []
         self._bytes: List[float] = []
         self._flows: List[int] = []
         self._peak: List[int] = []
@@ -186,6 +188,9 @@ class FlowNetwork(Hookable):
                          self._rate, self._settled, self._event)
         self._free: List[int] = []
         self._active: Set[int] = set()
+        # Idle-route flows: sent onto edges nothing else used or awaited,
+        # delivered by one event (see send).
+        self._idle: Set[int] = set()
         # Edges whose users or capacity changed since the last
         # reallocation; their users seed the next component walk.
         self._dirty: Set[int] = set()
@@ -217,6 +222,7 @@ class FlowNetwork(Hookable):
             self._cap.append(self.topology[u][v]["bandwidth"])
             self._users.append(set())
             self._committed.append(0)
+            self._carrier.append(-1)
             self._bytes.append(0.0)
             self._flows.append(0)
             self._peak.append(0)
@@ -393,11 +399,22 @@ class FlowNetwork(Hookable):
         """Start a transfer; the callback fires at delivery.
 
         When *pending* is given the kick-off event (activation after
-        route latency, or the zero-delay local delivery) is appended to
-        it instead of being scheduled — the caller batches a whole
-        release wave into one :meth:`Engine.schedule_bulk`, which stamps
-        sequence numbers in list order, so dispatch order is identical
-        to scheduling each send as it was issued.
+        route latency, the delivery of an idle-route flow, or the
+        zero-delay local delivery) is appended to it instead of being
+        scheduled — the caller batches a whole release wave into one
+        :meth:`Engine.schedule_bulk`, which stamps sequence numbers in
+        list order, so dispatch order is identical to scheduling each
+        send as it was issued.
+
+        A wired flow whose route has no active flow and no flow awaiting
+        activation on any edge is *idle-route*: it would activate alone
+        and take its route's bottleneck, so its one event is its
+        delivery at ``(now + latency) + nbytes / bottleneck``, the same
+        float operations as activation plus the lone-flow solve.  It
+        keeps its committed count, so :meth:`route_loads` sees it as
+        before.  Whatever touches one of its edges later (a send,
+        :meth:`set_link_capacity`, :meth:`stall`) first materializes it
+        into the state the full path would have reached by then.
 
         Raises :class:`RoutingError` when either endpoint is unknown or
         unreachable, :class:`ValueError` on negative sizes.
@@ -429,11 +446,33 @@ class FlowNetwork(Hookable):
             self._tid[slot] = transfer_id
             self._route[slot] = rid
             self._remaining[slot] = nbytes
-            self._rate[slot] = 0.0
             committed = self._committed
+            users = self._users
+            carrier = self._carrier
+            idle = True
             for eid in edges:
+                if committed[eid]:
+                    idle = False
+                    if carrier[eid] >= 0:
+                        self._materialize(carrier[eid])
+                elif users[eid]:
+                    idle = False
                 committed[eid] += 1
-            event = Event(now + self._latency[rid], self._activate, slot)
+            start = now + self._latency[rid]
+            rate = self._bottleneck[rid]
+            if idle and rate > _RATE_EPS:
+                self._rate[slot] = rate
+                self._settled[slot] = start
+                event = self._event[slot] = Event(start + nbytes / rate,
+                                                  self._deliver, slot)
+                for eid in edges:
+                    carrier[eid] = slot
+                self._idle.add(slot)
+                if self._hooks:
+                    self._report([slot])
+            else:
+                self._rate[slot] = 0.0
+                event = Event(start, self._activate, slot)
         if pending is None:
             self.engine.schedule(event)
         else:
@@ -442,7 +481,9 @@ class FlowNetwork(Hookable):
 
     @property
     def active_flows(self) -> int:
-        return len(self._active)
+        """Wire flows not yet delivered, counting active flows and
+        idle-route flows (which are in flight from their send)."""
+        return len(self._active) + len(self._idle)
 
     def set_link_capacity(self, u: str, v: str, bandwidth: float) -> None:
         """Re-rate the undirected link *u*—*v* to *bandwidth* bytes/s.
@@ -468,6 +509,8 @@ class FlowNetwork(Hookable):
         cap = self._cap
         for edge in ((u, v), (v, u)):
             eid = self._edge_id(edge)
+            if self._carrier[eid] >= 0:
+                self._materialize(self._carrier[eid])
             cap[eid] = value
             for rid in self._edge_routes[eid]:
                 self._bottleneck[rid] = min(
@@ -485,10 +528,14 @@ class FlowNetwork(Hookable):
         would still settle ``remaining -= rate * (now - settled)`` as if
         the flow had kept transferring through the outage.  Settling
         progress up to now and advancing the settle time past the stall
-        window makes the outage transfer zero bytes.
+        window makes the outage transfer zero bytes.  Idle-route flows
+        are materialized first, in send order.
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
+        if self._idle:
+            for slot in sorted(self._idle, key=self._tid.__getitem__):
+                self._materialize(slot, delay)
         now = self.engine.now
         remaining, rate, settled = self._remaining, self._rate, self._settled
         for slot in self._active:
@@ -497,6 +544,52 @@ class FlowNetwork(Hookable):
                 left = 0.0
             remaining[slot] = left
             settled[slot] = now + delay
+
+    def _materialize(self, slot: int, delay: float = 0.0) -> None:
+        """Give the idle-route flow in *slot* the state the full path
+        would have reached by now, because something is about to touch
+        one of its edges.
+
+        If its activation time has passed, it is an active flow that
+        took its bottleneck at that time, and its delivery event stays
+        where it is.  Otherwise its event becomes its activation again:
+        in place while it still waits in the caller's unscheduled wave,
+        so it keeps its position there, and requeued once scheduled.
+        :meth:`stall` passes the *delay* by which
+        :meth:`Engine.defer_pending` has just shifted every queued event,
+        which the activation keeps.
+        """
+        self._idle.remove(slot)
+        edges = self._route_edges[self._route[slot]]
+        carrier = self._carrier
+        for eid in edges:
+            carrier[eid] = -1
+        event = self._event[slot]
+        engine = self.engine
+        start = self._settled[slot]
+        if start < engine._now:
+            self._active.add(slot)
+            committed = self._committed
+            users = self._users
+            flows = self._flows
+            peak = self._peak
+            for eid in edges:
+                committed[eid] -= 1
+                holders = users[eid]
+                holders.add(slot)
+                flows[eid] += 1
+                if len(holders) > peak[eid]:
+                    peak[eid] = len(holders)
+        else:
+            self._rate[slot] = 0.0
+            self._event[slot] = None
+            event.callback = self._activate
+            if event._engine is None:  # not scheduled yet
+                event.time = start
+            else:
+                engine.mark_requeued(event)
+                event.time = start + delay
+                engine.schedule(event)
 
     # ------------------------------------------------------------------
     # Steps 2-3: allocation and progress updates
@@ -652,12 +745,15 @@ class FlowNetwork(Hookable):
             self.reschedules += len(pending)
             engine.schedule_bulk(pending)
         if self._hooks:
-            self.invoke_hooks(HookCtx(
-                HOOK_FLOW_REALLOC, now,
-                [self._view(slot) for members, _ in solved
-                 for slot in members],
-                detail={"topology": self.topology},
-            ))
+            self._report([slot for members, _ in solved for slot in members])
+
+    def _report(self, slots: List[int]) -> None:
+        """Fire the reallocation hook with the rates of *slots*."""
+        self.invoke_hooks(HookCtx(
+            HOOK_FLOW_REALLOC, self.engine._now,
+            [self._view(slot) for slot in slots],
+            detail={"topology": self.topology},
+        ))
 
     def _component(self, seed: int) -> List[int]:
         """The seed's contention component (BFS over per-edge users),
@@ -696,27 +792,47 @@ class FlowNetwork(Hookable):
     # Step 4: delivery
     # ------------------------------------------------------------------
     def _deliver(self, event: Event) -> None:
-        """Deliver an active wired flow: tear down its edge users, free
-        its slot and fire its callback."""
+        """Deliver a wired flow, free its slot and fire its callback.
+
+        An idle-route flow held its edges alone from send to delivery,
+        so no other flow's rate changes.  An active flow leaves its edge
+        users, and if it shared an edge, the flows left there are
+        re-solved."""
         slot = event.payload
         now = self.engine._now
         transfer = self._xfer[slot]
         transfer.deliver_time = now
         nbytes = transfer.nbytes
-        active = self._active
-        active.remove(slot)
-        users = self._users
         link_bytes = self._bytes
         edges = self._route_edges[self._route[slot]]
-        for eid in edges:
-            users[eid].discard(slot)
-            link_bytes[eid] += nbytes
-        if active:
-            self._dirty.update(edges)
-            if not self._realloc_pending:
-                self._request_reallocate()
+        idle = self._idle
+        if slot in idle:
+            idle.remove(slot)
+            committed = self._committed
+            carrier = self._carrier
+            flows = self._flows
+            peak = self._peak
+            for eid in edges:
+                committed[eid] -= 1
+                carrier[eid] = -1
+                link_bytes[eid] += nbytes
+                flows[eid] += 1
+                if not peak[eid]:
+                    peak[eid] = 1
         else:
-            self._dirty.clear()
+            self._active.remove(slot)
+            users = self._users
+            shared = False
+            for eid in edges:
+                holders = users[eid]
+                holders.discard(slot)
+                if holders:
+                    shared = True
+                link_bytes[eid] += nbytes
+            if shared:
+                self._dirty.update(edges)
+                if not self._realloc_pending:
+                    self._request_reallocate()
         self.delivered_count += 1
         self.total_bytes_delivered += nbytes
         fct = now - transfer.start_time

@@ -2,9 +2,10 @@
 
 :class:`repro.network.flow.FlowNetwork` re-solves only the contention
 components a flow start, finish or capacity change touches, gives a flow
-that shares no link its route's bottleneck without a solve, and keeps a
-flow's delivery event when its rate comes out exactly unchanged.  This
-module keeps the original behaviour it replaced, outside the package:
+that shares no link its route's bottleneck without a solve, delivers a
+flow sent onto an idle route without activating it, and keeps a flow's
+delivery event when its rate comes out exactly unchanged.  This module
+keeps the original behaviour it replaced, outside the package:
 ``tests/test_network_incremental.py`` pins the scoped allocator against
 it, per-component rates against :func:`maxmin_rates_reference` (one
 global progressive filling) and whole simulations against
@@ -60,10 +61,11 @@ def all_components(routes: Routes) -> List[List[int]]:
 
 
 class DenseFlowNetwork(FlowNetwork):
-    """A :class:`FlowNetwork` that re-solves every active flow and
-    reschedules every delivery on each flow start, finish, or capacity
-    change — no scoping, no contention-free path, no rate-stability fast
-    path.
+    """A :class:`FlowNetwork` that activates every flow after its route
+    latency, then re-solves every active flow and reschedules every
+    delivery on each flow start, shared-link finish, or capacity change —
+    no idle-route delivery, no scoping, no contention-free path, no
+    rate-stability fast path.
 
     It partitions the active flows with :func:`all_components` and solves
     every component, single flows included, with the scalar solver over
@@ -74,6 +76,18 @@ class DenseFlowNetwork(FlowNetwork):
     unconditional progress settle can accumulate on long, globally
     coupled storms.
     """
+
+    def send(self, src, dst, nbytes, callback, tag=None, pending=None):
+        """Send on the full path: a flow that went idle-route is
+        materialized while its event is still unscheduled, which turns
+        that event back into its activation in place."""
+        wave = [] if pending is None else pending
+        transfer = super().send(src, dst, nbytes, callback, tag, wave)
+        for slot in list(self._idle):
+            self._materialize(slot)
+        if pending is None:
+            self.engine.schedule_bulk(wave)
+        return transfer
 
     def _reallocate(self) -> None:
         self.reallocations += 1

@@ -17,6 +17,7 @@ from repro.analysis import (
     TimeMonotonicSanitizer,
     verify_taskgraph,
 )
+from repro.analysis.sanitizers import RestartConsistencySanitizer
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.engine.hooks import HookCtx
@@ -26,6 +27,7 @@ from repro.network.flow import (
     FlowNetwork,
     RoutingError,
 )
+from repro.network.routing import RoutingStrategy
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
 from tests.plan_edits import rewired
@@ -192,6 +194,69 @@ class TestHeapLeak:
         report = Report()
         HeapLeakSanitizer(report).check(engine)
         assert report.rule_ids() == ["SZ003"]
+
+
+class _FlowLog:
+    """``HOOK_FLOW_REALLOC`` observer recording every reported flow."""
+
+    def __init__(self):
+        self.flows = []
+
+    def func(self, ctx):
+        if ctx.pos == HOOK_FLOW_REALLOC:
+            self.flows.extend((view.src, view.dst, view.rate)
+                              for view in ctx.item)
+
+
+class _FabricatingRouting(RoutingStrategy):
+    """A broken strategy: it appends a link the topology lacks to the
+    candidate path it picks."""
+
+    name = "fabricating"
+
+    def choose(self, src, dst, candidates, network):
+        candidates[0].append(("spine0", "nowhere"))
+        return 0
+
+
+class TestIdleRouteFlows:
+    """A flow sent onto an idle route is delivered without activation or
+    solve; the sanitizers still see it."""
+
+    def test_reported_once_at_its_rate(self):
+        engine = Engine()
+        network = FlowNetwork(engine, build_topology("ring", 4, 1e9, 1e-6))
+        log = _FlowLog()
+        network.accept_hook(log)
+        network.send("gpu0", "gpu1", 1e6, lambda t: None)
+        engine.run()
+        assert engine.dispatched_events == 1
+        assert log.flows == [("gpu0", "gpu1", 1e9)]
+
+    def test_fabricated_route_on_idle_fabric_is_sz006(self):
+        engine = Engine()
+        topology = build_topology("leaf_spine", 16, 100e9, 1e-6,
+                                  gpus_per_leaf=8)
+        network = FlowNetwork(engine, topology,
+                              routing=_FabricatingRouting())
+        suite = RuntimeSuite().attach(engine=engine, network=network)
+        network.send("gpu0", "gpu8", 1e6, lambda t: None)
+        engine.run()
+        report = suite.finalize()
+        assert engine.dispatched_events == 1
+        assert report.rule_ids() == ["SZ006"]
+        assert "spine0->nowhere" in report.findings[0].message
+
+    def test_stranded_idle_route_flow_is_sz005(self):
+        engine = Engine()
+        network = FlowNetwork(engine, build_topology("ring", 4, 1e9, 1e-6))
+        network.send("gpu0", "gpu1", 1e6, lambda t: None)
+        engine.run(until=5e-4)  # mid-transfer: delivery is at ~1 ms
+        assert network.active_flows == 1
+        report = Report()
+        injector = types.SimpleNamespace(consistency_errors=lambda: [])
+        RestartConsistencySanitizer(report).check(injector, network=network)
+        assert report.rule_ids() == ["SZ005"]
 
 
 class TestSanitizerSuite:

@@ -264,7 +264,7 @@ class TestFoldAtScale:
         _, folded, exact, _ = pair
         assert folded.profile["fold_status"] == "folded"
         assert folded.profile["counters"]["iterations_folded"] == 7
-        assert (exact.events, folded.events) == (39455, 4931)
+        assert (exact.events, folded.events) == (30815, 3851)
         assert exact.events >= 3 * folded.events
 
     def test_drift_within_tolerance(self, pair):

@@ -136,7 +136,7 @@ class TestHostTransfers:
         )
         result = TrioSim(trace, config, record_timeline=False).run()
         assert result.total_time == 0.019565903602891864
-        assert result.events == 1699
+        assert result.events == 1543
         assert "host" not in graph
 
     def test_off_by_default(self, trace):

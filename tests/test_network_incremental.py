@@ -55,6 +55,7 @@ from repro.network.topology import (
 )
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
+from tests.task_table import task_table_digest
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -221,23 +222,42 @@ def _network(engine, topology, dense):
     return (DenseFlowNetwork if dense else FlowNetwork)(engine, topology)
 
 
-def _simulate_sends(topology, sends, faults, dense):
-    """Delivery time per send; *faults* are ``(time, (u, v), factor)``
-    link re-ratings applied mid-run."""
+def _replay(topology, actions, dense):
+    """Play *actions* on a fresh network: ``{action index: delivery
+    time}`` for its sends and the events dispatched.
+
+    An action is ``("send", at, src, dst, nbytes)``, ``("rerate", at,
+    (u, v), factor)`` — a fault injector's link degradation — or
+    ``("stall", at, delay)`` — its checkpoint stall, which defers every
+    queued event, sends included, then freezes flow progress.  Like the
+    injector's fault arrivals, re-ratings and stalls keep their times.
+    """
     engine = Engine()
     topology = topology.copy()
     net = _network(engine, topology, dense)
     done = {}
-    for at, (u, v), factor in faults:
-        engine.call_at(at, lambda ev, u=u, v=v, f=factor:
-                       net.set_link_capacity(
-                           u, v, topology[u][v]["bandwidth"] * f))
-    for key, (start, src, dst, nbytes) in enumerate(sends):
-        engine.call_at(start, lambda ev, k=key, s=src, d=dst, n=nbytes:
-                       net.send(s, d, n, lambda t, kk=k: done.setdefault(
-                           kk, engine.now)))
+    faults = []
+
+    def act(key, kind, *args):
+        if kind == "send":
+            src, dst, nbytes = args
+            net.send(src, dst, nbytes,
+                     lambda t: done.setdefault(key, engine.now))
+        elif kind == "rerate":
+            (u, v), factor = args
+            net.set_link_capacity(u, v, topology[u][v]["bandwidth"] * factor)
+        else:
+            engine.defer_pending(args[0], exclude=tuple(faults))
+            net.stall(args[0])
+
+    for key, (kind, at, *args) in enumerate(actions):
+        event = engine.call_at(
+            at, lambda ev, k=key, kind=kind, a=args: act(k, kind, *a))
+        if kind != "send":
+            faults.append(event)
     engine.run()
-    return done
+    assert net.active_flows == 0 and not any(net._committed)
+    return done, engine.dispatched_events
 
 
 class TestEndToEndEquivalence:
@@ -250,17 +270,19 @@ class TestEndToEndEquivalence:
         bottlenecks must follow the live capacities the dense network
         solves with."""
         topology, pairs = case
-        sends = []
+        actions = []
         for src, dst in pairs:
             start = data.draw(st.floats(min_value=0.0, max_value=2.0,
                                         allow_nan=False))
             nbytes = data.draw(st.floats(min_value=1.0, max_value=1e6))
-            sends.append((start, src, dst, nbytes))
-        faults = [(data.draw(st.floats(min_value=0.0, max_value=2.0,
-                                       allow_nan=False)), link, factor)
-                  for link, factor in data.draw(_degradations(topology))]
-        fast = _simulate_sends(topology, sends, faults, dense=False)
-        dense = _simulate_sends(topology, sends, faults, dense=True)
+            actions.append(("send", start, src, dst, nbytes))
+        actions += [("rerate", data.draw(st.floats(min_value=0.0,
+                                                   max_value=2.0,
+                                                   allow_nan=False)),
+                     link, factor)
+                    for link, factor in data.draw(_degradations(topology))]
+        fast, _ = _replay(topology, actions, dense=False)
+        dense, _ = _replay(topology, actions, dense=True)
         assert set(fast) == set(dense)
         for key in fast:
             assert fast[key] == pytest.approx(dense[key], rel=1e-9, abs=1e-12)
@@ -280,7 +302,10 @@ class TestEndToEndEquivalence:
         assert done["a"] == pytest.approx(1.0)
         assert done["b"] == pytest.approx(1.5)
         assert engine.total_cancelled == 0
-        assert net.reschedules == 2  # one schedule per flow, no churn
+        # Both routes were idle: each flow is one delivery event, never
+        # activated, solved or rescheduled.
+        assert net.reschedules == net.reallocations == 0
+        assert engine.dispatched_events == 3
 
     def test_shared_join_still_reschedules(self):
         engine = Engine()
@@ -298,6 +323,86 @@ class TestEndToEndEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Idle-route delivery: what materializes a flow sent onto an idle route
+# ----------------------------------------------------------------------
+
+
+#: gpu0 - gpu1 - gpu2 at 100 B/s, 0.5 s per hop.
+LINE = mesh2d(1, 3, bandwidth=100.0, latency=0.5)
+#: Alone, 170 bytes from gpu0 to gpu2 activate at 1.0 and arrive at
+#: 1.0 + 1.7.  A stall of 0.1 at 1.0 must move the arrival to
+#: (1.0 + 0.1) + 1.7, which differs from (1.0 + 1.7) + 0.1 in the last bit.
+LONE = ("send", 0.0, "gpu0", "gpu2", 170.0)
+#: Shares the gpu1 -> gpu2 edge with LONE.
+SHARING = ("gpu1", "gpu2", 100.0)
+
+IDLE_ROUTE_CASES = {
+    "second-flow-before-activation": (LINE, [LONE, ("send", 0.25,
+                                                    *SHARING)]),
+    "second-flow-after-activation": (LINE, [LONE, ("send", 1.5, *SHARING)]),
+    "second-flow-at-activation": (LINE, [LONE, ("send", 1.0, *SHARING)]),
+    "stall-in-latency-window": (LINE, [LONE, ("stall", 0.5, 0.3)]),
+    "stall-at-activation": (LINE, [LONE, ("stall", 1.0, 0.1)]),
+    "stall-mid-transfer": (LINE, [LONE, ("stall", 2.0, 0.3),
+                                  ("send", 2.5, *SHARING)]),
+    "link-fault-in-latency-window": (LINE, [
+        LONE, ("rerate", 0.5, ("gpu1", "gpu2"), 0.25)]),
+    "link-fault-mid-transfer": (LINE, [
+        LONE, ("rerate", 2.0, ("gpu2", "gpu1"), 0.25)]),
+    "zero-latency-link": (mesh2d(1, 3, bandwidth=100.0, latency=0.0), [
+        LONE, ("send", 0.0, *SHARING), ("send", 1.0, "gpu0", "gpu1", 50.0),
+        ("send", 1.0, *SHARING)]),
+}
+
+
+class TestIdleRouteDelivery:
+    """A flow sent onto an idle route is delivered by one event; when
+    something touches one of its edges, it must continue exactly as the
+    dense network's activated flow does."""
+
+    def test_lone_flow_is_one_event(self):
+        done, events = _replay(LINE, [LONE], dense=False)
+        assert done == {0: 1.0 + 1.7}
+        # The send action and the delivery.
+        assert events == 2
+
+    @pytest.mark.parametrize("case", sorted(IDLE_ROUTE_CASES))
+    def test_delivery_times_match_dense(self, case):
+        topology, actions = IDLE_ROUTE_CASES[case]
+        scoped, scoped_events = _replay(topology, actions, dense=False)
+        dense, dense_events = _replay(topology, actions, dense=True)
+        assert scoped == dense
+        assert len(scoped) == sum(kind == "send" for kind, *_ in actions)
+        assert scoped_events <= dense_events
+
+    def test_shared_edge_in_one_release_wave(self):
+        """Two transfers released in one wave share an edge: the first
+        is materialized while its event still waits in the wave, and is
+        switched back to its activation in place — scheduled once, at
+        its place in the wave."""
+        outcomes = []
+        for dense in (False, True):
+            engine = Engine()
+            net = _network(engine, LINE.copy(), dense)
+            sim = TaskGraphSimulator(engine, net)
+            sim.add_transfer("a", "gpu0", "gpu2", 200.0)
+            sim.add_transfer("b", "gpu1", "gpu2", 100.0)
+            sim.add_transfer("c", "gpu2", "gpu0", 150.0)  # idle route
+            sim.run()
+            assert engine.pending_events == 0
+            assert net.active_flows == 0 and not any(net._committed)
+            assert net.delivered_count == 3
+            outcomes.append((task_table_digest(sim.store), sim.store.end,
+                             engine.dispatched_events))
+        (scoped, ends, scoped_events), (dense, _, dense_events) = outcomes
+        assert scoped == dense
+        assert ends == [3.5, 2.0, 2.5]
+        # c's activation is the one event saved.
+        assert (scoped_events, dense_events) == (dense_events - 1,
+                                                 dense_events)
+
+
+# ----------------------------------------------------------------------
 # Churn regression: scoped reallocation cancels no delivery
 # ----------------------------------------------------------------------
 
@@ -305,7 +410,8 @@ class TestEndToEndEquivalence:
 def _bucketed_all_reduce_churn(dense, nodes, per_node, intra, inter,
                                buckets):
     """Staggered node-local 8 MB gradient-bucket ring all-reduces on a
-    multi-node cluster: ``(total, events, cancellations)``."""
+    multi-node cluster: ``(total, events, cancellations, end time per
+    task)``."""
     engine = Engine()
     topology = multi_node(nodes, per_node, intra_bandwidth=intra,
                           inter_bandwidth=inter)
@@ -318,19 +424,31 @@ def _bucketed_all_reduce_churn(dense, nodes, per_node, intra, inter,
             ring_all_reduce(sim, group, 8e6, deps=[gate],
                             tag=f"n{node}.b{bucket}")
     total = sim.run()
-    return total, engine.dispatched_events, engine.total_cancelled
+    return (total, engine.dispatched_events, engine.total_cancelled,
+            task_table_digest(sim.store))
 
 
 class TestChurnRegression:
-    @pytest.mark.parametrize("cluster,total,events,cancelled_dense", [
-        ((4, 4, 100e9, 25e9, 3), 0.001059, 792, 472),
-        ((8, 8, 300e9, 50e9, 2), 0.0007786666666666676, 4252, 2064),
+    @pytest.mark.parametrize("cluster,total,tables,events,cancelled_dense", [
+        ((4, 4, 100e9, 25e9, 3), 0.001059,
+         ("98ad568d70d2e392", "ddd8ab65f4f15ac6"), (360, 720), 236),
+        ((8, 8, 300e9, 50e9, 2), 0.0007786666666666676,
+         ("0d01f083cc4d0ec4",) * 2, (2016, 4030), 1032),
     ], ids=["16-gpus", "64-gpus"])
     def test_ring_all_reduce_cancellation_budget(self, cluster, total,
-                                                 events, cancelled_dense):
+                                                 tables, events,
+                                                 cancelled_dense):
         scoped = _bucketed_all_reduce_churn(False, *cluster)
         dense = _bucketed_all_reduce_churn(True, *cluster)
-        assert scoped[:2] == dense[:2] == (total, events)
+        assert scoped[0] == dense[0] == total
+        # Each side's task table, bit for bit.  On 16 GPUs five rows of
+        # the dense run end an ulp apart: it settles the progress of
+        # every flow at every reallocation.
+        assert (scoped[3], dense[3]) == tables
+        # Every ring hop finds its route idle: one delivery event per
+        # transfer, against the dense network's activation, solve and
+        # delivery.
+        assert (scoped[1], dense[1]) == events
         # Node-local collectives are link-disjoint: scoped reallocation
         # must not cancel any delivery, while the dense allocator
         # reschedules every in-flight flow in the cluster at each wave.
@@ -377,7 +495,7 @@ class TestDeterminism:
                                                  monkeypatch):
         def run_grid(network_class):
             monkeypatch.setattr(simulator_mod, "FlowNetwork", network_class)
-            payloads = []
+            payloads, events = [], []
             for config in GRID:
                 result = TrioSim(rn18_trace, config,
                                  record_timeline=False).run()
@@ -385,10 +503,18 @@ class TestDeterminism:
                 # Host timing, not simulation state.
                 payload.pop("wall_time")
                 payload.pop("profile")
+                # What the run cost, not what it simulated.
+                events.append(payload.pop("events"))
                 payloads.append(payload)
-            return payloads
+            return payloads, events
 
-        assert run_grid(FlowNetwork) == run_grid(DenseFlowNetwork)
+        scoped, scoped_events = run_grid(FlowNetwork)
+        dense, dense_events = run_grid(DenseFlowNetwork)
+        assert scoped == dense
+        # DDP steps send onto idle routes, which the dense network
+        # activates and solves.
+        assert all(mine < theirs
+                   for mine, theirs in zip(scoped_events, dense_events))
 
 
 # ----------------------------------------------------------------------

@@ -75,10 +75,10 @@ PINS = {
 
 #: Events each case dispatches.
 EVENTS = {
-    "ddp_folded_timeline": 1679,
-    "ddp_folded_no_timeline": 1679,
-    "pp_1f1b": 1301,
-    "ddp_straggler_checkpoint": 3363,
+    "ddp_folded_timeline": 1535,
+    "ddp_folded_no_timeline": 1535,
+    "pp_1f1b": 1198,
+    "ddp_straggler_checkpoint": 3075,
 }
 
 
