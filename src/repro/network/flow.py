@@ -21,11 +21,17 @@ model implements the paper's 4-step packet process (Figure 5):
    remaining bytes settled and their delivery event rescheduled; flows
    whose rate is unchanged keep their existing heap entry (the
    rate-stability fast path — no cancel storm).
-4. **Delivery** — at the delivery event, the callback fires and bandwidth
-   is re-allocated for the component the flow leaves behind.
+4. **Delivery** — at the delivery event, the callback fires and, if the
+   flow shared a link, bandwidth is re-allocated for the component it
+   leaves behind.
 
 Path latency is paid once, up front: a flow joins the bandwidth allocation
-after its route latency elapses.
+after its route latency elapses.  A flow sent onto an *idle route* (no
+edge has an active flow or one awaiting activation) skips steps 2-3: its
+one event is its delivery at ``(send + latency) + size / bottleneck``,
+the time activation plus the lone-flow solve would give it.  If anything
+touches one of its edges before then, it is first materialized into the
+state the full path would have reached (see :meth:`FlowNetwork.send`).
 
 Directed edges and candidate paths are interned to ints when a route is
 first built: per-edge state lives in lists indexed by edge id, and a
@@ -460,6 +466,8 @@ class FlowNetwork(Hookable):
                 committed[eid] += 1
             start = now + self._latency[rid]
             rate = self._bottleneck[rid]
+            # A rate at or below _RATE_EPS gets no delivery event from a
+            # solve either, so such a flow takes the full path.
             if idle and rate > _RATE_EPS:
                 self._rate[slot] = rate
                 self._settled[slot] = start
@@ -533,9 +541,8 @@ class FlowNetwork(Hookable):
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        if self._idle:
-            for slot in sorted(self._idle, key=self._tid.__getitem__):
-                self._materialize(slot, delay)
+        for slot in sorted(self._idle, key=self._tid.__getitem__):
+            self._materialize(slot, delay)
         now = self.engine.now
         remaining, rate, settled = self._remaining, self._rate, self._settled
         for slot in self._active:
@@ -553,11 +560,10 @@ class FlowNetwork(Hookable):
         If its activation time has passed, it is an active flow that
         took its bottleneck at that time, and its delivery event stays
         where it is.  Otherwise its event becomes its activation again:
-        in place while it still waits in the caller's unscheduled wave,
-        so it keeps its position there, and requeued once scheduled.
-        :meth:`stall` passes the *delay* by which
-        :meth:`Engine.defer_pending` has just shifted every queued event,
-        which the activation keeps.
+        requeued if scheduled, else in place in the caller's unscheduled
+        wave, where it keeps its position.  :meth:`stall` passes the
+        *delay* by which :meth:`Engine.defer_pending` has just shifted
+        every queued event, which the activation keeps.
         """
         self._idle.remove(slot)
         edges = self._route_edges[self._route[slot]]
@@ -573,22 +579,19 @@ class FlowNetwork(Hookable):
             users = self._users
             flows = self._flows
             peak = self._peak
-            for eid in edges:
+            for eid in edges:  # each edge was idle: it is the only user
                 committed[eid] -= 1
-                holders = users[eid]
-                holders.add(slot)
+                users[eid].add(slot)
                 flows[eid] += 1
-                if len(holders) > peak[eid]:
-                    peak[eid] = len(holders)
+                if not peak[eid]:
+                    peak[eid] = 1
         else:
             self._rate[slot] = 0.0
             self._event[slot] = None
             event.callback = self._activate
-            if event._engine is None:  # not scheduled yet
-                event.time = start
-            else:
+            event.time = start + delay
+            if event._engine is not None:  # scheduled, not in a wave
                 engine.mark_requeued(event)
-                event.time = start + delay
                 engine.schedule(event)
 
     # ------------------------------------------------------------------
