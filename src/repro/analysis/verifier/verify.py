@@ -80,20 +80,14 @@ def plan_summary(plan: Any,
 
 
 def _build_verified(sim: Any, config: SimulationConfig,
-                    registry: RuleRegistry,
-                    plan_cache: Any = None) -> Tuple[Report, Any]:
-    """Build *sim*'s plan (through *plan_cache* when given, so a later
-    simulation reuses it) and deep-verify it.
+                    registry: RuleRegistry) -> Tuple[Report, Any]:
+    """Build *sim*'s plan and deep-verify it.
 
     Returns ``(report, plan)``.  A config that cannot even build a graph
     yields a DV001 finding naming the failure, and no plan.
     """
     try:
-        if plan_cache is not None:
-            plan, _source = plan_cache.get_or_build(sim.plan_key(),
-                                                    sim.build_plan)
-        else:
-            plan = sim.build_plan()
+        plan = sim.build_plan()
     except Exception as exc:
         return registry.emit(Report(), "DV001",
                              f"cannot build the task graph: {exc}"), None
@@ -105,13 +99,12 @@ def _build_verified(sim: Any, config: SimulationConfig,
 # ----------------------------------------------------------------------
 def verify_config(config: Union[SimulationConfig, dict],
                   trace: Optional[Trace] = None,
-                  registry: Optional[RuleRegistry] = None,
-                  plan_cache: Any = None) -> Report:
+                  registry: Optional[RuleRegistry] = None) -> Report:
     """Config lint, then build this point's plan and deep-verify it.
 
     Mirrors :func:`~repro.analysis.linter.lint_config` but adds the deep
     tier when a *trace* is available: the extrapolation plan is built
-    (through *plan_cache* when given) and every DV rule runs over it.
+    and every DV rule runs over it.
     """
     registry = registry or DEFAULT_REGISTRY
     report = _linter.lint_config(config, trace, registry)
@@ -121,10 +114,8 @@ def verify_config(config: Union[SimulationConfig, dict],
         config = SimulationConfig.from_dict(config)
     from repro.core.simulator import TrioSim
 
-    sim = TrioSim(trace, config, record_timeline=False,
-                  plan_cache=plan_cache)
-    return report.merge(_build_verified(sim, config, registry,
-                                        plan_cache)[0])
+    sim = TrioSim(trace, config, record_timeline=False)
+    return report.merge(_build_verified(sim, config, registry)[0])
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,14 @@ This module splits the pipeline accordingly:
   :class:`~repro.core.taskgraph.TaskGraphSimulator`, so any extrapolator's
   :meth:`build` records into a plan instead of a live simulator;
 * :class:`ExtrapolationPlan` is the recorded DAG — one iteration's task
-  columns plus a backward dependency CSR, content-keyed by
+  columns plus a backward dependency CSR, looked up by
   :func:`plan_key`;
 * :meth:`ExtrapolationPlan.instantiate_iterations` appends the plan's
   columns to a live simulator's task store once per iteration (plus
   fence wiring), bit-identical to running the extrapolator directly, at
   a fraction of the cost;
-* :class:`PlanCache` is a bounded in-process LRU, so sweep points that
+* :class:`PlanCache` looks plans up by key — a bounded in-process LRU,
+  or a sweep's whole table of prebuilt plans — so sweep points that
   differ only in network/fault parameters share one extrapolation.
 
 The plan key deliberately *excludes* network, topology, host-link, fault,
@@ -190,8 +191,8 @@ class PlanBuilder:
             "instantiation time (extrapolators must not call fence)"
         )
 
-    def finish(self, key: str) -> "ExtrapolationPlan":
-        return ExtrapolationPlan(self.columns, self._dep_ptr, self._dep_idx, key)
+    def finish(self) -> "ExtrapolationPlan":
+        return ExtrapolationPlan(self.columns, self._dep_ptr, self._dep_idx)
 
 
 class ExtrapolationPlan:
@@ -209,8 +210,6 @@ class ExtrapolationPlan:
         Backward dependency CSR: row *i* depends on
         ``dep_idx[dep_ptr[i]:dep_ptr[i + 1]]``, in recorded order, each an
         earlier row.
-    key:
-        The :func:`plan_key` this plan was built under.
 
     Derived from the dependency CSR: the forward CSR ``succ_ptr`` /
     ``succ_idx`` (each row's dependents in ascending order — the order
@@ -219,11 +218,10 @@ class ExtrapolationPlan:
     """
 
     def __init__(self, columns: Dict[str, list], dep_ptr: Sequence[int],
-                 dep_idx: Sequence[int], key: str):
+                 dep_idx: Sequence[int]):
         self.columns = columns
         self.dep_ptr = np.asarray(dep_ptr, dtype=np.int64)
         self.dep_idx = np.asarray(dep_idx, dtype=np.int64)
-        self.key = key
         counts = np.diff(self.dep_ptr)
         self.succ_ptr, self.succ_idx = group_rows(
             self.dep_idx, edge_rows(self.dep_ptr), len(counts))
@@ -267,14 +265,22 @@ class ExtrapolationPlan:
 
 
 class PlanCache:
-    """Bounded in-process LRU of :class:`ExtrapolationPlan` entries."""
+    """In-process :class:`ExtrapolationPlan` entries by :func:`plan_key`.
 
-    #: Plans kept; plans are large (one row per task), so the bound stays
-    #: small and the least recently used plan is dropped beyond it.
+    ``PlanCache()`` is a bounded LRU.  ``PlanCache(plans)`` serves the
+    ``{plan_key: plan}`` table *plans* in place and never evicts from it:
+    a sweep builds its plans once, up front, and every point looks its
+    plan up there, however many distinct keys the sweep has.
+    """
+
+    #: Plans an LRU keeps; plans are large (one row per task), so the
+    #: bound stays small and the least recently used plan is dropped
+    #: beyond it.
     MAX_ENTRIES = 8
 
-    def __init__(self):
-        self._plans: "OrderedDict[str, ExtrapolationPlan]" = OrderedDict()
+    def __init__(self, plans: Optional[Dict[str, ExtrapolationPlan]] = None):
+        self._lru = plans is None
+        self._plans = OrderedDict() if plans is None else plans
 
     def get_or_build(self, key: str,
                      build: Callable[[], ExtrapolationPlan]
@@ -287,9 +293,10 @@ class PlanCache:
         plans = self._plans
         plan = plans.get(key)
         if plan is not None:
-            plans.move_to_end(key)
+            if self._lru:
+                plans.move_to_end(key)
             return plan, "memory"
         plan = plans[key] = build()
-        while len(plans) > self.MAX_ENTRIES:
+        while self._lru and len(plans) > self.MAX_ENTRIES:
             plans.popitem(last=False)
         return plan, "built"

@@ -121,13 +121,16 @@ class TrioSim:
         parameters extrapolate once.
     verify:
         Run the two-tier verifier around the simulation.  The static
-        tier (``DV`` rules — malformed tasks and transfer endpoints
-        outside the topology, cycles, dead tasks, mismatched
-        collectives, memory-infeasible schedules) checks the fully
-        instantiated graph before any event is scheduled, raising
-        :class:`repro.analysis.AnalysisError` on errors.  The runtime
-        tier attaches the sanitizers (``SZ`` rules) and the determinism
-        race detectors (``RC`` rules) during the run.  Findings land in
+        tier first runs the config rules against the trace before any
+        plan work, as the sweep gate does (e.g. ``FT002``, a fault on a
+        link the topology lacks), then checks the fully instantiated
+        graph before any event is scheduled (``DV`` rules — malformed
+        tasks and transfer endpoints outside the topology, cycles, dead
+        tasks, mismatched collectives, memory-infeasible schedules);
+        either step raises :class:`repro.analysis.AnalysisError` on
+        errors.  The runtime tier attaches the sanitizers (``SZ``
+        rules) and the determinism race detectors (``RC`` rules) during
+        the run.  Findings land in
         :attr:`verify_report`; the dispatch-order digest in
         :attr:`verify_digest`.  Pass the string ``"runtime"`` to skip
         the static tier (when the caller verified the plan already).
@@ -291,19 +294,18 @@ class TrioSim:
         extrapolator = self._build_extrapolator()
         extrapolator.fetch_inputs = self.config.include_host_transfers
         extrapolator.build(builder)
-        return builder.finish(self.plan_key())
+        return builder.finish()
 
     def _resolve_plan(self, profiler: PipelineProfiler) -> ExtrapolationPlan:
-        if self.plan_cache is not None:
+        if self.plan_cache is None:
+            plan, source = self.build_plan(), "built"
+        else:
             plan, source = self.plan_cache.get_or_build(
                 self.plan_key(), self.build_plan)
-            profiler.plan_source = source
-            if source == "built":
-                profiler.count("extrapolator_builds")
-            return plan
-        profiler.plan_source = "built"
-        profiler.count("extrapolator_builds")
-        return self.build_plan()
+        profiler.plan_source = source
+        if source == "built":
+            profiler.count("extrapolator_builds")
+        return plan
 
     # ------------------------------------------------------------------
     # Execution
@@ -322,6 +324,17 @@ class TrioSim:
         started = _wall.perf_counter()
         profiler = PipelineProfiler()
         profiler.add_phase("trace_prep", self._trace_prep_wall)
+        if self.verify and self.verify != "runtime":
+            # The static tier starts with the config rules the sweep gate
+            # runs, before any plan work: a config they reject (say, a
+            # fault on a link the topology lacks) stops on its finding.
+            from repro.analysis import AnalysisError
+            from repro.analysis.linter import lint_config
+
+            with profiler.phase("verify"):
+                report = lint_config(self.config, trace=self.trace)
+            if report.has_errors:
+                raise AnalysisError(report, "config failed verification")
         with profiler.phase("plan"):
             plan = self._resolve_plan(profiler)
         with profiler.phase("engine"):

@@ -103,9 +103,12 @@ class PipelineExtrapolator(Extrapolator):
             stages[stage].append(op)
             acc += w
             remaining -= 1
+        # Trailing stages the greedy pass left empty each take the last op
+        # of the nearest non-empty stage before them, so ops stay in order.
         for i in range(self.num_gpus - 1, 0, -1):
-            while not stages[i]:
-                stages[i].insert(0, stages[i - 1].pop())
+            if not stages[i]:
+                donor = next(j for j in range(i - 1, -1, -1) if stages[j])
+                stages[i].append(stages[donor].pop())
         return stages
 
     # ------------------------------------------------------------------

@@ -4,42 +4,27 @@
 ``concurrent.futures.ProcessPoolExecutor`` (or runs them in-process when
 ``max_workers <= 1``), with:
 
-* a content-addressed on-disk result cache (:mod:`repro.service.cache`) —
-  re-running any figure or sweep returns previously computed points
-  instantly;
-* shared-work dedup — cross-GPU trace rescaling and performance-model
-  fits go through :func:`repro.extrapolator.optime.prepare`, which
-  memoizes them per process: rescaling happens once per ``(trace, target
-  GPU)`` in the parent, and each fit once per worker process instead of
-  once per point;
-* extrapolation-plan sharing (:mod:`repro.core.plan`) — points differing
-  only in network/topology/fault parameters reuse one cached task-graph
-  plan, held in memory by the parent and by each worker process;
-* graceful degradation — a failing config yields a structured
-  :class:`SweepError` (with the worker traceback) instead of killing the
-  sweep;
-* worker-crash survival — a point whose worker process dies (segfault,
-  OOM kill, chaos injection) breaks only its pool, not the sweep: the
-  executor is rebuilt and the in-flight points are retried in isolation
-  with seeded, bounded exponential backoff, then (last rung) once
-  in-process with chaos disarmed; a point that still fails becomes
-  ``SweepError(kind="WorkerCrashed")`` while every other point completes
-  normally;
-* a crash-safe write-ahead journal (:mod:`repro.service.journal`) —
-  every dispatch and every terminal disposition is fsync'd before the
-  sweep proceeds, so a SIGKILL'd sweep resumes from its journal
-  re-dispatching only the incomplete points, bit-identically;
-* per-point deadline budgets — a cooperative soft deadline enforced by
-  the engine heartbeat (partial progress preserved) plus the hard
-  ``SIGALRM``/watchdog kill, both reported as ``PointTimeout``;
-* a dispatch circuit breaker (:mod:`repro.service.breaker`) — a crash/timeout
-  storm trips the breaker and the remaining points fail fast as
-  ``CircuitOpen`` instead of feeding workers to a dying machine, with
-  half-open probes to resume once points succeed again;
-* live progress through the existing :mod:`repro.engine.hooks` mechanism —
-  the runner is a :class:`Hookable` and fires ``sweep_point`` once per
-  completed point with completed/total counts, cache hit-rate, aggregate
-  simulated-events/sec, and an ETA.
+* a content-addressed on-disk result cache (:mod:`repro.service.cache`);
+* shared-work dedup: trace rescaling and performance-model fits are
+  memoized per process by :func:`repro.extrapolator.optime.prepare`;
+* one plan step: this process builds each distinct extrapolation plan
+  (:mod:`repro.core.plan`) once per sweep, and verifies it under
+  ``verify``; every point, in-process or on a worker, runs that plan;
+* graceful degradation: a failing config yields a structured
+  :class:`SweepError`, with its traceback, instead of killing the sweep;
+* worker-crash survival: a dead worker breaks only its pool; its
+  in-flight points retry in isolation with seeded, bounded backoff, then
+  once in-process, before they fail as ``WorkerCrashed``;
+* a crash-safe write-ahead journal (:mod:`repro.service.journal`), from
+  which a SIGKILL'd sweep resumes bit-identically;
+* per-point soft (engine heartbeat) and hard (``SIGALRM``/watchdog)
+  deadlines, both reported as ``PointTimeout``;
+* a dispatch circuit breaker (:mod:`repro.service.breaker`) that fails
+  the rest of a crash/timeout storm fast as ``CircuitOpen``;
+* ``sweep_point`` progress hooks (:mod:`repro.engine.hooks`) with
+  completed/total counts, cache hit-rate, events/sec and an ETA.
+
+``docs/sweeps.md`` and ``docs/resilience.md`` describe each in full.
 
 Every point walks one explicit lifecycle (:class:`PointState`), and a
 single transition function, :meth:`SweepRunner._advance`, performs all
@@ -79,7 +64,7 @@ from repro.analysis.findings import Report
 from repro.analysis.linter import lint_config
 from repro.analysis.reporters import render_text
 from repro.core.config import SimulationConfig
-from repro.core.plan import PlanCache
+from repro.core.plan import ExtrapolationPlan, PlanCache
 from repro.core.results import SimulationResult
 from repro.core.simulator import TrioSim
 from repro.engine.hooks import HookCtx, Hookable
@@ -154,6 +139,9 @@ class _Sweep:
     keys: List[str] = field(default_factory=list)
     #: Prepared traces by GPU name, handed to every pool (re)build.
     traces: Dict[str, Trace] = field(default_factory=dict)
+    #: The sweep's plans by plan key, built by the plan step and handed
+    #: to every point; ``None`` when plan sharing is off.
+    plans: Optional[Dict[str, ExtrapolationPlan]] = None
 
 
 class SweepRunner(Hookable):
@@ -200,26 +188,22 @@ class SweepRunner(Hookable):
     hooks:
         Observers registered for the runner's progress positions.
     verify:
-        Every config is statically checked against the trace (the
-        config rules) before any simulation is dispatched, always: a
-        point with error findings becomes a structured ``VerifyError``
-        outcome instead of wasting a worker slot on a doomed or
-        nonsensical simulation.  With *verify*, the gate also deep-
-        verifies every point's task graph (cycles, dead tasks,
-        mismatched collectives, memory-infeasible schedules — the ``DV``
-        rules), rejecting failures the same way, and runs the runtime
-        sanitizers (``SZ`` rules) and determinism race detectors (``RC``
-        rules) during each point.  Points sharing an extrapolation plan
-        share one verification, and the verified plans land in the plan
-        cache so the sweep itself reuses them.
-        Runtime findings ride each outcome's ``sanitizer_findings``
-        (distinguishable by their ``SZ``/``RC``/``DV`` rule ids).
+        Every config is checked against the config rules before any
+        simulation is dispatched, always: a point with error findings
+        becomes a structured ``VerifyError`` outcome and never reaches a
+        worker.  With *verify*, the plan step also deep-verifies each
+        distinct task graph once (the ``DV`` rules: cycles, dead tasks,
+        mismatched collectives, memory-infeasible schedules), rejecting
+        failures the same way, and each point runs the runtime
+        sanitizers (``SZ``) and race detectors (``RC``), whose findings
+        ride its outcome's ``sanitizer_findings``.
     plan_cache:
-        Extrapolation-plan sharing (see :mod:`repro.core.plan`; on by
-        default): an in-memory :class:`PlanCache` in the parent
-        (in-process points and the *verify* gate) plus a private one per
-        worker.  ``False`` disables it and every point re-extrapolates;
-        results are bit-identical either way.
+        Extrapolation-plan sharing (on by default): each sweep builds
+        every distinct plan once, in this process, through a
+        :class:`PlanCache` LRU that lives as long as the runner, and
+        every point runs the plan built there.  ``False`` disables it
+        and every point re-extrapolates; results are bit-identical
+        either way.
     """
 
     #: Isolated re-executions granted to a point whose worker died; a
@@ -272,18 +256,21 @@ class SweepRunner(Hookable):
         for hook in hooks:
             self.accept_hook(hook)
 
-    def _plan_pass(self, sweep: _Sweep,
+    def _plan_step(self, sweep: _Sweep,
                    points: List[SweepOutcome]) -> List[SweepOutcome]:
-        """Build and deep-verify each distinct plan once in the parent.
-        Returns the points that may still run.
+        """Build each distinct plan of *points* once, in this process,
+        into the sweep's plan table; with verify, deep-verify each one
+        too.  Returns the points that may still run.
 
-        Points differing only in execute-time parameters share an
-        extrapolation plan, so a 16-point network sweep builds and
-        verifies one graph, not sixteen; the plans land in the parent's
-        plan cache, which in-process points reuse.  A config whose graph
-        can't even be built is passed through: it fails identically,
-        with a proper error record, when its point runs.
+        Points differing only in execute-time parameters share a plan, so
+        a 16-point network sweep builds (and verifies) one graph, not
+        sixteen, and every point runs it.  Builds go through the
+        runner's LRU and are counted there.  A config whose graph can't
+        be built is passed through: it fails identically, with a proper
+        error record, when its point runs.
         """
+        if sweep.plans is None and not self.verify:
+            return points
         from repro.analysis.verifier import verify_plan
 
         reports: Dict[str, Optional[Report]] = {}
@@ -295,16 +282,18 @@ class SweepRunner(Hookable):
                               record_timeline=False)
                 key = sim.plan_key()
                 if key not in reports:
-                    if self.plan_cache is None:
+                    if sweep.plans is None:
                         plan = sim.build_plan()
                     else:
                         plan, source = self.plan_cache.get_or_build(
                             key, sim.build_plan)
                         sweep.metrics.plan_builds += source == "built"
-                    reports[key] = verify_plan(plan, config=outcome.config)
+                        sweep.plans[key] = plan
+                    reports[key] = (verify_plan(plan, config=outcome.config)
+                                    if self.verify else None)
                 report = reports[key]
             except Exception:
-                report = None
+                pass
             if report is not None and report.has_errors:
                 self._reject(sweep, outcome, report)
             else:
@@ -333,18 +322,19 @@ class SweepRunner(Hookable):
         base_key = (trace_digest(trace)
                     if (self.cache is not None or self.journal is not None)
                     else "")
-        sweep = _Sweep(trace, record_timeline, base_key, metrics, started)
+        sweep = _Sweep(trace, record_timeline, base_key, metrics, started,
+                       plans=None if self.plan_cache is None else {})
 
-        # Journal setup: fingerprint the sweep, then either replay a
-        # matching journal (resume) or write a fresh begin record.  Both
-        # the mismatch check and the replay happen before the gate or any
-        # simulation work.
+        # Replay a matching journal (resume) or write a fresh begin
+        # record, before the gate or any simulation work.
         survivors = self._journal_open(sweep, outcomes)
 
         try:
             # The pre-dispatch gate: the config rules check every point;
-            # with verify, each distinct task graph is then deep-verified
-            # once.  Either tier's errors fail the point as VerifyError.
+            # with verify, the plan step then deep-verifies each distinct
+            # task graph once.  Either tier's errors fail the point as
+            # VerifyError.  Without verify, the plan step waits for the
+            # cache pass and builds only what the pending points run.
             admitted = []
             for outcome in survivors:
                 report = lint_config(outcome.config, trace=trace)
@@ -352,7 +342,7 @@ class SweepRunner(Hookable):
                     self._reject(sweep, outcome, report)
                 else:
                     admitted.append(outcome)
-            survivors = (self._plan_pass(sweep, admitted)
+            survivors = (self._plan_step(sweep, admitted)
                          if self.verify else admitted)
 
             # Cache pass: satisfy points without any simulation.
@@ -369,6 +359,8 @@ class SweepRunner(Hookable):
                     self._advance(sweep, outcome, PointState.DONE)
                 else:
                     pending.append(outcome)
+            if not self.verify:
+                self._plan_step(sweep, pending)
 
             parallel = [o for o in pending if o.config.is_serializable]
             inproc = [o for o in pending if not o.config.is_serializable]
@@ -597,17 +589,12 @@ class SweepRunner(Hookable):
         outcome.error = SweepError.from_dict(reply["error"])
         return PointState.FAILED
 
-    def _hard_deadline(self, config: SimulationConfig) -> Optional[float]:
-        """Effective hard budget for one point (config overrides sweep)."""
-        if config.deadline_hard is not None:
-            return config.deadline_hard
-        return self.deadline_hard
-
-    def _soft_deadline(self, config: SimulationConfig) -> Optional[float]:
-        """Effective soft budget for one point (config overrides sweep)."""
-        if config.deadline_soft is not None:
-            return config.deadline_soft
-        return self.deadline_soft
+    def _deadlines(self, config: SimulationConfig) -> dict:
+        """One point's ``timeout`` (hard) and ``deadline_soft`` budgets:
+        a config's own value overrides the sweep's."""
+        hard, soft = config.deadline_hard, config.deadline_soft
+        return {"timeout": self.deadline_hard if hard is None else hard,
+                "deadline_soft": self.deadline_soft if soft is None else soft}
 
     def _simulate_here(self, sweep: _Sweep, outcome: SweepOutcome) -> dict:
         """Simulate one point in this process; a run reply, never raises.
@@ -623,10 +610,11 @@ class SweepRunner(Hookable):
         try:
             result = _worker.simulate_point(
                 sweep.trace, config, sweep.record_timeline,
-                self._hard_deadline(config), sanitizer_sink=findings,
-                plan_cache=self.plan_cache,
+                sanitizer_sink=findings,
+                plan_cache=(None if sweep.plans is None
+                            else PlanCache(sweep.plans)),
                 verify="runtime" if self.verify else False,
-                deadline_soft=self._soft_deadline(config),
+                **self._deadlines(config),
             )
         except Exception as exc:
             return {"ok": False, "error": _worker.error_record(exc)}
@@ -650,23 +638,23 @@ class SweepRunner(Hookable):
             "trace_key": rescale(sweep.trace, outcome.config.gpu).gpu_name,
             "config": outcome.config.to_dict(),
             "record_timeline": sweep.record_timeline,
-            "timeout": self._hard_deadline(outcome.config),
-            "deadline_soft": self._soft_deadline(outcome.config),
+            **self._deadlines(outcome.config),
             # The static tier already ran once per distinct plan in
-            # _plan_pass; workers only need the runtime tier.
+            # _plan_step; workers only need the runtime tier.
             "verify": "runtime" if self.verify else False,
         }
 
-    def _new_pool(self, workers: int,
-                  traces: Dict[str, Trace]) -> ProcessPoolExecutor:
+    def _new_pool(self, workers: int, traces: Dict[str, Trace],
+                  plans: Optional[Dict[str, ExtrapolationPlan]]
+                  ) -> ProcessPoolExecutor:
         """The executor points are dispatched to — the single seam
-        between the lifecycle and the processes running it.  Each worker
-        gets a private plan cache unless plan sharing is off.
+        between the lifecycle and the processes running it.  Every
+        worker receives the sweep's trace and plan tables once.
         """
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker.init_worker,
-            initargs=(traces, self.plan_cache is not None),
+            initargs=(traces, plans),
         )
 
     def _submit(self, pool, sweep: _Sweep,
@@ -753,7 +741,7 @@ class SweepRunner(Hookable):
         queue = deque(points)
         window = max(1, workers * 2)
         chunk_size = self._chunk_size(len(points), workers)
-        pool = self._new_pool(workers, sweep.traces)
+        pool = self._new_pool(workers, sweep.traces, sweep.plans)
         futures: Dict[Future, List[SweepOutcome]] = {}
         try:
             while queue or futures:
@@ -763,20 +751,12 @@ class SweepRunner(Hookable):
                         if (self.breaker is not None
                                 and self.breaker.state != "closed"
                                 and (futures or batch)):
-                            # The breaker tripped (or a half-open probe
-                            # is flying) while work is in flight.
-                            # Admitting more now would fail every
-                            # remaining point fast before the probe's
-                            # result can close the breaker, making
-                            # recovery unreachable — so stop dispatching
-                            # and wait for the in-flight verdicts.  Once
-                            # the window drains, admission resumes:
-                            # skips count up to the next probe, and a
-                            # probe that succeeds re-closes the breaker
-                            # for the rest of the queue.  (Checked per
-                            # point, not per batch: an admitted probe
-                            # must not drag fail-fast victims along in
-                            # its own chunk.)
+                            # The breaker is not closed while work is in
+                            # flight: admitting more would fail the queue
+                            # fast before a probe's verdict could close
+                            # it again, so wait for the window to drain.
+                            # Checked per point, so an admitted probe
+                            # drags no fail-fast victims into its chunk.
                             break
                         outcome = queue.popleft()
                         state = self._advance(sweep, outcome,
@@ -794,7 +774,8 @@ class SweepRunner(Hookable):
                         # these points are crash-window victims too.
                         self._crash(sweep, batch, crashed)
                         pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._new_pool(workers, sweep.traces)
+                        pool = self._new_pool(workers, sweep.traces,
+                                              sweep.plans)
                 if not futures:
                     continue  # breaker fast-failed the whole window
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
@@ -813,7 +794,7 @@ class SweepRunner(Hookable):
                             self._crash(sweep, batch, crashed)
                     futures.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._new_pool(workers, sweep.traces)
+                    pool = self._new_pool(workers, sweep.traces, sweep.plans)
         except KeyboardInterrupt:
             pool.shutdown(wait=True, cancel_futures=True)
             raise
@@ -854,7 +835,7 @@ class SweepRunner(Hookable):
     def _isolated_attempt(self, sweep: _Sweep,
                           outcome: SweepOutcome) -> Optional[dict]:
         """One retry on a dedicated pool; ``None`` when the worker died."""
-        pool = self._new_pool(1, sweep.traces)
+        pool = self._new_pool(1, sweep.traces, sweep.plans)
         try:
             return self._submit(pool, sweep, [outcome]).result()[0]
         except BrokenProcessPool:

@@ -1,7 +1,9 @@
 """Sweep-point execution, shared by worker processes and in-process runs.
 
 A worker process is seeded once (via the pool initializer) with every
-prepared trace of the sweep, keyed by GPU name.  Within the process,
+prepared trace of the sweep, keyed by GPU name, and with every
+extrapolation plan the parent built for it, keyed by plan key.  Within
+the process,
 :func:`repro.extrapolator.optime.prepare` memoizes the fitted performance
 model per ``(trace, perf_model)`` — the expensive shared work (piecewise
 fits, Li's Model regression) happens once per process, not once per sweep
@@ -27,7 +29,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.core.config import SimulationConfig
-from repro.core.plan import PlanCache
+from repro.core.plan import ExtrapolationPlan, PlanCache
 from repro.core.simulator import TrioSim
 from repro.trace.trace import Trace
 
@@ -190,25 +192,29 @@ def deadline(seconds: Optional[float]):
 #: Prepared traces this worker may simulate, keyed by GPU name.
 _TRACES: Dict[str, Trace] = {}
 
-#: This worker's extrapolation-plan cache, or ``None`` when disabled.
-_PLAN_CACHE: Optional[PlanCache] = None
+#: The sweep's extrapolation plans, or ``None`` when plan sharing is off.
+_PLANS: Optional[PlanCache] = None
 
 
-def init_worker(traces: Dict[str, Trace], share_plans: bool = True) -> None:
-    """Pool initializer: receive every prepared trace exactly once.
+def init_worker(traces: Dict[str, Trace],
+                plans: Optional[Dict[str, ExtrapolationPlan]]) -> None:
+    """Pool initializer: receive every prepared trace and plan exactly once.
 
-    *traces* is the sweep's ``{gpu_name: Trace}`` table, built by the
-    parent process.  Under the ``fork`` start method the child inherits
-    it without any pickling; under ``spawn`` or ``forkserver`` it
-    crosses as one plain pickle per worker.
+    *traces* is the sweep's ``{gpu_name: Trace}`` table and *plans* its
+    ``{plan_key: plan}`` table, both built by the parent process.  Under
+    the ``fork`` start method the child inherits them without any
+    pickling; under ``spawn`` or ``forkserver`` each crosses as one
+    plain pickle per worker.
 
-    With *share_plans* the worker keeps a private in-memory
-    :class:`PlanCache`; without, every point it runs re-extrapolates.
+    A point looks its plan up in *plans* and builds only when the key is
+    missing, which happens when the parent's build raised: the point
+    then fails with its own error record.  With *plans* ``None`` (plan
+    sharing off) every point re-extrapolates.
     """
-    global _PLAN_CACHE
+    global _PLANS
     _TRACES.clear()
     _TRACES.update(traces)
-    _PLAN_CACHE = PlanCache() if share_plans else None
+    _PLANS = None if plans is None else PlanCache(plans)
 
 
 def simulate_point(trace: Trace, config: SimulationConfig,
@@ -260,7 +266,7 @@ def run_point(payload: dict) -> dict:
         result = simulate_point(
             trace, config, payload["record_timeline"], payload["timeout"],
             sanitizer_sink=sanitizer_findings,
-            allow_chaos=True, plan_cache=_PLAN_CACHE,
+            allow_chaos=True, plan_cache=_PLANS,
             verify=payload.get("verify", False),
             deadline_soft=payload.get("deadline_soft"),
         )
@@ -271,17 +277,14 @@ def run_point(payload: dict) -> dict:
 
 
 def run_chunk(payloads: List[dict]) -> List[dict]:
-    """Process-pool entry point: simulate a chunk of sweep points.
+    """Process-pool entry point: one :func:`run_point` reply per payload
+    of *payloads*, in order.
 
-    *payloads* is a list of :func:`run_point` payload dicts; replies come
-    back in submission order, one :func:`run_point` reply per payload.
     Each point still runs under its own deadlines and degrades to its
-    own error record — chunking only amortizes the per-future dispatch
-    overhead, it never couples point outcomes (except that a worker
-    crash takes the whole in-flight chunk down, which the runner's retry
-    pass then re-attributes point by point).
-
-    ``run_point`` is resolved through the module namespace on each call
-    so test seams that monkeypatch it keep working under chunking.
+    own error record; chunking only amortizes the per-future dispatch
+    overhead (a worker crash does take the whole chunk down, and the
+    runner's retry pass re-attributes it point by point).
+    ``run_point`` is looked up in the module on each call, so test
+    seams that monkeypatch it keep working.
     """
     return [run_point(payload) for payload in payloads]

@@ -10,7 +10,7 @@ checking that such a file is rejected with a finding.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,16 +28,16 @@ def rewired(plan: ExtrapolationPlan, row: int,
     dep_ptr = np.concatenate([ptr[:row + 1], ptr[row + 1:] + shift])
     dep_idx = np.concatenate([idx[:lo], np.asarray(deps, dtype=np.int64),
                               idx[hi:]])
-    return ExtrapolationPlan(plan.columns, dep_ptr, dep_idx, plan.key)
+    return ExtrapolationPlan(plan.columns, dep_ptr, dep_idx)
 
 
-def plan_file(plan: ExtrapolationPlan, key: Optional[str] = None) -> dict:
+def plan_file(plan: ExtrapolationPlan, key: str) -> dict:
     """The document a plan file held when plans were still written to
-    disk (format version 2): the key, every task column, then the
-    dependency CSR.  *key* overrides the plan's own."""
+    disk (format version 2): the *key* it was stored under, every task
+    column, then the dependency CSR."""
     return {
         "schema_version": 2,
-        "key": plan.key if key is None else key,
+        "key": key,
         "columns": {name: list(plan.columns[name]) for name in TASK_COLUMNS},
         "dep_ptr": plan.dep_ptr.tolist(),
         "dep_idx": plan.dep_idx.tolist(),

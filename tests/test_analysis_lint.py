@@ -460,7 +460,7 @@ class TestPlanLint:
         # A plan file written by an older version is not an input kind:
         # it reads as a config whose plan fields are unknown.
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan_file(plan)))
+        path.write_text(json.dumps(plan_file(plan, "0" * 64)))
         report, kind, _ = verify_path(path)
         assert kind == "config" and rule_ids(report) == {"CF011"}
         assert "['columns', 'dep_idx', 'dep_ptr', 'key']" in \
@@ -475,7 +475,7 @@ class TestPlanLint:
     def test_pl002_empty_plan(self):
         from repro.core.plan import PlanBuilder
 
-        report = verify_plan(PlanBuilder().finish("0" * 64))
+        report = verify_plan(PlanBuilder().finish())
         assert not report.has_errors
         assert rule_ids(report) == {"PL002"}
 

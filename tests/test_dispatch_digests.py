@@ -178,7 +178,7 @@ def test_direct_built_ring_all_reduce():
 def test_empty_plan_releases_its_fences():
     engine = Engine()
     sim = TaskGraphSimulator(engine, FlowNetwork(engine, ring(2, 100.0)))
-    PlanBuilder().finish("empty").instantiate_iterations(sim, 3)
+    PlanBuilder().finish().instantiate_iterations(sim, 3)
     assert sim.run() == 0.0
     assert [fence.name for fence in sim.fences] == ["iteration1",
                                                     "iteration2"]

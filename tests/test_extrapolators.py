@@ -120,6 +120,19 @@ class TestPP:
         flat = [op.name for stage in stages for op in stage]
         assert flat == [op.name for op in trace.forward_ops]
 
+    def test_every_stage_count_splits(self, trace):
+        # Up to one stage per forward op, every stage gets at least one
+        # op and the ops keep their order.  From 15 stages on, the greedy
+        # pass leaves several trailing stages empty on this trace.
+        names = [op.name for op in trace.forward_ops]
+        assert len(names) == 68
+        for count in range(1, len(names) + 1):
+            ex = PipelineExtrapolator(trace, OpTimeModel(trace), count,
+                                      chunks=4)
+            stages = ex.split_stages()
+            assert len(stages) == count and all(stages), count
+            assert [op.name for stage in stages for op in stage] == names
+
     def test_micro_batch_task_counts(self, trace):
         chunks = 2
         ex = PipelineExtrapolator(trace, OpTimeModel(trace), 2, chunks=chunks)

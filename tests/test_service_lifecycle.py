@@ -69,7 +69,7 @@ def worker_state(monkeypatch):
     """Isolate the worker module's per-process globals: the fake
     dispatcher initializes "workers" inside this process."""
     monkeypatch.setattr(worker_mod, "_TRACES", {})
-    monkeypatch.setattr(worker_mod, "_PLAN_CACHE", None)
+    monkeypatch.setattr(worker_mod, "_PLANS", None)
 
 
 def _comparable(result_dict):
@@ -223,8 +223,8 @@ class _FakePool:
     isolated retries) complete every submission at once.
     """
 
-    def __init__(self, script, workers, traces):
-        worker_mod.init_worker(traces)
+    def __init__(self, script, workers, traces, plans):
+        worker_mod.init_worker(traces, plans)
         self.script = script
         self.eager = workers == 1
         self.pending = {}
@@ -285,8 +285,8 @@ def _fake_wait(script):
 def _install_script(runner, monkeypatch, script):
     """Route every dispatch of *runner* through *script*: the fake pool
     for pooled runs, a scripted ``simulate_point`` for in-process ones."""
-    runner._new_pool = lambda workers, traces: _FakePool(
-        script, workers, traces)
+    runner._new_pool = lambda workers, traces, plans: _FakePool(
+        script, workers, traces, plans)
     monkeypatch.setattr(runner_mod, "wait", _fake_wait(script))
     real = _REAL_SIMULATE_POINT
 

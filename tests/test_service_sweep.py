@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.core.plan import PlanCache
 from repro.core.simulator import TrioSim
 from repro.extrapolator import optime
 from repro.extrapolator.optime import clear_prepared
@@ -108,7 +109,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# The prepared-trace table handed to pool workers
+# The prepared-trace and plan tables handed to pool workers
 # ----------------------------------------------------------------------
 
 #: Host-timing fields: not simulation state, so not compared.
@@ -129,13 +130,13 @@ def _two_gpu_grid():
 
 class _InlinePool:
     """A pool stand-in that starts no process: its "workers" receive the
-    trace table after the pickle round trip the ``spawn`` and
+    trace and plan tables after the pickle round trip the ``spawn`` and
     ``forkserver`` start methods give initargs, then run each
     submission at once in this process."""
 
-    def __init__(self, traces):
-        self.loaded = pickle.loads(pickle.dumps(traces))
-        worker_mod.init_worker(self.loaded)
+    def __init__(self, traces, plans):
+        self.loaded, self.plans = pickle.loads(pickle.dumps((traces, plans)))
+        worker_mod.init_worker(self.loaded, self.plans)
 
     def submit(self, fn, payload):
         future = Future()
@@ -152,9 +153,9 @@ class TestTraceTable:
         tables = []
         real_pool = SweepRunner._new_pool
 
-        def spy(self, workers, traces):
+        def spy(self, workers, traces, plans):
             tables.append(dict(traces))
-            return real_pool(self, workers, traces)
+            return real_pool(self, workers, traces, plans)
 
         monkeypatch.setattr(SweepRunner, "_new_pool", spy)
         configs = _two_gpu_grid()
@@ -171,18 +172,18 @@ class TestTraceTable:
         # pickles initargs; fork (the default before) hands them over
         # as they are.
         monkeypatch.setattr(worker_mod, "_TRACES", {})
-        monkeypatch.setattr(worker_mod, "_PLAN_CACHE", None)
+        monkeypatch.setattr(worker_mod, "_PLANS", None)
         pools = []
 
-        def inline(self, workers, traces):
-            pools.append((traces, _InlinePool(traces)))
-            return pools[-1][1]
+        def inline(self, workers, traces, plans):
+            pools.append((traces, plans, _InlinePool(traces, plans)))
+            return pools[-1][2]
 
         monkeypatch.setattr(SweepRunner, "_new_pool", inline)
         configs = _two_gpu_grid()
         outcomes = SweepRunner(max_workers=2).run(trace, configs)
 
-        (sent, pool), = pools
+        (sent, sent_plans, pool), = pools
         assert sorted(pool.loaded) == sorted(sent) == ["A40", "H100"]
         for key, loaded in pool.loaded.items():
             assert loaded is not sent[key]
@@ -190,10 +191,62 @@ class TestTraceTable:
             # pickle carried along.
             vars(loaded).pop("_digest_memo", None)
             assert trace_digest(loaded) == trace_digest(sent[key])
+        # Four distinct plans (two GPU counts on two GPUs) crossed as
+        # copies, and every point ran its copy instead of building.
+        assert len(pool.plans) == 4
+        assert sorted(pool.plans) == sorted(sent_plans)
+        for key, loaded in pool.plans.items():
+            assert loaded is not sent_plans[key]
+            assert loaded.columns == sent_plans[key].columns
+            assert loaded.dep_idx.tolist() == sent_plans[key].dep_idx.tolist()
+        assert all(o.unwrap().profile["plan_source"] == "memory"
+                   for o in outcomes)
         assert [_comparable(o.unwrap()) for o in outcomes] == [
             _comparable(TrioSim(trace, cfg, record_timeline=False).run())
             for cfg in configs
         ]
+
+
+class TestPlanTable:
+    """The parent builds each distinct plan once per sweep; a real
+    two-worker pool runs those plans."""
+
+    #: Four points, two distinct plans (the bandwidth is execute-time).
+    CONFIGS = [
+        SimulationConfig(parallelism="ddp", num_gpus=n, link_bandwidth=bw)
+        for n in (2, 4) for bw in (25e9, 100e9)
+    ]
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_pool_runs_the_parent_plans(self, trace, verify):
+        runner = SweepRunner(max_workers=2, verify=verify)
+        outcomes = runner.run(trace, self.CONFIGS)
+        assert all(o.unwrap().profile["plan_source"] == "memory"
+                   for o in outcomes)
+        metrics = runner.last_metrics
+        assert metrics.plan_builds == 2
+        assert metrics.plan_cache_hits == len(self.CONFIGS)
+
+    def test_no_plan_cache_bit_identical(self, trace):
+        shared = SweepRunner(max_workers=2).run(trace, self.CONFIGS)
+        runner = SweepRunner(max_workers=2, plan_cache=False)
+        private = runner.run(trace, self.CONFIGS)
+        assert ([o.unwrap().total_time for o in private]
+                == [o.unwrap().total_time for o in shared])
+        # Without sharing every point builds its own plan.
+        assert all(o.unwrap().profile["plan_source"] == "built"
+                   for o in private)
+        assert runner.last_metrics.plan_builds == len(self.CONFIGS)
+
+    def test_more_keys_than_the_lru_holds(self, trace, monkeypatch):
+        # The sweep's table is not the LRU: with the LRU down to one
+        # entry, two keys are still built once each and every point hits.
+        monkeypatch.setattr(PlanCache, "MAX_ENTRIES", 1)
+        runner = SweepRunner(max_workers=1)
+        outcomes = runner.run(trace, self.CONFIGS)
+        assert all(o.unwrap().profile["plan_source"] == "memory"
+                   for o in outcomes)
+        assert runner.last_metrics.plan_builds == 2
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from repro import SimulationConfig, Tracer, TrioSim, get_gpu, get_model
 from repro.analysis import (
     DEFAULT_REGISTRY,
+    AnalysisError,
     GraphView,
     Report,
     RuntimeSuite,
@@ -32,6 +33,10 @@ from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
 from tests.plan_edits import plan_file, rewired
+
+#: The key the plan files written here carry; their readers never look
+#: it up.
+FILE_KEY = "0" * 64
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +381,27 @@ class TestVerifyIntegration:
             digests.append(sim.verify_digest)
         assert digests[0] != digests[1]
 
+    def test_config_rules_run_before_the_plan(self, trace, monkeypatch):
+        # A link fault on a link the topology lacks fails as FT002 with
+        # no plan built; the runtime-only tier leaves the config rules
+        # to its caller.
+        from repro.faults import FaultSpec, LinkFault
+
+        faults = FaultSpec(link_faults=(LinkFault("gpu0-gpu9", 0.0, 0.002,
+                                                  0.5),))
+        config = SimulationConfig(parallelism="ddp", num_gpus=4,
+                                  faults=faults)
+
+        def no_plan(self):
+            raise AssertionError("plan built before the config rules ran")
+
+        monkeypatch.setattr(TrioSim, "build_plan", no_plan)
+        with pytest.raises(AnalysisError) as info:
+            TrioSim(trace, config, verify=True).run()
+        assert info.value.report.rule_ids() == ["FT002"]
+        with pytest.raises(AssertionError, match="plan built"):
+            TrioSim(trace, config, verify="runtime").run()
+
     def test_races_only_tier(self, trace):
         sim = TrioSim(trace, SimulationConfig(parallelism="ddp", num_gpus=2),
                       verify="runtime")
@@ -418,28 +444,27 @@ class TestPlanVerification:
         assert plan.dep_ptr[4] > plan.dep_ptr[3]
         dep_idx = plan.dep_idx.copy()
         dep_idx[plan.dep_ptr[3]] = 3
-        clone = ExtrapolationPlan(plan.columns, plan.dep_ptr, dep_idx,
-                                  plan.key)
+        clone = ExtrapolationPlan(plan.columns, plan.dep_ptr, dep_idx)
         report = verify_plan(clone)
         assert rule_ids(report) == {"DV001"}
         assert "depends on itself" in report.findings[0].message
 
     def test_detect_kind_plan_and_faults(self, plan):
         # Plan files are no longer an input kind: one reads as a config.
-        assert detect_kind(plan_file(plan)) == "config"
+        assert detect_kind(plan_file(plan, FILE_KEY)) == "config"
         assert detect_kind({"stragglers": [
             {"gpu": "gpu1", "factor": 2.0}]}) == "faults"
 
     def test_verify_path_plan(self, tmp_path, plan):
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan_file(plan)))
+        path.write_text(json.dumps(plan_file(plan, FILE_KEY)))
         report, kind, info = verify_path(path)
         assert kind == "config" and report.has_errors
         assert rule_ids(report) == {"CF011"}
         assert "summary" not in info
 
     def test_verify_path_corrupt_plan(self, tmp_path, plan):
-        data = plan_file(rewired(plan, 0, [5]))
+        data = plan_file(rewired(plan, 0, [5]), FILE_KEY)
         del data["columns"]["meta"]
         path = tmp_path / "bad_plan.json"
         path.write_text(json.dumps(data))
@@ -550,7 +575,7 @@ class TestVerifyCli:
         # A plan file, corrupt or not, is an unknown config: one finding
         # and exit 1, not a traceback.
         path = tmp_path / "bad.plan.json"
-        path.write_text(json.dumps(plan_file(rewired(plan, 0, [5]))))
+        path.write_text(json.dumps(plan_file(rewired(plan, 0, [5]), FILE_KEY)))
         assert main(["verify", str(path)]) == 1
         assert "CF011" in capsys.readouterr().out
 
@@ -585,6 +610,18 @@ class TestVerifyCli:
                      "--num-gpus", "2", "--verify"]) == 0
         out = capsys.readouterr().out
         assert "dispatch-order digest" in out
+
+    def test_simulate_verify_runs_config_rules(self, trace_file, capsys):
+        # The example's link faults name ring links a leaf-spine fabric
+        # lacks: the config rules report FT002 before the run starts.
+        from pathlib import Path
+
+        faults = (Path(__file__).parent.parent
+                  / "examples/faults_link_flap.json")
+        assert main(["simulate", str(trace_file), "--parallelism", "ddp",
+                     "--num-gpus", "8", "--topology", "leaf_spine",
+                     "--faults", str(faults), "--verify"]) == 1
+        assert "FT002" in capsys.readouterr().out
 
     def test_example_specs_verify_clean(self, capsys):
         from pathlib import Path
