@@ -20,6 +20,9 @@ from repro.core.results import (
     SimulationResult,
     TimelineRecord,
 )
+from repro.faults.spec import FaultSpec
+from repro.network.topology import TopologySpec
+from repro.service.cache import ResultCache
 
 # ----------------------------------------------------------------------
 # Config round-trips
@@ -132,6 +135,60 @@ def test_property_cache_key_stable_and_discriminating(cfg):
         {**cfg.to_dict(), "num_gpus": cfg.num_gpus + 1}
     )
     assert changed.cache_key() != cfg.cache_key()
+
+
+def _pinned_configs():
+    graph = nx.Graph()
+    graph.add_edge("gpu0", "gpu1", bandwidth=50e9, latency=1e-6)
+    graph.add_edge("gpu1", "gpu2", bandwidth=25e9, latency=3e-6)
+    return {
+        "graph": SimulationConfig(num_gpus=3, topology=graph),
+        "spec": SimulationConfig(
+            num_gpus=16, routing="ecmp",
+            topology=TopologySpec("leaf_spine", {"gpus_per_leaf": 4})),
+        "faults": SimulationConfig(num_gpus=4, faults=FaultSpec(stragglers=[
+            {"gpu": "gpu1", "start": 0.0, "duration": 0.01,
+             "factor": 2.0}])),
+        "deadlines": SimulationConfig(num_gpus=2, deadline_soft=5.0,
+                                      deadline_hard=10.0),
+    }
+
+
+#: ``(cache_key(), point_key(timeline=False), point_key(timeline=True))``
+#: per config of :func:`_pinned_configs`, with trace key ``"trace-key"``.
+#: Result caches and sweep journals are addressed by these keys, so a
+#: change here orphans every entry written before it.
+KEY_PINS = {
+    "graph": (
+        "1082596b295e29151042516bcde9e3855d040b577d431c042b888614a13746d2",
+        "978b923343a55c27f15524eabafc7d7e32864ee3e2118d754a73cdf6a511d8c8",
+        "d6968d4819803b4981bc0015eb74e093e8b649983c7cf1094960310fba502850",
+    ),
+    "spec": (
+        "c9c6a4fd94ad53e085dbd270dbd8b63cb36173a5aa2bc48e85875d566ae77d74",
+        "bb2c10a28c550c2b0bba3f40aabcd653b823664bd1b7e13f86e297e6d6efd90b",
+        "d2bd3566594356d41a231deff54ea018cb7b1998e13257763c2d55e20ad10315",
+    ),
+    "faults": (
+        "55856fb3e7a0e6355b1e78dd99806ede778e7951ed470c1da78d473a8d5f82ca",
+        "64d2457ea3ff13cc81aec1f243bc622c7840db86ab2628119c9ccbeb2c579793",
+        "ba10d98cffb7e6f6e652b6c8d78d7e6b3ab5a7d4fbf607ef4c2ae0ed1122033a",
+    ),
+    "deadlines": (
+        "cebd5af61a8ef442eeea7cee4f21524093dbd80e4fde8259eccbb377600c1dcd",
+        "328cac9c07e7483d0c92e879c0af49de94cc4f09d0a91daf00d4309aef268a9e",
+        "34cfa1b51537809f17fd867a1279a441c08600aadd2399a0d8f07352642c84f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_PINS))
+def test_cache_and_point_keys_pinned(name):
+    cfg = _pinned_configs()[name]
+    keys = (cfg.cache_key(),
+            ResultCache.point_key("trace-key", cfg, False),
+            ResultCache.point_key("trace-key", cfg, True))
+    assert keys == KEY_PINS[name]
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,14 @@ class TestRemainingArtifacts:
         res = fig15.run(quick=True)
         vgg = res.row("VGG-19/electrical")
         assert vgg.detail["comm_ratio"] > 0.7
+        # Exact totals: the photonic points run on a network factory
+        # handed to TrioSim, the electrical ones through the sweep.
+        assert {r.label: r.predicted.hex() for r in res.rows} == {
+            "VGG-19/electrical": "0x1.cffa2a156c790p-5",
+            "VGG-19/photonic": "0x1.133b73781c48dp-5",
+            "RN-50/electrical": "0x1.558f62b2cb560p-5",
+            "RN-50/photonic": "0x1.aafdf777e088cp-6",
+        }
 
     def test_table1_features_and_errors(self):
         from repro.experiments import table1

@@ -9,6 +9,7 @@ deterministic count-based rules.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +19,20 @@ from repro.gpus.specs import get_gpu
 from repro.service import (
     CircuitBreaker,
     JournalMismatchError,
+    ResultCache,
     SweepJournal,
     SweepRunner,
+    SweepSpec,
     check_resume,
     sweep_fingerprint,
+    trace_digest,
 )
 from repro.service.journal import JOURNAL_NAME
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +227,15 @@ class TestCheckResume:
         journal.close()
         assert len(check_resume(journal.read(), "fp",
                                 deadline_hard=1.0)) == 0
+
+    def test_example_sweep_fingerprint_pinned(self):
+        # A journal written for examples/ddp_sweep.json resumes only while
+        # this fingerprint (trace digest, point keys, order) holds.
+        spec = SweepSpec.load(EXAMPLES / "ddp_sweep.json")
+        base = trace_digest(spec.load_trace())
+        keys = [ResultCache.point_key(base, cfg) for _, cfg in spec.expand()]
+        assert sweep_fingerprint(base, keys, False) == (
+            "23fd9005233f434d4e06ba98044a13eba1cca81806da64ea1f48aba28e9e752b")
 
     def test_fingerprint_is_order_sensitive(self):
         a = sweep_fingerprint("t", ["k1", "k2"], False)
