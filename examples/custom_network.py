@@ -9,7 +9,7 @@ Three scenarios on the same ResNet-50 DDP workload:
    evaluate in AstraSim and DistSim" but natural here: just edit the
    topology graph's edge attributes.
 3. A drop-in photonic circuit-switching network (the §7.1 case-study
-   model) via the ``network_factory`` hook — no extrapolator changes.
+   model) via ``TrioSim(network_factory=)`` — no extrapolator changes.
 
 Run:  python examples/custom_network.py
 """
@@ -21,9 +21,10 @@ NUM_GPUS = 4
 LINK_BW = 234e9
 
 
-def simulate(trace, label, **config_fields):
+def simulate(trace, label, network_factory=None, **config_fields):
     config = SimulationConfig(parallelism="ddp", num_gpus=NUM_GPUS, **config_fields)
-    result = TrioSim(trace, config, record_timeline=False).run()
+    result = TrioSim(trace, config, record_timeline=False,
+                     network_factory=network_factory).run()
     print(
         f"  {label:<28} {result.total_time * 1e3:8.2f} ms "
         f"(comm busy {result.communication_time * 1e3:7.2f} ms)"

@@ -51,8 +51,8 @@ def run_photonic(trace, ports):
         captured["net"] = net
         return net
 
-    config = _base_config(network_factory=factory)
-    result = TrioSim(trace, config, record_timeline=False).run()
+    result = TrioSim(trace, _base_config(), record_timeline=False,
+                     network_factory=factory).run()
     net = captured["net"]
     compute = max(result.per_gpu_busy.values())
     comm = result.total_time - compute

@@ -69,8 +69,6 @@ def check_fold_eligibility(ctx: ConfigContext, emit: Emitter) -> None:
                 location="faults", horizon=horizon,
             )
         return
-    if reason is not None:
-        return  # e.g. custom-network: not fixable from the config
     # The same test as the fold gate: a strategy engages on a prebuilt
     # graph or a multipath named topology, and a dynamic one rules out
     # folding.  Unknown names are NW003's error.

@@ -2,8 +2,10 @@
 
 Everything the user can vary without re-collecting a trace (the paper's
 headline capability): GPU count, parallelism strategy, batch size, network
-topology/bandwidth/latency, target GPU model, DDP bucketing, GPipe chunks,
-and the network-model implementation.
+topology/bandwidth/latency, target GPU model, DDP bucketing, GPipe chunks.
+Every config is plain data: it serializes, caches and crosses process
+boundaries.  A custom network model (e.g. the photonic interconnect) is
+not part of it; it plugs into :class:`~repro.core.simulator.TrioSim`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import networkx as nx
 
@@ -93,9 +95,6 @@ class SimulationConfig:
         Target GPU name for cross-GPU prediction; when it differs from the
         trace's GPU the trace is first rescaled with
         :class:`~repro.perfmodel.scaling.CrossGPUScaler`.
-    network_factory:
-        Optional callable ``(engine, config) -> NetworkModel`` replacing
-        the default flow network (e.g. the photonic model).
     bucket_bytes / overlap:
         DDP gradient bucketing controls.
     collective_scheme:
@@ -166,7 +165,6 @@ class SimulationConfig:
     routing_seed: int = 0
     oversubscription: Optional[float] = None
     gpu: Optional[str] = None
-    network_factory: Optional[Callable] = None
     bucket_bytes: int = 25 * 1024 * 1024
     overlap: bool = True
     collective_scheme: str = "ring"
@@ -287,31 +285,12 @@ class SimulationConfig:
     # ------------------------------------------------------------------
     # Serialization (the sweep service's process-boundary format)
     # ------------------------------------------------------------------
-    @property
-    def is_serializable(self) -> bool:
-        """Whether this config can cross a process boundary / be cached.
-
-        Only ``network_factory`` (an arbitrary callable) falls outside the
-        serializable subset; prebuilt ``networkx`` topologies round-trip.
-        """
-        return self.network_factory is None
-
     def to_dict(self) -> dict:
-        """A JSON-safe dict that :meth:`from_dict` restores exactly.
-
-        Raises ``ValueError`` when the config holds a ``network_factory``
-        callable, which cannot be serialized.
-        """
-        if self.network_factory is not None:
-            raise ValueError(
-                "configs with a network_factory are not serializable; "
-                "run them in-process instead"
-            )
+        """A JSON-safe dict that :meth:`from_dict` restores exactly
+        (prebuilt ``networkx`` topologies included)."""
         data = {"schema_version": CONFIG_SCHEMA_VERSION}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "network_factory":
-                continue
             if f.name == "faults" and value is not None:
                 value = value.to_dict()
             if f.name == "topology" and isinstance(value, TopologySpec):
@@ -350,8 +329,6 @@ class SimulationConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "network_factory" in data and data["network_factory"] is not None:
-            raise ValueError("network_factory cannot be deserialized")
         topology = data.get("topology")
         if isinstance(topology, dict) and "__graph__" in topology:
             payload = topology["__graph__"]

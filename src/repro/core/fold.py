@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.network.flow import FlowNetwork
+
 #: Folding engages only when it would skip at least this many iterations;
 #: below the threshold the exact event-by-event path is used (and stays
 #: bit-identical to builds that predate folding).
@@ -66,9 +68,7 @@ def config_fold_reason(config) -> Optional[str]:
       iterations, so there is nothing worth folding;
     * ``faults`` — a non-empty fault spec perturbs the schedule
       time-dependently (a straggler window open during iteration 3 but
-      not 4 breaks periodicity);
-    * ``custom-network`` — a ``network_factory`` model offers no
-      counter-extension contract (:meth:`FlowNetwork.stats_snapshot`).
+      not 4 breaks periodicity).
     """
     if not config.fold:
         return "disabled"
@@ -76,8 +76,6 @@ def config_fold_reason(config) -> Optional[str]:
         return "few-iterations"
     if config.faults is not None and not config.faults.is_empty:
         return "faults"
-    if config.network_factory is not None:
-        return "custom-network"
     return None
 
 
@@ -85,8 +83,13 @@ def fold_decision(config, network=None, verify: bool = False) -> FoldDecision:
     """Decide whether a :class:`~repro.core.simulator.TrioSim` run folds.
 
     Beyond the static config gate (:func:`config_fold_reason`), a run is
-    disqualified by anything that must observe every dispatched event:
+    disqualified by the network it was built with, and by anything that
+    must observe every dispatched event:
 
+    * ``custom-network`` — a network that is not a :class:`FlowNetwork`
+      (a custom model plugged into TrioSim, such as the photonic one)
+      offers no counter-extension contract
+      (:meth:`FlowNetwork.stats_snapshot`).
     * ``dynamic-routing`` — the *engaged* routing strategy is dynamic
       (flowlet / congestion-adaptive): per-flow path choices depend on
       instantaneous congestion state, which the fence does not reset.
@@ -98,6 +101,9 @@ def fold_decision(config, network=None, verify: bool = False) -> FoldDecision:
       iterations dispatch no events, so it forces the exact path.
     """
     reason = config_fold_reason(config)
+    if reason is None and network is not None \
+            and not isinstance(network, FlowNetwork):
+        reason = "custom-network"
     if reason is None and verify:
         reason = "verify"
     if reason is None and network is not None:

@@ -50,10 +50,10 @@ from repro.trace.trace import Trace, trace_digest
 #: Config fields a plan depends on.  Everything else — topology, link
 #: bandwidth/latency, routing/routing_seed, oversubscription, host link
 #: parameters, gpu_slowdowns, faults, iterations, the fold knobs
-#: (fold/fold_warmup/fold_tolerance), network_factory — is an
-#: execute-time concern and two configs differing only there share a
-#: plan: the extrapolated task graph names logical transfers, and which
-#: fabric path carries each one is decided when the network executes it.
+#: (fold/fold_warmup/fold_tolerance) — is an execute-time concern and two
+#: configs differing only there share a plan: the extrapolated task graph
+#: names logical transfers, and which fabric path carries each one is
+#: decided when the network executes it.
 PLAN_KEY_FIELDS = (
     "parallelism", "num_gpus", "batch_size", "chunks", "dp_degree",
     "tp_scheme", "pp_schedule", "bucket_bytes", "overlap",

@@ -140,13 +140,22 @@ class TrioSim:
         see :func:`heartbeat_observer`) — the sweep service's
         cooperative soft-deadline check.  A heartbeat never affects fold
         eligibility: it observes wall clock, not simulation state.
+    network_factory:
+        Optional callable ``(engine, config) -> network`` replacing the
+        default :class:`~repro.network.flow.FlowNetwork` (e.g. the
+        photonic model of ``examples/custom_network.py``); the network
+        only needs the ``send`` / deliver contract of
+        :class:`~repro.network.base.NetworkModel`.  Such a network offers
+        no fold counters, so multi-iteration runs report
+        ``fold_status`` ``off:custom-network``.
     """
 
     def __init__(self, trace: Trace, config: SimulationConfig,
                  record_timeline: bool = True, allow_chaos: bool = False,
                  plan_cache: PlanCache = None, verify: bool = False,
-                 heartbeat=None):
+                 heartbeat=None, network_factory=None):
         self.config = config
+        self.network_factory = network_factory
         self.record_timeline = record_timeline
         self.heartbeat = heartbeat
         self.allow_chaos = allow_chaos
@@ -180,8 +189,8 @@ class TrioSim:
         return self.config.batch_size / self.trace.batch_size
 
     def _build_network(self, engine: Engine):
-        if self.config.network_factory is not None:
-            return self.config.network_factory(engine, self.config)
+        if self.network_factory is not None:
+            return self.network_factory(engine, self.config)
         cfg = self.config
         # "shortest" maps to no strategy object at all — the exact legacy
         # routing codepath, so default configs stay bit-identical.

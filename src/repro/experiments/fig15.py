@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.config import SimulationConfig
+from repro.core.simulator import TrioSim
 from repro.engine.engine import Engine
 from repro.experiments.harness import (
     ExperimentResult,
@@ -62,8 +63,8 @@ def _photonic_factory(engine: Engine, _config) -> PhotonicNetwork:
     )
 
 
-def _config(network: str) -> SimulationConfig:
-    common = dict(
+def _config(**fields) -> SimulationConfig:
+    return SimulationConfig(
         parallelism="ddp",
         num_gpus=NUM_GPUS,
         batch_size=PER_GPU_BATCH,
@@ -71,14 +72,8 @@ def _config(network: str) -> SimulationConfig:
         # One fused AllReduce after backward: the wafer case study models
         # plain data-parallel synchronization, not DDP bucketing.
         overlap=False,
+        **fields,
     )
-    if network == "electrical":
-        return SimulationConfig(
-            topology=wafer_mesh(ROWS, COLS, ELECTRICAL_BANDWIDTH,
-                                ELECTRICAL_LATENCY),
-            **common,
-        )
-    return SimulationConfig(network_factory=_photonic_factory, **common)
 
 
 def run(models: Optional[List[str]] = None, quick: bool = False,
@@ -93,11 +88,14 @@ def run(models: Optional[List[str]] = None, quick: bool = False,
     for model_name in models:
         trace = trace_for(model_name, "A100", trace_batch(model_name))
         comm = {}
-        networks = ("electrical", "photonic")
-        # One sweep per model; the photonic config carries a network
-        # factory, which the sweep service runs in-process.
-        responses = predict_many(trace, [_config(n) for n in networks])
-        for network, res in zip(networks, responses):
+        # The electrical wafer is a topology graph and runs through the
+        # sweep service; the photonic model plugs into TrioSim directly.
+        electrical, = predict_many(trace, [_config(topology=wafer_mesh(
+            ROWS, COLS, ELECTRICAL_BANDWIDTH, ELECTRICAL_LATENCY))])
+        photonic = TrioSim(trace, _config(), record_timeline=False,
+                           network_factory=_photonic_factory).run()
+        for network, res in (("electrical", electrical),
+                             ("photonic", photonic)):
             # Wall-clock view, like the paper's stacked bars: compute is
             # one GPU's busy time; communication is everything else.
             compute_wall = max(res.per_gpu_busy.values())

@@ -71,22 +71,6 @@ class JournalMismatchError(RuntimeError):
         self.report = report
 
 
-def point_fingerprint(trace_key: str, config, record_timeline: bool) -> str:
-    """Journal identity of one sweep point.
-
-    Serializable configs reuse the result cache's content-addressed key
-    (:meth:`ResultCache.point_key`), so journal, cache, and outcome dicts
-    all agree on what a point *is*.  Non-serializable configs (a
-    ``network_factory`` callable) cannot be content-addressed — they get
-    a positional marker and are re-run, never replayed, on resume.
-    """
-    if config.is_serializable:
-        from repro.service.cache import ResultCache
-
-        return ResultCache.point_key(trace_key, config, record_timeline)
-    return "unserializable"
-
-
 def sweep_fingerprint(trace_key: str, point_keys: Sequence[str],
                       record_timeline: bool) -> str:
     """Content digest of an entire sweep: trace, points, order, flags."""

@@ -126,8 +126,7 @@ class SweepOutcome:
         return {
             "index": self.index,
             "label": self.label,
-            "config": (self.config.to_dict()
-                       if self.config.is_serializable else None),
+            "config": self.config.to_dict(),
             "cached": self.cached,
             "result": self.result.to_dict() if self.result else None,
             "error": self.error.to_dict() if self.error else None,

@@ -76,7 +76,6 @@ from repro.service.journal import (
     JournalMismatchError,
     SweepJournal,
     check_resume,
-    point_fingerprint,
     sweep_fingerprint,
 )
 from repro.service.outcome import (
@@ -265,9 +264,11 @@ class SweepRunner(Hookable):
         Points differing only in execute-time parameters share a plan, so
         a 16-point network sweep builds (and verifies) one graph, not
         sixteen, and every point runs it.  Builds go through the
-        runner's LRU and are counted there.  A config whose graph can't
-        be built is passed through: it fails identically, with a proper
-        error record, when its point runs.
+        runner's LRU; without plan sharing, verify builds each graph
+        only to check it, and every point builds its own again.  Every
+        build this step makes counts in ``plan_builds``.  A config whose
+        graph can't be built is passed through: it fails identically,
+        with a proper error record, when its point runs.
         """
         if sweep.plans is None and not self.verify:
             return points
@@ -283,12 +284,12 @@ class SweepRunner(Hookable):
                 key = sim.plan_key()
                 if key not in reports:
                     if sweep.plans is None:
-                        plan = sim.build_plan()
+                        plan, source = sim.build_plan(), "built"
                     else:
                         plan, source = self.plan_cache.get_or_build(
                             key, sim.build_plan)
-                        sweep.metrics.plan_builds += source == "built"
                         sweep.plans[key] = plan
+                    sweep.metrics.plan_builds += source == "built"
                     reports[key] = (verify_plan(plan, config=outcome.config)
                                     if self.verify else None)
                 report = reports[key]
@@ -349,7 +350,7 @@ class SweepRunner(Hookable):
             pending: List[SweepOutcome] = []
             for outcome in survivors:
                 hit = None
-                if self.cache is not None and outcome.config.is_serializable:
+                if self.cache is not None:
                     key = self.cache.point_key(base_key, outcome.config,
                                                record_timeline)
                     hit = self.cache.load(key)
@@ -362,17 +363,11 @@ class SweepRunner(Hookable):
             if not self.verify:
                 self._plan_step(sweep, pending)
 
-            parallel = [o for o in pending if o.config.is_serializable]
-            inproc = [o for o in pending if not o.config.is_serializable]
-            workers = min(self.max_workers, len(parallel))
-            if workers <= 1:
-                inproc = pending
-                parallel = []
-
-            if parallel:
-                self._run_parallel(sweep, parallel, workers)
-            if inproc:
-                self._run_inproc(sweep, inproc)
+            workers = min(self.max_workers, len(pending))
+            if workers > 1:
+                self._run_parallel(sweep, pending, workers)
+            else:
+                self._run_inproc(sweep, pending)
         except KeyboardInterrupt:
             # Mark everything that never reached a terminal state, leave
             # a clean journal tail, and let the interrupt propagate (the
@@ -407,7 +402,8 @@ class SweepRunner(Hookable):
         if self.journal is None:
             return outcomes
         keys = [
-            point_fingerprint(sweep.base_key, o.config, sweep.record_timeline)
+            ResultCache.point_key(sweep.base_key, o.config,
+                                  sweep.record_timeline)
             for o in outcomes
         ]
         sweep.journal, sweep.keys = self.journal, keys
@@ -432,8 +428,7 @@ class SweepRunner(Hookable):
             # record is replayed only if it carries exactly this point's
             # content-addressed key; anything else (a forged or foreign
             # record) simply re-runs.
-            if (record is None or key == "unserializable"
-                    or record.get("key") != key):
+            if record is None or record.get("key") != key:
                 survivors.append(outcome)
                 continue
             outcome.result = SimulationResult.from_dict(record["result"])
@@ -542,7 +537,7 @@ class SweepRunner(Hookable):
             plan_source = result.profile.get("plan_source")
             metrics.plan_builds += plan_source == "built"
             metrics.plan_cache_hits += plan_source == "memory"
-            if self.cache is not None and outcome.config.is_serializable:
+            if self.cache is not None:
                 self.cache.store(
                     self.cache.point_key(sweep.base_key, outcome.config,
                                          sweep.record_timeline),

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import SimulationConfig
+from repro.service.breaker import CircuitBreaker
 from repro.trace.trace import Trace
 
 _TOP_LEVEL_KEYS = {
@@ -90,6 +91,13 @@ class SweepSpec:
                 "breaker must be true, false, null, or an object of "
                 "CircuitBreaker settings"
             )
+        if isinstance(self.breaker, dict):
+            # Fail at load, not at dispatch: a misspelled or out-of-range
+            # setting must not pass as a clean spec.
+            try:
+                CircuitBreaker(**self.breaker)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"invalid breaker settings: {exc}") from None
         # Fail early on typos: every point must build a valid config.
         self.expand()
 

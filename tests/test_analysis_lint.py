@@ -420,6 +420,18 @@ class TestSpecLint:
         report = lint_spec({"model": "resnet18", "frobnicate": True})
         assert rule_ids(report) == {"SP001"}
 
+    @pytest.mark.parametrize("breaker", [{"windw": 3}, {"window": 0}])
+    def test_sp001_bad_breaker_settings(self, breaker, tmp_path, capsys):
+        spec = {"model": "resnet18", "batch": 32,
+                "axes": {"num_gpus": [2]}, "breaker": breaker}
+        report = lint_spec(spec)
+        assert rule_ids(report) == {"SP001"}
+        assert "breaker" in report.errors[0].message
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify", str(path)]) == 1
+        assert "SP001" in capsys.readouterr().out
+
     def test_sp002_missing_trace_file(self, tmp_path):
         report = lint_spec({"trace": "no_such_trace.json"},
                            base_dir=tmp_path)

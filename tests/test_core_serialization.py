@@ -85,17 +85,6 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             SimulationConfig.from_dict({"num_gpus": 0})
 
-    def test_network_factory_not_serializable(self):
-        cfg = SimulationConfig(network_factory=lambda engine, config: None)
-        assert not cfg.is_serializable
-        with pytest.raises(ValueError, match="network_factory"):
-            cfg.to_dict()
-        with pytest.raises(ValueError, match="network_factory"):
-            SimulationConfig.from_dict({"network_factory": object()})
-
-    def test_plain_config_is_serializable(self):
-        assert SimulationConfig().is_serializable
-
 
 _configs = st.builds(
     SimulationConfig,

@@ -5,6 +5,9 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.simulator import TrioSim
 from repro.gpus.specs import get_gpu
+from repro.network.flow import FlowNetwork
+from repro.network.photonic import PhotonicNetwork
+from repro.network.topology import build_topology, gpu_names
 from repro.trace.tracer import Tracer
 from repro.workloads import get_model
 
@@ -123,6 +126,47 @@ class TestCrossGPU:
         res = TrioSim(trace, SimulationConfig(parallelism="single",
                                               gpu="a100")).run()
         assert res.total_time == pytest.approx(trace.total_duration, rel=1e-9)
+
+
+class TestNetworkFactory:
+    """``TrioSim(network_factory=)`` swaps the network model; the config
+    stays plain data."""
+
+    @staticmethod
+    def _ring(engine, config):
+        return FlowNetwork(engine, build_topology(
+            "ring", config.num_gpus, config.link_bandwidth,
+            config.link_latency))
+
+    @staticmethod
+    def _photonic(engine, config):
+        return PhotonicNetwork(engine, gpu_names(config.num_gpus),
+                               bandwidth=484e9, setup_latency=20e-3,
+                               ports_per_node=8)
+
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_flow_network_factory_matches_default(self, trace, iterations):
+        config = SimulationConfig(num_gpus=2, iterations=iterations)
+        plain = TrioSim(trace, config).run()
+        custom = TrioSim(trace, config, network_factory=self._ring).run()
+        assert custom.total_time == plain.total_time
+        # A FlowNetwork from a factory folds like the default network.
+        assert (custom.profile.get("fold_status")
+                == plain.profile.get("fold_status"))
+
+    def test_photonic_network_runs_exact(self, trace):
+        config = SimulationConfig(parallelism="ddp", num_gpus=4, iterations=6)
+        result = TrioSim(trace, config,
+                         network_factory=self._photonic).run()
+        assert result.profile["fold_status"] == "off:custom-network"
+        assert result.total_time.hex() == "0x1.88a4e9332e022p-4"
+        assert result.events == 4611
+
+    def test_factory_is_not_a_config_field(self):
+        with pytest.raises(TypeError, match="network_factory"):
+            SimulationConfig(network_factory=self._ring)
+        with pytest.raises(ValueError, match="unknown config fields"):
+            SimulationConfig.from_dict({"network_factory": None})
 
 
 class TestResultMetadata:

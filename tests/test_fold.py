@@ -36,8 +36,9 @@ from repro.engine.engine import Engine
 from repro.faults.spec import FaultSpec
 from repro.gpus.specs import get_gpu
 from repro.network.flow import FlowNetwork
+from repro.network.photonic import PhotonicNetwork
 from repro.network.routing import EcmpRouting
-from repro.network.topology import build_topology
+from repro.network.topology import build_topology, gpu_names
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
 from tests.task_table import recorded_tables, task_table_digest
@@ -124,9 +125,18 @@ class TestEligibility:
         assert config_fold_reason(make_config(faults=FaultSpec())) is None
 
     def test_custom_network_factory(self):
-        config = make_config(
-            network_factory=lambda engine, cfg: object())
-        assert config_fold_reason(config) == "custom-network"
+        # Any network that is not a FlowNetwork (a TrioSim network_factory
+        # model) rules folding out; the config reasons still come first,
+        # and the verify reason after.
+        network = PhotonicNetwork(Engine(), gpu_names(4), bandwidth=484e9,
+                                  setup_latency=20e-3)
+        assert config_fold_reason(make_config()) is None
+        assert fold_decision(make_config(), network=network) == \
+            FoldDecision(False, "custom-network")
+        assert fold_decision(make_config(), network=network,
+                             verify=True).reason == "custom-network"
+        assert fold_decision(make_config(fold=False),
+                             network=network).reason == "disabled"
 
     def test_observers_force_exact_path(self):
         config = make_config()

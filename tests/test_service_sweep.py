@@ -20,8 +20,6 @@ from repro.core.simulator import TrioSim
 from repro.extrapolator import optime
 from repro.extrapolator.optime import clear_prepared
 from repro.gpus.specs import get_gpu
-from repro.network.flow import FlowNetwork
-from repro.network.topology import build_topology
 from repro.perfmodel.scaling import CrossGPUScaler
 from repro.service import worker as worker_mod
 from repro.service.cache import ResultCache, trace_digest
@@ -238,6 +236,24 @@ class TestPlanTable:
                    for o in private)
         assert runner.last_metrics.plan_builds == len(self.CONFIGS)
 
+    def test_verify_without_sharing_counts_every_build(self, trace,
+                                                       monkeypatch):
+        # Verify builds each distinct graph once to check it, then every
+        # point builds its own again: plan_builds counts all of them.
+        built = []
+        build_plan = TrioSim.build_plan
+
+        def counting(sim):
+            built.append(sim.plan_key())
+            return build_plan(sim)
+
+        monkeypatch.setattr(TrioSim, "build_plan", counting)
+        runner = SweepRunner(max_workers=1, verify=True, plan_cache=False)
+        assert all(o.ok for o in runner.run(trace, self.CONFIGS))
+        assert len(built) == 2 + len(self.CONFIGS)
+        assert runner.last_metrics.plan_builds == len(built)
+        assert runner.last_metrics.plan_cache_hits == 0
+
     def test_more_keys_than_the_lru_holds(self, trace, monkeypatch):
         # The sweep's table is not the LRU: with the LRU down to one
         # entry, two keys are still built once each and every point hits.
@@ -289,22 +305,6 @@ class TestCache:
         outcomes = SweepRunner(max_workers=1, cache=root).run(trace, [cfg])
         assert not outcomes[0].cached
         assert outcomes[0].ok
-
-    def test_factory_configs_never_cached(self, trace, tmp_path):
-        def factory(engine, config):
-            return FlowNetwork(engine, build_topology(
-                "ring", config.num_gpus, config.link_bandwidth,
-                config.link_latency))
-
-        cfg = SimulationConfig(num_gpus=2, network_factory=factory)
-        root = tmp_path / "cache"
-        runner = SweepRunner(max_workers=2, cache=root)
-        outcome = runner.run(trace, [cfg])[0]
-        assert outcome.ok and not outcome.cached
-        assert len(ResultCache(root)) == 0
-        # The factory run matches the equivalent default-network config.
-        plain = TrioSim(trace, SimulationConfig(num_gpus=2)).run()
-        assert outcome.unwrap().total_time == plain.total_time
 
 
 # ----------------------------------------------------------------------
@@ -522,6 +522,16 @@ class TestSweepSpec:
         for key in ("axis", "plan_dir", "timeout"):
             with pytest.raises(ValueError, match="unknown sweep spec keys"):
                 SweepSpec.from_dict({"model": "resnet18", key: {}})
+
+    def test_breaker_settings_checked_at_load(self):
+        # A misspelled or out-of-range setting fails here, before any
+        # trace is collected, not when the sweep builds its breaker.
+        for breaker in ({"windw": 3}, {"window": 0}):
+            with pytest.raises(ValueError, match="invalid breaker settings"):
+                SweepSpec.from_dict({"model": "resnet18", "breaker": breaker})
+        spec = SweepSpec.from_dict({"model": "resnet18",
+                                    "breaker": {"window": 3}})
+        assert spec.breaker == {"window": 3}
 
     def test_load_trace_resolves_relative_paths(self, trace, tmp_path):
         trace.save(tmp_path / "t.json")
