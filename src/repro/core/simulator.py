@@ -145,9 +145,9 @@ class TrioSim:
         default :class:`~repro.network.flow.FlowNetwork` (e.g. the
         photonic model of ``examples/custom_network.py``); the network
         only needs the ``send`` / deliver contract of
-        :class:`~repro.network.base.NetworkModel`.  Such a network offers
-        no fold counters, so multi-iteration runs report
-        ``fold_status`` ``off:custom-network``.
+        :class:`~repro.network.base.NetworkModel`.  A network that is
+        not a ``FlowNetwork`` offers no fold counters, so multi-iteration
+        runs on it report ``fold_status`` ``off:custom-network``.
     """
 
     def __init__(self, trace: Trace, config: SimulationConfig,

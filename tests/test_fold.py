@@ -130,7 +130,6 @@ class TestEligibility:
         # and the verify reason after.
         network = PhotonicNetwork(Engine(), gpu_names(4), bandwidth=484e9,
                                   setup_latency=20e-3)
-        assert config_fold_reason(make_config()) is None
         assert fold_decision(make_config(), network=network) == \
             FoldDecision(False, "custom-network")
         assert fold_decision(make_config(), network=network,
