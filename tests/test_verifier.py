@@ -17,6 +17,7 @@ from repro.analysis import (
     RuntimeSuite,
     check_catalogue,
     detect_kind,
+    plan_summary,
     render_sarif,
     verify_config,
     verify_path,
@@ -184,16 +185,32 @@ class TestSeededDefects:
 # ----------------------------------------------------------------------
 # Clean graphs: zero findings
 # ----------------------------------------------------------------------
+#: One plan per parallelism, on the module's ResNet-18 trace.
+PARALLELISMS = [
+    ("single", {"num_gpus": 1}),
+    ("dp", {"num_gpus": 4}),
+    ("ddp", {"num_gpus": 4}),
+    ("tp", {"num_gpus": 4}),
+    ("pp", {"num_gpus": 4, "chunks": 4}),
+    ("fsdp", {"num_gpus": 4}),
+    ("hybrid", {"num_gpus": 4, "dp_degree": 2}),
+]
+
+#: ``plan_summary`` of each plan: critical-path length (``float.hex``),
+#: witness-path task count, static peak transfer bytes.
+SUMMARY_PINS = {
+    "single": ("0x1.e294599e4b14ap-8", 177, 0),
+    "dp": ("0x1.3d5c9070d41b5p-6", 184, 66025632),
+    "ddp": ("0x1.10da5447e50c6p-7", 189, 7726056),
+    "tp": ("0x1.03e024bdb43a6p-5", 513, 25690112),
+    "pp": ("0x1.56ddbd96dd62ep-8", 279, 12845056),
+    "fsdp": ("0x1.5e781ac3c220dp-7", 199, 11689512),
+    "hybrid": ("0x1.0e11ab26f12e6p-7", 154, 22621136),
+}
+
+
 class TestCleanGraphs:
-    @pytest.mark.parametrize("parallelism,kwargs", [
-        ("single", {"num_gpus": 1}),
-        ("dp", {"num_gpus": 4}),
-        ("ddp", {"num_gpus": 4}),
-        ("tp", {"num_gpus": 4}),
-        ("pp", {"num_gpus": 4, "chunks": 4}),
-        ("fsdp", {"num_gpus": 4}),
-        ("hybrid", {"num_gpus": 4, "dp_degree": 2}),
-    ])
+    @pytest.mark.parametrize("parallelism,kwargs", PARALLELISMS)
     def test_zero_findings_across_parallelisms(self, trace, parallelism,
                                                kwargs):
         config = SimulationConfig(parallelism=parallelism, **kwargs)
@@ -201,6 +218,15 @@ class TestCleanGraphs:
         report = verify_plan(sim.build_plan(), config=config)
         assert report.ok and not report.findings, \
             [str(f) for f in report]
+
+    @pytest.mark.parametrize("parallelism,kwargs", PARALLELISMS)
+    def test_plan_summary_pinned(self, trace, parallelism, kwargs):
+        config = SimulationConfig(parallelism=parallelism, **kwargs)
+        plan = TrioSim(trace, config, record_timeline=False).build_plan()
+        summary = plan_summary(plan, config)
+        assert (float(summary["critical_path_s"]).hex(),
+                summary["critical_tasks"],
+                summary["peak_transfer_bytes"]) == SUMMARY_PINS[parallelism]
 
     def test_verify_config_clean(self, trace):
         report = verify_config(
