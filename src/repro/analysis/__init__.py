@@ -14,13 +14,13 @@ them:
 * **static lint passes** (the shallow tier) — :func:`lint_trace`,
   :func:`lint_config`, :func:`lint_spec`, :func:`lint_plan`;
 * a **deep graph verifier** (:mod:`repro.analysis.verifier`) —
-  :func:`verify_taskgraph` / :func:`verify_plan` / :func:`verify_config`
-  / :func:`verify_spec` run the shallow tier, then whole-graph ``DV``
-  rules (SCC cycle extraction, dead-task reachability, cross-rank
-  collective matching, static peak-memory bounding, critical-path/slack
-  annotation) over live task graphs and cached extrapolation plans (the
-  ``--verify`` gates); :func:`verify_path` is the one file-level front
-  end (the ``repro verify`` CLI);
+  :func:`verify_plan` / :func:`verify_config` / :func:`verify_spec` run
+  the shallow tier, then whole-graph ``DV`` rules (structural and
+  dependency checks, cross-rank collective matching, static peak-memory
+  bounding, critical-path/slack annotation) over extrapolation plans
+  (every ``--verify`` gate runs :func:`verify_plan`);
+  :func:`verify_path` is the one file-level front end (the
+  ``repro verify`` CLI);
 * the verifier's **runtime tier** — :class:`RuntimeSuite` hooks the
   sanitizers (``SZ`` rules: time monotonicity, link-capacity
   conservation, event-heap hygiene, ...) and the determinism race
@@ -75,7 +75,6 @@ from repro.analysis.verifier import (
     verify_path,
     verify_plan,
     verify_spec,
-    verify_taskgraph,
 )
 
 __all__ = [
@@ -112,5 +111,4 @@ __all__ = [
     "verify_path",
     "verify_plan",
     "verify_spec",
-    "verify_taskgraph",
 ]

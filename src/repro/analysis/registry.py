@@ -37,7 +37,7 @@ RULE_SERIES: Dict[str, int] = {
     "FT": 6,   # fault-spec rules
     "PF": 1,   # performance rules (fold eligibility)
     "SZ": 6,   # runtime sanitizers
-    "DV": 5,   # deep graph verifier (repro verify, Tier A)
+    "DV": 3,   # deep graph verifier (repro verify, Tier A)
     "RC": 3,   # determinism race detectors (Tier B)
     "SV": 2,   # sweep-service resume admission (journal fingerprints,
                # deadline sanity; emitted by repro.service.journal)
@@ -49,6 +49,7 @@ RULE_SERIES: Dict[str, int] = {
 #: these.
 RETIRED_RULES: Dict[str, Tuple[int, ...]] = {
     "PL": (1,),  # the supplied-plan key check
+    "DV": (2, 3),  # cycles and dead tasks: no plan passing DV001 has either
 }
 
 _RULES_LOADED = False

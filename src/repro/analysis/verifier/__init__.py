@@ -1,15 +1,16 @@
 """Deep graph verifier and determinism race detector.
 
-Tier A (static): the ``DV`` rules verify whole execution DAGs — live
-task graphs or cached extrapolation plans — for cycles, dead tasks,
-mismatched collectives and memory-infeasible schedules before a single
-event is dispatched.  Tier B (dynamic): the ``RC`` detectors ride the
+Tier A (static): the ``DV`` rules verify an extrapolation plan as a
+whole — malformed tasks and dependencies, mismatched collectives and
+memory-infeasible schedules — before it is instanced and a single event
+is dispatched.  Tier B (dynamic): the ``RC`` detectors ride the
 engine/hook fast paths during a run and certify the determinism
 contract (stable tie-breaking, happens-before consistency, no global
 RNG draws), beside the ``SZ`` sanitizers' physical invariants.
 
 Entry points: :func:`verify_path` (the ``repro verify`` CLI),
-:func:`verify_taskgraph` / :func:`verify_plan` / :func:`verify_config` /
+:func:`verify_plan` (the one deep check, which ``TrioSim(verify=True)``
+and the sweep's plan step call) / :func:`verify_config` /
 :func:`verify_spec` (library), and :class:`RuntimeSuite` (the runtime
 tier).  See ``docs/verifier.md``.
 """
@@ -24,7 +25,6 @@ from repro.analysis.verifier.verify import (
     verify_path,
     verify_plan,
     verify_spec,
-    verify_taskgraph,
 )
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "verify_path",
     "verify_plan",
     "verify_spec",
-    "verify_taskgraph",
 ]

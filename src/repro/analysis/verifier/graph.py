@@ -1,29 +1,26 @@
-"""A normalized, analysis-friendly view of an execution DAG.
+"""A normalized, analysis-friendly view of an extrapolation plan.
 
-Both inputs the deep verifier accepts — a live (not yet run)
-:class:`~repro.core.taskgraph.TaskGraphSimulator` and a recorded
-:class:`~repro.core.plan.ExtrapolationPlan` — are lowered by one routine
-into the same :class:`GraphView`: parallel per-task arrays with *both*
-edge directions materialized (every whole-graph algorithm here needs
-both), from the task columns, a successor CSR, the declared dependency
-counts and the done flags.
+:meth:`GraphView.from_plan` lowers an
+:class:`~repro.core.plan.ExtrapolationPlan` into parallel per-task arrays
+with *both* edge directions materialized (every whole-graph algorithm
+here needs both).  Malformed dependency references become DV001 defects
+instead of edges, so every edge runs from an earlier row to a later one
+and row order is a topological order.
 
 On top of the view sit the whole-graph algorithms the DV rules share:
-Kahn reachability, SCC cycle extraction, dependency levels, critical-path
-/ slack analysis, and the static per-GPU transfer-footprint bound.
-:meth:`GraphView.cycles` is the repo's only cycle detector.
+dependency levels, critical-path / slack analysis, and the static
+per-GPU transfer-footprint bound — each a walk over rows in order.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.plan import dependency_defects, edge_rows, group_rows
-from repro.core.taskgraph import KIND_NAMES, TASK_COLUMNS
+from repro.core.taskgraph import KIND_NAMES
 
 
 class CriticalPath:
@@ -55,19 +52,13 @@ class CriticalPath:
 class GraphView:
     """Immutable per-task arrays plus derived whole-graph algorithms."""
 
-    __slots__ = ("n", "source", "names", "kinds", "gpus", "durations",
-                 "srcs", "dsts", "nbytes", "metas", "deps", "dependents",
-                 "declared", "done", "defects", "_order", "_stuck")
+    __slots__ = ("n", "names", "kinds", "gpus", "durations", "srcs", "dsts",
+                 "nbytes", "metas", "deps", "dependents", "defects")
 
-    def __init__(self, source: str, columns: Dict[str, list],
-                 succ_ptr: np.ndarray, succ_idx: np.ndarray,
-                 declared: Sequence[int], done: Sequence[bool],
+    def __init__(self, columns: Dict[str, list], succ_ptr: np.ndarray,
+                 succ_idx: np.ndarray,
                  defects: List[Tuple[int, str]]) -> None:
-        """The one lowering, shared by :meth:`from_plan` and
-        :meth:`from_simulator`: task columns, the successor CSR of the
-        well-formed edges, declared dependency counts and done flags."""
-        self.source = source
-        n = self.n = len(declared)
+        n = self.n = len(succ_ptr) - 1
         kinds = dict(enumerate(KIND_NAMES))
         self.names: List[str] = list(columns["name"])
         self.kinds: List[str] = [kinds.get(k, k) for k in columns["kind"]]
@@ -77,8 +68,6 @@ class GraphView:
         self.dsts: List[Optional[str]] = list(columns["dst"])
         self.nbytes: List[float] = list(columns["nbytes"])
         self.metas: List[dict] = list(columns["meta"])
-        self.declared: List[int] = list(declared)
-        self.done: List[bool] = list(done)
         #: Structural defects found while lowering (dangling/forward/self
         #: dependency references) as ``(index, message)`` — DV001 input.
         self.defects = defects
@@ -91,20 +80,15 @@ class GraphView:
         sources = dep_idx.tolist()
         self.deps: List[List[int]] = [
             sources[bounds[i]:bounds[i + 1]] for i in range(n)]
-        self._order: Optional[List[int]] = None
-        self._stuck: Optional[List[int]] = None
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_plan(cls, plan: Any) -> "GraphView":
         """Lower an :class:`~repro.core.plan.ExtrapolationPlan`.
 
         Edges are its well-formed dependencies; each forward, self or
         out-of-range index is a defect instead (see
-        :func:`~repro.core.plan.dependency_defects`).  ``declared`` counts
-        every recorded dependency, malformed ones included.
+        :func:`~repro.core.plan.dependency_defects`), so every edge runs
+        from an earlier row to a later one.
         """
         n = len(plan)
         defects = dependency_defects(plan.dep_ptr, plan.dep_idx)
@@ -112,140 +96,8 @@ class GraphView:
         keep[[k for k, _, _ in defects]] = False
         succ_ptr, succ_idx = group_rows(
             plan.dep_idx[keep], edge_rows(plan.dep_ptr)[keep], n)
-        return cls("plan", plan.columns, succ_ptr, succ_idx,
-                   np.diff(plan.dep_ptr).tolist(), [False] * n,
+        return cls(plan.columns, succ_ptr, succ_idx,
                    [(row, message) for _, row, message in defects])
-
-    @classmethod
-    def from_simulator(cls, sim: Any) -> "GraphView":
-        """Lower a live :class:`~repro.core.taskgraph.TaskGraphSimulator`
-        by reading its task store's columns.
-
-        Edges are the rows' successors (a plan iteration's CSR plus the
-        per-row ``succ`` lists), so fences appear as terminals→fence and
-        fence→next-iteration-root edges; ``declared`` is the
-        ``indegree`` counter the scheduler will decrement.
-        """
-        store = sim.store
-        n = len(store)
-        lists = [store.successors(index) for index in range(n)]
-        sources = np.repeat(np.arange(n, dtype=np.int64),
-                            [len(targets) for targets in lists])
-        targets = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                              count=len(sources))
-        bad = (targets < 0) | (targets >= n) | (targets == sources)
-        defects = [
-            (row, "task depends on itself" if target == row else
-             f"successor {target!r} is not a row of this simulator "
-             f"({n} rows)")
-            for row, target in zip(sources[bad].tolist(),
-                                   targets[bad].tolist())]
-        succ_ptr, succ_idx = group_rows(sources[~bad], targets[~bad], n)
-        return cls("taskgraph",
-                   {name: getattr(store, name) for name in TASK_COLUMNS},
-                   succ_ptr, succ_idx, store.indegree,
-                   [end is not None for end in store.end], defects)
-
-    # ------------------------------------------------------------------
-    # Reachability / cycles
-    # ------------------------------------------------------------------
-    def _kahn(self) -> Tuple[List[int], List[int]]:
-        """Topological order over live tasks; cached.
-
-        Returns ``(order, stuck)`` — *stuck* tasks sit on or behind a
-        dependency cycle.  Edge in-degrees are used (not the declared
-        counters), so this answers "is the graph a DAG" independently of
-        counter corruption (DV003's concern).
-        """
-        if self._order is not None:
-            return self._order, self._stuck  # type: ignore[return-value]
-        indegree = [0] * self.n
-        for index in range(self.n):
-            if self.done[index]:
-                continue
-            for target in self.dependents[index]:
-                if not self.done[target]:
-                    indegree[target] += 1
-        ready = [i for i in range(self.n)
-                 if not self.done[i] and indegree[i] == 0]
-        order: List[int] = []
-        while ready:
-            index = ready.pop()
-            order.append(index)
-            for target in self.dependents[index]:
-                if self.done[target]:
-                    continue
-                indegree[target] -= 1
-                if indegree[target] == 0:
-                    ready.append(target)
-        seen = set(order)
-        stuck = [i for i in range(self.n)
-                 if not self.done[i] and i not in seen]
-        self._order, self._stuck = order, stuck
-        return order, stuck
-
-    def cycles(self, limit: int = 8) -> List[List[int]]:
-        """Cyclic strongly connected components (lists of task indices).
-
-        Empty when the graph is a DAG — the common case pays only the
-        Kahn pass; the SCC machinery is built lazily on the stuck
-        subgraph.
-        """
-        _, stuck = self._kahn()
-        if not stuck:
-            return []
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        members = set(stuck)
-        graph.add_nodes_from(stuck)
-        for index in stuck:
-            for target in self.dependents[index]:
-                if target in members:
-                    graph.add_edge(index, target)
-        found: List[List[int]] = []
-        for component in nx.strongly_connected_components(graph):
-            if len(component) > 1 or any(
-                    graph.has_edge(node, node) for node in component):
-                found.append(sorted(component))
-                if len(found) >= limit:
-                    break
-        return sorted(found)
-
-    def stranded(self) -> List[Tuple[int, int]]:
-        """Live tasks that can never become ready, per *declared* counts.
-
-        Replays readiness propagation using each task's declared
-        remaining-dependency counter (what the scheduler will actually
-        decrement) instead of the edge in-degree.  Returns ``(index,
-        in_edges)`` pairs: a task whose counter over-declares its
-        in-edges (an orphaned dependency) strands forever even in an
-        acyclic graph — the "tasks never became ready" deadlock, caught
-        statically.
-        """
-        counts = list(self.declared)
-        started = [False] * self.n
-        stack = [i for i in range(self.n)
-                 if not self.done[i] and counts[i] == 0]
-        while stack:
-            index = stack.pop()
-            if started[index]:
-                continue
-            started[index] = True
-            for target in self.dependents[index]:
-                if self.done[target]:
-                    continue
-                counts[target] -= 1
-                if counts[target] == 0:
-                    stack.append(target)
-        out: List[Tuple[int, int]] = []
-        for index in range(self.n):
-            if self.done[index] or started[index]:
-                continue
-            in_edges = sum(1 for dep in self.deps[index]
-                           if not self.done[dep])
-            out.append((index, in_edges))
-        return out
 
     # ------------------------------------------------------------------
     # Timing analysis
@@ -274,45 +126,32 @@ class GraphView:
         return out
 
     def critical_path(self, config: Optional[SimulationConfig] = None
-                      ) -> Optional[CriticalPath]:
-        """Critical-path length, per-task slack, and one witness path.
-
-        ``None`` when the graph is cyclic (no schedule exists to
-        analyse).  Done tasks carry zero cost and zero slack.
-        """
-        order, stuck = self._kahn()
-        if stuck:
-            return None
+                      ) -> CriticalPath:
+        """Critical-path length, per-task slack, and one witness path."""
         costs = self.costs(config)
         earliest = [0.0] * self.n
         argmax = [-1] * self.n
-        # order is a valid topological order over live tasks.
-        for index in order:
+        for index in range(self.n):
             best, best_dep = 0.0, -1
             for dep in self.deps[index]:
-                if self.done[dep]:
-                    continue
                 if earliest[dep] > best:
                     best, best_dep = earliest[dep], dep
             earliest[index] = best + costs[index]
             argmax[index] = best_dep
-        length = max((earliest[i] for i in order), default=0.0)
+        length = max(earliest, default=0.0)
         latest = [length] * self.n
-        for index in reversed(order):
+        for index in reversed(range(self.n)):
             bound = length
             for target in self.dependents[index]:
-                if self.done[target]:
-                    continue
                 start = latest[target] - costs[target]
                 if start < bound:
                     bound = start
             latest[index] = bound
-        slack = [0.0] * self.n
-        for index in order:
-            slack[index] = max(latest[index] - earliest[index], 0.0)
+        slack = [max(late - early, 0.0)
+                 for late, early in zip(latest, earliest)]
         path: List[int] = []
-        if order:
-            tail = max(order, key=lambda i: earliest[i])
+        if self.n:
+            tail = max(range(self.n), key=earliest.__getitem__)
             while tail >= 0:
                 path.append(tail)
                 tail = argmax[tail]
@@ -322,19 +161,12 @@ class GraphView:
     # ------------------------------------------------------------------
     # Static memory bound
     # ------------------------------------------------------------------
-    def levels(self) -> Optional[List[int]]:
-        """Dependency depth of every live task (roots at 0); ``None`` when
-        cyclic."""
-        order, stuck = self._kahn()
-        if stuck:
-            return None
+    def levels(self) -> List[int]:
+        """Dependency depth of every task (roots at 0)."""
         level = [0] * self.n
-        for index in order:
-            depth = 0
-            for dep in self.deps[index]:
-                if not self.done[dep] and level[dep] + 1 > depth:
-                    depth = level[dep] + 1
-            level[index] = depth
+        for index in range(self.n):
+            level[index] = max((level[dep] + 1 for dep in self.deps[index]),
+                               default=0)
         return level
 
     def peak_transfer_bytes(self) -> Dict[str, float]:
@@ -349,11 +181,9 @@ class GraphView:
         *communication staging* alone cannot fit.
         """
         level = self.levels()
-        if level is None:
-            return {}
         deltas: Dict[str, Dict[int, float]] = {}
         for index in range(self.n):
-            if self.done[index] or self.kinds[index] != "transfer":
+            if self.kinds[index] != "transfer":
                 continue
             gpu = self.dsts[index]
             if gpu is None:
@@ -361,7 +191,7 @@ class GraphView:
             start = level[index]
             end = start
             for target in self.dependents[index]:
-                if not self.done[target] and level[target] > end:
+                if level[target] > end:
                     end = level[target]
             per_gpu = deltas.setdefault(gpu, {})
             per_gpu[start] = per_gpu.get(start, 0.0) + self.nbytes[index]
@@ -392,12 +222,11 @@ class GraphView:
         Every key is present, zero where the graph has nothing to
         measure (no transfers on one GPU, no path in an empty plan).
         """
-        out: dict = {"tasks": self.n, "source": self.source}
+        out: dict = {"tasks": self.n}
         out.update(self.kind_counts())
         critical = self.critical_path(config)
-        found = critical is not None
-        out["critical_path_s"] = critical.length if found else 0.0
-        out["critical_tasks"] = len(critical.path) if found else 0
+        out["critical_path_s"] = critical.length
+        out["critical_tasks"] = len(critical.path)
         out["peak_transfer_bytes"] = max(
             self.peak_transfer_bytes().values(), default=0)
         return out

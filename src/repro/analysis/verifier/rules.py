@@ -1,20 +1,12 @@
 """Deep whole-graph verification rules (``DV``-series, Tier A).
 
-These verify the execution DAG *as a whole* — over either a live
-:class:`~repro.core.taskgraph.TaskGraphSimulator` or a recorded
-:class:`~repro.core.plan.ExtrapolationPlan`, lowered to one
+These verify one extrapolation plan *as a whole*, lowered to a
 :class:`~repro.analysis.verifier.graph.GraphView`:
 
 * **DV001** structural gate — dangling/forward/self dependency
   references, unknown kinds, negative durations/bytes, malformed
-  transfer endpoints, and (given the topology a live graph will run
-  on) endpoints that are not topology nodes;
-* **DV002** cycle gate — SCC-extracted dependency cycles (fence
-  involvement called out: a cycle through an iteration fence deadlocks
-  every subsequent iteration);
-* **DV003** dead tasks — tasks that can never become ready under their
-  declared dependency counters (the static form of the engine's "tasks
-  never became ready" deadlock);
+  transfer endpoints, and (given the topology the plan will run on)
+  endpoints that are not topology nodes;
 * **DV004** cross-rank collective matching — each collective tag must
   form one connected exchange with a legal role shape, and per-rank tag
   orderings must embed in a global order (an inversion is a would-be
@@ -22,9 +14,13 @@ These verify the execution DAG *as a whole* — over either a live
 * **DV005** static per-GPU peak transfer footprint vs the target GPU's
   memory capacity.
 
-Findings of DV003–DV005 carry critical-path/slack annotation in their
-detail dicts (``critical_path_s``, ``slack_s``, ``on_critical_path``) so
-a reader can tell whether the defect sits on the run's critical path.
+DV002 (cycles) and DV003 (dead tasks) are retired: once DV001 passes,
+every dependency points at an earlier row, so a plan can hold neither a
+cycle nor a counter that disagrees with its in-edges.
+
+DV004 findings carry critical-path/slack annotation in their detail
+dicts (``critical_path_s``, ``slack_s``, ``on_critical_path``) so a
+reader can tell whether the defect sits on the run's critical path.
 """
 
 from __future__ import annotations
@@ -57,21 +53,17 @@ class VerifyContext:
     topology: Optional[nx.Graph] = None
     _critical: Optional[CriticalPath] = field(
         default=None, init=False, repr=False)
-    _critical_done: bool = field(default=False, init=False, repr=False)
 
     @property
-    def critical(self) -> Optional[CriticalPath]:
-        """Memoized critical-path analysis (``None`` on cyclic graphs)."""
-        if not self._critical_done:
+    def critical(self) -> CriticalPath:
+        """Memoized critical-path analysis."""
+        if self._critical is None:
             self._critical = self.view.critical_path(self.config)
-            self._critical_done = True
         return self._critical
 
     def annotation(self, index: int) -> dict:
-        """Slack annotation for the task at *index* (empty when cyclic)."""
+        """Slack annotation for the task at *index*."""
         critical = self.critical
-        if critical is None:
-            return {}
         return {
             "critical_path_s": critical.length,
             "slack_s": critical.slack[index],
@@ -132,56 +124,6 @@ def check_structure(ctx: VerifyContext, emit: Emitter) -> None:
     if fired > MAX_FINDINGS_PER_RULE:
         emit(f"{fired - MAX_FINDINGS_PER_RULE} further structural "
              "defect(s) suppressed", severity="info", suppressed=fired)
-
-
-@rule("DV002", "verify-cycle", "verify", "error", gate=True,
-      description="The dependency graph must be acyclic; each cycle is "
-                  "named via SCC analysis (a cycle through a fence "
-                  "deadlocks every later iteration).")
-def check_cycles(ctx: VerifyContext, emit: Emitter) -> None:
-    view = ctx.view
-    for members in view.cycles(limit=3):
-        names = [view.names[m] for m in members[:5]]
-        fences = [view.names[m] for m in members
-                  if view.kinds[m] == "barrier"
-                  and ("fence" in view.names[m]
-                       or view.names[m].startswith("iteration"))]
-        message = (f"dependency cycle through {len(members)} task(s): "
-                   f"{', '.join(names)}"
-                   + (" ..." if len(members) > 5 else ""))
-        if fences:
-            message += (f"; the cycle passes through fence "
-                        f"{fences[0]!r} — every later iteration deadlocks")
-        emit(message, location=ctx.where(members[0]), size=len(members),
-             members=members[:10])
-
-
-@rule("DV003", "verify-dead-task", "verify", "error",
-      description="Every task must eventually become ready: a declared "
-                  "dependency counter exceeding the task's in-edges "
-                  "strands it (and everything downstream) forever.")
-def check_dead_tasks(ctx: VerifyContext, emit: Emitter) -> None:
-    view = ctx.view
-    stranded = view.stranded()
-    for index, in_edges in stranded[:MAX_FINDINGS_PER_RULE]:
-        declared = view.declared[index]
-        if declared > in_edges:
-            why = (f"declares {declared} pending dependencies but only "
-                   f"{in_edges} live task(s) point at it")
-        elif declared < in_edges:
-            why = (f"declares {declared} pending dependencies but "
-                   f"{in_edges} live task(s) point at it (would start "
-                   "before its inputs exist)")
-        else:
-            why = ("is stranded behind another dead task "
-                   f"({declared} pending dependencies)")
-        emit(f"task {view.names[index]!r} can never run: {why}",
-             location=ctx.where(index), declared=declared,
-             in_edges=in_edges, **ctx.annotation(index))
-    if len(stranded) > MAX_FINDINGS_PER_RULE:
-        emit(f"{len(stranded) - MAX_FINDINGS_PER_RULE} further dead "
-             "task(s) suppressed", severity="info",
-             total=len(stranded))
 
 
 def _rank_roles(view: GraphView, indices: List[int]

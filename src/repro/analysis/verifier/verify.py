@@ -6,11 +6,10 @@ when the input survives — lowers the execution DAG to a
 :class:`~repro.analysis.verifier.graph.GraphView` and runs the deep
 ``DV`` rules over the whole graph.
 
-* :func:`verify_taskgraph` — a live, not-yet-run
-  :class:`~repro.core.taskgraph.TaskGraphSimulator` (the ``--verify``
-  pre-run gate inside :class:`~repro.core.simulator.TrioSim`);
 * :func:`verify_plan` — a recorded
-  :class:`~repro.core.plan.ExtrapolationPlan`;
+  :class:`~repro.core.plan.ExtrapolationPlan`: the one deep check,
+  run by :class:`~repro.core.simulator.TrioSim`'s ``verify`` gate, the
+  sweep's plan step and every entry point below;
 * :func:`verify_config` — a ``(config, trace)`` pair: config lint, then
   build the plan and verify it;
 * :func:`verify_spec` — a sweep spec: full spec lint, then one deep
@@ -38,38 +37,27 @@ from repro.core.config import SimulationConfig
 from repro.trace.trace import Trace
 
 
-def _run_verify(view: GraphView, config: Optional[SimulationConfig],
-                topology: Optional[nx.Graph],
-                registry: RuleRegistry) -> Report:
-    ctx = VerifyContext(view, config=config, topology=topology)
-    return registry.run_category("verify", ctx, Report())
-
-
 # ----------------------------------------------------------------------
-# Live task graphs and plans
+# Plans
 # ----------------------------------------------------------------------
-def verify_taskgraph(sim: Any, topology: Optional[nx.Graph] = None,
-                     config: Optional[SimulationConfig] = None,
-                     registry: Optional[RuleRegistry] = None) -> Report:
-    """Deep-verify a live (not yet run) task-graph simulator."""
-    registry = registry or DEFAULT_REGISTRY
-    return _run_verify(GraphView.from_simulator(sim), config, topology,
-                       registry)
-
-
 def verify_plan(plan: Any, config: Optional[SimulationConfig] = None,
-                registry: Optional[RuleRegistry] = None) -> Report:
+                registry: Optional[RuleRegistry] = None,
+                topology: Optional[nx.Graph] = None) -> Report:
     """Plan lint (the ``PL`` rules), then deep-verify a recorded
     extrapolation plan.
 
     With a *config*, slack annotations use its link parameters and DV005
-    checks peaks against its target GPU; the findings themselves depend
-    only on the plan (two configs sharing a plan key share a verdict).
+    checks peaks against its target GPU; with a *topology* (the network
+    the plan will run on), DV001 also checks that every transfer
+    endpoint is one of its nodes.  Without a topology the findings
+    depend only on the plan (two configs sharing a plan key share a
+    verdict).
     """
     registry = registry or DEFAULT_REGISTRY
     report = _linter.lint_plan(plan, registry)
-    return report.merge(_run_verify(GraphView.from_plan(plan), config, None,
-                                    registry))
+    ctx = VerifyContext(GraphView.from_plan(plan), config=config,
+                        topology=topology)
+    return report.merge(registry.run_category("verify", ctx, Report()))
 
 
 def plan_summary(plan: Any,

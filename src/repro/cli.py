@@ -121,10 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="write the full result as versioned JSON")
     simulate_p.add_argument("--memory-check", action="store_true")
     simulate_p.add_argument("--verify", action="store_true",
-                            help="deep-verify the task graph before the "
-                                 "run (DV rules: malformed tasks and "
-                                 "endpoints, cycles, dead tasks, "
-                                 "collective matching, peak memory) and "
+                            help="deep-verify the plan before the run "
+                                 "(DV rules: malformed tasks, dependencies "
+                                 "and endpoints, collective matching, "
+                                 "peak memory) and "
                                  "run the sanitizers (SZ rules) and "
                                  "determinism race detectors (RC rules) "
                                  "during it")

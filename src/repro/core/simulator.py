@@ -123,17 +123,19 @@ class TrioSim:
         Run the two-tier verifier around the simulation.  The static
         tier first runs the config rules against the trace before any
         plan work, as the sweep gate does (e.g. ``FT002``, a fault on a
-        link the topology lacks), then checks the fully instantiated
-        graph before any event is scheduled (``DV`` rules — malformed
-        tasks and transfer endpoints outside the topology, cycles, dead
-        tasks, mismatched collectives, memory-infeasible schedules);
+        link the topology lacks), then checks the plan with
+        :func:`~repro.analysis.verifier.verify_plan` against the built
+        network's topology before it is instanced (``DV`` rules —
+        malformed tasks and dependencies, transfer endpoints outside the
+        topology, mismatched collectives, memory-infeasible schedules);
         either step raises :class:`repro.analysis.AnalysisError` on
         errors.  The runtime tier attaches the sanitizers (``SZ``
         rules) and the determinism race detectors (``RC`` rules) during
         the run.  Findings land in
         :attr:`verify_report`; the dispatch-order digest in
-        :attr:`verify_digest`.  Pass the string ``"runtime"`` to skip
-        the static tier (when the caller verified the plan already).
+        :attr:`verify_digest`.  Pass the string ``"runtime"`` when the
+        caller ran ``verify_plan`` on this plan already (the sweep's
+        plan step does): only the runtime tier runs.
     heartbeat:
         Optional ``(engine) -> None`` callback fired every
         :data:`HEARTBEAT_EVERY` dispatched events (a dispatch observer,
@@ -350,6 +352,21 @@ class TrioSim:
             engine = Engine()
             network = self._build_network(engine)
             sim = TaskGraphSimulator(engine, network)
+        if self.verify:
+            from repro.analysis import AnalysisError, Report
+            from repro.analysis.verifier import verify_plan
+
+            # "runtime": the caller (e.g. the sweep runner, which checks
+            # each distinct plan once pre-dispatch) ran verify_plan.
+            report = Report()
+            if self.verify != "runtime":
+                with profiler.phase("verify"):
+                    report = verify_plan(
+                        plan, config=self.config,
+                        topology=getattr(network, "topology", None))
+                if report.has_errors:
+                    raise AnalysisError(report, "plan failed verification")
+            self.verify_report = report
         if self.config.gpu_slowdowns:
             sim.compute_scale.update(self.config.gpu_slowdowns)
         decision = fold_decision(self.config, network=network,
@@ -389,21 +406,8 @@ class TrioSim:
                                      allow_chaos=self.allow_chaos).install()
         suite = None
         if self.verify:
-            from repro.analysis import AnalysisError, Report
-            from repro.analysis.verifier import RuntimeSuite, verify_taskgraph
+            from repro.analysis.verifier import RuntimeSuite
 
-            if self.verify == "runtime":
-                # The caller (e.g. the sweep runner, which verifies each
-                # distinct plan once pre-dispatch) ran the static tier.
-                self.verify_report = Report()
-            else:
-                with profiler.phase("verify"):
-                    pre = verify_taskgraph(
-                        sim, topology=getattr(network, "topology", None),
-                        config=self.config)
-                if pre.has_errors:
-                    raise AnalysisError(pre, "task graph failed verification")
-                self.verify_report = pre
             suite = RuntimeSuite().attach(engine=engine, network=network,
                                           injector=injector, sim=sim)
         try:

@@ -191,8 +191,9 @@ class SweepRunner(Hookable):
         simulation is dispatched, always: a point with error findings
         becomes a structured ``VerifyError`` outcome and never reaches a
         worker.  With *verify*, the plan step also deep-verifies each
-        distinct task graph once (the ``DV`` rules: cycles, dead tasks,
-        mismatched collectives, memory-infeasible schedules), rejecting
+        distinct plan once with ``verify_plan`` (the ``DV`` rules:
+        malformed tasks and dependencies, mismatched collectives,
+        memory-infeasible schedules), rejecting
         failures the same way, and each point runs the runtime
         sanitizers (``SZ``) and race detectors (``RC``), whose findings
         ride its outcome's ``sanitizer_findings``.

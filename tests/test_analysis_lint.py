@@ -664,7 +664,7 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["verify", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("TR001", "CF002", "DV002", "SZ001", "SP001",
+        for rule_id in ("TR001", "CF002", "DV004", "SZ001", "SP001",
                         "NW001", "NW002", "NW003", "NW004", "SZ006",
                         "PL002", "DV001", "DV005", "RC001", "RC003"):
             assert rule_id in out

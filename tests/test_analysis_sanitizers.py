@@ -15,9 +15,10 @@ from repro.analysis import (
     Report,
     RuntimeSuite,
     TimeMonotonicSanitizer,
-    verify_taskgraph,
+    verify_plan,
 )
 from repro.analysis.sanitizers import RestartConsistencySanitizer
+from repro.core.plan import PlanBuilder
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.engine.hooks import HookCtx
@@ -36,6 +37,10 @@ from tests.plan_edits import rewired
 @pytest.fixture(scope="module")
 def trace():
     return Tracer(get_gpu("A100")).trace(get_model("resnet18"), batch_size=32)
+
+
+#: A 2-GPU ring: the topology DV001 checks transfer endpoints against.
+RING2 = build_topology("ring", 2, 100e9, 1e-6)
 
 
 def make_sim(num_gpus=2):
@@ -296,43 +301,44 @@ class TestSanitizerSuite:
 # ----------------------------------------------------------------------
 class TestTaskGraphLint:
     def test_clean_graph(self):
-        sim, topology = make_sim()
-        a = sim.add_compute("a", "gpu0", 1e-3)
-        b = sim.add_transfer("b", "gpu0", "gpu1", 1e6, deps=[a])
-        sim.add_compute("c", "gpu1", 1e-3, deps=[b])
-        assert verify_taskgraph(sim, topology=topology).ok
+        builder = PlanBuilder()
+        a = builder.add_compute("a", "gpu0", 1e-3)
+        b = builder.add_transfer("b", "gpu0", "gpu1", 1e6, deps=[a])
+        builder.add_compute("c", "gpu1", 1e-3, deps=[b])
+        assert verify_plan(builder.finish(), topology=RING2).ok
 
-    def test_cycle_is_dv002(self):
-        sim, topology = make_sim()
-        a = sim.add_compute("a", "gpu0", 1e-3)
-        b = sim.add_compute("b", "gpu1", 1e-3, deps=[a])
-        # Manually close the loop a -> b -> a.
-        sim.store.link(b.task_id, a.task_id)
-        report = verify_taskgraph(sim, topology=topology)
-        assert "DV002" in report.rule_ids()
+    def test_cycle_is_dv001(self):
+        builder = PlanBuilder()
+        # Close the loop a -> b -> a: a depends on the later row b.
+        a = builder.add_compute("a", "gpu0", 1e-3, deps=[1])
+        builder.add_compute("b", "gpu1", 1e-3, deps=[a])
+        report = verify_plan(builder.finish(), topology=RING2)
+        assert report.rule_ids() == ["DV001"]
+        assert "points forward" in report.findings[0].message
         assert report.has_errors
 
     def test_unknown_endpoint_is_dv001(self):
-        sim, topology = make_sim()
-        sim.add_transfer("t", "gpu0", "gpu7", 1e6)
-        report = verify_taskgraph(sim, topology=topology)
+        builder = PlanBuilder()
+        builder.add_transfer("t", "gpu0", "gpu7", 1e6)
+        report = verify_plan(builder.finish(), topology=RING2)
         assert report.rule_ids() == ["DV001"]
         assert "gpu7" in report.findings[0].message
         assert report.findings[0].detail["endpoint"] == "gpu7"
 
     def test_endpoint_check_needs_topology(self):
-        sim, _ = make_sim()
-        sim.add_transfer("t", "gpu0", "gpu7", 1e6)
-        assert verify_taskgraph(sim).ok  # endpoint check skipped
+        builder = PlanBuilder()
+        builder.add_transfer("t", "gpu0", "gpu7", 1e6)
+        assert verify_plan(builder.finish()).ok  # endpoint check skipped
 
-    def test_dep_count_mismatch_is_dv003(self):
-        sim, topology = make_sim()
-        a = sim.add_compute("a", "gpu0", 1e-3)
-        sim.add_compute("b", "gpu0", 1e-3, deps=[a])
-        sim.store.indegree[a.task_id] = 7  # corrupt the counter
-        report = verify_taskgraph(sim, topology=topology)
-        assert report.rule_ids() == ["DV003"]
-        assert "declares 7 pending dependencies" in report.findings[0].message
+    def test_dangling_dependency_is_dv001(self):
+        builder = PlanBuilder()
+        a = builder.add_compute("a", "gpu0", 1e-3)
+        builder.add_compute("b", "gpu0", 1e-3, deps=[a, a])
+        plan = builder.finish()
+        plan.dep_idx[1] = 7  # b now waits on a task the plan lacks
+        report = verify_plan(plan, topology=RING2)
+        assert report.rule_ids() == ["DV001"]
+        assert "index 7 is out of range" in report.findings[0].message
 
     def test_extrapolated_graphs_are_clean(self, trace):
         for parallelism, kwargs in (
@@ -414,8 +420,8 @@ class TestTrioSimSanitize:
         monkeypatch.setattr(TrioSim, "build_plan", bad_build_plan)
         with pytest.raises(AnalysisError) as excinfo:
             sim.run()
-        assert "DV002" in str(excinfo.value)
-        assert excinfo.value.report.has_errors
+        assert excinfo.value.report.rule_ids() == ["DV001"]
+        assert "points forward" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ zero findings, and the dispatch-order digest is stable across runs."""
 import heapq
 import json
 import random
+import re
 
 import pytest
 
@@ -23,10 +24,14 @@ from repro.analysis import (
     verify_path,
     verify_plan,
     verify_spec,
-    verify_taskgraph,
 )
+from repro.analysis.registry import RETIRED_RULES
 from repro.cli import main
-from repro.core.plan import ExtrapolationPlan
+from repro.core.plan import (
+    ExtrapolationPlan,
+    PlanBuilder,
+    dependency_defects,
+)
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.engine.events import Event
@@ -34,6 +39,9 @@ from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
 from tests.plan_edits import plan_file, rewired
+
+#: A 2-GPU ring: the topology DV001 checks transfer endpoints against.
+RING2 = build_topology("ring", 2, 100e9, 1e-6)
 
 #: The key the plan files written here carry; their readers never look
 #: it up.
@@ -68,118 +76,127 @@ def rule_ids(report):
 # ----------------------------------------------------------------------
 class TestSeededDefects:
     def test_dv001_self_dependency(self):
-        sim, _, topology = make_sim(2)
-        task = sim.add_compute("selfish", "gpu0", 1e-3)
-        sim.store.succ[task.task_id] = [task.task_id]
-        report = verify_taskgraph(sim, topology=topology)
+        builder = PlanBuilder()
+        builder.add_compute("selfish", "gpu0", 1e-3, deps=[0])
+        report = verify_plan(builder.finish(), topology=RING2)
         assert rule_ids(report) == {"DV001"}
         assert "depends on itself" in report.findings[0].message
 
     def test_dv001_negative_duration(self):
-        sim, _, _ = make_sim(2)
-        task = sim.add_compute("fwd", "gpu0", 1e-3)
-        sim.store.duration[task.task_id] = -1.0
-        report = verify_taskgraph(sim)
+        builder = PlanBuilder()
+        builder.add_compute("fwd", "gpu0", 1e-3)
+        plan = builder.finish()
+        # PlanBuilder rejects a negative duration; a faulty recorder
+        # could still leave one in the columns.
+        plan.columns["duration"][0] = -1.0
+        report = verify_plan(plan)
         assert rule_ids(report) == {"DV001"}
 
-    def test_dv002_fence_cycle(self):
-        sim, _, topology = make_sim(2)
-        work = sim.add_compute("fwd", "gpu0", 1e-3)
-        fence = sim.add_barrier("iteration_fence[0]", deps=[work])
-        # Seed the deadlock: the fence's completion feeds back into the
-        # work it waits on.
-        sim.store.link(fence.task_id, work.task_id)
-        report = verify_taskgraph(sim, topology=topology)
-        assert rule_ids(report) == {"DV002"}
-        message = report.findings[0].message
-        assert "cycle" in message and "fence" in message
-
-    def test_dv003_dead_task(self):
-        sim, _, _ = make_sim(2)
-        producer = sim.add_compute("producer", "gpu0", 1e-3)
-        orphan = sim.add_compute("orphan", "gpu1", 1e-3, deps=[producer])
-        # Declares deps no task will ever satisfy.
-        sim.store.indegree[orphan.task_id] = 3
-        report = verify_taskgraph(sim)
-        assert rule_ids(report) == {"DV003"}
+    def test_dv001_fence_cycle(self):
+        builder = PlanBuilder()
+        # Seed the deadlock: the work depends on the fence that waits on
+        # it — in a plan, a forward dependency.
+        work = builder.add_compute("fwd", "gpu0", 1e-3, deps=[1])
+        builder.add_barrier("iteration_fence[0]", deps=[work])
+        report = verify_plan(builder.finish(), topology=RING2)
+        assert rule_ids(report) == {"DV001"}
         finding = report.findings[0]
-        assert "can never run" in finding.message
-        # Critical-path/slack annotation rides in the detail dict.
-        assert "critical_path_s" in finding.detail
-        assert "on_critical_path" in finding.detail
+        assert "'fwd'" in finding.message
+        assert "points forward" in finding.message
 
-    def test_dv003_downstream_stranding(self):
-        sim, _, _ = make_sim(2)
-        head = sim.add_compute("head", "gpu0", 1e-3)
-        sim.store.indegree[head.task_id] = 1
-        tail = sim.add_compute("tail", "gpu1", 1e-3, deps=[head])
-        report = verify_taskgraph(sim)
-        assert rule_ids(report) == {"DV003"}
+    def test_dv001_dangling_dependency(self):
+        builder = PlanBuilder()
+        producer = builder.add_compute("producer", "gpu0", 1e-3)
+        builder.add_compute("orphan", "gpu1", 1e-3, deps=[producer, producer])
+        plan = builder.finish()
+        # A plan cannot be built with an index past its rows; corrupt one
+        # afterwards, so the orphan waits on a task that never exists.
+        plan.dep_idx[1] = 7
+        report = verify_plan(plan)
+        assert rule_ids(report) == {"DV001"}
+        finding = report.findings[0]
+        assert "'orphan'" in finding.message
+        assert "out of range" in finding.message
+
+    def test_dv001_names_every_malformed_row(self):
+        builder = PlanBuilder()
+        head = builder.add_compute("head", "gpu0", 1e-3, deps=[1])
+        builder.add_compute("tail", "gpu1", 1e-3, deps=[head, 1])
+        report = verify_plan(builder.finish())
+        assert rule_ids(report) == {"DV001"}
         messages = " ".join(f.message for f in report.findings)
         assert "head" in messages and "tail" in messages
 
     def test_dv004_split_collective(self):
-        sim, _, _ = make_sim(4)
+        builder = PlanBuilder()
         # One tag, two disconnected islands: {gpu0, gpu1} and {gpu2, gpu3}.
         for src, dst in (("gpu0", "gpu1"), ("gpu1", "gpu0"),
                          ("gpu2", "gpu3"), ("gpu3", "gpu2")):
-            sim.add_transfer(f"ar.{src}.{dst}", src, dst, 1024,
-                             collective="allreduce[0]")
-        report = verify_taskgraph(sim)
+            builder.add_transfer(f"ar.{src}.{dst}", src, dst, 1024,
+                                 collective="allreduce[0]")
+        report = verify_plan(builder.finish())
         assert rule_ids(report) == {"DV004"}
-        assert "2 disconnected rank groups" in report.findings[0].message
+        finding = report.findings[0]
+        assert "2 disconnected rank groups" in finding.message
+        # Critical-path/slack annotation rides in the detail dict.
+        assert "critical_path_s" in finding.detail
+        assert "on_critical_path" in finding.detail
 
     def test_dv004_role_asymmetry(self):
-        sim, _, _ = make_sim(4)
+        builder = PlanBuilder()
         # gpu0/gpu1/gpu2 exchange symmetrically; gpu3 only sends.
         for src, dst in (("gpu0", "gpu1"), ("gpu1", "gpu2"),
                          ("gpu2", "gpu0"), ("gpu3", "gpu0")):
-            sim.add_transfer(f"ar.{src}.{dst}", src, dst, 1024,
-                             collective="allreduce[1]")
-        report = verify_taskgraph(sim)
+            builder.add_transfer(f"ar.{src}.{dst}", src, dst, 1024,
+                                 collective="allreduce[1]")
+        report = verify_plan(builder.finish())
         assert rule_ids(report) == {"DV004"}
         assert "sends but never receives" in report.findings[0].message
 
     def test_dv004_sequence_inversion(self):
-        sim, _, _ = make_sim(4)
+        builder = PlanBuilder()
         # gpu0 enters collective A then B; gpu1 enters B then A.
-        sim.add_transfer("a0", "gpu0", "gpu2", 8, collective="A")
-        sim.add_transfer("b0", "gpu1", "gpu3", 8, collective="B")
-        sim.add_transfer("b1", "gpu0", "gpu3", 8, collective="B")
-        sim.add_transfer("a1", "gpu1", "gpu2", 8, collective="A")
-        report = verify_taskgraph(sim)
+        builder.add_transfer("a0", "gpu0", "gpu2", 8, collective="A")
+        builder.add_transfer("b0", "gpu1", "gpu3", 8, collective="B")
+        builder.add_transfer("b1", "gpu0", "gpu3", 8, collective="B")
+        builder.add_transfer("a1", "gpu1", "gpu2", 8, collective="A")
+        report = verify_plan(builder.finish())
         assert rule_ids(report) == {"DV004"}
         assert "ordering inversion" in report.findings[0].message
 
     def test_dv005_peak_memory(self):
-        sim, _, _ = make_sim(2)
-        ready = sim.add_barrier("ready")
+        builder = PlanBuilder()
+        ready = builder.add_barrier("ready")
         # 100 GB staged at once on gpu0 — over the A100's ~74.5 GiB.
         for i in range(4):
-            sim.add_transfer(f"stage.{i}", "gpu1", "gpu0", 25e9,
-                             deps=[ready])
+            builder.add_transfer(f"stage.{i}", "gpu1", "gpu0", 25e9,
+                                 deps=[ready])
         config = SimulationConfig(parallelism="ddp", num_gpus=2, gpu="A100")
-        report = verify_taskgraph(sim, config=config)
+        report = verify_plan(builder.finish(), config=config)
         assert rule_ids(report) == {"DV005"}
         assert "cannot fit" in report.findings[0].message
 
     def test_scoped_disable(self):
-        sim, _, _ = make_sim(2)
-        task = sim.add_compute("orphan", "gpu0", 1e-3)
-        sim.store.indegree[task.task_id] = 2
-        scoped = DEFAULT_REGISTRY.scoped(disable=["DV003"])
-        assert verify_taskgraph(sim, registry=scoped).ok
-        assert not verify_taskgraph(sim).ok
+        builder = PlanBuilder()
+        builder.add_compute("selfish", "gpu0", 1e-3, deps=[0])
+        plan = builder.finish()
+        scoped = DEFAULT_REGISTRY.scoped(disable=["DV001"])
+        assert verify_plan(plan, registry=scoped).ok
+        assert not verify_plan(plan).ok
 
     def test_gates_suppress_deep_rules(self):
-        # A cyclic graph must not also drown the report in DV003 noise:
-        # DV002 is a gate, so deep rules are skipped once it fires.
-        sim, _, _ = make_sim(2)
-        a = sim.add_compute("a", "gpu0", 1e-3)
-        b = sim.add_compute("b", "gpu1", 1e-3, deps=[a])
-        sim.store.link(b.task_id, a.task_id)
-        report = verify_taskgraph(sim)
-        assert rule_ids(report) == {"DV002"}
+        # A malformed plan must not also drown the report in deep-rule
+        # noise: DV001 is a gate, so DV004 is skipped once it fires.
+        builder = PlanBuilder()
+        a = builder.add_compute("a", "gpu0", 1e-3, deps=[1])
+        builder.add_compute("b", "gpu1", 1e-3, deps=[a])
+        for src, dst in (("gpu0", "gpu1"), ("gpu2", "gpu3")):
+            builder.add_transfer(f"ar.{src}.{dst}", src, dst, 1024,
+                                 collective="allreduce[0]")
+        plan = builder.finish()
+        assert rule_ids(verify_plan(plan)) == {"DV001"}
+        scoped = DEFAULT_REGISTRY.scoped(disable=["DV001"])
+        assert rule_ids(verify_plan(plan, registry=scoped)) == {"DV004"}
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +466,7 @@ class TestVerifyIntegration:
         import repro.analysis.verifier as verifier
 
         def seeded_failure(plan, config=None, registry=None):
-            return Report([Finding("DV003", "verify-dead-task", "error",
+            return Report([Finding("DV001", "verify-structure", "error",
                                    "seeded verification failure")])
 
         monkeypatch.setattr(verifier, "verify_plan", seeded_failure)
@@ -461,10 +478,68 @@ class TestVerifyIntegration:
         assert "seeded verification failure" in outcomes[0].error.message
 
 
+    def test_one_verdict_for_a_forward_dependency(self, trace,
+                                                  monkeypatch):
+        # The same broken plan gets the same rule id from every static
+        # entry point: the simulator's gate, the sweep's plan step and
+        # verify_config all check the plan with verify_plan.
+        original = TrioSim.build_plan
+
+        def forward_plan(self):
+            plan = original(self)
+            consumer = int(plan.succ_idx[plan.succ_ptr[0]])
+            return rewired(plan, 0, [consumer])
+
+        monkeypatch.setattr(TrioSim, "build_plan", forward_plan)
+        config = SimulationConfig(parallelism="ddp", num_gpus=2)
+        with pytest.raises(AnalysisError) as info:
+            TrioSim(trace, config, verify=True).run()
+        assert info.value.report.rule_ids() == ["DV001"]
+        outcome, = SweepRunner(max_workers=1, cache=None,
+                               verify=True).run(trace, [config])
+        assert outcome.error.kind == "VerifyError"
+        assert set(re.findall(r"\bDV\d{3}\b",
+                              outcome.error.message)) == {"DV001"}
+        assert verify_config(config, trace).rule_ids() == ["DV001"]
+
+
 # ----------------------------------------------------------------------
 # Plans, path dispatch, and kind detection
 # ----------------------------------------------------------------------
 class TestPlanVerification:
+    @pytest.mark.parametrize("parallelism,kwargs", PARALLELISMS)
+    def test_edges_point_backward_and_dv001_tracks_defects(
+            self, trace, parallelism, kwargs):
+        # Every edge of the lowering runs from an earlier row to a later
+        # one (row order is topological), and DV001 fires exactly when
+        # the plan holds a malformed dependency.
+        config = SimulationConfig(parallelism=parallelism, **kwargs)
+        plan = TrioSim(trace, config, record_timeline=False).build_plan()
+        n = len(plan)
+        rng = random.Random(n)
+        seeded = [plan]
+        for _ in range(3):
+            row = rng.randrange(1, n)
+            seeded.append(rewired(plan, row, [row]))
+            if row < n - 1:
+                seeded.append(rewired(plan, row, [0, rng.randrange(row + 1,
+                                                                   n)]))
+            bad = rewired(plan, row, [0, row - 1])
+            # A plan cannot be built with an index outside its rows; set
+            # one afterwards.
+            bad.dep_idx[bad.dep_ptr[row] + 1] = rng.choice([-1, n, n + 7])
+            seeded.append(bad)
+        for candidate in seeded:
+            view = GraphView.from_plan(candidate)
+            for row in range(n):
+                assert all(dep < row for dep in view.deps[row])
+                assert all(row < target for target in view.dependents[row])
+            defects = dependency_defects(candidate.dep_ptr,
+                                         candidate.dep_idx)
+            fired = "DV001" in rule_ids(verify_plan(candidate))
+            assert fired == bool(defects)
+            assert bool(defects) == (candidate is not plan)
+
     def test_graphview_flags_tampered_plan(self, plan):
         # Self dependency: row 3's first index is itself.
         assert plan.dep_ptr[4] > plan.dep_ptr[3]
@@ -535,9 +610,12 @@ class TestCatalogueAndSarif:
 
     def test_catalogue_covers_verifier_series(self):
         ids = {r.id for r in DEFAULT_REGISTRY.rules()}
-        for rule_id in ("DV001", "DV002", "DV003", "DV004", "DV005",
+        for rule_id in ("DV001", "DV004", "DV005",
                         "RC001", "RC002", "RC003"):
             assert rule_id in ids
+        # Cycles and dead tasks cannot survive DV001 in a plan.
+        assert RETIRED_RULES["DV"] == (2, 3)
+        assert not ids & {"DV002", "DV003"}
 
     def test_catalogue_flags_missing_rule(self):
         from repro.analysis.registry import RuleRegistry, Rule
@@ -565,9 +643,9 @@ class TestCatalogueAndSarif:
         from repro.analysis import Finding
 
         report = Report([
-            Finding("DV003", "verify-dead-task", "error", "one",
-                    location="task[1]", detail={"declared": 2}),
-            Finding("DV003", "verify-dead-task", "error", "two"),
+            Finding("DV001", "verify-structure", "error", "one",
+                    location="task[1]", detail={"duration": -1.0}),
+            Finding("DV001", "verify-structure", "error", "two"),
             Finding("RC003", "global-rng-drift", "warning", "drift"),
         ])
         doc = json.loads(render_sarif(report))
@@ -576,7 +654,7 @@ class TestCatalogueAndSarif:
         assert len(run["results"]) == 3
         logical = run["results"][0]["locations"][0]["logicalLocations"]
         assert logical[0]["fullyQualifiedName"] == "task[1]"
-        assert run["results"][0]["properties"] == {"declared": 2}
+        assert run["results"][0]["properties"] == {"duration": -1.0}
         assert run["results"][2]["level"] == "warning"
 
 
@@ -608,9 +686,10 @@ class TestVerifyCli:
     def test_list_rules(self, capsys):
         assert main(["verify", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DV001", "DV002", "DV003", "DV004", "DV005",
+        for rule_id in ("DV001", "DV004", "DV005",
                         "RC001", "RC002", "RC003"):
             assert rule_id in out
+        assert "DV002" not in out and "DV003" not in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["verify"]) == 2
@@ -622,13 +701,12 @@ class TestVerifyCli:
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"] == []
 
-    def test_disable_flag(self, tmp_path, capsys):
+    def test_disable_flag(self, plan):
         # A tampered plan passes once its (only) firing rule is disabled.
-        sim, _, _ = make_sim(2)
-        task = sim.add_compute("orphan", "gpu0", 1e-3)
-        sim.store.indegree[task.task_id] = 2
-        report = verify_taskgraph(
-            sim, registry=DEFAULT_REGISTRY.scoped(disable=["DV003"]))
+        tampered = rewired(plan, 0, [5])
+        assert not verify_plan(tampered).ok
+        report = verify_plan(
+            tampered, registry=DEFAULT_REGISTRY.scoped(disable=["DV001"]))
         assert report.ok
 
     def test_simulate_verify_flag(self, trace_file, capsys):
