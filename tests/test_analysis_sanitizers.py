@@ -297,7 +297,7 @@ class TestSanitizerSuite:
 
 
 # ----------------------------------------------------------------------
-# Static task-graph checks (the DV rules verify runs before any event)
+# Static plan checks (the DV rules verify runs before instancing)
 # ----------------------------------------------------------------------
 class TestTaskGraphLint:
     def test_clean_graph(self):
