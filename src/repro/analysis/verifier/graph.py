@@ -127,7 +127,11 @@ class GraphView:
 
     def critical_path(self, config: Optional[SimulationConfig] = None
                       ) -> CriticalPath:
-        """Critical-path length, per-task slack, and one witness path."""
+        """Critical-path length, per-task slack, and one witness path.
+
+        Row order is topological (every edge runs from an earlier row),
+        so one forward and one backward pass over the rows suffice.
+        """
         costs = self.costs(config)
         earliest = [0.0] * self.n
         argmax = [-1] * self.n
