@@ -175,6 +175,35 @@ def test_direct_built_ring_all_reduce():
     assert all(task.done for task in sim.tasks)
 
 
+@pytest.mark.parametrize("routing,digest,table,events,total", [
+    ("ecmp", "531b8dd936797ce8", "80ed994d78a3a555", 2158,
+     0.05514024000000001),
+    ("adaptive", "da57753cd9978c56", "0d666ec40e525d2a", 2098,
+     0.001269647999999999),
+])
+def test_direct_built_storm_rings(routing, digest, table, events, total):
+    """The quick ``fabric_storm`` benchmark's shape: 16 GPUs on a 2:1
+    leaf-spine, two 8 MB rings whose every hop crosses the spine tier,
+    and one uplink throttled to 2% that ECMP keeps hashing flows onto."""
+    engine = Engine()
+    observer = _Digest()
+    engine.add_observer(observer)
+    topology = build_topology("leaf_spine", 16, 100e9, 1e-6,
+                              gpus_per_leaf=8, oversubscription=2.0)
+    network = FlowNetwork(engine, topology, routing=routing, routing_seed=7)
+    network.set_link_capacity("leaf0", "spine1",
+                              topology["leaf0"]["spine1"]["bandwidth"] * 0.02)
+    sim = TaskGraphSimulator(engine, network)
+    base = [(i % 2) * 8 + i // 2 for i in range(16)]
+    for shift in range(2):
+        order = [f"gpu{(g + shift) % 16}" for g in base]
+        ring_all_reduce(sim, order, 8 * 2 ** 20, tag=f"ring{shift}")
+    assert sim.run() == total
+    assert str(observer) == digest
+    assert engine.dispatched_events == events
+    assert task_table_digest(sim.store) == table
+
+
 def test_empty_plan_releases_its_fences():
     engine = Engine()
     sim = TaskGraphSimulator(engine, FlowNetwork(engine, ring(2, 100.0)))
