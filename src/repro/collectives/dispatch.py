@@ -13,16 +13,16 @@ from typing import List, Optional, Sequence
 from repro.collectives.hierarchical import hierarchical_all_reduce
 from repro.collectives.ring import ring_all_reduce
 from repro.collectives.tree import tree_all_reduce
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import GraphBuilder
 
 SCHEMES = ("ring", "tree", "hierarchical")
 
 
-def all_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-               deps: Sequence[SimTask] = (), tag: str = "allreduce",
+def all_reduce(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+               deps: Sequence[int] = (), tag: str = "allreduce",
                scheme: str = "ring",
                node_groups: Optional[Sequence[Sequence[str]]] = None
-               ) -> List[SimTask]:
+               ) -> List[int]:
     """AllReduce *nbytes* across *gpus* with the chosen algorithm.
 
     ``hierarchical`` requires ``node_groups`` (per-node GPU lists whose

@@ -18,14 +18,14 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.collectives.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import GraphBuilder
 
 
-def hierarchical_all_reduce(sim: TaskGraphSimulator,
+def hierarchical_all_reduce(sim: GraphBuilder,
                             node_groups: Sequence[Sequence[str]],
                             nbytes: float,
-                            deps: Sequence[SimTask] = (),
-                            tag: str = "hier_allreduce") -> List[SimTask]:
+                            deps: Sequence[int] = (),
+                            tag: str = "hier_allreduce") -> List[int]:
     """AllReduce *nbytes* across all GPUs of *node_groups*.
 
     ``node_groups`` is a list of per-node GPU name lists; all nodes must
@@ -45,7 +45,7 @@ def hierarchical_all_reduce(sim: TaskGraphSimulator,
         return ring_all_reduce(sim, flat, nbytes, deps=deps, tag=tag)
 
     # Phase 1: intra-node reduce-scatter (concurrent across nodes).
-    scattered: List[List[SimTask]] = []
+    scattered: List[List[int]] = []
     for node, group in enumerate(node_groups):
         scattered.append(ring_reduce_scatter(
             sim, group, nbytes, deps=deps, tag=f"{tag}.rs.n{node}"
@@ -54,7 +54,7 @@ def hierarchical_all_reduce(sim: TaskGraphSimulator,
 
     # Phase 2: inter-node AllReduce per rail (GPU i across all nodes),
     # each rail carrying its 1/per_node shard.
-    rails_done: List[SimTask] = []
+    rails_done: List[int] = []
     for rail in range(per_node):
         rail_gpus = [group[rail] for group in node_groups]
         rails_done.extend(ring_all_reduce(
@@ -63,7 +63,7 @@ def hierarchical_all_reduce(sim: TaskGraphSimulator,
         ))
 
     # Phase 3: intra-node all-gather.
-    finished: List[SimTask] = []
+    finished: List[int] = []
     for node, group in enumerate(node_groups):
         finished.extend(ring_all_gather(
             sim, group, nbytes, deps=rails_done, tag=f"{tag}.ag.n{node}"

@@ -1,9 +1,10 @@
 """Ring-based collective task generators.
 
-Each generator appends transfer tasks to a
-:class:`~repro.core.taskgraph.TaskGraphSimulator` implementing one
-NCCL-style collective over an ordered ring of GPUs, and returns the tasks
-whose completion marks the collective's end (for dependency chaining).
+Each generator records the transfer tasks of one NCCL-style collective
+over an ordered ring of GPUs into a
+:data:`~repro.core.plan.GraphBuilder`, and returns the row ids of the
+tasks whose completion marks the collective's end (for dependency
+chaining).
 
 The ring AllReduce follows the classic 2(n-1)-step schedule (paper §2.1):
 n-1 reduce-scatter steps then n-1 all-gather steps, every device sending
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import GraphBuilder
 
 
-def _rounds(sim: TaskGraphSimulator, gpus: Sequence[str], chunk: float,
-            num_rounds: int, deps: Sequence[SimTask], tag: str) -> List[SimTask]:
+def _rounds(sim: GraphBuilder, gpus: Sequence[str], chunk: float,
+            num_rounds: int, deps: Sequence[int], tag: str) -> List[int]:
     """Run *num_rounds* neighbour-exchange rounds; returns the last round.
 
     Rounds are joined through a zero-cost barrier so the dependency count
@@ -28,7 +29,7 @@ def _rounds(sim: TaskGraphSimulator, gpus: Sequence[str], chunk: float,
     count would otherwise dominate simulation time.
     """
     n = len(gpus)
-    prev: Sequence[SimTask] = deps
+    prev: Sequence[int] = deps
     for step in range(num_rounds):
         if step > 0 or len(prev) > n:
             prev = [sim.add_barrier(f"{tag}.step{step}.sync", deps=prev)]
@@ -47,8 +48,8 @@ def _rounds(sim: TaskGraphSimulator, gpus: Sequence[str], chunk: float,
     return list(prev)
 
 
-def ring_all_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                    deps: Sequence[SimTask] = (), tag: str = "allreduce") -> List[SimTask]:
+def ring_all_reduce(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                    deps: Sequence[int] = (), tag: str = "allreduce") -> List[int]:
     """AllReduce *nbytes* across *gpus*; returns the completing tasks."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
@@ -56,9 +57,9 @@ def ring_all_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return _rounds(sim, gpus, nbytes / n, 2 * (n - 1), deps, tag)
 
 
-def ring_reduce_scatter(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                        deps: Sequence[SimTask] = (),
-                        tag: str = "reduce_scatter") -> List[SimTask]:
+def ring_reduce_scatter(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                        deps: Sequence[int] = (),
+                        tag: str = "reduce_scatter") -> List[int]:
     """Reduce-scatter: each GPU ends with one reduced ``nbytes/n`` shard."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
@@ -66,9 +67,9 @@ def ring_reduce_scatter(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: fl
     return _rounds(sim, gpus, nbytes / n, n - 1, deps, tag)
 
 
-def ring_all_gather(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                    deps: Sequence[SimTask] = (),
-                    tag: str = "allgather") -> List[SimTask]:
+def ring_all_gather(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                    deps: Sequence[int] = (),
+                    tag: str = "allgather") -> List[int]:
     """All-gather shards into a full *nbytes* buffer on every GPU."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
@@ -76,14 +77,14 @@ def ring_all_gather(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return _rounds(sim, gpus, nbytes / n, n - 1, deps, tag)
 
 
-def ring_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                root: int = 0, deps: Sequence[SimTask] = (),
-                tag: str = "reduce") -> List[SimTask]:
+def ring_reduce(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                root: int = 0, deps: Sequence[int] = (),
+                tag: str = "reduce") -> List[int]:
     """Reduce to ``gpus[root]``: n-1 pipelined hops around the ring."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
         return [sim.add_barrier(f"{tag}.noop", deps=deps)]
-    prev: Sequence[SimTask] = deps
+    prev: Sequence[int] = deps
     # Partial sums flow around the ring towards the root, one hop per
     # step: root+1 -> root+2 -> ... -> root.
     for step in range(n - 1):
@@ -96,14 +97,14 @@ def ring_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return list(prev)
 
 
-def ring_broadcast(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                   root: int = 0, deps: Sequence[SimTask] = (),
-                   tag: str = "broadcast") -> List[SimTask]:
+def ring_broadcast(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                   root: int = 0, deps: Sequence[int] = (),
+                   tag: str = "broadcast") -> List[int]:
     """Broadcast from ``gpus[root]``: pipelined hops around the ring."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
         return [sim.add_barrier(f"{tag}.noop", deps=deps)]
-    prev: Sequence[SimTask] = deps
+    prev: Sequence[int] = deps
     tasks = []
     for step in range(n - 1):
         src = gpus[(root + step) % n]
@@ -116,9 +117,9 @@ def ring_broadcast(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return [tasks[-1]]
 
 
-def ring_scatter(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                 root: int = 0, deps: Sequence[SimTask] = (),
-                 tag: str = "scatter") -> List[SimTask]:
+def ring_scatter(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                 root: int = 0, deps: Sequence[int] = (),
+                 tag: str = "scatter") -> List[int]:
     """Scatter ``nbytes/n`` shards from the root to every other GPU."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
@@ -134,9 +135,9 @@ def ring_scatter(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return tasks
 
 
-def ring_gather(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                root: int = 0, deps: Sequence[SimTask] = (),
-                tag: str = "gather") -> List[SimTask]:
+def ring_gather(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                root: int = 0, deps: Sequence[int] = (),
+                tag: str = "gather") -> List[int]:
     """Gather ``nbytes/n`` shards from every GPU onto the root."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:

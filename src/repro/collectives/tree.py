@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import GraphBuilder
 
 
 def _levels(n: int) -> int:
@@ -25,9 +25,9 @@ def _levels(n: int) -> int:
     return levels
 
 
-def tree_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                root: int = 0, deps: Sequence[SimTask] = (),
-                tag: str = "tree_reduce") -> List[SimTask]:
+def tree_reduce(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                root: int = 0, deps: Sequence[int] = (),
+                tag: str = "tree_reduce") -> List[int]:
     """Binomial-tree reduce onto ``gpus[root]``; returns the final tasks.
 
     Level ``k`` pairs ranks ``2^k`` apart (relative to the root): the
@@ -36,7 +36,7 @@ def tree_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
         return [sim.add_barrier(f"{tag}.noop", deps=deps)]
-    prev: Sequence[SimTask] = deps
+    prev: Sequence[int] = deps
     # rank r's position relative to the root
     rel = lambda r: (r - root) % n
     for level in range(_levels(n)):
@@ -56,18 +56,18 @@ def tree_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return list(prev)
 
 
-def tree_broadcast(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                   root: int = 0, deps: Sequence[SimTask] = (),
-                   tag: str = "tree_broadcast") -> List[SimTask]:
+def tree_broadcast(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                   root: int = 0, deps: Sequence[int] = (),
+                   tag: str = "tree_broadcast") -> List[int]:
     """Binomial-tree broadcast from ``gpus[root]``; returns the leaf-level
     tasks (the collective's completion)."""
     n = len(gpus)
     if n <= 1 or nbytes <= 0:
         return [sim.add_barrier(f"{tag}.noop", deps=deps)]
-    prev: Sequence[SimTask] = deps
+    prev: Sequence[int] = deps
     levels = _levels(n)
     rel = lambda r: (r - root) % n
-    last_level: List[SimTask] = []
+    last_level: List[int] = []
     for level in range(levels - 1, -1, -1):
         stride = 1 << level
         tasks = []
@@ -85,9 +85,9 @@ def tree_broadcast(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
     return list(last_level or prev)
 
 
-def tree_all_reduce(sim: TaskGraphSimulator, gpus: Sequence[str], nbytes: float,
-                    deps: Sequence[SimTask] = (),
-                    tag: str = "tree_allreduce") -> List[SimTask]:
+def tree_all_reduce(sim: GraphBuilder, gpus: Sequence[str], nbytes: float,
+                    deps: Sequence[int] = (),
+                    tag: str = "tree_allreduce") -> List[int]:
     """Reduce-then-broadcast AllReduce: 2 log2(n) latency-bound levels,
     each moving the full buffer (bandwidth-suboptimal vs the ring)."""
     n = len(gpus)

@@ -9,16 +9,16 @@ re-extrapolate the identical iteration graph N times.
 
 This module splits the pipeline accordingly:
 
-* :class:`PlanBuilder` duck-types the graph-construction surface of
-  :class:`~repro.core.taskgraph.TaskGraphSimulator`, so any extrapolator's
-  :meth:`build` records into a plan instead of a live simulator;
+* :class:`PlanBuilder` is the one graph builder: an extrapolator's
+  :meth:`build` records into one, and so do
+  :class:`~repro.core.taskgraph.TaskGraphSimulator`'s ``add_*`` methods;
 * :class:`ExtrapolationPlan` is the recorded DAG — one iteration's task
   columns plus a backward dependency CSR, looked up by
   :func:`plan_key`;
 * :meth:`ExtrapolationPlan.instantiate_iterations` appends the plan's
   columns to a live simulator's task store once per iteration (plus
-  fence wiring), bit-identical to running the extrapolator directly, at
-  a fraction of the cost;
+  fence wiring), bit-identical to re-running the extrapolator per
+  iteration, at a fraction of the cost;
 * :class:`PlanCache` looks plans up by key — a bounded in-process LRU,
   or a sweep's whole table of prebuilt plans — so sweep points that
   differ only in network/fault parameters share one extrapolation.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -125,17 +125,15 @@ def dependency_defects(dep_ptr: np.ndarray,
 
 
 class PlanBuilder:
-    """Records an extrapolator's graph-construction calls as plan columns.
+    """Records graph-construction calls as plan columns.
 
-    Exposes the same ``add_compute`` / ``add_transfer`` / ``add_barrier``
-    surface as :class:`~repro.core.taskgraph.TaskGraphSimulator`, each
-    returning the recorded row id (an opaque handle, usable as a
-    dependency), but schedules nothing: compute durations are stored
-    *unscaled* (the per-GPU ``compute_scale`` applies at instantiation),
-    and fences are an execute-time concern (:meth:`fence` raises).
-    Metadata is stored through :func:`~repro.core.taskgraph.intern_meta`:
-    metadata equal by ``==`` to an earlier row's is stored as that row's
-    dict.
+    ``add_compute`` / ``add_transfer`` / ``add_barrier`` each return the
+    recorded row id, usable as a dependency of later rows, and schedule
+    nothing: compute durations are stored *unscaled* (the per-GPU
+    ``compute_scale`` applies at instantiation), and fences are inserted
+    at instantiation.  Metadata is stored through
+    :func:`~repro.core.taskgraph.intern_meta`: metadata equal by ``==``
+    to an earlier row's is stored as that row's dict.
     """
 
     def __init__(self):
@@ -144,6 +142,9 @@ class PlanBuilder:
         self._dep_ptr = [0]
         self._dep_idx: List[int] = []
         self._metas: Dict[tuple, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self._dep_ptr) - 1
 
     def _record(self, kind: int, name: str, deps: Sequence[int],
                 gpu: Optional[str] = None, duration: float = 0.0,
@@ -168,6 +169,12 @@ class PlanBuilder:
     def add_compute(self, name: str, gpu: str, duration: float,
                     deps: Sequence[int] = (), priority: int = 0,
                     **meta) -> int:
+        """A compute task of known *duration* pinned to *gpu*.
+
+        ``priority`` breaks ties among simultaneously-ready tasks on the
+        same GPU (lower first, then creation order) — how schedule
+        variants like 1F1B impose their issue order.
+        """
         if duration < 0:
             raise ValueError(f"task {name}: negative duration")
         return self._record(COMPUTE, name, deps, gpu=gpu,
@@ -176,6 +183,7 @@ class PlanBuilder:
 
     def add_transfer(self, name: str, src: str, dst: str, nbytes: float,
                      deps: Sequence[int] = (), **meta) -> int:
+        """A network transfer of *nbytes* from *src* to *dst*."""
         if nbytes < 0:
             raise ValueError(f"task {name}: negative bytes")
         return self._record(TRANSFER, name, deps, src=src, dst=dst,
@@ -183,16 +191,16 @@ class PlanBuilder:
 
     def add_barrier(self, name: str, deps: Sequence[int] = (),
                     **meta) -> int:
+        """A zero-cost join node."""
         return self._record(BARRIER, name, deps, meta=meta)
-
-    def fence(self, name: str = "fence") -> int:
-        raise RuntimeError(
-            "plans capture one iteration; fences are inserted at "
-            "instantiation time (extrapolators must not call fence)"
-        )
 
     def finish(self) -> "ExtrapolationPlan":
         return ExtrapolationPlan(self.columns, self._dep_ptr, self._dep_idx)
+
+
+#: What a collective records into: a plan being built, or a simulator
+#: whose ``add_*`` record into its pending block.
+GraphBuilder = Union[PlanBuilder, TaskGraphSimulator]
 
 
 class ExtrapolationPlan:
@@ -209,7 +217,9 @@ class ExtrapolationPlan:
     dep_ptr, dep_idx:
         Backward dependency CSR: row *i* depends on
         ``dep_idx[dep_ptr[i]:dep_ptr[i + 1]]``, in recorded order, each an
-        earlier row.
+        earlier row.  An index outside ``range(len(dep_ptr) - 1)``
+        raises :class:`ValueError` naming the row and its task; a forward
+        or self reference is kept for the verifier's DV001.
 
     Derived from the dependency CSR: the forward CSR ``succ_ptr`` /
     ``succ_idx`` (each row's dependents in ascending order — the order
@@ -223,6 +233,14 @@ class ExtrapolationPlan:
         self.dep_ptr = np.asarray(dep_ptr, dtype=np.int64)
         self.dep_idx = np.asarray(dep_idx, dtype=np.int64)
         counts = np.diff(self.dep_ptr)
+        outside = (self.dep_idx < 0) | (self.dep_idx >= len(counts))
+        if outside.any():
+            _, row, message = next(
+                defect for defect in dependency_defects(self.dep_ptr,
+                                                        self.dep_idx)
+                if outside[defect[0]])
+            raise ValueError(f"task {columns['name'][row]!r} (row {row}): "
+                             f"{message}")
         self.succ_ptr, self.succ_idx = group_rows(
             self.dep_idx, edge_rows(self.dep_ptr), len(counts))
         self.indegree: List[int] = counts.tolist()
@@ -255,10 +273,8 @@ class ExtrapolationPlan:
         graph the continuation then replays the schedule the all-upfront
         build would have produced, at the same virtual times.
 
-        Semantically identical to running the extrapolator's
-        ``build(sim)`` once per iteration with fences in between: per-GPU
-        ``compute_scale`` applies to compute durations and task ids
-        continue *sim*'s rows, so a cold build and an instanced plan
+        Per-GPU ``compute_scale`` applies to compute durations and task
+        ids continue *sim*'s rows, so a cold build and an instanced plan
         simulate bit-identically.
         """
         sim._append_iterations(self, count, start)

@@ -15,7 +15,8 @@ run concurrently with compute — which is exactly how communication/
 computation overlap (DDP, GPipe) arises in the simulation, rather than
 being an analytical correction.
 
-Tasks live as rows of one columnar :class:`TaskStore`; a
+Tasks live as rows of one columnar :class:`TaskStore`, appended a plan
+iteration at a time (:class:`repro.core.plan.ExtrapolationPlan`); a
 :class:`SimTask` is a view of one row.  The table is the run's record: busy
 times and the timeline are read from it after the run (see
 :meth:`TaskGraphSimulator.totals`).
@@ -24,14 +25,17 @@ times and the timeline are read from it after the run (see
 from __future__ import annotations
 
 import inspect
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence)
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.core.results import TimelineRecord
 from repro.engine.engine import Engine
 from repro.engine.events import Event
 from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import NetworkModel, Transfer
+
+if TYPE_CHECKING:
+    from repro.core.plan import PlanBuilder
 
 HOOK_TASK_END = "task_end"
 
@@ -75,9 +79,10 @@ class TaskStore:
     """The columnar (structure-of-arrays) task table of one simulator.
 
     One row per task, indexed by ``task_id``: the :data:`TASK_COLUMNS`
-    plus the run-time columns below.  Rows are appended one at a time by
-    the ``add_*`` builders and a plan iteration at a time by
-    :meth:`repro.core.plan.ExtrapolationPlan.instantiate_iterations`.
+    plus the run-time columns below.  Rows are appended a plan iteration
+    at a time (:meth:`TaskGraphSimulator._append_iterations`, which also
+    appends the block the ``add_*`` builders recorded) and one fence row
+    before each iteration numbered ``>= 1``.
 
     Successors live in two places, walked in this order (which is the
     order the successors were created in):
@@ -86,10 +91,8 @@ class TaskStore:
       iteration, tiled with numpy and materialized as plain lists
       (CPython list indexing beats per-element numpy access in the
       dispatch loop);
-    * ``succ`` — every other edge, as a per-row list or ``None``: the
-      builders' dependencies and the inter-iteration fence wiring
-      (each terminal → its fence, each fence → the next iteration's
-      roots).
+    * ``succ`` — the fence wiring, as a per-row list or ``None``: each
+      terminal → its fence, each fence → the next iteration's roots.
 
     ``indegree`` counts each row's unfinished dependencies; the scheduler
     decrements it and starts the row at zero.  A plan iteration's
@@ -159,9 +162,9 @@ def _column(name: str, doc: str) -> property:
 class SimTask:
     """A read-only view of one :class:`TaskStore` row.
 
-    Returned by the ``add_*`` builders and handed to task hooks.  Every
-    field reads the store, so a view is never stale: ``end_time`` is set
-    the moment its row finishes.
+    Handed to task hooks and listed in
+    :attr:`TaskGraphSimulator.fences`.  Every field reads the store, so a
+    view is never stale: ``end_time`` is set the moment its row finishes.
     """
 
     __slots__ = ("store", "task_id")
@@ -204,10 +207,14 @@ class SimTask:
 class TaskGraphSimulator(Hookable):
     """Executes a task DAG over GPUs and a network model.
 
-    Build the graph with :meth:`add_compute` / :meth:`add_transfer` /
-    :meth:`add_barrier` (or instance a plan into it), then call
-    :meth:`run`.  Dependencies are given at creation time; a task becomes
-    ready when all its dependencies finish.
+    Instance a plan into it, or record tasks with :meth:`add_compute` /
+    :meth:`add_transfer` / :meth:`add_barrier`, then call :meth:`run`.
+    The ``add_*`` builders record into a
+    :class:`~repro.core.plan.PlanBuilder` block and return the row id
+    each task will have; :meth:`run` appends the block as one plan
+    iteration.  A dependency is a row id recorded since the last run, or
+    a row that has finished.  A task becomes ready when all its
+    dependencies finish.
     """
 
     def __init__(self, engine: Engine, network: NetworkModel):
@@ -220,7 +227,10 @@ class TaskGraphSimulator(Hookable):
         self._cursor = 0
         self._fence: Optional[int] = None
         self.fences: List[SimTask] = []
-        self._metas: Dict[tuple, dict] = {}
+        #: The tasks the ``add_*`` builders recorded since the last
+        #: :meth:`run`, and the store row its first task will take.
+        self._block: Optional["PlanBuilder"] = None
+        self._block_first = 0
         #: Per-GPU compute-duration multipliers (>= 1 slows a device) —
         #: heterogeneous/straggler systems without touching extrapolators.
         self.compute_scale: Dict[str, float] = {}
@@ -259,123 +269,106 @@ class TaskGraphSimulator(Hookable):
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    @property
-    def tasks(self) -> List[SimTask]:
-        """Views of every row, in creation order."""
-        store = self.store
-        return [SimTask(store, tid) for tid in range(len(store))]
+    def _block_deps(self, name: str, deps: Sequence[int]
+                    ) -> Tuple["PlanBuilder", List[int]]:
+        """The pending block (opened on first use) and *deps* as its
+        local row ids.
 
-    def _add(self, kind: int, name: str, deps: Iterable[int],
-             gpu: Optional[str] = None, duration: float = 0.0,
-             priority: int = 0, src: Optional[str] = None,
-             dst: Optional[str] = None, nbytes: float = 0.0,
-             meta: Optional[dict] = None) -> int:
-        store = self.store
-        tid = len(store)
-        store.kind.append(kind)
-        store.name.append(name)
-        store.gpu.append(gpu)
-        store.duration.append(duration)
-        store.priority.append(priority)
-        store.src.append(src)
-        store.dst.append(dst)
-        store.nbytes.append(nbytes)
-        store.meta.append(intern_meta(self._metas, meta or {}))
-        store.queue.append(self._queue(gpu) if kind == COMPUTE else None)
-        store.indegree.append(0)
-        store.indptr.append(store.indptr[-1])
-        store.succ.append(None)
-        store.start.append(None)
-        store.end.append(None)
-        if priority:
-            store.uniform_priority = False
-        for dep in deps:
-            store.link(dep, tid)
-        if self._fence is not None:
-            store.link(self._fence, tid)
-        return tid
-
-    def fence(self, name: str = "fence") -> SimTask:
-        """Insert a global synchronization point.
-
-        The fence completes when every task created so far has finished,
-        and every task created *afterwards* implicitly depends on it.
-        This is how multi-iteration training is simulated: one
-        extrapolated iteration per fence interval.
-        """
-        store = self.store
-        indptr, succ, end = store.indptr, store.succ, store.end
-        terminals = [t for t in range(len(store))
-                     if indptr[t] == indptr[t + 1] and not succ[t]
-                     and end[t] is None]
-        return SimTask(store, self._fence_rows(name, terminals))
-
-    def _fence_rows(self, name: str, terminals: Sequence[int]) -> int:
-        """Add a fence row waiting on the unfinished *terminals*.
-
-        Tasks created afterwards implicitly depend on the fence; an
-        empty wait-set falls back to the previous fence so consecutive
-        fences still order correctly.
-        """
+        A dependency on a row of an earlier run has finished and is
+        dropped; any other row outside the block is an error."""
+        block = self._block
+        if block is None:
+            from repro.core.plan import PlanBuilder  # plan.py imports us
+            block = self._block = PlanBuilder()
+            self._block_first = len(self.store)
+        first = self._block_first
+        last = first + len(block)
         end = self.store.end
+        local = []
+        for dep in deps:
+            if first <= dep < last:
+                local.append(dep - first)
+            elif not 0 <= dep < first or end[dep] is None:
+                raise ValueError(
+                    f"task {name}: dependency {dep} is neither a finished "
+                    "task nor a task added since the last run")
+        return block, local
+
+    def add_compute(self, name: str, gpu: str, duration: float,
+                    deps: Sequence[int] = (), priority: int = 0,
+                    **meta) -> int:
+        """Record :meth:`repro.core.plan.PlanBuilder.add_compute` in the
+        pending block; returns the task's row id.  The GPU's entry in
+        :attr:`compute_scale` applies when the block is appended."""
+        block, local = self._block_deps(name, deps)
+        return self._block_first + block.add_compute(
+            name, gpu, duration, local, priority, **meta)
+
+    def add_transfer(self, name: str, src: str, dst: str, nbytes: float,
+                     deps: Sequence[int] = (), **meta) -> int:
+        """Record :meth:`repro.core.plan.PlanBuilder.add_transfer` in the
+        pending block; returns the task's row id."""
+        block, local = self._block_deps(name, deps)
+        return self._block_first + block.add_transfer(
+            name, src, dst, nbytes, local, **meta)
+
+    def add_barrier(self, name: str, deps: Sequence[int] = (), **meta) -> int:
+        """Record :meth:`repro.core.plan.PlanBuilder.add_barrier` in the
+        pending block; returns the task's row id."""
+        block, local = self._block_deps(name, deps)
+        return self._block_first + block.add_barrier(name, local, **meta)
+
+    def _flush(self) -> None:
+        """Append the pending block as one plan iteration.  The builder's
+        dependency lists go first, and an empty store takes the block's
+        column lists: no copy of the block is alive beside the store's."""
+        block, self._block = self._block, None
+        if block is not None:
+            plan = block.finish()
+            del block
+            self._append_iterations(plan, 1, 0, adopt=True)
+
+    def _fence_rows(self, name: str, terminals: Sequence[int]) -> None:
+        """Append a fence row waiting on the unfinished *terminals*; the
+        next iteration's roots wait on it.  An empty wait-set falls back
+        to the previous fence so consecutive fences still order
+        correctly."""
+        store = self.store
+        end = store.end
         live = [t for t in terminals if end[t] is None]
         previous = self._fence
         if not live and previous is not None:
             live = [previous]
-        self._fence = None  # the fence itself only depends on terminals
-        fence = self._add(BARRIER, name, live)
+        fence = len(store)
+        for column, value in zip(TASK_COLUMNS, (BARRIER, name, None, 0.0, 0,
+                                                None, None, 0.0, {})):
+            getattr(store, column).append(value)
+        store.queue.append(None)
+        store.indegree.append(0)
+        store.indptr.append(store.indptr[-1])
+        for column in (store.succ, store.start, store.end):
+            column.append(None)
+        for dep in live:
+            store.link(dep, fence)
         self._fence = fence
-        self.fences.append(SimTask(self.store, fence))
-        return fence
+        self.fences.append(SimTask(store, fence))
 
-    def add_compute(self, name: str, gpu: str, duration: float,
-                    deps: Sequence[SimTask] = (), priority: int = 0,
-                    **meta) -> SimTask:
-        """A compute task of known *duration* pinned to *gpu* (scaled by
-        the GPU's entry in :attr:`compute_scale`, if any).
-
-        ``priority`` breaks ties among simultaneously-ready tasks on the
-        same GPU (lower first, then creation order) — how schedule
-        variants like 1F1B impose their issue order.
-
-        ``**meta`` is stored through :func:`intern_meta`: metadata equal
-        by ``==`` to an earlier row's is stored as that row's dict.
-        """
-        if duration < 0:
-            raise ValueError(f"task {name}: negative duration")
-        duration = float(duration) * self.compute_scale.get(gpu, 1.0)
-        return SimTask(self.store, self._add(
-            COMPUTE, name, [d.task_id for d in deps], gpu=gpu,
-            duration=duration, priority=priority, meta=meta))
-
-    def add_transfer(self, name: str, src: str, dst: str, nbytes: float,
-                     deps: Sequence[SimTask] = (), **meta) -> SimTask:
-        """A network transfer of *nbytes* from *src* to *dst*;
-        ``**meta`` is stored as :meth:`add_compute` says."""
-        if nbytes < 0:
-            raise ValueError(f"task {name}: negative bytes")
-        return SimTask(self.store, self._add(
-            TRANSFER, name, [d.task_id for d in deps], src=src, dst=dst,
-            nbytes=float(nbytes), meta=meta))
-
-    def add_barrier(self, name: str, deps: Sequence[SimTask] = (), **meta) -> SimTask:
-        """A zero-cost join node; ``**meta`` is stored as
-        :meth:`add_compute` says."""
-        return SimTask(self.store, self._add(
-            BARRIER, name, [d.task_id for d in deps], meta=meta))
-
-    def _append_iterations(self, plan, count: int, start: int) -> None:
+    def _append_iterations(self, plan, count: int, start: int,
+                           adopt: bool = False) -> None:
         """Append *count* copies of *plan*'s rows (see
         :meth:`repro.core.plan.ExtrapolationPlan.instantiate_iterations`),
-        each iteration numbered ``>= 1`` behind a fence ``iteration{i}``."""
+        each iteration numbered ``>= 1`` behind a fence ``iteration{i}``.
+        A pending block is appended first, keeping its row ids.  With
+        *adopt* (a plan used once, then dropped), an empty store takes
+        the plan's column lists instead of copies."""
+        self._flush()
         store = self.store
         n = len(plan)
         columns = plan.columns
         gpus = columns["gpu"]
         scale = self.compute_scale
         if scale:
-            # x * 1.0 is bit-identical to x: matches add_compute's
-            # unconditional multiply (compute rows only).
+            # Compute rows only: barriers and transfers have no GPU.
             columns = dict(columns, duration=[
                 d * scale.get(g, 1.0) if g is not None else d
                 for d, g in zip(columns["duration"], gpus)])
@@ -393,7 +386,10 @@ class TaskGraphSimulator(Hookable):
                 self._fence_rows(f"iteration{index}", previous)
             first = len(store)
             for name in TASK_COLUMNS:
-                getattr(store, name).extend(columns[name])
+                if adopt and not first:
+                    setattr(store, name, columns[name])
+                else:
+                    getattr(store, name).extend(columns[name])
             store.queue.extend(queues)
             store.indegree.extend(plan.indegree)
             store.indptr.extend((indptr[1:] + len(store.indices)).tolist())
@@ -411,7 +407,9 @@ class TaskGraphSimulator(Hookable):
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> float:
-        """Dispatch the rows not yet run; returns the last finish time."""
+        """Append the pending block, dispatch the rows not yet run;
+        returns the last finish time."""
+        self._flush()
         store = self.store
         indegree, end = store.indegree, store.end
         first, self._cursor = self._cursor, len(store)

@@ -1,8 +1,8 @@
 """Multi-GPU trace extrapolation.
 
 The extrapolator converts a single-GPU trace into a multi-GPU execution —
-the paper's central contribution.  Each strategy builds a task DAG on a
-:class:`~repro.core.taskgraph.TaskGraphSimulator`:
+the paper's central contribution.  Each strategy records a task DAG into
+a :class:`~repro.core.plan.PlanBuilder`:
 
 * :class:`~repro.extrapolator.data_parallel.DataParallelExtrapolator` —
   threaded ``DataParallel``: replicate, compute, AllReduce after backward.

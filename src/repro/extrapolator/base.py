@@ -4,17 +4,13 @@ An extrapolator owns the conversion of one single-GPU trace into a task
 DAG for one parallelism strategy.  Subclasses implement :meth:`build`;
 shared helpers cover per-GPU operator chains and host input fetches.
 
-Builds target a **graph builder**, not necessarily a live simulator: any
-object exposing ``add_compute`` / ``add_transfer`` / ``add_barrier`` with
-:class:`~repro.core.taskgraph.TaskGraphSimulator`'s signatures, whose
-return values are opaque dependency handles (a :class:`PlanBuilder` hands
-out row ids).  The plan/execute split (:mod:`repro.core.plan`) relies on
-this: the same ``build`` records into a
-:class:`~repro.core.plan.PlanBuilder` to produce a cacheable plan.  A
-build must therefore be a *pure function of the extrapolator's inputs*:
-emit tasks in deterministic program order, only pass handles back as
-dependencies, and never call ``fence`` (iteration boundaries are an
-execute-time concern).
+Builds record into a :class:`~repro.core.plan.PlanBuilder`, whose
+``add_compute`` / ``add_transfer`` / ``add_barrier`` return row ids used
+as dependencies of later rows; the recorded plan is cached and instanced
+once per iteration (:mod:`repro.core.plan`).  A build must therefore be a
+*pure function of the extrapolator's inputs*: emit tasks in
+deterministic program order and only pass row ids back as dependencies
+(iteration boundaries are inserted at instantiation).
 """
 
 from __future__ import annotations
@@ -22,17 +18,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Sequence
 
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.optime import OpTimeModel
 from repro.network.topology import gpu_names
 from repro.trace.records import OperatorRecord
 from repro.trace.trace import Trace
-
-#: The structural type extrapolators build into — a live
-#: :class:`TaskGraphSimulator` or a recording
-#: :class:`~repro.core.plan.PlanBuilder`.  (An alias, not a Protocol, to
-#: keep the annotation surface compatible with Python 3.9.)
-GraphBuilder = TaskGraphSimulator
 
 
 class Extrapolator(ABC):
@@ -64,28 +54,27 @@ class Extrapolator(ABC):
         self.fetch_inputs = False
 
     @abstractmethod
-    def build(self, sim: TaskGraphSimulator) -> None:
-        """Populate *sim* with the tasks of one training iteration.
+    def build(self, sim: PlanBuilder) -> None:
+        """Record the tasks of one training iteration into *sim*.
 
-        *sim* may be any :data:`GraphBuilder` — a live simulator or a
-        plan recorder; implementations must honour the purity contract
-        in the module docstring so recorded plans replay bit-identically.
+        Implementations must honour the purity contract in the module
+        docstring so recorded plans replay bit-identically.
         """
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def chain_ops(self, sim: TaskGraphSimulator, gpu: str,
-                  ops: Sequence[OperatorRecord], deps: Sequence[SimTask] = (),
+    def chain_ops(self, sim: PlanBuilder, gpu: str,
+                  ops: Sequence[OperatorRecord], deps: Sequence[int] = (),
                   batch_scale: float = 1.0, shard: int = 1,
-                  name_suffix: str = "", priority: int = 0) -> List[SimTask]:
+                  name_suffix: str = "", priority: int = 0) -> List[int]:
         """Sequentially chain *ops* on *gpu*; returns all created tasks.
 
         The first op depends on *deps*; each next op depends on the
         previous one (program order within a stream).
         """
-        tasks: List[SimTask] = []
-        prev: Sequence[SimTask] = deps
+        tasks: List[int] = []
+        prev: Sequence[int] = deps
         for op in ops:
             duration = self.op_time.duration(op, batch_scale, shard)
             task = sim.add_compute(
@@ -108,10 +97,10 @@ class Extrapolator(ABC):
             if t.category == "input"
         )
 
-    def add_input_fetch(self, sim: TaskGraphSimulator, gpu: str,
+    def add_input_fetch(self, sim: PlanBuilder, gpu: str,
                         batch_scale: float = 1.0, fraction: float = 1.0,
-                        deps: Sequence[SimTask] = (),
-                        tag: str = "") -> List[SimTask]:
+                        deps: Sequence[int] = (),
+                        tag: str = "") -> List[int]:
         """Insert the host -> *gpu* input transfer when enabled.
 
         ``fraction`` scales the payload (a micro-batch or a data-parallel

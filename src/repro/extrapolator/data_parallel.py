@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 from repro.collectives.dispatch import all_reduce
 from repro.collectives.ring import ring_broadcast, ring_reduce, ring_scatter
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.base import Extrapolator
 from repro.extrapolator.optime import OpTimeModel
 from repro.trace.trace import Trace
@@ -37,7 +37,7 @@ class DataParallelExtrapolator(Extrapolator):
         super().__init__(trace, op_time, num_gpus)
         self.batch_scale = batch_scale
 
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         param_bytes = sum(t.nbytes for t in self.trace.weight_tensors())
         input_bytes = sum(
             self.trace.tensors[t].nbytes
@@ -53,9 +53,9 @@ class DataParallelExtrapolator(Extrapolator):
                                    tag="replicate")
         scatter = ring_scatter(sim, self.gpus, input_bytes * self.num_gpus,
                                deps=replicate, tag="scatter")
-        start: Sequence[SimTask] = replicate + scatter
+        start: Sequence[int] = replicate + scatter
         # Replicated forward + backward on every GPU.
-        last_bwd: List[SimTask] = []
+        last_bwd: List[int] = []
         compute_ops = self.trace.forward_ops + self.trace.backward_ops
         for gpu in self.gpus:
             tasks = self.chain_ops(sim, gpu, compute_ops, deps=start,
@@ -103,10 +103,10 @@ class DistributedDataParallelExtrapolator(Extrapolator):
             boundaries.append((last_idx, acc))
         return boundaries
 
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         fwd_ops = self.trace.forward_ops
         bwd_ops = self.trace.backward_ops
-        per_gpu_bwd_tasks: List[List[SimTask]] = []
+        per_gpu_bwd_tasks: List[List[int]] = []
         for gpu in self.gpus:
             # Each rank loads its own input shard from host memory.
             fetch = self.add_input_fetch(sim, gpu, self.batch_scale)
@@ -119,7 +119,7 @@ class DistributedDataParallelExtrapolator(Extrapolator):
             per_gpu_bwd_tasks.append(bwd)
         # Gradient buckets: AllReduce chained one after another (one NCCL
         # stream), each starting once its gradients exist on every GPU.
-        prev_collective: List[SimTask] = []
+        prev_collective: List[int] = []
         boundaries = self._bucket_boundaries()
         if not self.overlap and boundaries:
             # Fuse everything into one post-backward AllReduce.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.collectives.ring import ring_all_gather, ring_reduce_scatter
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.base import Extrapolator
 from repro.extrapolator.optime import OpTimeModel
 from repro.trace.records import OperatorRecord
@@ -72,7 +72,7 @@ class FSDPExtrapolator(Extrapolator):
     # ------------------------------------------------------------------
     # DAG construction
     # ------------------------------------------------------------------
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         units = self.units()
         bwd_by_layer = {op.layer: op for op in self.trace.backward_ops}
         opt_by_layer: dict = {}
@@ -87,7 +87,7 @@ class FSDPExtrapolator(Extrapolator):
 
         # Forward: per unit, gather -> compute.  Gathers serialize on the
         # collective stream; compute chains per GPU (FIFO handles it).
-        prev_collective: Sequence[SimTask] = []
+        prev_collective: Sequence[int] = []
         prev_compute = {gpu: list(fetch[gpu]) for gpu in self.gpus}
         unit_fwd_end: List[dict] = []
         for idx, (ops, param_bytes) in enumerate(units):
@@ -110,7 +110,7 @@ class FSDPExtrapolator(Extrapolator):
             return
 
         # Backward: reverse unit order; re-gather, compute, reduce-scatter.
-        final_rs: Sequence[SimTask] = []
+        final_rs: Sequence[int] = []
         for idx in range(len(units) - 1, -1, -1):
             ops, param_bytes = units[idx]
             gather = ring_all_gather(
@@ -148,7 +148,7 @@ class FSDPExtrapolator(Extrapolator):
         # the optimizer ops' work by num_gpus).
         for gpu in self.gpus:
             deps = list(prev_compute[gpu]) + list(prev_collective)
-            prev: Sequence[SimTask] = deps
+            prev: Sequence[int] = deps
             for op in self.trace.optimizer_ops:
                 duration = self.op_time.duration(op) / self.num_gpus
                 task = sim.add_compute(

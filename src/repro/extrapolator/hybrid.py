@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.collectives.ring import ring_all_reduce
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.base import Extrapolator
 from repro.extrapolator.optime import OpTimeModel
 from repro.extrapolator.pipeline import PipelineExtrapolator
@@ -69,10 +69,10 @@ class HybridExtrapolator(Extrapolator):
             for stage_ops in stages
         ]
 
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         # One pipeline per replica (optimizer deferred until after the
         # cross-replica gradient synchronization).
-        per_replica: List[Sequence[SimTask]] = []
+        per_replica: List[Sequence[int]] = []
         stages = None
         self._pipeline.fetch_inputs = self.fetch_inputs
         for replica in range(self.dp_degree):

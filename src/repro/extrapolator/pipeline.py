@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Sequence
 
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.base import Extrapolator
 from repro.extrapolator.optime import OpTimeModel
 from repro.trace.records import OperatorRecord
@@ -114,10 +114,10 @@ class PipelineExtrapolator(Extrapolator):
     # ------------------------------------------------------------------
     # DAG construction
     # ------------------------------------------------------------------
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         self.build_pipeline(sim, self.gpus, run_optimizer=True)
 
-    def build_pipeline(self, sim: TaskGraphSimulator, gpus: Sequence[str],
+    def build_pipeline(self, sim: PlanBuilder, gpus: Sequence[str],
                        name_prefix: str = "", run_optimizer: bool = True):
         """Emit one GPipe pipeline over *gpus*.
 
@@ -141,11 +141,11 @@ class PipelineExtrapolator(Extrapolator):
         priorities = self._issue_priorities(n) if one_f_one_b else {}
 
         # Forward wave: fwd[s][m] is the last compute task of that cell.
-        fwd_last: List[List[SimTask]] = [[None] * m for _ in range(n)]
-        fwd_xfer: List[List[SimTask]] = [[None] * m for _ in range(n)]
+        fwd_last: List[List[int]] = [[None] * m for _ in range(n)]
+        fwd_xfer: List[List[int]] = [[None] * m for _ in range(n)]
         for micro in range(m):
             for s in range(n):
-                deps: List[SimTask] = []
+                deps: List[int] = []
                 if micro > 0:
                     deps.append(fwd_last[s][micro - 1])
                 if s > 0:
@@ -179,8 +179,8 @@ class PipelineExtrapolator(Extrapolator):
         # (plus the gradient from downstream); backwards run in ascending
         # micro order and the per-stage issue priorities interleave them
         # with the remaining forwards.
-        bwd_last: List[List[SimTask]] = [[None] * m for _ in range(n)]
-        bwd_xfer: List[List[SimTask]] = [[None] * m for _ in range(n)]
+        bwd_last: List[List[int]] = [[None] * m for _ in range(n)]
+        bwd_xfer: List[List[int]] = [[None] * m for _ in range(n)]
         micro_order = range(m) if one_f_one_b else range(m - 1, -1, -1)
         for micro in micro_order:
             for s in range(n - 1, -1, -1):

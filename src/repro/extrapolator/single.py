@@ -7,7 +7,7 @@ experiment — predicting a batch-256 iteration from a batch-128 trace.
 
 from __future__ import annotations
 
-from repro.core.taskgraph import TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.base import Extrapolator
 from repro.extrapolator.optime import OpTimeModel
 from repro.trace.trace import Trace
@@ -21,7 +21,7 @@ class SingleGPUExtrapolator(Extrapolator):
         super().__init__(trace, op_time, num_gpus=1)
         self.batch_scale = batch_scale
 
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         gpu = self.gpus[0]
         fetch = self.add_input_fetch(sim, gpu, self.batch_scale)
         self.chain_ops(sim, gpu, self.trace.operators, deps=fetch,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.collectives.ring import ring_all_gather, ring_all_reduce
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.plan import PlanBuilder
 from repro.extrapolator.base import Extrapolator
 from repro.extrapolator.optime import OpTimeModel
 from repro.trace.records import OperatorRecord
@@ -73,10 +73,10 @@ class TensorParallelExtrapolator(Extrapolator):
         return (self.scheme == "megatron"
                 and op.layer.endswith(_MEGATRON_COLUMN_SUFFIXES))
 
-    def _emit_pass(self, sim: TaskGraphSimulator, ops: Sequence[OperatorRecord],
-                   start: Sequence[SimTask], suffix: str) -> List[SimTask]:
+    def _emit_pass(self, sim: PlanBuilder, ops: Sequence[OperatorRecord],
+                   start: Sequence[int], suffix: str) -> List[int]:
         """Emit one (forward or backward) pass; returns its final tasks."""
-        frontier: List[SimTask] = list(start)
+        frontier: List[int] = list(start)
         for op in ops:
             sharded = self._shardable(op)
             shard = self.num_gpus if sharded else 1
@@ -123,7 +123,7 @@ class TensorParallelExtrapolator(Extrapolator):
                 frontier = layer_tasks
         return frontier
 
-    def build(self, sim: TaskGraphSimulator) -> None:
+    def build(self, sim: PlanBuilder) -> None:
         fetch = [
             task for gpu in self.gpus
             for task in self.add_input_fetch(sim, gpu, self.batch_scale)

@@ -11,7 +11,8 @@ from repro.collectives.ring import (
     ring_reduce_scatter,
     ring_scatter,
 )
-from repro.core.taskgraph import TaskGraphSimulator
+from repro.core.plan import PlanBuilder
+from repro.core.taskgraph import BARRIER, TRANSFER, TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.network.flow import FlowNetwork
 from repro.network.topology import gpu_names, ring
@@ -25,11 +26,10 @@ def _sim(n=4, bandwidth=100.0, latency=0.0):
 
 class TestAllReduce:
     def test_transfer_count(self):
-        sim = _sim(4)
-        ring_all_reduce(sim, gpu_names(4), 400.0)
-        transfers = [t for t in sim.tasks if t.kind == "transfer"]
+        builder = PlanBuilder()
+        ring_all_reduce(builder, gpu_names(4), 400.0)
         # 2(n-1) rounds x n transfers.
-        assert len(transfers) == 2 * 3 * 4
+        assert builder.columns["kind"].count(TRANSFER) == 2 * 3 * 4
 
     def test_classic_timing(self):
         """Ring AllReduce of S bytes on n GPUs with per-link bandwidth B
@@ -44,7 +44,7 @@ class TestAllReduce:
         sim = _sim(2)
         tasks = ring_all_reduce(sim, ["gpu0"], 100.0)
         assert sim.run() == 0.0
-        assert tasks[0].kind == "barrier"
+        assert sim.store.kind[tasks[0]] == BARRIER
 
     def test_zero_bytes_is_noop(self):
         sim = _sim(2)
@@ -56,14 +56,15 @@ class TestAllReduce:
         sim = _sim(4, bandwidth=100.0)
         ring_all_reduce(sim, gpu_names(4), 400.0)
         sim.run()
-        transfers = [t for t in sim.tasks if t.kind == "transfer"]
+        store = sim.store
         by_step = {}
-        for t in transfers:
-            step = int(t.name.split(".step")[1].split(".")[0])
-            by_step.setdefault(step, []).append(t)
+        for t in range(len(store)):
+            if store.kind[t] == TRANSFER:
+                step = int(store.name[t].split(".step")[1].split(".")[0])
+                by_step.setdefault(step, []).append(t)
         for step in range(1, 6):
-            earliest = min(t.start_time for t in by_step[step])
-            latest_prev = max(t.end_time for t in by_step[step - 1])
+            earliest = min(store.start[t] for t in by_step[step])
+            latest_prev = max(store.end[t] for t in by_step[step - 1])
             assert earliest >= latest_prev
 
 
@@ -112,10 +113,9 @@ class TestRooted:
         assert t_gather == pytest.approx(t_scatter)
 
     def test_reduce_converges_to_root(self):
-        sim = _sim(3, bandwidth=100.0)
-        tasks = ring_reduce(sim, gpu_names(3), 300.0, root=0)
-        sim.run()
-        assert tasks[-1].dst == "gpu0"
+        builder = PlanBuilder()
+        tasks = ring_reduce(builder, gpu_names(3), 300.0, root=0)
+        assert builder.columns["dst"][tasks[-1]] == "gpu0"
 
 
 class TestDependencies:

@@ -6,7 +6,8 @@ from repro.collectives.dispatch import all_reduce
 from repro.collectives.hierarchical import hierarchical_all_reduce
 from repro.collectives.ring import ring_all_reduce
 from repro.collectives.tree import tree_all_reduce, tree_broadcast, tree_reduce
-from repro.core.taskgraph import TaskGraphSimulator
+from repro.core.plan import PlanBuilder
+from repro.core.taskgraph import TRANSFER, TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.network.flow import FlowNetwork
 from repro.network.topology import gpu_names, multi_node, node_groups, ring, switch
@@ -17,12 +18,16 @@ def _sim(topology):
     return TaskGraphSimulator(engine, FlowNetwork(engine, topology))
 
 
+def _transfer_rows(builder):
+    kinds = builder.columns["kind"]
+    return [t for t in range(len(kinds)) if kinds[t] == TRANSFER]
+
+
 class TestTreeReduce:
     def test_transfer_count_is_n_minus_1(self):
-        sim = _sim(switch(8, 100.0, latency=0.0))
-        tree_reduce(sim, gpu_names(8), 80.0)
-        transfers = [t for t in sim.tasks if t.kind == "transfer"]
-        assert len(transfers) == 7
+        builder = PlanBuilder()
+        tree_reduce(builder, gpu_names(8), 80.0)
+        assert len(_transfer_rows(builder)) == 7
 
     def test_log_depth_timing(self):
         """On a contention-free crossbar, a binomial reduce of n=8 takes
@@ -32,10 +37,9 @@ class TestTreeReduce:
         assert sim.run() == pytest.approx(3 * 1.0)
 
     def test_root_receives_everything(self):
-        sim = _sim(switch(4, 100.0, latency=0.0))
-        tasks = tree_reduce(sim, gpu_names(4), 10.0, root=2)
-        sim.run()
-        assert tasks[-1].dst == "gpu2"
+        builder = PlanBuilder()
+        tasks = tree_reduce(builder, gpu_names(4), 10.0, root=2)
+        assert builder.columns["dst"][tasks[-1]] == "gpu2"
 
     def test_single_gpu_noop(self):
         sim = _sim(ring(2, 100.0))
@@ -50,10 +54,10 @@ class TestTreeBroadcast:
         assert sim.run() == pytest.approx(3 * 1.0)
 
     def test_everyone_receives(self):
-        sim = _sim(switch(8, 100.0, latency=0.0))
-        tree_broadcast(sim, gpu_names(8), 10.0)
-        sim.run()
-        destinations = {t.dst for t in sim.tasks if t.kind == "transfer"}
+        builder = PlanBuilder()
+        tree_broadcast(builder, gpu_names(8), 10.0)
+        destinations = {builder.columns["dst"][t]
+                        for t in _transfer_rows(builder)}
         assert destinations == set(gpu_names(8)) - {"gpu0"}
 
 
@@ -77,7 +81,7 @@ class TestTreeAllReduce:
         sim = _sim(switch(8, 100.0, latency=0.0))
         tree_all_reduce(sim, gpu_names(8), 10.0)
         sim.run()
-        assert all(t.done for t in sim.tasks)
+        assert None not in sim.store.end
 
 
 class TestHierarchical:
@@ -121,10 +125,9 @@ class TestHierarchical:
 
 class TestDispatch:
     def test_ring_default(self):
-        sim = _sim(ring(4, 100.0))
-        all_reduce(sim, gpu_names(4), 100.0)
-        transfers = [t for t in sim.tasks if t.kind == "transfer"]
-        assert len(transfers) == 2 * 3 * 4
+        builder = PlanBuilder()
+        all_reduce(builder, gpu_names(4), 100.0)
+        assert len(_transfer_rows(builder)) == 2 * 3 * 4
 
     def test_unknown_scheme_rejected(self):
         sim = _sim(ring(2, 100.0))

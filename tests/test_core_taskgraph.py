@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.plan import PlanBuilder
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
 from repro.network.flow import FlowNetwork
 from repro.network.topology import ring
+from tests.plan_edits import rewired
 
 
 def _sim(n=2, bandwidth=100.0):
@@ -20,7 +22,7 @@ class TestCompute:
         b = sim.add_compute("b", "gpu0", 2.0, deps=[a])
         total = sim.run()
         assert total == pytest.approx(3.0)
-        assert b.start_time == pytest.approx(1.0)
+        assert sim.store.start[b] == pytest.approx(1.0)
 
     def test_gpu_serializes_independent_tasks(self):
         sim = _sim()
@@ -39,7 +41,7 @@ class TestCompute:
         a = sim.add_compute("a", "gpu0", 1.0)
         b = sim.add_compute("b", "gpu0", 1.0)
         sim.run()
-        assert a.end_time <= b.start_time
+        assert sim.store.end[a] <= sim.store.start[b]
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +115,7 @@ class TestBarriersAndDeps:
         bar = sim.add_barrier("join", deps=[a, b])
         c = sim.add_compute("c", "gpu0", 1.0, deps=[bar])
         assert sim.run() == pytest.approx(4.0)
-        assert c.start_time == pytest.approx(3.0)
+        assert sim.store.start[c] == pytest.approx(3.0)
 
     def test_fan_out(self):
         sim = _sim()
@@ -128,8 +130,43 @@ class TestBarriersAndDeps:
         sim.run()
         b = sim.add_compute("b", "gpu0", 1.0, deps=[a])
         total = sim.run()
-        assert b.done
+        assert sim.store.end[b] is not None
         assert total == pytest.approx(2.0)
+
+    def test_row_ids_continue_across_runs(self):
+        sim = _sim()
+        assert sim.add_compute("a", "gpu0", 1.0) == 0
+        sim.run()
+        b = sim.add_compute("b", "gpu0", 1.0)
+        c = sim.add_barrier("c", deps=[b])
+        assert (b, c) == (1, 2)
+        sim.run()
+        assert sim.store.name == ["a", "b", "c"]
+        assert sim.store.end == [1.0, 2.0, 2.0]
+
+    def test_dep_on_unfinished_earlier_row_rejected(self):
+        sim = _sim()
+        builder = PlanBuilder()
+        builder.add_compute("a", "gpu0", 1.0)
+        builder.finish().instantiate_iterations(sim, 1)
+        with pytest.raises(ValueError, match="task b: dependency 0"):
+            sim.add_compute("b", "gpu0", 1.0, deps=[0])
+
+    @pytest.mark.parametrize("dep", [-1, 1, 5])
+    def test_dep_outside_the_block_rejected(self, dep):
+        sim = _sim()
+        sim.add_compute("a", "gpu0", 1.0)
+        with pytest.raises(ValueError, match=f"task b: dependency {dep} "):
+            sim.add_compute("b", "gpu0", 1.0, deps=[dep])
+
+    def test_handle_from_another_simulator_rejected(self):
+        other = _sim()
+        other.add_compute("a", "gpu0", 1.0)
+        handle = other.add_compute("b", "gpu0", 1.0)
+        sim = _sim()
+        sim.add_compute("c", "gpu0", 1.0)
+        with pytest.raises(ValueError, match="task d: dependency 1 "):
+            sim.add_compute("d", "gpu0", 1.0, deps=[handle])
 
     def test_long_barrier_chain_no_recursion_error(self):
         sim = _sim()
@@ -140,10 +177,11 @@ class TestBarriersAndDeps:
 
     def test_cycle_detected(self):
         sim = _sim()
-        a = sim.add_compute("a", "gpu0", 1.0)
-        b = sim.add_compute("b", "gpu0", 1.0, deps=[a])
-        # Manually create a cycle (the public API cannot).
-        sim.store.link(b.task_id, a.task_id)
+        builder = PlanBuilder()
+        a = builder.add_compute("a", "gpu0", 1.0)
+        b = builder.add_compute("b", "gpu0", 1.0, deps=[a])
+        # A forward dependency closes a cycle (the builders cannot).
+        rewired(builder.finish(), a, [b]).instantiate_iterations(sim, 1)
         with pytest.raises(RuntimeError):
             sim.run()
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import SimulationConfig
+from repro.core.plan import PlanBuilder
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
@@ -19,27 +20,29 @@ def trace():
 
 
 class TestFence:
+    """The inter-iteration fences plan instancing inserts."""
+
     def _sim(self):
         engine = Engine()
         return TaskGraphSimulator(engine, FlowNetwork(engine, ring(2, 100.0)))
 
+    def _plan(self, *durations):
+        builder = PlanBuilder()
+        for gpu, duration in enumerate(durations):
+            builder.add_compute(f"t{gpu}", f"gpu{gpu}", duration)
+        return builder.finish()
+
     def test_fence_orders_generations(self):
         sim = self._sim()
-        a = sim.add_compute("a", "gpu0", 1.0)
-        b = sim.add_compute("b", "gpu1", 3.0)
-        sim.fence("f")
-        c = sim.add_compute("c", "gpu0", 1.0)
+        self._plan(1.0, 3.0).instantiate_iterations(sim, 2)
         total = sim.run()
-        assert c.start_time == pytest.approx(3.0)  # waited for b
-        assert total == pytest.approx(4.0)
+        # Rows: t0, t1, fence iteration1, then the second t0 and t1.
+        assert sim.store.start[3] == pytest.approx(3.0)  # waited for t1
+        assert total == pytest.approx(6.0)
 
     def test_consecutive_fences(self):
         sim = self._sim()
-        sim.add_compute("a", "gpu0", 1.0)
-        sim.fence("f1")
-        sim.add_compute("b", "gpu0", 1.0)
-        sim.fence("f2")
-        sim.add_compute("c", "gpu0", 1.0)
+        self._plan(1.0).instantiate_iterations(sim, 3)
         assert sim.run() == pytest.approx(3.0)
         assert [f.end_time for f in sim.fences] == [
             pytest.approx(1.0), pytest.approx(2.0)
@@ -47,9 +50,20 @@ class TestFence:
 
     def test_fence_on_empty_graph(self):
         sim = self._sim()
-        sim.fence("f")
-        sim.add_compute("a", "gpu0", 2.0)
+        self._plan(2.0).instantiate_iterations(sim, 1, start=1)
+        assert [f.name for f in sim.fences] == ["iteration1"]
         assert sim.run() == pytest.approx(2.0)
+
+    def test_empty_wait_set_falls_back_to_previous_fence(self):
+        sim = self._sim()
+        plan = self._plan(2.0)
+        plan.instantiate_iterations(sim, 2)
+        # A continuation span's first fence has no terminals to wait on.
+        plan.instantiate_iterations(sim, 1, start=2)
+        first, second = sim.fences
+        assert sim.store.successors(first.task_id)[-1] == second.task_id
+        assert sim.run() == pytest.approx(6.0)
+        assert second.end_time == first.end_time == pytest.approx(2.0)
 
 
 class TestMultiIteration:

@@ -226,14 +226,22 @@ class TestPlanCacheMechanics:
         assert source("k3") == "memory"
         assert source("k0") == "built"  # evicted by k2 and k3
 
-    def test_builder_rejects_fence_and_negatives(self):
+    def test_builder_rejects_negatives(self):
         builder = PlanBuilder()
-        with pytest.raises(RuntimeError, match="fence"):
-            builder.fence()
         with pytest.raises(ValueError):
             builder.add_compute("t", "gpu0", -1.0)
         with pytest.raises(ValueError):
             builder.add_transfer("t", "gpu0", "gpu1", -1.0)
+
+    @pytest.mark.parametrize("dep", [5, -1])
+    def test_plan_names_an_out_of_range_dependency(self, dep):
+        builder = PlanBuilder()
+        builder.add_barrier("a")
+        builder.add_barrier("b", deps=[dep])
+        with pytest.raises(ValueError) as error:
+            builder.finish()
+        assert str(error.value) == (f"task 'b' (row 1): dependency index "
+                                    f"{dep} is out of range (plan has 2 tasks)")
 
 
 # ----------------------------------------------------------------------

@@ -144,9 +144,11 @@ def test_simulator_rows_share_equal_metadata():
     second = sim.add_transfer("b", "gpu1", "gpu2", 1e6, collective="ring0")
     other = sim.add_transfer("c", "gpu2", "gpu3", 1e6, collective="ring1")
     bucket = sim.add_barrier("d", bucket=[1, 2])
-    assert first.meta is second.meta == {"collective": "ring0"}
-    assert other.meta == {"collective": "ring1"}
-    assert bucket.meta == {"bucket": [1, 2]}  # unhashable: kept as given
+    sim.run()
+    meta = sim.store.meta
+    assert meta[first] is meta[second] == {"collective": "ring0"}
+    assert meta[other] == {"collective": "ring1"}
+    assert meta[bucket] == {"bucket": [1, 2]}  # unhashable: kept as given
 
 
 def test_metadata_equal_by_value_is_stored_as_the_first_seen():

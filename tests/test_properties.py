@@ -70,7 +70,7 @@ def test_property_scheduling_deterministic(spec):
             tasks.append(sim.add_compute(f"t{i}", f"gpu{gpu}", duration,
                                          deps=deps))
         sim.run()
-        return [(t.start_time, t.end_time) for t in tasks]
+        return [(sim.store.start[t], sim.store.end[t]) for t in tasks]
 
     assert run() == run()
 

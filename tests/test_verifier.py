@@ -330,10 +330,12 @@ class TestRaceDetectors:
 
     def test_rc002_start_before_dependency_finishes(self):
         sim, _, _ = make_sim(2)
-        slow = sim.add_compute("slow_dep", "gpu0", 1.0)
-        eager = sim.add_compute("eager", "gpu1", 0.1, deps=[slow])
+        builder = PlanBuilder()
+        slow = builder.add_compute("slow_dep", "gpu0", 1.0)
+        eager = builder.add_compute("eager", "gpu1", 0.1, deps=[slow])
+        builder.finish().instantiate_iterations(sim, 1)
         # Races ahead of its dependency.
-        sim.store.indegree[eager.task_id] = 0
+        sim.store.indegree[eager] = 0
         suite = RuntimeSuite().attach(sim=sim)
         sim.run()
         report = suite.finalize()
