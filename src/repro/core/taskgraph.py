@@ -189,17 +189,6 @@ class SimTask:
     def kind(self) -> str:
         return KIND_NAMES[self.store.kind[self.task_id]]
 
-    @property
-    def done(self) -> bool:
-        return self.store.end[self.task_id] is not None
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SimTask) and other.store is self.store
-                and other.task_id == self.task_id)
-
-    def __hash__(self) -> int:
-        return hash((id(self.store), self.task_id))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimTask {self.name} ({self.kind})>"
 
@@ -258,13 +247,6 @@ class TaskGraphSimulator(Hookable):
         queue = self._gpus.get(gpu)
         if queue is not None:
             queue.scale = callback
-
-    def _queue(self, gpu: str) -> _GPUQueue:
-        """*gpu*'s compute queue, made on first use."""
-        queue = self._gpus.get(gpu)
-        if queue is None:
-            queue = self._gpus[gpu] = _GPUQueue(self._runtime_scale.get(gpu))
-        return queue
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -372,9 +354,11 @@ class TaskGraphSimulator(Hookable):
             columns = dict(columns, duration=[
                 d * scale.get(g, 1.0) if g is not None else d
                 for d, g in zip(columns["duration"], gpus)])
-        made = {g: self._queue(g) for g in dict.fromkeys(gpus)
-                if g is not None}
-        queues = [made.get(g) for g in gpus]
+        queue_of = self._gpus
+        for g in dict.fromkeys(gpus):
+            if g is not None and g not in queue_of:
+                queue_of[g] = _GPUQueue(self._runtime_scale.get(g))
+        queues = [queue_of.get(g) for g in gpus]
         if not plan.uniform_priority:
             store.uniform_priority = False
         indptr, indices = plan.succ_ptr, plan.succ_idx
