@@ -18,10 +18,13 @@ on three runtime invariants the static verifier cannot see:
 
 * **RC002 happens-before violation** — the executed order must be a
   linear extension of the task graph: no task may *start* before every
-  dependency has *finished*.  Checked edge-by-edge at each dependency's
-  ``task_end`` hook, over the finished row's successors in the task
-  store (an epoch/vector-clock-lite formulation: each edge is validated
-  exactly once, O(edges) total, no per-task clock storage).
+  dependency has *finished*.  Checked after the run over the finished
+  task table: for every plan (CSR) edge and fence edge, the dependent's
+  ``start`` must not precede the dependency's ``end``.  Each edge is
+  read once, O(edges) total.  The table holds times, not event order,
+  so an inversion inside one instant (a dependent started at the very
+  time its dependency finished, but by an earlier event) is invisible
+  to it.
 
 * **RC003 global-RNG drift** — strategy callbacks must not draw from the
   unseeded process-global ``random`` / NumPy generators (seeded local
@@ -39,7 +42,7 @@ the same registry, so ``--disable`` and the catalogue work unchanged.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.analysis.findings import Report
 from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
@@ -53,8 +56,10 @@ from repro.analysis.sanitizers import (
     _emit,
 )
 from repro.engine.engine import Engine, Observer
-from repro.engine.hooks import HookCtx
 from repro.network.flow import FlowNetwork
+
+if TYPE_CHECKING:
+    from repro.core.taskgraph import TaskStore
 
 #: Per-detector cap so a broken invariant doesn't flood the report.
 MAX_FINDINGS_PER_DETECTOR = 20
@@ -125,32 +130,33 @@ class TieOrderDetector:
 
 
 class HappensBeforeDetector:
-    """Task-graph hook verifying executed order extends the DAG order."""
+    """Post-run check that the finished task table extends the DAG
+    order."""
 
     def __init__(self, report: Report):
         self.report = report
-        self._fired = 0
 
-    def func(self, ctx: HookCtx) -> None:
-        if ctx.pos != "task_end":
-            return
-        task = ctx.item
-        store = task.store
-        for rid in store.successors(task.task_id):
-            started = store.start[rid]
-            if started is None:
+    def check(self, store: "TaskStore") -> None:
+        start, name = store.start, store.name
+        fired = 0
+        for dep, finished in enumerate(store.end):
+            if finished is None:
                 continue
-            if self._fired < MAX_FINDINGS_PER_DETECTOR:
-                self._fired += 1
-                name = store.name[rid]
+            for rid in store.successors(dep):
+                started = start[rid]
+                if started is None or started >= finished:
+                    continue
+                fired += 1
+                if fired > MAX_FINDINGS_PER_DETECTOR:
+                    return
                 _emit(self.report, "RC002",
-                      f"task {name!r} started at t={started:g} before its "
-                      f"dependency {task.name!r} finished at "
-                      f"t={ctx.time:g} — the executed order is not a "
+                      f"task {name[rid]!r} started at t={started:g} before "
+                      f"its dependency {name[dep]!r} finished at "
+                      f"t={finished:g} — the executed order is not a "
                       "linear extension of the task graph",
-                      location=f"task[{rid}]", task=name,
-                      dependency=task.name, started=started,
-                      finished=ctx.time)
+                      location=f"task[{rid}]", task=name[rid],
+                      dependency=name[dep], started=started,
+                      finished=finished)
 
 
 class RngDriftDetector:
@@ -244,8 +250,6 @@ class RuntimeSuite:
                                        ("SZ006", PathCapacitySanitizer)):
                 if enabled(rule_id):
                     self._hooks.append((network, sanitizer(report)))
-        if sim is not None and enabled("RC002"):
-            self._hooks.append((sim, HappensBeforeDetector(report)))
         for hookable, hook in self._hooks:
             hookable.accept_hook(hook)
         if enabled("RC003"):
@@ -259,6 +263,8 @@ class RuntimeSuite:
         enabled = self.registry.is_enabled
         if self._engine is not None and enabled("SZ003"):
             HeapLeakSanitizer(self.report).check(self._engine)
+        if self._sim is not None and enabled("RC002"):
+            HappensBeforeDetector(self.report).check(self._sim.store)
         if self._injector is not None and enabled("SZ005"):
             RestartConsistencySanitizer(self.report).check(
                 self._injector, sim=self._sim, network=self._network)

@@ -9,12 +9,11 @@ the :class:`~repro.core.results.SimulationResult`.
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult, TimelineRecord
 from repro.core.simulator import TrioSim
-from repro.core.taskgraph import SimTask, TaskGraphSimulator
+from repro.core.taskgraph import TaskGraphSimulator
 from repro.core.report import export_html_report
 from repro.core.timeline import export_chrome_trace, timeline_summary, timeline_to_events
 
 __all__ = [
-    "SimTask",
     "export_chrome_trace",
     "export_html_report",
     "timeline_summary",

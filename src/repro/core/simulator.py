@@ -424,7 +424,7 @@ class TrioSim:
         iteration_times = []
         if self.config.iterations > 1:
             iteration_times = iteration_times_from_fences(
-                [f.end_time for f in sim.fences], total)
+                [sim.store.end[f] for f in sim.fences], total)
         return self._assemble(profiler, engine, network,
                               sim.totals(timeline=self.record_timeline),
                               started, total, iteration_times)
@@ -483,7 +483,7 @@ class TrioSim:
             with profiler.phase("engine"):
                 total = sim.run()
             iteration_times = iteration_times_from_fences(
-                [f.end_time for f in sim.fences], total)
+                [sim.store.end[f] for f in sim.fences], total)
             return self._assemble(profiler, engine, network,
                                   sim.totals(timeline=self.record_timeline),
                                   started, total, iteration_times)

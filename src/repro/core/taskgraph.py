@@ -16,10 +16,18 @@ computation overlap (DDP, GPipe) arises in the simulation, rather than
 being an analytical correction.
 
 Tasks live as rows of one columnar :class:`TaskStore`, appended a plan
-iteration at a time (:class:`repro.core.plan.ExtrapolationPlan`); a
-:class:`SimTask` is a view of one row.  The table is the run's record: busy
-times and the timeline are read from it after the run (see
-:meth:`TaskGraphSimulator.totals`).
+iteration at a time (:class:`repro.core.plan.ExtrapolationPlan`).  The
+table is the run's record: busy times and the timeline are read from it
+after the run (see :meth:`TaskGraphSimulator.totals`).
+
+Most compute rows are links of one GPU's program-order chain: the row's
+only successor is the next compute row on the same GPU, waiting on
+nothing else.  Such a row completes by an engine *step*
+(:meth:`~repro.engine.engine.Engine.schedule_step`) instead of an event,
+so a chain costs one event, at its last row.  A step pops at the
+``(time, seq)`` an event would, and does what that event's completion
+would: it hands the GPU to the next link while the GPU's ready list is
+empty, and otherwise finishes the row the general way.
 """
 
 from __future__ import annotations
@@ -31,13 +39,10 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
 from repro.core.results import TimelineRecord
 from repro.engine.engine import Engine
 from repro.engine.events import Event
-from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import NetworkModel, Transfer
 
 if TYPE_CHECKING:
     from repro.core.plan import PlanBuilder
-
-HOOK_TASK_END = "task_end"
 
 #: Codes of the store's ``kind`` column, indexing :data:`KIND_NAMES`.
 COMPUTE, TRANSFER, BARRIER = 0, 1, 2
@@ -153,47 +158,7 @@ class TaskStore:
         self.indegree[tid] += 1
 
 
-def _column(name: str, doc: str) -> property:
-    def get(self):
-        return getattr(self.store, name)[self.task_id]
-    return property(get, doc=doc)
-
-
-class SimTask:
-    """A read-only view of one :class:`TaskStore` row.
-
-    Handed to task hooks and listed in
-    :attr:`TaskGraphSimulator.fences`.  Every field reads the store, so a
-    view is never stale: ``end_time`` is set the moment its row finishes.
-    """
-
-    __slots__ = ("store", "task_id")
-
-    def __init__(self, store: TaskStore, task_id: int):
-        self.store = store
-        self.task_id = task_id
-
-    name = _column("name", "Task name.")
-    gpu = _column("gpu", "GPU of a compute task.")
-    duration = _column("duration", "Compute duration (seconds, scaled).")
-    priority = _column("priority", "Lower runs first among ready tasks.")
-    src = _column("src", "Transfer source.")
-    dst = _column("dst", "Transfer destination.")
-    nbytes = _column("nbytes", "Transfer size in bytes.")
-    meta = _column("meta", "Free-form task metadata, shared by the rows "
-                   "whose metadata is equal: nothing mutates it.")
-    start_time = _column("start", "Dispatch time, or ``None``.")
-    end_time = _column("end", "Finish time, or ``None``.")
-
-    @property
-    def kind(self) -> str:
-        return KIND_NAMES[self.store.kind[self.task_id]]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimTask {self.name} ({self.kind})>"
-
-
-class TaskGraphSimulator(Hookable):
+class TaskGraphSimulator:
     """Executes a task DAG over GPUs and a network model.
 
     Instance a plan into it, or record tasks with :meth:`add_compute` /
@@ -207,7 +172,6 @@ class TaskGraphSimulator(Hookable):
     """
 
     def __init__(self, engine: Engine, network: NetworkModel):
-        super().__init__()
         self.engine = engine
         self.network = network
         self.store = TaskStore()
@@ -215,7 +179,8 @@ class TaskGraphSimulator(Hookable):
         #: First row the next :meth:`run` considers as a root.
         self._cursor = 0
         self._fence: Optional[int] = None
-        self.fences: List[SimTask] = []
+        #: Row ids of the fence rows, one per iteration numbered >= 1.
+        self.fences: List[int] = []
         #: The tasks the ``add_*`` builders recorded since the last
         #: :meth:`run`, and the store row its first task will take.
         self._block: Optional["PlanBuilder"] = None
@@ -333,7 +298,7 @@ class TaskGraphSimulator(Hookable):
         for dep in live:
             store.link(dep, fence)
         self._fence = fence
-        self.fences.append(SimTask(store, fence))
+        self.fences.append(fence)
 
     def _append_iterations(self, plan, count: int, start: int,
                            adopt: bool = False) -> None:
@@ -403,7 +368,12 @@ class TaskGraphSimulator(Hookable):
                 self._start(tid, pending)
         if pending:
             self.engine.schedule_bulk(pending)
-        self.engine.run()
+        self.engine.stepper = self._step
+        try:
+            self.engine.run()
+        finally:
+            # The bound method refers back to us: drop it with the run.
+            self.engine.stepper = None
         unfinished = self.unfinished_tasks
         if unfinished:
             stuck = [store.name[t] for t in range(len(store))
@@ -461,13 +431,63 @@ class TaskGraphSimulator(Hookable):
             tid = min(ready, key=lambda t: (priority[t], t))
         ready.remove(tid)
         queue.running = tid
-        now = self.engine._now
+        engine = self.engine
+        now = engine._now
         store.start[tid] = now
         duration = store.duration[tid]
         scale = queue.scale
         if scale is not None:
             duration *= scale(store.gpu[tid], now)
-        pending.append(Event(now + duration, self._complete, tid))
+        if self._links(tid, queue):
+            # The step takes the next sequence number, so what is
+            # already pending is queued first to keep creation order.
+            if pending:
+                engine.schedule_bulk(pending)
+                del pending[:]
+            engine.schedule_step(now + duration, tid)
+        else:
+            pending.append(Event(now + duration, self._complete, tid))
+
+    def _links(self, tid: int, queue: _GPUQueue) -> bool:
+        """Whether compute row *tid* is a chain link: its one successor
+        is a compute row on *queue* waiting on *tid* alone.  Nothing but
+        *tid*'s completion can change that, so it is decided at
+        dispatch."""
+        store = self.store
+        lo = store.indptr[tid]
+        if store.indptr[tid + 1] != lo + 1 or store.succ[tid] is not None:
+            return False
+        rid = store.indices[lo]
+        return store.queue[rid] is queue and store.indegree[rid] == 1
+
+    def _step(self, tid: int) -> None:
+        """Stepper of the engine: the completion of chain link *tid*.
+
+        With the GPU's ready list empty, the general :meth:`_finish`
+        would dispatch nothing, release the next link alone and start
+        it; this does the same directly.  Otherwise a ready row takes
+        the GPU first, and the row finishes the general way."""
+        store = self.store
+        queue = store.queue[tid]
+        if queue.ready:
+            self._finish(tid)
+            return
+        engine = self.engine
+        now = engine._now
+        store.end[tid] = now
+        store.finished.append(tid)
+        rid = store.indices[store.indptr[tid]]
+        store.indegree[rid] = 0
+        queue.running = rid
+        store.start[rid] = now
+        duration = store.duration[rid]
+        scale = queue.scale
+        if scale is not None:
+            duration *= scale(store.gpu[rid], now)
+        if self._links(rid, queue):
+            engine.schedule_step(now + duration, rid)
+        else:
+            engine.schedule(Event(now + duration, self._complete, rid))
 
     def _complete(self, event: Event) -> None:
         """Callback of compute and barrier completion events: the row id
@@ -484,8 +504,6 @@ class TaskGraphSimulator(Hookable):
         now = self.engine._now
         store.end[tid] = now
         store.finished.append(tid)
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_TASK_END, now, SimTask(store, tid)))
         pending: list = []
         if store.kind[tid] == COMPUTE:
             queue = store.queue[tid]

@@ -10,6 +10,15 @@ engine's list of dispatch observers.
 This mirrors the Akita Simulator Engine used by the original TrioSim: the
 event-driven style lets the simulator "fast-forward unnecessary details" —
 an operator that takes 3 ms is one event, not three million cycles.
+
+Beside events the queue holds *steps*: bare ``(time, seq, row)`` entries
+whose payload is an int (:meth:`Engine.schedule_step`).  They take their
+sequence number from the same counter and pop in the same ``(time, seq)``
+order, so they interleave with events exactly as events would, but the
+loop hands the row straight to :attr:`Engine.stepper`: no
+:class:`~repro.engine.events.Event`, no dispatch count, no observer call.
+The task scheduler advances a GPU's compute chain by steps, so a chain
+of compute rows costs one event (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -62,6 +71,9 @@ class Engine:
         # Engine.schedule (dispatched, so the race detector can flag the
         # stamped-seq disagreement).
         self._requeue_stale: set = set()
+        #: Called as ``stepper(row)`` for each step the loop pops; set by
+        #: whoever schedules steps, for the length of its run.
+        self.stepper: Optional[Callable[[int], None]] = None
 
     @property
     def now(self) -> float:
@@ -144,6 +156,20 @@ class Engine:
             for entry in entries:
                 heapq.heappush(queue, entry)
 
+    def schedule_step(self, time: float, row: int) -> None:
+        """Queue a step for *row* at *time*: it takes the next sequence
+        number, exactly as :meth:`schedule` would give an event, and is
+        dispatched by :attr:`stepper` (see the module docstring).  A step
+        cannot be cancelled; :meth:`defer_pending` moves it like a live
+        event."""
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule event at {time} before now={self._now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, row))
+
     def mark_requeued(self, event: Event) -> None:
         """Account for re-submitting a still-queued *event* at a new time.
 
@@ -211,12 +237,14 @@ class Engine:
         stale = self._requeue_stale
         if stale:
             queue[:] = [entry for entry in queue
-                        if not entry[2].cancelled
+                        if entry[2].__class__ is int
+                        or not entry[2].cancelled
                         and (id(entry[2]), entry[1]) not in stale]
             stale.clear()
         else:
             queue[:] = [entry for entry in queue
-                        if not entry[2].cancelled]
+                        if entry[2].__class__ is int
+                        or not entry[2].cancelled]
         heapq.heapify(queue)
         self._cancelled = 0
         self._compactions += 1
@@ -242,7 +270,8 @@ class Engine:
         (e.g. the fault injector's own absolute-time injections) keep
         their original times.
 
-        Returns the number of events deferred.
+        Steps move with the events.  Returns the number of entries
+        deferred.
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
@@ -253,9 +282,12 @@ class Engine:
         deferred = 0
         shifted = []
         for time, seq, event in self._queue:
+            if event.__class__ is int:  # a step: always live
+                time += delay
+                deferred += 1
             # Requeue-stale entries are dead weight: the event's live
             # entry is shifted exactly once, under its current seq.
-            if (not event.cancelled
+            elif (not event.cancelled
                     and (event._seq == seq or (id(event), seq) not in stale)
                     and id(event) not in skip):
                 time += delay
@@ -300,6 +332,7 @@ class Engine:
         # the list keeps the emptiness check live.
         observers = self._observers
         max_events = self._max_events
+        stepper = self.stepper
         while queue:
             entry = queue[0]
             time = entry[0]
@@ -314,7 +347,10 @@ class Engine:
                 heappop(queue)
                 event = entry[2]
                 seq = entry[1]
-                if not event.cancelled and (
+                if event.__class__ is int:
+                    self._now = time
+                    stepper(event)
+                elif not event.cancelled and (
                         event._seq == seq
                         or not self._discard_stale(event, seq)):
                     self._now = time
@@ -348,7 +384,8 @@ class Engine:
     def reset(self) -> None:
         """Clear the queue and rewind the clock (for test reuse)."""
         for _, _, event in self._queue:
-            event._engine = None
+            if event.__class__ is not int:
+                event._engine = None
         self._queue.clear()
         self._requeue_stale.clear()
         self._now = 0.0

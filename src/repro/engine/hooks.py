@@ -21,8 +21,8 @@ class HookCtx:
     Attributes
     ----------
     pos:
-        Name of the hook position (e.g. ``"task_end"``,
-        ``"flow_realloc"``).
+        Name of the hook position (e.g. ``"flow_realloc"``,
+        ``"sweep_point"``).
     time:
         Virtual time at which the position fired.
     item:

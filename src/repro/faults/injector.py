@@ -186,9 +186,7 @@ class FaultInjector:
 
         The scheduler consults it exactly once per compute dispatch on
         the GPUs it is registered for, and only those have windows, so
-        counting here sees every straggled task — without keeping the
-        simulator's hook list non-empty (an empty hook list lets the
-        scheduler skip task-view materialisation entirely).
+        counting here sees every straggled task.
         """
         factor = 1.0
         for window in self._gpu_windows[gpu]:

@@ -184,18 +184,3 @@ class TestBarriersAndDeps:
         rewired(builder.finish(), a, [b]).instantiate_iterations(sim, 1)
         with pytest.raises(RuntimeError):
             sim.run()
-
-
-class TestHooks:
-    def test_task_lifecycle_hooks(self):
-        events = []
-
-        class Hook:
-            def func(self, ctx):
-                events.append((ctx.pos, ctx.item.name))
-
-        sim = _sim()
-        sim.accept_hook(Hook())
-        sim.add_compute("a", "gpu0", 1.0)
-        sim.run()
-        assert ("task_end", "a") in events

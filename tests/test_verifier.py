@@ -384,7 +384,7 @@ class TestVerifyIntegration:
             (sz.RestartConsistencySanitizer, "check", "SZ005"),
             (sz.PathCapacitySanitizer, "func", "SZ006"),
             (rc.TieOrderDetector, "observe", "RC001"),
-            (rc.HappensBeforeDetector, "func", "RC002"),
+            (rc.HappensBeforeDetector, "check", "RC002"),
             (rc.RngDriftDetector, "compare", "RC003"),
         ):
             def spy(self, *args, _check=getattr(cls, method), _rule=rule,
