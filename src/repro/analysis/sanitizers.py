@@ -6,7 +6,7 @@ simulation *while it runs* for invariants whose violation silently
 corrupts results:
 
 * :class:`TimeMonotonicSanitizer` — virtual time must never run backwards
-  across dispatched events (an engine dispatch observer);
+  across dispatched events and steps (an engine dispatch observer);
 * :class:`LinkCapacitySanitizer` — after every bandwidth reallocation the
   flow rates crossing each directed link must not exceed its capacity
   (hooked on :class:`~repro.network.flow.FlowNetwork`);

@@ -50,18 +50,19 @@ from repro.network.topology import (
 )
 from repro.trace.trace import Trace
 
-#: Engine events between heartbeat calls.  Small enough that the sweep
-#: service's soft deadline catches a stuck-but-dispatching run within
-#: milliseconds, large enough that the wall-clock read stays invisible
-#: in profiles.
+#: Engine dispatches (events and compute-chain steps) between heartbeat
+#: calls.  Small enough that the sweep service's soft deadline catches a
+#: stuck-but-dispatching run within milliseconds, large enough that the
+#: wall-clock read stays invisible in profiles.
 HEARTBEAT_EVERY = 256
 
 
 def heartbeat_observer(engine: Engine, heartbeat):
     """The dispatch observer behind ``TrioSim(heartbeat=)``.
 
-    Calls ``heartbeat(engine)`` every :data:`HEARTBEAT_EVERY` dispatched
-    events, before that event's callback runs.  An exception the
+    Calls ``heartbeat(engine)`` every :data:`HEARTBEAT_EVERY` dispatches
+    the engine shows its observers (events and compute-chain steps),
+    before that dispatch's callback runs.  An exception the
     heartbeat raises propagates out of :meth:`Engine.run`, stopping the
     run with its partial progress (``engine.now``,
     ``engine.dispatched_events``) intact — the sweep service's soft
@@ -138,7 +139,7 @@ class TrioSim:
         plan step does): only the runtime tier runs.
     heartbeat:
         Optional ``(engine) -> None`` callback fired every
-        :data:`HEARTBEAT_EVERY` dispatched events (a dispatch observer,
+        :data:`HEARTBEAT_EVERY` dispatches (a dispatch observer,
         see :func:`heartbeat_observer`) — the sweep service's
         cooperative soft-deadline check.  A heartbeat never affects fold
         eligibility: it observes wall clock, not simulation state.

@@ -22,12 +22,11 @@ after the run (see :meth:`TaskGraphSimulator.totals`).
 
 Most compute rows are links of one GPU's program-order chain: the row's
 only successor is the next compute row on the same GPU, waiting on
-nothing else.  Such a row completes by an engine *step*
-(:meth:`~repro.engine.engine.Engine.schedule_step`) instead of an event,
-so a chain costs one event, at its last row.  A step pops at the
-``(time, seq)`` an event would, and does what that event's completion
-would: it hands the GPU to the next link while the GPU's ready list is
-empty, and otherwise finishes the row the general way.
+nothing else.  Such a row completes by an engine *step* (a ``(time,
+row)`` pair queued where its completion event would be; see
+:mod:`repro.engine.engine`) instead of an event, so a chain costs one
+event, at its last row.  A step takes the sequence number that event
+would take, pops where it would pop, and finishes the row the same way.
 """
 
 from __future__ import annotations
@@ -430,23 +429,23 @@ class TaskGraphSimulator:
             priority = store.priority
             tid = min(ready, key=lambda t: (priority[t], t))
         ready.remove(tid)
+        pending.append(self._occupy(queue, tid))
+
+    def _occupy(self, queue: _GPUQueue, tid: int):
+        """Start compute row *tid* on *queue* now; returns its completion
+        for :meth:`Engine.schedule_bulk`: a ``(time, row)`` step if the
+        row is a chain link, else an event."""
         queue.running = tid
-        engine = self.engine
-        now = engine._now
+        store = self.store
+        now = self.engine._now
         store.start[tid] = now
         duration = store.duration[tid]
         scale = queue.scale
         if scale is not None:
             duration *= scale(store.gpu[tid], now)
         if self._links(tid, queue):
-            # The step takes the next sequence number, so what is
-            # already pending is queued first to keep creation order.
-            if pending:
-                engine.schedule_bulk(pending)
-                del pending[:]
-            engine.schedule_step(now + duration, tid)
-        else:
-            pending.append(Event(now + duration, self._complete, tid))
+            return (now + duration, tid)
+        return Event(now + duration, self._complete, tid)
 
     def _links(self, tid: int, queue: _GPUQueue) -> bool:
         """Whether compute row *tid* is a chain link: its one successor
@@ -463,31 +462,20 @@ class TaskGraphSimulator:
     def _step(self, tid: int) -> None:
         """Stepper of the engine: the completion of chain link *tid*.
 
-        With the GPU's ready list empty, the general :meth:`_finish`
-        would dispatch nothing, release the next link alone and start
-        it; this does the same directly.  Otherwise a ready row takes
-        the GPU first, and the row finishes the general way."""
+        With the GPU's ready list empty, :meth:`_finish` would dispatch
+        nothing and release the next link alone, which then takes the
+        GPU; this does that directly.  Otherwise a ready row takes the
+        GPU first, and the row finishes the general way."""
         store = self.store
         queue = store.queue[tid]
         if queue.ready:
             self._finish(tid)
             return
-        engine = self.engine
-        now = engine._now
-        store.end[tid] = now
+        store.end[tid] = self.engine._now
         store.finished.append(tid)
         rid = store.indices[store.indptr[tid]]
         store.indegree[rid] = 0
-        queue.running = rid
-        store.start[rid] = now
-        duration = store.duration[rid]
-        scale = queue.scale
-        if scale is not None:
-            duration *= scale(store.gpu[rid], now)
-        if self._links(rid, queue):
-            engine.schedule_step(now + duration, rid)
-        else:
-            engine.schedule(Event(now + duration, self._complete, rid))
+        self.engine.schedule_bulk([self._occupy(queue, rid)])
 
     def _complete(self, event: Event) -> None:
         """Callback of compute and barrier completion events: the row id

@@ -12,24 +12,27 @@ event-driven style lets the simulator "fast-forward unnecessary details" —
 an operator that takes 3 ms is one event, not three million cycles.
 
 Beside events the queue holds *steps*: bare ``(time, seq, row)`` entries
-whose payload is an int (:meth:`Engine.schedule_step`).  They take their
-sequence number from the same counter and pop in the same ``(time, seq)``
-order, so they interleave with events exactly as events would, but the
-loop hands the row straight to :attr:`Engine.stepper`: no
-:class:`~repro.engine.events.Event`, no dispatch count, no observer call.
-The task scheduler advances a GPU's compute chain by steps, so a chain
-of compute rows costs one event (see ``docs/performance.md``).
+whose payload is an int, submitted as ``(time, row)`` pairs through
+:meth:`Engine.schedule_bulk`.  They take their sequence number from the
+same counter, at their place in the submitted list, and pop in the same
+``(time, seq)`` order, so they interleave with events exactly as events
+would.  The loop shows a step to the dispatch observers and hands its
+row to :attr:`Engine.stepper`: no :class:`~repro.engine.events.Event`
+is made and the dispatch count does not move.  The task scheduler
+advances a GPU's compute chain by steps, so a chain of compute rows
+costs one event (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.engine.events import Event
 
-#: A dispatch observer, called as ``observer(time, seq, event)``.
-Observer = Callable[[float, int, Event], None]
+#: A dispatch observer, called as ``observer(time, seq, event)``; for a
+#: step, *event* is the step's row id.
+Observer = Callable[[float, int, Union[Event, int]], None]
 
 
 class SimulationLimitError(RuntimeError):
@@ -119,8 +122,13 @@ class Engine:
         heapq.heappush(self._queue, (event.time, event._seq, event))
         return event
 
-    def schedule_bulk(self, events: List[Event]) -> None:
+    def schedule_bulk(self, events: List[Union[Event, Tuple[float, int]]]
+                      ) -> None:
         """Queue many events in one call (validated like :meth:`schedule`).
+        A ``(time, row)`` pair in the list is queued as a step for *row*
+        (see the module docstring): it is dispatched by :attr:`stepper`,
+        cannot be cancelled, and :meth:`defer_pending` moves it like a
+        live event.
 
         Sequence numbers are assigned in list order, so the dispatch
         order is bit-identical to calling :meth:`schedule` on each event
@@ -137,6 +145,14 @@ class Engine:
         seq = self._seq
         entries = []
         for event in events:
+            if event.__class__ is tuple:
+                time, row = event
+                if time < now:
+                    raise ValueError(
+                        f"cannot schedule step at {time} before now={now}")
+                entries.append((time, seq, row))
+                seq += 1
+                continue
             if event.time < now:
                 raise ValueError(
                     f"cannot schedule event at {event.time} before now={now}"
@@ -155,20 +171,6 @@ class Engine:
         else:
             for entry in entries:
                 heapq.heappush(queue, entry)
-
-    def schedule_step(self, time: float, row: int) -> None:
-        """Queue a step for *row* at *time*: it takes the next sequence
-        number, exactly as :meth:`schedule` would give an event, and is
-        dispatched by :attr:`stepper` (see the module docstring).  A step
-        cannot be cancelled; :meth:`defer_pending` moves it like a live
-        event."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, row))
 
     def mark_requeued(self, event: Event) -> None:
         """Account for re-submitting a still-queued *event* at a new time.
@@ -305,7 +307,8 @@ class Engine:
 
         Observers see each event's heap position (its timestamp and
         tie-breaking sequence number) after the clock and the dispatch
-        count advance and *before* the event's callback runs — the one
+        count advance and *before* the event's callback runs; a step is
+        observed the same way, with its row id as *event* — the one
         instrumentation point of the sanitizers, the determinism race
         detectors (:mod:`repro.analysis.verifier.races`) and the sweep
         service's heartbeat.  Cancelled and requeue-stale entries are
@@ -349,6 +352,9 @@ class Engine:
                 seq = entry[1]
                 if event.__class__ is int:
                     self._now = time
+                    if observers:
+                        for observer in observers:
+                            observer(time, seq, event)
                     stepper(event)
                 elif not event.cancelled and (
                         event._seq == seq

@@ -65,7 +65,7 @@ def soft_deadline_heartbeat(seconds: float):
 
     The wall clock starts when the closure is built (just before
     ``TrioSim.run``), and every
-    :data:`~repro.core.simulator.HEARTBEAT_EVERY` events the
+    :data:`~repro.core.simulator.HEARTBEAT_EVERY` dispatches the
     heartbeat compares elapsed time against the budget, raising
     :class:`PointSoftTimeoutError` with the partial progress snapshot
     once exceeded.

@@ -6,9 +6,11 @@ oracle, :class:`PerRow`, keeps the scheduler's per-row dispatch: every
 compute row completes by its own event.  Random plans on 2-4 GPUs —
 program-order chains cut by cross-GPU dependencies, non-uniform
 priorities, zero-duration rows, straggler windows, checkpoint and
-failure stalls, durations and fault times on one coarse grid so that
-events tie — must give both the same task table bit for bit, and the
-same fault counters.
+failure stalls, with durations, fault times, link latencies and lone
+transfers on one coarse grid so that steps tie with completions, flow
+activations and deliveries — must give both the same task table bit for
+bit, the same fault counters, and the same observed dispatch stream,
+steps included (:func:`popped`).
 """
 
 from hypothesis import given, settings
@@ -82,7 +84,8 @@ def scenarios(draw):
                                      max_size=2, unique=True))
             row = builder.add_transfer(
                 f"x{index}", src, dst,
-                draw(st.sampled_from((0.0, 1e6, 4e7))),
+                # 5e7 B takes one TICK alone on a 100 GB/s link.
+                draw(st.sampled_from((0.0, 1e6, 5e7))),
                 deps=sorted(set(deps)))
         else:
             row = builder.add_barrier(f"b{index}", deps=sorted(set(deps)))
@@ -101,14 +104,27 @@ def scenarios(draw):
             (None, 2 * TICK, 5 * TICK))),
         checkpoint_cost=draw(st.sampled_from((0.0, TICK))),
         restore_cost=draw(st.sampled_from((0.0, TICK))))
-    return gpus, builder.finish(), draw(st.integers(1, 3)), spec
+    return (gpus, builder.finish(), draw(st.integers(1, 3)), spec,
+            draw(st.sampled_from((0.0, TICK))))
 
 
-def simulate(cls, gpus, plan, iterations, spec):
+def popped(time, seq, event):
+    """What an observer saw pop: a row's completion as its row id, step
+    or event alike, and any other event as its callback's name, so two
+    entries of one instant that swap places change the stream."""
+    if event.__class__ is int:
+        return time, seq, event
+    name = event.callback.__name__
+    return time, seq, event.payload if name == "_complete" else name
+
+
+def simulate(cls, gpus, plan, iterations, spec, latency=0.0):
     # A bound far above any plan drawn here: a checkpoint clock that
     # never sees the run drain fails fast instead of ticking on.
     engine = Engine(max_events=100_000)
-    network = FlowNetwork(engine, ring(gpus, 100e9, 1e-6))
+    stream = engine.stream = []
+    engine.add_observer(lambda *entry: stream.append(popped(*entry)))
+    network = FlowNetwork(engine, ring(gpus, 100e9, latency))
     sim = cls(engine, network)
     plan.instantiate_iterations(sim, iterations)
     injector = FaultInjector(engine, sim, network, spec).install()
@@ -132,6 +148,7 @@ def test_chain_steps_match_per_row_scheduler(scenario):
         TaskGraphSimulator, *scenario)
     oracle, oracle_stats, oracle_total = simulate(PerRow, *scenario)
     assert table(chained) == table(oracle)
+    assert chained.engine.stream == oracle.engine.stream
     assert chained_stats == oracle_stats
     assert chained_total.hex() == oracle_total.hex()
     assert (chained.engine.dispatched_events
@@ -162,6 +179,30 @@ def test_chain_takes_one_event_and_a_cut_gives_the_ready_row_the_gpu():
     # c end by events.
     assert oracle.engine.dispatched_events == 6
     assert chained.engine.dispatched_events == 3
+
+
+def test_step_is_numbered_where_its_event_would_be():
+    """c0 ends at 0 and releases, in order, the link c1 (ending at
+    0.5 ms) and a send x2 over the route of x1, which was sent at 0 and
+    activates at 0.5 ms: x2 requeues that activation.  c1's step is
+    numbered after it, where c1's completion event was, so at 0.5 ms
+    x1's activation pops before c1 on both paths."""
+    builder = PlanBuilder()
+    builder.add_transfer("x1", "gpu0", "gpu1", 5e7)
+    c0 = builder.add_compute("c0", "gpu0", 0.0)
+    c1 = builder.add_compute("c1", "gpu0", TICK, deps=[c0])
+    builder.add_transfer("x2", "gpu0", "gpu1", 5e7, deps=[c0])
+    builder.add_compute("c2", "gpu0", TICK, deps=[c1])
+    plan = builder.finish()
+    chained, _, _ = simulate(TaskGraphSimulator, 2, plan, 1, FaultSpec(),
+                             latency=TICK)
+    oracle, _, _ = simulate(PerRow, 2, plan, 1, FaultSpec(),
+                            latency=TICK)
+    assert chained.engine.stream == oracle.engine.stream
+    at_tick = [what for time, _, what in chained.engine.stream
+               if time == TICK]
+    assert at_tick[:2] == ["_activate", c1]
+    assert table(chained) == table(oracle)
 
 
 def test_stall_defers_a_running_link():

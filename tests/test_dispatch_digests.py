@@ -8,6 +8,11 @@ detectors) observes that same schedule.  The digests and counts were
 last re-recorded when a transfer sent onto an idle route stopped taking
 an activation event; every task-table digest stayed as it was.
 
+Compute chain links complete by engine steps, which observers see at
+the ``(time, seq)`` their completion events had: the digests fold the
+same stream as when every row took an event, and only the event counts
+fell.
+
 Each case also pins its task-table digest (``tests/task_table.py``):
 the outcome alone.  A change that reaches the same outcome with fewer
 events re-records the dispatch digest and the event count, and leaves
@@ -77,8 +82,8 @@ def observed(monkeypatch):
 
 
 @pytest.mark.parametrize("faulted,digest,table,total", [
-    (True, "6bced4d4e37e5602", "6f640fd1d0a383ce", 0.022191069952813544),
-    (False, "085c33dc079c9eed", "cdc9200ab0252193", 0.015341225055199572),
+    (True, "3e6b24d1a9dc46b7", "6f640fd1d0a383ce", 0.022191069952813544),
+    (False, "45adbe8d9451d085", "cdc9200ab0252193", 0.015341225055199572),
 ], ids=["faulted", "clean"])
 def test_quick_engine_scenario_under_sanitize_and_verify(trace, task_tables,
                                                          faulted, digest,
@@ -116,8 +121,8 @@ def resnet50_plans():
 
 
 @pytest.mark.parametrize("faulted,digest,table,total", [
-    (True, "4b2e5b1e809459e6", "1b2b441996ae488c", 0.2053144305068356),
-    (False, "730288f439f2786f", "158fff894cce86f5", 0.18863803921515243),
+    (True, "b0cae62674f87754", "1b2b441996ae488c", 0.2053144305068356),
+    (False, "c89067cbfe7d6a28", "158fff894cce86f5", 0.18863803921515243),
 ], ids=["faulted", "clean"])
 def test_full_engine_scenario(resnet50_trace, resnet50_plans, observed,
                               task_tables, faulted, digest, table, total):
@@ -140,7 +145,7 @@ def test_folded_ddp_run(trace, observed, task_tables):
                               link_bandwidth=100e9, iterations=8)
     result = TrioSim(trace, config, record_timeline=False).run()
     assert result.profile["fold_status"] == "folded"
-    assert str(observed) == "2b4b0c9303281ba9"
+    assert str(observed) == "955e1ec611dfce71"
     assert result.total_time == 0.06135216481156757
     assert result.events == 551
     assert [task_table_digest(store) for store in task_tables] == [
@@ -153,7 +158,7 @@ def test_not_steady_fallback(trace, observed, task_tables):
                               fold_warmup=2, fold_tolerance=0.0)
     result = TrioSim(trace, config, record_timeline=False).run()
     assert result.profile["fold_status"] == "not-steady"
-    assert str(observed) == "15761ea6b96a3d25"
+    assert str(observed) == "eac3e5974a2ab2b6"
     assert result.total_time == 0.027344143128436367
     assert result.events == 359
     assert [task_table_digest(store) for store in task_tables] == [

@@ -45,18 +45,6 @@ def _configs(*gpu_counts):
                              link_bandwidth=25e9) for n in gpu_counts]
 
 
-def _doomed(**overrides):
-    """A point that cannot meet its soft deadline.  The heartbeat checks
-    the deadline every ``HEARTBEAT_EVERY`` (256) dispatched events, so
-    the point must dispatch more: 2-GPU tensor parallelism all-reduces
-    after every sharded layer (421 events), where 2-GPU DDP runs each
-    GPU's compute chain on one event (17 in all)."""
-    base = dict(parallelism="tp", num_gpus=2, link_bandwidth=25e9,
-                deadline_soft=1e-7)
-    base.update(overrides)
-    return SimulationConfig(**base)
-
-
 # ----------------------------------------------------------------------
 # Journal file format and recovery
 # ----------------------------------------------------------------------
@@ -332,13 +320,15 @@ class TestJournaledSweep:
     def test_failed_points_are_redispatched_on_resume(self, trace, tmp_path):
         # A config that lints clean but times out leaves a fail record;
         # resuming re-dispatches it (here, with the deadline lifted).
-        soft = [_doomed()]
+        soft = [SimulationConfig(parallelism="ddp", num_gpus=2,
+                                 link_bandwidth=25e9, deadline_soft=1e-7)]
         first = SweepRunner(max_workers=1, journal=tmp_path) \
             .run(trace, soft)[0]
         assert first.error is not None
         assert first.error.kind == "PointTimeout"
 
-        lifted = [_doomed(deadline_soft=None)]
+        lifted = [SimulationConfig(parallelism="ddp", num_gpus=2,
+                                   link_bandwidth=25e9)]
         # Same cache key (deadlines are execution policy), so the
         # fingerprint matches and the failed point simply re-runs.
         second = SweepRunner(max_workers=1, journal=tmp_path, resume=True) \
@@ -483,7 +473,9 @@ class TestBreakeredSweep:
         # Four doomed points (soft deadline impossible to meet), then
         # healthy ones: the breaker trips after the storm, fast-fails
         # until the probe, and the probe's success re-closes it.
-        doomed = [_doomed() for _ in range(4)]
+        doomed = [SimulationConfig(parallelism="ddp", num_gpus=2,
+                                   link_bandwidth=25e9, deadline_soft=1e-7)
+                  for _ in range(4)]
         healthy = _configs(2, 4, 2, 4, 2)
         breaker = CircuitBreaker(window=8, threshold=0.5, min_samples=4,
                                  probe_interval=2)
@@ -509,7 +501,9 @@ class TestBreakeredSweep:
         # failed the whole rest of the sweep.  Dispatch must instead
         # pause while the breaker is open and resume after a
         # successful probe.
-        doomed = [_doomed() for _ in range(6)]
+        doomed = [SimulationConfig(parallelism="ddp", num_gpus=2,
+                                   link_bandwidth=25e9, deadline_soft=1e-7)
+                  for _ in range(6)]
         healthy = _configs(2, 4, 2, 4, 2, 4)
         breaker = CircuitBreaker(window=8, threshold=0.5, min_samples=4,
                                  probe_interval=2)
@@ -538,7 +532,9 @@ class TestBreakeredSweep:
 
     def test_circuit_open_outcomes_are_journaled_for_resume(
             self, trace, tmp_path):
-        doomed = [_doomed() for _ in range(2)]
+        doomed = [SimulationConfig(parallelism="ddp", num_gpus=2,
+                                   link_bandwidth=25e9, deadline_soft=1e-7)
+                  for _ in range(2)]
         healthy = _configs(4, 8)
         breaker = CircuitBreaker(window=4, threshold=0.5, min_samples=2,
                                  probe_interval=10)

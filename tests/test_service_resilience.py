@@ -47,16 +47,6 @@ def _config(**overrides):
     return SimulationConfig(**base)
 
 
-def _doomed(num_gpus=2, **overrides):
-    """A point that cannot meet a soft deadline of 1e-7 s.  The heartbeat
-    checks the deadline every ``HEARTBEAT_EVERY`` (256) dispatched
-    events, so the point must dispatch more: tensor parallelism
-    all-reduces after every sharded layer (421 events on 2 GPUs, 1,451
-    on 4), where DDP runs each GPU's compute chain on one event (17 and
-    71)."""
-    return _config(parallelism="tp", num_gpus=num_gpus, **overrides)
-
-
 class _PointHook:
     def __init__(self):
         self.outcomes = []
@@ -315,7 +305,11 @@ class TestWatchdogDeadline:
 # ----------------------------------------------------------------------
 class TestSoftDeadline:
     def test_doomed_point_times_out_with_partial_progress(self, trace):
-        doomed = _doomed(deadline_soft=1e-7)
+        # It must dispatch at least HEARTBEAT_EVERY events before it
+        # stops: 2-GPU tensor parallelism all-reduces after every sharded
+        # layer (421 events), where 2-GPU DDP runs each GPU's compute
+        # chain on one event (17 in all; its other dispatches are steps).
+        doomed = _config(parallelism="tp", num_gpus=2, deadline_soft=1e-7)
         healthy = [_config(num_gpus=2), _config(num_gpus=4)]
         sequential = [TrioSim(trace, cfg).run().total_time
                       for cfg in healthy]
@@ -341,7 +335,8 @@ class TestSoftDeadline:
 
     def test_sweep_wide_soft_deadline_applies_to_every_point(self, trace):
         runner = SweepRunner(max_workers=1, deadline_soft=1e-7)
-        outcomes = runner.run(trace, [_doomed(), _doomed(num_gpus=4)])
+        outcomes = runner.run(trace, [_config(num_gpus=2),
+                                      _config(num_gpus=4)])
         assert all(o.error is not None and o.error.kind == "PointTimeout"
                    for o in outcomes)
         assert runner.last_metrics.timeouts == 2
@@ -351,13 +346,13 @@ class TestSoftDeadline:
         # impossible sweep-wide default.
         rescued = _config(num_gpus=2, deadline_soft=300.0)
         runner = SweepRunner(max_workers=1, deadline_soft=1e-7)
-        outcomes = runner.run(trace, [rescued, _doomed(num_gpus=4)])
+        outcomes = runner.run(trace, [rescued, _config(num_gpus=4)])
         assert outcomes[0].ok
         assert outcomes[1].error.kind == "PointTimeout"
 
     def test_timeout_error_serializes_detail(self, trace):
         outcome = SweepRunner(max_workers=1).run(
-            trace, [_doomed(deadline_soft=1e-7)])[0]
+            trace, [_config(num_gpus=2, deadline_soft=1e-7)])[0]
         data = outcome.to_dict()
         assert data["error"]["kind"] == "PointTimeout"
         assert data["error"]["detail"]["events"] >= 1
