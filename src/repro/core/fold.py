@@ -5,8 +5,8 @@ fence forces every task of iteration *k* to finish before any task of
 iteration *k+1* starts, so each post-fence iteration replays the previous
 one's event schedule shifted by one iteration period.  When nothing
 time-dependent crosses the fence — no fault windows, no congestion-
-adaptive routing state, no runtime observers — simulating the tail
-event-by-event recomputes a schedule that is already known.
+adaptive routing state — simulating the tail event-by-event recomputes
+a schedule that is already known.
 
 Folding exploits this: simulate ``fold_warmup`` warm-up iterations
 event-by-event, check the last two warm-up durations agree within
@@ -21,14 +21,14 @@ schedule to the same order.
 
 This module owns the *decision*: which runs may fold, and why a run may
 not.  The static (config-only) half is shared with lint rule PF001; the
-dynamic half additionally inspects the built network and the simulator's
-runtime observers.  The arithmetic itself lives in
-:meth:`repro.core.simulator.TrioSim._run_folded`.
+dynamic half additionally inspects the built network.  The verifier's
+runtime tier does not rule folding out: it observes the iterations that
+are simulated (see ``docs/verifier.md``).  The arithmetic itself lives
+in :meth:`repro.core.simulator.TrioSim.run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.network.flow import FlowNetwork
@@ -37,24 +37,6 @@ from repro.network.flow import FlowNetwork
 #: below the threshold the exact event-by-event path is used (and stays
 #: bit-identical to builds that predate folding).
 FOLD_MIN_FOLDED = 2
-
-
-@dataclass(frozen=True)
-class FoldDecision:
-    """Whether one run may fold, and the reason when it may not.
-
-    ``status`` is the string surfaced in ``SimulationResult.profile``
-    under ``fold_status``: ``"eligible"`` before the run (rewritten to
-    ``"folded"`` / ``"not-steady"`` by the execution), or
-    ``"off:<reason>"`` for ineligible runs.
-    """
-
-    eligible: bool
-    reason: str = ""
-
-    @property
-    def status(self) -> str:
-        return "eligible" if self.eligible else f"off:{self.reason}"
 
 
 def config_fold_reason(config) -> Optional[str]:
@@ -79,12 +61,13 @@ def config_fold_reason(config) -> Optional[str]:
     return None
 
 
-def fold_decision(config, network=None, verify: bool = False) -> FoldDecision:
-    """Decide whether a :class:`~repro.core.simulator.TrioSim` run folds.
+def fold_reason(config, network) -> Optional[str]:
+    """Why a :class:`~repro.core.simulator.TrioSim` run may not fold, or
+    ``None`` when it may.
 
-    Beyond the static config gate (:func:`config_fold_reason`), a run is
-    disqualified by the network it was built with, and by anything that
-    must observe every dispatched event:
+    The result surfaces as ``fold_status`` ``"off:<reason>"``.  Beyond
+    the static config gate (:func:`config_fold_reason`), a run is
+    disqualified by the network it was built with:
 
     * ``custom-network`` — a network that is not a :class:`FlowNetwork`
       (a custom model plugged into TrioSim, such as the photonic one)
@@ -96,23 +79,15 @@ def fold_decision(config, network=None, verify: bool = False) -> FoldDecision:
       Static strategies (``shortest``, ``ecmp``) choose per pair, not
       per instant, and stay eligible — as do dynamic strategies that the
       simulator nulled on single-path topologies.
-    * ``verify`` — the verifier's runtime tier (sanitizers and race
-      detectors) is defined over the full event stream; folded
-      iterations dispatch no events, so it forces the exact path.
     """
     reason = config_fold_reason(config)
-    if reason is None and network is not None \
-            and not isinstance(network, FlowNetwork):
-        reason = "custom-network"
-    if reason is None and verify:
-        reason = "verify"
-    if reason is None and network is not None:
-        strategy = getattr(network, "routing", None)
-        if strategy is not None and getattr(strategy, "dynamic", False):
-            reason = "dynamic-routing"
     if reason is not None:
-        return FoldDecision(False, reason)
-    return FoldDecision(True)
+        return reason
+    if not isinstance(network, FlowNetwork):
+        return "custom-network"
+    if network.routing is not None and network.routing.dynamic:
+        return "dynamic-routing"
+    return None
 
 
 def steady(previous: float, last: float, tolerance: float) -> bool:

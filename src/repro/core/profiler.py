@@ -33,7 +33,7 @@ class PipelineProfiler:
         #: Iteration-folding outcome of the run: ``"folded"``,
         #: ``"not-steady"`` (eligible but the warm-up durations
         #: disagreed), or ``"off:<reason>"`` (see
-        #: :func:`repro.core.fold.fold_decision`); ``None`` for
+        #: :func:`repro.core.fold.fold_reason`); ``None`` for
         #: single-iteration runs predating the concept.
         self.fold_status: Optional[str] = None
 

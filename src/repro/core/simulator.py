@@ -24,7 +24,7 @@ from collections import defaultdict
 import networkx as nx
 
 from repro.core.config import SimulationConfig
-from repro.core.fold import fold_decision, steady
+from repro.core.fold import fold_reason, steady
 from repro.core.plan import ExtrapolationPlan, PlanBuilder, PlanCache, plan_key
 from repro.core.profiler import PipelineProfiler
 from repro.core.results import SimulationResult
@@ -131,8 +131,10 @@ class TrioSim:
         topology, mismatched collectives, memory-infeasible schedules);
         either step raises :class:`repro.analysis.AnalysisError` on
         errors.  The runtime tier attaches the sanitizers (``SZ``
-        rules) and the determinism race detectors (``RC`` rules) during
-        the run.  Findings land in
+        rules) and the determinism race detectors (``RC`` rules) to the
+        simulated iterations: all of them, or only the warm-up of a
+        folded run, whose tail dispatches nothing.  Verifying changes
+        neither fold eligibility nor the result.  Findings land in
         :attr:`verify_report`; the dispatch-order digest in
         :attr:`verify_digest`.  Pass the string ``"runtime"`` when the
         caller ran ``verify_plan`` on this plan already (the sweep's
@@ -325,13 +327,24 @@ class TrioSim:
     def run(self) -> SimulationResult:
         """Simulate the configured training iterations and return the result.
 
-        Multi-iteration runs that qualify (see
-        :func:`repro.core.fold.fold_decision` and ``docs/performance.md``)
-        take the steady-state folding path: ``fold_warmup`` iterations
-        are simulated event-by-event and the rest are extended
-        algebraically.  Everything else — single iterations, faulted or
-        verified runs, ``fold=False`` — takes the exact event-by-event
-        path, bit-identically to builds that predate folding.
+        Every run takes one sequence.  A multi-iteration run that may
+        fold (see :func:`repro.core.fold.fold_reason` and
+        ``docs/performance.md``) first simulates ``fold_warmup`` warm-up
+        iterations, each instanced and drained in its own
+        :meth:`TaskGraphSimulator.run` call — timing-identical to upfront
+        instancing, because the inter-iteration fence already forces a
+        full drain between iterations.  If the last two warm-up
+        durations agree within ``fold_tolerance`` the remaining
+        iterations are *folded*: boundaries extend by repeated addition
+        of the steady-state period (so iteration times telescope to the
+        total exactly), additive counters extend by the last warm-up
+        iteration's delta, and the timeline replicates the last warm-up
+        iteration's finish-log slice shifted by whole periods.
+        Otherwise the remaining iterations — all of them for single
+        iterations, faulted runs or ``fold=False`` — are instanced at
+        once and simulated event by event (``fold_status: not-steady``
+        when a warm-up ran).  A verified run folds like any other; its
+        runtime tier observes the iterations that are simulated.
         """
         started = _wall.perf_counter()
         profiler = PipelineProfiler()
@@ -368,141 +381,90 @@ class TrioSim:
                 if report.has_errors:
                     raise AnalysisError(report, "plan failed verification")
             self.verify_report = report
-        if self.config.gpu_slowdowns:
-            sim.compute_scale.update(self.config.gpu_slowdowns)
-        decision = fold_decision(self.config, network=network,
-                                 verify=bool(self.verify))
-        beat = None
+        cfg = self.config
+        if cfg.gpu_slowdowns:
+            sim.compute_scale.update(cfg.gpu_slowdowns)
+        reason = fold_reason(cfg, network)
+        if reason is not None and cfg.iterations > 1:
+            profiler.fold_status = f"off:{reason}"
+        warmup = cfg.fold_warmup if reason is None else 0
+        rest = cfg.iterations - warmup
+        settled = False
+        boundaries = []   # end time of each warm-up iteration
+        beat = injector = suite = None
         if self.heartbeat is not None:
             beat = heartbeat_observer(engine, self.heartbeat)
             engine.add_observer(beat)
         try:
-            if decision.eligible:
-                return self._run_folded(profiler, plan, engine, network,
-                                        sim, started)
-            if self.config.iterations > 1:
-                profiler.fold_status = decision.status
-            return self._run_exact(profiler, plan, engine, network, sim,
-                                   started)
+            if cfg.faults is not None and not cfg.faults.is_empty:
+                from repro.faults import FaultInjector
+
+                injector = FaultInjector(engine, sim, network, cfg.faults,
+                                         allow_chaos=self.allow_chaos
+                                         ).install()
+            if self.verify:
+                from repro.analysis.verifier import RuntimeSuite
+
+                suite = RuntimeSuite().attach(engine=engine, network=network,
+                                              injector=injector, sim=sim)
+            for index in range(warmup):
+                with profiler.phase("instancing"):
+                    plan.instantiate_iterations(sim, 1, start=index)
+                if index == warmup - 1:
+                    before = network.stats_snapshot()
+                    mark = len(sim.store.finished)
+                with profiler.phase("engine"):
+                    boundaries.append(sim.run())
+            if warmup:
+                profiler.count("plan_instances", warmup)
+                with profiler.phase("fold_detect"):
+                    durations = iteration_times_from_fences(
+                        boundaries[:-1], boundaries[-1])
+                    # fold_warmup=1 has a single duration and nothing to
+                    # compare: the steadiness check is skipped by
+                    # construction (documented as the maximum-speed
+                    # escape hatch in docs/performance.md).
+                    settled = warmup < 2 or steady(
+                        durations[-2], durations[-1], cfg.fold_tolerance)
+                profiler.fold_status = "folded" if settled else "not-steady"
+            if not settled:
+                with profiler.phase("instancing"):
+                    plan.instantiate_iterations(sim, rest, start=warmup)
+                profiler.count("plan_instances", rest)
+                with profiler.phase("engine"):
+                    total = sim.run()
         finally:
-            # The observer closes over the engine: drop it so the
-            # finished run is freed by reference counting.
-            if beat is not None:
-                engine.remove_observer(beat)
-
-    def _run_exact(self, profiler: PipelineProfiler, plan: ExtrapolationPlan,
-                   engine: Engine, network, sim: TaskGraphSimulator,
-                   started: float) -> SimulationResult:
-        """The exact event-by-event path (every iteration fully simulated)."""
-        with profiler.phase("instancing"):
-            plan.instantiate_iterations(sim, self.config.iterations)
-        profiler.count("plan_instances", self.config.iterations)
-        profiler.count("plan_tasks", len(plan))
-        injector = None
-        faults = self.config.faults
-        if faults is not None and not faults.is_empty:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(engine, sim, network, faults,
-                                     allow_chaos=self.allow_chaos).install()
-        suite = None
-        if self.verify:
-            from repro.analysis.verifier import RuntimeSuite
-
-            suite = RuntimeSuite().attach(engine=engine, network=network,
-                                          injector=injector, sim=sim)
-        try:
-            with profiler.phase("engine"):
-                total = sim.run()
-        finally:
+            # The injector's callbacks and the heartbeat close over the
+            # run: drop them so it is freed by reference counting.
             if injector is not None:
                 injector.release()
+            if beat is not None:
+                engine.remove_observer(beat)
+        profiler.count("plan_tasks", len(plan))
         if injector is not None:
             self.fault_stats = injector.stats()
         if suite is not None:
             self.verify_report.merge(suite.finalize())
             self.verify_digest = suite.order_digest
-        iteration_times = []
-        if self.config.iterations > 1:
-            iteration_times = iteration_times_from_fences(
-                [sim.store.end[f] for f in sim.fences], total)
-        return self._assemble(profiler, engine, network,
-                              sim.totals(timeline=self.record_timeline),
-                              started, total, iteration_times)
-
-    # ------------------------------------------------------------------
-    # Steady-state iteration folding
-    # ------------------------------------------------------------------
-    def _run_folded(self, profiler: PipelineProfiler,
-                    plan: ExtrapolationPlan, engine: Engine, network,
-                    sim: TaskGraphSimulator,
-                    started: float) -> SimulationResult:
-        """Warm up event-by-event, then extend the tail algebraically.
-
-        Each warm-up iteration is instanced and drained in its own
-        :meth:`TaskGraphSimulator.run` call — timing-identical to
-        upfront instancing, because the inter-iteration fence already
-        forces a full drain between iterations.  If the last two warm-up
-        durations agree within ``fold_tolerance`` the remaining
-        iterations are *folded*: boundaries extend by repeated addition
-        of the steady-state period (so iteration times telescope to the
-        total exactly), additive counters extend by the last warm-up
-        iteration's delta, and the timeline replicates the last warm-up
-        iteration's finish-log slice shifted by whole periods.
-        Otherwise the remaining iterations are simulated exactly
-        (``fold_status: not-steady``).
-        """
-        cfg = self.config
-        warmup = cfg.fold_warmup
-        boundaries = []   # end time of each simulated iteration
-        durations = []
-        before = mark = None
-        for index in range(warmup):
-            with profiler.phase("instancing"):
-                plan.instantiate_iterations(sim, 1, start=index)
-            if index == warmup - 1:
-                before = network.stats_snapshot()
-                mark = len(sim.store.finished)
-            with profiler.phase("engine"):
-                end = sim.run()
-            durations.append(end - (boundaries[-1] if boundaries else 0.0))
-            boundaries.append(end)
-        profiler.count("plan_instances", warmup)
-        profiler.count("plan_tasks", len(plan))
-        with profiler.phase("fold_detect"):
-            # fold_warmup=1 has a single duration and nothing to compare:
-            # the steadiness check is skipped by construction (documented
-            # as the maximum-speed escape hatch in docs/performance.md).
-            settled = warmup < 2 or steady(durations[-2], durations[-1],
-                                           cfg.fold_tolerance)
-        folded = cfg.iterations - warmup
-        if not settled:
-            profiler.fold_status = "not-steady"
-            with profiler.phase("instancing"):
-                plan.instantiate_iterations(sim, folded, start=warmup)
-            profiler.count("plan_instances", folded)
-            with profiler.phase("engine"):
-                total = sim.run()
-            iteration_times = iteration_times_from_fences(
-                [sim.store.end[f] for f in sim.fences], total)
-            return self._assemble(profiler, engine, network,
-                                  sim.totals(timeline=self.record_timeline),
-                                  started, total, iteration_times)
-        profiler.fold_status = "folded"
-        profiler.count("iterations_folded", folded)
-        after = network.stats_snapshot()
-        with profiler.phase("fold_extend"):
-            period = durations[-1]
-            base = boundaries[-1]
-            for _ in range(folded):
-                base = base + period  # repeated addition: times telescope
-                boundaries.append(base)
+        if settled:
+            profiler.count("iterations_folded", rest)
+            with profiler.phase("fold_extend"):
+                period = durations[-1]
+                base = boundaries[-1]
+                for _ in range(rest):
+                    base = base + period  # repeated addition: times telescope
+                    boundaries.append(base)
+                network.extend_stats(before, network.stats_snapshot(), rest)
+                totals = self._fold_totals(sim, mark, boundaries, warmup,
+                                           rest)
             total = boundaries[-1]
-            iteration_times = [boundaries[0]]
-            iteration_times.extend(boundaries[i + 1] - boundaries[i]
-                                   for i in range(len(boundaries) - 1))
-            network.extend_stats(before, after, folded)
-            totals = self._fold_totals(sim, mark, boundaries, warmup, folded)
+            fences = boundaries[:-1]
+        else:
+            totals = sim.totals(timeline=self.record_timeline)
+            fences = [sim.store.end[f] for f in sim.fences]
+        iteration_times = []
+        if cfg.iterations > 1:
+            iteration_times = iteration_times_from_fences(fences, total)
         return self._assemble(profiler, engine, network, totals, started,
                               total, iteration_times)
 

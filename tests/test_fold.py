@@ -6,10 +6,12 @@ The load-bearing properties:
   iteration times, and counters to within the fold tolerance (observed
   drift is machine-epsilon scale), and its warm-up iterations match the
   unfolded run *exactly*.
-* **Bit-identical fallback** — anything fold-ineligible (faults, verify,
-  dynamic routing, ``fold=False``) takes the exact
-  event-by-event path and produces results bit-identical to a run with
-  folding disabled.
+* **Bit-identical fallback** — anything fold-ineligible (faults, dynamic
+  routing, ``fold=False``) takes the exact event-by-event path and
+  produces results bit-identical to a run with folding disabled.
+* **One config, one answer** — verifying a run changes neither its fold
+  status nor a bit of its result, and a cached verified result is the
+  default result.
 * **Vector == scalar** — the numpy waterfill returns the exact same
   rates as the scalar solver, so flipping the threshold never changes a
   simulation bit.
@@ -25,9 +27,8 @@ from repro.analysis import lint_config
 from repro.core.config import SimulationConfig
 from repro.core.fold import (
     FOLD_MIN_FOLDED,
-    FoldDecision,
     config_fold_reason,
-    fold_decision,
+    fold_reason,
     steady,
 )
 from repro.core.plan import PlanCache
@@ -106,7 +107,8 @@ class TestFoldConfig:
 # ----------------------------------------------------------------------
 class TestEligibility:
     def test_default_multi_iteration_run_is_eligible(self):
-        assert fold_decision(make_config()) == FoldDecision(True)
+        network = FlowNetwork(Engine(), build_topology("ring", 4, 25e9, 1e-6))
+        assert fold_reason(make_config(), network) is None
 
     def test_disabled(self):
         assert config_fold_reason(make_config(fold=False)) == "disabled"
@@ -126,20 +128,11 @@ class TestEligibility:
 
     def test_custom_network_factory(self):
         # Any network that is not a FlowNetwork (a TrioSim network_factory
-        # model) rules folding out; the config reasons still come first,
-        # and the verify reason after.
+        # model) rules folding out; the config reasons still come first.
         network = PhotonicNetwork(Engine(), gpu_names(4), bandwidth=484e9,
                                   setup_latency=20e-3)
-        assert fold_decision(make_config(), network=network) == \
-            FoldDecision(False, "custom-network")
-        assert fold_decision(make_config(), network=network,
-                             verify=True).reason == "custom-network"
-        assert fold_decision(make_config(fold=False),
-                             network=network).reason == "disabled"
-
-    def test_observers_force_exact_path(self):
-        config = make_config()
-        assert fold_decision(config, verify=True).reason == "verify"
+        assert fold_reason(make_config(), network) == "custom-network"
+        assert fold_reason(make_config(fold=False), network) == "disabled"
 
     def test_dynamic_routing_ineligible_static_eligible(self):
         engine = Engine()
@@ -148,8 +141,7 @@ class TestEligibility:
         for name, expect in (("ecmp", None), ("flowlet", "dynamic-routing"),
                              ("adaptive", "dynamic-routing")):
             network = FlowNetwork(engine, topology, routing=name)
-            decision = fold_decision(config, network=network)
-            assert (None if decision.eligible else decision.reason) == expect
+            assert fold_reason(config, network) == expect
 
     def test_steady(self):
         assert steady(1.0, 1.0, 0.0)
@@ -307,10 +299,6 @@ class TestExactFallbacks:
         assert auto.profile["fold_status"] == "off:faults"
         assert payload(auto) == payload(manual)
 
-    def test_verified_run_auto_disables(self, trace):
-        result = TrioSim(trace, make_config(), verify=True).run()
-        assert result.profile["fold_status"] == "off:verify"
-
     def test_adaptive_routing_auto_disables(self, trace):
         config = make_config(num_gpus=8, topology="leaf_spine",
                              routing="adaptive")
@@ -321,6 +309,69 @@ class TestExactFallbacks:
         first = TrioSim(trace, make_config()).run()
         second = TrioSim(trace, make_config()).run()
         assert payload(first) == payload(second)
+
+
+# ----------------------------------------------------------------------
+# Verified runs fold: one config, one answer
+# ----------------------------------------------------------------------
+#: Foldable configs as ``make_config`` overrides: those tier-1 pins
+#: elsewhere, and the 16-GPU run whose verified answer used to differ.
+FOLDABLE = {
+    # TestFoldedAccuracy: 4 GPUs, 6 iterations.
+    "fold_accuracy": {},
+    # TestFoldAtScale: 16 GPUs, fold_warmup=1.
+    "fold_at_scale": dict(num_gpus=16, link_bandwidth=234e9, iterations=8,
+                          fold_warmup=1),
+    # test_result_pins.py: ddp_folded_timeline / ddp_folded_no_timeline.
+    "result_pins_ddp": dict(iterations=8),
+    # test_dispatch_digests.py: test_folded_ddp_run.
+    "digests_ddp": dict(num_gpus=8, link_bandwidth=100e9, iterations=8),
+    # Folded and exact totals differ in their last bits here.
+    "ddp_16": dict(num_gpus=16, link_bandwidth=234e9, iterations=8),
+}
+
+
+class TestVerifiedRunsFold:
+    @pytest.mark.parametrize("case", sorted(FOLDABLE))
+    def test_verify_modes_agree(self, trace, case):
+        config = make_config(**FOLDABLE[case])
+        plans = PlanCache()
+        results, digests = [], []
+        for verify in (False, True, "runtime"):
+            sim = TrioSim(trace, config, plan_cache=plans, verify=verify)
+            results.append(sim.run())
+            if verify:
+                assert sim.verify_report.ok
+                assert not sim.verify_report.findings
+                digests.append(sim.verify_digest)
+        plain, verified, runtime = results
+        for result in results:
+            assert result.profile["fold_status"] == "folded"
+        assert payload(verified) == payload(plain)
+        assert payload(runtime) == payload(plain)
+        assert digests[0] == digests[1]
+
+    def test_cached_verified_sweep_serves_the_default_result(self, trace,
+                                                             tmp_path):
+        from repro.service import SweepRunner
+
+        configs = [make_config(**FOLDABLE[case])
+                   for case in ("fold_accuracy", "ddp_16")]
+        cache = tmp_path / "results"
+        SweepRunner(max_workers=1, verify=True, cache=cache).run(trace,
+                                                                 configs)
+        second = SweepRunner(max_workers=1, cache=cache)
+        cached = [o.unwrap() for o in second.run(trace, configs)]
+        assert second.last_metrics.cache_hits == len(configs)
+        fresh = [o.unwrap()
+                 for o in SweepRunner(max_workers=1).run(trace, configs)]
+        for mine, theirs in zip(cached, fresh):
+            assert theirs.profile["fold_status"] == "folded"
+            assert mine.profile["fold_status"] == "folded"
+            assert mine.total_time == theirs.total_time
+            assert mine.iteration_times == theirs.iteration_times
+            assert mine.network == theirs.network
+            assert mine.events == theirs.events
 
 
 # ----------------------------------------------------------------------
