@@ -21,11 +21,12 @@ them:
   (every ``--verify`` gate runs :func:`verify_plan`);
   :func:`verify_path` is the one file-level front end (the
   ``repro verify`` CLI);
-* the verifier's **runtime tier** — :class:`RuntimeSuite` hooks the
+* the verifier's **runtime tier** — :class:`RuntimeSuite` attaches the
   sanitizers (``SZ`` rules: time monotonicity, link-capacity
   conservation, event-heap hygiene, ...) and the determinism race
   detectors (``RC`` rules: tie-order races, happens-before violations,
-  global-RNG drift) into a running simulation (the ``--verify`` flag).
+  global-RNG drift) to a running simulation as plain observer callables
+  (the ``--verify`` flag).
 
 See ``docs/linting.md`` for the lint catalogue and ``docs/verifier.md``
 for the verifier rules and the determinism contract.

@@ -8,7 +8,8 @@ one-line description — the machine-readable form of the rule catalogue in
 both the library API and ``repro verify --disable`` use for suppression.
 
 Runtime sanitizers register with ``fn=None``: they appear in the catalogue
-(and honour enable/disable) but fire from hooks, not from a lint pass.
+(and honour enable/disable) but fire from observers of a running
+simulation, through :meth:`RuleRegistry.emit`, not from a lint pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.analysis.findings import SEVERITIES, Finding, Report
 
 #: Rule categories, i.e. which lint pass owns the rule.  ``verify`` rules
 #: are the deep whole-graph pass (``repro verify``); ``runtime`` rules are
-#: sanitizers and race detectors that fire from hooks.
+#: sanitizers and race detectors that fire while a simulation runs.
 CATEGORIES = ("trace", "config", "spec", "plan", "verify", "runtime")
 
 #: The complete rule catalogue, series prefix -> number of rules.  Every
@@ -237,15 +238,17 @@ class RuleRegistry:
 
     # -- execution -----------------------------------------------------
     def emit(self, report: Report, id_or_name: str, message: str,
-             location: str = "") -> Report:
+             location: str = "", **detail: object) -> Report:
         """Add one hand-built finding of a rule to *report*.
 
         For checks made outside :meth:`run_category` — unreadable files,
-        inputs that do not deserialize, graphs that cannot be built.  A
-        disabled rule emits nothing, exactly as under a lint pass.
+        inputs that do not deserialize, graphs that cannot be built, and
+        the runtime checks.  A disabled rule emits nothing, exactly as
+        under a lint pass.
         """
         if self.is_enabled(id_or_name):
-            Emitter(self.get(id_or_name), report)(message, location)
+            Emitter(self.get(id_or_name), report)(message, location,
+                                                  **detail)
         return report
 
     def run_category(self, category: str, subject: object,

@@ -1,5 +1,6 @@
-"""Runtime sanitizers (``SZ``-series): invariant checkers wired through
-the engine's dispatch observers and the simulators' hook positions.
+"""Runtime sanitizers (``SZ``-series): invariant checkers that observe a
+running simulation through the engine's dispatch observers and the flow
+network's reallocation and warning observers.
 
 Where the static lint passes reject bad *inputs*, sanitizers watch the
 simulation *while it runs* for invariants whose violation silently
@@ -9,14 +10,13 @@ corrupts results:
   across dispatched events and steps (an engine dispatch observer);
 * :class:`LinkCapacitySanitizer` — after every bandwidth reallocation the
   flow rates crossing each directed link must not exceed its capacity
-  (hooked on :class:`~repro.network.flow.FlowNetwork`);
+  (a reallocation observer of :class:`~repro.network.flow.FlowNetwork`);
 * :class:`HeapLeakSanitizer` — after the run loop drains, no live events
   may remain queued and the cancelled-entry accounting must be consistent
   (a post-run check on the engine);
 * :class:`AllocatorWarningSanitizer` — the max-min allocator's
   numerical-safety edges (progressive filling stalling without freezing a
-  flow) must not pass silently (hooked on
-  :data:`~repro.network.flow.HOOK_FLOW_WARNING`);
+  flow) must not pass silently (a warning observer of the network);
 * :class:`PathCapacitySanitizer` — every allocated flow must ride a
   route that exists in the topology, and its rate must not exceed the
   route's bottleneck capacity (path-capacity conservation — the
@@ -29,13 +29,15 @@ detectors, through :class:`~repro.analysis.verifier.RuntimeSuite`.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import Any, List
 
-from repro.analysis.findings import Finding, Report
-from repro.analysis.registry import DEFAULT_REGISTRY, Rule
+import networkx as nx
+
+from repro.analysis.findings import Report
+from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
 from repro.engine.engine import Engine
-from repro.engine.hooks import HookCtx
-from repro.network.flow import HOOK_FLOW_REALLOC, HOOK_FLOW_WARNING
+from repro.network.flow import FlowView
 
 #: Per-sanitizer cap so a broken invariant doesn't flood the report.
 MAX_FINDINGS_PER_SANITIZER = 20
@@ -43,8 +45,9 @@ MAX_FINDINGS_PER_SANITIZER = 20
 #: progressive-filling arithmetic.
 REL_TOLERANCE = 1e-6
 
-# Runtime rules carry no lint function: they fire from hooks.  Registering
-# them keeps the catalogue complete and lets ``--disable`` suppress them.
+# Runtime rules carry no lint function: they fire from observers and
+# post-run checks.  Registering them keeps the catalogue complete and lets
+# ``--disable`` suppress them.
 DEFAULT_REGISTRY.register(Rule(
     id="SZ001", name="time-monotonic", category="runtime", severity="error",
     description="Virtual time must be non-decreasing across dispatched "
@@ -82,52 +85,66 @@ DEFAULT_REGISTRY.register(Rule(
 ))
 
 
-def _emit(report: Report, rule_id: str, message: str, location: str = "",
-          **detail: object) -> None:
-    rule = DEFAULT_REGISTRY.get(rule_id)
-    report.add(Finding(rule=rule.id, name=rule.name, severity=rule.severity,
-                       message=message, location=location, detail=detail))
+class RuntimeCheck:
+    """Base of the runtime tier's checks: each emits its findings into
+    one report through a rule registry, at most :attr:`limit` of them."""
+
+    #: Findings one check may emit before it falls silent.
+    limit: float = MAX_FINDINGS_PER_SANITIZER
+
+    def __init__(self, report: Report,
+                 registry: RuleRegistry = DEFAULT_REGISTRY):
+        self.report = report
+        self.registry = registry
+        self._fired = 0
+
+    def _emit(self, rule_id: str, message: str, location: str = "",
+              **detail: object) -> None:
+        if self._fired < self.limit:
+            self._fired += 1
+            self.registry.emit(self.report, rule_id, message, location,
+                               **detail)
 
 
-class TimeMonotonicSanitizer:
+class TimeMonotonicSanitizer(RuntimeCheck):
     """Dispatch observer asserting the engine clock never moves backwards."""
 
-    def __init__(self, report: Report):
-        self.report = report
+    def __init__(self, report: Report,
+                 registry: RuleRegistry = DEFAULT_REGISTRY):
+        super().__init__(report, registry)
         self._last = float("-inf")
-        self._fired = 0
 
     def observe(self, time: float, seq: int, event: object) -> None:
         if time >= self._last:
             self._last = time
-        elif self._fired < MAX_FINDINGS_PER_SANITIZER:
-            self._fired += 1
-            _emit(self.report, "SZ001",
-                  f"virtual time moved backwards: {time!r} after "
-                  f"{self._last!r} (event seq {seq})",
-                  location=f"t={time:g}", time=time, previous=self._last,
-                  seq=seq)
+        else:
+            self._emit("SZ001",
+                       f"virtual time moved backwards: {time!r} after "
+                       f"{self._last!r} (event seq {seq})",
+                       location=f"t={time:g}", time=time,
+                       previous=self._last, seq=seq)
 
 
-class LinkCapacitySanitizer:
-    """Hook asserting max-min allocation conserves link capacity.
+class LinkCapacitySanitizer(RuntimeCheck):
+    """Reallocation observer asserting max-min allocation conserves link
+    capacity.
 
-    Fires on :data:`~repro.network.flow.HOOK_FLOW_REALLOC`: sums the
-    allocated rate of every flow crossing each directed edge and compares
-    against the edge bandwidth (with a relative tolerance for the
-    allocator's progressive-filling arithmetic).
+    After every reallocation of a :class:`~repro.network.flow.FlowNetwork`
+    it sums the allocated rate of every flow crossing each directed edge
+    and compares against the edge bandwidth of *topology* (with a
+    relative tolerance for the allocator's progressive-filling
+    arithmetic).
     """
 
-    def __init__(self, report: Report):
-        self.report = report
-        self._fired = 0
+    def __init__(self, report: Report, topology: nx.Graph,
+                 registry: RuleRegistry = DEFAULT_REGISTRY):
+        super().__init__(report, registry)
+        self.topology = topology
 
-    def func(self, ctx: HookCtx) -> None:
-        if ctx.pos != HOOK_FLOW_REALLOC:
-            return
-        topology = ctx.detail["topology"]
+    def observe(self, time: float, flows: List[FlowView]) -> None:
+        topology = self.topology
         loads = {}
-        for flow in ctx.item:
+        for flow in flows:
             if flow.rate <= 0.0:
                 continue
             for edge in flow.route:
@@ -137,45 +154,41 @@ class LinkCapacitySanitizer:
                 continue  # a link the topology lacks is SZ006's finding
             capacity = topology[u][v]["bandwidth"]
             if load > capacity * (1.0 + REL_TOLERANCE) + 1e-3:
-                if self._fired < MAX_FINDINGS_PER_SANITIZER:
-                    self._fired += 1
-                    _emit(self.report, "SZ002",
-                          f"link {u}->{v} allocated {load:.6g} B/s over a "
-                          f"{capacity:.6g} B/s capacity at t={ctx.time:g}",
-                          location=f"edge {u}-{v}",
-                          load=load, capacity=capacity, time=ctx.time)
+                self._emit("SZ002",
+                           f"link {u}->{v} allocated {load:.6g} B/s over a "
+                           f"{capacity:.6g} B/s capacity at t={time:g}",
+                           location=f"edge {u}-{v}",
+                           load=load, capacity=capacity, time=time)
 
 
-class PathCapacitySanitizer:
-    """Hook asserting per-flow path-capacity conservation.
+class PathCapacitySanitizer(RuntimeCheck):
+    """Reallocation observer asserting per-flow path-capacity
+    conservation.
 
-    Fires on :data:`~repro.network.flow.HOOK_FLOW_REALLOC`: every solved
-    flow's route must consist of edges present in the topology (a
-    strategy returning a stale or fabricated path would corrupt the
-    allocator's incidence index), and the flow's allocated rate must not
-    exceed the smallest link capacity along its route — max-min fairness
-    can never hand one flow more than its path's bottleneck.
+    Every solved flow's route must consist of edges present in
+    *topology* (a strategy returning a stale or fabricated path would
+    corrupt the allocator's incidence index), and the flow's allocated
+    rate must not exceed the smallest link capacity along its route —
+    max-min fairness can never hand one flow more than its path's
+    bottleneck.
     """
 
-    def __init__(self, report: Report):
-        self.report = report
-        self._fired = 0
+    def __init__(self, report: Report, topology: nx.Graph,
+                 registry: RuleRegistry = DEFAULT_REGISTRY):
+        super().__init__(report, registry)
+        self.topology = topology
 
-    def func(self, ctx: HookCtx) -> None:
-        if ctx.pos != HOOK_FLOW_REALLOC:
-            return
-        topology = ctx.detail["topology"]
-        for flow in ctx.item:
+    def observe(self, time: float, flows: List[FlowView]) -> None:
+        topology = self.topology
+        for flow in flows:
             bottleneck = None
             for u, v in flow.route:
                 if not topology.has_edge(u, v):
-                    if self._fired < MAX_FINDINGS_PER_SANITIZER:
-                        self._fired += 1
-                        _emit(self.report, "SZ006",
-                              f"flow {flow.src}->{flow.dst} routed over "
-                              f"{u}->{v}, which is not a topology edge",
-                              location=f"edge {u}-{v}",
-                              src=flow.src, dst=flow.dst, time=ctx.time)
+                    self._emit("SZ006",
+                               f"flow {flow.src}->{flow.dst} routed over "
+                               f"{u}->{v}, which is not a topology edge",
+                               location=f"edge {u}-{v}",
+                               src=flow.src, dst=flow.dst, time=time)
                     bottleneck = None
                     break
                 capacity = topology[u][v]["bandwidth"]
@@ -184,64 +197,50 @@ class PathCapacitySanitizer:
             if bottleneck is None or flow.rate <= 0.0:
                 continue
             if flow.rate > bottleneck * (1.0 + REL_TOLERANCE) + 1e-3:
-                if self._fired < MAX_FINDINGS_PER_SANITIZER:
-                    self._fired += 1
-                    _emit(self.report, "SZ006",
-                          f"flow {flow.src}->{flow.dst} allocated "
-                          f"{flow.rate:.6g} B/s over a path with "
-                          f"{bottleneck:.6g} B/s bottleneck at "
-                          f"t={ctx.time:g}",
-                          location=f"{flow.src}->{flow.dst}",
-                          rate=flow.rate, bottleneck=bottleneck,
-                          time=ctx.time)
+                self._emit("SZ006",
+                           f"flow {flow.src}->{flow.dst} allocated "
+                           f"{flow.rate:.6g} B/s over a path with "
+                           f"{bottleneck:.6g} B/s bottleneck at t={time:g}",
+                           location=f"{flow.src}->{flow.dst}",
+                           rate=flow.rate, bottleneck=bottleneck, time=time)
 
 
-class AllocatorWarningSanitizer:
-    """Hook surfacing the allocator's numerical-safety warnings.
+class AllocatorWarningSanitizer(RuntimeCheck):
+    """Warning observer surfacing the allocator's numerical-safety
+    warnings.
 
-    :class:`~repro.network.flow.FlowNetwork` fires
-    :data:`~repro.network.flow.HOOK_FLOW_WARNING` when progressive filling
-    breaks out of its loop without converging (the branch that used to be
-    a silent ``break``).  Each warning becomes an SZ004 finding carrying
-    the allocator's own message and detail.
+    :class:`~repro.network.flow.FlowNetwork` calls its warning observers
+    when progressive filling breaks out of its loop without converging
+    (the branch that used to be a silent ``break``).  Each warning
+    becomes an SZ004 finding carrying the allocator's own message and
+    detail.
     """
 
-    def __init__(self, report: Report):
-        self.report = report
-        self._fired = 0
-
-    def func(self, ctx: HookCtx) -> None:
-        if ctx.pos != HOOK_FLOW_WARNING:
-            return
-        if self._fired < MAX_FINDINGS_PER_SANITIZER:
-            self._fired += 1
-            _emit(self.report, "SZ004",
-                  f"{ctx.item} at t={ctx.time:g}",
-                  location="allocator", time=ctx.time, **ctx.detail)
+    def observe(self, time: float, message: str, detail: dict) -> None:
+        self._emit("SZ004", f"{message} at t={time:g}",
+                   location="allocator", time=time, **detail)
 
 
-class HeapLeakSanitizer:
+class HeapLeakSanitizer(RuntimeCheck):
     """Post-run check for events stranded in (or leaked from) the heap."""
-
-    def __init__(self, report: Report):
-        self.report = report
 
     def check(self, engine: Engine) -> None:
         pending = engine.pending_events
         if pending > 0:
-            _emit(self.report, "SZ003",
-                  f"{pending} live event(s) still queued after the run "
-                  "loop drained — a handler leaked scheduled work",
-                  location="engine", pending=pending)
+            self._emit("SZ003",
+                       f"{pending} live event(s) still queued after the "
+                       "run loop drained — a handler leaked scheduled work",
+                       location="engine", pending=pending)
         if engine._cancelled < 0 or engine._cancelled > len(engine._queue):
-            _emit(self.report, "SZ003",
-                  f"cancelled-event accounting out of range: "
-                  f"{engine._cancelled} cancelled vs {len(engine._queue)} "
-                  "queued entries", location="engine",
-                  cancelled=engine._cancelled, queued=len(engine._queue))
+            self._emit("SZ003",
+                       f"cancelled-event accounting out of range: "
+                       f"{engine._cancelled} cancelled vs "
+                       f"{len(engine._queue)} queued entries",
+                       location="engine", cancelled=engine._cancelled,
+                       queued=len(engine._queue))
 
 
-class RestartConsistencySanitizer:
+class RestartConsistencySanitizer(RuntimeCheck):
     """Post-run check that fault injection left a consistent simulation.
 
     A checkpoint-restart cycle that strands a flow, leaves a link
@@ -250,22 +249,21 @@ class RestartConsistencySanitizer:
     finding.  Runs only when a fault injector was attached.
     """
 
-    def __init__(self, report: Report):
-        self.report = report
+    limit = math.inf
 
     def check(self, injector: Any, sim: Any = None,
               network: Any = None) -> None:
         for message in injector.consistency_errors():
-            _emit(self.report, "SZ005", message, location="injector")
+            self._emit("SZ005", message, location="injector")
         if sim is not None and sim.unfinished_tasks:
-            _emit(self.report, "SZ005",
-                  f"{sim.unfinished_tasks} task(s) never finished after "
-                  "fault recovery", location="taskgraph",
-                  unfinished=sim.unfinished_tasks)
+            self._emit("SZ005",
+                       f"{sim.unfinished_tasks} task(s) never finished "
+                       "after fault recovery", location="taskgraph",
+                       unfinished=sim.unfinished_tasks)
         if network is not None:
             active = getattr(network, "active_flows", 0)
             if active:
-                _emit(self.report, "SZ005",
-                      f"{active} flow(s) still active after the run — a "
-                      "stall or restart stranded them", location="network",
-                      active=active)
+                self._emit("SZ005",
+                           f"{active} flow(s) still active after the run "
+                           "— a stall or restart stranded them",
+                           location="network", active=active)

@@ -3,10 +3,11 @@
 Tier A (static): the ``DV`` rules verify an extrapolation plan as a
 whole — malformed tasks and dependencies, mismatched collectives and
 memory-infeasible schedules — before it is instanced and a single event
-is dispatched.  Tier B (dynamic): the ``RC`` detectors ride the
-engine/hook fast paths during a run and certify the determinism
-contract (stable tie-breaking, happens-before consistency, no global
-RNG draws), beside the ``SZ`` sanitizers' physical invariants.
+is dispatched.  Tier B (dynamic): the ``RC`` detectors watch a run (its
+dispatches, its finished task table, the global RNG states) and certify
+the determinism contract (stable tie-breaking, happens-before
+consistency, no global RNG draws), beside the ``SZ`` sanitizers'
+physical invariants.
 
 Entry points: :func:`verify_path` (the ``repro verify`` CLI),
 :func:`verify_plan` (the one deep check, which ``TrioSim(verify=True)``

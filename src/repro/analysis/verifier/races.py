@@ -42,7 +42,7 @@ the same registry, so ``--disable`` and the catalogue work unchanged.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.analysis.findings import Report
 from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
@@ -52,22 +52,20 @@ from repro.analysis.sanitizers import (
     LinkCapacitySanitizer,
     PathCapacitySanitizer,
     RestartConsistencySanitizer,
+    RuntimeCheck,
     TimeMonotonicSanitizer,
-    _emit,
 )
-from repro.engine.engine import Engine, Observer
+from repro.engine.engine import Engine
 from repro.network.flow import FlowNetwork
 
 if TYPE_CHECKING:
     from repro.core.taskgraph import TaskStore
 
-#: Per-detector cap so a broken invariant doesn't flood the report.
-MAX_FINDINGS_PER_DETECTOR = 20
-
 #: Mask keeping the order digest a stable 64-bit value.
 _DIGEST_MASK = (1 << 64) - 1
 
-# Runtime rules carry no lint function: they fire from hooks/observers.
+# Runtime rules carry no lint function: they fire from observers and
+# post-run checks.
 DEFAULT_REGISTRY.register(Rule(
     id="RC001", name="tie-order-race", category="runtime", severity="error",
     description="Same-timestamp events must pop in insertion order: heap "
@@ -90,15 +88,15 @@ DEFAULT_REGISTRY.register(Rule(
 ))
 
 
-class TieOrderDetector:
+class TieOrderDetector(RuntimeCheck):
     """Engine dispatch observer enforcing deterministic tie-breaking."""
 
-    def __init__(self, report: Report):
-        self.report = report
+    def __init__(self, report: Report,
+                 registry: RuleRegistry = DEFAULT_REGISTRY):
+        super().__init__(report, registry)
         self.digest = 0
         self._last_time = float("-inf")
         self._last_seq = -1
-        self._fired = 0
 
     def observe(self, time: float, seq: int, event: object) -> None:
         self.digest = ((self.digest * 1000003) ^ hash((time, seq))) \
@@ -120,25 +118,19 @@ class TieOrderDetector:
         self._last_seq = seq
 
     def _fire(self, time: float, seq: int, other: int, why: str) -> None:
-        if self._fired < MAX_FINDINGS_PER_DETECTOR:
-            self._fired += 1
-            _emit(self.report, "RC001",
-                  f"t={time:g} tie group: event seq {seq} {why} "
-                  f"(previous/stamped seq {other}) — same-timestamp pop "
-                  "order is not reproducible",
-                  location=f"t={time:g}", time=time, seq=seq, other=other)
+        self._emit("RC001",
+                   f"t={time:g} tie group: event seq {seq} {why} "
+                   f"(previous/stamped seq {other}) — same-timestamp pop "
+                   "order is not reproducible",
+                   location=f"t={time:g}", time=time, seq=seq, other=other)
 
 
-class HappensBeforeDetector:
+class HappensBeforeDetector(RuntimeCheck):
     """Post-run check that the finished task table extends the DAG
     order."""
 
-    def __init__(self, report: Report):
-        self.report = report
-
     def check(self, store: "TaskStore") -> None:
         start, name = store.start, store.name
-        fired = 0
         for dep, finished in enumerate(store.end):
             if finished is None:
                 continue
@@ -146,24 +138,24 @@ class HappensBeforeDetector:
                 started = start[rid]
                 if started is None or started >= finished:
                     continue
-                fired += 1
-                if fired > MAX_FINDINGS_PER_DETECTOR:
+                if self._fired >= self.limit:
                     return
-                _emit(self.report, "RC002",
-                      f"task {name[rid]!r} started at t={started:g} before "
-                      f"its dependency {name[dep]!r} finished at "
-                      f"t={finished:g} — the executed order is not a "
-                      "linear extension of the task graph",
-                      location=f"task[{rid}]", task=name[rid],
-                      dependency=name[dep], started=started,
-                      finished=finished)
+                self._emit("RC002",
+                           f"task {name[rid]!r} started at t={started:g} "
+                           f"before its dependency {name[dep]!r} finished "
+                           f"at t={finished:g} — the executed order is not "
+                           "a linear extension of the task graph",
+                           location=f"task[{rid}]", task=name[rid],
+                           dependency=name[dep], started=started,
+                           finished=finished)
 
 
-class RngDriftDetector:
+class RngDriftDetector(RuntimeCheck):
     """Snapshot/compare of the process-global RNG states."""
 
-    def __init__(self, report: Report):
-        self.report = report
+    def __init__(self, report: Report,
+                 registry: RuleRegistry = DEFAULT_REGISTRY):
+        super().__init__(report, registry)
         self._random_state: Optional[object] = None
         self._numpy_digest: Optional[str] = None
 
@@ -183,17 +175,17 @@ class RngDriftDetector:
     def compare(self) -> None:
         if self._random_state is not None \
                 and random.getstate() != self._random_state:
-            _emit(self.report, "RC003",
-                  "the process-global random.Random state changed during "
-                  "the simulation — a callback draws from the unseeded "
-                  "global generator, so results depend on import order "
-                  "and host entropy", location="random")
+            self._emit("RC003",
+                       "the process-global random.Random state changed "
+                       "during the simulation — a callback draws from the "
+                       "unseeded global generator, so results depend on "
+                       "import order and host entropy", location="random")
         if self._numpy_digest is not None \
                 and self._numpy_state_digest() != self._numpy_digest:
-            _emit(self.report, "RC003",
-                  "the process-global numpy.random state changed during "
-                  "the simulation — a callback draws from the unseeded "
-                  "global generator", location="numpy.random")
+            self._emit("RC003",
+                       "the process-global numpy.random state changed "
+                       "during the simulation — a callback draws from the "
+                       "unseeded global generator", location="numpy.random")
 
 
 class RuntimeSuite:
@@ -208,7 +200,9 @@ class RuntimeSuite:
         suite.order_digest  # equal across identical runs
 
     The engine-side checks (SZ001, RC001) are dispatch observers of the
-    one run loop (:meth:`~repro.engine.engine.Engine.add_observer`), so a
+    one run loop (:meth:`~repro.engine.engine.Engine.add_observer`), and
+    the network-side checks (SZ002, SZ004, SZ006) are plain callables on
+    the flow network's reallocation and warning observer lists, so a
     verified run dispatches exactly as an unverified one.  Every piece
     is optional; a check whose subject was not attached, or whose rule
     the registry disables, is skipped.
@@ -225,35 +219,47 @@ class RuntimeSuite:
         self._injector: Any = None
         self._sim: Any = None
         self._tie: Optional[TieOrderDetector] = None
-        self._observers: List[Observer] = []
         self._rng: Optional[RngDriftDetector] = None
-        self._hooks: List[Tuple[Any, Any]] = []
+        #: ``(remove, observer)`` pairs :meth:`finalize` undoes.
+        self._attached: List[Tuple[Callable, Callable]] = []
+
+    def _watch(self, add: Callable, remove: Callable,
+               observer: Callable) -> None:
+        add(observer)
+        self._attached.append((remove, observer))
 
     def attach(self, engine: Optional[Engine] = None, network: Any = None,
                injector: Any = None, sim: Any = None) -> "RuntimeSuite":
         enabled = self.registry.is_enabled
-        report = self.report
+        report, registry = self.report, self.registry
         self._engine, self._network = engine, network
         self._injector, self._sim = injector, sim
         if engine is not None:
             if enabled("RC001"):
-                self._tie = TieOrderDetector(report)
-                self._observers.append(self._tie.observe)
+                self._tie = TieOrderDetector(report, registry)
+                self._watch(engine.add_observer, engine.remove_observer,
+                            self._tie.observe)
             if enabled("SZ001"):
-                self._observers.append(
-                    TimeMonotonicSanitizer(report).observe)
-            for observer in self._observers:
-                engine.add_observer(observer)
+                self._watch(engine.add_observer, engine.remove_observer,
+                            TimeMonotonicSanitizer(report, registry).observe)
         if isinstance(network, FlowNetwork):
-            for rule_id, sanitizer in (("SZ002", LinkCapacitySanitizer),
-                                       ("SZ004", AllocatorWarningSanitizer),
-                                       ("SZ006", PathCapacitySanitizer)):
-                if enabled(rule_id):
-                    self._hooks.append((network, sanitizer(report)))
-        for hookable, hook in self._hooks:
-            hookable.accept_hook(hook)
+            realloc, warning = (network.realloc_observers,
+                                network.warning_observers)
+            topology = network.topology
+            if enabled("SZ002"):
+                self._watch(realloc.append, realloc.remove,
+                            LinkCapacitySanitizer(report, topology,
+                                                  registry).observe)
+            if enabled("SZ004"):
+                self._watch(warning.append, warning.remove,
+                            AllocatorWarningSanitizer(report,
+                                                      registry).observe)
+            if enabled("SZ006"):
+                self._watch(realloc.append, realloc.remove,
+                            PathCapacitySanitizer(report, topology,
+                                                  registry).observe)
         if enabled("RC003"):
-            self._rng = RngDriftDetector(report)
+            self._rng = RngDriftDetector(report, registry)
             self._rng.snapshot()
         return self
 
@@ -261,12 +267,13 @@ class RuntimeSuite:
         """Run the post-run checks and detach everything; returns the
         report."""
         enabled = self.registry.is_enabled
+        report, registry = self.report, self.registry
         if self._engine is not None and enabled("SZ003"):
-            HeapLeakSanitizer(self.report).check(self._engine)
+            HeapLeakSanitizer(report, registry).check(self._engine)
         if self._sim is not None and enabled("RC002"):
-            HappensBeforeDetector(self.report).check(self._sim.store)
+            HappensBeforeDetector(report, registry).check(self._sim.store)
         if self._injector is not None and enabled("SZ005"):
-            RestartConsistencySanitizer(self.report).check(
+            RestartConsistencySanitizer(report, registry).check(
                 self._injector, sim=self._sim, network=self._network)
         if self._rng is not None:
             self._rng.compare()
@@ -274,12 +281,8 @@ class RuntimeSuite:
         if self._tie is not None:
             self.order_digest = self._tie.digest
             self._tie = None
-        if self._engine is not None:
-            for observer in self._observers:
-                self._engine.remove_observer(observer)
-        self._observers.clear()
-        for hookable, hook in self._hooks:
-            hookable.remove_hook(hook)
-        self._hooks.clear()
+        for remove, observer in self._attached:
+            remove(observer)
+        self._attached.clear()
         self._engine = self._network = self._injector = self._sim = None
         return self.report

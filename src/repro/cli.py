@@ -314,27 +314,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-class _SweepProgress:
-    """Hook printing one line per completed sweep point."""
-
-    def func(self, ctx) -> None:
-        if ctx.pos != "sweep_point":
-            return
-        outcome = ctx.item
-        d = ctx.detail
-        if outcome.ok:
-            status = f"total {outcome.result.total_time * 1e3:9.2f} ms"
-            if outcome.cached:
-                status += "  (cached)"
-        else:
-            status = f"ERROR {outcome.error.kind}: {outcome.error.message}"
-        if outcome.resumed:
-            status += "  (resumed)"
-        label = outcome.label or f"point {outcome.index}"
-        eta = d["eta_seconds"]
-        eta_text = (f"  eta {eta:5.1f}s"
-                    if eta is not None and d["completed"] < d["total"] else "")
-        print(f"[{d['completed']}/{d['total']}] {label:<40} {status}{eta_text}")
+def _print_sweep_progress(outcome, d: dict) -> None:
+    """Sweep point observer printing one line per completed point."""
+    if outcome.ok:
+        status = f"total {outcome.result.total_time * 1e3:9.2f} ms"
+        if outcome.cached:
+            status += "  (cached)"
+    else:
+        status = f"ERROR {outcome.error.kind}: {outcome.error.message}"
+    if outcome.resumed:
+        status += "  (resumed)"
+    label = outcome.label or f"point {outcome.index}"
+    eta = d["eta_seconds"]
+    eta_text = (f"  eta {eta:5.1f}s"
+                if eta is not None and d["completed"] < d["total"] else "")
+    print(f"[{d['completed']}/{d['total']}] {label:<40} {status}{eta_text}")
 
 
 def _cmd_sweep(args) -> int:
@@ -370,7 +364,7 @@ def _cmd_sweep(args) -> int:
     runner = SweepRunner(
         max_workers=args.workers if args.workers is not None else spec.workers,
         cache=args.cache if args.cache is not None else spec.cache_dir,
-        hooks=(_SweepProgress(),),
+        observers=(_print_sweep_progress,),
         verify=args.verify,
         plan_cache=not args.no_plan_cache,
         deadline_soft=(args.deadline_soft if args.deadline_soft is not None

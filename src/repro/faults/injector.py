@@ -1,6 +1,6 @@
 """The fault injector: replays a :class:`FaultSpec` against a live run.
 
-The injector is a client of the existing engine/hook machinery — it owns
+The injector is a client of the existing engine and network — it owns
 no simulation state of its own.  Installed before :meth:`Engine.run`, it
 
 * registers a runtime scale callback

@@ -56,7 +56,6 @@ import networkx as nx
 
 from repro.engine.engine import Engine
 from repro.engine.events import Event
-from repro.engine.hooks import HookCtx, Hookable
 from repro.network.base import Transfer
 from repro.network.maxmin import _RATE_EPS, EdgeIds, maxmin_rates
 from repro.network.routing import (
@@ -64,19 +63,6 @@ from repro.network.routing import (
     ShortestPathRouting,
     get_routing_strategy,
 )
-
-#: Hook positions for observers.
-#: Fired after every bandwidth reallocation with the solved flows (as
-#: :class:`FlowView` records) and the topology in the detail — the
-#: link-capacity sanitizer's feed.  The list holds the re-solved
-#: contention component(s); component closure guarantees every user of
-#: every link those flows touch is present, so per-link rate sums stay
-#: complete.
-HOOK_FLOW_REALLOC = "flow_realloc"
-#: Fired when the allocator hits a numerical-safety edge (e.g. progressive
-#: filling failing to freeze any flow).  ``item`` is the warning message;
-#: the SZ004 sanitizer turns these into report findings.
-HOOK_FLOW_WARNING = "flow_warning"
 
 DirectedEdge = Tuple[str, str]
 
@@ -90,11 +76,11 @@ class RoutingError(ValueError):
 
 
 class FlowView(NamedTuple):
-    """Read-only snapshot of one flow, built for hook payloads only.
+    """Read-only snapshot of one flow, built for observers only.
 
     ``route`` is the flow's directed edge list (empty for local and
     zero-byte transfers) and ``rate`` its allocated bytes/s at the
-    moment the hook fires.
+    moment the observer is called.
     """
 
     transfer: Transfer
@@ -110,7 +96,20 @@ class FlowView(NamedTuple):
         return self.transfer.dst
 
 
-class FlowNetwork(Hookable):
+#: Called as ``observer(time, flows)`` after every bandwidth
+#: reallocation, with the solved flows as :class:`FlowView` records —
+#: the link- and path-capacity sanitizers' feed.  The list holds the
+#: re-solved contention component(s); component closure guarantees every
+#: user of every link those flows touch is present, so per-link rate sums
+#: stay complete.
+ReallocObserver = Callable[[float, List[FlowView]], None]
+#: Called as ``observer(time, message, detail)`` when the allocator hits
+#: a numerical-safety edge (e.g. progressive filling failing to freeze
+#: any flow); the SZ004 sanitizer turns these into report findings.
+WarningObserver = Callable[[float, str, dict], None]
+
+
+class FlowNetwork:
     """Max-min fair flow network over an annotated topology graph.
 
     Parameters
@@ -130,6 +129,10 @@ class FlowNetwork(Hookable):
     routing_seed:
         Seed passed to the strategy when *routing* is given by name;
         ignored when *routing* is already an instance.
+
+    Observers are plain callables appended to :attr:`realloc_observers`
+    and :attr:`warning_observers`; with both lists empty the network
+    builds no :class:`FlowView` and calls nothing.
     """
 
     #: Deterministic cap on enumerated equal-cost paths per pair.  Clos
@@ -141,7 +144,6 @@ class FlowNetwork(Hookable):
     def __init__(self, engine: Engine, topology: nx.Graph,
                  routing: Optional[Union[str, RoutingStrategy]] = None,
                  routing_seed: int = 0):
-        super().__init__()
         self.engine = engine
         self.topology = topology
         if isinstance(routing, str):
@@ -216,6 +218,8 @@ class FlowNetwork(Hookable):
         self.fastpath_hits = 0
         #: Numerical-safety warnings emitted by the allocator.
         self.allocator_warnings = 0
+        self.realloc_observers: List[ReallocObserver] = []
+        self.warning_observers: List[WarningObserver] = []
 
     # ------------------------------------------------------------------
     # Interning
@@ -476,7 +480,7 @@ class FlowNetwork(Hookable):
                 for eid in edges:
                     carrier[eid] = slot
                 self._idle.add(slot)
-                if self._hooks:
+                if self.realloc_observers:
                     self._report([slot])
             else:
                 self._rate[slot] = 0.0
@@ -708,7 +712,7 @@ class FlowNetwork(Hookable):
                  solved: List[Tuple[List[int], Sequence[float]]]) -> None:
         """Install each ``(slot, rate)`` of *changed*: settle progress at
         the old rate, set the new one and reschedule the delivery, then
-        report every flow of *solved* to the reallocation hook."""
+        report every flow of *solved* to the reallocation observers."""
         engine = self.engine
         now = engine._now
         rate = self._rate
@@ -747,16 +751,15 @@ class FlowNetwork(Hookable):
         if pending:
             self.reschedules += len(pending)
             engine.schedule_bulk(pending)
-        if self._hooks:
+        if self.realloc_observers:
             self._report([slot for members, _ in solved for slot in members])
 
     def _report(self, slots: List[int]) -> None:
-        """Fire the reallocation hook with the rates of *slots*."""
-        self.invoke_hooks(HookCtx(
-            HOOK_FLOW_REALLOC, self.engine._now,
-            [self._view(slot) for slot in slots],
-            detail={"topology": self.topology},
-        ))
+        """Call the reallocation observers with the rates of *slots*."""
+        now = self.engine._now
+        flows = [self._view(slot) for slot in slots]
+        for observer in self.realloc_observers:
+            observer(now, flows)
 
     def _component(self, seed: int) -> List[int]:
         """The seed's contention component (BFS over per-edge users),
@@ -783,13 +786,11 @@ class FlowNetwork(Hookable):
                         self._route_list[self._route[slot]])
 
     def _warn_allocator(self, message: str, **detail) -> None:
-        """Surface an allocator numerical-safety edge through the hook
-        machinery (SZ004 picks these up) and count it."""
+        """Count an allocator numerical-safety edge and show it to the
+        warning observers (SZ004 picks these up)."""
         self.allocator_warnings += 1
-        if self._hooks:
-            self.invoke_hooks(HookCtx(
-                HOOK_FLOW_WARNING, self.engine.now, message, detail=detail,
-            ))
+        for observer in self.warning_observers:
+            observer(self.engine.now, message, detail)
 
     # ------------------------------------------------------------------
     # Step 4: delivery

@@ -16,7 +16,6 @@ from repro.service.journal import (
     sweep_fingerprint,
 )
 from repro.service.runner import (
-    HOOK_SWEEP_POINT,
     CircuitBreaker,
     PointState,
     SweepError,
@@ -29,7 +28,6 @@ from repro.service.spec import SweepSpec
 from repro.service.worker import PointSoftTimeoutError, PointTimeoutError
 
 __all__ = [
-    "HOOK_SWEEP_POINT",
     "CircuitBreaker",
     "JournalMismatchError",
     "JournalState",

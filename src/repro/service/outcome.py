@@ -4,7 +4,7 @@ the lifecycle states a point moves through on its way to an outcome.
 :class:`~repro.service.runner.SweepRunner` creates one
 :class:`SweepOutcome` per point and drives it through
 :class:`PointState`; every field here is plain data, safe to hand to
-hooks, the CLI, and JSON writers.
+observers, the CLI, and JSON writers.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ class SweepOutcome:
 
 @dataclass
 class SweepMetrics:
-    """Live counters surfaced through the progress hooks."""
+    """Live counters, shown to the runner's point observers as
+    :meth:`detail`."""
 
     total: int = 0
     completed: int = 0

@@ -21,15 +21,16 @@
   deadlines, both reported as ``PointTimeout``;
 * a dispatch circuit breaker (:mod:`repro.service.breaker`) that fails
   the rest of a crash/timeout storm fast as ``CircuitOpen``;
-* ``sweep_point`` progress hooks (:mod:`repro.engine.hooks`) with
-  completed/total counts, cache hit-rate, events/sec and an ETA.
+* point observers, called once per finished point with its outcome and
+  the progress so far: completed/total counts, cache hit-rate,
+  events/sec and an ETA.
 
 ``docs/sweeps.md`` and ``docs/resilience.md`` describe each in full.
 
 Every point walks one explicit lifecycle (:class:`PointState`), and a
 single transition function, :meth:`SweepRunner._advance`, performs all
 of its bookkeeping: journal records, breaker feedback, per-point
-metrics, cache stores and ``sweep_point`` hooks.  The dispatch loops
+metrics, cache stores and point observers.  The dispatch loops
 only decide *which* transition happens next.
 
 Determinism: TrioSim is deterministic and every point is independent, so
@@ -58,7 +59,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.findings import Report
 from repro.analysis.linter import lint_config
@@ -67,7 +68,6 @@ from repro.core.config import SimulationConfig
 from repro.core.plan import ExtrapolationPlan, PlanCache
 from repro.core.results import SimulationResult
 from repro.core.simulator import TrioSim
-from repro.engine.hooks import HookCtx, Hookable
 from repro.extrapolator.optime import rescale
 from repro.service import worker as _worker
 from repro.service.breaker import CircuitBreaker
@@ -89,7 +89,6 @@ from repro.service.outcome import (
 from repro.trace.trace import Trace
 
 __all__ = [
-    "HOOK_SWEEP_POINT",
     "CircuitBreaker",
     "PointState",
     "SweepError",
@@ -99,8 +98,9 @@ __all__ = [
     "SweepRunner",
 ]
 
-#: Hook positions emitted by the runner.
-HOOK_SWEEP_POINT = "sweep_point"
+#: Called as ``observer(outcome, progress)`` each time a point reaches a
+#: terminal state; ``progress`` is :meth:`SweepMetrics.detail`.
+PointObserver = Callable[[SweepOutcome, dict], None]
 
 
 #: Legal lifecycle moves by source state: the listed targets, plus
@@ -143,7 +143,7 @@ class _Sweep:
     plans: Optional[Dict[str, ExtrapolationPlan]] = None
 
 
-class SweepRunner(Hookable):
+class SweepRunner:
     """Run many ``(trace, config)`` points fast, cached, and fault-tolerant.
 
     Parameters
@@ -184,8 +184,10 @@ class SweepRunner(Hookable):
         A :class:`CircuitBreaker`, ``True`` for one with defaults, or
         ``None`` (default) to dispatch unconditionally.  See the class
         docstring for trip/probe semantics.
-    hooks:
-        Observers registered for the runner's progress positions.
+    observers:
+        Callables run as ``observer(outcome, progress)`` each time a
+        point finishes (see :data:`PointObserver`); a value that is not
+        callable raises ``TypeError`` here, before anything runs.
     verify:
         Every config is checked against the config rules before any
         simulation is dispatched, always: a point with error findings
@@ -223,7 +225,7 @@ class SweepRunner(Hookable):
 
     def __init__(self, max_workers: Optional[int] = None,
                  cache: Union[ResultCache, str, Path, None] = None,
-                 hooks: Sequence = (),
+                 observers: Sequence[PointObserver] = (),
                  verify: bool = False,
                  plan_cache: bool = True,
                  deadline_soft: Optional[float] = None,
@@ -231,7 +233,11 @@ class SweepRunner(Hookable):
                  journal: Union[SweepJournal, str, Path, None] = None,
                  resume: bool = False,
                  breaker: Union[CircuitBreaker, bool, None] = None):
-        super().__init__()
+        for observer in observers:
+            if not callable(observer):
+                raise TypeError(f"sweep observer {observer!r} is not "
+                                "callable")
+        self.observers: List[PointObserver] = list(observers)
         self.max_workers = max_workers if max_workers is not None \
             else (os.cpu_count() or 1)
         self.cache = (ResultCache(cache)
@@ -253,8 +259,6 @@ class SweepRunner(Hookable):
         self.last_metrics: Optional[SweepMetrics] = None
         #: Resume admission findings (SV rules) from the latest run().
         self.last_resume_report = None
-        for hook in hooks:
-            self.accept_hook(hook)
 
     def _plan_step(self, sweep: _Sweep,
                    points: List[SweepOutcome]) -> List[SweepOutcome]:
@@ -551,10 +555,10 @@ class SweepRunner(Hookable):
                 journal.done(outcome.index, key, result.to_dict(),
                              cached=outcome.cached)
         metrics.elapsed = _wall.perf_counter() - sweep.started
-        self.invoke_hooks(
-            HookCtx(HOOK_SWEEP_POINT, 0.0, item=outcome,
-                    detail=metrics.detail())
-        )
+        if self.observers:
+            progress = metrics.detail()
+            for observer in self.observers:
+                observer(outcome, progress)
         return to
 
     def _reject(self, sweep: _Sweep, outcome: SweepOutcome,

@@ -21,13 +21,7 @@ from repro.analysis.sanitizers import RestartConsistencySanitizer
 from repro.core.plan import PlanBuilder
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.engine.engine import Engine
-from repro.engine.hooks import HookCtx
-from repro.network.flow import (
-    HOOK_FLOW_REALLOC,
-    HOOK_FLOW_WARNING,
-    FlowNetwork,
-    RoutingError,
-)
+from repro.network.flow import FlowNetwork, RoutingError
 from repro.network.routing import RoutingStrategy
 from repro.network.topology import build_topology
 from repro.service.runner import SweepRunner
@@ -82,11 +76,6 @@ class TestTimeMonotonic:
 
 class TestLinkCapacity:
     @staticmethod
-    def realloc_ctx(flows, topology, time=1.0):
-        return HookCtx(HOOK_FLOW_REALLOC, time, flows,
-                       detail={"topology": topology})
-
-    @staticmethod
     def flow(rate, route):
         return types.SimpleNamespace(rate=rate, route=route)
 
@@ -94,28 +83,50 @@ class TestLinkCapacity:
         g = nx.Graph()
         g.add_edge("gpu0", "gpu1", bandwidth=100.0, latency=0.0)
         report = Report()
-        sanitizer = LinkCapacitySanitizer(report)
+        sanitizer = LinkCapacitySanitizer(report, g)
         flows = [self.flow(50.0, [("gpu0", "gpu1")]),
                  self.flow(50.0, [("gpu0", "gpu1")])]
-        sanitizer.func(self.realloc_ctx(flows, g))
+        sanitizer.observe(1.0, flows)
         assert report.ok
 
     def test_fires_on_oversubscribed_link(self):
         g = nx.Graph()
         g.add_edge("gpu0", "gpu1", bandwidth=100.0, latency=0.0)
         report = Report()
-        sanitizer = LinkCapacitySanitizer(report)
+        sanitizer = LinkCapacitySanitizer(report, g)
         flows = [self.flow(80.0, [("gpu0", "gpu1")]),
                  self.flow(80.0, [("gpu0", "gpu1")])]
-        sanitizer.func(self.realloc_ctx(flows, g))
+        sanitizer.observe(1.0, flows)
         assert report.rule_ids() == ["SZ002"]
         assert "gpu0->gpu1" in report.findings[0].message
 
     def test_ignores_other_positions(self):
+        # Registered as a reallocation observer, the sanitizer never sees
+        # the network's allocator warnings.
+        engine = Engine()
+        g = build_topology("ring", 2, 1e9, 1e-6)
+        network = FlowNetwork(engine, g)
         report = Report()
-        sanitizer = LinkCapacitySanitizer(report)
-        sanitizer.func(HookCtx("flow_start", 0.0, None))
-        assert report.ok
+        network.realloc_observers.append(
+            LinkCapacitySanitizer(report, g).observe)
+        network._warn_allocator("synthetic stall", flows=1)
+        assert report.ok and network.allocator_warnings == 1
+
+    def test_fires_through_a_real_network(self):
+        # Seeded defect: the link is re-rated on the topology behind the
+        # network's back (not through set_link_capacity), so the
+        # allocator keeps sharing the stale capacity.
+        engine = Engine()
+        g = build_topology("ring", 2, 1e9, 1e-6)
+        network = FlowNetwork(engine, g)
+        suite = RuntimeSuite().attach(engine=engine, network=network)
+        network.send("gpu0", "gpu1", 1e6, lambda t: None)
+        g["gpu0"]["gpu1"]["bandwidth"] = 1e8
+        network.send("gpu0", "gpu1", 1e6, lambda t: None)
+        engine.run()
+        report = suite.finalize()
+        assert "SZ002" in report.rule_ids()
+        assert "gpu0->gpu1" in report.findings[0].message
 
     def test_real_network_respects_capacity(self):
         # Saturate one link with competing flows; max-min allocation must
@@ -124,7 +135,8 @@ class TestLinkCapacity:
         g = build_topology("ring", 4, 1e9, 1e-6)
         network = FlowNetwork(engine, g)
         report = Report()
-        network.accept_hook(LinkCapacitySanitizer(report))
+        network.realloc_observers.append(
+            LinkCapacitySanitizer(report, g).observe)
         done = []
         for i in range(4):
             network.send("gpu0", "gpu1", 1e6, lambda f: done.append(f))
@@ -137,9 +149,7 @@ class TestAllocatorWarning:
     def test_warning_hook_becomes_sz004_finding(self):
         report = Report()
         sanitizer = AllocatorWarningSanitizer(report)
-        sanitizer.func(HookCtx(HOOK_FLOW_WARNING, 2.5,
-                               "progressive filling stalled",
-                               detail={"flows": 3}))
+        sanitizer.observe(2.5, "progressive filling stalled", {"flows": 3})
         assert report.rule_ids() == ["SZ004"]
         finding = report.findings[0]
         assert "progressive filling stalled" in finding.message
@@ -148,10 +158,16 @@ class TestAllocatorWarning:
         assert not report.has_errors  # warnings never fail a run
 
     def test_ignores_other_positions(self):
-        report = Report()
-        sanitizer = AllocatorWarningSanitizer(report)
-        sanitizer.func(HookCtx(HOOK_FLOW_REALLOC, 0.0, []))
-        assert report.ok
+        # Attached as a warning observer, SZ004 stays silent through a
+        # run full of reallocations that raise no warning.
+        engine = Engine()
+        network = FlowNetwork(engine, build_topology("ring", 4, 1e9, 1e-6))
+        suite = RuntimeSuite().attach(engine=engine, network=network)
+        for _ in range(4):
+            network.send("gpu0", "gpu1", 1e6, lambda t: None)
+        engine.run()
+        assert network.reallocations > 0
+        assert suite.finalize().ok
 
     def test_findings_capped(self):
         from repro.analysis.sanitizers import MAX_FINDINGS_PER_SANITIZER
@@ -159,7 +175,7 @@ class TestAllocatorWarning:
         report = Report()
         sanitizer = AllocatorWarningSanitizer(report)
         for i in range(MAX_FINDINGS_PER_SANITIZER + 20):
-            sanitizer.func(HookCtx(HOOK_FLOW_WARNING, float(i), "stall"))
+            sanitizer.observe(float(i), "stall", {})
         assert len(report.findings) == MAX_FINDINGS_PER_SANITIZER
 
     def test_network_warning_reaches_attached_suite(self):
@@ -202,15 +218,13 @@ class TestHeapLeak:
 
 
 class _FlowLog:
-    """``HOOK_FLOW_REALLOC`` observer recording every reported flow."""
+    """Reallocation observer recording every reported flow."""
 
     def __init__(self):
         self.flows = []
 
-    def func(self, ctx):
-        if ctx.pos == HOOK_FLOW_REALLOC:
-            self.flows.extend((view.src, view.dst, view.rate)
-                              for view in ctx.item)
+    def __call__(self, time, flows):
+        self.flows.extend((view.src, view.dst, view.rate) for view in flows)
 
 
 class _FabricatingRouting(RoutingStrategy):
@@ -232,7 +246,7 @@ class TestIdleRouteFlows:
         engine = Engine()
         network = FlowNetwork(engine, build_topology("ring", 4, 1e9, 1e-6))
         log = _FlowLog()
-        network.accept_hook(log)
+        network.realloc_observers.append(log)
         network.send("gpu0", "gpu1", 1e6, lambda t: None)
         engine.run()
         assert engine.dispatched_events == 1
@@ -277,11 +291,14 @@ class TestSanitizerSuite:
         # and path-capacity (SZ006).  Happens-before (RC002) reads the
         # task table at finalize and attaches nothing.
         assert len(engine._observers) == 2
-        assert len(network._hooks) == 3
+        assert len(network.realloc_observers) == 2
+        assert len(network.warning_observers) == 1
         engine.run()
         report = suite.finalize()
         assert report.ok
-        assert engine._observers == [] and network._hooks == []
+        assert engine._observers == []
+        assert network.realloc_observers == []
+        assert network.warning_observers == []
         assert isinstance(suite.order_digest, int)
 
     def test_respects_disabled_rules(self):

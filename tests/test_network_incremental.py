@@ -535,7 +535,7 @@ class _SolverCalls:
 
 
 class _SingletonCheck:
-    """``HOOK_FLOW_REALLOC`` observer: every solved flow that shares no
+    """Reallocation observer: every solved flow that shares no
     link with the other solved flows is a component of its own (the
     payload is closed over link sharing), so the contention-free path
     set its rate — which must equal the scalar solver's rate for that
@@ -547,15 +547,13 @@ class _SingletonCheck:
         self.solver_calls = solver_calls
         self.singletons = 0
 
-    def func(self, ctx):
-        if ctx.pos != flow_mod.HOOK_FLOW_REALLOC:
-            return
+    def __call__(self, time, flows):
         users = {}
-        for view in ctx.item:
+        for view in flows:
             for edge in view.route:
                 users[edge] = users.get(edge, 0) + 1
         contended = 0
-        for view in ctx.item:
+        for view in flows:
             if any(users[edge] > 1 for edge in view.route):
                 contended += 1
                 continue
@@ -570,14 +568,13 @@ class _SingletonCheck:
 
 
 class _RateLog:
-    """``HOOK_FLOW_REALLOC`` observer recording every solved rate."""
+    """Reallocation observer recording every solved rate."""
 
     def __init__(self, rates):
         self.rates = rates
 
-    def func(self, ctx):
-        if ctx.pos == flow_mod.HOOK_FLOW_REALLOC:
-            self.rates.extend(view.rate for view in ctx.item)
+    def __call__(self, time, flows):
+        self.rates.extend(view.rate for view in flows)
 
 
 class TestContentionFreePath:
@@ -591,7 +588,7 @@ class TestContentionFreePath:
             net.set_link_capacity(u, v, topology[u][v]["bandwidth"] * factor)
         calls = _SolverCalls()
         check = _SingletonCheck(net, calls)
-        net.accept_hook(check)
+        net.realloc_observers.append(check)
         for src, dst in pairs:
             start = data.draw(st.floats(min_value=0.0, max_value=2.0,
                                         allow_nan=False))
@@ -613,9 +610,9 @@ class TestContentionFreePath:
         net = FlowNetwork(engine, mesh2d(1, 3, bandwidth=100.0,
                                          latency=0.0))
         check = _SingletonCheck(net, _SolverCalls())
-        net.accept_hook(check)
+        net.realloc_observers.append(check)
         rates = []
-        net.accept_hook(_RateLog(rates))
+        net.realloc_observers.append(_RateLog(rates))
         done = {}
 
         def send(key, src, dst):

@@ -31,7 +31,6 @@ from repro.service import worker as worker_mod
 from repro.service.journal import JOURNAL_NAME, SweepJournal
 from repro.service.outcome import TERMINAL_STATES, PointState
 from repro.service.runner import (
-    HOOK_SWEEP_POINT,
     CircuitBreaker,
     SweepMetrics,
     SweepOutcome,
@@ -430,11 +429,10 @@ class _InterruptAt:
         self.at = at
         self.seen = 0
 
-    def func(self, ctx):
-        if ctx.pos == HOOK_SWEEP_POINT:
-            self.seen += 1
-            if self.seen == self.at:
-                raise KeyboardInterrupt
+    def __call__(self, outcome, progress):
+        self.seen += 1
+        if self.seen == self.at:
+            raise KeyboardInterrupt
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -455,10 +453,11 @@ def test_real_pool_interleavings_resume_to_serial_results(
     monkeypatch.setattr(worker_mod, "run_point", _scripted_run_point)
     journal_dir = tmp_path / "journal"
 
-    hooks = [_InterruptAt(rng.randint(1, 4))] if seed != 0 else []
+    observers = [_InterruptAt(rng.randint(1, 4))] if seed != 0 else []
     chunk = rng.choice([1, 2])
     monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.0)
-    runner = SweepRunner(max_workers=2, journal=journal_dir, hooks=hooks)
+    runner = SweepRunner(max_workers=2, journal=journal_dir,
+                         observers=observers)
     monkeypatch.setattr(runner, "_chunk_size", lambda n, w: chunk)
     try:
         outcomes = runner.run(trace, configs)

@@ -30,7 +30,7 @@ from repro.service import runner as runner_mod
 from repro.service import worker as worker_mod
 from repro.service.cache import ResultCache, trace_digest
 from repro.service.journal import JOURNAL_NAME, SweepJournal
-from repro.service.runner import HOOK_SWEEP_POINT, SweepRunner
+from repro.service.runner import SweepRunner
 from repro.trace.trace import Trace
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
@@ -51,9 +51,8 @@ class _PointHook:
     def __init__(self):
         self.outcomes = []
 
-    def func(self, ctx):
-        if ctx.pos == HOOK_SWEEP_POINT:
-            self.outcomes.append(ctx.item)
+    def __call__(self, outcome, progress):
+        self.outcomes.append(outcome)
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +72,7 @@ class TestWorkerCrash:
         }
         hook = _PointHook()
         monkeypatch.setattr(SweepRunner, "RETRY_BACKOFF", 0.001)
-        runner = SweepRunner(max_workers=2, hooks=[hook])
+        runner = SweepRunner(max_workers=2, observers=[hook])
         outcomes = runner.run(trace, configs)
 
         crashed = outcomes[1]
@@ -395,17 +394,16 @@ class TestDegradationRung:
 # KeyboardInterrupt containment
 # ----------------------------------------------------------------------
 class _InterruptHook:
-    """Raises KeyboardInterrupt out of the first sweep_point hook —
+    """Raises KeyboardInterrupt out of the first point observer call —
     the same re-entry path a real Ctrl-C takes mid-wave."""
 
     def __init__(self):
         self.seen = 0
 
-    def func(self, ctx):
-        if ctx.pos == HOOK_SWEEP_POINT:
-            self.seen += 1
-            if self.seen == 1:
-                raise KeyboardInterrupt
+    def __call__(self, outcome, progress):
+        self.seen += 1
+        if self.seen == 1:
+            raise KeyboardInterrupt
 
 
 class TestKeyboardInterrupt:
@@ -413,7 +411,7 @@ class TestKeyboardInterrupt:
             self, trace, tmp_path):
         configs = [_config(num_gpus=n) for n in (2, 4, 8)]
         runner = SweepRunner(max_workers=1, journal=tmp_path,
-                             hooks=[_InterruptHook()])
+                             observers=[_InterruptHook()])
         with pytest.raises(KeyboardInterrupt):
             runner.run(trace, configs)
 
@@ -436,7 +434,7 @@ class TestKeyboardInterrupt:
 
     def test_parallel_interrupt_leaks_no_workers(self, trace):
         configs = [_config(num_gpus=n) for n in (2, 4, 2, 4)]
-        runner = SweepRunner(max_workers=2, hooks=[_InterruptHook()])
+        runner = SweepRunner(max_workers=2, observers=[_InterruptHook()])
         with pytest.raises(KeyboardInterrupt):
             runner.run(trace, configs)
 

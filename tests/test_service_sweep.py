@@ -24,7 +24,6 @@ from repro.perfmodel.scaling import CrossGPUScaler
 from repro.service import worker as worker_mod
 from repro.service.cache import ResultCache, trace_digest
 from repro.service.runner import (
-    HOOK_SWEEP_POINT,
     SweepMetrics,
     SweepOutcome,
     SweepPointError,
@@ -414,34 +413,42 @@ class TestSharedWork:
 
 
 # ----------------------------------------------------------------------
-# Progress hooks
+# Point observers
 # ----------------------------------------------------------------------
 
 
 class _Collector:
     def __init__(self):
-        self.ctxs = []
+        self.calls = []
 
-    def func(self, ctx):
-        self.ctxs.append(ctx)
+    def __call__(self, outcome, progress):
+        self.calls.append((outcome, progress))
 
 
 class TestProgressHooks:
     def test_positions_and_counters(self, trace):
-        hook = _Collector()
+        observer = _Collector()
         configs = _grid()
-        SweepRunner(max_workers=1, hooks=[hook]).run(trace, configs)
-        assert {c.pos for c in hook.ctxs} == {HOOK_SWEEP_POINT}
-        points = [c for c in hook.ctxs if c.pos == HOOK_SWEEP_POINT]
-        assert len(points) == len(configs)
-        assert [c.detail["completed"] for c in points] == \
+        SweepRunner(max_workers=1, observers=[observer]).run(trace, configs)
+        assert len(observer.calls) == len(configs)
+        assert [p["completed"] for _, p in observer.calls] == \
             list(range(1, len(configs) + 1))
-        assert all(c.detail["total"] == len(configs) for c in points)
-        assert all(isinstance(c.item, SweepOutcome) for c in points)
-        end = hook.ctxs[-1]
-        assert end.detail["completed"] == len(configs)
-        assert end.detail["errors"] == 0
-        assert end.detail["events_per_sec"] >= 0.0
+        assert all(p["total"] == len(configs) for _, p in observer.calls)
+        assert all(isinstance(o, SweepOutcome) for o, _ in observer.calls)
+        _, end = observer.calls[-1]
+        assert end["completed"] == len(configs)
+        assert end["errors"] == 0
+        assert end["events_per_sec"] >= 0.0
+
+    def test_uncallable_observer_fails_at_construction(self, trace,
+                                                       tmp_path):
+        # Rejected before any point runs or the journal is written,
+        # naming the offending value.
+        with pytest.raises(TypeError,
+                           match="<object object at .*> is not callable"):
+            SweepRunner(max_workers=1, observers=[object()],
+                        journal=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -476,10 +483,11 @@ class TestMetricsSerialization:
 
     def test_end_hook_detail_round_trips_through_json(self, trace):
         collected = _Collector()
-        SweepRunner(max_workers=1, hooks=[collected]).run(
+        SweepRunner(max_workers=1, observers=[collected]).run(
             trace, [SimulationConfig(num_gpus=2)])
-        for ctx in collected.ctxs:
-            json.loads(json.dumps(ctx.detail, allow_nan=False))
+        assert collected.calls
+        for _, progress in collected.calls:
+            json.loads(json.dumps(progress, allow_nan=False))
 
 
 # ----------------------------------------------------------------------

@@ -378,11 +378,10 @@ class TestVerifyIntegration:
         ran = set()
         for cls, method, rule in (
             (sz.TimeMonotonicSanitizer, "observe", "SZ001"),
-            (sz.LinkCapacitySanitizer, "func", "SZ002"),
+            (sz.LinkCapacitySanitizer, "observe", "SZ002"),
             (sz.HeapLeakSanitizer, "check", "SZ003"),
-            (sz.AllocatorWarningSanitizer, "func", "SZ004"),
             (sz.RestartConsistencySanitizer, "check", "SZ005"),
-            (sz.PathCapacitySanitizer, "func", "SZ006"),
+            (sz.PathCapacitySanitizer, "observe", "SZ006"),
             (rc.TieOrderDetector, "observe", "RC001"),
             (rc.HappensBeforeDetector, "check", "RC002"),
             (rc.RngDriftDetector, "compare", "RC003"),
@@ -393,6 +392,18 @@ class TestVerifyIntegration:
                 return _check(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, method, spy)
+        # SZ004 runs only when the allocator warns, which a clean run
+        # never does: it must be attached to the network's warning list.
+        warning_checks = []
+        attach = rc.RuntimeSuite.attach
+
+        def spy_attach(self, *args, **kwargs):
+            suite = attach(self, *args, **kwargs)
+            warning_checks.extend(type(observer.__self__) for observer in
+                                  kwargs["network"].warning_observers)
+            return suite
+
+        monkeypatch.setattr(rc.RuntimeSuite, "attach", spy_attach)
         faults = FaultSpec(stragglers=(Straggler("gpu1", 0.0, 0.002, 2.0),),
                            link_faults=(LinkFault("gpu0-gpu1", 0.0, 0.002,
                                                   0.5),))
@@ -401,8 +412,9 @@ class TestVerifyIntegration:
                       verify=True)
         sim.run()
         assert sim.verify_report.ok
-        assert ran == {"SZ001", "SZ002", "SZ003", "SZ004", "SZ005",
-                       "SZ006", "RC001", "RC002", "RC003"}
+        assert ran == {"SZ001", "SZ002", "SZ003", "SZ005", "SZ006",
+                       "RC001", "RC002", "RC003"}
+        assert warning_checks == [sz.AllocatorWarningSanitizer]
 
     def test_clean_run_zero_findings_and_stable_digest(self, trace):
         digests = []
